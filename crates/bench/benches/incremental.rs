@@ -7,6 +7,11 @@
 //! long-lived `IncrementalChecker` (`CheckStrategy::Incremental`).  The two
 //! paths are verified to agree verdict for verdict while being timed.
 //!
+//! Past those sizes the from-scratch path is out of reach, and the question
+//! becomes whether the incremental path's cost per operation stays flat as
+//! the history grows: the scaling rows time it alone, two orders of
+//! magnitude deeper.
+//!
 //! Besides the per-size report lines, the bench writes the machine-readable
 //! baseline `BENCH_checker.json` at the workspace root so future PRs can
 //! track the perf trajectory:
@@ -16,7 +21,7 @@
 //! ```
 
 use drv_consistency::{
-    check_history, CheckerConfig, ConcurrentHistory, IncrementalChecker,
+    check_history, CheckOutcome, CheckerConfig, ConcurrentHistory, IncrementalChecker,
 };
 use drv_lang::{Action, Invocation, ProcId, Response, Word};
 use drv_spec::Register;
@@ -31,6 +36,9 @@ const PROCESSES: usize = 3;
 const MAX_STATES: usize = 200_000;
 /// History sizes, in completed operations ≈ monitor loop iterations.
 const SIZES: [usize; 4] = [25, 50, 100, 200];
+/// History sizes timed on the incremental path alone; the first repeats the
+/// largest compared size so the two tables join.
+const SCALING_SIZES: [usize; 3] = [200, 2_000, 20_000];
 /// Timed repetitions per measurement (minimum is reported).
 const REPS: usize = 3;
 
@@ -114,7 +122,8 @@ fn incremental_path(word: &Word, config: &CheckerConfig) -> (Duration, Vec<bool>
     for symbol in word.symbols() {
         checker.push_symbol(symbol);
         if matches!(symbol.action, Action::Respond(_)) {
-            verdicts.push(checker.check().is_consistent());
+            // The witness-free verdict, as the monitor asks for it.
+            verdicts.push(checker.check_outcome() == CheckOutcome::Consistent);
         }
     }
     (start.elapsed(), verdicts)
@@ -181,7 +190,23 @@ fn measure_criterion(label: &str, config: &CheckerConfig) -> Vec<Row> {
     rows
 }
 
-fn json_section(label: &str, rows: &[Row]) -> String {
+/// Nanoseconds per completed operation of the incremental path at each
+/// scaling size.
+fn measure_scaling(label: &str, config: &CheckerConfig) -> Vec<f64> {
+    SCALING_SIZES
+        .iter()
+        .map(|&size| {
+            let word = register_history(PROCESSES, size, 0x5CA1E + size as u64);
+            let (elapsed, verdicts) = best_of(|| incremental_path(&word, config));
+            assert!(verdicts.iter().all(|&consistent| consistent), "{label}/{size}");
+            let ns_per_op = elapsed.as_nanos() as f64 / size as f64;
+            println!("checker/{label}/incremental/{size:<5} time: [min {ns_per_op:.0} ns/op]");
+            ns_per_op
+        })
+        .collect()
+}
+
+fn json_section(label: &str, rows: &[Row], scaling: &[f64]) -> String {
     let sizes: Vec<String> = rows.iter().map(|r| r.size.to_string()).collect();
     let scratch: Vec<String> = rows.iter().map(|r| r.scratch.as_nanos().to_string()).collect();
     let incremental: Vec<String> = rows
@@ -195,7 +220,9 @@ fn json_section(label: &str, rows: &[Row]) -> String {
             "      \"sizes\": [{}],\n",
             "      \"scratch_ns\": [{}],\n",
             "      \"incremental_ns\": [{}],\n",
-            "      \"speedup_at_{}\": {:.2}\n",
+            "      \"speedup_at_{}\": {:.2},\n",
+            "      \"scaling_sizes\": [{}],\n",
+            "      \"incremental_ns_per_op\": [{}]\n",
             "    }}"
         ),
         label,
@@ -204,6 +231,12 @@ fn json_section(label: &str, rows: &[Row]) -> String {
         incremental.join(", "),
         at_max.size,
         at_max.speedup(),
+        SCALING_SIZES.map(|size| size.to_string()).join(", "),
+        scaling
+            .iter()
+            .map(|ns| format!("{ns:.0}"))
+            .collect::<Vec<_>>()
+            .join(", "),
     )
 }
 
@@ -212,6 +245,8 @@ fn main() {
     let sc = CheckerConfig::sequential_consistency().with_max_states(MAX_STATES);
     let lin_rows = measure_criterion("lin", &lin);
     let sc_rows = measure_criterion("sc", &sc);
+    let lin_scaling = measure_scaling("lin", &lin);
+    let sc_scaling = measure_scaling("sc", &sc);
 
     for (label, rows) in [("lin", &lin_rows), ("sc", &sc_rows)] {
         let at_max = rows.last().expect("at least one size");
@@ -230,7 +265,8 @@ fn main() {
             "  \"object\": \"register\",\n",
             "  \"processes\": {},\n",
             "  \"max_states\": {},\n",
-            "  \"unit\": \"total nanoseconds for one run of <size> monitor iterations\",\n",
+            "  \"unit\": \"total nanoseconds for one run of <size> monitor iterations; ",
+            "incremental_ns_per_op: nanoseconds per completed operation at <scaling_size>\",\n",
             "  \"criteria\": {{\n",
             "{},\n",
             "{}\n",
@@ -239,8 +275,8 @@ fn main() {
         ),
         PROCESSES,
         MAX_STATES,
-        json_section("linearizability", &lin_rows),
-        json_section("sequential_consistency", &sc_rows),
+        json_section("linearizability", &lin_rows, &lin_scaling),
+        json_section("sequential_consistency", &sc_rows, &sc_scaling),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_checker.json");
     match std::fs::write(path, &json) {

@@ -26,7 +26,10 @@
 //!    the root: at every depth it first tries the operation the previous
 //!    witness chose there (the preserved frontier), so the search walks
 //!    straight back to the old linearization and only branches where the new
-//!    operation actually forces a difference.
+//!    operation actually forces a difference.  Invariant: *witness alive ⇒
+//!    frontier ≡ the witness order's ids*, so the frontier is stored only
+//!    while no witness is — it is copied out of a witness at the points one
+//!    is discarded, and a checkpoint writes whichever of the two exists.
 //! 3. **The memo table.**  Dead configurations are keyed by a compact
 //!    progress vector (counts packed exactly into a `u128` whenever they
 //!    fit) plus a 128-bit FNV-1a hash of the sequential state — no state
@@ -46,6 +49,29 @@
 //! * Histories are interned ([`InternedHistory`]): operations are `Copy`
 //!   records, payload comparisons happen once at intern time.
 //!
+//! **Cost.**  A monitor owes a verdict after every symbol for as long as the
+//! object lives, so no maintenance move may cost the length of the history
+//! `m`.  The witness keeps a position index over the dense `OpId`s (is this
+//! operation in the order, and where) next to the order and the state path;
+//! with `c` the operations concurrent with the completed one (the entries a
+//! backward scan passes before one that must precede it) and `s` the length
+//! of a replayed suffix, a completed operation touches:
+//!
+//! | move                         | witness entries and states touched          |
+//! |------------------------------|---------------------------------------------|
+//! | assumed response confirmed   | 1 (index lookup)                            |
+//! | append splice                | `c` scanned, 1 state pushed                 |
+//! | mid-order splice at `i`      | `c` scanned, `s = m − i` replayed and re-indexed per attempt, ≤ 16 attempts |
+//! | repair (swap or excise)      | `s` replayed in place; an illegal replay leaves the witness untouched |
+//! | pending rescue               | one index lookup per open operation, 2 states pushed |
+//! | witness discarded            | `m` ids copied into the stored frontier, then the DFS |
+//! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`) |
+//!
+//! [`IncrementalChecker::maintenance_steps`] counts the first six rows, so
+//! tests can assert the bound without a clock.  What still grows with `m`
+//! per event sits outside this module's moves: checkpoint serialisation and
+//! the callers' own per-object verdict vectors.
+//!
 //! **Exactness.**  For definite verdicts the engine agrees with
 //! [`check_history`] bit for bit: a witness is only ever accepted after
 //! explicit legality + order validation, and the fallback search is the same
@@ -60,7 +86,8 @@
 
 use crate::checker::{CheckerConfig, ConsistencyResult, Witness};
 use crate::history::{HistoryDelta, InternedHistory};
-use crate::parallel::{parallel_dfs, ParallelOutcome, SharedMemo};
+use crate::parallel::{parallel_dfs, SharedMemo};
+use crate::search::{wing_gong, SearchContext, SearchOutcome};
 use drv_lang::wire::{
     put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
 };
@@ -192,18 +219,88 @@ impl CheckOutcome {
 /// frontier-guided DFS takes over (see `incorporate_completion`).
 const MAX_SPLICE_REPLAYS: usize = 16;
 
+/// Marks an operation the witness does not contain in
+/// [`WitnessPath::position`].
+const ABSENT: u32 = u32::MAX;
+
 struct WitnessPath<S: SequentialSpec> {
     /// Linearization order with interned responses.
     order: Vec<(OpId, ResponseId)>,
     /// `states[i]` is the sequential state after the first `i` operations;
     /// `states[0]` is the initial state (so `states.len() == order.len()+1`).
     states: Vec<S::State>,
+    /// `position[op.0]` is the index of `op` in `order`, or [`ABSENT`];
+    /// operations past the end of the table are absent too.  Kept in step
+    /// with `order` by every method that changes it.
+    position: Vec<u32>,
 }
 
-enum DfsOutcome {
-    Found,
-    NotFound,
-    Budget,
+impl<S: SequentialSpec> WitnessPath<S> {
+    fn new(order: Vec<(OpId, ResponseId)>, states: Vec<S::State>) -> Self {
+        debug_assert_eq!(states.len(), order.len() + 1);
+        let mut witness = WitnessPath {
+            order,
+            states,
+            position: Vec::new(),
+        };
+        witness.reindex_from(0);
+        witness
+    }
+
+    /// Where `op` sits in the order, if the witness contains it.
+    fn position_of(&self, op: OpId) -> Option<usize> {
+        match self.position.get(op.0) {
+            Some(&index) if index != ABSENT => Some(index as usize),
+            _ => None,
+        }
+    }
+
+    /// The linearization order without the responses: what the search
+    /// frontier is while this witness is alive.
+    fn ids(&self) -> Vec<OpId> {
+        self.order.iter().map(|(id, _)| *id).collect()
+    }
+
+    /// Re-records the positions of `order[from..]` (everything an insert or
+    /// a removal at `from` shifted).
+    fn reindex_from(&mut self, from: usize) {
+        for (index, (id, _)) in self.order.iter().enumerate().skip(from) {
+            if self.position.len() <= id.0 {
+                self.position.resize(id.0 + 1, ABSENT);
+            }
+            self.position[id.0] = u32::try_from(index).expect("< 2^32 ops");
+        }
+    }
+
+    /// Replaces the states after the first `prefix` operations.
+    fn set_states_after(&mut self, prefix: usize, states: impl IntoIterator<Item = S::State>) {
+        self.states.truncate(prefix + 1);
+        self.states.extend(states);
+        debug_assert_eq!(self.states.len(), self.order.len() + 1);
+    }
+
+    /// Inserts `entry` at `index`; `state` is the state right after it and
+    /// `suffix` the replayed states after each shifted operation.
+    fn insert(
+        &mut self,
+        index: usize,
+        entry: (OpId, ResponseId),
+        state: S::State,
+        suffix: Vec<S::State>,
+    ) {
+        self.order.insert(index, entry);
+        self.set_states_after(index, std::iter::once(state).chain(suffix));
+        self.reindex_from(index);
+    }
+
+    /// Removes the operation at `index`; `suffix` holds the replayed states
+    /// after each operation that followed it.
+    fn remove(&mut self, index: usize, suffix: Vec<S::State>) {
+        let (id, _) = self.order.remove(index);
+        self.position[id.0] = ABSENT;
+        self.set_states_after(index, suffix);
+        self.reindex_from(index);
+    }
 }
 
 /// Format version of [`IncrementalChecker::checkpoint_bytes`].  Bump when
@@ -315,9 +412,10 @@ pub struct IncrementalChecker<S: SequentialSpec> {
     /// [`IncrementalChecker::check_word`]).
     symbols: Vec<Symbol>,
     witness: Option<WitnessPath<S>>,
-    /// The last successful linearization order, kept (even after the witness
-    /// is invalidated) as the move-ordering hint — the preserved frontier —
-    /// of the fallback DFS.
+    /// The last successful linearization order, the move-ordering hint —
+    /// the preserved frontier — of the fallback DFS.  While a witness is
+    /// alive the frontier *is* the witness order and this stays empty; the
+    /// order is copied here at the points a witness is discarded.
     frontier: Vec<OpId>,
     latched_inconsistent: bool,
     /// Cached verdict for the current history, cleared on every new symbol.
@@ -329,6 +427,8 @@ pub struct IncrementalChecker<S: SequentialSpec> {
     parallel: Option<ParallelFallback>,
     epoch: u32,
     stats: CheckerStats,
+    /// See [`IncrementalChecker::maintenance_steps`].
+    maintenance_steps: u64,
 }
 
 #[derive(Clone)]
@@ -369,6 +469,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             parallel: None,
             epoch: 0,
             stats: CheckerStats::default(),
+            maintenance_steps: 0,
         }
     }
 
@@ -402,6 +503,20 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     #[must_use]
     pub fn stats(&self) -> CheckerStats {
         self.stats
+    }
+
+    /// The work witness maintenance has done over this engine's lifetime:
+    /// witness entries visited plus sequential states replayed while
+    /// incorporating completed operations (splice scans, suffix replays,
+    /// repairs, and copying the order out when a witness is discarded).
+    ///
+    /// A deterministic stand-in for time: a stream that stays on the fast
+    /// path costs a bounded number of steps per operation however long the
+    /// history already is.  Not part of [`CheckerStats`] and not
+    /// checkpointed.
+    #[must_use]
+    pub fn maintenance_steps(&self) -> u64 {
+        self.maintenance_steps
     }
 
     /// Number of symbols currently incorporated.
@@ -452,7 +567,9 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 // the no-drop configuration the witness must cover it; keep
                 // things simple and let the fallback handle that rare mode.
                 if !self.config.allow_drop_pending {
-                    self.witness = None;
+                    if let Some(witness) = self.witness.take() {
+                        self.discard(&witness);
+                    }
                 }
             }
             HistoryDelta::Completed(op) => self.incorporate_completion(op),
@@ -565,7 +682,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         if !extends {
             self.stats.rebuilds += 1;
             let order: Vec<OpId> = match &self.witness {
-                Some(witness) => witness.order.iter().map(|(id, _)| *id).collect(),
+                Some(witness) => witness.ids(),
                 None => self.frontier.clone(),
             };
             carried = order
@@ -588,6 +705,12 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
     }
 
+    /// Gives up on `witness`: its order becomes the stored search frontier.
+    fn discard(&mut self, witness: &WitnessPath<S>) {
+        self.maintenance_steps += witness.order.len() as u64;
+        self.frontier = witness.ids();
+    }
+
     /// Greedy witness maintenance for a newly completed operation.
     fn incorporate_completion(&mut self, op: OpId) {
         let Some(mut witness) = self.witness.take() else {
@@ -602,7 +725,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         // witness (orders and legality untouched by the completion — the new
         // response position creates no constraint *on* ops already ordered
         // before it) survives unchanged.
-        if let Some(position) = witness.order.iter().position(|(id, _)| *id == op) {
+        if let Some(position) = witness.position_of(op) {
             if witness.order[position].1 == observed {
                 self.stats.splices += 1;
                 self.witness = Some(witness);
@@ -611,20 +734,16 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             // The assumed response was wrong.  Repair in place: swap the
             // actual response in and revalidate the suffix (reads and other
             // non-mutators often still fit where they are)…
-            if let Some(repaired) = self.swap_response(&witness, position, observed) {
+            if self.swap_response(&mut witness, position, observed) {
                 self.stats.repairs += 1;
-                self.frontier = repaired.order.iter().map(|(id, _)| *id).collect();
-                self.witness = Some(repaired);
+                self.witness = Some(witness);
                 return;
             }
             // …or excise it and fall through to re-splicing it afresh at a
             // position where the actual response is legal.
-            match self.remove_at(&witness, position) {
-                Some(reduced) => witness = reduced,
-                None => {
-                    self.frontier = witness.order.iter().map(|(id, _)| *id).collect();
-                    return;
-                }
+            if !self.remove_at(&mut witness, position) {
+                self.discard(&witness);
+                return;
             }
         }
 
@@ -632,17 +751,21 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         // all earlier operations of its process (program order) and — for
         // linearizability — after every operation that precedes it in real
         // time.  Nothing is forced *after* it: its response is the latest
-        // symbol, so it precedes no operation yet.
+        // symbol, so it precedes no operation yet.  The last such entry is
+        // found from the back: everything the scan passes over is an
+        // operation the new one may still be ordered before.
+        let m = witness.order.len();
         let mut lo = 0usize;
-        for (i, (id, _)) in witness.order.iter().enumerate() {
+        for (i, (id, _)) in witness.order.iter().enumerate().rev() {
+            self.maintenance_steps += 1;
             let q = self.history.record(*id);
             let program_order = q.proc == record.proc && q.local_index < record.local_index;
             let real_time = self.config.respect_real_time && q.precedes(&record);
             if program_order || real_time {
                 lo = i + 1;
+                break;
             }
         }
-        let m = witness.order.len();
         let invocation = self.history.invocation_of(record.invocation).clone();
         let response = self.history.response_of(observed).clone();
         // Deepest-first, with a replay budget: without real-time pruning
@@ -651,7 +774,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         // budget the frontier-guided DFS is the cheaper fallback.
         let mut replays = 0usize;
         for i in (lo..=m).rev() {
-            let Some(mut state) = self
+            self.maintenance_steps += 1;
+            let Some(state) = self
                 .spec
                 .step_if_legal(&witness.states[i], &invocation, &response)
             else {
@@ -662,36 +786,12 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             }
             replays += 1;
             // Replay the suffix on the shifted state.
-            let mut new_states = Vec::with_capacity(m + 2 - i);
-            new_states.push(state.clone());
-            let mut legal = true;
-            for (id, resp) in &witness.order[i..] {
-                let q = self.history.record(*id);
-                let q_invocation = self.history.invocation_of(q.invocation);
-                let q_response = self.history.response_of(*resp);
-                match self.spec.step_if_legal(&state, q_invocation, q_response) {
-                    Some(next) => {
-                        state = next;
-                        new_states.push(state.clone());
-                    }
-                    None => {
-                        legal = false;
-                        break;
-                    }
-                }
-            }
-            if !legal {
+            let Some(suffix) = self.replay(&state, &witness.order[i..]) else {
                 continue;
-            }
-            let mut order = witness.order;
-            order.insert(i, (op, observed));
-            let mut states = witness.states;
-            states.truncate(i + 1);
-            states.extend(new_states);
-            debug_assert_eq!(states.len(), order.len() + 1);
+            };
+            witness.insert(i, (op, observed), state, suffix);
             self.stats.splices += 1;
-            self.frontier = order.iter().map(|(id, _)| *id).collect();
-            self.witness = Some(WitnessPath { order, states });
+            self.witness = Some(witness);
             return;
         }
         // Pending rescue: the append can fail because the new operation
@@ -700,9 +800,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         // the Figure 8 sketches.  Linearize one such open operation at the
         // end (with its specification response, exactly as the search
         // would), then append the new operation after it.
-        let mut rescue: Option<(OpId, S::State, S::State, drv_lang::Response)> = None;
         for q in self.history.open_ops() {
-            if witness.order.iter().any(|(id, _)| *id == q) {
+            if witness.position_of(q).is_some() {
                 continue;
             }
             let q_record = self.history.record(q);
@@ -717,77 +816,75 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             else {
                 continue;
             };
-            rescue = Some((q, mid_state, final_state, q_response));
-            break;
-        }
-        if let Some((q, mid_state, final_state, q_response)) = rescue {
             let assumed = self.history.intern_response(&q_response);
-            let mut order = witness.order;
-            order.push((q, assumed));
-            order.push((op, observed));
-            let mut states = witness.states;
-            states.push(mid_state);
-            states.push(final_state);
-            debug_assert_eq!(states.len(), order.len() + 1);
+            witness.insert(m, (q, assumed), mid_state, Vec::new());
+            witness.insert(m + 1, (op, observed), final_state, Vec::new());
             self.stats.splices += 1;
-            self.frontier = order.iter().map(|(id, _)| *id).collect();
-            self.witness = Some(WitnessPath { order, states });
+            self.witness = Some(witness);
             return;
         }
 
         // No legal splice: keep the old order as the search frontier.
-        self.frontier = witness.order.iter().map(|(id, _)| *id).collect();
+        self.discard(&witness);
+    }
+
+    /// Replays `entries` from `start`: the state after each of them, or
+    /// `None` when one of the steps is illegal.
+    fn replay(
+        &mut self,
+        start: &S::State,
+        entries: &[(OpId, ResponseId)],
+    ) -> Option<Vec<S::State>> {
+        let mut states: Vec<S::State> = Vec::with_capacity(entries.len());
+        for (id, resp) in entries {
+            self.maintenance_steps += 1;
+            let q = self.history.record(*id);
+            let invocation = self.history.invocation_of(q.invocation);
+            let response = self.history.response_of(*resp);
+            let next =
+                self.spec
+                    .step_if_legal(states.last().unwrap_or(start), invocation, response)?;
+            states.push(next);
+        }
+        Some(states)
     }
 
     /// Replaces the response at `position` with `observed` and replays the
-    /// suffix; `None` when the replay is illegal.
+    /// suffix; `false`, with the witness untouched, when that is illegal.
     fn swap_response(
-        &self,
-        witness: &WitnessPath<S>,
+        &mut self,
+        witness: &mut WitnessPath<S>,
         position: usize,
         observed: ResponseId,
-    ) -> Option<WitnessPath<S>> {
+    ) -> bool {
         let (id, _) = witness.order[position];
         let record = self.history.record(id);
-        let invocation = self.history.invocation_of(record.invocation);
-        let response = self.history.response_of(observed);
-        let mut state = self
-            .spec
-            .step_if_legal(&witness.states[position], invocation, response)?;
-        let mut states = witness.states[..=position].to_vec();
-        states.push(state.clone());
-        for (id, resp) in &witness.order[position + 1..] {
-            let q = self.history.record(*id);
-            let q_invocation = self.history.invocation_of(q.invocation);
-            let q_response = self.history.response_of(*resp);
-            state = self.spec.step_if_legal(&state, q_invocation, q_response)?;
-            states.push(state.clone());
-        }
-        let mut order = witness.order.clone();
-        order[position].1 = observed;
-        Some(WitnessPath { order, states })
+        let stepped = self.spec.step_if_legal(
+            &witness.states[position],
+            self.history.invocation_of(record.invocation),
+            self.history.response_of(observed),
+        );
+        let Some(state) = stepped else {
+            return false;
+        };
+        let Some(suffix) = self.replay(&state, &witness.order[position + 1..]) else {
+            return false;
+        };
+        witness.order[position].1 = observed;
+        witness.set_states_after(position, std::iter::once(state).chain(suffix));
+        true
     }
 
-    /// Removes the operation at `position` and replays the suffix; `None`
-    /// when the suffix is illegal without it.
-    fn remove_at(
-        &self,
-        witness: &WitnessPath<S>,
-        position: usize,
-    ) -> Option<WitnessPath<S>> {
-        let mut states = witness.states[..=position].to_vec();
-        let mut state = witness.states[position].clone();
-        for (id, resp) in &witness.order[position + 1..] {
-            let q = self.history.record(*id);
-            let q_invocation = self.history.invocation_of(q.invocation);
-            let q_response = self.history.response_of(*resp);
-            state = self.spec.step_if_legal(&state, q_invocation, q_response)?;
-            states.push(state.clone());
-        }
-        let mut order = witness.order.clone();
-        order.remove(position);
-        debug_assert_eq!(states.len(), order.len() + 1);
-        Some(WitnessPath { order, states })
+    /// Removes the operation at `position` and replays the suffix; `false`,
+    /// with the witness untouched, when the suffix is illegal without it.
+    fn remove_at(&mut self, witness: &mut WitnessPath<S>, position: usize) -> bool {
+        let Some(suffix) =
+            self.replay(&witness.states[position], &witness.order[position + 1..])
+        else {
+            return false;
+        };
+        witness.remove(position, suffix);
+        true
     }
 
     fn evaluate(&mut self) -> CheckOutcome {
@@ -812,35 +909,28 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
     }
 
+    /// The fallback search from the root, guided by the stored frontier.
     fn run_dfs(&mut self) -> CheckOutcome {
-        if let Some(parallel) = self.parallel.clone() {
-            if self.history.process_count() >= 2 && !self.history.is_empty() {
-                return self.run_dfs_parallel(&parallel);
-            }
-        }
         self.stats.dfs_runs += 1;
         self.bump_epoch();
-        let n = self.history.process_count();
-        let mut counts = vec![0u32; n];
-        let mut order: Vec<(OpId, ResponseId)> = Vec::with_capacity(self.history.len());
-        let mut explored = 0usize;
         let hint = std::mem::take(&mut self.frontier);
-        let outcome = self.dfs(
-            &mut counts,
-            self.spec.initial(),
-            &hint,
-            true,
-            &mut order,
-            &mut explored,
-        );
+        let fan_out = self
+            .parallel
+            .clone()
+            .filter(|_| self.history.process_count() >= 2 && !self.history.is_empty());
+        let (outcome, order) = match fan_out {
+            Some(parallel) => self.search_parallel(&parallel, &hint),
+            None => self.search_sequential(&hint),
+        };
+        if let SearchOutcome::Found = outcome {
+            // The witness order is the frontier from here on; the old hint
+            // is dropped.
+            self.install_witness(order);
+            return CheckOutcome::Consistent;
+        }
         self.frontier = hint;
-        self.stats.dfs_nodes += explored as u64;
         match outcome {
-            DfsOutcome::Found => {
-                self.install_witness(order);
-                CheckOutcome::Consistent
-            }
-            DfsOutcome::NotFound => {
+            SearchOutcome::NotFound => {
                 if self.config.respect_real_time {
                     // Linearizability is prefix-closed: the NO is final for
                     // every extension of this word.
@@ -848,13 +938,63 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 }
                 CheckOutcome::Inconsistent
             }
-            DfsOutcome::Budget => CheckOutcome::Unknown,
+            _ => CheckOutcome::Unknown,
         }
     }
 
-    /// Installs a search-produced linearization as the maintained witness:
-    /// rebuilds the state path once (outside the search) and makes the order
-    /// the new frontier.
+    /// The search on the calling thread, with this checker's own memo.
+    fn search_sequential(&mut self, hint: &[OpId]) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
+        let mut counts = vec![0u32; self.history.process_count()];
+        let mut order: Vec<(OpId, ResponseId)> = Vec::with_capacity(self.history.len());
+        let mut explored = 0usize;
+        let (memo, epoch) = (&mut self.memo, self.epoch);
+        let outcome = wing_gong(
+            &SearchContext {
+                spec: &self.spec,
+                config: &self.config,
+                hint,
+            },
+            &mut self.history,
+            |key| memo.insert(key, epoch) != Some(epoch),
+            || false,
+            &mut counts,
+            self.spec.initial(),
+            true,
+            &mut order,
+            &mut explored,
+        );
+        self.stats.dfs_nodes += explored as u64;
+        (outcome, order)
+    }
+
+    /// The search fanned out across the root's first-branch processes (see
+    /// [`crate::parallel`]).
+    fn search_parallel(
+        &mut self,
+        parallel: &ParallelFallback,
+        hint: &[OpId],
+    ) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
+        self.stats.parallel_dfs_runs += 1;
+        let (outcome, resolved, nodes) = parallel_dfs(
+            &self.spec,
+            &self.history,
+            &self.config,
+            &parallel.memo,
+            self.epoch,
+            hint,
+            parallel.threads,
+        );
+        self.stats.dfs_nodes += nodes;
+        // Re-intern the branch-local response payloads.
+        let order = resolved
+            .iter()
+            .map(|(id, resp)| (*id, self.history.intern_response(resp)))
+            .collect();
+        (outcome, order)
+    }
+
+    /// Installs a search-produced linearization as the maintained witness,
+    /// rebuilding the state path once (outside the search).
     fn install_witness(&mut self, order: Vec<(OpId, ResponseId)>) {
         let mut states = Vec::with_capacity(order.len() + 1);
         let mut state = self.spec.initial();
@@ -869,47 +1009,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 .expect("witness found by the search replays legally");
             states.push(state.clone());
         }
-        self.frontier = order.iter().map(|(id, _)| *id).collect();
-        self.witness = Some(WitnessPath { order, states });
-    }
-
-    /// The fallback search, fanned out across the root's first-branch
-    /// processes (see [`crate::parallel`]).
-    fn run_dfs_parallel(&mut self, parallel: &ParallelFallback) -> CheckOutcome {
-        self.stats.dfs_runs += 1;
-        self.stats.parallel_dfs_runs += 1;
-        self.bump_epoch();
-        let hint = std::mem::take(&mut self.frontier);
-        let (outcome, nodes) = parallel_dfs(
-            &self.spec,
-            &self.history,
-            &self.config,
-            &parallel.memo,
-            self.epoch,
-            &hint,
-            parallel.threads,
-        );
-        self.frontier = hint;
-        self.stats.dfs_nodes += nodes;
-        match outcome {
-            ParallelOutcome::Found(resolved) => {
-                // Re-intern the branch-local response payloads, then install
-                // exactly as the sequential Found arm does.
-                let order: Vec<(OpId, ResponseId)> = resolved
-                    .iter()
-                    .map(|(id, resp)| (*id, self.history.intern_response(resp)))
-                    .collect();
-                self.install_witness(order);
-                CheckOutcome::Consistent
-            }
-            ParallelOutcome::NotFound => {
-                if self.config.respect_real_time {
-                    self.latched_inconsistent = true;
-                }
-                CheckOutcome::Inconsistent
-            }
-            ParallelOutcome::Budget => CheckOutcome::Unknown,
-        }
+        self.witness = Some(WitnessPath::new(order, states));
     }
 
     /// Serializes the engine's resumable state into a self-contained byte
@@ -927,7 +1027,16 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// original on any symbol suffix.
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        // Sized for register traffic (a symbol is 6 or 14 bytes, a witness
+        // entry 9 or 17, a frontier entry 8) so that a long history is
+        // written without regrowing the buffer a dozen times.
+        let (witness_len, frontier_len) = match &self.witness {
+            Some(witness) => (witness.order.len(), witness.order.len()),
+            None => (0, self.frontier.len()),
+        };
+        let mut buf = Vec::with_capacity(
+            96 + 10 * self.symbols.len() + 13 * witness_len + 8 * frontier_len,
+        );
         buf.push(CHECKPOINT_VERSION);
         let mut flags = 0u8;
         if self.latched_inconsistent {
@@ -975,11 +1084,17 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 put_response(&mut buf, self.history.response_of(*resp));
             }
         }
-        put_u32(&mut buf, self.frontier.len() as u32);
-        for id in &self.frontier {
-            let record = self.history.record(*id);
+        // The frontier: the witness order while a witness is alive, the
+        // stored copy otherwise.
+        put_u32(&mut buf, frontier_len as u32);
+        let mut put_op = |id: OpId| {
+            let record = self.history.record(id);
             put_u32(&mut buf, record.proc.0 as u32);
             put_u32(&mut buf, record.local_index);
+        };
+        match &self.witness {
+            Some(witness) => witness.order.iter().for_each(|(id, _)| put_op(*id)),
+            None => self.frontier.iter().for_each(|id| put_op(*id)),
         }
         buf
     }
@@ -1020,7 +1135,12 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         self.symbols = Vec::with_capacity(symbol_count);
         self.witness = None;
         self.frontier = Vec::new();
+        // Memo entries are only trusted at the epoch that wrote them, and
+        // the epoch is about to be rewound to the checkpoint's.
         self.memo.clear();
+        if let Some(parallel) = &self.parallel {
+            parallel.memo.clear();
+        }
         for _ in 0..symbol_count {
             let proc = ProcId(reader.u32("checkpoint symbol proc")? as usize);
             let symbol = match reader.u8("checkpoint symbol tag")? {
@@ -1068,10 +1188,13 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                     .ok_or(CheckpointError::IllegalWitness { position })?;
                 states.push(state.clone());
             }
-            self.witness = Some(WitnessPath { order, states });
+            self.witness = Some(WitnessPath::new(order, states));
         }
+        // With a witness the frontier is its order (the writer serialized
+        // exactly that), so the entries are validated and not kept.
         let frontier_entries = reader.count(8, "checkpoint frontier")?;
-        let mut frontier = Vec::with_capacity(frontier_entries);
+        let stored = self.witness.is_none();
+        let mut frontier = Vec::with_capacity(if stored { frontier_entries } else { 0 });
         for _ in 0..frontier_entries {
             let proc = ProcId(reader.u32("checkpoint frontier proc")? as usize);
             let local_index = reader.u32("checkpoint frontier index")?;
@@ -1082,7 +1205,9 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                     proc: proc.0,
                     local_index,
                 })?;
-            frontier.push(op);
+            if stored {
+                frontier.push(op);
+            }
         }
         if !reader.is_empty() {
             return Err(CheckpointError::TrailingBytes {
@@ -1105,96 +1230,6 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             latched: counters[8],
         };
         Ok(())
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn dfs(
-        &mut self,
-        counts: &mut Vec<u32>,
-        state: S::State,
-        hint: &[OpId],
-        on_hint: bool,
-        order: &mut Vec<(OpId, ResponseId)>,
-        explored: &mut usize,
-    ) -> DfsOutcome {
-        if self.history.is_done(counts, self.config.allow_drop_pending) {
-            return DfsOutcome::Found;
-        }
-        if *explored >= self.config.max_states {
-            return DfsOutcome::Budget;
-        }
-        *explored += 1;
-        let key = (pack_counts(counts), hash_state(&state));
-        if self.memo.insert(key, self.epoch) == Some(self.epoch) {
-            return DfsOutcome::NotFound;
-        }
-
-        let n = self.history.process_count();
-        // Preserved-frontier move ordering: at this depth, try the process
-        // the previous witness linearized here first, so the search descends
-        // along the old linearization and only branches where the extension
-        // forces it to.
-        let hint_proc = if on_hint {
-            hint.get(order.len()).map(|id| self.history.record(*id).proc.0)
-        } else {
-            None
-        };
-        let process_order =
-            hint_proc.into_iter().chain((0..n).filter(|p| Some(*p) != hint_proc));
-        for p in process_order {
-            let Some(op) = self.history.next_of(ProcId(p), counts) else {
-                continue;
-            };
-            if self.config.respect_real_time && !self.history.respects_real_time(op, counts) {
-                continue;
-            }
-            let child_on_hint = on_hint && Some(p) == hint_proc;
-            // Choice 1: linearize the operation.
-            let stepped: Option<(S::State, ResponseId)> = match op.response {
-                Some(observed) => {
-                    let invocation = self.history.invocation_of(op.invocation);
-                    let response = self.history.response_of(observed);
-                    self.spec
-                        .step_if_legal(&state, invocation, response)
-                        .map(|next| (next, observed))
-                }
-                None => {
-                    let applied = {
-                        let invocation = self.history.invocation_of(op.invocation);
-                        self.spec.apply(&state, invocation)
-                    };
-                    // The spec's response for a completed-pending operation
-                    // is interned on sight (idempotent, so the arena stays
-                    // small).
-                    applied.map(|(next, resp)| {
-                        let id = self.history.intern_response(&resp);
-                        (next, id)
-                    })
-                }
-            };
-            if let Some((next_state, assigned)) = stepped {
-                counts[p] += 1;
-                order.push((op.id, assigned));
-                match self.dfs(counts, next_state, hint, child_on_hint, order, explored) {
-                    DfsOutcome::Found => return DfsOutcome::Found,
-                    DfsOutcome::Budget => return DfsOutcome::Budget,
-                    DfsOutcome::NotFound => {}
-                }
-                order.pop();
-                counts[p] -= 1;
-            }
-            // Choice 2: drop a pending operation.
-            if op.is_pending() && self.config.allow_drop_pending {
-                counts[p] += 1;
-                match self.dfs(counts, state.clone(), hint, false, order, explored) {
-                    DfsOutcome::Found => return DfsOutcome::Found,
-                    DfsOutcome::Budget => return DfsOutcome::Budget,
-                    DfsOutcome::NotFound => {}
-                }
-                counts[p] -= 1;
-            }
-        }
-        DfsOutcome::NotFound
     }
 }
 
@@ -1404,6 +1439,32 @@ mod tests {
         };
         assert!(checker.check_word(&completed).is_consistent());
         assert_eq!(checker.stats().dfs_runs, dfs_before, "{:?}", checker.stats());
+    }
+
+    #[test]
+    fn a_wrong_assumed_response_is_excised_and_respliced() {
+        // The first check comes late, so the search linearizes the still
+        // pending read first, with the response the specification gives it
+        // there: [r→0, w1].  The read then answers 1: it cannot stay where
+        // it is, leaves the order, and is spliced back in after the write —
+        // all without a second search.
+        let mut checker = lin(Register::new());
+        for symbol in [
+            Symbol::invoke(p(0), Invocation::Read),
+            Symbol::invoke(p(1), Invocation::Write(1)),
+            Symbol::respond(p(1), Response::Ack),
+        ] {
+            checker.push_symbol(&symbol);
+        }
+        let assumed = checker.check();
+        let order = &assumed.witness().expect("linearizable").order;
+        assert_eq!(order[0], (OpId(0), Response::Value(0)), "{order:?}");
+        checker.push_symbol(&Symbol::respond(p(0), Response::Value(1)));
+        let repaired = checker.check();
+        let order = &repaired.witness().expect("linearizable").order;
+        assert_eq!(order[..], [(OpId(1), Response::Ack), (OpId(0), Response::Value(1))]);
+        let stats = checker.stats();
+        assert_eq!((stats.dfs_runs, stats.splices, stats.repairs), (1, 1, 0), "{stats:?}");
     }
 
     #[test]
@@ -1681,6 +1742,47 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn restore_rewinds_the_parallel_memo_with_the_epoch() {
+        // Two concurrent writes, then a read by p0 that only the order
+        // [w2, w1] explains: the maintained witness [w1, w2] cannot take it
+        // by splicing, so the check after the read searches.
+        let prefix = WordBuilder::new()
+            .invoke(p(0), Invocation::Write(1))
+            .invoke(p(1), Invocation::Write(2))
+            .respond(p(0), Response::Ack)
+            .respond(p(1), Response::Ack)
+            .build();
+        let read = |value| {
+            [
+                Symbol::invoke(p(0), Invocation::Read),
+                Symbol::respond(p(0), Response::Value(value)),
+            ]
+        };
+        let parallel =
+            || IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 2)
+                .with_parallel_fallback(2);
+        let mut reused = parallel();
+        let mut outcomes = Vec::new();
+        reused.feed_batch(prefix.symbols(), &mut outcomes);
+        let checkpoint = reused.checkpoint_bytes();
+        // First life: a read of a value nobody wrote.  The search refutes
+        // it, claiming every configuration on the way at the next epoch.
+        reused.feed_batch(&read(9), &mut outcomes);
+        assert_eq!(outcomes.last(), Some(&CheckOutcome::Inconsistent));
+        assert!(reused.stats().parallel_dfs_runs >= 1, "{:?}", reused.stats());
+        // Second life, same checker: back to the checkpoint and its epoch,
+        // then a read that *is* linearizable.  Its search runs at the epoch
+        // the refutation ran at and must not trust those claims.
+        let mut fresh = parallel();
+        for checker in [&mut reused, &mut fresh] {
+            checker.restore_bytes(&checkpoint).expect("a checkpoint we wrote restores");
+            let mut outcomes = Vec::new();
+            checker.feed_batch(&read(1), &mut outcomes);
+            assert_eq!(outcomes, [CheckOutcome::Consistent; 2]);
         }
     }
 

@@ -37,6 +37,7 @@ pub mod history;
 pub mod incremental;
 pub mod languages;
 pub mod parallel;
+mod search;
 
 pub use checker::{
     check_history, check_linearizable, check_sequentially_consistent, is_linearizable,

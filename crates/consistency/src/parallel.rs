@@ -37,6 +37,7 @@
 use crate::checker::CheckerConfig;
 use crate::history::InternedHistory;
 use crate::incremental::{hash_state, pack_counts};
+use crate::search::{linearize, wing_gong, SearchContext, SearchOutcome};
 use drv_lang::{OpId, ProcId, Response, ResponseId};
 use drv_spec::SequentialSpec;
 use parking_lot::Mutex;
@@ -111,138 +112,15 @@ struct RootBranch {
     on_hint: bool,
 }
 
-/// Outcome of one branch (or of the whole parallel search).
-#[derive(Debug)]
-pub(crate) enum ParallelOutcome {
-    /// A linearization was found; responses are resolved payloads, ready for
-    /// re-interning by the owning checker.
-    Found(Vec<(OpId, Response)>),
-    /// The subtree(s) were exhaustively refuted.
-    NotFound,
-    /// A branch exhausted its node budget before an answer.
-    Budget,
-}
-
-enum BranchOutcome {
-    Found,
-    NotFound,
-    Budget,
-    /// Another branch found a witness; this branch stopped early.  Carries no
-    /// evidence either way.
-    Interrupted,
-}
-
 /// A branch's result slot: its outcome plus, for `Found`, the witness order
 /// with resolved response payloads.
-type BranchResult = (BranchOutcome, Vec<(OpId, Response)>);
-
-/// The shared-memo DFS: structurally the sequential
-/// `IncrementalChecker::dfs`, with the memo claim going through
-/// [`SharedMemo`] and a stop-flag check per node.
-#[allow(clippy::too_many_arguments)]
-fn dfs_shared<S: SequentialSpec>(
-    spec: &S,
-    history: &mut InternedHistory,
-    config: &CheckerConfig,
-    memo: &SharedMemo,
-    epoch: u32,
-    stop: &AtomicBool,
-    counts: &mut Vec<u32>,
-    state: S::State,
-    hint: &[OpId],
-    on_hint: bool,
-    order: &mut Vec<(OpId, ResponseId)>,
-    explored: &mut usize,
-) -> BranchOutcome {
-    if history.is_done(counts, config.allow_drop_pending) {
-        return BranchOutcome::Found;
-    }
-    if stop.load(Ordering::Relaxed) {
-        return BranchOutcome::Interrupted;
-    }
-    if *explored >= config.max_states {
-        return BranchOutcome::Budget;
-    }
-    *explored += 1;
-    let key = (pack_counts(counts), hash_state(&state));
-    if !memo.claim(key, epoch) {
-        return BranchOutcome::NotFound;
-    }
-
-    let n = history.process_count();
-    let hint_proc = if on_hint {
-        hint.get(order.len()).map(|id| history.record(*id).proc.0)
-    } else {
-        None
-    };
-    let process_order = hint_proc.into_iter().chain((0..n).filter(|p| Some(*p) != hint_proc));
-    for p in process_order {
-        let Some(op) = history.next_of(ProcId(p), counts) else {
-            continue;
-        };
-        if config.respect_real_time && !history.respects_real_time(op, counts) {
-            continue;
-        }
-        let child_on_hint = on_hint && Some(p) == hint_proc;
-        let stepped: Option<(S::State, ResponseId)> = match op.response {
-            Some(observed) => {
-                let invocation = history.invocation_of(op.invocation);
-                let response = history.response_of(observed);
-                spec.step_if_legal(&state, invocation, response)
-                    .map(|next| (next, observed))
-            }
-            None => {
-                let applied = {
-                    let invocation = history.invocation_of(op.invocation);
-                    spec.apply(&state, invocation)
-                };
-                applied.map(|(next, resp)| {
-                    let id = history.intern_response(&resp);
-                    (next, id)
-                })
-            }
-        };
-        if let Some((next_state, assigned)) = stepped {
-            counts[p] += 1;
-            order.push((op.id, assigned));
-            match dfs_shared(
-                spec, history, config, memo, epoch, stop, counts, next_state, hint,
-                child_on_hint, order, explored,
-            ) {
-                BranchOutcome::NotFound => {}
-                decided => return decided,
-            }
-            order.pop();
-            counts[p] -= 1;
-        }
-        if op.is_pending() && config.allow_drop_pending {
-            counts[p] += 1;
-            match dfs_shared(
-                spec,
-                history,
-                config,
-                memo,
-                epoch,
-                stop,
-                counts,
-                state.clone(),
-                hint,
-                false,
-                order,
-                explored,
-            ) {
-                BranchOutcome::NotFound => {}
-                decided => return decided,
-            }
-            counts[p] -= 1;
-        }
-    }
-    BranchOutcome::NotFound
-}
+type BranchResult = (SearchOutcome, Vec<(OpId, Response)>);
 
 /// Runs the fallback search with its root fanned out over at most `threads`
-/// scoped worker threads.  Returns the combined outcome and the total number
-/// of nodes explored across all branches.
+/// scoped worker threads.  Returns the combined outcome (never
+/// [`SearchOutcome::Interrupted`]), for `Found` the linearization with
+/// resolved response payloads, ready for re-interning by the owning checker,
+/// and the total number of nodes explored across all branches.
 pub(crate) fn parallel_dfs<S: SequentialSpec>(
     spec: &S,
     history: &InternedHistory,
@@ -251,11 +129,11 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
     epoch: u32,
     hint: &[OpId],
     threads: usize,
-) -> (ParallelOutcome, u64) {
+) -> (SearchOutcome, Vec<(OpId, Response)>, u64) {
     let n = history.process_count();
     let root_counts = vec![0u32; n];
     if history.is_done(&root_counts, config.allow_drop_pending) {
-        return (ParallelOutcome::Found(Vec::new()), 0);
+        return (SearchOutcome::Found, Vec::new(), 0);
     }
     // The root configuration itself: one node, claimed exactly as the
     // sequential search would.
@@ -289,7 +167,7 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
     }
     if branches.is_empty() {
         // Not done, yet no process can move: a real-time-blocked dead end.
-        return (ParallelOutcome::NotFound, 1);
+        return (SearchOutcome::NotFound, Vec::new(), 1);
     }
 
     let stop = AtomicBool::new(false);
@@ -311,7 +189,7 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
                             continue;
                         }
                         if stop.load(Ordering::Relaxed) {
-                            slots.push((index, (BranchOutcome::Interrupted, Vec::new())));
+                            slots.push((index, (SearchOutcome::Interrupted, Vec::new())));
                             continue;
                         }
                         let mut counts = vec![0u32; n];
@@ -331,7 +209,7 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
                             &mut explored,
                         );
                         explored_total += explored as u64;
-                        let resolved = if matches!(outcome, BranchOutcome::Found) {
+                        let resolved = if matches!(outcome, SearchOutcome::Found) {
                             stop.store(true, Ordering::Relaxed);
                             order
                                 .iter()
@@ -362,29 +240,29 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
     let mut found: Option<Vec<(OpId, Response)>> = None;
     for slot in results {
         match slot {
-            Some((BranchOutcome::Found, order)) => {
+            Some((SearchOutcome::Found, order)) => {
                 // First Found in deterministic branch order wins.
                 found = Some(order);
                 break;
             }
-            Some((BranchOutcome::Budget, _)) => saw_budget = true,
-            Some((BranchOutcome::Interrupted, _)) | None => {
+            Some((SearchOutcome::Budget, _)) => saw_budget = true,
+            Some((SearchOutcome::Interrupted, _)) | None => {
                 // Interrupted (or never-run) branches carry no evidence; they
                 // only occur when some branch found a witness, handled above
                 // or on a later slot.
             }
-            Some((BranchOutcome::NotFound, _)) => {}
+            Some((SearchOutcome::NotFound, _)) => {}
         }
     }
-    let outcome = match found {
-        Some(order) => ParallelOutcome::Found(order),
-        None if saw_budget => ParallelOutcome::Budget,
-        None => ParallelOutcome::NotFound,
-    };
-    (outcome, total_nodes)
+    match found {
+        Some(order) => (SearchOutcome::Found, order, total_nodes),
+        None if saw_budget => (SearchOutcome::Budget, Vec::new(), total_nodes),
+        None => (SearchOutcome::NotFound, Vec::new(), total_nodes),
+    }
 }
 
-/// Applies one root choice, then descends via [`dfs_shared`].
+/// Applies one root choice, then descends via [`wing_gong`] with the memo
+/// claim going through [`SharedMemo`] and the stop flag polled per node.
 #[allow(clippy::too_many_arguments)]
 fn run_branch<S: SequentialSpec>(
     spec: &S,
@@ -395,55 +273,32 @@ fn run_branch<S: SequentialSpec>(
     stop: &AtomicBool,
     hint: &[OpId],
     branch: RootBranch,
-    counts: &mut Vec<u32>,
+    counts: &mut [u32],
     order: &mut Vec<(OpId, ResponseId)>,
     explored: &mut usize,
-) -> BranchOutcome {
+) -> SearchOutcome {
     let state = spec.initial();
     let op = history
         .next_of(ProcId(branch.proc), counts)
         .expect("root branch has a candidate");
-    if branch.drop {
-        counts[branch.proc] += 1;
-        return dfs_shared(
-            spec, history, config, memo, epoch, stop, counts, state, hint, false, order,
-            explored,
-        );
-    }
-    let stepped: Option<(S::State, ResponseId)> = match op.response {
-        Some(observed) => {
-            let invocation = history.invocation_of(op.invocation);
-            let response = history.response_of(observed);
-            spec.step_if_legal(&state, invocation, response)
-                .map(|next| (next, observed))
-        }
-        None => {
-            let applied = {
-                let invocation = history.invocation_of(op.invocation);
-                spec.apply(&state, invocation)
-            };
-            applied.map(|(next, resp)| {
-                let id = history.intern_response(&resp);
-                (next, id)
-            })
-        }
-    };
-    let Some((next_state, assigned)) = stepped else {
-        return BranchOutcome::NotFound;
+    let (state, on_hint) = if branch.drop {
+        (state, false)
+    } else {
+        let Some((next_state, assigned)) = linearize(spec, history, &state, &op) else {
+            return SearchOutcome::NotFound;
+        };
+        order.push((op.id, assigned));
+        (next_state, branch.on_hint)
     };
     counts[branch.proc] += 1;
-    order.push((op.id, assigned));
-    dfs_shared(
-        spec,
+    wing_gong(
+        &SearchContext { spec, config, hint },
         history,
-        config,
-        memo,
-        epoch,
-        stop,
+        |key| memo.claim(key, epoch),
+        || stop.load(Ordering::Relaxed),
         counts,
-        next_state,
-        hint,
-        branch.on_hint,
+        state,
+        on_hint,
         order,
         explored,
     )

@@ -6,10 +6,17 @@
 //! verdict is compared against [`check_history`] run from scratch on the
 //! same prefix — both criteria, witnesses validated.  Seeds are fixed, so a
 //! failure reproduces exactly from the printed case context.
+//!
+//! The same sweeps pin two things a verdict comparison cannot see.  The
+//! search frontier only steers the fallback's move ordering, so a wrong one
+//! keeps every verdict and silently changes how much the search explores:
+//! each sweep asserts the exact totals of the engine's path counters.  And
+//! at every 7th prefix the checker is checkpointed and restored: the copy
+//! must write the same bytes back and answer the rest of the word alike.
 
 use drv_consistency::{
-    check_history, validate_witness, CheckerConfig, ConcurrentHistory, ConsistencyResult,
-    IncrementalChecker,
+    check_history, validate_witness, CheckOutcome, CheckerConfig, CheckerStats,
+    ConcurrentHistory, ConsistencyResult, IncrementalChecker,
 };
 use drv_lang::{Invocation, ProcId, Response, Symbol, Word};
 use drv_spec::{Counter, Queue, Register, SequentialSpec};
@@ -113,6 +120,43 @@ fn scratch_verdict<S: SequentialSpec>(
     check_history(spec, &ConcurrentHistory::from_word(&word, n), config)
 }
 
+/// The path counters a sweep adds up (the other [`CheckerStats`] fields
+/// follow from the number of checks).
+#[derive(Debug, Default, PartialEq, Eq)]
+struct PathTotals {
+    splices: u64,
+    repairs: u64,
+    dfs_runs: u64,
+    dfs_nodes: u64,
+    fast_path: u64,
+}
+
+impl PathTotals {
+    fn add(&mut self, stats: CheckerStats) {
+        self.splices += stats.splices;
+        self.repairs += stats.repairs;
+        self.dfs_runs += stats.dfs_runs;
+        self.dfs_nodes += stats.dfs_nodes;
+        self.fast_path += stats.fast_path;
+    }
+}
+
+/// A checkpoint-restored copy of the checker under test, taken after
+/// `taken_after` symbols and fed the rest of the word on its own.
+struct Fork {
+    taken_after: usize,
+    outcomes: Vec<CheckOutcome>,
+    stats: CheckerStats,
+}
+
+fn outcome_of(result: &ConsistencyResult) -> CheckOutcome {
+    match result {
+        ConsistencyResult::Consistent(_) => CheckOutcome::Consistent,
+        ConsistencyResult::Inconsistent => CheckOutcome::Inconsistent,
+        ConsistencyResult::Unknown => CheckOutcome::Unknown,
+    }
+}
+
 fn compare_on<S: SequentialSpec + Clone>(
     spec: S,
     object: Object,
@@ -120,18 +164,23 @@ fn compare_on<S: SequentialSpec + Clone>(
     label: &str,
     cases: usize,
     seed: u64,
-) {
+) -> PathTotals {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut totals = PathTotals::default();
+    let mut prefixes = 0usize;
     for case in 0..cases {
         let n = rng.gen_range(2..4usize);
         let max_ops = rng.gen_range(1..8usize);
         let word = random_word(&mut rng, object, n, max_ops);
         let mut incremental = IncrementalChecker::new(spec.clone(), config, n);
         let mut fed: Vec<Symbol> = Vec::new();
+        let mut outcomes: Vec<CheckOutcome> = Vec::new();
+        let mut forks: Vec<Fork> = Vec::new();
         for (position, symbol) in word.symbols().iter().enumerate() {
             incremental.push_symbol(symbol);
             fed.push(symbol.clone());
             let got = incremental.check();
+            outcomes.push(outcome_of(&got));
             let want = scratch_verdict(&spec, &fed, n, &config);
             let ctx = format!(
                 "{label} case {case} (n={n}), after symbol {position} of {:?}",
@@ -155,8 +204,41 @@ fn compare_on<S: SequentialSpec + Clone>(
                     "{ctx}: incremental witness does not validate"
                 );
             }
+            prefixes += 1;
+            if prefixes.is_multiple_of(7) {
+                let bytes = incremental.checkpoint_bytes();
+                let mut restored = IncrementalChecker::new(spec.clone(), config, n);
+                restored.restore_bytes(&bytes).expect("a checkpoint we wrote restores");
+                assert!(
+                    restored.checkpoint_bytes() == bytes,
+                    "{ctx}: the restored checker writes a different checkpoint"
+                );
+                let mut fork_outcomes = Vec::new();
+                restored.feed_batch(&word.symbols()[position + 1..], &mut fork_outcomes);
+                forks.push(Fork {
+                    taken_after: position + 1,
+                    outcomes: fork_outcomes,
+                    stats: restored.stats(),
+                });
+            }
         }
+        for fork in &forks {
+            assert_eq!(
+                fork.outcomes[..],
+                outcomes[fork.taken_after..],
+                "{label} case {case}: restored after {} symbols of {word}, outcomes diverge",
+                fork.taken_after
+            );
+            assert_eq!(
+                fork.stats,
+                incremental.stats(),
+                "{label} case {case}: restored after {} symbols of {word}, stats diverge",
+                fork.taken_after
+            );
+        }
+        totals.add(incremental.stats());
     }
+    totals
 }
 
 /// ≥ 1000 seeded histories for linearizability: 400 register + 300 counter +
@@ -164,9 +246,18 @@ fn compare_on<S: SequentialSpec + Clone>(
 #[test]
 fn linearizability_matches_scratch_on_random_histories() {
     let config = CheckerConfig::linearizability();
-    compare_on(Register::new(), Object::Register, config, "lin/register", 400, 101);
-    compare_on(Counter::new(), Object::Counter, config, "lin/counter", 300, 102);
-    compare_on(Queue::new(), Object::Queue, config, "lin/queue", 300, 103);
+    assert_eq!(
+        compare_on(Register::new(), Object::Register, config, "lin/register", 400, 101),
+        PathTotals { splices: 547, repairs: 0, dfs_runs: 633, dfs_nodes: 1060, fast_path: 2285 }
+    );
+    assert_eq!(
+        compare_on(Counter::new(), Object::Counter, config, "lin/counter", 300, 102),
+        PathTotals { splices: 451, repairs: 0, dfs_runs: 464, dfs_nodes: 860, fast_path: 1672 }
+    );
+    assert_eq!(
+        compare_on(Queue::new(), Object::Queue, config, "lin/queue", 300, 103),
+        PathTotals { splices: 380, repairs: 0, dfs_runs: 489, dfs_nodes: 950, fast_path: 1761 }
+    );
 }
 
 /// ≥ 1000 seeded histories for sequential consistency (no latch, witness
@@ -174,9 +265,18 @@ fn linearizability_matches_scratch_on_random_histories() {
 #[test]
 fn sequential_consistency_matches_scratch_on_random_histories() {
     let config = CheckerConfig::sequential_consistency();
-    compare_on(Register::new(), Object::Register, config, "sc/register", 400, 201);
-    compare_on(Counter::new(), Object::Counter, config, "sc/counter", 300, 202);
-    compare_on(Queue::new(), Object::Queue, config, "sc/queue", 300, 203);
+    assert_eq!(
+        compare_on(Register::new(), Object::Register, config, "sc/register", 400, 201),
+        PathTotals { splices: 615, repairs: 0, dfs_runs: 1462, dfs_nodes: 6430, fast_path: 1371 }
+    );
+    assert_eq!(
+        compare_on(Counter::new(), Object::Counter, config, "sc/counter", 300, 202),
+        PathTotals { splices: 492, repairs: 0, dfs_runs: 1140, dfs_nodes: 4701, fast_path: 1077 }
+    );
+    assert_eq!(
+        compare_on(Queue::new(), Object::Queue, config, "sc/queue", 300, 203),
+        PathTotals { splices: 466, repairs: 0, dfs_runs: 1216, dfs_nodes: 6174, fast_path: 1052 }
+    );
 }
 
 /// The no-drop configuration (pending operations must be completed) follows
@@ -185,7 +285,10 @@ fn sequential_consistency_matches_scratch_on_random_histories() {
 fn no_drop_configuration_matches_scratch() {
     let mut config = CheckerConfig::linearizability();
     config.allow_drop_pending = false;
-    compare_on(Register::new(), Object::Register, config, "nodrop/register", 150, 301);
+    assert_eq!(
+        compare_on(Register::new(), Object::Register, config, "nodrop/register", 150, 301),
+        PathTotals { splices: 185, repairs: 0, dfs_runs: 486, dfs_nodes: 1211, fast_path: 566 }
+    );
 }
 
 /// Unknown behaviour under a starved budget: the incremental engine must

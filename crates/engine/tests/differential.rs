@@ -17,12 +17,17 @@
 //! verdict contracts are identical, so the same assertions prove the
 //! batched paths bit-exact.
 
-use drv_adversary::{merge_random, register_object_stream, RegisterStreamShape};
+use drv_adversary::{
+    merge_random, merge_round_robin, register_object_stream, RegisterStreamShape,
+};
 use drv_consistency::{CheckerConfig, IncrementalChecker};
 use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactory, Verdict};
-use drv_engine::{EngineConfig, EventBatch, MonitoringEngine, SubmitError};
-use drv_lang::{ObjectId, Symbol};
+use drv_engine::{
+    sequential_reference, EngineConfig, EventBatch, MonitoringEngine, SubmitError,
+};
+use drv_lang::{Action, ObjectId, Response, Symbol};
 use drv_spec::Register;
+use drv_store::{recover, FsyncPolicy, Store, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -203,6 +208,25 @@ fn engine_verdicts_equal_sequential_checkers_on_seeded_streams() {
     assert!(no_streams >= 50, "only {no_streams} flagged streams");
 }
 
+/// Appends delivered verdicts to the per-object streams, checking that
+/// every `seq` continues its stream.
+fn extend_streams(
+    streamed: &mut BTreeMap<ObjectId, Vec<Verdict>>,
+    received: &[drv_engine::VerdictEvent],
+    context: &str,
+) {
+    for event in received {
+        let stream = streamed.entry(event.object).or_default();
+        assert_eq!(
+            event.seq,
+            stream.len() as u64,
+            "{context}, {}: subscription out of order",
+            event.object
+        );
+        stream.push(event.verdict);
+    }
+}
+
 /// Flushes the soak's producer-side buffer through `try_submit_batch`,
 /// draining the subscription while the bounded queue is full (this thread
 /// is both producer and consumer, so it must never block).
@@ -324,16 +348,7 @@ fn service_mode_soak_matches_sequential_reference() {
             assert_eq!(subscription.missed(), 0, "seed {seed}, {workers} workers");
             // Rebuild the per-object streams from the live deliveries.
             let mut streamed: BTreeMap<ObjectId, Vec<Verdict>> = BTreeMap::new();
-            for event in &received {
-                let stream = streamed.entry(event.object).or_default();
-                assert_eq!(
-                    event.seq,
-                    stream.len() as u64,
-                    "seed {seed}, {workers} workers, {}: subscription out of order",
-                    event.object
-                );
-                stream.push(event.verdict);
-            }
+            extend_streams(&mut streamed, &received, &format!("seed {seed}, {workers} workers"));
             assert_eq!(
                 streamed, expected,
                 "seed {seed}, {workers} workers: subscribed streams differ"
@@ -350,6 +365,106 @@ fn service_mode_soak_matches_sequential_reference() {
     // The soak proves nothing unless the service paths actually fired.
     assert!(rejections > 0, "max_pending=8 never rejected a try_submit");
     assert!(evictions > 0, "no object was ever evicted");
+}
+
+/// Blocks until the workers have checked everything submitted so far.
+fn wait_until_drained(engine: &MonitoringEngine) {
+    while engine.backlog() > 0 {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+}
+
+/// The tier-1 twin of `drvbench`'s `deep-history` and `recover` workloads:
+/// histories thousands of operations deep — where a per-event cost that
+/// grows with the history used to make this suite too slow to write —
+/// through a journaled engine that crashes mid-stream and recovers from its
+/// checkpoints.  One linearizability object reads a stale value after the
+/// crash, so a restored checker also runs a search as deep as its history
+/// on a worker's stack and latches.
+#[test]
+fn deep_histories_survive_a_crash_bit_identically() {
+    const OPS: usize = 6_000;
+    const STALE_AT: usize = 5_000;
+    const CHECKPOINT_INTERVAL: u64 = 1_024;
+
+    let mut rng = StdRng::seed_from_u64(0xDEE9);
+    let mut per_object: Vec<(ObjectId, Vec<Symbol>)> = (0..4)
+        .map(|id| (ObjectId(id), register_object_stream(&mut rng, OPS, &RegisterStreamShape::load())))
+        .collect();
+    // The first read at or after operation STALE_AT of object 0 (LIN)
+    // returns a value nobody wrote.
+    let stale = per_object[0]
+        .1
+        .iter_mut()
+        .filter(|symbol| matches!(symbol.action, Action::Respond(_)))
+        .skip(STALE_AT)
+        .find_map(|symbol| match &mut symbol.action {
+            Action::Respond(Response::Value(value)) => Some(value),
+            _ => None,
+        })
+        .expect("a read after STALE_AT");
+    *stale += 1_000;
+    let events = merge_round_robin(per_object);
+    let expected = sequential_reference(mixed_factory(1).as_ref(), &events);
+    assert!(expected[&ObjectId(0)].last().is_some_and(|verdict| verdict.is_no()));
+    assert!((1..4).all(|id| expected[&ObjectId(id)].iter().all(|verdict| verdict.is_yes())));
+
+    let store_config = StoreConfig::new()
+        .with_checkpoint_interval(CHECKPOINT_INTERVAL)
+        .with_fsync(FsyncPolicy::Never);
+    // The crash point: a frame boundary at either batch size, before the
+    // stale read.
+    let cut = events.len() / 2 / 256 * 256;
+    for workers in [1usize, 2, 4] {
+        for batch in [1usize, 256] {
+            let context = format!("{workers} workers, batch {batch}");
+            let path = std::env::temp_dir().join(format!(
+                "drv-engine-deep-{}-{workers}-{batch}.journal",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+
+            // First life: journal the prefix, then die without a goodbye.
+            let store = Arc::new(Store::open(&path, store_config).expect("journal opens"));
+            let engine = MonitoringEngine::new(EngineConfig::new(workers), mixed_factory(1));
+            engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
+            let subscription = engine.subscribe(events.len());
+            engine.submit_stream(&events[..cut], batch);
+            wait_until_drained(&engine);
+            let mut received = Vec::new();
+            drain(&subscription, &mut received);
+            assert_eq!(subscription.missed(), 0, "{context}");
+            assert!(store.io_error().is_none(), "{context}: {:?}", store.io_error());
+            assert!(store.stats().checkpoints >= 4, "{context}: {:?}", store.stats());
+            drop((subscription, engine, store));
+
+            // Second life: checkpoints seed every object, the journal's
+            // suffix replays, and the rest of the stream arrives.
+            let recovery = recover(&path, store_config, EngineConfig::new(workers), mixed_factory(1))
+                .expect("recovery succeeds");
+            assert_eq!(recovery.stats.replayed_events, cut as u64, "{context}");
+            assert_eq!(recovery.stats.seeded_objects, 4, "{context}: {:?}", recovery.stats);
+            wait_until_drained(&recovery.engine);
+            let subscription = recovery.engine.subscribe(events.len());
+            recovery.engine.submit_stream(&events[cut..], batch);
+            wait_until_drained(&recovery.engine);
+            let report = recovery.engine.finish().expect("no worker panicked");
+            drain(&subscription, &mut received);
+            assert_eq!(subscription.missed(), 0, "{context}");
+            let mut streamed: BTreeMap<ObjectId, Vec<Verdict>> = BTreeMap::new();
+            extend_streams(&mut streamed, &received, &context);
+            let _ = std::fs::remove_file(&path);
+
+            assert_eq!(streamed, expected, "{context}: subscribed streams differ");
+            assert_eq!(report.objects.len(), expected.len(), "{context}");
+            for (object, verdicts) in &expected {
+                assert!(
+                    report.verdicts(*object) == Some(&verdicts[..]),
+                    "{context}, {object}: reported streams differ"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -174,15 +174,18 @@ fn slow_consumer_is_disconnected_not_buffered() {
         ("127.0.0.1", 0),
         EngineConfig::new(2).with_max_pending(4096),
         mixed_factory(),
-        // verdict_chunk 1 + a tiny outbound queue: the verdict traffic for
+        // verdict_chunk 1 + a small outbound queue: the verdict traffic for
         // 128k events (~5.4 MB in 1-verdict frames) dwarfs what loopback
-        // kernel buffers can autotune to (~4.3 MB measured) plus 8 queued
-        // frames, so the queue must wedge while the consumer refuses to
-        // read.
+        // kernel buffers can autotune to (~4.3 MB measured) plus 1024
+        // queued frames (~42 kB), so the queue must wedge while the
+        // consumer refuses to read.  Not smaller: once the engine has
+        // checked everything the router delivers one queue's worth per
+        // 20 ms subscription beat, and at 8 frames a beat the kernel
+        // buffers would take minutes to fill.
         ServerConfig::new()
             .with_window(128 * 1024)
             .with_verdict_chunk(1)
-            .with_outbound(8)
+            .with_outbound(1024)
             .with_stall_grace(Duration::from_millis(300)),
     )
     .expect("bind");
