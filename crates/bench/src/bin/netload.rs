@@ -10,7 +10,6 @@
 //! cargo run -p drv-bench --bin netload --release -- --journal  # journal overhead
 //! cargo run -p drv-bench --bin netload --release -- --connections        # 8/256/1000 sweep
 //! cargo run -p drv-bench --bin netload --release -- --connections quick  # 1000-conn CI gate
-//! cargo run -p drv-bench --bin netload --release -- --verdict-batch      # batched vs legacy frames
 //! cargo run -p drv-bench --bin netload --release -- --trace              # tracing overhead
 //! ```
 //!
@@ -44,15 +43,6 @@
 //! p50/p95/p99 decode/check/append/fsync latencies off the registry
 //! snapshot — spliced as `"telemetry"`.  Also composes with the sizing
 //! arguments (`--metrics quick`).
-//!
-//! `--verdict-batch` isolates what the run-compressed `VerdictBatch` wire
-//! frame buys: the same loopback deployment with batched frames on vs the
-//! legacy per-row `Verdicts` frames, at each batch size, both sides checked
-//! bit-identical to `sequential_reference`.  At load the batched side is
-//! gated at 0.9× legacy (it must never cost throughput), and the batched
-//! run must actually emit `net_verdict_frames` — spliced as
-//! `"netload_verdict_batch"`.  Composes with the sizing arguments
-//! (`--verdict-batch quick`).
 //!
 //! `--trace` measures what end-to-end distributed tracing costs: the same
 //! journaled loopback deployment with a passive handle vs 1-in-64 sampled
@@ -210,25 +200,11 @@ fn loopback_run(
     streams: &[Vec<(ObjectId, Symbol)>],
     batch_size: usize,
 ) -> (Duration, BTreeMap<ObjectId, Vec<Verdict>>, drv_net::ServerStats) {
-    let (elapsed, merged, stats, _frames) = loopback_run_with(streams, batch_size, true);
-    (elapsed, merged, stats)
-}
-
-/// [`loopback_run`] with the verdict framing selectable: `batched` routes
-/// delivery through run-compressed `VerdictBatch` frames, `false` through
-/// the legacy per-row `Verdicts` frames.  Also returns the server's
-/// `net_verdict_frames` counter so callers can prove verdict frames
-/// actually flowed.
-fn loopback_run_with(
-    streams: &[Vec<(ObjectId, Symbol)>],
-    batch_size: usize,
-    batched: bool,
-) -> (Duration, BTreeMap<ObjectId, Vec<Verdict>>, drv_net::ServerStats, u64) {
     let server = MonitorServer::bind(
         ("127.0.0.1", 0),
         EngineConfig::new(WORKERS).with_max_pending(max_pending(streams.len())),
         mixed_factory(),
-        ServerConfig::new().with_window(WINDOW).with_batched_verdicts(batched),
+        ServerConfig::new().with_window(WINDOW),
     )
     .expect("bind loopback");
     let addr = server.local_addr();
@@ -266,13 +242,8 @@ fn loopback_run_with(
     }
     let elapsed = start.elapsed();
     let stats = server.stats();
-    let verdict_frames = server
-        .telemetry()
-        .snapshot()
-        .counter("net_verdict_frames")
-        .unwrap_or(0);
     drop(server);
-    (elapsed, merged, stats, verdict_frames)
+    (elapsed, merged, stats)
 }
 
 fn best_of<T>(f: impl FnMut() -> (Duration, T)) -> (Duration, T) {
@@ -1260,124 +1231,14 @@ fn connections_mode(quick: bool, parallelism: usize) {
     splice_section("netload_connections", &section);
 }
 
-/// The `--verdict-batch` mode: the same loopback deployment with
-/// run-compressed `VerdictBatch` frames vs the legacy per-row `Verdicts`
-/// frames, at each batch size, both sides bit-identical to
-/// `sequential_reference` — spliced as `"netload_verdict_batch"`.
-fn verdict_batch_mode(load: &Load, streams: &[Vec<(ObjectId, Symbol)>], parallelism: usize) {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let combined: Vec<(ObjectId, Symbol)> = streams.iter().flatten().cloned().collect();
-    let reference = sequential_reference(mixed_factory().as_ref(), &combined);
-
-    let mut rows = Vec::new();
-    for batch_size in BATCH_SIZES {
-        let mut rates = [0.0f64; 2];
-        let mut nanos = [0u128; 2];
-        let mut batched_frames = 0u64;
-        for (slot, batched) in [(0usize, false), (1usize, true)] {
-            let label = if batched { "batched" } else { "legacy" };
-            let (elapsed, (verdicts, stats, frames)) = best_of(|| {
-                let (elapsed, verdicts, stats, frames) =
-                    loopback_run_with(streams, batch_size, batched);
-                (elapsed, (verdicts, stats, frames))
-            });
-            assert_eq!(
-                verdicts, reference,
-                "{label} frames, batch {batch_size}: wire verdicts differ from the reference"
-            );
-            assert_eq!(stats.nacks, 0, "compliant clients must never be NACKed");
-            if batched {
-                assert!(
-                    frames > 0,
-                    "batched run emitted no verdict frames over the wire"
-                );
-                batched_frames = frames;
-            }
-            rates[slot] = throughput(total, elapsed);
-            nanos[slot] = elapsed.as_nanos();
-            println!(
-                "netload/verdict-batch/{label:<7}/batch-{batch_size:<3}: {:>10.2} ms  \
-                 {:>12.0} events/s  ({frames} verdict frames)",
-                elapsed.as_secs_f64() * 1e3,
-                rates[slot],
-            );
-        }
-        let ratio = rates[1] / rates[0].max(1e-12);
-        println!(
-            "netload/verdict-batch/batch-{batch_size}: batched = {ratio:.2}x legacy"
-        );
-        rows.push((batch_size, nanos, rates, ratio, batched_frames));
-    }
-
-    // The gate: batched frames must never cost throughput.  Tiny runs (the
-    // CI `quick` smoke) are latency-dominated, so the ratio bar only binds
-    // at load — `quick` still gates bit-identity and frame emission above.
-    let ratio256 = rows
-        .iter()
-        .find(|(batch, ..)| *batch == 256)
-        .expect("measured")
-        .3;
-    if total >= 10_000 {
-        assert!(
-            ratio256 >= 0.9,
-            "VerdictBatch frames cost throughput at batch 256: {ratio256:.2}x legacy"
-        );
-    } else {
-        println!("netload: run too small for the 0.9x ratio gate (needs >= 10000 events)");
-    }
-
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|(batch, nanos, rates, ratio, frames)| {
-            format!(
-                concat!(
-                    "      {{ \"batch\": {}, \"legacy_ns\": {}, ",
-                    "\"legacy_events_per_sec\": {:.0}, \"batched_ns\": {}, ",
-                    "\"batched_events_per_sec\": {:.0}, ",
-                    "\"batched_vs_legacy_ratio\": {:.2}, ",
-                    "\"batched_verdict_frames\": {} }}"
-                ),
-                batch, nanos[0], rates[0], nanos[1], rates[1], ratio, frames,
-            )
-        })
-        .collect();
-    let section = format!(
-        concat!(
-            "{{\n",
-            "    \"regenerate\": \"cargo run -p drv-bench --bin netload --release -- ",
-            "--verdict-batch\",\n",
-            "    \"shape\": \"{} connections x {} objects x {} ops, loopback TCP, ",
-            "run-compressed VerdictBatch frames vs legacy per-row Verdicts frames\",\n",
-            "    \"events\": {},\n",
-            "    \"available_parallelism\": {},\n",
-            "    \"workers\": {},\n",
-            "    \"window\": {},\n",
-            "    \"rows\": [\n{}\n    ],\n",
-            "    \"verdicts_bit_identical_to_sequential_reference\": true\n",
-            "  }}"
-        ),
-        load.connections,
-        load.objects_per_conn,
-        load.ops_per_object,
-        total,
-        parallelism,
-        WORKERS,
-        WINDOW,
-        row_json.join(",\n"),
-    );
-    splice_section("netload_verdict_batch", &section);
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let journal = args.iter().any(|arg| arg == "--journal");
     let metrics = args.iter().any(|arg| arg == "--metrics");
     let connections_sweep = args.iter().any(|arg| arg == "--connections");
-    let verdict_batch = args.iter().any(|arg| arg == "--verdict-batch");
     let trace = args.iter().any(|arg| arg == "--trace");
     args.retain(|arg| {
-        arg != "--journal" && arg != "--metrics" && arg != "--connections"
-            && arg != "--verdict-batch" && arg != "--trace"
+        arg != "--journal" && arg != "--metrics" && arg != "--connections" && arg != "--trace"
     });
     let load = match args.first().map(String::as_str) {
         Some("quick") => Load { connections: 2, objects_per_conn: 4, ops_per_object: 40 },
@@ -1414,10 +1275,6 @@ fn main() {
     }
     if metrics {
         metrics_mode(&load, &streams, parallelism);
-        return;
-    }
-    if verdict_batch {
-        verdict_batch_mode(&load, &streams, parallelism);
         return;
     }
     if trace {

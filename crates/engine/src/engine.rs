@@ -3,9 +3,9 @@
 //! ## Architecture
 //!
 //! ```text
-//!  submit / try_submit(object, symbol)        worker 0   worker 1  …
+//!  submit_batch / try_submit_batch(batch)     worker 0   worker 1  …
 //!        │  bounded by max_pending               │          │
-//!        │  intern payloads (SharedInterner)     │          │
+//!        │  payloads interned (SharedInterner)   │          │
 //!        ▼                                       ▼          ▼
 //!  shard = fnv(object) ──► shard queues ──► ready deques (per worker,
 //!        (FIFO per shard)                    home = shard % workers,
@@ -47,21 +47,21 @@
 //!   park, and `tests/service.rs` asserts the counter stays flat over a
 //!   parked window).
 //! * **Backpressure.**  [`EngineConfig::with_max_pending`] bounds the
-//!   submitted-but-unprocessed work: [`MonitoringEngine::submit`] blocks
-//!   until workers drain below the bound,
-//!   [`MonitoringEngine::try_submit`] instead reports
+//!   submitted-but-unprocessed work: [`MonitoringEngine::submit_batch`]
+//!   blocks until workers drain below the bound,
+//!   [`MonitoringEngine::try_submit_batch`] instead reports
 //!   [`SubmitError::Full`].  Waiting producers are woken as batches retire.
 //! * **Streaming verdicts.**  [`MonitoringEngine::subscribe`] opens a
 //!   bounded [`VerdictSubscription`] channel delivering
 //!   `(object, seq, verdict)` as soon as each symbol is checked — consumers
 //!   no longer wait for the end-of-run [`crate::EngineReport`], which
 //!   [`MonitoringEngine::finish`] still returns unchanged.  Delivery is
-//!   run-batched on both ends: a worker pushes each same-object run's
+//!   batched on both ends: a worker pushes a drained shard batch's
 //!   verdicts as one slice under one channel lock, and consumers drain into
 //!   a reusable struct-of-arrays `VerdictBatch` via
 //!   [`VerdictSubscription::poll_batch`] /
-//!   [`VerdictSubscription::wait_batch`] (the per-verdict methods remain as
-//!   compatibility views).  Grouping changes, order and content never do.
+//!   [`VerdictSubscription::wait_batch`].  Grouping varies, order and
+//!   content never do.
 //! * **Eviction.**  [`MonitoringEngine::evict`] retires a quiesced object's
 //!   monitor through an in-queue marker (so it cannot overtake the object's
 //!   own events), flushing its verdicts into the final report and freeing
@@ -76,8 +76,9 @@
 //!   [`MonitoringEngine::try_submit_batch`] scatter a whole [`EventBatch`]
 //!   across the shards in one routing pass — one queue lock per touched
 //!   shard, backpressure reserved in events up front, and one epoch bump +
-//!   notify per batch.  Worker-side, consecutive same-object events are fed
-//!   to the monitor as one [`ObjectMonitor::on_batch`] run.
+//!   notify per batch ([`MonitoringEngine::submit`] is a batch of one).
+//!   Worker-side, consecutive same-object events are fed to the monitor as
+//!   one [`ObjectMonitor::on_batch`] run.
 //! * **Failure.**  A panicking monitor does not hang the pool: the worker
 //!   catches it, aborts the run (reconciling the backlog so
 //!   [`MonitoringEngine::backlog`] does not over-report forever), and the
@@ -148,8 +149,9 @@ impl EngineConfig {
     }
 
     /// Bounds the submitted-but-unprocessed work (clamped to ≥ 1):
-    /// [`MonitoringEngine::submit`] blocks at the bound until workers drain,
-    /// [`MonitoringEngine::try_submit`] reports [`SubmitError::Full`].
+    /// [`MonitoringEngine::submit_batch`] blocks at the bound until workers
+    /// drain, [`MonitoringEngine::try_submit_batch`] reports
+    /// [`SubmitError::Full`].
     /// Without this, ingestion is unbounded (the batch-mode default).
     #[must_use]
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
@@ -479,10 +481,6 @@ impl Shared {
         subs.iter().filter(|sub| sub.is_open()).cloned().collect()
     }
 
-    fn intern_event(&self, object: ObjectId, symbol: &Symbol) -> EventRecord {
-        EventRecord::intern(object, symbol, &self.interner)
-    }
-
     /// The attached durability tap, if any (cloned out so the sink mutex is
     /// never held across an append).
     fn journal(&self) -> Option<Arc<dyn JournalSink>> {
@@ -551,17 +549,13 @@ impl Shared {
         if let Some(verdict) = slot.monitor.finalize() {
             let seq = slot.base + slot.verdicts.len() as u64;
             slot.verdicts.push(verdict);
+            let delivery = [VerdictEvent {
+                object,
+                seq,
+                verdict,
+            }];
             for sub in subs {
-                let delivery = VerdictEvent {
-                    object,
-                    seq,
-                    verdict,
-                };
-                if blocking {
-                    sub.push(delivery, &|| self.streaming());
-                } else {
-                    sub.push_nonblocking(delivery);
-                }
+                sub.push_events(&delivery, &|| blocking && self.streaming());
             }
         }
         let entry = target.entry(object).or_insert_with(|| ObjectReport {
@@ -807,8 +801,8 @@ impl Shared {
                 // interleaved streams degenerate runs to single events, so
                 // per-run pushes would still lock per verdict).  Seqs are
                 // assigned from the slot's stream position before the
-                // extend and rows accumulate in processing order, so
-                // per-object order is exactly the per-verdict path's.
+                // extend and rows accumulate in processing order, so each
+                // object's seqs reach the channel in order.
                 let run_base = slot.base + slot.verdicts.len() as u64;
                 slot.verdicts.extend_from_slice(&scratch.verdicts);
                 if !subs.is_empty() {
@@ -1040,11 +1034,11 @@ fn worker_loop(shared: &Shared, worker: usize) {
 
 /// A long-lived, sharded, multi-object streaming monitoring engine.
 ///
-/// Feed it interleaved traffic with [`MonitoringEngine::submit`] (blocking
-/// under backpressure) or [`MonitoringEngine::try_submit`]; consume
-/// verdicts live through [`MonitoringEngine::subscribe`]; retire quiesced
-/// objects with [`MonitoringEngine::evict`] or an idle TTL; and collect the
-/// aggregate report with [`MonitoringEngine::finish`].
+/// Feed it interleaved traffic with [`MonitoringEngine::submit_batch`]
+/// (blocking under backpressure) or [`MonitoringEngine::try_submit_batch`];
+/// consume verdicts live through [`MonitoringEngine::subscribe`]; retire
+/// quiesced objects with [`MonitoringEngine::evict`] or an idle TTL; and
+/// collect the aggregate report with [`MonitoringEngine::finish`].
 ///
 /// ```
 /// use drv_core::CheckerMonitorFactory;
@@ -1075,48 +1069,36 @@ impl MonitoringEngine {
     /// object on first sight of its traffic.
     #[must_use]
     pub fn new(config: EngineConfig, factory: Arc<dyn ObjectMonitorFactory>) -> Self {
-        Self::with_recovered(config, factory, Vec::new())
+        Self::with_recovered(config, factory, Vec::new(), Telemetry::passive())
     }
 
     /// [`MonitoringEngine::new`] sharing an explicit [`Telemetry`] handle:
     /// the engine registers its `engine_*` metrics into `telemetry`'s
     /// registry and records pipeline events into its flight ring.  Pass a
     /// [`Telemetry::new`] handle to turn latency sampling and the flight
-    /// recorder on; the plain constructors use a passive handle (counters
-    /// only — no wall-clock reads on the hot path).
+    /// recorder on; [`MonitoringEngine::new`] uses a passive handle
+    /// (counters only — no wall-clock reads on the hot path).
     #[must_use]
     pub fn with_telemetry(
         config: EngineConfig,
         factory: Arc<dyn ObjectMonitorFactory>,
         telemetry: Arc<Telemetry>,
     ) -> Self {
-        Self::with_recovered_telemetry(config, factory, Vec::new(), telemetry)
+        Self::with_recovered(config, factory, Vec::new(), telemetry)
     }
 
-    /// [`MonitoringEngine::new`], seeded with recovered per-object state —
-    /// the constructor a durable store uses after a crash.  Each seed
-    /// installs its restored monitor with the checkpointed verdict prefix
-    /// pre-filled, so replaying the journal suffix re-emits the
-    /// post-checkpoint verdicts with their original `seq` numbers and the
-    /// final report is identical to an uninterrupted run.  Seeds are
-    /// installed before the workers spawn; no journal sink is attached yet
-    /// (attach one *after* replay with
+    /// [`MonitoringEngine::with_telemetry`], seeded with recovered
+    /// per-object state — the constructor a durable store uses after a
+    /// crash (sharing its handle, so engine, server and store report into
+    /// one registry).  Each seed installs its restored monitor with the
+    /// checkpointed verdict prefix pre-filled, so replaying the journal
+    /// suffix re-emits the post-checkpoint verdicts with their original
+    /// `seq` numbers and the final report is identical to an uninterrupted
+    /// run.  Seeds are installed before the workers spawn; no journal sink
+    /// is attached yet (attach one *after* replay with
     /// [`MonitoringEngine::attach_journal`]).
     #[must_use]
     pub fn with_recovered(
-        config: EngineConfig,
-        factory: Arc<dyn ObjectMonitorFactory>,
-        seeds: Vec<RecoveredObject>,
-    ) -> Self {
-        Self::with_recovered_telemetry(config, factory, seeds, Telemetry::passive())
-    }
-
-    /// [`MonitoringEngine::with_recovered`] sharing an explicit
-    /// [`Telemetry`] handle (see [`MonitoringEngine::with_telemetry`]) —
-    /// what a durable service uses so engine, server and store report into
-    /// one registry.
-    #[must_use]
-    pub fn with_recovered_telemetry(
         config: EngineConfig,
         factory: Arc<dyn ObjectMonitorFactory>,
         seeds: Vec<RecoveredObject>,
@@ -1219,27 +1201,17 @@ impl MonitoringEngine {
         self.shared.reconcile_if_aborted(shard_index);
     }
 
-    /// Ingests one symbol of `object`'s stream.  Symbols of the same object
-    /// are processed in submission order; distinct objects are independent.
-    ///
-    /// With a [`EngineConfig::with_max_pending`] bound, blocks until the
-    /// backlog drains below the bound.  After a worker panic the event is
-    /// discarded (the pool is dead — see [`MonitoringEngine::take_panic`]).
+    /// Ingests one symbol of `object`'s stream: a batch of one through
+    /// [`MonitoringEngine::submit_batch`], with that method's ordering,
+    /// backpressure and after-a-panic behaviour (the event is discarded
+    /// before it is interned or journaled).
     pub fn submit(&self, object: ObjectId, symbol: &Symbol) {
         if self.shared.aborted.load(Ordering::Acquire) {
             return;
         }
-        if self.shared.max_pending == usize::MAX {
-            self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        } else if !self.reserve_blocking(1) {
-            return;
-        }
-        if let Some(sink) = self.shared.journal() {
-            // Write-ahead: accepted (the reservation succeeded), not yet
-            // enqueued.
-            sink.append_event(object, symbol);
-        }
-        self.enqueue(object, QueueItem::Event(self.shared.intern_event(object, symbol)));
+        let mut batch = EventBatch::with_capacity(1);
+        batch.push_symbol(object, symbol, self.interner());
+        self.submit_batch(&batch);
     }
 
     /// Blocks until `count` pending-work slots are reserved (or the engine
@@ -1263,31 +1235,6 @@ impl MonitoringEngine {
         true
     }
 
-    /// Non-blocking [`MonitoringEngine::submit`]: rejects instead of
-    /// waiting when the [`EngineConfig::with_max_pending`] bound is reached.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Full`] at the bound; [`SubmitError::Aborted`] once a
-    /// worker has panicked (or the engine was dropped elsewhere).
-    pub fn try_submit(&self, object: ObjectId, symbol: &Symbol) -> Result<(), SubmitError> {
-        if self.shared.aborted.load(Ordering::Acquire) {
-            return Err(SubmitError::Aborted);
-        }
-        if self.shared.max_pending == usize::MAX {
-            self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        } else if self.shared.try_reserve(1).is_err() {
-            return Err(SubmitError::Full);
-        }
-        if let Some(sink) = self.shared.journal() {
-            // Write-ahead, and only past the bound: a Full rejection is
-            // never journaled.
-            sink.append_event(object, symbol);
-        }
-        self.enqueue(object, QueueItem::Event(self.shared.intern_event(object, symbol)));
-        Ok(())
-    }
-
     /// The engine's payload arena: batches submitted through
     /// [`MonitoringEngine::submit_batch`] /
     /// [`MonitoringEngine::try_submit_batch`] must intern their payloads
@@ -1301,14 +1248,13 @@ impl MonitoringEngine {
     /// scattered across the shards as per-shard runs (one queue lock per
     /// touched shard), backpressure is reserved in *events* up front, and
     /// the worker pool is published to once per batch — one `work_epoch`
-    /// bump and one notify instead of one per event.  Per-object order is
-    /// the batch order, exactly as if each event had been
-    /// [`MonitoringEngine::submit`]ted individually.
+    /// bump and one notify instead of one per event.  Symbols of one object
+    /// are processed in submission order; distinct objects are independent.
     ///
     /// With a [`EngineConfig::with_max_pending`] bound, blocks until the
     /// backlog has room; a batch larger than the bound is ingested in
     /// bound-sized chunks (each chunk its own routing pass).  After a worker
-    /// panic the batch is discarded, like `submit`.
+    /// panic the batch is discarded (see [`MonitoringEngine::take_panic`]).
     pub fn submit_batch(&self, batch: &EventBatch) {
         if batch.is_empty() || self.shared.aborted.load(Ordering::Acquire) {
             return;
@@ -1423,7 +1369,7 @@ impl MonitoringEngine {
             .collect();
         if let [(shard_index, range)] = &runs[..] {
             // Single-run batch (a one-event or single-object submission):
-            // no scatter plan needed, enqueue like the per-event path.
+            // no scatter plan needed.
             let newly_scheduled = {
                 let mut queue = self.shared.shards[*shard_index].queue.lock();
                 for index in range.clone() {
@@ -1898,11 +1844,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_submission_matches_per_event_submission() {
+    fn batched_submission_matches_the_reference_at_every_batch_size() {
         // The same round-robin interleaved stream as the reference test,
         // ingested through EventBatches of several sizes (including sizes
         // that split object runs mid-way): verdict streams must be
-        // bit-identical to the per-event path at every batch size.
+        // bit-identical to the reference at every batch size.
         let mut events = Vec::new();
         for step in 0..4 {
             for object in 0..8 {
@@ -1999,8 +1945,10 @@ mod tests {
         let mut accepted = 0u64;
         for _ in 0..200 {
             for (object, symbol) in clean_stream(5) {
+                let mut one = EventBatch::with_capacity(1);
+                one.push_symbol(object, &symbol, engine.interner());
                 loop {
-                    match engine.try_submit(object, &symbol) {
+                    match engine.try_submit_batch(&one) {
                         Ok(()) => {
                             accepted += 1;
                             break;

@@ -6,11 +6,12 @@
 //! implements the sink against its on-disk journal.  The contract between
 //! the two layers:
 //!
-//! * **Write-ahead.**  `append_batch` / `append_event` are called after a
+//! * **Write-ahead.**  `append_batch` — the one record kind for accepted
+//!   events; a single `submit` is a batch of one — is called after a
 //!   submission clears the backpressure bound (so refused work is never
 //!   journaled) and *before* it is enqueued — a crash between the append
-//!   and the enqueue replays the event, which is exactly the at-least-once
-//!   side replay-identical recovery needs (the monitor has not seen it
+//!   and the enqueue replays the events, which is exactly the at-least-once
+//!   side replay-identical recovery needs (the monitor has not seen them
 //!   yet).
 //! * **Checkpoints trail processing.**  `checkpoint` is called from the
 //!   worker *after* the covered events were fed, so by file order a
@@ -32,7 +33,7 @@
 //! object's own eviction.
 
 use drv_core::{ObjectMonitor, Verdict};
-use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol};
+use drv_lang::{EventBatch, ObjectId, SharedInterner};
 
 /// A durability tap for everything the engine accepts; see the module docs
 /// for the exact call-site contract.
@@ -40,9 +41,6 @@ pub trait JournalSink: Send + Sync {
     /// Appends one accepted [`EventBatch`] (payload ids live in `arena`,
     /// the engine's own interner) ahead of its enqueue.
     fn append_batch(&self, batch: &EventBatch, arena: &SharedInterner);
-
-    /// Appends one accepted single-event submission ahead of its enqueue.
-    fn append_event(&self, object: ObjectId, symbol: &Symbol);
 
     /// How many fed events of one object between two of its checkpoints.
     /// Returning `u64::MAX` disables checkpointing (journal-only mode).

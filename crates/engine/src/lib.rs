@@ -35,8 +35,8 @@
 //! workers park *untimed* on an epoch-ticketed condvar (zero wakeups while
 //! idle — no timed polling), ingestion is bounded
 //! ([`EngineConfig::with_max_pending`]: blocking
-//! [`MonitoringEngine::submit`] or non-blocking
-//! [`MonitoringEngine::try_submit`]), verdicts stream live through bounded
+//! [`MonitoringEngine::submit_batch`] or non-blocking
+//! [`MonitoringEngine::try_submit_batch`]), verdicts stream live through bounded
 //! [`VerdictSubscription`] channels ([`MonitoringEngine::subscribe`]), and
 //! quiesced objects are retired ([`MonitoringEngine::evict`],
 //! [`EngineConfig::with_idle_ttl`]) so per-object state does not grow with
@@ -51,7 +51,8 @@
 //! live in the engine's [`SharedInterner`](drv_lang::SharedInterner) arena
 //! ([`MonitoringEngine::interner`]) — and hand whole batches to
 //! [`MonitoringEngine::submit_batch`] /
-//! [`MonitoringEngine::try_submit_batch`].  A batch is scattered across the
+//! [`MonitoringEngine::try_submit_batch`] ([`MonitoringEngine::submit`] is
+//! a batch of one).  A batch is scattered across the
 //! shards in **one routing pass** (one queue lock per touched shard, order
 //! preserved, so per-object FIFO — and therefore verdict bit-identity —
 //! holds at any batch size), its backpressure is reserved in *events* up
@@ -73,8 +74,8 @@
 //! Each event still maps 1:1 to one iteration of the paper's Figure 1 loop
 //! — a batch is a *window* of iterations delivered together, not a
 //! coarser-grained check: verdict streams carry one verdict per event at
-//! every batch size (`tests/differential.rs` re-runs the differential and
-//! service soaks over `DRV_ENGINE_TEST_BATCH`-sized batches to prove it).
+//! every batch size (`tests/differential.rs` and `tests/service.rs` loop
+//! over workers {1, 2, 4} × batch sizes {1, 256} to prove it).
 //!
 //! ```
 //! use drv_core::CheckerMonitorFactory;

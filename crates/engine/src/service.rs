@@ -6,23 +6,18 @@
 //! end-of-run.  This module provides what the long-running mode needs
 //! instead:
 //!
-//! * [`SubmitError`] — what [`MonitoringEngine::try_submit`] reports when
-//!   the bounded ingestion queue is full ([`SubmitError::Full`]) or the
-//!   pool is dead ([`SubmitError::Aborted`]).
+//! * [`SubmitError`] — what [`MonitoringEngine::try_submit_batch`] reports
+//!   when the bounded ingestion queue is full ([`SubmitError::Full`]) or
+//!   the pool is dead ([`SubmitError::Aborted`]).
 //! * [`VerdictSubscription`] — a bounded channel of [`VerdictEvent`]s
 //!   (`(object, seq, verdict)` triples) delivering verdicts *as they are
 //!   decided*, created by [`MonitoringEngine::subscribe`].
 //!
-//! Delivery is **run-batched** on both sides of the channel: workers push
-//! each same-object run's verdicts as one slice under one channel lock
-//! ([`SubscriptionShared::push_slice`]), and consumers drain everything
-//! queued into a reusable struct-of-arrays
-//! [`VerdictBatch`](drv_lang::VerdictBatch) via
+//! Delivery is **batched** on both sides of the channel: a worker pushes
+//! every verdict a drained shard batch produced as one slice under one
+//! channel lock, and consumers drain everything queued into a reusable
+//! struct-of-arrays [`VerdictBatch`](drv_lang::VerdictBatch) via
 //! [`VerdictSubscription::poll_batch`] / [`VerdictSubscription::wait_batch`].
-//! The per-verdict [`VerdictSubscription::poll_verdicts`] /
-//! [`VerdictSubscription::wait_verdicts`] remain as compatibility views —
-//! same events, same order, one allocation per drain instead of a reusable
-//! batch.
 //!
 //! ## Channel semantics
 //!
@@ -47,7 +42,7 @@
 //! closure never out-waits a dead engine.  Queued events stay drainable
 //! after closing.
 //!
-//! [`MonitoringEngine::try_submit`]: crate::MonitoringEngine::try_submit
+//! [`MonitoringEngine::try_submit_batch`]: crate::MonitoringEngine::try_submit_batch
 //! [`MonitoringEngine::subscribe`]: crate::MonitoringEngine::subscribe
 
 use drv_core::Verdict;
@@ -123,75 +118,13 @@ impl SubscriptionShared {
         })
     }
 
-    /// Worker-side delivery.  Blocks while the queue is full as long as
-    /// `may_block()` holds (it reads the engine's live/shutdown state);
-    /// otherwise the event is counted as missed.  Returns whether the event
-    /// was enqueued.
-    pub(crate) fn push(&self, event: VerdictEvent, may_block: &dyn Fn() -> bool) -> bool {
-        self.push_slice(event.object, event.seq, &[event.verdict], may_block) == 1
-    }
-
-    /// Delivery that never blocks (used under shard locks, e.g. for
-    /// finalize verdicts): full ⇒ missed.
-    pub(crate) fn push_nonblocking(&self, event: VerdictEvent) -> bool {
-        self.push(event, &|| false)
-    }
-
-    /// Worker-side batched delivery: one same-object run of verdicts
-    /// (`seq`s `base_seq..base_seq + verdicts.len()`) under **one** channel
-    /// lock.  Semantics are element-for-element identical to calling
-    /// [`SubscriptionShared::push`] in a loop — partial fills enqueue what
-    /// fits, then block while `may_block()` holds, then count the remainder
-    /// as missed — only the locking granularity changes.  Returns how many
-    /// verdicts were enqueued.
-    pub(crate) fn push_slice(
-        &self,
-        object: ObjectId,
-        base_seq: u64,
-        verdicts: &[Verdict],
-        may_block: &dyn Fn() -> bool,
-    ) -> usize {
-        if verdicts.is_empty() {
-            return 0;
-        }
-        let mut state = self.state.lock();
-        let mut next = 0usize;
-        loop {
-            if state.closed {
-                return next;
-            }
-            let space = state.capacity - state.queue.len();
-            if space > 0 {
-                let take = space.min(verdicts.len() - next);
-                for (offset, &verdict) in verdicts.iter().enumerate().skip(next).take(take) {
-                    state.queue.push_back(VerdictEvent {
-                        object,
-                        seq: base_seq + offset as u64,
-                        verdict,
-                    });
-                }
-                next += take;
-                self.readable.notify_all();
-                if next == verdicts.len() {
-                    return next;
-                }
-                continue; // still full: re-check closed before waiting
-            }
-            if !may_block() {
-                state.missed += (verdicts.len() - next) as u64;
-                return next;
-            }
-            self.writable.wait(&mut state);
-        }
-    }
-
-    /// Worker-side coalesced delivery: every verdict a drained shard batch
-    /// produced — possibly many objects' runs — under **one** channel
-    /// lock.  The rows arrive in delivery order, so per-object `seq` order
-    /// is exactly the per-verdict path's; only the grouping (and the lock
-    /// count) changes.  Partial fills enqueue what fits, then block while
-    /// `may_block()` holds, then count the remainder as missed.  Returns
-    /// how many events were enqueued.
+    /// Worker-side delivery, the one push path: every verdict a drained
+    /// shard batch produced — possibly many objects' runs, or a single
+    /// finalize verdict — under **one** channel lock.  Rows arrive in
+    /// delivery order, which keeps each object's `seq`s in order.  Partial
+    /// fills enqueue what fits, then block while `may_block()` holds (it
+    /// reads the engine's live/shutdown state; never under shard locks),
+    /// then count the remainder as missed.  Returns how many were enqueued.
     pub(crate) fn push_events(
         &self,
         events: &[VerdictEvent],
@@ -282,8 +215,7 @@ impl VerdictSubscription {
     }
 
     /// The one drain path: moves every queued event into `batch` and frees
-    /// blocked writers.  Both the batch API and the per-verdict
-    /// compatibility views below go through here.
+    /// blocked writers.
     fn drain_locked(
         shared: &SubscriptionShared,
         state: &mut SubState,
@@ -297,34 +229,6 @@ impl VerdictSubscription {
             shared.writable.notify_all();
         }
         drained
-    }
-
-    /// Drains every currently queued event without blocking (empty vector
-    /// when nothing is pending).  Compatibility view over
-    /// [`VerdictSubscription::poll_batch`]: same events, same order, a fresh
-    /// allocation per call.
-    #[must_use]
-    pub fn poll_verdicts(&self) -> Vec<VerdictEvent> {
-        let mut batch = VerdictBatch::new();
-        let _ = self.poll_batch(&mut batch);
-        Self::events_of(&batch)
-    }
-
-    /// Blocks until at least one event is queued (then drains everything
-    /// queued), the channel closes, or `timeout` elapses — whichever comes
-    /// first.  Compatibility view over [`VerdictSubscription::wait_batch`].
-    #[must_use]
-    pub fn wait_verdicts(&self, timeout: Duration) -> Vec<VerdictEvent> {
-        let mut batch = VerdictBatch::new();
-        let _ = self.wait_batch(timeout, &mut batch);
-        Self::events_of(&batch)
-    }
-
-    fn events_of(batch: &VerdictBatch<Verdict>) -> Vec<VerdictEvent> {
-        batch
-            .iter()
-            .map(|(object, seq, verdict)| VerdictEvent { object, seq, verdict })
-            .collect()
     }
 
     /// Events the engine could not deliver because the queue was full while
@@ -380,74 +284,60 @@ mod tests {
         }
     }
 
+    /// Pushes one event without blocking; whether it was enqueued.
+    fn push_nonblocking(shared: &SubscriptionShared, event: VerdictEvent) -> bool {
+        shared.push_events(&[event], &|| false) == 1
+    }
+
     #[test]
     fn bounded_push_poll_roundtrip() {
         let shared = SubscriptionShared::new(2);
         let sub = VerdictSubscription::new(Arc::clone(&shared));
-        assert!(shared.push_nonblocking(event(0)));
-        assert!(shared.push_nonblocking(event(1)));
+        assert!(push_nonblocking(&shared, event(0)));
+        assert!(push_nonblocking(&shared, event(1)));
         // Full and not allowed to block: counted as missed.
-        assert!(!shared.push_nonblocking(event(2)));
+        assert!(!push_nonblocking(&shared, event(2)));
         assert_eq!(sub.missed(), 1);
-        let drained = sub.poll_verdicts();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].seq, 0);
-        assert!(sub.poll_verdicts().is_empty());
-    }
-
-    #[test]
-    fn blocked_writer_is_freed_by_a_draining_reader() {
-        let shared = SubscriptionShared::new(1);
-        let sub = VerdictSubscription::new(Arc::clone(&shared));
-        assert!(shared.push_nonblocking(event(0)));
-        let writer = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || shared.push(event(1), &|| true))
-        };
-        // The writer blocks on the full queue until we drain it.
-        let mut drained = Vec::new();
-        while drained.len() < 2 {
-            drained.extend(sub.wait_verdicts(Duration::from_millis(50)));
-        }
-        assert!(writer.join().unwrap());
-        assert_eq!(drained.len(), 2);
-        assert_eq!(sub.missed(), 0);
+        let mut drained = VerdictBatch::new();
+        assert_eq!(sub.poll_batch(&mut drained), 2);
+        assert_eq!(drained.seqs(), &[0, 1]);
+        assert_eq!(sub.poll_batch(&mut drained), 0);
     }
 
     #[test]
     fn close_keeps_queued_events_drainable_and_rejects_new_ones() {
         let shared = SubscriptionShared::new(4);
         let sub = VerdictSubscription::new(Arc::clone(&shared));
-        assert!(shared.push_nonblocking(event(0)));
+        assert!(push_nonblocking(&shared, event(0)));
         sub.close();
         assert!(sub.is_closed());
-        assert!(!shared.push_nonblocking(event(1)), "closed channels drop pushes");
+        assert!(!push_nonblocking(&shared, event(1)), "closed channels drop pushes");
         assert_eq!(sub.missed(), 0, "drops after close are not misses");
-        assert_eq!(sub.poll_verdicts().len(), 1);
-        // wait_verdicts on a closed, empty channel returns immediately.
-        assert!(sub.wait_verdicts(Duration::from_secs(5)).is_empty());
+        let mut drained = VerdictBatch::new();
+        assert_eq!(sub.poll_batch(&mut drained), 1);
+        // wait_batch on a closed, empty channel returns immediately.
+        assert_eq!(sub.wait_batch(Duration::from_secs(5), &mut drained), 0);
     }
 
     #[test]
-    fn push_slice_matches_per_element_semantics() {
+    fn push_events_fills_then_misses_or_drops() {
         // Partial fill: space for 2 of 3, blocking not allowed → 1 missed.
         let shared = SubscriptionShared::new(2);
         let sub = VerdictSubscription::new(Arc::clone(&shared));
-        let verdicts = [Verdict::Yes, Verdict::No, Verdict::Yes];
-        let pushed = shared.push_slice(ObjectId(3), 10, &verdicts, &|| false);
-        assert_eq!(pushed, 2);
+        let events = [event(10), event(11), event(12)];
+        assert_eq!(shared.push_events(&events, &|| false), 2);
         assert_eq!(sub.missed(), 1);
         let mut batch = VerdictBatch::new();
         assert_eq!(sub.poll_batch(&mut batch), 2);
         assert_eq!(
             batch.iter().collect::<Vec<_>>(),
-            vec![(ObjectId(3), 10, Verdict::Yes), (ObjectId(3), 11, Verdict::No)]
+            vec![(ObjectId(1), 10, Verdict::Yes), (ObjectId(1), 11, Verdict::Yes)]
         );
         // Closed channel: remainder dropped silently, not missed.
         sub.close();
-        assert_eq!(shared.push_slice(ObjectId(3), 12, &verdicts, &|| true), 0);
+        assert_eq!(shared.push_events(&events, &|| true), 0);
         assert_eq!(sub.missed(), 1);
-        assert_eq!(shared.push_slice(ObjectId(3), 12, &[], &|| true), 0);
+        assert_eq!(shared.push_events(&[], &|| true), 0);
     }
 
     #[test]
@@ -457,7 +347,8 @@ mod tests {
         let writer = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                shared.push_slice(ObjectId(9), 0, &[Verdict::Yes; 5], &|| true)
+                let events: Vec<VerdictEvent> = (0..5).map(event).collect();
+                shared.push_events(&events, &|| true)
             })
         };
         let mut batch = VerdictBatch::new();
@@ -469,8 +360,6 @@ mod tests {
         assert_eq!(batch.len(), 5);
         assert_eq!(batch.seqs(), &[0, 1, 2, 3, 4]);
         assert_eq!(sub.missed(), 0);
-        // The per-verdict views drain the same channel.
-        assert!(sub.poll_verdicts().is_empty());
     }
 
     #[test]

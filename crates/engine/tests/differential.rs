@@ -8,14 +8,10 @@
 //! verdict stream *is* the every-prefix comparison: element `i` is the
 //! verdict of the object's first `i + 1` symbols.
 //!
-//! The worker counts exercised default to 1, 2 and 4; CI pins them with
-//! `DRV_ENGINE_TEST_WORKERS` to split the matrix across jobs.  Setting
-//! `DRV_ENGINE_TEST_BATCH=N` reroutes every suite through the batched
-//! ingestion path (`submit_batch` / `try_submit_batch` over `EventBatch`es
-//! of up to `N` events), and `DRV_ENGINE_TEST_VERDICT_BATCH=1` through the
-//! batched *delivery* path (`poll_batch` over `VerdictBatch`es) — the
-//! verdict contracts are identical, so the same assertions prove the
-//! batched paths bit-exact.
+//! Every suite loops over [`WORKERS`] × [`BATCHES`]: ingestion is
+//! `submit_batch` / `try_submit_batch` over `EventBatch`es of up to the
+//! batch size (1 = one frame per event, 256 = the production framing), and
+//! delivery is `poll_batch` over `VerdictBatch`es.
 
 use drv_adversary::{
     merge_random, merge_round_robin, register_object_stream, RegisterStreamShape,
@@ -25,7 +21,7 @@ use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactor
 use drv_engine::{
     sequential_reference, EngineConfig, EventBatch, MonitoringEngine, SubmitError,
 };
-use drv_lang::{Action, ObjectId, Response, Symbol};
+use drv_lang::{Action, ObjectId, Response, Symbol, VerdictBatch};
 use drv_spec::Register;
 use drv_store::{recover, FsyncPolicy, Store, StoreConfig};
 use rand::rngs::StdRng;
@@ -106,66 +102,19 @@ fn sequential_verdicts(events: &[(ObjectId, Symbol)]) -> BTreeMap<ObjectId, Vec<
     verdicts
 }
 
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("DRV_ENGINE_TEST_WORKERS") {
-        Ok(value) => vec![value.parse().expect("DRV_ENGINE_TEST_WORKERS is a number")],
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Worker counts every suite runs at.
+const WORKERS: [usize; 3] = [1, 2, 4];
+/// Ingestion batch sizes every suite runs at.
+const BATCHES: [usize; 2] = [1, 256];
 
-/// The batched-ingestion override: `DRV_ENGINE_TEST_BATCH=N` makes every
-/// suite submit through `EventBatch`es of up to `N` events.
-fn batch_size() -> Option<usize> {
-    std::env::var("DRV_ENGINE_TEST_BATCH")
-        .ok()
-        .map(|value| value.parse().expect("DRV_ENGINE_TEST_BATCH is a number"))
-        .filter(|&n| n > 0)
-}
-
-/// The batched-delivery override: `DRV_ENGINE_TEST_VERDICT_BATCH` (any
-/// value but `0`) makes every suite consume its subscription through the
-/// struct-of-arrays `poll_batch` path instead of `poll_verdicts`.  The two
-/// views carry the same verdicts in the same order, so the same assertions
-/// prove the batched path bit-exact.
-fn verdict_batch_forced() -> bool {
-    std::env::var("DRV_ENGINE_TEST_VERDICT_BATCH").is_ok_and(|value| value != "0")
-}
-
-/// Drains every ready verdict into `received`, through `poll_batch` when
-/// [`verdict_batch_forced`], through `poll_verdicts` otherwise.
-fn drain(
-    subscription: &drv_engine::VerdictSubscription,
-    received: &mut Vec<drv_engine::VerdictEvent>,
-) {
-    if verdict_batch_forced() {
-        let mut batch = drv_lang::VerdictBatch::new();
-        subscription.poll_batch(&mut batch);
-        received.extend(
-            batch
-                .iter()
-                .map(|(object, seq, verdict)| drv_engine::VerdictEvent { object, seq, verdict }),
-        );
-    } else {
-        received.extend(subscription.poll_verdicts());
-    }
-}
-
-/// Ingests the whole stream: per-event `submit` by default, rolling
-/// `submit_batch`es of the configured size under `DRV_ENGINE_TEST_BATCH`.
-fn ingest(engine: &MonitoringEngine, events: &[(ObjectId, Symbol)]) {
-    match batch_size() {
-        None => {
-            for (object, symbol) in events {
-                engine.submit(*object, symbol);
-            }
-        }
-        Some(size) => engine.submit_stream(events, size),
-    }
+fn matrix() -> impl Iterator<Item = (usize, usize)> {
+    WORKERS
+        .into_iter()
+        .flat_map(|workers| BATCHES.into_iter().map(move |batch| (workers, batch)))
 }
 
 #[test]
 fn engine_verdicts_equal_sequential_checkers_on_seeded_streams() {
-    let worker_counts = worker_counts();
     let mut yes_streams = 0u64;
     let mut no_streams = 0u64;
     for seed in 0..STREAMS {
@@ -179,25 +128,25 @@ fn engine_verdicts_equal_sequential_checkers_on_seeded_streams() {
         } else {
             yes_streams += 1;
         }
-        for &workers in &worker_counts {
+        for (workers, batch) in matrix() {
             // Exercise the parallel fallback on a slice of the matrix (it is
             // the expensive path; every stream × every count would dominate
             // the suite's runtime without adding coverage).
             let parallel_threads = if seed.is_multiple_of(7) { 2 } else { 1 };
             let engine =
                 MonitoringEngine::new(EngineConfig::new(workers), mixed_factory(parallel_threads));
-            ingest(&engine, &events);
+            engine.submit_stream(&events, batch);
             let report = engine.finish().expect("no worker panicked");
             assert_eq!(
                 report.objects.len(),
                 expected.len(),
-                "seed {seed}, {workers} workers: object sets differ"
+                "seed {seed}, {workers} workers, batch {batch}: object sets differ"
             );
             for (object, verdicts) in &expected {
                 assert_eq!(
                     report.verdicts(*object),
                     Some(&verdicts[..]),
-                    "seed {seed}, {workers} workers, {object}: verdict streams differ"
+                    "seed {seed}, {workers} workers, batch {batch}, {object}: verdict streams differ"
                 );
             }
         }
@@ -212,18 +161,17 @@ fn engine_verdicts_equal_sequential_checkers_on_seeded_streams() {
 /// every `seq` continues its stream.
 fn extend_streams(
     streamed: &mut BTreeMap<ObjectId, Vec<Verdict>>,
-    received: &[drv_engine::VerdictEvent],
+    received: &VerdictBatch<Verdict>,
     context: &str,
 ) {
-    for event in received {
-        let stream = streamed.entry(event.object).or_default();
+    for (object, seq, verdict) in received.iter() {
+        let stream = streamed.entry(object).or_default();
         assert_eq!(
-            event.seq,
+            seq,
             stream.len() as u64,
-            "{context}, {}: subscription out of order",
-            event.object
+            "{context}, {object}: subscription out of order"
         );
-        stream.push(event.verdict);
+        stream.push(verdict);
     }
 }
 
@@ -234,7 +182,7 @@ fn flush_buffer(
     engine: &MonitoringEngine,
     buffer: &mut EventBatch,
     subscription: &drv_engine::VerdictSubscription,
-    received: &mut Vec<drv_engine::VerdictEvent>,
+    received: &mut VerdictBatch<Verdict>,
     rejections: &mut u64,
     seed: u64,
 ) {
@@ -246,7 +194,7 @@ fn flush_buffer(
             Ok(()) => break,
             Err(SubmitError::Full) => {
                 *rejections += 1;
-                drain(subscription, received);
+                subscription.poll_batch(received);
                 std::thread::yield_now();
             }
             Err(SubmitError::Aborted) => panic!("seed {seed}: worker died"),
@@ -256,23 +204,21 @@ fn flush_buffer(
 }
 
 /// The service-mode soak: the full long-running surface at once — a tiny
-/// `max_pending` bound (so `try_submit` rejections are exercised on nearly
-/// every stream), a bounded verdict subscription drained opportunistically,
-/// and eviction of every object the moment its stream completes — and the
-/// verdict streams, both as subscribed live and as reported by `finish`,
-/// still bit-identical to the sequential per-object reference at every
-/// worker count.  Under `DRV_ENGINE_TEST_BATCH` the producer side runs
-/// through `try_submit_batch` instead (batches clamped to the bound, since
-/// a batch larger than `max_pending` is never acceptable atomically),
-/// flushing before every eviction so markers keep queueing FIFO behind the
-/// object's own events.
+/// `max_pending` bound (so `try_submit_batch` rejections are exercised on
+/// nearly every stream), a bounded verdict subscription drained
+/// opportunistically, and eviction of every object the moment its stream
+/// completes — and the verdict streams, both as subscribed live and as
+/// reported by `finish`, still bit-identical to the sequential per-object
+/// reference at every worker count and batch size (batches clamped to the
+/// bound, since a batch larger than `max_pending` is never acceptable
+/// atomically).  The buffer is flushed before every eviction so markers
+/// keep queueing FIFO behind the object's own events.
 #[test]
 fn service_mode_soak_matches_sequential_reference() {
     /// Seeded streams for the soak (cheaper per stream than the main suite
     /// because each run also drains a subscription).
     const SOAK_STREAMS: u64 = 150;
 
-    let worker_counts = worker_counts();
     let mut rejections = 0u64;
     let mut evictions = 0u64;
     for seed in 0..SOAK_STREAMS {
@@ -285,42 +231,28 @@ fn service_mode_soak_matches_sequential_reference() {
             *remaining.entry(*object).or_default() += 1;
         }
         let mut evict_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        for &workers in &worker_counts {
+        for (workers, batch) in matrix() {
             const MAX_PENDING: usize = 8;
+            let context = format!("seed {seed}, {workers} workers, batch {batch}");
             let engine = MonitoringEngine::new(
                 EngineConfig::new(workers).with_max_pending(MAX_PENDING),
                 mixed_factory(1),
             );
             let subscription = engine.subscribe(16);
-            let mut received = Vec::new();
+            let mut received = VerdictBatch::new();
             let mut in_flight = remaining.clone();
-            let chunk = batch_size().map(|size| size.min(MAX_PENDING));
+            let chunk = batch.min(MAX_PENDING);
             let mut buffer = EventBatch::new();
             for (object, symbol) in &events {
-                // try_submit(_batch) only: a blocking submit here could
+                // try_submit_batch only: a blocking submit here could
                 // deadlock against a worker blocked on the full
                 // subscription, since this thread is also the consumer.
-                match chunk {
-                    Some(size) => {
-                        buffer.push_symbol(*object, symbol, engine.interner());
-                        if buffer.len() == size {
-                            flush_buffer(
-                                &engine, &mut buffer, &subscription, &mut received,
-                                &mut rejections, seed,
-                            );
-                        }
-                    }
-                    None => loop {
-                        match engine.try_submit(*object, symbol) {
-                            Ok(()) => break,
-                            Err(SubmitError::Full) => {
-                                rejections += 1;
-                                drain(&subscription, &mut received);
-                                std::thread::yield_now();
-                            }
-                            Err(SubmitError::Aborted) => panic!("seed {seed}: worker died"),
-                        }
-                    },
+                buffer.push_symbol(*object, symbol, engine.interner());
+                if buffer.len() == chunk {
+                    flush_buffer(
+                        &engine, &mut buffer, &subscription, &mut received,
+                        &mut rejections, seed,
+                    );
                 }
                 let left = in_flight.get_mut(object).expect("counted");
                 *left -= 1;
@@ -340,30 +272,27 @@ fn service_mode_soak_matches_sequential_reference() {
                 &engine, &mut buffer, &subscription, &mut received, &mut rejections, seed,
             );
             while engine.backlog() > 0 {
-                drain(&subscription, &mut received);
+                subscription.poll_batch(&mut received);
                 std::thread::yield_now();
             }
             let report = engine.finish().expect("no worker panicked");
-            drain(&subscription, &mut received);
-            assert_eq!(subscription.missed(), 0, "seed {seed}, {workers} workers");
+            subscription.poll_batch(&mut received);
+            assert_eq!(subscription.missed(), 0, "{context}");
             // Rebuild the per-object streams from the live deliveries.
             let mut streamed: BTreeMap<ObjectId, Vec<Verdict>> = BTreeMap::new();
-            extend_streams(&mut streamed, &received, &format!("seed {seed}, {workers} workers"));
-            assert_eq!(
-                streamed, expected,
-                "seed {seed}, {workers} workers: subscribed streams differ"
-            );
+            extend_streams(&mut streamed, &received, &context);
+            assert_eq!(streamed, expected, "{context}: subscribed streams differ");
             for (object, verdicts) in &expected {
                 assert_eq!(
                     report.verdicts(*object),
                     Some(&verdicts[..]),
-                    "seed {seed}, {workers} workers, {object}: reported streams differ"
+                    "{context}, {object}: reported streams differ"
                 );
             }
         }
     }
     // The soak proves nothing unless the service paths actually fired.
-    assert!(rejections > 0, "max_pending=8 never rejected a try_submit");
+    assert!(rejections > 0, "max_pending=8 never rejected a try_submit_batch");
     assert!(evictions > 0, "no object was ever evicted");
 }
 
@@ -415,8 +344,8 @@ fn deep_histories_survive_a_crash_bit_identically() {
     // The crash point: a frame boundary at either batch size, before the
     // stale read.
     let cut = events.len() / 2 / 256 * 256;
-    for workers in [1usize, 2, 4] {
-        for batch in [1usize, 256] {
+    for workers in WORKERS {
+        for batch in BATCHES {
             let context = format!("{workers} workers, batch {batch}");
             let path = std::env::temp_dir().join(format!(
                 "drv-engine-deep-{}-{workers}-{batch}.journal",
@@ -431,8 +360,8 @@ fn deep_histories_survive_a_crash_bit_identically() {
             let subscription = engine.subscribe(events.len());
             engine.submit_stream(&events[..cut], batch);
             wait_until_drained(&engine);
-            let mut received = Vec::new();
-            drain(&subscription, &mut received);
+            let mut received = VerdictBatch::new();
+            subscription.poll_batch(&mut received);
             assert_eq!(subscription.missed(), 0, "{context}");
             assert!(store.io_error().is_none(), "{context}: {:?}", store.io_error());
             assert!(store.stats().checkpoints >= 4, "{context}: {:?}", store.stats());
@@ -449,7 +378,7 @@ fn deep_histories_survive_a_crash_bit_identically() {
             recovery.engine.submit_stream(&events[cut..], batch);
             wait_until_drained(&recovery.engine);
             let report = recovery.engine.finish().expect("no worker panicked");
-            drain(&subscription, &mut received);
+            subscription.poll_batch(&mut received);
             assert_eq!(subscription.missed(), 0, "{context}");
             let mut streamed: BTreeMap<ObjectId, Vec<Verdict>> = BTreeMap::new();
             extend_streams(&mut streamed, &received, &context);
@@ -470,7 +399,7 @@ fn deep_histories_survive_a_crash_bit_identically() {
 #[test]
 fn family_monitors_are_deterministic_across_worker_counts() {
     // The MonitorFamily adapter (Figure 8 V_O) through the engine: the
-    // verdict streams must agree between 1 and 4 workers run to run.
+    // verdict streams must agree across worker counts and batch sizes.
     use drv_core::monitors::PredictiveFamily;
     use drv_core::FamilyMonitorFactory;
 
@@ -483,9 +412,9 @@ fn family_monitors_are_deterministic_across_worker_counts() {
     for seed in [3, 11, 42] {
         let events = merged_stream(seed);
         let mut baseline: Option<BTreeMap<ObjectId, Vec<Verdict>>> = None;
-        for workers in [1, 4] {
+        for (workers, batch) in matrix() {
             let engine = MonitoringEngine::new(EngineConfig::new(workers), factory());
-            ingest(&engine, &events);
+            engine.submit_stream(&events, batch);
             let report = engine.finish().expect("no worker panicked");
             let streams: BTreeMap<ObjectId, Vec<Verdict>> = report
                 .objects

@@ -265,10 +265,6 @@ impl drv_engine::JournalSink for RecordingSink {
         self.events.fetch_add(batch.len() as u64, Ordering::Relaxed);
     }
 
-    fn append_event(&self, _object: ObjectId, _symbol: &Symbol) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn checkpoint_interval(&self) -> u64 {
         u64::MAX
     }

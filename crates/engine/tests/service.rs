@@ -5,11 +5,14 @@
 //! `Drop` panics).
 
 use drv_core::{CheckerMonitorFactory, ObjectMonitor, ObjectMonitorFactory, Verdict};
-use drv_engine::{sequential_reference, EngineConfig, MonitoringEngine, VerdictEvent};
-use drv_lang::{Invocation, ObjectId, ProcId, Response, Symbol};
+use drv_engine::{
+    sequential_reference, EngineConfig, EventBatch, JournalSink, MonitoringEngine, SubmitError,
+};
+use drv_lang::{Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, VerdictBatch};
 use drv_spec::Register;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -31,41 +34,28 @@ fn clean_stream(object: u64, rounds: u64) -> Vec<(ObjectId, Symbol)> {
     events
 }
 
-/// `DRV_ENGINE_TEST_VERDICT_BATCH` (any value but `0`) reroutes every
-/// subscription consumer below through the struct-of-arrays
-/// `poll_batch`/`wait_batch` path — same verdicts, same order, so the same
-/// assertions prove the batched delivery path bit-exact.
-fn verdict_batch_forced() -> bool {
-    std::env::var("DRV_ENGINE_TEST_VERDICT_BATCH").is_ok_and(|value| value != "0")
-}
-
-fn events_of(batch: &drv_lang::VerdictBatch<Verdict>) -> Vec<VerdictEvent> {
+/// A one-event batch interned into `engine`'s arena.
+fn one_event(engine: &MonitoringEngine, object: ObjectId, symbol: &Symbol) -> EventBatch {
+    let mut batch = EventBatch::with_capacity(1);
+    batch.push_symbol(object, symbol, engine.interner());
     batch
-        .iter()
-        .map(|(object, seq, verdict)| VerdictEvent { object, seq, verdict })
-        .collect()
 }
 
-/// `wait_verdicts`, or its `wait_batch` equivalent when forced.
-fn wait(subscription: &drv_engine::VerdictSubscription, timeout: Duration) -> Vec<VerdictEvent> {
-    if verdict_batch_forced() {
-        let mut batch = drv_lang::VerdictBatch::new();
-        subscription.wait_batch(timeout, &mut batch);
-        events_of(&batch)
-    } else {
-        subscription.wait_verdicts(timeout)
-    }
+/// A sink that only counts the batch records it is handed.
+#[derive(Default)]
+struct CountingSink {
+    batches: AtomicU64,
 }
 
-/// `poll_verdicts`, or its `poll_batch` equivalent when forced.
-fn poll(subscription: &drv_engine::VerdictSubscription) -> Vec<VerdictEvent> {
-    if verdict_batch_forced() {
-        let mut batch = drv_lang::VerdictBatch::new();
-        subscription.poll_batch(&mut batch);
-        events_of(&batch)
-    } else {
-        subscription.poll_verdicts()
+impl JournalSink for CountingSink {
+    fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {
+        self.batches.fetch_add(1, Ordering::SeqCst);
     }
+    fn checkpoint_interval(&self) -> u64 {
+        u64::MAX
+    }
+    fn checkpoint(&self, _object: ObjectId, _verdicts: &[Verdict], _state: &[u8]) {}
+    fn tombstone(&self, _object: ObjectId) {}
 }
 
 /// Spins until `done` holds or `timeout` elapses; returns whether it held.
@@ -122,55 +112,87 @@ fn idle_engine_performs_zero_wakeups_while_parked() {
 
 /// Backpressure across threads: a producer blocked on a tiny `max_pending`
 /// bound is repeatedly released as the pool drains, while a subscription
-/// consumer sees every verdict in per-object `seq` order.
+/// consumer sees every verdict in per-object `seq` order — at every worker
+/// count, with one-event batches and with batches far larger than the bound
+/// (ingested in bound-sized chunks).
 #[test]
 fn bounded_producer_and_live_subscriber_see_every_verdict() {
     let events = clean_stream(3, 50);
     let expected = sequential_reference(factory().as_ref(), &events);
-    let engine = Arc::new(MonitoringEngine::new(
-        EngineConfig::new(1).with_max_pending(4),
-        factory(),
-    ));
-    let subscription = engine.subscribe(4);
-    let producer = {
-        let engine = Arc::clone(&engine);
-        let events = events.clone();
-        std::thread::spawn(move || {
-            for (object, symbol) in &events {
-                engine.submit(*object, symbol);
+    for workers in [1, 2, 4] {
+        for batch in [1, 256] {
+            let context = format!("{workers} workers, batch {batch}");
+            let engine = Arc::new(MonitoringEngine::new(
+                EngineConfig::new(workers).with_max_pending(4),
+                factory(),
+            ));
+            let subscription = engine.subscribe(4);
+            let producer = {
+                let engine = Arc::clone(&engine);
+                let events = events.clone();
+                std::thread::spawn(move || engine.submit_stream(&events, batch))
+            };
+            let mut received = VerdictBatch::new();
+            while received.len() < events.len() {
+                subscription.wait_batch(Duration::from_millis(100), &mut received);
+                assert!(
+                    !subscription.is_closed() || received.len() == events.len(),
+                    "{context}: channel closed before all verdicts arrived"
+                );
             }
-        })
-    };
-    let mut received: Vec<VerdictEvent> = Vec::new();
-    while received.len() < events.len() {
-        let batch = wait(&subscription, Duration::from_millis(100));
-        received.extend(batch);
-        assert!(
-            !subscription.is_closed() || received.len() == events.len(),
-            "channel closed before all verdicts arrived"
-        );
+            producer.join().expect("producer finished");
+            assert_eq!(subscription.missed(), 0, "{context}");
+            // Per-object seq order, gap-free from 0.
+            let mut streams: BTreeMap<ObjectId, Vec<Verdict>> = BTreeMap::new();
+            for (index, (object, seq, verdict)) in received.iter().enumerate() {
+                let stream = streams.entry(object).or_default();
+                assert_eq!(
+                    seq,
+                    stream.len() as u64,
+                    "{context}: event {index} out of order for {object}"
+                );
+                stream.push(verdict);
+            }
+            assert_eq!(streams, expected, "{context}: subscription streams differ");
+            let engine = Arc::into_inner(engine).expect("producer joined");
+            let report = engine.finish().expect("no panics");
+            for (object, verdicts) in &expected {
+                assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "{context}");
+            }
+            assert!(subscription.is_closed(), "finish closes open subscriptions");
+        }
     }
-    producer.join().expect("producer finished");
-    assert_eq!(subscription.missed(), 0);
-    // Per-object seq order, gap-free from 0.
-    let mut streams: BTreeMap<ObjectId, Vec<Verdict>> = BTreeMap::new();
-    for (index, event) in received.iter().enumerate() {
-        let stream = streams.entry(event.object).or_default();
-        assert_eq!(
-            event.seq,
-            stream.len() as u64,
-            "event {index} out of order for {}",
-            event.object
-        );
-        stream.push(event.verdict);
+}
+
+/// A refused submission leaves no trace in the journal: with
+/// `max_pending = 1` and the worker wedged behind a full, undrained
+/// subscription, a one-event `try_submit_batch` is `Full` and the sink sees
+/// nothing; once the consumer drains, the same batch is accepted and
+/// journaled once.
+#[test]
+fn a_full_one_event_batch_is_never_journaled() {
+    let events = clean_stream(5, 1);
+    let engine = MonitoringEngine::new(EngineConfig::new(1).with_max_pending(1), factory());
+    let sink = Arc::new(CountingSink::default());
+    engine.attach_journal(sink.clone());
+    let subscription = engine.subscribe(1);
+    // The second submit returns once the first event is checked; its own
+    // verdict then finds the one-slot subscription full, so the worker
+    // blocks holding the only pending slot until somebody drains.
+    engine.submit(events[0].0, &events[0].1);
+    engine.submit(events[1].0, &events[1].1);
+    let third = one_event(&engine, events[2].0, &events[2].1);
+    assert_eq!(engine.try_submit_batch(&third), Err(SubmitError::Full));
+    assert_eq!(sink.batches.load(Ordering::SeqCst), 2, "a Full batch was journaled");
+    let mut received = VerdictBatch::new();
+    while engine.try_submit_batch(&third) == Err(SubmitError::Full) {
+        subscription.wait_batch(Duration::from_millis(10), &mut received);
     }
-    assert_eq!(streams, expected, "subscription streams differ from the reference");
-    let engine = Arc::into_inner(engine).expect("producer joined");
-    let report = engine.finish().expect("no panics");
-    for (object, verdicts) in &expected {
-        assert_eq!(report.verdicts(*object), Some(&verdicts[..]));
+    assert_eq!(sink.batches.load(Ordering::SeqCst), 3);
+    while received.len() < 3 {
+        subscription.wait_batch(Duration::from_millis(100), &mut received);
     }
-    assert!(subscription.is_closed(), "finish closes open subscriptions");
+    engine.finish().expect("no panics");
 }
 
 /// `finish()` must not deadlock on a full subscription nobody drains: the
@@ -186,7 +208,8 @@ fn finish_never_deadlocks_on_an_abandoned_full_subscription() {
     }
     let report = engine.finish().expect("no panics");
     assert_eq!(report.verdicts(ObjectId(11)), Some(&expected[&ObjectId(11)][..]));
-    let leftover = poll(&subscription);
+    let mut leftover = VerdictBatch::new();
+    subscription.poll_batch(&mut leftover);
     assert_eq!(
         leftover.len() as u64 + subscription.missed(),
         events.len() as u64,
@@ -282,6 +305,8 @@ fn backlog_is_reconciled_after_a_worker_panic() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let engine = MonitoringEngine::new(EngineConfig::new(1), Arc::new(BombFactory));
+    let sink = Arc::new(CountingSink::default());
+    engine.attach_journal(sink.clone());
     // The bomb object plus plenty of queued traffic behind and beside it.
     engine.submit(ObjectId(0), &Symbol::invoke(ProcId(0), Invocation::Read));
     for object in 1..32 {
@@ -299,9 +324,14 @@ fn backlog_is_reconciled_after_a_worker_panic() {
         "backlog stuck at {} after the panic (pending leak)",
         engine.backlog()
     );
-    // Post-abort submissions are discarded, not leaked into the backlog.
-    engine.submit(ObjectId(5), &Symbol::invoke(ProcId(0), Invocation::Read));
+    // Post-abort submissions are discarded: not leaked into the backlog,
+    // not journaled, and their payloads not interned into the dead arena.
+    let journaled = sink.batches.load(Ordering::SeqCst);
+    let interned = engine.interner().versions();
+    engine.submit(ObjectId(5), &Symbol::invoke(ProcId(0), Invocation::Write(424_242)));
     assert_eq!(engine.backlog(), 0);
+    assert_eq!(sink.batches.load(Ordering::SeqCst), journaled);
+    assert_eq!(engine.interner().versions(), interned);
     let panic = engine.finish().expect_err("the monitor panicked");
     assert!(panic.message.contains("boom on purpose"), "{panic}");
 }
@@ -324,7 +354,7 @@ fn worker_panic_closes_open_subscriptions() {
     std::panic::set_hook(hook);
     drop(_hook_guard);
     // The documented consumer loop terminates promptly on the dead engine.
-    assert!(wait(&subscription, Duration::from_secs(5)).is_empty());
+    assert_eq!(subscription.wait_batch(Duration::from_secs(5), &mut VerdictBatch::new()), 0);
     let panic = engine.finish().expect_err("the monitor panicked");
     assert!(panic.message.contains("boom on purpose"), "{panic}");
 }
@@ -349,11 +379,9 @@ fn take_panic_exposes_worker_death_without_consuming_the_engine() {
     assert_eq!(panic.role, "engine worker");
     assert!(panic.message.contains("boom on purpose"), "{panic}");
     assert!(engine.take_panic().is_none(), "claiming transfers ownership");
-    // try_submit reports the dead pool instead of quietly enqueueing.
-    assert_eq!(
-        engine.try_submit(ObjectId(2), &Symbol::invoke(ProcId(0), Invocation::Read)),
-        Err(drv_engine::SubmitError::Aborted)
-    );
+    // try_submit_batch reports the dead pool instead of quietly enqueueing.
+    let batch = one_event(&engine, ObjectId(2), &Symbol::invoke(ProcId(0), Invocation::Read));
+    assert_eq!(engine.try_submit_batch(&batch), Err(SubmitError::Aborted));
     // A claimed panic is not double-reported: finish returns the partial
     // report (and drop, exercised implicitly elsewhere, no longer logs).
     // The bomb object appears with no verdicts — its monitor died before

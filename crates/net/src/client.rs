@@ -15,8 +15,8 @@
 
 use crate::reactor::FrameAssembler;
 use crate::wire::{
-    decode_frame, encode_shutdown, encode_stats_request, write_frame, Frame, FrameEncoder,
-    NackReason, StatsReply, WireError,
+    decode_frame, encode_shutdown, encode_stats_request, Frame, FrameEncoder, NackReason,
+    StatsReply, WireError,
 };
 use drv_engine::VerdictEvent;
 use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol, TraceContext};
@@ -240,11 +240,7 @@ fn reader_loop(shared: &ClientShared, mut stream: TcpStream) {
                     credit.window = window;
                     shared.credit_signal.notify_all();
                 }
-                // Legacy per-verdict frames and run-compressed batches
-                // carry the same triples into the same queue — servers may
-                // interleave them (e.g. across a config change) without the
-                // client caring.
-                Ok((Frame::Verdicts(events) | Frame::VerdictBatch(events), _)) => {
+                Ok((Frame::VerdictBatch(events), _)) => {
                     shared.verdicts.lock().extend(events);
                     shared.verdict_signal.notify_all();
                 }
@@ -564,7 +560,7 @@ impl MonitorClient {
             // happens-before any server-side completion of this trace.
             self.trace_send_end(ctx, started_ns);
         }
-        write_frame(&mut self.stream, &frame)?;
+        self.stream.write_all(&frame)?;
         Ok(self.next_batch_id - 1)
     }
 
@@ -605,7 +601,7 @@ impl MonitorClient {
         if let Some((ctx, started_ns)) = span {
             self.trace_send_end(ctx, started_ns);
         }
-        write_frame(&mut self.stream, &frame)
+        self.stream.write_all(&frame)
             .map_err(|err| TrySendError::Fatal(ClientError::Io(err)))?;
         Ok(self.next_batch_id - 1)
     }
@@ -681,7 +677,7 @@ impl MonitorClient {
     /// written.
     pub fn stats(&mut self, timeout: Duration) -> Result<StatsReply, ClientError> {
         *self.shared.stats.lock() = None;
-        write_frame(&mut self.stream, &encode_stats_request())?;
+        self.stream.write_all(&encode_stats_request())?;
         let mut slot = self.shared.stats.lock();
         self.shared.stats_signal.wait_while_for(
             &mut slot,
@@ -702,7 +698,7 @@ impl MonitorClient {
     ///
     /// The write error, when even the goodbye could not be sent.
     pub fn shutdown(mut self) -> io::Result<()> {
-        write_frame(&mut self.stream, &encode_shutdown())?;
+        self.stream.write_all(&encode_shutdown())?;
         self.stream.flush()?;
         if let Some(reader) = self.reader.take() {
             let _ = reader.join();

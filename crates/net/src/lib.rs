@@ -43,7 +43,7 @@
 //!  │ magic  version kind  reserved  len   crc ││ kind-specific│
 //!  │ u32    u8      u8    u16       u32   u32 ││ bytes        │
 //!  └──────────────────────────────────────────┘└──────────────┘
-//!  kinds: Batch · Credit · Nack · Verdict · Stats · Shutdown · VerdictBatch
+//!  kinds: Batch · Credit · Nack · Stats · Shutdown · VerdictBatch
 //! ```
 //!
 //! A `Batch` payload carries the struct-of-arrays rows of an `EventBatch`
@@ -54,14 +54,13 @@
 //! submittable and a payload repeated across a million events is interned
 //! once, not a million times.
 //!
-//! Verdicts travel the other way as `VerdictBatch` frames (the default;
-//! [`ServerConfig::with_batched_verdicts`] restores the legacy per-row
-//! `Verdict` frames): a *run table* of `(object, base_seq, len)` entries
-//! plus 5-byte `(tag, run-index)` rows, so a run of consecutive
-//! same-object verdicts costs one table entry instead of repeating the
-//! 16-byte `(object, seq)` pair per row.  The router stably groups each
-//! frame's rows by object before encoding — per-object `seq` order is the
-//! only delivery contract, and grouping is what makes the runs maximal.
+//! Verdicts travel the other way as `VerdictBatch` frames: a *run table*
+//! of `(object, base_seq, len)` entries plus 5-byte `(tag, index)` rows,
+//! so a run of consecutive same-object verdicts costs one table entry
+//! instead of repeating the 16-byte `(object, seq)` pair per row.  The
+//! router stably groups each frame's rows by object before encoding —
+//! per-object `seq` order is the only delivery contract, and grouping is
+//! what makes the runs maximal.
 //!
 //! Malformed, truncated, corrupted or oversized input decodes to a typed
 //! [`WireError`] — never a panic, never an allocation sized by
@@ -149,5 +148,5 @@ pub use client::{ClientConfig, ClientError, MonitorClient, Nack, TrySendError};
 pub use reactor::FrameAssembler;
 pub use server::{MonitorServer, ServerConfig, ServerStats};
 pub use wire::{
-    Frame, FrameKind, NackReason, ReadError, StatsReply, WireBatch, WireError, WireStats,
+    Frame, FrameKind, NackReason, StatsReply, WireBatch, WireError, WireStats,
 };

@@ -76,7 +76,7 @@
 use crate::reactor::{waker_pair, FrameAssembler, Poller, SysFd, WakeRx, Waker};
 use crate::wire::{
     decode_frame_capped, encode_credit, encode_nack, encode_shutdown, encode_stats,
-    encode_verdict_batch, encode_verdicts, Frame, NackReason, StatsReply, WireError, WireStats,
+    encode_verdict_batch, Frame, NackReason, StatsReply, WireError, WireStats,
 };
 use drv_core::{ObjectMonitorFactory, Verdict, WorkerPanic};
 use drv_engine::{EngineConfig, EngineReport, MonitoringEngine, SubmitError, VerdictEvent};
@@ -100,7 +100,6 @@ pub struct ServerConfig {
     outbound: usize,
     verdict_chunk: usize,
     stall_grace: Duration,
-    batched_verdicts: bool,
 }
 
 impl Default for ServerConfig {
@@ -111,7 +110,6 @@ impl Default for ServerConfig {
             outbound: 256,
             verdict_chunk: 512,
             stall_grace: Duration::from_secs(2),
-            batched_verdicts: true,
         }
     }
 }
@@ -149,10 +147,10 @@ impl ServerConfig {
         self
     }
 
-    /// Maximum verdicts packed into one [`FrameKind::Verdict`] frame
+    /// Maximum verdicts packed into one [`FrameKind::VerdictBatch`] frame
     /// (clamped to ≥ 1).
     ///
-    /// [`FrameKind::Verdict`]: crate::wire::FrameKind::Verdict
+    /// [`FrameKind::VerdictBatch`]: crate::wire::FrameKind::VerdictBatch
     #[must_use]
     pub fn with_verdict_chunk(mut self, verdicts: usize) -> Self {
         self.verdict_chunk = verdicts.max(1);
@@ -166,20 +164,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_stall_grace(mut self, grace: Duration) -> Self {
         self.stall_grace = grace.max(Duration::from_millis(10));
-        self
-    }
-
-    /// Whether verdicts travel as run-compressed
-    /// [`FrameKind::VerdictBatch`] frames (the default) or as legacy
-    /// per-row [`FrameKind::Verdict`] frames.  Both carry the same events
-    /// in the same order; only the byte layout differs.  Disable for peers
-    /// that predate the batch frame.
-    ///
-    /// [`FrameKind::VerdictBatch`]: crate::wire::FrameKind::VerdictBatch
-    /// [`FrameKind::Verdict`]: crate::wire::FrameKind::Verdict
-    #[must_use]
-    pub fn with_batched_verdicts(mut self, batched: bool) -> Self {
-        self.batched_verdicts = batched;
         self
     }
 
@@ -237,9 +221,9 @@ struct NetMetrics {
     dropped_verdicts: Counter,
     protocol_errors: Counter,
     stalled_disconnects: Counter,
-    /// Verdict frames queued to connections (batched or legacy — the
-    /// frame/event ratio against `engine_verdict_batch_events` is the wire
-    /// coalescing factor).
+    /// Verdict frames queued to connections (the frame/event ratio
+    /// against `engine_verdict_batch_events` is the wire coalescing
+    /// factor).
     verdict_frames: Counter,
     /// Raw frame bytes off / onto sockets (per-connection throughput is
     /// `rx_bytes` rate over `net_connections`; exact per-peer splits live
@@ -1253,20 +1237,15 @@ fn deliver(
                 .tracer()
                 .is_active()
                 .then(|| shared.tel.clock().now_ns());
-            let frame = if shared.config.batched_verdicts {
-                // Per-object seq order is the delivery contract; the
-                // interleaving *across* objects is not.  A stable by-object
-                // sort (seqs arrive ascending, stability keeps them so)
-                // turns the round-robin row soup into maximal runs the run
-                // table compresses ~4x — fewer bytes to CRC, copy and
-                // read back.
-                scratch.clear();
-                scratch.extend_from_slice(&piece[..take]);
-                scratch.sort_by_key(|event| event.object.0);
-                encode_verdict_batch(scratch)
-            } else {
-                encode_verdicts(&piece[..take])
-            };
+            // Per-object seq order is the delivery contract; the
+            // interleaving *across* objects is not.  A stable by-object
+            // sort (seqs arrive ascending, stability keeps them so) turns
+            // the round-robin row soup into maximal runs the run table
+            // compresses ~4x — fewer bytes to CRC, copy and read back.
+            scratch.clear();
+            scratch.extend_from_slice(&piece[..take]);
+            scratch.sort_by_key(|event| event.object.0);
+            let frame = encode_verdict_batch(scratch);
             match conn.try_push(frame, &shared.m.outbound_frames) {
                 Push::Queued { was_empty } => {
                     if let Some(started) = route_started {

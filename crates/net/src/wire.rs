@@ -14,7 +14,10 @@
 //! * `magic` = [`MAGIC`] — rejects non-protocol peers immediately.
 //! * `version` = [`VERSION`] — incompatible peers are told apart from
 //!   corrupted ones.
-//! * `kind` — one [`FrameKind`] discriminant.
+//! * `kind` — one [`FrameKind`] discriminant.  Tag 4 is retired (it was
+//!   the per-row verdict frame): it decodes as [`WireError::UnknownKind`]
+//!   and must not be reassigned.  [`VERSION`] did not move with it — the
+//!   journal shares this header, and no journal ever held a tag-4 frame.
 //! * `len` — payload length in bytes, capped at [`MAX_PAYLOAD`]; the cap is
 //!   enforced *before* any buffer is sized from the field, so a corrupted
 //!   length cannot trigger a multi-gigabyte allocation.
@@ -73,8 +76,7 @@
 //! ```
 //!
 //! Consecutive verdicts of one object share a run-table entry, so the
-//! `(object, seq)` pair the per-verdict [`FrameKind::Verdict`] layout
-//! repeats in every 21-byte row is paid once per run; each row is 5 bytes
+//! 16-byte `(object, seq)` pair is paid once per run; each row is 5 bytes
 //! and `seq` reconstructs as `base_seq + offset`.  Decode enforces the same
 //! discipline as batch decode: counts validated against the remaining
 //! payload before any allocation, a run table larger than the row count
@@ -99,7 +101,6 @@ use drv_lang::{
 use drv_telemetry::metrics::BUCKETS;
 use drv_telemetry::{HistogramSnapshot, Snapshot};
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// Frame magic: `"DRVF"` little-endian.
 pub const MAGIC: u32 = 0x4656_5244;
@@ -134,8 +135,6 @@ pub enum FrameKind {
     /// Server → client: a batch was rejected (and dropped) — resend after
     /// the condition clears.
     Nack = 3,
-    /// Server → client: a run of decided verdicts.
-    Verdict = 4,
     /// Empty payload: a stats request (client → server).  Non-empty: the
     /// snapshot reply (server → client).
     Stats = 5,
@@ -150,10 +149,7 @@ pub enum FrameKind {
     /// never valid over a live connection.
     Checkpoint = 8,
     /// Server → client: a run-compressed batch of decided verdicts (run
-    /// table + 5-byte rows; see the module docs).  Carries the same
-    /// `(object, seq, verdict)` triples as [`FrameKind::Verdict`] at a
-    /// fraction of the bytes — grouping changes, order and content never
-    /// do.
+    /// table + 5-byte rows; see the module docs) — the one verdict frame.
     VerdictBatch = 9,
 }
 
@@ -163,7 +159,9 @@ impl FrameKind {
             1 => FrameKind::Batch,
             2 => FrameKind::Credit,
             3 => FrameKind::Nack,
-            4 => FrameKind::Verdict,
+            // 4 is reserved: the retired per-row verdict frame.  Never
+            // reassign it — an old peer's tag-4 frame must stay an
+            // `UnknownKind`, not decode as something else.
             5 => FrameKind::Stats,
             6 => FrameKind::Shutdown,
             7 => FrameKind::Evict,
@@ -263,11 +261,8 @@ pub enum Frame {
         /// Reason-specific detail (the violated bound, in events).
         detail: u64,
     },
-    /// A run of decided verdicts, per-object in `seq` order.
-    Verdicts(Vec<VerdictEvent>),
     /// A run-compressed verdict batch ([`FrameKind::VerdictBatch`]),
-    /// decoded back to the flat triples — byte layout differs from
-    /// [`Frame::Verdicts`], the carried events do not.
+    /// decoded back to the flat triples, per-object in `seq` order.
     VerdictBatch(Vec<VerdictEvent>),
     /// A stats request (empty [`FrameKind::Stats`] payload).
     StatsRequest,
@@ -637,31 +632,6 @@ pub fn encode_nack(batch_id: u64, reason: NackReason, detail: u64) -> Vec<u8> {
     seal_frame(FrameKind::Nack, &payload)
 }
 
-/// Encodes a run of verdicts.
-///
-/// # Panics
-///
-/// Panics on 2^32 or more events per frame (senders chunk far below).
-#[must_use]
-pub fn encode_verdicts(events: &[VerdictEvent]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(4 + events.len() * 21);
-    put_u32(&mut payload, u32::try_from(events.len()).expect("< 2^32 verdicts"));
-    let mut row = [0u8; 21];
-    for event in events {
-        row[0..8].copy_from_slice(&event.object.0.to_le_bytes());
-        row[8..16].copy_from_slice(&event.seq.to_le_bytes());
-        let (tag, index) = match event.verdict {
-            Verdict::Yes => (0u8, 0u32),
-            Verdict::No => (1, 0),
-            Verdict::Maybe(i) => (2, i),
-        };
-        row[16] = tag;
-        row[17..21].copy_from_slice(&index.to_le_bytes());
-        payload.extend_from_slice(&row);
-    }
-    seal_frame(FrameKind::Verdict, &payload)
-}
-
 /// Encodes a run-compressed [`FrameKind::VerdictBatch`] frame:
 ///
 /// ```text
@@ -671,9 +641,8 @@ pub fn encode_verdicts(events: &[VerdictEvent]) -> Vec<u8> {
 /// ```
 ///
 /// The encoder splits `events` into maximal runs of same-object,
-/// consecutive-`seq` verdicts, so the 16 bytes of `(object, seq)` that the
-/// legacy [`encode_verdicts`] repeats per row are paid once per run — on
-/// live traffic a row costs 5 bytes instead of 21.  Splitting is lossless:
+/// consecutive-`seq` verdicts, so the 16 bytes of `(object, seq)` are paid
+/// once per run and a row costs 5 bytes.  Splitting is lossless:
 /// any input (object changes, seq gaps, even out-of-order seqs) round-trips
 /// to exactly the same event sequence.
 ///
@@ -803,7 +772,7 @@ pub(crate) struct Header {
 }
 
 /// Validates the fixed-size header — the ONE copy of the header contract,
-/// shared by the buffer and stream decoders and the reactor's
+/// shared by the buffer decoder and the reactor's
 /// [`FrameAssembler`](crate::reactor::FrameAssembler).
 pub(crate) fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, WireError> {
     let mut header = Reader::new(bytes);
@@ -889,31 +858,6 @@ fn decode_payload(
             ))?;
             Frame::Nack { batch_id, reason, detail: reader.u64("nack detail")? }
         }
-        FrameKind::Verdict => {
-            // Each verdict row is 21 bytes, consumed as one slice.
-            let count = reader.count(21, "verdict rows")?;
-            let mut events = Vec::with_capacity(count);
-            for _ in 0..count {
-                let row = reader.take(21, "verdict row")?;
-                let object =
-                    ObjectId(u64::from_le_bytes(row[0..8].try_into().expect("8 bytes")));
-                let seq = u64::from_le_bytes(row[8..16].try_into().expect("8 bytes"));
-                let index = u32::from_le_bytes(row[17..21].try_into().expect("4 bytes"));
-                let verdict = match row[16] {
-                    0 => Verdict::Yes,
-                    1 => Verdict::No,
-                    2 => Verdict::Maybe(index),
-                    tag => {
-                        return Err(WireError::Payload(CodecError::BadTag {
-                            what: "verdict",
-                            tag,
-                        }))
-                    }
-                };
-                events.push(VerdictEvent { object, seq, verdict });
-            }
-            Frame::Verdicts(events)
-        }
         FrameKind::VerdictBatch => {
             // Size caps first, exactly like batch decode: the run count is
             // bounded by remaining/20, the row count by remaining/5, and
@@ -961,8 +905,7 @@ fn decode_payload(
                         1 => Verdict::No,
                         _ => Verdict::Maybe(index),
                     };
-                    // Wrapping, like the legacy frame's arbitrary per-row
-                    // seq field: a hostile base near u64::MAX yields odd
+                    // Wrapping: a hostile base near u64::MAX yields odd
                     // seqs, never a panic.
                     events.push(VerdictEvent { object, seq: base.wrapping_add(offset), verdict });
                 }
@@ -1146,117 +1089,6 @@ fn decode_batch(
     Ok(WireBatch { batch_id, events })
 }
 
-/// How reading a frame off a byte stream can end.
-#[derive(Debug)]
-pub enum ReadError {
-    /// The peer closed the stream cleanly at a frame boundary.
-    Closed,
-    /// An I/O error (includes mid-frame EOF).
-    Io(io::Error),
-    /// The bytes arrived but did not decode.
-    Wire(WireError),
-}
-
-impl fmt::Display for ReadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReadError::Closed => f.write_str("peer closed the stream"),
-            ReadError::Io(err) => write!(f, "i/o: {err}"),
-            ReadError::Wire(err) => write!(f, "wire: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for ReadError {}
-
-/// Reads exactly `buf.len()` bytes; distinguishes EOF-at-start (clean
-/// close) from EOF-mid-buffer (truncation).
-fn read_full(stream: &mut impl Read, buf: &mut [u8]) -> Result<(), ReadError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Err(ReadError::Closed),
-            Ok(0) => {
-                return Err(ReadError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("stream ended {filled} bytes into a frame"),
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(ReadError::Io(err)),
-        }
-    }
-    Ok(())
-}
-
-/// Reads one frame from `stream`, interning batch payloads into `arena`.
-///
-/// # Errors
-///
-/// [`ReadError::Closed`] on a clean close between frames, [`ReadError::Io`]
-/// on transport errors (including mid-frame EOF), [`ReadError::Wire`] on
-/// malformed bytes.
-pub fn read_frame(stream: &mut impl Read, arena: &SharedInterner) -> Result<Frame, ReadError> {
-    read_frame_capped(stream, arena, u32::MAX)
-}
-
-/// Reads one whole raw frame (validated header + payload bytes) off
-/// `stream` without decoding the payload — for callers whose decode
-/// parameters depend on state that may change while the read blocks (the
-/// server computes its row cap from the *current* credit only once the
-/// frame has actually arrived).  Feed the result to
-/// [`decode_frame_capped`].
-///
-/// # Errors
-///
-/// [`ReadError::Closed`] on a clean close between frames, [`ReadError::Io`]
-/// on transport errors (including mid-frame EOF), [`ReadError::Wire`] on a
-/// malformed header or truncated payload.
-pub fn read_raw_frame(stream: &mut impl Read) -> Result<Vec<u8>, ReadError> {
-    let mut header_bytes = [0u8; HEADER_LEN];
-    read_full(stream, &mut header_bytes)?;
-    // Validate the header before trusting its length field.
-    let header = parse_header(&header_bytes).map_err(ReadError::Wire)?;
-    let len = header.len;
-    let mut frame = vec![0u8; HEADER_LEN + len as usize];
-    frame[..HEADER_LEN].copy_from_slice(&header_bytes);
-    match read_full(stream, &mut frame[HEADER_LEN..]) {
-        Ok(()) => Ok(frame),
-        Err(ReadError::Closed) if len > 0 => {
-            Err(ReadError::Wire(WireError::TruncatedPayload { need: len, have: 0 }))
-        }
-        Err(err) => Err(err),
-    }
-}
-
-/// [`read_frame`] with the row cap of [`decode_frame_capped`]: batches
-/// declaring more rows than `max_rows` are consumed off the stream but
-/// rejected as [`WireError::TooManyRows`] before anything interns.
-///
-/// # Errors
-///
-/// Like [`read_frame`].
-pub fn read_frame_capped(
-    stream: &mut impl Read,
-    arena: &SharedInterner,
-    max_rows: u32,
-) -> Result<Frame, ReadError> {
-    let frame = read_raw_frame(stream)?;
-    let (decoded, consumed) = decode_frame_capped(&frame, arena, max_rows).map_err(ReadError::Wire)?;
-    debug_assert_eq!(consumed, frame.len());
-    Ok(decoded)
-}
-
-/// Writes one pre-sealed frame to `stream`.
-///
-/// # Errors
-///
-/// Propagates the transport error.
-pub fn write_frame(stream: &mut impl Write, frame: &[u8]) -> io::Result<()> {
-    stream.write_all(frame)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1318,18 +1150,6 @@ mod tests {
             (
                 encode_nack(9, NackReason::CreditExceeded, 100),
                 Frame::Nack { batch_id: 9, reason: NackReason::CreditExceeded, detail: 100 },
-            ),
-            (
-                encode_verdicts(&[
-                    VerdictEvent { object: ObjectId(1), seq: 0, verdict: Verdict::Yes },
-                    VerdictEvent { object: ObjectId(1), seq: 1, verdict: Verdict::No },
-                    VerdictEvent { object: ObjectId(2), seq: 0, verdict: Verdict::Maybe(3) },
-                ]),
-                Frame::Verdicts(vec![
-                    VerdictEvent { object: ObjectId(1), seq: 0, verdict: Verdict::Yes },
-                    VerdictEvent { object: ObjectId(1), seq: 1, verdict: Verdict::No },
-                    VerdictEvent { object: ObjectId(2), seq: 0, verdict: Verdict::Maybe(3) },
-                ]),
             ),
             (
                 encode_verdict_batch(&[
@@ -1608,13 +1428,12 @@ mod tests {
         assert_eq!(consumed, frame.len());
         assert_eq!(decoded, Frame::VerdictBatch(awkward));
         // A long run amortizes: 256 consecutive verdicts of one object cost
-        // one 20-byte run entry + 5 bytes/row, vs 21 bytes/row legacy.
+        // one 20-byte run entry + 5 bytes/row.
         let long: Vec<VerdictEvent> = (0..256)
             .map(|seq| VerdictEvent { object: ObjectId(1), seq, verdict: Verdict::Yes })
             .collect();
         let batched = encode_verdict_batch(&long);
-        let legacy = encode_verdicts(&long);
-        assert!(batched.len() * 3 < legacy.len(), "{} vs {}", batched.len(), legacy.len());
+        assert_eq!(batched.len(), HEADER_LEN + 8 + 20 + 256 * 5);
         let (redecoded, _) = decode_frame(&batched, &SharedInterner::new()).expect("valid");
         assert_eq!(redecoded, Frame::VerdictBatch(long));
         // Empty batches round-trip too.
@@ -1674,7 +1493,7 @@ mod tests {
             decode_frame(&mismatched, &arena),
             Err(WireError::BadRunTable { declared_rows: 2, summed: 1 })
         );
-        // A bad verdict tag is the same typed error as the legacy frame's.
+        // A bad verdict tag is a typed error.
         let mut bad_tag = good.clone();
         let tag_at = HEADER_LEN + 8 + 20; // first row's tag byte
         bad_tag[tag_at] = 9;
@@ -1744,20 +1563,5 @@ mod tests {
             decode_frame(&frame, &SharedInterner::new()),
             Err(WireError::BadStatsHistogram { buckets: 3 })
         );
-    }
-
-    #[test]
-    fn stream_reader_distinguishes_clean_close_from_truncation() {
-        let arena = SharedInterner::new();
-        let mut empty: &[u8] = &[];
-        assert!(matches!(read_frame(&mut empty, &arena), Err(ReadError::Closed)));
-        let frame = encode_credit(1, 2);
-        let mut truncated = &frame[..frame.len() - 3];
-        match read_frame(&mut truncated, &arena) {
-            Err(ReadError::Io(err)) => assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof),
-            other => panic!("expected mid-frame EOF, got {other:?}"),
-        }
-        let mut whole: &[u8] = &frame;
-        assert!(matches!(read_frame(&mut whole, &arena), Ok(Frame::Credit { grant: 1, window: 2 })));
     }
 }

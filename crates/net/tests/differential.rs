@@ -29,21 +29,6 @@ const PROCESSES: usize = 2;
 /// How long any single wait may take before the test is declared hung.
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// `DRV_ENGINE_TEST_VERDICT_BATCH=0` pins the suite to the legacy per-row
-/// verdict frames; any other value (or unset) leaves the run-compressed
-/// `VerdictBatch` default on.  Either way the carried verdicts must be
-/// bit-identical — only the byte layout may differ.
-fn server_config() -> ServerConfig {
-    let legacy = std::env::var("DRV_ENGINE_TEST_VERDICT_BATCH").is_ok_and(|value| value == "0");
-    ServerConfig::new().with_batched_verdicts(!legacy)
-}
-
-/// Whether the batched wire path was explicitly forced on (so suites can
-/// additionally assert the batched frames actually flowed).
-fn verdict_batch_forced() -> bool {
-    std::env::var("DRV_ENGINE_TEST_VERDICT_BATCH").is_ok_and(|value| value != "0")
-}
-
 fn mixed_factory() -> Arc<RoutingMonitorFactory> {
     let lin = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), PROCESSES))
         as Arc<dyn ObjectMonitorFactory>;
@@ -137,7 +122,7 @@ fn wire_verdicts_equal_sequential_reference() {
                 mixed_factory(),
                 // A window of 300 forces credit waiting at batch 256 while
                 // still admitting one max-size batch.
-                server_config().with_window(300),
+                ServerConfig::new().with_window(300),
             )
             .expect("bind");
             let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
@@ -150,14 +135,8 @@ fn wire_verdicts_equal_sequential_reference() {
             let streamed: BTreeMap<ObjectId, Vec<Verdict>> = streamed.into_iter().collect();
             assert_eq!(streamed, expected, "{context}: wire streams differ");
             assert!(client.take_nacks().is_empty(), "{context}: spurious NACKs");
-            if verdict_batch_forced() {
-                let frames = server
-                    .telemetry()
-                    .snapshot()
-                    .counter("net_verdict_frames")
-                    .unwrap_or(0);
-                assert!(frames > 0, "{context}: forced batched path sent no verdict frames");
-            }
+            let frames = server.telemetry().snapshot().counter("net_verdict_frames");
+            assert!(frames.unwrap_or(0) > 0, "{context}: no verdict frame was counted");
             client.shutdown().expect("clean goodbye");
             let report = server.shutdown().expect("no worker panicked");
             for (object, verdicts) in &expected {
@@ -183,7 +162,7 @@ fn forced_credit_exhaustion_preserves_streams() {
         ("127.0.0.1", 0),
         EngineConfig::new(2).with_max_pending(8),
         mixed_factory(),
-        server_config().with_window(8),
+        ServerConfig::new().with_window(8),
     )
     .expect("bind");
     let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
@@ -244,7 +223,7 @@ fn mid_stream_disconnect_keeps_other_connections_exact() {
         ("127.0.0.1", 0),
         EngineConfig::new(2).with_max_pending(1024),
         mixed_factory(),
-        server_config(),
+        ServerConfig::new(),
     )
     .expect("bind");
     let mut survivor = MonitorClient::connect(server.local_addr()).expect("connect survivor");
@@ -301,7 +280,7 @@ fn verdicts_route_to_the_owning_connection() {
         ("127.0.0.1", 0),
         EngineConfig::new(2).with_max_pending(1024),
         mixed_factory(),
-        server_config(),
+        ServerConfig::new(),
     )
     .expect("bind");
     let addr = server.local_addr();
@@ -378,7 +357,7 @@ fn abd_bridge_matches_post_hoc_history() {
             ("127.0.0.1", 0),
             EngineConfig::new(2).with_max_pending(256),
             factory,
-            server_config().with_window(64),
+            ServerConfig::new().with_window(64),
         )
         .expect("bind");
         let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
@@ -409,7 +388,7 @@ fn oversized_batch_is_nacked_not_fatal() {
         ("127.0.0.1", 0),
         EngineConfig::new(1).with_max_pending(64),
         mixed_factory(),
-        server_config().with_window(4),
+        ServerConfig::new().with_window(4),
     )
     .expect("bind");
     let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
@@ -455,13 +434,15 @@ fn oversized_batch_is_nacked_not_fatal() {
 #[test]
 fn raw_credit_violations_are_nacked_server_side() {
     use drv_lang::SharedInterner;
-    use drv_net::wire::{read_frame, write_frame, Frame, FrameEncoder, NackReason};
+    use drv_net::wire::{decode_frame, Frame, FrameEncoder, NackReason};
+    use drv_net::FrameAssembler;
+    use std::io::{Read, Write};
 
     let server = MonitorServer::bind(
         ("127.0.0.1", 0),
         EngineConfig::new(1).with_max_pending(64),
         mixed_factory(),
-        server_config().with_window(4),
+        ServerConfig::new().with_window(4),
     )
     .expect("bind");
     // The legitimate owner of ObjectId(5).
@@ -484,21 +465,32 @@ fn raw_credit_violations_are_nacked_server_side() {
         batch
     };
     // An 8-event batch can never fit a 4-event window.
-    write_frame(&mut socket, &encoder.encode_batch(1, &batch_of(8, &arena), &arena))
+    socket
+        .write_all(&encoder.encode_batch(1, &batch_of(8, &arena), &arena))
         .expect("send oversized");
     // 3 events on the *owner's* object: admitted (within the window), but
     // their verdicts — and the credit they carry — go to the owner.
-    write_frame(&mut socket, &encoder.encode_batch(2, &batch_of(3, &arena), &arena))
+    socket
+        .write_all(&encoder.encode_batch(2, &batch_of(3, &arena), &arena))
         .expect("send first");
     // 2 more events exceed the 1 event of remaining credit: overrun.
-    write_frame(&mut socket, &encoder.encode_batch(3, &batch_of(2, &arena), &arena))
+    socket
+        .write_all(&encoder.encode_batch(3, &batch_of(2, &arena), &arena))
         .expect("send overrun");
     let mut nacks = Vec::new();
     let local = SharedInterner::new();
+    let mut assembler = FrameAssembler::new();
+    let mut chunk = [0u8; 4096];
     while nacks.len() < 2 {
-        match read_frame(&mut socket, &local).expect("server frame") {
+        let Some(raw) = assembler.next_frame().expect("well-framed server bytes") else {
+            let read = socket.read(&mut chunk).expect("server bytes");
+            assert!(read > 0, "the server closed before both NACKs arrived");
+            assembler.feed(&chunk[..read]);
+            continue;
+        };
+        match decode_frame(raw, &local).expect("server frame").0 {
             Frame::Nack { batch_id, reason, detail } => nacks.push((batch_id, reason, detail)),
-            Frame::Credit { .. } | Frame::Verdicts(_) | Frame::VerdictBatch(_) => {}
+            Frame::Credit { .. } | Frame::VerdictBatch(_) => {}
             other => panic!("unexpected frame {other:?}"),
         }
     }

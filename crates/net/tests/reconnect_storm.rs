@@ -168,7 +168,8 @@ fn reconnect_storm_preserves_surviving_streams() {
 /// streaming concurrently stays exactly ≡ the sequential reference.
 #[test]
 fn slow_consumer_is_disconnected_not_buffered() {
-    use drv_net::wire::{write_frame, FrameEncoder};
+    use drv_net::wire::FrameEncoder;
+    use std::io::Write;
 
     let server = MonitorServer::bind(
         ("127.0.0.1", 0),
@@ -206,7 +207,7 @@ fn slow_consumer_is_disconnected_not_buffered() {
             batch.push_symbol(object, &Symbol::invoke(ProcId(0), Invocation::Write(pair)), &arena);
             batch.push_symbol(object, &Symbol::respond(ProcId(0), Response::Ack), &arena);
         }
-        write_frame(&mut slow, &encoder.encode_batch(chunk, &batch, &arena))
+        slow.write_all(&encoder.encode_batch(chunk, &batch, &arena))
             .expect("feed the slow consumer's events");
     }
 

@@ -7,14 +7,12 @@
 use drv_core::CheckerMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine};
 use drv_lang::{Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
-use drv_net::wire::{
-    decode_frame, encode_stats_request, read_raw_frame, write_frame, Frame, HEADER_LEN,
-    STATS_VERSION,
-};
-use drv_net::{MonitorClient, MonitorServer, ServerConfig};
+use drv_net::wire::{decode_frame, encode_stats_request, Frame, HEADER_LEN, STATS_VERSION};
+use drv_net::{FrameAssembler, MonitorClient, MonitorServer, ServerConfig};
 use drv_spec::Register;
 use drv_telemetry::Telemetry;
 use parking_lot::Mutex;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,13 +88,20 @@ fn client_stats_returns_the_live_registry_snapshot() {
 fn raw_socket_stats_frames_decode_with_the_version_byte() {
     let server = instrumented_server();
     let mut socket = TcpStream::connect(server.local_addr()).expect("connect raw");
-    write_frame(&mut socket, &encode_stats_request()).expect("request");
+    socket.write_all(&encode_stats_request()).expect("request");
     // The server greets with a Credit frame; skim raw frames until the
     // non-empty Stats reply shows up.
     let scratch = SharedInterner::new();
+    let mut assembler = FrameAssembler::new();
+    let mut chunk = [0u8; 4096];
     let reply = loop {
-        let raw = read_raw_frame(&mut socket).expect("a server frame");
-        let (frame, consumed) = decode_frame(&raw, &scratch).expect("decodable frame");
+        let Some(raw) = assembler.next_frame().expect("well-framed server bytes") else {
+            let read = socket.read(&mut chunk).expect("server bytes");
+            assert!(read > 0, "the server closed before replying");
+            assembler.feed(&chunk[..read]);
+            continue;
+        };
+        let (frame, consumed) = decode_frame(raw, &scratch).expect("decodable frame");
         assert_eq!(consumed, raw.len());
         match frame {
             Frame::Stats(reply) => {

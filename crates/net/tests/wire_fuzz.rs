@@ -16,8 +16,8 @@ use drv_lang::{
 };
 use drv_net::wire::{
     decode_frame, encode_credit, encode_nack, encode_shutdown, encode_stats,
-    encode_stats_request, encode_verdict_batch, encode_verdicts, Frame, FrameEncoder, NackReason,
-    StatsReply, WireError, WireStats, HEADER_LEN, MAX_PAYLOAD,
+    encode_stats_request, encode_verdict_batch, Frame, FrameEncoder, NackReason, StatsReply,
+    WireError, WireStats, HEADER_LEN, MAX_PAYLOAD,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,7 +68,6 @@ fn valid_frames(rng: &mut StdRng) -> Vec<Vec<u8>> {
         FrameEncoder::new().encode_batch(rng.gen_range(0..u64::MAX), &stamped, &arena),
         encode_credit(rng.gen_range(0..u64::MAX), rng.gen_range(0..u64::MAX)),
         encode_nack(rng.gen_range(0..u64::MAX), NackReason::CreditExceeded, rng.gen_range(0..u64::MAX)),
-        encode_verdicts(&verdicts),
         encode_verdict_batch(&verdicts),
         encode_stats_request(),
         encode_stats(&StatsReply {
@@ -504,4 +503,51 @@ fn claimed_lengths_never_inflate_the_assembler() {
         assembler.next_frame(),
         Err(WireError::Oversized(len)) if len == MAX_PAYLOAD + 1
     ));
+}
+
+/// What the parent commit's per-row verdict encoder produced for
+/// `[(7, 0, Yes), (7, 1, Maybe(3)), (9, 0, No)]`: a well-formed, CRC-valid
+/// frame of the retired kind (tag 4, byte 5).
+#[rustfmt::skip]
+const RETIRED_VERDICT_FRAME: [u8; 83] = [
+    0x44, 0x52, 0x56, 0x46, 0x01, 0x04, 0x00, 0x00, 0x43, 0x00, 0x00, 0x00, 0x1a, 0x22, 0x87, 0x74,
+    0x03, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x03, 0x00, 0x00, 0x00, 0x09, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00,
+];
+
+#[test]
+fn the_retired_verdict_kind_is_an_unknown_kind_everywhere() {
+    use drv_net::wire::crc32;
+    // The literal really is a sealed frame: only its kind is unwelcome.
+    let declared = u32::from_le_bytes(RETIRED_VERDICT_FRAME[12..16].try_into().unwrap());
+    assert_eq!(declared, crc32(&RETIRED_VERDICT_FRAME[HEADER_LEN..]));
+    assert_eq!(must_not_panic(&RETIRED_VERDICT_FRAME), Err(WireError::UnknownKind(4)));
+    let mut assembler = FrameAssembler::new();
+    assembler.feed(&RETIRED_VERDICT_FRAME);
+    assert_eq!(assembler.next_frame(), Err(WireError::UnknownKind(4)));
+
+    // A live client served the frame by an old peer closes the connection.
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("bound");
+    let old_server = std::thread::spawn(move || {
+        use std::io::{Read, Write};
+        let (mut socket, _) = listener.accept().expect("accept");
+        socket.write_all(&encode_credit(16, 16)).expect("greet");
+        socket.write_all(&RETIRED_VERDICT_FRAME).expect("serve the retired frame");
+        // Hold the socket open until the client hangs up, so the close
+        // the client observes is its own decision.
+        let _ = socket.read(&mut [0u8; 16]);
+    });
+    let client = drv_net::MonitorClient::connect(addr).expect("connect");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !client.is_closed() {
+        assert!(std::time::Instant::now() < deadline, "the client kept the connection open");
+        let _ = client.wait_verdicts(std::time::Duration::from_millis(10));
+    }
+    assert!(client.poll_verdicts().is_empty(), "no verdict of the retired frame surfaced");
+    drop(client);
+    old_server.join().expect("old server thread");
 }

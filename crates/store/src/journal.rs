@@ -47,7 +47,7 @@ use crate::error::StoreError;
 use drv_core::Verdict;
 use drv_engine::JournalSink;
 use drv_lang::wire::{put_u32, put_u64, Reader};
-use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol};
+use drv_lang::{EventBatch, ObjectId, SharedInterner};
 use drv_net::wire::{
     decode_frame, encode_checkpoint, encode_evict, Frame, FrameEncoder, MAX_PAYLOAD,
 };
@@ -272,8 +272,6 @@ struct Appender {
     /// Records appended since the last sync (the [`FsyncPolicy::EveryN`]
     /// counter).
     since_sync: u64,
-    /// Reused 1-event batch backing `append_event`.
-    single: EventBatch,
 }
 
 /// Counters of a running [`Store`] (monotone, racy reads) — a view over
@@ -355,9 +353,6 @@ impl StoreMetrics {
 /// continues, durability stops, the operator decides.
 pub struct Store {
     inner: Mutex<Appender>,
-    /// Private arena backing `append_event`'s single-event encoding (batch
-    /// appends resolve against the arena the engine passes in).
-    arena: SharedInterner,
     config: StoreConfig,
     /// Latched on the first append/sync I/O error; all later appends
     /// no-op.
@@ -421,9 +416,7 @@ impl Store {
                 encoder: FrameEncoder::new(),
                 batch_id: 0,
                 since_sync: 0,
-                single: EventBatch::with_capacity(1),
             }),
-            arena: SharedInterner::new(),
             config,
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -602,21 +595,6 @@ impl JournalSink for Store {
             self.m.batches.inc();
             self.m.events.add(batch.len() as u64);
             self.tel.flight(Stage::JournalAppend, id, batch.len() as u64, 0, frame.len() as u32);
-        }
-    }
-
-    fn append_event(&self, object: ObjectId, symbol: &Symbol) {
-        let mut inner = self.inner.lock();
-        inner.batch_id += 1;
-        let id = inner.batch_id;
-        inner.single.clear();
-        inner.single.push_symbol(object, symbol, &self.arena);
-        let Appender { encoder, single, .. } = &mut *inner;
-        let frame = encoder.encode_batch(id, single, &self.arena);
-        if self.append(&mut inner, &frame, None) {
-            self.m.batches.inc();
-            self.m.events.inc();
-            self.tel.flight(Stage::JournalAppend, object.0, 1, 0, frame.len() as u32);
         }
     }
 

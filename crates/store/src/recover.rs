@@ -177,7 +177,7 @@ pub fn recover_with(
     // reproducing the retirement position, so tombstoned objects are
     // retired again instead of resurrected.
     let engine =
-        MonitoringEngine::with_recovered_telemetry(engine_config, factory, recovered, telemetry);
+        MonitoringEngine::with_recovered(engine_config, factory, recovered, telemetry);
     let mut offset = 0usize;
     // Replay only the scan-validated prefix, and propagate (never panic
     // on) a decode error: the file has no lock against concurrent

@@ -10,7 +10,7 @@
 //! recoverable after salvage.
 
 use drv_core::{CheckerMonitorFactory, Verdict};
-use drv_engine::{EngineConfig, JournalSink};
+use drv_engine::{sequential_reference, EngineConfig, JournalSink, MonitoringEngine};
 use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
 use drv_net::wire::{
     crc32, decode_frame, encode_checkpoint, encode_evict, FrameEncoder, HEADER_LEN, MAX_PAYLOAD,
@@ -37,6 +37,15 @@ fn journal_path(tag: &str) -> PathBuf {
         "drv-store-fuzz-{tag}-{}-{unique}.journal",
         std::process::id()
     ))
+}
+
+/// Appends `symbol` as a one-event batch — the record `MonitoringEngine::submit`
+/// journals.
+fn append_one(store: &Store, object: ObjectId, symbol: &Symbol) {
+    let arena = SharedInterner::new();
+    let mut batch = EventBatch::with_capacity(1);
+    batch.push_symbol(object, symbol, &arena);
+    store.append_batch(&batch, &arena);
 }
 
 /// A valid journal with seed-varied contents: batch records (several
@@ -262,7 +271,7 @@ fn open_truncates_corruption_and_stays_appendable() {
             "open must truncate exactly the torn tail"
         );
         // Append after salvage: the journal must stay clean end to end.
-        store.append_event(ObjectId(9), &Symbol::invoke(ProcId(0), Invocation::Read));
+        append_one(&store, ObjectId(9), &Symbol::invoke(ProcId(0), Invocation::Read));
         store.tombstone(ObjectId(9));
         assert!(store.io_error().is_none());
         drop(store);
@@ -313,7 +322,7 @@ fn oversized_checkpoints_are_skipped_not_sealed() {
     let path = journal_path("oversized");
     let config = StoreConfig::new().with_fsync(FsyncPolicy::Never);
     let store = Store::open(&path, config).unwrap();
-    store.append_event(ObjectId(1), &Symbol::invoke(ProcId(0), Invocation::Read));
+    append_one(&store, ObjectId(1), &Symbol::invoke(ProcId(0), Invocation::Read));
     let huge_state = vec![0u8; MAX_PAYLOAD as usize + 1];
     store.checkpoint(ObjectId(1), &[Verdict::Yes], &huge_state);
     let stats = store.stats();
@@ -335,14 +344,87 @@ fn explicit_sync_restarts_the_every_n_window() {
     let path = journal_path("sync-window");
     let config = StoreConfig::new().with_fsync(FsyncPolicy::EveryN(2));
     let store = Store::open(&path, config).unwrap();
-    store.append_event(ObjectId(1), &Symbol::invoke(ProcId(0), Invocation::Read));
+    append_one(&store, ObjectId(1), &Symbol::invoke(ProcId(0), Invocation::Read));
     store.sync().expect("healthy store syncs");
     assert_eq!(store.stats().syncs, 1);
     // The forced sync reset the window: the second append is 1-of-2 again,
     // so no policy-driven sync fires for it.
-    store.append_event(ObjectId(1), &Symbol::respond(ProcId(0), Response::Ack));
+    append_one(&store, ObjectId(1), &Symbol::respond(ProcId(0), Response::Ack));
     assert_eq!(store.stats().syncs, 1, "explicit sync must restart the EveryN counter");
-    store.append_event(ObjectId(1), &Symbol::invoke(ProcId(0), Invocation::Read));
+    append_one(&store, ObjectId(1), &Symbol::invoke(ProcId(0), Invocation::Read));
     assert_eq!(store.stats().syncs, 2, "the window completes two appends after the forced sync");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The journal the parent commit (e455253) wrote for [`pinned_stream`]
+/// through its per-event journal-sink method: six one-event Batch frames,
+/// batch ids 1–6.
+#[rustfmt::skip]
+const PINNED_JOURNAL: [u8; 348] = [
+    0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0x52, 0xfd, 0x7c, 0xa0,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52,
+    0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0xf1, 0x7c, 0xa9, 0x33, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x03,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46,
+    0x01, 0x01, 0x00, 0x00, 0x26, 0x00, 0x00, 0x00, 0xef, 0xfe, 0x9f, 0x44, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x26, 0x00, 0x00, 0x00, 0xa7, 0x98,
+    0xc1, 0x9f, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00,
+    0x26, 0x00, 0x00, 0x00, 0xe6, 0xb1, 0xae, 0x9b, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52,
+    0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0xa5, 0xe5, 0xa3, 0xed, 0x06, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// The six-event stream [`PINNED_JOURNAL`] records: two interleaved
+/// register objects, every payload shape.
+fn pinned_stream() -> Vec<(ObjectId, Symbol)> {
+    vec![
+        (ObjectId(1), Symbol::invoke(ProcId(0), Invocation::Write(7))),
+        (ObjectId(2), Symbol::invoke(ProcId(1), Invocation::Write(3))),
+        (ObjectId(1), Symbol::respond(ProcId(0), Response::Ack)),
+        (ObjectId(1), Symbol::invoke(ProcId(1), Invocation::Read)),
+        (ObjectId(2), Symbol::respond(ProcId(1), Response::Ack)),
+        (ObjectId(1), Symbol::respond(ProcId(1), Response::Value(7))),
+    ]
+}
+
+#[test]
+fn submit_journals_the_format_the_parent_commit_wrote() {
+    let events = pinned_stream();
+    let factory = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), 2));
+    let config = StoreConfig::new().with_fsync(FsyncPolicy::Never);
+
+    // Written now, through `submit` (a batch of one): same bytes.
+    let path = journal_path("pin");
+    let engine = MonitoringEngine::new(EngineConfig::new(1), factory.clone());
+    let store = Arc::new(Store::open(&path, config).unwrap());
+    engine.attach_journal(store.clone());
+    for (object, symbol) in &events {
+        engine.submit(*object, symbol);
+    }
+    engine.finish().expect("no worker panicked");
+    drop(store);
+    assert_eq!(std::fs::read(&path).unwrap(), PINNED_JOURNAL);
+
+    // Written then, recovered now: the reference verdict streams.
+    std::fs::write(&path, PINNED_JOURNAL).unwrap();
+    let recovery = recover(&path, config, EngineConfig::new(2), factory.clone())
+        .expect("a parent-written journal opens");
+    assert_eq!(recovery.stats.truncated_bytes, 0);
+    assert_eq!(recovery.stats.replayed_events, 6);
+    let report = recovery.engine.finish().expect("no worker panicked");
+    for (object, verdicts) in sequential_reference(factory.as_ref(), &events) {
+        assert_eq!(report.verdicts(object), Some(&verdicts[..]), "{object}");
+    }
     let _ = std::fs::remove_file(&path);
 }

@@ -37,7 +37,7 @@
 
 use drv::core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactory, Verdict};
 use drv::engine::{EngineConfig, MonitoringEngine};
-use drv::lang::{EventBatch, Invocation, ObjectId, ProcId, Response, Symbol};
+use drv::lang::{EventBatch, Invocation, ObjectId, ProcId, Response, Symbol, VerdictBatch};
 use drv::spec::Register;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -123,18 +123,17 @@ fn main() {
     let consumer = std::thread::spawn(move || {
         let mut delivered = 0u64;
         let mut paged: BTreeSet<ObjectId> = BTreeSet::new();
+        let mut batch = VerdictBatch::new();
         loop {
-            let batch = subscription.wait_verdicts(Duration::from_millis(50));
+            batch.clear();
+            subscription.wait_batch(Duration::from_millis(50), &mut batch);
             if batch.is_empty() && subscription.is_closed() {
                 break;
             }
-            for event in batch {
+            for (object, seq, verdict) in batch.iter() {
                 delivered += 1;
-                if event.verdict == Verdict::No && paged.insert(event.object) {
-                    println!(
-                        "  page: {} flagged NO at stream position {}",
-                        event.object, event.seq
-                    );
+                if verdict == Verdict::No && paged.insert(object) {
+                    println!("  page: {object} flagged NO at stream position {seq}");
                 }
             }
         }
