@@ -12,6 +12,13 @@
 //! the history grows: the scaling rows time it alone, two orders of
 //! magnitude deeper.
 //!
+//! The `sc-standing-no` row is the object that has left the fast path for
+//! good: a two-process register stream in which one read in a hundred
+//! returns a value nobody wrote, checked for sequential consistency after
+//! *every* symbol, as the engine's monitors do.  The NO is never rescued, so
+//! what the row times is how the engine holds it: `dfs_runs_per_kevent`
+//! says how often it searched to do so.
+//!
 //! Besides the per-size report lines, the bench writes the machine-readable
 //! baseline `BENCH_checker.json` at the workspace root so future PRs can
 //! track the perf trajectory:
@@ -20,10 +27,11 @@
 //! cargo bench -p drv-bench --bench incremental
 //! ```
 
+use drv_adversary::{register_object_stream, RegisterStreamShape};
 use drv_consistency::{
     check_history, CheckOutcome, CheckerConfig, ConcurrentHistory, IncrementalChecker,
 };
-use drv_lang::{Action, Invocation, ProcId, Response, Word};
+use drv_lang::{Action, Invocation, ProcId, Response, Symbol, Word};
 use drv_spec::Register;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,6 +49,9 @@ const SIZES: [usize; 4] = [25, 50, 100, 200];
 const SCALING_SIZES: [usize; 3] = [200, 2_000, 20_000];
 /// Timed repetitions per measurement (minimum is reported).
 const REPS: usize = 3;
+/// Completed operations of the `sc-standing-no` stream: two wild reads, and
+/// what the from-scratch baseline can still refute at every symbol.
+const STANDING_NO_OPS: usize = 400;
 
 /// A linearizable register history: most operations complete immediately,
 /// some overlap in pairs; responses are drawn from an atomic register whose
@@ -206,6 +217,85 @@ fn measure_scaling(label: &str, config: &CheckerConfig) -> Vec<f64> {
         .collect()
 }
 
+/// The `sc-standing-no` row: nanoseconds per event on either path and the
+/// incremental engine's searches and unsearched NOs per thousand events.
+struct StandingNo {
+    events: usize,
+    inconsistent: usize,
+    scratch_ns_per_event: f64,
+    incremental_ns_per_event: f64,
+    dfs_runs_per_kevent: f64,
+    latched_per_kevent: f64,
+}
+
+fn measure_standing_no(config: &CheckerConfig) -> StandingNo {
+    // Correct traffic, then every hundredth read made wild by hand: where
+    // the violations fall does not depend on the seed.
+    let mut symbols: Vec<Symbol> = register_object_stream(
+        &mut StdRng::seed_from_u64(0x5C_57A9D),
+        STANDING_NO_OPS,
+        &RegisterStreamShape::load(),
+    );
+    let mut reads = 0usize;
+    for symbol in &mut symbols {
+        if let Action::Respond(Response::Value(value)) = &mut symbol.action {
+            reads += 1;
+            if reads.is_multiple_of(100) {
+                *value += 1_000;
+            }
+        }
+    }
+    let mut stats = None;
+    let (incremental, verdicts) = best_of(|| {
+        let mut checker = IncrementalChecker::new(Register::new(), *config, 2);
+        let mut outcomes = Vec::with_capacity(symbols.len());
+        let start = Instant::now();
+        checker.feed_batch(&symbols, &mut outcomes);
+        let elapsed = start.elapsed();
+        stats = Some(checker.stats());
+        let verdicts = outcomes.iter().map(|o| *o == CheckOutcome::Consistent).collect();
+        (elapsed, verdicts)
+    });
+    let (scratch, scratch_verdicts) = best_of(|| {
+        let spec = Register::new();
+        let mut prefix = Word::new();
+        let mut verdicts = Vec::with_capacity(symbols.len());
+        let start = Instant::now();
+        for symbol in &symbols {
+            prefix.push(symbol.clone());
+            let history = ConcurrentHistory::from_word(&prefix, 2);
+            verdicts.push(check_history(&spec, &history, config).is_consistent());
+        }
+        (start.elapsed(), verdicts)
+    });
+    assert_eq!(scratch_verdicts, verdicts, "sc-standing-no: the two paths disagree");
+    let stats = stats.expect("REPS > 0");
+    let events = symbols.len();
+    let per_kevent = |count: u64| count as f64 * 1e3 / events as f64;
+    let row = StandingNo {
+        events,
+        inconsistent: verdicts.iter().filter(|consistent| !**consistent).count(),
+        scratch_ns_per_event: scratch.as_nanos() as f64 / events as f64,
+        incremental_ns_per_event: incremental.as_nanos() as f64 / events as f64,
+        dfs_runs_per_kevent: per_kevent(stats.dfs_runs),
+        latched_per_kevent: per_kevent(stats.latched),
+    };
+    println!(
+        "checker/sc-standing-no/scratch      time: [min {:.0} ns/event]",
+        row.scratch_ns_per_event
+    );
+    println!(
+        "checker/sc-standing-no/incremental  time: [min {:.0} ns/event], {:.1} searches and \
+         {:.1} unsearched NOs per 1000 events ({} of {} events inconsistent)",
+        row.incremental_ns_per_event,
+        row.dfs_runs_per_kevent,
+        row.latched_per_kevent,
+        row.inconsistent,
+        row.events,
+    );
+    row
+}
+
 fn json_section(label: &str, rows: &[Row], scaling: &[f64]) -> String {
     let sizes: Vec<String> = rows.iter().map(|r| r.size.to_string()).collect();
     let scratch: Vec<String> = rows.iter().map(|r| r.scratch.as_nanos().to_string()).collect();
@@ -247,6 +337,7 @@ fn main() {
     let sc_rows = measure_criterion("sc", &sc);
     let lin_scaling = measure_scaling("lin", &lin);
     let sc_scaling = measure_scaling("sc", &sc);
+    let standing_no = measure_standing_no(&sc);
 
     for (label, rows) in [("lin", &lin_rows), ("sc", &sc_rows)] {
         let at_max = rows.last().expect("at least one size");
@@ -270,6 +361,16 @@ fn main() {
             "  \"criteria\": {{\n",
             "{},\n",
             "{}\n",
+            "  }},\n",
+            "  \"sc-standing-no\": {{\n",
+            "    \"stream\": \"2-process register, {} operations, 1 read in 100 wild, ",
+            "sequential consistency, a verdict after every symbol\",\n",
+            "    \"events\": {},\n",
+            "    \"inconsistent_events\": {},\n",
+            "    \"scratch_ns_per_event\": {:.0},\n",
+            "    \"incremental_ns_per_event\": {:.0},\n",
+            "    \"dfs_runs_per_kevent\": {:.1},\n",
+            "    \"latched_per_kevent\": {:.1}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -277,6 +378,13 @@ fn main() {
         MAX_STATES,
         json_section("linearizability", &lin_rows, &lin_scaling),
         json_section("sequential_consistency", &sc_rows, &sc_scaling),
+        STANDING_NO_OPS,
+        standing_no.events,
+        standing_no.inconsistent,
+        standing_no.scratch_ns_per_event,
+        standing_no.incremental_ns_per_event,
+        standing_no.dfs_runs_per_kevent,
+        standing_no.latched_per_kevent,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_checker.json");
     match std::fs::write(path, &json) {

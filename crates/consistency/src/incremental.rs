@@ -4,7 +4,7 @@
 //! iteration; done naively (rebuild the history, run the Wing–Gong DFS from
 //! the root) a run of `k` iterations costs Θ(k × full-DFS).  This engine
 //! makes the per-iteration cost amortized O(delta) in the common case by
-//! persisting three things across calls:
+//! persisting two things across calls:
 //!
 //! 1. **The last witness.**  When the previous check found a linearization,
 //!    a newly completed operation is first *greedily spliced* into it: try
@@ -30,22 +30,36 @@
 //!    frontier ≡ the witness order's ids*, so the frontier is stored only
 //!    while no witness is — it is copied out of a witness at the points one
 //!    is discarded, and a checkpoint writes whichever of the two exists.
-//! 3. **The memo table.**  Dead configurations are keyed by a compact
-//!    progress vector (counts packed exactly into a `u128` whenever they
-//!    fit) plus a 128-bit FNV-1a hash of the sequential state — no state
-//!    clones, no re-hashing of heap payloads in the inner loop.  Entries are
-//!    epoch-tagged: growing the history changes which configurations are
-//!    dead (a fresh operation can resurrect an old dead end), so stale
-//!    entries are invalidated by bumping the epoch instead of reallocating
-//!    the table.
 //!
-//! Two further structural facts are exploited:
+//! Nothing else outlives a search.  Dead configurations are keyed by a
+//! compact progress vector (counts packed exactly into a `u128` whenever
+//! they fit) plus a 128-bit FNV-1a hash of the sequential state — no state
+//! clones, no re-hashing of heap payloads in the inner loop — and growing
+//! the history changes which configurations are dead (a fresh operation can
+//! resurrect an old dead end), so the table is scoped to one run: it lives,
+//! with the progress vector and the order under construction, in a
+//! per-thread scratch (`search.rs`) that each run empties and reuses,
+//! whichever checker the thread is serving.
+//!
+//! Three further structural facts are exploited:
 //!
 //! * **Linearizability is prefix-closed** (Herlihy & Wing): once a word
 //!   prefix is non-linearizable, every extension is too, so a definite NO
 //!   latches and later checks are O(1).  Sequential consistency is *not*
-//!   closed under extension (a later write by the same process can legalize
+//!   closed under extension (a later write by another process can legalize
 //!   an earlier wild read), so the SC engine never latches.
+//! * **A sequential-consistency NO stands until a mutator is invoked.**
+//!   After a search has refuted the history, the next symbol cannot create a
+//!   witness when it is (R0) ill-formed and skipped: the history is the same;
+//!   (R1) a response: the operation was pending in the refuted history, a
+//!   witness of the longer word linearizes it where the specification
+//!   produces exactly the observed response, and is therefore a witness of
+//!   the refuted word too; (R2) the invocation of an observer
+//!   (`!Invocation::is_mutator()`): deleting a state-preserving operation
+//!   from a witness leaves a witness.  Only the invocation of a mutator
+//!   searches again — from the same stored frontier, so with the nodes,
+//!   outcome and witness a per-symbol search would have had there.  `Unknown`
+//!   is not knowledge and never stands.
 //! * Histories are interned ([`InternedHistory`]): operations are `Copy`
 //!   records, payload comparisons happen once at intern time.
 //!
@@ -65,7 +79,7 @@
 //! | repair (swap or excise)      | `s` replayed in place; an illegal replay leaves the witness untouched |
 //! | pending rescue               | one index lookup per open operation, 2 states pushed |
 //! | witness discarded            | `m` ids copied into the stored frontier, then the DFS |
-//! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`) |
+//! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness, under LIN once (the NO latches), under SC at each mutator invocation (the NO stands in between), after `Unknown` at every symbol |
 //!
 //! [`IncrementalChecker::maintenance_steps`] counts the first six rows, so
 //! tests can assert the bound without a clock.  What still grows with `m`
@@ -87,13 +101,12 @@
 use crate::checker::{CheckerConfig, ConsistencyResult, Witness};
 use crate::history::{HistoryDelta, InternedHistory};
 use crate::parallel::{parallel_dfs, SharedMemo};
-use crate::search::{wing_gong, SearchContext, SearchOutcome};
+use crate::search::{wing_gong, with_scratch, Scratch, SearchContext, SearchOutcome};
 use drv_lang::wire::{
     put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
 };
 use drv_lang::{Action, CodecError, OpId, ProcId, ResponseId, Symbol, Word};
 use drv_spec::SequentialSpec;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -170,7 +183,7 @@ pub struct CheckerStats {
     /// Calls to [`IncrementalChecker::check_word`] / `check`.
     pub checks: u64,
     /// Checks answered without any search: untouched witness, successful
-    /// splice, latched NO, or cached verdict.
+    /// splice, latched or standing NO, or cached verdict.
     pub fast_path: u64,
     /// Successful greedy splices of a completed operation into the witness.
     pub splices: u64,
@@ -189,7 +202,9 @@ pub struct CheckerStats {
     /// Full resets because the fed word was not an extension of the
     /// previous one.
     pub rebuilds: u64,
-    /// Checks answered by the latched (prefix-closed) Inconsistent.
+    /// Checks answered Inconsistent without a search: the NO is final under
+    /// linearizability (prefix-closed, latched) and stands under sequential
+    /// consistency until a mutator is invoked.
     pub latched: u64,
 }
 
@@ -418,9 +433,12 @@ pub struct IncrementalChecker<S: SequentialSpec> {
     /// order is copied here at the points a witness is discarded.
     frontier: Vec<OpId>,
     latched_inconsistent: bool,
+    /// A search refuted the history under a criterion whose NO is not final,
+    /// and no symbol since could have created a witness (module docs, R0–R2):
+    /// the NO stands without a search until a mutator is invoked.
+    standing_no: bool,
     /// Cached verdict for the current history, cleared on every new symbol.
     cached: Option<CheckOutcome>,
-    memo: HashMap<(u128, u128), u32>,
     /// The concurrent fallback, when enabled: the thread fan-out plus the
     /// sharded-lock memo the branches share (epochs are this checker's, so
     /// the memo must not be shared *between* checkers).
@@ -446,7 +464,7 @@ impl<S: SequentialSpec> std::fmt::Debug for IncrementalChecker<S> {
             .field("symbols", &self.symbols.len())
             .field("has_witness", &self.witness.is_some())
             .field("latched_inconsistent", &self.latched_inconsistent)
-            .field("memo_entries", &self.memo.len())
+            .field("standing_no", &self.standing_no)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -464,8 +482,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             witness: None,
             frontier: Vec::new(),
             latched_inconsistent: false,
+            standing_no: false,
             cached: None,
-            memo: HashMap::new(),
             parallel: None,
             epoch: 0,
             stats: CheckerStats::default(),
@@ -525,14 +543,15 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         self.symbols.len()
     }
 
-    /// Drops all history state (memo capacity and interned payloads are
-    /// kept), ready for an unrelated word.
+    /// Drops all history state (interned payloads are kept), ready for an
+    /// unrelated word.
     pub fn reset(&mut self) {
         self.history.reset();
         self.symbols.clear();
         self.witness = None;
         self.frontier.clear();
         self.latched_inconsistent = false;
+        self.standing_no = false;
         self.cached = None;
         self.bump_epoch();
     }
@@ -540,9 +559,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     fn bump_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            // One-in-4-billion wrap: drop the tables rather than risk stale
+            // One-in-4-billion wrap: drop the table rather than risk stale
             // epoch-0 entries being trusted.
-            self.memo.clear();
             if let Some(parallel) = &self.parallel {
                 parallel.memo.clear();
             }
@@ -562,6 +580,12 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         match delta {
             HistoryDelta::Skipped => {}
             HistoryDelta::Invoked(_) => {
+                // Only a pending mutator can rescue a standing NO (R2): the
+                // next check searches again, from the frontier it kept.
+                if matches!(&symbol.action, Action::Invoke(invocation) if invocation.is_mutator())
+                {
+                    self.standing_no = false;
+                }
                 // A fresh pending operation can always be dropped (both
                 // criteria), so an existing witness stays valid as-is.  In
                 // the no-drop configuration the witness must cover it; keep
@@ -888,7 +912,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     }
 
     fn evaluate(&mut self) -> CheckOutcome {
-        if self.latched_inconsistent {
+        if self.latched_inconsistent || self.standing_no {
             self.stats.fast_path += 1;
             self.stats.latched += 1;
             return CheckOutcome::Inconsistent;
@@ -935,6 +959,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                     // Linearizability is prefix-closed: the NO is final for
                     // every extension of this word.
                     self.latched_inconsistent = true;
+                } else {
+                    self.standing_no = true;
                 }
                 CheckOutcome::Inconsistent
             }
@@ -942,29 +968,42 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
     }
 
-    /// The search on the calling thread, with this checker's own memo.
+    /// The search on the calling thread, on that thread's scratch.
     fn search_sequential(&mut self, hint: &[OpId]) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
-        let mut counts = vec![0u32; self.history.process_count()];
-        let mut order: Vec<(OpId, ResponseId)> = Vec::with_capacity(self.history.len());
+        let ctx = SearchContext {
+            spec: &self.spec,
+            config: &self.config,
+            hint,
+        };
+        let history = &mut self.history;
         let mut explored = 0usize;
-        let (memo, epoch) = (&mut self.memo, self.epoch);
-        let outcome = wing_gong(
-            &SearchContext {
-                spec: &self.spec,
-                config: &self.config,
-                hint,
-            },
-            &mut self.history,
-            |key| memo.insert(key, epoch) != Some(epoch),
-            || false,
-            &mut counts,
-            self.spec.initial(),
-            true,
-            &mut order,
-            &mut explored,
-        );
+        let result = with_scratch(history.process_count(), |scratch| {
+            let Scratch {
+                dead,
+                counts,
+                order,
+            } = scratch;
+            let outcome = wing_gong(
+                &ctx,
+                history,
+                |key| dead.insert(key),
+                || false,
+                counts,
+                ctx.spec.initial(),
+                true,
+                order,
+                &mut explored,
+            );
+            // Only a witness leaves the scratch; it is exactly as long as
+            // the operations it orders.
+            let witness = match outcome {
+                SearchOutcome::Found => order.clone(),
+                _ => Vec::new(),
+            };
+            (outcome, witness)
+        });
         self.stats.dfs_nodes += explored as u64;
-        (outcome, order)
+        result
     }
 
     /// The search fanned out across the root's first-branch processes (see
@@ -1016,13 +1055,12 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// payload: the consumed symbols, the maintained witness (as
     /// `(process, local index, response)` triples — the operation identity
     /// that survives reconstruction), the search frontier, the latch, the
-    /// memo epoch, and the stats counters.
+    /// standing NO, the memo epoch, and the stats counters.
     ///
-    /// What is *not* serialized: the memo table (entries are epoch-scoped
-    /// to a single DFS run — [`IncrementalChecker::run_dfs`] bumps the
-    /// epoch before searching, so prior contents can never influence a
-    /// verdict) and the witness state path (recomputed by replay on
-    /// restore, which doubles as validation).  A checker restored from this
+    /// What is *not* serialized: dead configurations (they are scoped to a
+    /// single DFS run, so prior contents can never influence a verdict) and
+    /// the witness state path (recomputed by replay on restore, which
+    /// doubles as validation).  A checker restored from this
     /// payload therefore produces **bit-identical** verdicts to the
     /// original on any symbol suffix.
     #[must_use]
@@ -1044,6 +1082,9 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
         if self.witness.is_some() {
             flags |= 2;
+        }
+        if self.standing_no {
+            flags |= 4;
         }
         buf.push(flags);
         put_u32(&mut buf, self.epoch);
@@ -1118,7 +1159,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             return Err(CheckpointError::BadVersion(version));
         }
         let flags = reader.u8("checkpoint flags")?;
-        if flags & !3 != 0 {
+        if flags & !7 != 0 {
             return Err(CheckpointError::BadFlags(flags));
         }
         let epoch = reader.u32("checkpoint epoch")?;
@@ -1137,7 +1178,6 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         self.frontier = Vec::new();
         // Memo entries are only trusted at the epoch that wrote them, and
         // the epoch is about to be rewound to the checkpoint's.
-        self.memo.clear();
         if let Some(parallel) = &self.parallel {
             parallel.memo.clear();
         }
@@ -1216,6 +1256,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
         self.frontier = frontier;
         self.latched_inconsistent = flags & 1 != 0;
+        self.standing_no = flags & 4 != 0;
         self.cached = None;
         self.epoch = epoch;
         self.stats = CheckerStats {

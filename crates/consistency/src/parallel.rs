@@ -37,7 +37,7 @@
 use crate::checker::CheckerConfig;
 use crate::history::InternedHistory;
 use crate::incremental::{hash_state, pack_counts};
-use crate::search::{linearize, wing_gong, SearchContext, SearchOutcome};
+use crate::search::{linearize, wing_gong, with_scratch, SearchContext, SearchOutcome};
 use drv_lang::{OpId, ProcId, Response, ResponseId};
 use drv_spec::SequentialSpec;
 use parking_lot::Mutex;
@@ -192,33 +192,39 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
                             slots.push((index, (SearchOutcome::Interrupted, Vec::new())));
                             continue;
                         }
-                        let mut counts = vec![0u32; n];
-                        let mut order: Vec<(OpId, ResponseId)> = Vec::new();
                         let mut explored = 0usize;
-                        let outcome = run_branch(
-                            spec,
-                            &mut local_history,
-                            config,
-                            memo,
-                            epoch,
-                            stop,
-                            hint,
-                            *branch,
-                            &mut counts,
-                            &mut order,
-                            &mut explored,
-                        );
+                        // This worker's own scratch: dead configurations go
+                        // through the shared memo instead of its table.
+                        let result = with_scratch(n, |scratch| {
+                            let outcome = run_branch(
+                                spec,
+                                &mut local_history,
+                                config,
+                                memo,
+                                epoch,
+                                stop,
+                                hint,
+                                *branch,
+                                &mut scratch.counts,
+                                &mut scratch.order,
+                                &mut explored,
+                            );
+                            let resolved = if matches!(outcome, SearchOutcome::Found) {
+                                stop.store(true, Ordering::Relaxed);
+                                scratch
+                                    .order
+                                    .iter()
+                                    .map(|(id, resp)| {
+                                        (*id, local_history.response_of(*resp).clone())
+                                    })
+                                    .collect()
+                            } else {
+                                Vec::new()
+                            };
+                            (outcome, resolved)
+                        });
                         explored_total += explored as u64;
-                        let resolved = if matches!(outcome, SearchOutcome::Found) {
-                            stop.store(true, Ordering::Relaxed);
-                            order
-                                .iter()
-                                .map(|(id, resp)| (*id, local_history.response_of(*resp).clone()))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        slots.push((index, (outcome, resolved)));
+                        slots.push((index, result));
                     }
                     (slots, explored_total)
                 })

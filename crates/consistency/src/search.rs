@@ -1,22 +1,104 @@
 //! The Wing–Gong fallback search, as an explicit-stack loop.
 //!
 //! One routine serves both fallbacks of [`crate::IncrementalChecker`]: the
-//! sequential one (private memo, never interrupted) and every branch of the
-//! parallel one ([`crate::parallel`]: shared memo, stop flag).  The search
-//! descends one level per linearized or dropped operation, so its depth is
-//! the length of the history.  Recursion would put that depth on the
-//! thread's call stack, and engine workers run on the default 2 MiB: a
-//! stale read after some ten thousand operations would overflow it, which
-//! aborts the process instead of panicking.  Here a level is a
-//! heap-allocated [`Frame`]; nodes are visited in the order of the recursive
-//! formulation (per process: linearize, then drop), which is what node
-//! counts and the witness found depend on.
+//! sequential one (the calling thread's [`Scratch`], never interrupted) and
+//! every branch of the parallel one ([`crate::parallel`]: shared memo, stop
+//! flag).  The search descends one level per linearized or dropped
+//! operation, so its depth is the length of the history.  Recursion would
+//! put that depth on the thread's call stack, and engine workers run on the
+//! default 2 MiB: a stale read after some ten thousand operations would
+//! overflow it, which aborts the process instead of panicking.  Here a level
+//! is a heap-allocated [`Frame`]; nodes are visited in the order of the
+//! recursive formulation (per process: linearize, then drop), which is what
+//! node counts and the witness found depend on.
 
 use crate::checker::CheckerConfig;
 use crate::history::InternedHistory;
 use crate::incremental::{hash_state, pack_counts};
 use drv_lang::{OpId, OpRecord, ProcId, ResponseId};
 use drv_spec::SequentialSpec;
+use std::cell::Cell;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a dead-configuration key by folding its two `u128`s, 64 bits at a
+/// time, through a multiply.  The state half is already an FNV-1a
+/// fingerprint; the progress half is packed small integers, which the
+/// multiply spreads and `finish` brings down to the bits the table indexes
+/// by.  The keys are fingerprints computed by this crate, not bytes chosen
+/// by a client, and a node of the search is little more than one insert:
+/// the default hasher's flood resistance is not worth its cost here.
+#[derive(Default)]
+pub(crate) struct FoldHasher(u64);
+
+const FOLD_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(FOLD_MULTIPLIER);
+    }
+
+    fn write_u128(&mut self, value: u128) {
+        self.write_u64(value as u64);
+        self.write_u64((value >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 32
+    }
+}
+
+/// What a search run needs besides its frame stack, kept per thread and
+/// reused by every run on it: the sequential fallback's dead configurations,
+/// the progress vector and the order under construction.  A checker visited
+/// round-robin among thousands finds these hot in the cache of the thread
+/// that last searched — for any object — where a table of its own would be
+/// cold, and a run that ends after four nodes allocates nothing.
+///
+/// The frame stack is not here: its element holds an `S::State`, which need
+/// not be `'static`, so it cannot sit in a thread-local; it starts empty and
+/// grows with the depth actually reached.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Configurations claimed by the current run.  Growing the history
+    /// changes which configurations are dead, so nothing carries over.
+    pub dead: HashSet<(u128, u128), BuildHasherDefault<FoldHasher>>,
+    /// `counts[p]`: operations of process `p` linearized or dropped.
+    pub counts: Vec<u32>,
+    pub order: Vec<(OpId, ResponseId)>,
+}
+
+/// Clearing a table costs its capacity, so one huge refutation must not tax
+/// every later four-node run on the thread: past this many entries the
+/// table is given back.
+const RETAINED_DEAD_ENTRIES: usize = 1 << 14;
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// Runs `search` on the calling thread's scratch, emptied for a history of
+/// `processes` processes.  The scratch is moved out for the duration, so a
+/// search started from inside `search` gets an empty one instead of a panic.
+pub(crate) fn with_scratch<R>(processes: usize, search: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|slot| {
+        let mut scratch = slot.take();
+        scratch.dead.clear();
+        scratch.dead.shrink_to(RETAINED_DEAD_ENTRIES);
+        scratch.counts.clear();
+        scratch.counts.resize(processes, 0);
+        scratch.order.clear();
+        let result = search(&mut scratch);
+        slot.set(scratch);
+        result
+    })
+}
 
 /// How a search ended.
 pub(crate) enum SearchOutcome {
@@ -126,8 +208,10 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
     let SearchContext { spec, config, hint } = *ctx;
     let n = history.process_count();
     // The top of `stack` is the node whose children are being enumerated,
-    // below it its ancestors, each with the child it descended into.
-    let mut stack: Vec<Frame<S::State>> = Vec::with_capacity(history.len() + 1);
+    // below it its ancestors, each with the child it descended into.  It
+    // grows with the depth reached, not with the history: most runs end a
+    // few levels in.
+    let mut stack: Vec<Frame<S::State>> = Vec::new();
     let (mut state, mut on_hint) = (state, on_hint);
     'enter: loop {
         // Enter the node `(state, on_hint)`.

@@ -6,6 +6,10 @@
 //! not grow with the prefix already read.  Wall clocks are too noisy to
 //! assert on; [`IncrementalChecker::maintenance_steps`] counts the witness
 //! entries visited and the states replayed instead, and repeats exactly.
+//! The same goes for an object that has left the fast path: after a
+//! violation of sequential consistency the engine may search again only at
+//! the symbols that can change the answer, which `CheckerStats::dfs_runs`
+//! counts.
 
 use drv_adversary::{register_object_stream, RegisterStreamShape};
 use drv_consistency::{CheckOutcome, CheckerConfig, IncrementalChecker};
@@ -105,5 +109,107 @@ fn a_violation_after_a_deep_history_fits_a_worker_stack() {
         // stale read: a single path as deep as the history.
         assert_eq!(stats.dfs_runs, 2, "{stats:?}");
         assert!(stats.dfs_nodes > writes, "{stats:?}");
+    }
+}
+
+/// Feeds `symbol` and checks: the verdict and the searches it took.
+fn step(checker: &mut IncrementalChecker<Register>, symbol: Symbol) -> (CheckOutcome, u64) {
+    let before = checker.stats().dfs_runs;
+    checker.push_symbol(&symbol);
+    let outcome = checker.check_outcome();
+    (outcome, checker.stats().dfs_runs - before)
+}
+
+/// `p0` writes 1, `p1` reads 7: not sequentially consistent until somebody
+/// other than `p1` writes 7.
+fn wild_read() -> [Symbol; 4] {
+    [
+        Symbol::invoke(ProcId(0), Invocation::Write(1)),
+        Symbol::respond(ProcId(0), Response::Ack),
+        Symbol::invoke(ProcId(1), Invocation::Read),
+        Symbol::respond(ProcId(1), Response::Value(7)),
+    ]
+}
+
+#[test]
+fn a_standing_sc_no_is_searched_again_only_at_a_mutator_invocation() {
+    use CheckOutcome::{Consistent, Inconsistent};
+    let mut checker =
+        IncrementalChecker::new(Register::new(), CheckerConfig::sequential_consistency(), 2);
+    let verdicts: Vec<_> = wild_read().map(|symbol| step(&mut checker, symbol).0).into();
+    assert_eq!(verdicts, [Consistent, Consistent, Consistent, Inconsistent]);
+    let (p0, p1) = (ProcId(0), ProcId(1));
+    let script = [
+        // An observer comes (R2) and goes (R1); an orphan response and an
+        // invocation on top of a pending one are skipped (R0).
+        (Symbol::invoke(p0, Invocation::Read), Inconsistent, 0),
+        (Symbol::respond(p1, Response::Ack), Inconsistent, 0),
+        (Symbol::invoke(p0, Invocation::Write(7)), Inconsistent, 0),
+        (Symbol::respond(p0, Response::Value(1)), Inconsistent, 0),
+        // The reader's own write comes after its read in program order: one
+        // search says so, and its response cannot change that.
+        (Symbol::invoke(p1, Invocation::Write(7)), Inconsistent, 1),
+        (Symbol::invoke(p0, Invocation::Read), Inconsistent, 0),
+        (Symbol::respond(p1, Response::Ack), Inconsistent, 0),
+        (Symbol::respond(p0, Response::Value(1)), Inconsistent, 0),
+        // Another process's write, still pending, explains the read: one
+        // search finds the witness, and maintenance keeps it from there.
+        (Symbol::invoke(p0, Invocation::Write(7)), Consistent, 1),
+        (Symbol::respond(p0, Response::Ack), Consistent, 0),
+        (Symbol::invoke(p1, Invocation::Read), Consistent, 0),
+        (Symbol::respond(p1, Response::Value(7)), Consistent, 0),
+    ];
+    for (at, (symbol, outcome, searches)) in script.into_iter().enumerate() {
+        assert_eq!(step(&mut checker, symbol), (outcome, searches), "script step {at}");
+    }
+    let stats = checker.stats();
+    assert_eq!((stats.dfs_runs, stats.latched), (4, 7), "{stats:?}");
+}
+
+#[test]
+fn an_unknown_never_stands() {
+    // One node is not enough to refute the wild read, so the engine knows
+    // nothing it could keep: every symbol searches again, whatever it is.
+    let config = CheckerConfig::sequential_consistency().with_max_states(1);
+    let mut checker = IncrementalChecker::new(Register::new(), config, 2);
+    for symbol in wild_read() {
+        step(&mut checker, symbol);
+    }
+    for symbol in [
+        Symbol::invoke(ProcId(0), Invocation::Read),
+        Symbol::respond(ProcId(1), Response::Ack),
+        Symbol::respond(ProcId(0), Response::Value(1)),
+        Symbol::invoke(ProcId(0), Invocation::Write(7)),
+    ] {
+        assert_eq!(step(&mut checker, symbol), (CheckOutcome::Unknown, 1));
+    }
+    assert_eq!(checker.stats().latched, 0);
+}
+
+#[test]
+fn a_checkpoint_without_the_standing_bit_restores_and_searches_once() {
+    // What a build that predates the standing NO writes for this state: the
+    // same payload with flag bit 2 clear.  It must restore, re-establish the
+    // standing NO with a single search, and answer the rest alike.
+    let config = CheckerConfig::sequential_consistency();
+    let mut live = IncrementalChecker::new(Register::new(), config, 2);
+    for symbol in wild_read() {
+        step(&mut live, symbol);
+    }
+    let mut bytes = live.checkpoint_bytes();
+    assert_eq!(bytes[1] & 4, 4, "the standing NO is checkpointed");
+    bytes[1] &= !4;
+    let mut restored = IncrementalChecker::new(Register::new(), config, 2);
+    restored.restore_bytes(&bytes).expect("an older checkpoint restores");
+    let rest = [
+        Symbol::invoke(ProcId(0), Invocation::Read),
+        Symbol::respond(ProcId(0), Response::Value(1)),
+        Symbol::invoke(ProcId(0), Invocation::Write(7)),
+        Symbol::respond(ProcId(0), Response::Ack),
+    ];
+    let searches = [1, 0, 1, 0];
+    for (symbol, searches) in rest.into_iter().zip(searches) {
+        let (expected, _) = step(&mut live, symbol.clone());
+        assert_eq!(step(&mut restored, symbol), (expected, searches));
     }
 }

@@ -260,6 +260,8 @@ struct EngineMetrics {
     checker_repairs: Counter,
     checker_dfs_runs: Counter,
     checker_dfs_nodes: Counter,
+    /// NOs answered without a search: final under LIN, standing under SC.
+    checker_latched: Counter,
     /// Coalesced verdict deliveries into subscriptions (one per flush of a
     /// drained batch's accumulated verdicts, regardless of the subscriber
     /// count).
@@ -290,6 +292,7 @@ impl EngineMetrics {
             checker_repairs: reg.counter("engine_checker_repairs"),
             checker_dfs_runs: reg.counter("engine_checker_dfs_runs"),
             checker_dfs_nodes: reg.counter("engine_checker_dfs_nodes"),
+            checker_latched: reg.counter("engine_checker_latched"),
             verdict_batches: reg.counter("engine_verdict_batches"),
             verdict_batch_events: reg.counter("engine_verdict_batch_events"),
             verdict_batch_len: reg.histogram("engine_verdict_batch_len"),
@@ -313,6 +316,8 @@ impl EngineMetrics {
             .add(now.dfs_runs.wrapping_sub(last.dfs_runs));
         self.checker_dfs_nodes
             .add(now.dfs_nodes.wrapping_sub(last.dfs_nodes));
+        self.checker_latched
+            .add(now.latched.wrapping_sub(last.latched));
         slot.harvested = now;
     }
 }

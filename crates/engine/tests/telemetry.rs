@@ -177,10 +177,23 @@ fn instrumented_run_populates_histograms_and_flight_ring() {
         Some(0),
         "every enqueued item must have been drained"
     );
-    assert!(
-        snap.counter("engine_checker_checks").unwrap() > 0,
-        "checker stats must be harvested into the registry"
-    );
+    // Checker stats are harvested into the registry, and enough of them to
+    // read how often the checker leaves its fast path (`dfs_runs ÷ checks`)
+    // and how many of its NOs cost nothing (`latched ÷ checks`): every check
+    // searched or did not, and every NO was searched for or answered
+    // latched.
+    let counter = |name: &str| snap.counter(name).expect("registered");
+    let (checks, fast_path) = (counter("engine_checker_checks"), counter("engine_checker_fast_path"));
+    let (dfs_runs, latched) = (counter("engine_checker_dfs_runs"), counter("engine_checker_latched"));
+    assert_eq!(checks, report.stats.events);
+    assert_eq!(dfs_runs + fast_path, checks);
+    let nos = report
+        .objects
+        .values()
+        .flat_map(|object| &object.verdicts)
+        .filter(|verdict| **verdict == Verdict::No)
+        .count() as u64;
+    assert!(latched > 0 && latched <= nos && nos <= latched + dfs_runs);
     let dump = tel.recorder().dump();
     assert!(!dump.is_empty());
     let submit = dump.iter().find(|e| e.stage == Stage::Submit);

@@ -31,6 +31,11 @@ pub trait SequentialSpec: Send + Sync {
     /// Applies an invocation to a state, producing the successor state and the
     /// response.  Returns `None` when the invocation is not part of this
     /// object's alphabet.
+    ///
+    /// An invocation with `!is_mutator()` (an observer: `read`, `get`) returns
+    /// the state it was given.  Checkers rely on it: an observer can be
+    /// deleted from a legal sequential word, or inserted with the response
+    /// `apply` gives it there, without changing what follows.
     fn apply(&self, state: &Self::State, invocation: &Invocation)
         -> Option<(Self::State, Response)>;
 
@@ -477,6 +482,86 @@ mod tests {
         assert!(spec
             .step_if_legal(&s1, &Invocation::Read, &Response::Value(1))
             .is_some());
+    }
+
+    /// Walks `spec` through seeded random invocations and checks, at every
+    /// state reached, that each observer of the whole alphabet is either
+    /// foreign to the object or leaves the state as it was.  Returns how
+    /// many times an observer applied.
+    fn observers_applied_without_moving<S: SequentialSpec>(spec: &S, seed: u64) -> usize {
+        let alphabet = |arg: u64| {
+            [
+                Invocation::Write(arg),
+                Invocation::Read,
+                Invocation::Inc,
+                Invocation::Append(arg),
+                Invocation::Get,
+                Invocation::Enqueue(arg),
+                Invocation::Dequeue,
+                Invocation::Push(arg),
+                Invocation::Pop,
+                Invocation::Custom("probe".into(), arg),
+            ]
+        };
+        // splitmix64: the crate has no random-number dependency.
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut applied = 0;
+        for _walk in 0..32 {
+            let mut state = spec.initial();
+            for _step in 0..16 {
+                for invocation in alphabet(0).iter().filter(|i| !i.is_mutator()) {
+                    if let Some((after, _)) = spec.apply(&state, invocation) {
+                        assert_eq!(after, state, "{} moved on {invocation}", spec.name());
+                        applied += 1;
+                    }
+                }
+                let choices = alphabet(next() % 4);
+                let choice = &choices[(next() % choices.len() as u64) as usize];
+                if let Some((after, _)) = spec.apply(&state, choice) {
+                    state = after;
+                }
+            }
+        }
+        applied
+    }
+
+    #[test]
+    fn observers_return_the_state_they_were_given() {
+        // Neither vacuous nor optimistic: the built-in observers are
+        // classified as such, and an invocation nobody knows is not.
+        assert!(!Invocation::Read.is_mutator() && !Invocation::Get.is_mutator());
+        assert!(Invocation::Custom("probe".into(), 0).is_mutator());
+        assert!(Invocation::Dequeue.is_mutator() && Invocation::Pop.is_mutator());
+        use crate::{Counter, Ledger, Queue, Register, Stack};
+        assert!(observers_applied_without_moving(&Register::new(), 1) > 0);
+        assert!(observers_applied_without_moving(&Counter::new(), 2) > 0);
+        assert!(observers_applied_without_moving(&Ledger::new(), 3) > 0);
+        // Queues and stacks have no observer: everything they accept moves.
+        assert_eq!(observers_applied_without_moving(&Queue::new(), 4), 0);
+        assert_eq!(observers_applied_without_moving(&Stack::new(), 5), 0);
+        for (seed, object) in [
+            SpecObject::Register,
+            SpecObject::Counter,
+            SpecObject::Ledger,
+            SpecObject::Queue,
+            SpecObject::Stack,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let applied = observers_applied_without_moving(&object, 6 + seed as u64);
+            let has_observer = !matches!(object, SpecObject::Queue | SpecObject::Stack);
+            assert_eq!(applied > 0, has_observer, "{object:?}");
+            // The blanket impl forwards `apply`, so the law carries over.
+            assert_eq!(observers_applied_without_moving(&&object, 6 + seed as u64), applied);
+        }
     }
 
     #[test]
