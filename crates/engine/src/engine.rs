@@ -385,7 +385,8 @@ struct Shared {
     /// Work items submitted but not yet processed (events + eviction
     /// markers).
     pending: AtomicUsize,
-    /// Producers blocked on the `max_pending` bound wait here.
+    /// Producers blocked on the `max_pending` bound wait here, and so does
+    /// [`MonitoringEngine::wait_drained`].
     gate: Mutex<()>,
     space_signal: Condvar,
     /// Capacity-notification hook: invoked (outside every lock) whenever
@@ -425,6 +426,10 @@ struct Shared {
 /// normal path *and* during unwinding, so a monitor that panics mid-batch
 /// cannot leak backlog counts (the regression `finish` used to over-report
 /// forever after a `WorkerPanic`).
+///
+/// `Shared::process` declares it *before* anything that can push a verdict
+/// and lets it drop last, so the decrement follows every delivery of the
+/// batch — the ordering [`MonitoringEngine::backlog`] documents.
 struct PendingGuard<'a> {
     shared: &'a Shared,
     count: usize,
@@ -462,10 +467,12 @@ impl Shared {
     }
 
     /// The one capacity-notification path: wakes producers blocked on the
-    /// `max_pending` gate, then (outside the gate lock) invokes the
-    /// registered capacity hook so external pollers re-check fullness.
+    /// `max_pending` gate and drain waiters, then (outside the gate lock)
+    /// invokes the registered capacity hook so external pollers re-check
+    /// fullness.  An unbounded engine has no producers to wake, only drain
+    /// waiters, and those care about one transition: to zero.
     fn notify_capacity(&self) {
-        if self.max_pending != usize::MAX {
+        if self.max_pending != usize::MAX || self.pending.load(Ordering::Acquire) == 0 {
             let _gate = self.gate.lock();
             self.space_signal.notify_all();
         }
@@ -1580,9 +1587,31 @@ impl MonitoringEngine {
     /// Work items submitted but not yet processed (racy by nature; exact
     /// only when quiescent).  Reconciled on abort: after a worker panic it
     /// converges to zero instead of freezing at the pre-panic backlog.
+    ///
+    /// **Verdict delivery precedes the decrement.**  A processed item leaves
+    /// the count only after every verdict it produced — its monitor's, and
+    /// the finalize verdict of an eviction marker — is in every open
+    /// subscription (the worker's `PendingGuard` drops after
+    /// `flush_delivery`).  So a thread that reads `backlog() == 0` and then
+    /// finds [`VerdictSubscription::poll_batch`] empty knows that nothing
+    /// arrives until the next submission.  `drv-net`'s router ends its
+    /// coalescing window on exactly that observation; reordering the two
+    /// would not lose a verdict, it would silently split frames.
+    /// (`tests/service.rs::zero_backlog_means_every_verdict_is_pollable`
+    /// pins it.)
     #[must_use]
     pub fn backlog(&self) -> usize {
         self.shared.pending.load(Ordering::Acquire)
+    }
+
+    /// Blocks until [`MonitoringEngine::backlog`] is zero: everything
+    /// submitted so far is processed (or, after a worker panic, reconciled
+    /// away).  Untimed — it sleeps on the signal every drained batch fires.
+    pub fn wait_drained(&self) {
+        let mut gate = self.shared.gate.lock();
+        self.shared
+            .space_signal
+            .wait_while(&mut gate, |()| self.shared.pending.load(Ordering::Acquire) > 0);
     }
 
     /// Whether the pool is dead (a worker panicked).  Submissions are

@@ -92,6 +92,8 @@ struct SubState {
     capacity: usize,
     closed: bool,
     missed: u64,
+    /// A [`VerdictSubscription::wake`] not yet consumed by a wait.
+    woken: bool,
 }
 
 /// The channel half shared between the engine's workers and one
@@ -112,6 +114,7 @@ impl SubscriptionShared {
                 capacity,
                 closed: false,
                 missed: 0,
+                woken: false,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -202,16 +205,34 @@ impl VerdictSubscription {
     }
 
     /// Blocks until at least one event is queued (then drains everything
-    /// queued into `batch`), the channel closes, or `timeout` elapses —
-    /// whichever comes first.  Returns how many events were appended.
-    pub fn wait_batch(&self, timeout: Duration, batch: &mut VerdictBatch<Verdict>) -> usize {
+    /// queued into `batch`), the channel closes, [`VerdictSubscription::wake`]
+    /// is called, or `timeout` elapses — whichever comes first; a `None`
+    /// timeout waits for one of the first three however long it takes.
+    /// Returns how many events were appended.
+    pub fn wait_batch(
+        &self,
+        timeout: impl Into<Option<Duration>>,
+        batch: &mut VerdictBatch<Verdict>,
+    ) -> usize {
         let mut state = self.shared.state.lock();
-        self.shared.readable.wait_while_for(
-            &mut state,
-            |state| state.queue.is_empty() && !state.closed,
-            timeout,
-        );
+        let idle = |state: &mut SubState| state.queue.is_empty() && !state.closed && !state.woken;
+        match timeout.into() {
+            Some(timeout) => {
+                self.shared.readable.wait_while_for(&mut state, idle, timeout);
+            }
+            None => self.shared.readable.wait_while(&mut state, idle),
+        }
+        state.woken = false;
         Self::drain_locked(&self.shared, &mut state, batch)
+    }
+
+    /// Ends the consumer's current [`VerdictSubscription::wait_batch`] — or,
+    /// if none is in progress, its next one — without delivering anything:
+    /// the wait returns with whatever is queued, possibly nothing.  For a
+    /// consumer that also has work nobody pushes through the channel.
+    pub fn wake(&self) {
+        self.shared.state.lock().woken = true;
+        self.shared.readable.notify_all();
     }
 
     /// The one drain path: moves every queued event into `batch` and frees

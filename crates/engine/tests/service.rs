@@ -268,6 +268,78 @@ fn ttl_sweep_retires_idle_objects_and_keeps_reports_identical() {
     assert!(report.stats.evicted >= 1);
 }
 
+/// A monitor with a closing verdict, so an eviction marker pushes one.
+struct Closing;
+impl ObjectMonitor for Closing {
+    fn name(&self) -> Cow<'_, str> {
+        Cow::Borrowed("closing")
+    }
+    fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
+        Verdict::Yes
+    }
+    fn finalize(&mut self) -> Option<Verdict> {
+        Some(Verdict::Maybe(0))
+    }
+}
+struct ClosingFactory;
+impl ObjectMonitorFactory for ClosingFactory {
+    fn name(&self) -> Cow<'_, str> {
+        Cow::Borrowed("closing")
+    }
+    fn create(&self, _object: ObjectId) -> Box<dyn ObjectMonitor> {
+        Box::new(Closing)
+    }
+}
+
+/// The invariant `backlog()` documents and `drv-net`'s router flushes on:
+/// verdict delivery precedes the decrement.  Whenever the producer reads
+/// `backlog() == 0` after its own submissions, an immediate `poll_batch`
+/// already holds every verdict of everything it submitted — event verdicts
+/// and the finalize verdict of an eviction marker alike.  A worker that
+/// decremented first would let the zero be seen with verdicts still on
+/// their way, and a router trusting it would split frames.
+#[test]
+fn zero_backlog_means_every_verdict_is_pollable() {
+    const ROUNDS: u64 = 1000;
+    const OBJECTS: u64 = 8;
+    let symbol = Symbol::invoke(ProcId(0), Invocation::Read);
+    for workers in [1, 2, 4] {
+        for batch in [1u64, 256] {
+            let engine = MonitoringEngine::new(EngineConfig::new(workers), Arc::new(ClosingFactory));
+            let subscription = engine.subscribe(4096);
+            let mut events = EventBatch::with_capacity(batch as usize);
+            let mut received = VerdictBatch::new();
+            for round in 0..ROUNDS {
+                events.clear();
+                for offset in 0..batch {
+                    let object = ObjectId((round + offset) % OBJECTS);
+                    events.push_symbol(object, &symbol, engine.interner());
+                }
+                engine.submit_batch(&events);
+                let mut expected = batch as usize;
+                if round % 3 == 0 {
+                    // The round's first object is live (its marker queues
+                    // behind its events), so this yields one verdict more.
+                    engine.evict(ObjectId(round % OBJECTS));
+                    expected += 1;
+                }
+                while engine.backlog() > 0 {
+                    std::thread::yield_now();
+                }
+                received.clear();
+                subscription.poll_batch(&mut received);
+                assert_eq!(
+                    received.len(),
+                    expected,
+                    "{workers} workers, batch {batch}, round {round}: backlog() read 0 \
+                     with verdicts still undelivered"
+                );
+            }
+            engine.finish().expect("no panics");
+        }
+    }
+}
+
 // --- panic-path regressions -------------------------------------------
 
 struct Bomb;

@@ -535,21 +535,20 @@ impl MonitorClient {
         let needed = batch.len() as u64;
         if needed > 0 {
             let mut credit = self.shared.credit.lock();
-            loop {
-                if self.shared.is_closed() {
-                    return Err(ClientError::Closed);
-                }
-                if credit.window > 0 && needed > credit.window {
-                    return Err(ClientError::BatchTooLarge { len: needed, window: credit.window });
-                }
-                if credit.window > 0 && credit.available >= needed {
-                    credit.available -= needed;
-                    break;
-                }
-                self.shared
-                    .credit_signal
-                    .wait_for(&mut credit, Duration::from_millis(20));
+            // Untimed: every grant and `ClientShared::close` notify the
+            // signal under the credit lock, so neither can slip past.
+            self.shared.credit_signal.wait_while(&mut credit, |credit| {
+                !self.shared.is_closed()
+                    && (credit.window == 0
+                        || (needed <= credit.window && credit.available < needed))
+            });
+            if self.shared.is_closed() {
+                return Err(ClientError::Closed);
             }
+            if needed > credit.window {
+                return Err(ClientError::BatchTooLarge { len: needed, window: credit.window });
+            }
+            credit.available -= needed;
         }
         let frame =
             self.encoder

@@ -24,8 +24,8 @@
 //!   threads total, independent of connection count.
 //! * One **router** thread (`drv-net-router`) drains the engine's verdict
 //!   subscription in struct-of-arrays batches
-//!   ([`VerdictSubscription::wait_batch`](drv_engine::VerdictSubscription::wait_batch))
-//!   and forwards each verdict to the connection that *owns* the object
+//!   ([`VerdictSubscription::wait_batch`]) and forwards each verdict to the
+//!   connection that *owns* the object
 //!   (the connection that first submitted traffic for it), preserving the
 //!   subscription's per-object order.  A connection's pending verdicts
 //!   coalesce into run-compressed
@@ -33,12 +33,47 @@
 //!   frame per drain pass per connection under load — with one Credit
 //!   frame covering the whole batch.  Delivery never blocks: frames that
 //!   do not fit a connection's outbound queue stay in a per-connection
-//!   pending list (bounded by the credit window) and are retried — a queue
+//!   pending list (bounded by the credit window) and are retried — the
+//!   reactor's next drain of that queue wakes the router — and a queue
 //!   still full past the grace period is a stalled consumer, disconnected
 //!   so it cannot head-of-line block the fleet.  The router wakes the
 //!   reactor only for pushes that made a queue go empty → non-empty; a
 //!   queue that already had frames has a wake in flight
 //!   (`net_reactor_wake_skips` counts the saved syscalls).
+//!
+//! ## The router's wait states
+//!
+//! The router has one wait-then-coalesce path.  It **waits** on the
+//! subscription — untimed while nothing is undelivered (an idle server is
+//! wakeup-silent: `net_router_wakeups` does not move), on a 20 ms beat
+//! while some connection's verdicts or credit are still owed, because the
+//! stall-grace clock only runs when the router does.  A drain that brought
+//! less than a frame's worth then opens a **coalescing window**: yield, poll
+//! again, and flush through the first of three exits, each with its counter:
+//!
+//! | exit | condition | `net_router_flush_*` |
+//! |---|---|---|
+//! | quiescent | `engine.backlog() == 0`, then an empty poll: nothing is coming until the next submit | `quiescent` |
+//! | chunk | [`ServerConfig::with_verdict_chunk`] verdicts in hand (a first drain that large opens no window) | `chunk` |
+//! | deadline | 300 µs passed with work still in the engine — a trickle, or the worker inside one long search | `deadline` |
+//!
+//! The quiescent exit stands on an engine invariant — a processed event
+//! leaves `backlog()` only *after* its verdicts are in the subscription
+//! ([`MonitoringEngine::backlog`]) — and is what makes a lone frame's
+//! verdict latency the request→reply path instead of the window
+//! (`paced-batch1` p50 0.29 → 0.11 ms).
+//!
+//! Inside the window the router **yields, it never parks**.  Blocking until
+//! "enough verdicts or quiescent" instead looks like the obvious
+//! improvement and was built twice; both times it cost 8–10 % of
+//! `wide-batch256` throughput at an unchanged frame count.  On the one CPU
+//! a sidecar deployment has, a sleeping router is woken *into* the worker's
+//! time slice, and the wake-up chain router → reactor → client reader →
+//! generator chops every slice the natural batching lives on
+//! (`net.reactor.wakeups_per_kevent` 1.98 → 3.27); a router that stays
+//! runnable and yields runs only when the others' slices end.  So the
+//! window, its `yield_now` and its one `Instant` stay (ROADMAP,
+//! "arrival-driven verdict path", has the numbers).
 //!
 //! ## Backpressure: credits, not buffers
 //!
@@ -79,7 +114,9 @@ use crate::wire::{
     encode_verdict_batch, Frame, NackReason, StatsReply, WireError, WireStats,
 };
 use drv_core::{ObjectMonitorFactory, Verdict, WorkerPanic};
-use drv_engine::{EngineConfig, EngineReport, MonitoringEngine, SubmitError, VerdictEvent};
+use drv_engine::{
+    EngineConfig, EngineReport, MonitoringEngine, SubmitError, VerdictEvent, VerdictSubscription,
+};
 use drv_lang::{EventBatch, ObjectId, VerdictBatch};
 use drv_telemetry::{Counter, Gauge, Histogram, Snapshot, SpanKind, Stage, Telemetry};
 use parking_lot::Mutex;
@@ -254,6 +291,16 @@ struct NetMetrics {
     /// Frames sitting in outbound queues, summed over connections — the
     /// write-side occupancy the stall detector watches.
     outbound_frames: Gauge,
+    /// Returns from the router's subscription wait (flat at zero while
+    /// nothing is undelivered and no verdict arrives).
+    router_wakeups: Counter,
+    /// Router drains that delivered something, by what ended the
+    /// coalescing window: the engine went quiescent, a frame's worth of
+    /// verdicts was in hand, or the 300 µs bound ran out with work still
+    /// in the engine.  Exactly one per non-empty drain.
+    router_flush_quiescent: Counter,
+    router_flush_chunk: Counter,
+    router_flush_deadline: Counter,
 }
 
 impl NetMetrics {
@@ -282,6 +329,10 @@ impl NetMetrics {
             reactor_fds: r.gauge("net_reactor_fds"),
             reassembly_reads: r.histogram("net_reactor_reassembly_reads"),
             outbound_frames: r.gauge("net_outbound_frames"),
+            router_wakeups: r.counter("net_router_wakeups"),
+            router_flush_quiescent: r.counter("net_router_flush_quiescent"),
+            router_flush_chunk: r.counter("net_router_flush_chunk"),
+            router_flush_deadline: r.counter("net_router_flush_deadline"),
         }
     }
 }
@@ -312,6 +363,11 @@ struct ConnShared {
     consumed: AtomicU64,
     /// Events granted back by the router as their verdicts were delivered.
     granted: AtomicU64,
+    /// The router met a full queue and is waiting for space.  Raised and
+    /// cleared under the `outbound` lock, so the reactor drain that frees
+    /// the space is the one that sees it — and wakes the router, which
+    /// otherwise learns of the space only on its next beat.
+    wants_space: AtomicBool,
 }
 
 impl ConnShared {
@@ -322,6 +378,7 @@ impl ConnShared {
         }
         let mut outbound = self.outbound.lock();
         if outbound.len() >= self.capacity {
+            self.wants_space.store(true, Ordering::Relaxed);
             return Push::Full;
         }
         let was_empty = outbound.is_empty();
@@ -343,6 +400,10 @@ struct ServerShared {
     /// Stats reply carries the whole process.
     tel: Arc<Telemetry>,
     config: ServerConfig,
+    /// The engine's verdict stream.  The router is its one consumer; the
+    /// reactor and `stop_threads` reach it only to end the router's wait
+    /// (`wake` when outbound space frees, `close` on stop).
+    subscription: VerdictSubscription,
     stopping: AtomicBool,
     conns: Mutex<HashMap<u64, Arc<ConnShared>>>,
     /// Which connection owns (first submitted traffic for) each object —
@@ -651,6 +712,7 @@ impl Reactor {
                 capacity: self.shared.config.outbound,
                 consumed: AtomicU64::new(0),
                 granted: AtomicU64::new(0),
+                wants_space: AtomicBool::new(false),
             });
             if self
                 .poller
@@ -998,7 +1060,7 @@ impl Reactor {
             if conn.write_pos == conn.write_buf.len() {
                 conn.write_buf.clear();
                 conn.write_pos = 0;
-                {
+                let router_waits = {
                     let mut outbound = conn.shared.outbound.lock();
                     let drained = outbound.len();
                     for frame in outbound.drain(..) {
@@ -1007,6 +1069,10 @@ impl Reactor {
                     if drained > 0 {
                         self.shared.m.outbound_frames.sub(drained as i64);
                     }
+                    conn.shared.wants_space.swap(false, Ordering::Relaxed)
+                };
+                if router_waits {
+                    self.shared.subscription.wake();
                 }
                 if conn.write_buf.is_empty() {
                     if conn.draining && !conn.shutdown_queued {
@@ -1116,7 +1182,9 @@ struct RouterEntry {
 }
 
 /// The router: engine verdicts → owning connection, in subscription order.
-fn router_loop(shared: &ServerShared, subscription: &drv_engine::VerdictSubscription) {
+/// One wait-then-coalesce path; see the module docs for its three exits.
+fn router_loop(shared: &ServerShared) {
+    let subscription = &shared.subscription;
     let chunk = shared.config.verdict_chunk;
     let mut entries: HashMap<u64, RouterEntry> = HashMap::new();
     // One struct-of-arrays batch, reused across drains: the subscription
@@ -1127,34 +1195,54 @@ fn router_loop(shared: &ServerShared, subscription: &drv_engine::VerdictSubscrip
     let mut scratch: Vec<VerdictEvent> = Vec::new();
     loop {
         batch.clear();
-        subscription.wait_batch(Duration::from_millis(20), &mut batch);
-        if !batch.is_empty() && batch.len() < chunk {
+        // Idle is silent: with nothing undelivered, everything that concerns
+        // the router comes through the subscription — a verdict, the close
+        // on stop, the reactor's `wake` — so the wait is untimed.  While
+        // something is undelivered it stays a beat, because the stall-grace
+        // clock in `deliver` only runs when the router does.
+        let undelivered = entries
+            .values()
+            .any(|entry| !entry.pending.is_empty() || entry.owed > 0);
+        subscription.wait_batch(undelivered.then_some(Duration::from_millis(20)), &mut batch);
+        shared.m.router_wakeups.inc();
+        if !batch.is_empty() {
             // Coalesce: under load the subscription fills continuously —
             // a sub-millisecond accumulation window turns many tiny
             // verdict/credit frames into a few big ones (the syscall and
             // wake-up count is what loopback throughput is made of).  The
-            // yields keep the checker workers running while the window
-            // fills.
-            let deadline = Instant::now() + Duration::from_micros(300);
-            while batch.len() < chunk && Instant::now() < deadline {
-                std::thread::yield_now();
-                subscription.poll_batch(&mut batch);
-            }
+            // router stays runnable and yields, never parks: the yields keep
+            // the checker workers and the reactor running while the window
+            // fills, and the router runs again only when their slices end.
+            // The window ends the moment nothing is coming: `backlog() == 0`
+            // read *before* an empty poll means every verdict of every
+            // submitted event is already here (see
+            // `MonitoringEngine::backlog`), and the yield before it is what
+            // lets a reactor that is mid-pass submit first.
+            let exit = if batch.len() >= chunk {
+                &shared.m.router_flush_chunk
+            } else {
+                let deadline = Instant::now() + Duration::from_micros(300);
+                loop {
+                    std::thread::yield_now();
+                    let backlog = shared.engine.backlog();
+                    if subscription.poll_batch(&mut batch) == 0 && backlog == 0 {
+                        break &shared.m.router_flush_quiescent;
+                    }
+                    if batch.len() >= chunk {
+                        break &shared.m.router_flush_chunk;
+                    }
+                    if Instant::now() >= deadline {
+                        // Work still in the engine — a trickle, or the
+                        // worker inside one long search: ship what is here.
+                        break &shared.m.router_flush_deadline;
+                    }
+                }
+            };
+            exit.inc();
         }
+        // `stop_threads` closes the subscription once the engine has
+        // drained; an aborted engine closes it itself.
         let closing = batch.is_empty() && subscription.is_closed();
-        if batch.is_empty()
-            && !closing
-            && shared.stopping.load(Ordering::Acquire)
-            && shared.engine.backlog() == 0
-        {
-            // Quiesced under a stop request: one final opportunistic
-            // drain; exit once nothing is pending anywhere (the reactor's
-            // stop grace guarantees stalled remainders go Closed).
-            subscription.poll_batch(&mut batch);
-            if batch.is_empty() && entries.values().all(|entry| entry.pending.is_empty()) {
-                return;
-            }
-        }
         // Bucket by owner.  Runs keep a connection's consecutive verdicts
         // together, so the owners lock is consulted once per run, not once
         // per verdict.
@@ -1174,12 +1262,12 @@ fn router_loop(shared: &ServerShared, subscription: &drv_engine::VerdictSubscrip
             }
         }
         // Deliver hot while progress is being made: the outbound queues are
-        // small, so a backlogged entry needs many push→drain round-trips —
-        // waiting out the 20 ms subscription beat between each would cap
-        // delivery at queue-capacity frames per beat.  Yielding lets the
-        // reactor (woken by `wake_conns`) drain between passes; the loop
-        // exits the moment a pass moves nothing, so a genuinely stalled
-        // consumer still falls through to the grace-period clock.
+        // small, so a backlogged entry needs many push→drain round-trips.
+        // Yielding lets the reactor (woken by `wake_conns`) drain between
+        // passes; the loop exits the moment a pass moves nothing — the
+        // reactor's next drain of a queue that refused a push ends the wait
+        // above (`wants_space`), and a genuinely stalled consumer falls
+        // through to the grace-period clock.
         loop {
             let (progressed, backlog) = deliver(shared, &mut entries, chunk, &mut scratch);
             if !(progressed && backlog) {
@@ -1426,6 +1514,7 @@ impl MonitorServer {
             engine,
             tel,
             config,
+            subscription,
             stopping: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             owners: Mutex::new(HashMap::new()),
@@ -1459,7 +1548,7 @@ impl MonitorServer {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("drv-net-router".to_string())
-                .spawn(move || router_loop(&shared, &subscription))
+                .spawn(move || router_loop(&shared))
                 .expect("spawning the verdict router")
         };
         Ok(MonitorServer {
@@ -1578,10 +1667,11 @@ impl MonitorServer {
         }
         // Quiesce the engine so the router's final drain sees everything
         // (an aborted engine reconciles its backlog to zero, so this also
-        // terminates after a worker panic).
-        while self.shared.engine.backlog() > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // terminates after a worker panic), then close the verdict stream:
+        // queued verdicts stay drainable, and the close is what ends the
+        // router's wait — untimed when nothing is undelivered — and its loop.
+        self.shared.engine.wait_drained();
+        self.shared.subscription.close();
         if let Some(handle) = self.router_handle.take() {
             join(handle, "net verdict router", &mut escaped, 0);
         }

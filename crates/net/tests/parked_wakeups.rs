@@ -3,75 +3,23 @@
 //! with a batch parked on [`SubmitError::Full`] performs **zero** poller
 //! wake-ups while the engine stays full — the 1 ms retry tick cannot come
 //! back — and still un-parks promptly the moment capacity frees, because
-//! the engine's capacity hook wakes it.
+//! the engine's capacity hook wakes it.  And the same bar for a server
+//! with nothing to do at all: reactor, router and engine workers of an idle
+//! server all sleep untimed, as does the connected client.
 //!
 //! [`SubmitError::Full`]: drv_engine::SubmitError::Full
 
-use drv_core::{ObjectMonitor, ObjectMonitorFactory, Verdict};
+mod common;
+
+use common::{wait_until, Gate, GatedFactory, DEADLINE};
 use drv_engine::EngineConfig;
 use drv_lang::{Invocation, ObjectId, ProcId, Symbol};
 use drv_net::{MonitorClient, MonitorServer, ServerConfig};
-use std::borrow::Cow;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const DEADLINE: Duration = Duration::from_secs(30);
-
-/// A gate the test holds closed to wedge the engine's one worker inside a
-/// monitor callback, keeping `max_pending` occupied for as long as the
-/// test needs the engine to stay `Full`.
-#[derive(Default)]
-struct Gate {
-    open: Mutex<bool>,
-    released: Condvar,
-}
-
-impl Gate {
-    fn release(&self) {
-        *self.open.lock().expect("gate") = true;
-        self.released.notify_all();
-    }
-
-    fn wait_open(&self) {
-        let mut open = self.open.lock().expect("gate");
-        while !*open {
-            open = self.released.wait(open).expect("gate");
-        }
-    }
-}
-
-struct GatedMonitor(Arc<Gate>);
-
-impl ObjectMonitor for GatedMonitor {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("gated")
-    }
-    fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
-        self.0.wait_open();
-        Verdict::Yes
-    }
-}
-
-struct GatedFactory(Arc<Gate>);
-
-impl ObjectMonitorFactory for GatedFactory {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("gated")
-    }
-    fn create(&self, _object: ObjectId) -> Box<dyn ObjectMonitor> {
-        Box::new(GatedMonitor(Arc::clone(&self.0)))
-    }
-}
-
-fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if done() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    done()
+fn counter(server: &MonitorServer, name: &str) -> u64 {
+    server.telemetry().snapshot().counter(name).unwrap_or(0)
 }
 
 #[test]
@@ -83,7 +31,7 @@ fn parked_reactor_performs_zero_wakeups_until_capacity_frees() {
         // on the first event, so the first batch occupies the bound until
         // the gate opens.
         EngineConfig::new(1).with_max_pending(4),
-        Arc::new(GatedFactory(Arc::clone(&gate))),
+        Arc::new(GatedFactory::new(Arc::clone(&gate))),
         ServerConfig::new(),
     )
     .expect("bind");
@@ -104,17 +52,9 @@ fn parked_reactor_performs_zero_wakeups_until_capacity_frees() {
     );
     // Settling grace: let the wakeups of the sends themselves drain.
     std::thread::sleep(Duration::from_millis(100));
-    let before = server
-        .telemetry()
-        .snapshot()
-        .counter("net_reactor_wakeups")
-        .unwrap_or(0);
+    let before = counter(&server, "net_reactor_wakeups");
     std::thread::sleep(Duration::from_millis(300));
-    let after = server
-        .telemetry()
-        .snapshot()
-        .counter("net_reactor_wakeups")
-        .unwrap_or(0);
+    let after = counter(&server, "net_reactor_wakeups");
     assert_eq!(
         after, before,
         "a reactor with a parked batch woke with no capacity freed: timed retry polling is back"
@@ -136,4 +76,50 @@ fn parked_reactor_performs_zero_wakeups_until_capacity_frees() {
     client.shutdown().expect("clean goodbye");
     let report = server.shutdown().expect("no worker panicked");
     assert_eq!(report.stats.events, 5);
+}
+
+/// Idle is silent: with one client connected and nothing in flight, the
+/// reactor (no poll timeout), the router (no subscription beat) and the
+/// engine's workers (untimed park) all stay asleep — and all three still
+/// wake for the next frame.
+#[test]
+fn idle_server_and_client_perform_zero_wakeups() {
+    const WATCHED: [&str; 3] = ["net_reactor_wakeups", "net_router_wakeups", "engine_park_wakeups"];
+    let server = MonitorServer::bind(
+        ("127.0.0.1", 0),
+        EngineConfig::new(2).with_max_pending(64),
+        Arc::new(GatedFactory::new(Gate::opened())),
+        ServerConfig::new(),
+    )
+    .expect("bind");
+    let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
+    assert!(
+        wait_until(DEADLINE, || client.credit().1 > 0),
+        "the opening grant never arrived"
+    );
+    // Settling grace: let the wakeups of the handshake itself drain.
+    std::thread::sleep(Duration::from_millis(100));
+    let before = WATCHED.map(|name| counter(&server, name));
+    std::thread::sleep(Duration::from_millis(300));
+    let after = WATCHED.map(|name| counter(&server, name));
+    assert_eq!(
+        after, before,
+        "an idle server woke with nothing to do ({WATCHED:?}): a timed wait is back"
+    );
+    // And untimed is not deaf: the next frame is checked and answered.
+    let event = vec![(ObjectId(1), Symbol::invoke(ProcId(0), Invocation::Read))];
+    client.send_stream(&event, 1).expect("one event");
+    let mut received = Vec::new();
+    assert!(
+        wait_until(DEADLINE, || {
+            received.extend(client.poll_verdicts());
+            !received.is_empty()
+        }),
+        "the idle server never answered (lost wake-up?)"
+    );
+    assert_eq!(received.len(), 1);
+    assert!(WATCHED.iter().all(|name| counter(&server, name) > 0));
+    client.shutdown().expect("clean goodbye");
+    let report = server.shutdown().expect("no worker panicked");
+    assert_eq!(report.stats.events, 1);
 }

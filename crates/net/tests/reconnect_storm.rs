@@ -171,22 +171,24 @@ fn slow_consumer_is_disconnected_not_buffered() {
     use drv_net::wire::FrameEncoder;
     use std::io::Write;
 
+    const OUTBOUND: usize = 8;
+    let started = Instant::now();
     let server = MonitorServer::bind(
         ("127.0.0.1", 0),
         EngineConfig::new(2).with_max_pending(4096),
         mixed_factory(),
-        // verdict_chunk 1 + a small outbound queue: the verdict traffic for
+        // verdict_chunk 1 + a tiny outbound queue: the verdict traffic for
         // 128k events (~5.4 MB in 1-verdict frames) dwarfs what loopback
-        // kernel buffers can autotune to (~4.3 MB measured) plus 1024
-        // queued frames (~42 kB), so the queue must wedge while the
-        // consumer refuses to read.  Not smaller: once the engine has
-        // checked everything the router delivers one queue's worth per
-        // 20 ms subscription beat, and at 8 frames a beat the kernel
-        // buffers would take minutes to fill.
+        // kernel buffers can autotune to (~4.3 MB measured) plus 8 queued
+        // frames, so the queue must wedge while the consumer refuses to
+        // read.  Getting there takes ~100k router→reactor hand-offs of 8
+        // frames each: the reactor's drain of a queue that refused a push
+        // has to wake the router (`wants_space`), or every hand-off waits
+        // out a 20 ms beat and the kernel buffers take minutes to fill.
         ServerConfig::new()
             .with_window(128 * 1024)
             .with_verdict_chunk(1)
-            .with_outbound(1024)
+            .with_outbound(OUTBOUND)
             .with_stall_grace(Duration::from_millis(300)),
     )
     .expect("bind");
@@ -235,6 +237,20 @@ fn slow_consumer_is_disconnected_not_buffered() {
     }
     let stats = server.stats();
     assert!(stats.dropped_verdicts > 0, "a stalled consumer's tail must be dropped");
+    // Behind a full queue the router must not fall back to one queue's worth
+    // per 20 ms beat: everything delivered before the stall (the grace
+    // included in `elapsed`) took far fewer beats than hand-offs.
+    let frames = server
+        .telemetry()
+        .snapshot()
+        .counter("net_verdict_frames")
+        .expect("registered");
+    let handoffs = frames / OUTBOUND as u64;
+    let beats = started.elapsed().as_millis() as u64 / 20;
+    assert!(
+        handoffs > 1_000 && beats < handoffs / 10,
+        "{frames} frames in {OUTBOUND}-frame hand-offs took {beats} beats of 20 ms"
+    );
     drop(slow);
     healthy.shutdown().expect("healthy goodbye");
     let report = server.shutdown().expect("no worker panicked");

@@ -73,6 +73,17 @@ fn client_stats_returns_the_live_registry_snapshot() {
     assert!(snap.counter("net_batches").unwrap() > 0);
     assert!(snap.counter("net_rx_bytes").unwrap() > 0);
     assert_eq!(snap.gauge("engine_queue_depth"), Some(0), "quiesced");
+    // The router's wait states ride the same frame: every drain that
+    // delivered something ended its window through exactly one exit, and on
+    // a healthy connection the router wakes for nothing else — so the three
+    // exits sum to its wake-ups (the client holds every verdict, so the
+    // router is back asleep and all four cells are at rest).
+    let exits: u64 = ["quiescent", "chunk", "deadline"]
+        .iter()
+        .map(|exit| snap.counter(&format!("net_router_flush_{exit}")).expect("registered"))
+        .sum();
+    assert!(exits >= 1);
+    assert_eq!(Some(exits), snap.counter("net_router_wakeups"));
     // The serving engine timed its work (Telemetry::new → timing on).
     assert!(snap.histogram("net_decode_ns").unwrap().count > 0);
     assert!(snap.histogram("engine_check_ns").unwrap().count > 0);
@@ -80,6 +91,7 @@ fn client_stats_returns_the_live_registry_snapshot() {
     let text = server.prometheus();
     assert!(text.contains("# TYPE net_events counter"));
     assert!(text.contains("# TYPE net_decode_ns histogram"));
+    assert!(text.contains("# TYPE net_router_flush_quiescent counter"));
     client.shutdown().expect("clean goodbye");
     server.shutdown().expect("no worker panicked");
 }
