@@ -19,6 +19,17 @@
 //! what the row times is how the engine holds it: `dfs_runs_per_kevent`
 //! says how often it searched to do so.
 //!
+//! The `many-objects` row is the engine's checker working set without the
+//! engine: 2 048 register objects of 150 operations each (the shape and size
+//! of `drvbench`'s `wide-batch256`), even ones checked for linearizability
+//! and odd ones for sequential consistency, all on one payload arena as the
+//! monitors of a factory are, each fed one symbol per call.  Visited
+//! round-robin every call finds its object cold; visited object by object
+//! every call but an object's first finds it hot; the difference is what
+//! per-object state costs in cache misses, and `heap_bytes_per_object` (live
+//! heap after the last event, from a counting allocator in this binary) is
+//! that state.
+//!
 //! Besides the per-size report lines, the bench writes the machine-readable
 //! baseline `BENCH_checker.json` at the workspace root so future PRs can
 //! track the perf trajectory:
@@ -31,11 +42,52 @@ use drv_adversary::{register_object_stream, RegisterStreamShape};
 use drv_consistency::{
     check_history, CheckOutcome, CheckerConfig, ConcurrentHistory, IncrementalChecker,
 };
-use drv_lang::{Action, Invocation, ProcId, Response, Symbol, Word};
+use drv_core::{CheckerObjectMonitor, ObjectMonitor, Verdict};
+use drv_lang::{Action, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, Word};
 use drv_spec::Register;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// The system allocator with a count of the bytes currently allocated
+/// through it, for the `many-objects` row's heap reading.
+struct CountingAllocator;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every request goes to `System` unchanged and its answer comes back
+// unchanged; the only addition is a relaxed counter that publishes nothing.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Number of monitor processes in the generated histories (the Table 1
 /// object-cell default).
@@ -52,6 +104,10 @@ const REPS: usize = 3;
 /// Completed operations of the `sc-standing-no` stream: two wild reads, and
 /// what the from-scratch baseline can still refute at every symbol.
 const STANDING_NO_OPS: usize = 400;
+/// Live objects and operations per object of the `many-objects` row:
+/// `drvbench`'s `wide-batch256`.
+const FLEET_OBJECTS: usize = 2_048;
+const FLEET_OPS: usize = 150;
 
 /// A linearizable register history: most operations complete immediately,
 /// some overlap in pairs; responses are drawn from an atomic register whose
@@ -296,6 +352,104 @@ fn measure_standing_no(config: &CheckerConfig) -> StandingNo {
     row
 }
 
+/// The `many-objects` row.
+struct ManyObjects {
+    events: usize,
+    round_robin_ns_per_event: f64,
+    object_by_object_ns_per_event: f64,
+    /// Distinct invocations plus distinct responses in the fleet's arena.
+    arena_entries: usize,
+    heap_bytes_per_object: usize,
+}
+
+fn measure_many_objects(lin: &CheckerConfig, sc: &CheckerConfig) -> ManyObjects {
+    let streams: Vec<Vec<Symbol>> = (0..FLEET_OBJECTS)
+        .map(|object| {
+            let mut rng = StdRng::seed_from_u64(0x0B_1EC7 + object as u64);
+            register_object_stream(&mut rng, FLEET_OPS, &RegisterStreamShape::load())
+        })
+        .collect();
+    let per_object = streams[0].len();
+    assert!(streams.iter().all(|stream| stream.len() == per_object));
+    let events = FLEET_OBJECTS * per_object;
+    // What a factory's `create` does, on an arena this bench can count.
+    let fleet = |arena: &SharedInterner| -> Vec<Box<dyn ObjectMonitor>> {
+        (0..FLEET_OBJECTS)
+            .map(|object| {
+                let (config, label) = if object % 2 == 0 {
+                    (lin, "LIN")
+                } else {
+                    (sc, "SC")
+                };
+                let checker =
+                    IncrementalChecker::with_arena(Register::new(), *config, 2, arena.clone());
+                let monitor = CheckerObjectMonitor::new(ObjectId(object as u64), checker, label);
+                Box::new(monitor) as Box<dyn ObjectMonitor>
+            })
+            .collect()
+    };
+    // One symbol per call either way, as a round-robin interleaving reaches
+    // the engine's monitors; only the visiting order differs.
+    let feed = |monitors: &mut [Box<dyn ObjectMonitor>], round_robin: bool| {
+        let mut verdicts = Vec::with_capacity(events);
+        let start = Instant::now();
+        if round_robin {
+            for at in 0..per_object {
+                for (monitor, stream) in monitors.iter_mut().zip(&streams) {
+                    monitor.on_batch(&stream[at..=at], &mut verdicts);
+                }
+            }
+        } else {
+            for (monitor, stream) in monitors.iter_mut().zip(&streams) {
+                for at in 0..per_object {
+                    monitor.on_batch(&stream[at..=at], &mut verdicts);
+                }
+            }
+        }
+        let elapsed = start.elapsed();
+        assert_eq!(verdicts.len(), events);
+        assert!(verdicts.iter().all(|verdict| *verdict == Verdict::Yes));
+        elapsed
+    };
+    let mut arena_entries = 0;
+    let mut heap_bytes_per_object = 0;
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..REPS {
+        for (slot, round_robin) in [true, false].into_iter().enumerate() {
+            let before = LIVE_BYTES.load(Ordering::Relaxed);
+            let arena = SharedInterner::new();
+            let mut monitors = fleet(&arena);
+            best[slot] = best[slot].min(feed(&mut monitors, round_robin));
+            // The verdict buffer is gone, the fleet and its arena are not.
+            let live = LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(before);
+            heap_bytes_per_object = live / FLEET_OBJECTS;
+            let (invocations, responses) = arena.versions();
+            arena_entries = invocations + responses;
+        }
+    }
+    let row = ManyObjects {
+        events,
+        round_robin_ns_per_event: best[0].as_nanos() as f64 / events as f64,
+        object_by_object_ns_per_event: best[1].as_nanos() as f64 / events as f64,
+        arena_entries,
+        heap_bytes_per_object,
+    };
+    println!(
+        "checker/many-objects/round-robin       time: [min {:.0} ns/event]",
+        row.round_robin_ns_per_event
+    );
+    println!(
+        "checker/many-objects/object-by-object  time: [min {:.0} ns/event], {} heap bytes per \
+         object after {} events each, {} arena entries for {} objects",
+        row.object_by_object_ns_per_event,
+        row.heap_bytes_per_object,
+        per_object,
+        row.arena_entries,
+        FLEET_OBJECTS,
+    );
+    row
+}
+
 fn json_section(label: &str, rows: &[Row], scaling: &[f64]) -> String {
     let sizes: Vec<String> = rows.iter().map(|r| r.size.to_string()).collect();
     let scratch: Vec<String> = rows.iter().map(|r| r.scratch.as_nanos().to_string()).collect();
@@ -338,6 +492,7 @@ fn main() {
     let lin_scaling = measure_scaling("lin", &lin);
     let sc_scaling = measure_scaling("sc", &sc);
     let standing_no = measure_standing_no(&sc);
+    let many_objects = measure_many_objects(&lin, &sc);
 
     for (label, rows) in [("lin", &lin_rows), ("sc", &sc_rows)] {
         let at_max = rows.last().expect("at least one size");
@@ -371,6 +526,16 @@ fn main() {
             "    \"incremental_ns_per_event\": {:.0},\n",
             "    \"dfs_runs_per_kevent\": {:.1},\n",
             "    \"latched_per_kevent\": {:.1}\n",
+            "  }},\n",
+            "  \"many-objects\": {{\n",
+            "    \"fleet\": \"{} register objects x {} operations (wide-batch256's shape), ",
+            "2 processes, LIN on even and SC on odd objects, one payload arena, ",
+            "one symbol per call\",\n",
+            "    \"events\": {},\n",
+            "    \"round_robin_ns_per_event\": {:.0},\n",
+            "    \"object_by_object_ns_per_event\": {:.0},\n",
+            "    \"arena_entries\": {},\n",
+            "    \"heap_bytes_per_object\": {}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -385,6 +550,13 @@ fn main() {
         standing_no.incremental_ns_per_event,
         standing_no.dfs_runs_per_kevent,
         standing_no.latched_per_kevent,
+        FLEET_OBJECTS,
+        FLEET_OPS,
+        many_objects.events,
+        many_objects.round_robin_ns_per_event,
+        many_objects.object_by_object_ns_per_event,
+        many_objects.arena_entries,
+        many_objects.heap_bytes_per_object,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_checker.json");
     match std::fs::write(path, &json) {

@@ -6,11 +6,14 @@
 //! * [`ConcurrentHistory`] — the original, payload-carrying view built in one
 //!   shot from a word; used by the from-scratch [`crate::check_history`],
 //! * [`InternedHistory`] — an append-only, interned view (operations are
-//!   `Copy` [`OpRecord`]s, payloads live in an arena) fed symbol by symbol;
-//!   the representation of the [`crate::IncrementalChecker`].
+//!   `Copy` [`OpRecord`]s, payloads live in an arena outside the history,
+//!   shared by every checker of a factory) fed symbol by symbol; the
+//!   representation of the [`crate::IncrementalChecker`], and the only copy
+//!   it keeps of the word it has read.
 
 use drv_lang::{
-    Action, Interner, InvocationId, OpId, OpRecord, Operation, ProcId, ResponseId, Symbol, Word,
+    Interner, InternerReadGuard, Invocation, InvocationId, OpId, OpRecord, Operation, ProcId,
+    Response, ResponseId, SharedInterner, Word,
 };
 use serde::{Deserialize, Serialize};
 
@@ -139,7 +142,8 @@ impl ConcurrentHistory {
     }
 }
 
-/// What [`InternedHistory::push_symbol`] did with a symbol.
+/// What [`InternedHistory::push_invocation`] / [`InternedHistory::push_response`]
+/// did with a symbol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistoryDelta {
     /// The symbol opened a new (pending) operation.
@@ -152,20 +156,93 @@ pub enum HistoryDelta {
     Skipped,
 }
 
+/// A symbol's action with its payload interned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum InternedAction {
+    Invoke(InvocationId),
+    Respond(ResponseId),
+}
+
+/// A symbol the history skipped: part of the word, of no operation.
+#[derive(Debug, Clone, Copy)]
+struct SkippedSymbol {
+    position: u32,
+    proc: ProcId,
+    action: InternedAction,
+}
+
+/// One run's access to a payload arena shared with other checkers, possibly
+/// on other threads: a read guard taken at the first use and held to the end
+/// of the run, so resolving a payload is an index, not a lock.
+///
+/// A thread that holds the guard must not intern: a writer queued behind the
+/// guard blocks new readers and the thread would wait on itself.  So a
+/// payload is probed under the guard, and only one the arena has never seen
+/// costs a release, the write, and a fresh guard at the next use.
+pub(crate) struct ArenaRead<'a> {
+    handle: &'a SharedInterner,
+    guard: Option<InternerReadGuard<'a>>,
+}
+
+impl<'a> ArenaRead<'a> {
+    /// Takes no lock yet: a run that never touches a payload never does.
+    pub(crate) fn new(handle: &'a SharedInterner) -> Self {
+        ArenaRead {
+            handle,
+            guard: None,
+        }
+    }
+
+    /// The arena, under this run's guard.
+    pub(crate) fn interner(&mut self) -> &Interner {
+        self.guard.get_or_insert_with(|| self.handle.read())
+    }
+
+    /// Gives the guard up and returns the handle: for interning, and for
+    /// waiting on threads that may.
+    pub(crate) fn release(&mut self) -> &'a SharedInterner {
+        self.guard = None;
+        self.handle
+    }
+
+    /// The id of `invocation`, interned on first sight.
+    pub(crate) fn invocation(&mut self, invocation: &Invocation) -> InvocationId {
+        match self.interner().lookup_invocation(invocation) {
+            Some(id) => id,
+            None => self.release().invocation(invocation),
+        }
+    }
+
+    /// The id of `response`, interned on first sight.
+    pub(crate) fn response(&mut self, response: &Response) -> ResponseId {
+        match self.interner().lookup_response(response) {
+            Some(id) => id,
+            None => self.release().response(response),
+        }
+    }
+}
+
 /// An append-only concurrent history over interned operations.
 ///
-/// Grown one symbol at a time by [`InternedHistory::push_symbol`]; payloads
-/// are interned into the owned [`Interner`] once, and the per-operation view
-/// is the `Copy`-able [`OpRecord`].  Mirrors the query surface of
-/// [`ConcurrentHistory`] (`next_of`, `respects_real_time`, `is_done`) so the
-/// Wing–Gong search runs unchanged on either representation.
+/// Grown one symbol at a time by [`InternedHistory::push_invocation`] and
+/// [`InternedHistory::push_response`].  The history holds ids only: the
+/// payloads live in an arena the caller owns (the
+/// [`crate::IncrementalChecker`]'s [`SharedInterner`], one per factory), and
+/// the per-operation view is the `Copy`-able [`OpRecord`].  It is also the
+/// only copy of the word: a well-formed symbol is the invocation or response
+/// side of a record, a skipped one is kept on the side, and together they
+/// give back every consumed symbol with its position.  Mirrors the query
+/// surface of [`ConcurrentHistory`] (`next_of`, `respects_real_time`,
+/// `is_done`) so the Wing–Gong search runs unchanged on either
+/// representation.
 #[derive(Debug, Clone, Default)]
 pub struct InternedHistory {
-    interner: Interner,
     records: Vec<OpRecord>,
     per_proc: Vec<Vec<OpId>>,
     /// Per-process index into `records` of the currently open operation.
     open: Vec<Option<usize>>,
+    /// The ill-formed symbols, in position order (rare).
+    skipped: Vec<SkippedSymbol>,
     /// Number of symbols consumed so far (= next symbol position).
     symbols: usize,
     n: usize,
@@ -176,17 +253,16 @@ impl InternedHistory {
     #[must_use]
     pub fn new(n: usize) -> Self {
         InternedHistory {
-            interner: Interner::new(),
             records: Vec::new(),
             per_proc: vec![Vec::new(); n],
             open: vec![None; n],
+            skipped: Vec::new(),
             symbols: 0,
             n,
         }
     }
 
-    /// Clears the history but keeps the payload arena and allocations, so a
-    /// rebuilt history re-uses every previously interned payload.
+    /// Clears the history but keeps its allocations.
     pub fn reset(&mut self) {
         self.records.clear();
         for per in &mut self.per_proc {
@@ -195,69 +271,101 @@ impl InternedHistory {
         for slot in &mut self.open {
             *slot = None;
         }
+        self.skipped.clear();
         self.symbols = 0;
     }
 
-    fn ensure_proc(&mut self, proc: ProcId) {
+    /// Claims the next symbol position for a symbol of `proc`.
+    fn next_position(&mut self, proc: ProcId) -> u32 {
         if proc.0 >= self.n {
             self.n = proc.0 + 1;
             self.per_proc.resize_with(self.n, Vec::new);
             self.open.resize(self.n, None);
         }
-    }
-
-    /// Consumes one symbol, extending the history.
-    pub fn push_symbol(&mut self, symbol: &Symbol) -> HistoryDelta {
-        self.ensure_proc(symbol.proc);
         let position = u32::try_from(self.symbols).expect("< 2^32 symbols");
         self.symbols += 1;
-        let p = symbol.proc.0;
-        match (&symbol.action, self.open[p]) {
-            (Action::Invoke(invocation), None) => {
-                let invocation = self.interner.invocation(invocation);
-                let id = OpId(self.records.len());
-                let local_index = u32::try_from(self.per_proc[p].len()).expect("< 2^32 ops");
-                self.open[p] = Some(self.records.len());
-                self.per_proc[p].push(id);
-                self.records.push(OpRecord {
-                    id,
-                    proc: symbol.proc,
-                    invocation,
-                    response: None,
-                    inv_pos: position,
-                    resp_pos: None,
-                    local_index,
-                });
-                HistoryDelta::Invoked(id)
-            }
-            (Action::Respond(response), Some(index)) => {
-                let response = self.interner.response(response);
-                self.records[index].response = Some(response);
-                self.records[index].resp_pos = Some(position);
-                self.open[p] = None;
-                HistoryDelta::Completed(self.records[index].id)
-            }
-            _ => HistoryDelta::Skipped,
+        position
+    }
+
+    fn skip(&mut self, position: u32, proc: ProcId, action: InternedAction) -> HistoryDelta {
+        self.skipped.push(SkippedSymbol {
+            position,
+            proc,
+            action,
+        });
+        HistoryDelta::Skipped
+    }
+
+    /// Consumes an invocation symbol of `proc`.
+    pub fn push_invocation(&mut self, proc: ProcId, invocation: InvocationId) -> HistoryDelta {
+        let position = self.next_position(proc);
+        let p = proc.0;
+        if self.open[p].is_some() {
+            return self.skip(position, proc, InternedAction::Invoke(invocation));
         }
+        let id = OpId(self.records.len());
+        let local_index = u32::try_from(self.per_proc[p].len()).expect("< 2^32 ops");
+        self.open[p] = Some(self.records.len());
+        self.per_proc[p].push(id);
+        self.records.push(OpRecord {
+            id,
+            proc,
+            invocation,
+            response: None,
+            inv_pos: position,
+            resp_pos: None,
+            local_index,
+        });
+        HistoryDelta::Invoked(id)
     }
 
-    /// Consumes every symbol of `word` in order.
-    pub fn push_word(&mut self, word: &Word) {
-        for symbol in word.symbols() {
-            self.push_symbol(symbol);
-        }
+    /// Consumes a response symbol of `proc`.
+    pub fn push_response(&mut self, proc: ProcId, response: ResponseId) -> HistoryDelta {
+        let position = self.next_position(proc);
+        let Some(index) = self.open[proc.0].take() else {
+            return self.skip(position, proc, InternedAction::Respond(response));
+        };
+        self.records[index].response = Some(response);
+        self.records[index].resp_pos = Some(position);
+        HistoryDelta::Completed(self.records[index].id)
     }
 
-    /// The payload arena.
-    #[must_use]
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
-    /// Interns a response produced outside the history (e.g. a specification
-    /// response assigned to a completed-pending operation).
-    pub fn intern_response(&mut self, response: &drv_lang::Response) -> ResponseId {
-        self.interner.response(response)
+    /// The consumed word, symbol by symbol in position order, rebuilt from
+    /// the records and the skipped symbols in one pass over both.
+    pub(crate) fn word(&self) -> impl Iterator<Item = (ProcId, InternedAction)> + '_ {
+        // Records are in invocation order and skipped symbols in position
+        // order, so the next invocation and the next skipped symbol are at
+        // two cursors; a position that is neither is the response of an
+        // operation invoked earlier and not answered yet — at most one per
+        // process, kept in `awaiting`.
+        let (mut next_record, mut next_skipped) = (0usize, 0usize);
+        let mut awaiting: Vec<usize> = Vec::new();
+        let mut positions = 0..u32::try_from(self.symbols).expect("< 2^32 symbols");
+        std::iter::from_fn(move || {
+            let position = positions.next()?;
+            if let Some(record) = self.records.get(next_record) {
+                if record.inv_pos == position {
+                    if record.is_complete() {
+                        awaiting.push(next_record);
+                    }
+                    next_record += 1;
+                    return Some((record.proc, InternedAction::Invoke(record.invocation)));
+                }
+            }
+            if let Some(skipped) = self.skipped.get(next_skipped) {
+                if skipped.position == position {
+                    next_skipped += 1;
+                    return Some((skipped.proc, skipped.action));
+                }
+            }
+            let answered = awaiting
+                .iter()
+                .position(|&index| self.records[index].resp_pos == Some(position))
+                .expect("a position is an invocation, a skipped symbol or a response");
+            let record = &self.records[awaiting.swap_remove(answered)];
+            let response = record.response.expect("a complete record has a response");
+            Some((record.proc, InternedAction::Respond(response)))
+        })
     }
 
     /// Number of processes.
@@ -278,7 +386,7 @@ impl InternedHistory {
         self.records.is_empty()
     }
 
-    /// Number of symbols consumed so far.
+    /// Number of symbols consumed so far, skipped ones included.
     #[must_use]
     pub fn symbols_consumed(&self) -> usize {
         self.symbols
@@ -298,18 +406,6 @@ impl InternedHistory {
     #[must_use]
     pub fn records(&self) -> &[OpRecord] {
         &self.records
-    }
-
-    /// The resolved invocation payload of an operation.
-    #[must_use]
-    pub fn invocation_of(&self, id: InvocationId) -> &drv_lang::Invocation {
-        self.interner.resolve_invocation(id)
-    }
-
-    /// The resolved response payload.
-    #[must_use]
-    pub fn response_of(&self, id: ResponseId) -> &drv_lang::Response {
-        self.interner.resolve_response(id)
     }
 
     /// The candidate operation of `proc` given per-process progress `counts`.
@@ -379,7 +475,7 @@ impl InternedHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drv_lang::{Invocation, Response, WordBuilder};
+    use drv_lang::WordBuilder;
 
     fn history() -> ConcurrentHistory {
         // p1: |-w(1)-|      |--w(2)--|

@@ -31,6 +31,16 @@
 //!    while no witness is — it is copied out of a witness at the points one
 //!    is discarded, and a checkpoint writes whichever of the two exists.
 //!
+//! Besides those two the engine keeps the history itself and nothing of the
+//! input: no copy of the symbols it was fed (the [`InternedHistory`] records
+//! every well-formed symbol as one side of an operation and keeps the rare
+//! skipped ones beside them, which is enough to rebuild the word exactly —
+//! checkpoints and [`IncrementalChecker::check_word`]'s extension test do)
+//! and no payloads (they live in a [`SharedInterner`] outside the engine:
+//! the arena of the factory that created it, shared by every object of that
+//! factory, or a private one after [`IncrementalChecker::new`]; either way
+//! the same type, behind one read guard per run).
+//!
 //! Nothing else outlives a search.  Dead configurations are keyed by a
 //! compact progress vector (counts packed exactly into a `u128` whenever
 //! they fit) plus a 128-bit FNV-1a hash of the sequential state — no state
@@ -61,7 +71,8 @@
 //!   outcome and witness a per-symbol search would have had there.  `Unknown`
 //!   is not knowledge and never stands.
 //! * Histories are interned ([`InternedHistory`]): operations are `Copy`
-//!   records, payload comparisons happen once at intern time.
+//!   records, payload comparisons happen once at intern time, and a fleet of
+//!   checkers on one arena stores each distinct payload once.
 //!
 //! **Cost.**  A monitor owes a verdict after every symbol for as long as the
 //! object lives, so no maintenance move may cost the length of the history
@@ -83,8 +94,11 @@
 //!
 //! [`IncrementalChecker::maintenance_steps`] counts the first six rows, so
 //! tests can assert the bound without a clock.  What still grows with `m`
-//! per event sits outside this module's moves: checkpoint serialisation and
-//! the callers' own per-object verdict vectors.
+//! is memory, not time per event: one record, one per-process list entry and
+//! one witness entry (order, state, position index) per operation — ids and
+//! positions only.  And, outside this module's moves, what is proportional
+//! to it: checkpoint serialisation (the word is rebuilt from the history and
+//! written in full) and the callers' own per-object verdict vectors.
 //!
 //! **Exactness.**  For definite verdicts the engine agrees with
 //! [`check_history`] bit for bit: a witness is only ever accepted after
@@ -99,13 +113,13 @@
 //! of seeded histories.
 
 use crate::checker::{CheckerConfig, ConsistencyResult, Witness};
-use crate::history::{HistoryDelta, InternedHistory};
+use crate::history::{ArenaRead, HistoryDelta, InternedAction, InternedHistory};
 use crate::parallel::{parallel_dfs, SharedMemo};
 use crate::search::{wing_gong, with_scratch, Scratch, SearchContext, SearchOutcome};
 use drv_lang::wire::{
     put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
 };
-use drv_lang::{Action, CodecError, OpId, ProcId, ResponseId, Symbol, Word};
+use drv_lang::{Action, CodecError, OpId, ProcId, ResponseId, SharedInterner, Symbol, Word};
 use drv_spec::SequentialSpec;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -420,12 +434,23 @@ impl std::error::Error for CheckpointError {
 /// assert_eq!(checker.stats().checks, 1);
 /// ```
 pub struct IncrementalChecker<S: SequentialSpec> {
+    /// The payload arena every id in `core` refers to: the creating
+    /// factory's, shared with all its checkers, or a private one.
+    arena: SharedInterner,
+    core: Core<S>,
+}
+
+/// Everything of an [`IncrementalChecker`] but its arena handle, and every
+/// move it makes.  Each public entry point opens one [`ArenaRead`] on the
+/// handle and passes it down, which only works while the handle sits beside
+/// what the moves mutate, not inside it.
+struct Core<S: SequentialSpec> {
     spec: S,
     config: CheckerConfig,
+    /// The operations read so far, and with the skipped symbols it keeps the
+    /// only copy of the word (extension detection in
+    /// [`IncrementalChecker::check_word`] and checkpoints rebuild it).
     history: InternedHistory,
-    /// The symbols consumed so far (for extension detection in
-    /// [`IncrementalChecker::check_word`]).
-    symbols: Vec<Symbol>,
     witness: Option<WitnessPath<S>>,
     /// The last successful linearization order, the move-ordering hint —
     /// the preserved frontier — of the fallback DFS.  While a witness is
@@ -459,35 +484,48 @@ impl<S: SequentialSpec> std::fmt::Debug for IncrementalChecker<S> {
     // `S::State` need not be `Debug` and witness paths can be large; show
     // the engine's progress summary instead.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let core = &self.core;
         f.debug_struct("IncrementalChecker")
-            .field("config", &self.config)
-            .field("symbols", &self.symbols.len())
-            .field("has_witness", &self.witness.is_some())
-            .field("latched_inconsistent", &self.latched_inconsistent)
-            .field("standing_no", &self.standing_no)
-            .field("stats", &self.stats)
+            .field("config", &core.config)
+            .field("symbols", &core.history.symbols_consumed())
+            .field("has_witness", &core.witness.is_some())
+            .field("latched_inconsistent", &core.latched_inconsistent)
+            .field("standing_no", &core.standing_no)
+            .field("stats", &core.stats)
             .finish_non_exhaustive()
     }
 }
 
 impl<S: SequentialSpec> IncrementalChecker<S> {
-    /// Creates an engine for `n` processes (more are adopted on sight).
+    /// Creates an engine for `n` processes (more are adopted on sight) with
+    /// a payload arena of its own.
     #[must_use]
     pub fn new(spec: S, config: CheckerConfig, n: usize) -> Self {
+        Self::with_arena(spec, config, n, SharedInterner::new())
+    }
+
+    /// [`IncrementalChecker::new`] on a payload arena shared with other
+    /// checkers: each distinct payload is stored once for all of them, and
+    /// what a checker keeps per symbol is ids.  Any number of threads may
+    /// drive checkers of one arena at the same time.
+    #[must_use]
+    pub fn with_arena(spec: S, config: CheckerConfig, n: usize, arena: SharedInterner) -> Self {
         IncrementalChecker {
-            spec,
-            config,
-            history: InternedHistory::new(n),
-            symbols: Vec::new(),
-            witness: None,
-            frontier: Vec::new(),
-            latched_inconsistent: false,
-            standing_no: false,
-            cached: None,
-            parallel: None,
-            epoch: 0,
-            stats: CheckerStats::default(),
-            maintenance_steps: 0,
+            arena,
+            core: Core {
+                spec,
+                config,
+                history: InternedHistory::new(n),
+                witness: None,
+                frontier: Vec::new(),
+                latched_inconsistent: false,
+                standing_no: false,
+                cached: None,
+                parallel: None,
+                epoch: 0,
+                stats: CheckerStats::default(),
+                maintenance_steps: 0,
+            },
         }
     }
 
@@ -504,7 +542,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// 1 000 000 nodes, say) when bit-stable verdict streams are required.
     #[must_use]
     pub fn with_parallel_fallback(mut self, threads: usize) -> Self {
-        self.parallel = (threads > 1).then(|| ParallelFallback {
+        self.core.parallel = (threads > 1).then(|| ParallelFallback {
             threads,
             memo: Arc::new(SharedMemo::new(threads * 4)),
         });
@@ -514,13 +552,13 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// The engine's configuration.
     #[must_use]
     pub fn config(&self) -> &CheckerConfig {
-        &self.config
+        &self.core.config
     }
 
     /// The fast-path/fallback counters.
     #[must_use]
     pub fn stats(&self) -> CheckerStats {
-        self.stats
+        self.core.stats
     }
 
     /// The work witness maintenance has done over this engine's lifetime:
@@ -534,20 +572,140 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// checkpointed.
     #[must_use]
     pub fn maintenance_steps(&self) -> u64 {
-        self.maintenance_steps
+        self.core.maintenance_steps
     }
 
-    /// Number of symbols currently incorporated.
+    /// Number of symbols currently incorporated, skipped ones included.
     #[must_use]
     pub fn symbols_consumed(&self) -> usize {
-        self.symbols.len()
+        self.core.history.symbols_consumed()
     }
 
-    /// Drops all history state (interned payloads are kept), ready for an
+    /// Drops all history state (the arena keeps its payloads), ready for an
     /// unrelated word.
     pub fn reset(&mut self) {
+        self.core.reset();
+    }
+
+    /// Feeds one more symbol of the (extending) history.
+    pub fn push_symbol(&mut self, symbol: &Symbol) {
+        self.core
+            .push_symbol(&mut ArenaRead::new(&self.arena), symbol);
+    }
+
+    /// Feeds a run of symbols of the (extending) history and records the
+    /// verdict after each one — the batched entry point of the engine's
+    /// event path (`drv-engine`'s `ObjectMonitor::on_batch` lands here).
+    ///
+    /// The appended outcomes are bit-identical to calling
+    /// [`IncrementalChecker::push_symbol`] +
+    /// [`IncrementalChecker::check_outcome`] once per symbol: witness
+    /// maintenance (splice / repair / pending rescue) still runs per
+    /// completed operation, because the intermediate verdicts are part of
+    /// the contract.  What the batch amortizes is everything *around* the
+    /// maintenance — one call, one read guard on the payload arena, one
+    /// reservation of the output buffer, and (in the engine) one monitor
+    /// lookup and one queue drain per run instead of per event.
+    pub fn feed_batch(&mut self, symbols: &[Symbol], outcomes: &mut Vec<CheckOutcome>) {
+        let arena = &mut ArenaRead::new(&self.arena);
+        outcomes.reserve(symbols.len());
+        for symbol in symbols {
+            self.core.push_symbol(arena, symbol);
+            outcomes.push(self.core.check_outcome(arena));
+        }
+    }
+
+    /// Checks the history consisting of all symbols fed so far.
+    pub fn check(&mut self) -> ConsistencyResult {
+        self.core.check(&mut ArenaRead::new(&self.arena))
+    }
+
+    /// Checks the history fed so far, returning only the verdict: no
+    /// witness is cloned out of the engine, which makes this the right call
+    /// in per-iteration loops that only branch on consistency.
+    pub fn check_outcome(&mut self) -> CheckOutcome {
+        self.core.check_outcome(&mut ArenaRead::new(&self.arena))
+    }
+
+    /// Checks a word snapshot: when `word` extends the previously checked
+    /// word only the delta is processed; otherwise the engine resets and
+    /// re-feeds (counted in [`CheckerStats::rebuilds`]).
+    ///
+    /// A rebuild is *not* a from-scratch search: the previous linearization
+    /// is translated across the reset by `(process, local index)` — the
+    /// operation identity that survives reconstruction — and seeds the
+    /// fallback DFS's move ordering, so the search walks straight back along
+    /// the old witness and only branches where the reshuffled word forces it
+    /// to.
+    pub fn check_word(&mut self, word: &Word) -> ConsistencyResult {
+        let arena = &mut ArenaRead::new(&self.arena);
+        self.core.feed_word(arena, word);
+        self.core.check(arena)
+    }
+
+    /// [`IncrementalChecker::check_word`] without the witness: the
+    /// per-iteration monitor call.
+    pub fn check_word_outcome(&mut self, word: &Word) -> CheckOutcome {
+        let arena = &mut ArenaRead::new(&self.arena);
+        self.core.feed_word(arena, word);
+        self.core.check_outcome(arena)
+    }
+
+    /// [`IncrementalChecker::check_word_outcome`] for callers that *know*
+    /// `word` extends the previously fed word — e.g. they grew it
+    /// append-only themselves, as the Figure 8 monitor's incremental sketch
+    /// does.  Skips the O(history) prefix comparison and feeds only the
+    /// delta, making the engine entry point O(delta) too.
+    ///
+    /// The promise is checked in debug builds; a `word` *shorter* than what
+    /// was already consumed falls back to the checked path (which detects
+    /// the non-extension and rebuilds).
+    pub fn check_word_extension_outcome(&mut self, word: &Word) -> CheckOutcome {
+        let arena = &mut ArenaRead::new(&self.arena);
+        self.core.feed_extension(arena, word);
+        self.core.check_outcome(arena)
+    }
+
+    /// Serializes the engine's resumable state into a self-contained byte
+    /// payload: the consumed symbols (rebuilt from the history, payloads
+    /// resolved — a checkpoint does not depend on the arena that wrote it),
+    /// the maintained witness (as `(process, local index, response)`
+    /// triples — the operation identity that survives reconstruction), the
+    /// search frontier, the latch, the standing NO, the memo epoch, and the
+    /// stats counters.
+    ///
+    /// What is *not* serialized: dead configurations (they are scoped to a
+    /// single DFS run, so prior contents can never influence a verdict) and
+    /// the witness state path (recomputed by replay on restore, which
+    /// doubles as validation).  A checker restored from this
+    /// payload therefore produces **bit-identical** verdicts to the
+    /// original on any symbol suffix.
+    #[must_use]
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        self.core.checkpoint_bytes(&mut ArenaRead::new(&self.arena))
+    }
+
+    /// Restores state serialized by [`IncrementalChecker::checkpoint_bytes`]
+    /// into this engine, replacing whatever it held.  The receiving checker
+    /// must have been built with the same spec and config as the serialized
+    /// one (the factory that created the original recreates it); the
+    /// witness replay validates that claim and rejects mismatches.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CheckpointError`]: malformed bytes, a version or flag this
+    /// build does not know, dangling operation references, an illegal
+    /// witness replay, or trailing bytes.  On error the checker is left
+    /// safe but unspecified — discard it.
+    pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.core
+            .restore_bytes(&mut ArenaRead::new(&self.arena), bytes)
+    }
+}
+
+impl<S: SequentialSpec> Core<S> {
+    fn reset(&mut self) {
         self.history.reset();
-        self.symbols.clear();
         self.witness = None;
         self.frontier.clear();
         self.latched_inconsistent = false;
@@ -568,10 +726,15 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
     }
 
-    /// Feeds one more symbol of the (extending) history.
-    pub fn push_symbol(&mut self, symbol: &Symbol) {
-        self.symbols.push(symbol.clone());
-        let delta = self.history.push_symbol(symbol);
+    fn push_symbol(&mut self, arena: &mut ArenaRead<'_>, symbol: &Symbol) {
+        let delta = match &symbol.action {
+            Action::Invoke(invocation) => self
+                .history
+                .push_invocation(symbol.proc, arena.invocation(invocation)),
+            Action::Respond(response) => self
+                .history
+                .push_response(symbol.proc, arena.response(response)),
+        };
         self.cached = None;
         if self.latched_inconsistent {
             // Prefix-closure: nothing to maintain, the NO is final.
@@ -596,37 +759,24 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                     }
                 }
             }
-            HistoryDelta::Completed(op) => self.incorporate_completion(op),
+            HistoryDelta::Completed(op) => self.incorporate_completion(arena, op),
         }
     }
 
-    /// Feeds a run of symbols of the (extending) history and records the
-    /// verdict after each one — the batched entry point of the engine's
-    /// event path (`drv-engine`'s `ObjectMonitor::on_batch` lands here).
-    ///
-    /// The appended outcomes are bit-identical to calling
-    /// [`IncrementalChecker::push_symbol`] +
-    /// [`IncrementalChecker::check_outcome`] once per symbol: witness
-    /// maintenance (splice / repair / pending rescue) still runs per
-    /// completed operation, because the intermediate verdicts are part of
-    /// the contract.  What the batch amortizes is everything *around* the
-    /// maintenance — one call, one reservation of the output buffer, and
-    /// (in the engine) one monitor lookup and one queue drain per run
-    /// instead of per event.
-    pub fn feed_batch(&mut self, symbols: &[Symbol], outcomes: &mut Vec<CheckOutcome>) {
-        outcomes.reserve(symbols.len());
-        for symbol in symbols {
-            self.push_symbol(symbol);
-            outcomes.push(self.check_outcome());
-        }
-    }
-
-    /// Checks the history consisting of all symbols fed so far.
-    pub fn check(&mut self) -> ConsistencyResult {
-        match self.check_outcome() {
+    fn check(&mut self, arena: &mut ArenaRead<'_>) -> ConsistencyResult {
+        match self.check_outcome(arena) {
             CheckOutcome::Consistent => {
                 let witness = match &self.witness {
-                    Some(witness) => self.materialize(&witness.order),
+                    Some(witness) => {
+                        let interner = arena.interner();
+                        Witness {
+                            order: witness
+                                .order
+                                .iter()
+                                .map(|(id, resp)| (*id, interner.resolve_response(*resp).clone()))
+                                .collect(),
+                        }
+                    }
                     // Only the empty history is consistent without a search
                     // having built a witness path.
                     None => Witness { order: Vec::new() },
@@ -638,72 +788,62 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
     }
 
-    /// Checks the history fed so far, returning only the verdict: no
-    /// witness is cloned out of the engine, which makes this the right call
-    /// in per-iteration loops that only branch on consistency.
-    pub fn check_outcome(&mut self) -> CheckOutcome {
+    fn check_outcome(&mut self, arena: &mut ArenaRead<'_>) -> CheckOutcome {
         self.stats.checks += 1;
         if let Some(cached) = self.cached {
             self.stats.fast_path += 1;
             return cached;
         }
-        let outcome = self.evaluate();
+        let outcome = self.evaluate(arena);
         self.cached = Some(outcome);
         outcome
     }
 
-    /// Checks a word snapshot: when `word` extends the previously checked
-    /// word only the delta is processed; otherwise the engine resets and
-    /// re-feeds (counted in [`CheckerStats::rebuilds`]).
-    ///
-    /// A rebuild is *not* a from-scratch search: the previous linearization
-    /// is translated across the reset by `(process, local index)` — the
-    /// operation identity that survives reconstruction — and seeds the
-    /// fallback DFS's move ordering, so the search walks straight back along
-    /// the old witness and only branches where the reshuffled word forces it
-    /// to.
-    pub fn check_word(&mut self, word: &Word) -> ConsistencyResult {
-        self.feed_word(word);
-        self.check()
+    /// Whether `symbols` starts with the word consumed so far: the same
+    /// process and payload at every position, skipped symbols included.
+    fn extends_to(&self, arena: &mut ArenaRead<'_>, symbols: &[Symbol]) -> bool {
+        if symbols.len() < self.history.symbols_consumed() {
+            return false;
+        }
+        let interner = arena.interner();
+        self.history
+            .word()
+            .zip(symbols)
+            .all(|((proc, action), symbol)| {
+                symbol.proc == proc
+                    && match (&symbol.action, action) {
+                        (Action::Invoke(invocation), InternedAction::Invoke(id)) => {
+                            interner.resolve_invocation(id) == invocation
+                        }
+                        (Action::Respond(response), InternedAction::Respond(id)) => {
+                            interner.resolve_response(id) == response
+                        }
+                        _ => false,
+                    }
+            })
     }
 
-    /// [`IncrementalChecker::check_word`] without the witness: the
-    /// per-iteration monitor call.
-    pub fn check_word_outcome(&mut self, word: &Word) -> CheckOutcome {
-        self.feed_word(word);
-        self.check_outcome()
-    }
-
-    /// [`IncrementalChecker::check_word_outcome`] for callers that *know*
-    /// `word` extends the previously fed word — e.g. they grew it
-    /// append-only themselves, as the Figure 8 monitor's incremental sketch
-    /// does.  Skips the O(history) prefix comparison and feeds only the
-    /// delta, making the engine entry point O(delta) too.
-    ///
-    /// The promise is checked in debug builds; a `word` *shorter* than what
-    /// was already consumed falls back to the checked path (which detects
-    /// the non-extension and rebuilds).
-    pub fn check_word_extension_outcome(&mut self, word: &Word) -> CheckOutcome {
+    /// Feeds what `word` adds to the word consumed so far, taking the
+    /// caller's word for it that it is an extension.
+    fn feed_extension(&mut self, arena: &mut ArenaRead<'_>, word: &Word) {
         let symbols = word.symbols();
-        if symbols.len() < self.symbols.len() {
-            return self.check_word_outcome(word);
+        let consumed = self.history.symbols_consumed();
+        if symbols.len() < consumed {
+            return self.feed_word(arena, word);
         }
         debug_assert!(
-            symbols[..self.symbols.len()] == self.symbols[..],
+            self.extends_to(arena, symbols),
             "caller promised an extension of the previously fed word"
         );
-        for symbol in &symbols[self.symbols.len()..] {
-            self.push_symbol(symbol);
+        for symbol in &symbols[consumed..] {
+            self.push_symbol(arena, symbol);
         }
-        self.check_outcome()
     }
 
-    fn feed_word(&mut self, word: &Word) {
+    fn feed_word(&mut self, arena: &mut ArenaRead<'_>, word: &Word) {
         let symbols = word.symbols();
-        let extends = symbols.len() >= self.symbols.len()
-            && symbols[..self.symbols.len()] == self.symbols[..];
         let mut carried: Vec<(ProcId, u32)> = Vec::new();
-        if !extends {
+        if !self.extends_to(arena, symbols) {
             self.stats.rebuilds += 1;
             let order: Vec<OpId> = match &self.witness {
                 Some(witness) => witness.ids(),
@@ -718,8 +858,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 .collect();
             self.reset();
         }
-        for symbol in &symbols[self.symbols.len()..] {
-            self.push_symbol(symbol);
+        for symbol in &symbols[self.history.symbols_consumed()..] {
+            self.push_symbol(arena, symbol);
         }
         if !carried.is_empty() {
             self.frontier = carried
@@ -736,7 +876,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     }
 
     /// Greedy witness maintenance for a newly completed operation.
-    fn incorporate_completion(&mut self, op: OpId) {
+    fn incorporate_completion(&mut self, arena: &mut ArenaRead<'_>, op: OpId) {
         let Some(mut witness) = self.witness.take() else {
             return;
         };
@@ -758,14 +898,14 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             // The assumed response was wrong.  Repair in place: swap the
             // actual response in and revalidate the suffix (reads and other
             // non-mutators often still fit where they are)…
-            if self.swap_response(&mut witness, position, observed) {
+            if self.swap_response(arena, &mut witness, position, observed) {
                 self.stats.repairs += 1;
                 self.witness = Some(witness);
                 return;
             }
             // …or excise it and fall through to re-splicing it afresh at a
             // position where the actual response is legal.
-            if !self.remove_at(&mut witness, position) {
+            if !self.remove_at(arena, &mut witness, position) {
                 self.discard(&witness);
                 return;
             }
@@ -790,8 +930,6 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 break;
             }
         }
-        let invocation = self.history.invocation_of(record.invocation).clone();
-        let response = self.history.response_of(observed).clone();
         // Deepest-first, with a replay budget: without real-time pruning
         // (sequential consistency) `lo` can be far from `m`, and replaying
         // the suffix at every candidate position would cost O(m²) — past the
@@ -799,10 +937,12 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         let mut replays = 0usize;
         for i in (lo..=m).rev() {
             self.maintenance_steps += 1;
-            let Some(state) = self
-                .spec
-                .step_if_legal(&witness.states[i], &invocation, &response)
-            else {
+            let interner = arena.interner();
+            let Some(state) = self.spec.step_if_legal(
+                &witness.states[i],
+                interner.resolve_invocation(record.invocation),
+                interner.resolve_response(observed),
+            ) else {
                 continue;
             };
             if replays >= MAX_SPLICE_REPLAYS {
@@ -810,7 +950,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             }
             replays += 1;
             // Replay the suffix on the shifted state.
-            let Some(suffix) = self.replay(&state, &witness.order[i..]) else {
+            let Some(suffix) = self.replay(arena, &state, &witness.order[i..]) else {
                 continue;
             };
             witness.insert(i, (op, observed), state, suffix);
@@ -829,18 +969,21 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 continue;
             }
             let q_record = self.history.record(q);
-            let applied = {
-                let q_invocation = self.history.invocation_of(q_record.invocation);
-                self.spec.apply(&witness.states[m], q_invocation)
-            };
-            let Some((mid_state, q_response)) = applied else {
+            let interner = arena.interner();
+            let Some((mid_state, q_response)) = self.spec.apply(
+                &witness.states[m],
+                interner.resolve_invocation(q_record.invocation),
+            ) else {
                 continue;
             };
-            let Some(final_state) = self.spec.step_if_legal(&mid_state, &invocation, &response)
-            else {
+            let Some(final_state) = self.spec.step_if_legal(
+                &mid_state,
+                interner.resolve_invocation(record.invocation),
+                interner.resolve_response(observed),
+            ) else {
                 continue;
             };
-            let assumed = self.history.intern_response(&q_response);
+            let assumed = arena.response(&q_response);
             witness.insert(m, (q, assumed), mid_state, Vec::new());
             witness.insert(m + 1, (op, observed), final_state, Vec::new());
             self.stats.splices += 1;
@@ -856,18 +999,20 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// `None` when one of the steps is illegal.
     fn replay(
         &mut self,
+        arena: &mut ArenaRead<'_>,
         start: &S::State,
         entries: &[(OpId, ResponseId)],
     ) -> Option<Vec<S::State>> {
+        let interner = arena.interner();
         let mut states: Vec<S::State> = Vec::with_capacity(entries.len());
         for (id, resp) in entries {
             self.maintenance_steps += 1;
             let q = self.history.record(*id);
-            let invocation = self.history.invocation_of(q.invocation);
-            let response = self.history.response_of(*resp);
-            let next =
-                self.spec
-                    .step_if_legal(states.last().unwrap_or(start), invocation, response)?;
+            let next = self.spec.step_if_legal(
+                states.last().unwrap_or(start),
+                interner.resolve_invocation(q.invocation),
+                interner.resolve_response(*resp),
+            )?;
             states.push(next);
         }
         Some(states)
@@ -877,21 +1022,23 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// suffix; `false`, with the witness untouched, when that is illegal.
     fn swap_response(
         &mut self,
+        arena: &mut ArenaRead<'_>,
         witness: &mut WitnessPath<S>,
         position: usize,
         observed: ResponseId,
     ) -> bool {
         let (id, _) = witness.order[position];
         let record = self.history.record(id);
+        let interner = arena.interner();
         let stepped = self.spec.step_if_legal(
             &witness.states[position],
-            self.history.invocation_of(record.invocation),
-            self.history.response_of(observed),
+            interner.resolve_invocation(record.invocation),
+            interner.resolve_response(observed),
         );
         let Some(state) = stepped else {
             return false;
         };
-        let Some(suffix) = self.replay(&state, &witness.order[position + 1..]) else {
+        let Some(suffix) = self.replay(arena, &state, &witness.order[position + 1..]) else {
             return false;
         };
         witness.order[position].1 = observed;
@@ -901,17 +1048,24 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
 
     /// Removes the operation at `position` and replays the suffix; `false`,
     /// with the witness untouched, when the suffix is illegal without it.
-    fn remove_at(&mut self, witness: &mut WitnessPath<S>, position: usize) -> bool {
-        let Some(suffix) =
-            self.replay(&witness.states[position], &witness.order[position + 1..])
-        else {
+    fn remove_at(
+        &mut self,
+        arena: &mut ArenaRead<'_>,
+        witness: &mut WitnessPath<S>,
+        position: usize,
+    ) -> bool {
+        let Some(suffix) = self.replay(
+            arena,
+            &witness.states[position],
+            &witness.order[position + 1..],
+        ) else {
             return false;
         };
         witness.remove(position, suffix);
         true
     }
 
-    fn evaluate(&mut self) -> CheckOutcome {
+    fn evaluate(&mut self, arena: &mut ArenaRead<'_>) -> CheckOutcome {
         if self.latched_inconsistent || self.standing_no {
             self.stats.fast_path += 1;
             self.stats.latched += 1;
@@ -921,20 +1075,11 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             self.stats.fast_path += 1;
             return CheckOutcome::Consistent;
         }
-        self.run_dfs()
-    }
-
-    fn materialize(&self, order: &[(OpId, ResponseId)]) -> Witness {
-        Witness {
-            order: order
-                .iter()
-                .map(|(id, resp)| (*id, self.history.response_of(*resp).clone()))
-                .collect(),
-        }
+        self.run_dfs(arena)
     }
 
     /// The fallback search from the root, guided by the stored frontier.
-    fn run_dfs(&mut self) -> CheckOutcome {
+    fn run_dfs(&mut self, arena: &mut ArenaRead<'_>) -> CheckOutcome {
         self.stats.dfs_runs += 1;
         self.bump_epoch();
         let hint = std::mem::take(&mut self.frontier);
@@ -943,13 +1088,13 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             .clone()
             .filter(|_| self.history.process_count() >= 2 && !self.history.is_empty());
         let (outcome, order) = match fan_out {
-            Some(parallel) => self.search_parallel(&parallel, &hint),
-            None => self.search_sequential(&hint),
+            Some(parallel) => self.search_parallel(arena, &parallel, &hint),
+            None => self.search_sequential(arena, &hint),
         };
         if let SearchOutcome::Found = outcome {
             // The witness order is the frontier from here on; the old hint
             // is dropped.
-            self.install_witness(order);
+            self.install_witness(arena, order);
             return CheckOutcome::Consistent;
         }
         self.frontier = hint;
@@ -969,13 +1114,17 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     }
 
     /// The search on the calling thread, on that thread's scratch.
-    fn search_sequential(&mut self, hint: &[OpId]) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
+    fn search_sequential(
+        &mut self,
+        arena: &mut ArenaRead<'_>,
+        hint: &[OpId],
+    ) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
         let ctx = SearchContext {
             spec: &self.spec,
             config: &self.config,
             hint,
         };
-        let history = &mut self.history;
+        let history = &self.history;
         let mut explored = 0usize;
         let result = with_scratch(history.process_count(), |scratch| {
             let Scratch {
@@ -986,6 +1135,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             let outcome = wing_gong(
                 &ctx,
                 history,
+                arena,
                 |key| dead.insert(key),
                 || false,
                 counts,
@@ -1007,16 +1157,19 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     }
 
     /// The search fanned out across the root's first-branch processes (see
-    /// [`crate::parallel`]).
+    /// [`crate::parallel`]).  The branches take their own guards on the
+    /// arena and may intern, so this thread's guard is given up first.
     fn search_parallel(
         &mut self,
+        arena: &mut ArenaRead<'_>,
         parallel: &ParallelFallback,
         hint: &[OpId],
     ) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
         self.stats.parallel_dfs_runs += 1;
-        let (outcome, resolved, nodes) = parallel_dfs(
+        let (outcome, order, nodes) = parallel_dfs(
             &self.spec,
             &self.history,
+            arena.release(),
             &self.config,
             &parallel.memo,
             self.epoch,
@@ -1024,47 +1177,46 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             parallel.threads,
         );
         self.stats.dfs_nodes += nodes;
-        // Re-intern the branch-local response payloads.
-        let order = resolved
-            .iter()
-            .map(|(id, resp)| (*id, self.history.intern_response(resp)))
-            .collect();
         (outcome, order)
     }
 
     /// Installs a search-produced linearization as the maintained witness,
     /// rebuilding the state path once (outside the search).
-    fn install_witness(&mut self, order: Vec<(OpId, ResponseId)>) {
-        let mut states = Vec::with_capacity(order.len() + 1);
-        let mut state = self.spec.initial();
-        states.push(state.clone());
-        for (id, resp) in &order {
-            let q = self.history.record(*id);
-            let invocation = self.history.invocation_of(q.invocation);
-            let response = self.history.response_of(*resp);
-            state = self
-                .spec
-                .step_if_legal(&state, invocation, response)
-                .expect("witness found by the search replays legally");
-            states.push(state.clone());
-        }
+    fn install_witness(&mut self, arena: &mut ArenaRead<'_>, order: Vec<(OpId, ResponseId)>) {
+        let states = self
+            .state_path(arena, &order)
+            .expect("witness found by the search replays legally");
         self.witness = Some(WitnessPath::new(order, states));
     }
 
-    /// Serializes the engine's resumable state into a self-contained byte
-    /// payload: the consumed symbols, the maintained witness (as
-    /// `(process, local index, response)` triples — the operation identity
-    /// that survives reconstruction), the search frontier, the latch, the
-    /// standing NO, the memo epoch, and the stats counters.
-    ///
-    /// What is *not* serialized: dead configurations (they are scoped to a
-    /// single DFS run, so prior contents can never influence a verdict) and
-    /// the witness state path (recomputed by replay on restore, which
-    /// doubles as validation).  A checker restored from this
-    /// payload therefore produces **bit-identical** verdicts to the
-    /// original on any symbol suffix.
-    #[must_use]
-    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+    /// The states along `order` from the initial one (`order.len() + 1` of
+    /// them), or the position at which the replay is illegal.
+    fn state_path(
+        &self,
+        arena: &mut ArenaRead<'_>,
+        order: &[(OpId, ResponseId)],
+    ) -> Result<Vec<S::State>, usize> {
+        let interner = arena.interner();
+        let mut states = Vec::with_capacity(order.len() + 1);
+        states.push(self.spec.initial());
+        for (position, (id, resp)) in order.iter().enumerate() {
+            let q = self.history.record(*id);
+            let next = self
+                .spec
+                .step_if_legal(
+                    &states[position],
+                    interner.resolve_invocation(q.invocation),
+                    interner.resolve_response(*resp),
+                )
+                .ok_or(position)?;
+            states.push(next);
+        }
+        Ok(states)
+    }
+
+    fn checkpoint_bytes(&self, arena: &mut ArenaRead<'_>) -> Vec<u8> {
+        let interner = arena.interner();
+        let symbols = self.history.symbols_consumed();
         // Sized for register traffic (a symbol is 6 or 14 bytes, a witness
         // entry 9 or 17, a frontier entry 8) so that a long history is
         // written without regrowing the buffer a dozen times.
@@ -1072,9 +1224,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             Some(witness) => (witness.order.len(), witness.order.len()),
             None => (0, self.frontier.len()),
         };
-        let mut buf = Vec::with_capacity(
-            96 + 10 * self.symbols.len() + 13 * witness_len + 8 * frontier_len,
-        );
+        let mut buf =
+            Vec::with_capacity(96 + 10 * symbols + 13 * witness_len + 8 * frontier_len);
         buf.push(CHECKPOINT_VERSION);
         let mut flags = 0u8;
         if self.latched_inconsistent {
@@ -1102,17 +1253,17 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             put_u64(&mut buf, value);
         }
         put_u32(&mut buf, self.history.process_count() as u32);
-        put_u32(&mut buf, self.symbols.len() as u32);
-        for symbol in &self.symbols {
-            put_u32(&mut buf, symbol.proc.0 as u32);
-            match &symbol.action {
-                Action::Invoke(invocation) => {
+        put_u32(&mut buf, symbols as u32);
+        for (proc, action) in self.history.word() {
+            put_u32(&mut buf, proc.0 as u32);
+            match action {
+                InternedAction::Invoke(id) => {
                     buf.push(1);
-                    put_invocation(&mut buf, invocation);
+                    put_invocation(&mut buf, interner.resolve_invocation(id));
                 }
-                Action::Respond(response) => {
+                InternedAction::Respond(id) => {
                     buf.push(2);
-                    put_response(&mut buf, response);
+                    put_response(&mut buf, interner.resolve_response(id));
                 }
             }
         }
@@ -1122,7 +1273,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 let record = self.history.record(*id);
                 put_u32(&mut buf, record.proc.0 as u32);
                 put_u32(&mut buf, record.local_index);
-                put_response(&mut buf, self.history.response_of(*resp));
+                put_response(&mut buf, interner.resolve_response(*resp));
             }
         }
         // The frontier: the witness order while a witness is alive, the
@@ -1140,19 +1291,11 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         buf
     }
 
-    /// Restores state serialized by [`IncrementalChecker::checkpoint_bytes`]
-    /// into this engine, replacing whatever it held.  The receiving checker
-    /// must have been built with the same spec and config as the serialized
-    /// one (the factory that created the original recreates it); the
-    /// witness replay validates that claim and rejects mismatches.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CheckpointError`]: malformed bytes, a version or flag this
-    /// build does not know, dangling operation references, an illegal
-    /// witness replay, or trailing bytes.  On error the checker is left
-    /// safe but unspecified — discard it.
-    pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+    fn restore_bytes(
+        &mut self,
+        arena: &mut ArenaRead<'_>,
+        bytes: &[u8],
+    ) -> Result<(), CheckpointError> {
         let mut reader = Reader::new(bytes);
         let version = reader.u8("checkpoint version")?;
         if version != CHECKPOINT_VERSION {
@@ -1173,7 +1316,6 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         // Re-feed the history directly, bypassing witness maintenance: the
         // serialized witness and frontier already encode its outcome.
         self.history = InternedHistory::new(processes);
-        self.symbols = Vec::with_capacity(symbol_count);
         self.witness = None;
         self.frontier = Vec::new();
         // Memo entries are only trusted at the epoch that wrote them, and
@@ -1183,18 +1325,22 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
         }
         for _ in 0..symbol_count {
             let proc = ProcId(reader.u32("checkpoint symbol proc")? as usize);
-            let symbol = match reader.u8("checkpoint symbol tag")? {
-                1 => Symbol::invoke(proc, take_invocation(&mut reader)?),
-                2 => Symbol::respond(proc, take_response(&mut reader)?),
+            match reader.u8("checkpoint symbol tag")? {
+                1 => {
+                    let invocation = arena.invocation(&take_invocation(&mut reader)?);
+                    self.history.push_invocation(proc, invocation);
+                }
+                2 => {
+                    let response = arena.response(&take_response(&mut reader)?);
+                    self.history.push_response(proc, response);
+                }
                 tag => {
                     return Err(CheckpointError::Codec(CodecError::BadTag {
                         what: "checkpoint symbol tag",
                         tag,
                     }))
                 }
-            };
-            self.history.push_symbol(&symbol);
-            self.symbols.push(symbol);
+            }
         }
         if flags & 2 != 0 {
             // Each witness entry: proc (4) + index (4) + one response byte.
@@ -1210,24 +1356,13 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                         local_index,
                     },
                 )?;
-                order.push((op, self.history.intern_response(&response)));
+                order.push((op, arena.response(&response)));
             }
-            // Rebuild the state path by replay — `install_witness` would
-            // panic on an illegal order, and a crossed checkpoint (wrong
-            // spec, wrong config) must surface as an error instead.
-            let mut states = Vec::with_capacity(order.len() + 1);
-            let mut state = self.spec.initial();
-            states.push(state.clone());
-            for (position, (id, resp)) in order.iter().enumerate() {
-                let record = self.history.record(*id);
-                let invocation = self.history.invocation_of(record.invocation);
-                let response = self.history.response_of(*resp);
-                state = self
-                    .spec
-                    .step_if_legal(&state, invocation, response)
-                    .ok_or(CheckpointError::IllegalWitness { position })?;
-                states.push(state.clone());
-            }
+            // Rebuild the state path by replay: a crossed checkpoint (wrong
+            // spec, wrong config) must surface as an error, not a panic.
+            let states = self
+                .state_path(arena, &order)
+                .map_err(|position| CheckpointError::IllegalWitness { position })?;
             self.witness = Some(WitnessPath::new(order, states));
         }
         // With a witness the frontier is its order (the writer serialized

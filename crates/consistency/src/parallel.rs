@@ -28,17 +28,20 @@
 //!   fallback's; only `Unknown` (budget exhaustion, per-branch here instead
 //!   of global) can resolve differently, the same caveat the sequential
 //!   engine already carries relative to the from-scratch checker.
-//! * **Per-branch histories.**  The search interns specification responses
-//!   for completed-pending operations as it goes, which mutates the history's
-//!   payload arena; every worker therefore searches its own clone of the
-//!   (small, `Copy`-record) [`InternedHistory`] and returns found witnesses
-//!   with *resolved* response payloads, which the owning checker re-interns.
+//! * **One history, one arena.**  The history holds ids only and the search
+//!   never changes it, so every branch reads the owning checker's
+//!   [`InternedHistory`] in place.  The specification responses the search
+//!   interns for completed-pending operations go into the checker's shared
+//!   arena, so a found witness comes back as the ids it already is.  Each
+//!   branch takes its own read guard on that arena, and the calling thread
+//!   gives its own up for the duration: a branch that has to intern would
+//!   otherwise wait on the guard of the thread that is joining it.
 
 use crate::checker::CheckerConfig;
-use crate::history::InternedHistory;
+use crate::history::{ArenaRead, InternedHistory};
 use crate::incremental::{hash_state, pack_counts};
 use crate::search::{linearize, wing_gong, with_scratch, SearchContext, SearchOutcome};
-use drv_lang::{OpId, ProcId, Response, ResponseId};
+use drv_lang::{OpId, ProcId, ResponseId, SharedInterner};
 use drv_spec::SequentialSpec;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -112,24 +115,25 @@ struct RootBranch {
     on_hint: bool,
 }
 
-/// A branch's result slot: its outcome plus, for `Found`, the witness order
-/// with resolved response payloads.
-type BranchResult = (SearchOutcome, Vec<(OpId, Response)>);
+/// A branch's result slot: its outcome plus, for `Found`, the witness order.
+type BranchResult = (SearchOutcome, Vec<(OpId, ResponseId)>);
 
 /// Runs the fallback search with its root fanned out over at most `threads`
 /// scoped worker threads.  Returns the combined outcome (never
-/// [`SearchOutcome::Interrupted`]), for `Found` the linearization with
-/// resolved response payloads, ready for re-interning by the owning checker,
-/// and the total number of nodes explored across all branches.
+/// [`SearchOutcome::Interrupted`]), for `Found` the linearization, and the
+/// total number of nodes explored across all branches.  The caller must not
+/// hold a read guard on `arena`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn parallel_dfs<S: SequentialSpec>(
     spec: &S,
     history: &InternedHistory,
+    arena: &SharedInterner,
     config: &CheckerConfig,
     memo: &SharedMemo,
     epoch: u32,
     hint: &[OpId],
     threads: usize,
-) -> (SearchOutcome, Vec<(OpId, Response)>, u64) {
+) -> (SearchOutcome, Vec<(OpId, ResponseId)>, u64) {
     let n = history.process_count();
     let root_counts = vec![0u32; n];
     if history.is_done(&root_counts, config.allow_drop_pending) {
@@ -179,7 +183,6 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
             .map(|worker| {
                 let branches = &branches;
                 let stop = &stop;
-                let mut local_history = history.clone();
                 scope.spawn(move || {
                     let mut slots: Vec<(usize, BranchResult)> = Vec::new();
                     let mut explored_total = 0u64;
@@ -198,7 +201,8 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
                         let result = with_scratch(n, |scratch| {
                             let outcome = run_branch(
                                 spec,
-                                &mut local_history,
+                                history,
+                                &mut ArenaRead::new(arena),
                                 config,
                                 memo,
                                 epoch,
@@ -209,19 +213,13 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
                                 &mut scratch.order,
                                 &mut explored,
                             );
-                            let resolved = if matches!(outcome, SearchOutcome::Found) {
+                            let witness = if matches!(outcome, SearchOutcome::Found) {
                                 stop.store(true, Ordering::Relaxed);
-                                scratch
-                                    .order
-                                    .iter()
-                                    .map(|(id, resp)| {
-                                        (*id, local_history.response_of(*resp).clone())
-                                    })
-                                    .collect()
+                                scratch.order.clone()
                             } else {
                                 Vec::new()
                             };
-                            (outcome, resolved)
+                            (outcome, witness)
                         });
                         explored_total += explored as u64;
                         slots.push((index, result));
@@ -243,7 +241,7 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
     });
 
     let mut saw_budget = false;
-    let mut found: Option<Vec<(OpId, Response)>> = None;
+    let mut found: Option<Vec<(OpId, ResponseId)>> = None;
     for slot in results {
         match slot {
             Some((SearchOutcome::Found, order)) => {
@@ -272,7 +270,8 @@ pub(crate) fn parallel_dfs<S: SequentialSpec>(
 #[allow(clippy::too_many_arguments)]
 fn run_branch<S: SequentialSpec>(
     spec: &S,
-    history: &mut InternedHistory,
+    history: &InternedHistory,
+    arena: &mut ArenaRead<'_>,
     config: &CheckerConfig,
     memo: &SharedMemo,
     epoch: u32,
@@ -290,7 +289,7 @@ fn run_branch<S: SequentialSpec>(
     let (state, on_hint) = if branch.drop {
         (state, false)
     } else {
-        let Some((next_state, assigned)) = linearize(spec, history, &state, &op) else {
+        let Some((next_state, assigned)) = linearize(spec, arena, &state, &op) else {
             return SearchOutcome::NotFound;
         };
         order.push((op.id, assigned));
@@ -300,6 +299,7 @@ fn run_branch<S: SequentialSpec>(
     wing_gong(
         &SearchContext { spec, config, hint },
         history,
+        arena,
         |key| memo.claim(key, epoch),
         || stop.load(Ordering::Relaxed),
         counts,

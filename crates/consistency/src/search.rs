@@ -13,7 +13,7 @@
 //! node counts and the witness found depend on.
 
 use crate::checker::CheckerConfig;
-use crate::history::InternedHistory;
+use crate::history::{ArenaRead, InternedHistory};
 use crate::incremental::{hash_state, pack_counts};
 use drv_lang::{OpId, OpRecord, ProcId, ResponseId};
 use drv_spec::SequentialSpec;
@@ -126,23 +126,23 @@ pub(crate) struct SearchContext<'a, S: SequentialSpec> {
 /// The linearize choice for `op` from `state`: the successor state and the
 /// response the operation takes in the witness — the observed one, or for a
 /// pending operation the specification's (interned on sight; idempotent, so
-/// the arena stays small).
+/// the arena stays small, and the one point at which a search may have to
+/// give up its read guard).
 pub(crate) fn linearize<S: SequentialSpec>(
     spec: &S,
-    history: &mut InternedHistory,
+    arena: &mut ArenaRead<'_>,
     state: &S::State,
     op: &OpRecord,
 ) -> Option<(S::State, ResponseId)> {
+    let interner = arena.interner();
+    let invocation = interner.resolve_invocation(op.invocation);
     match op.response {
-        Some(observed) => {
-            let invocation = history.invocation_of(op.invocation);
-            let response = history.response_of(observed);
-            spec.step_if_legal(state, invocation, response)
-                .map(|next| (next, observed))
-        }
+        Some(observed) => spec
+            .step_if_legal(state, invocation, interner.resolve_response(observed))
+            .map(|next| (next, observed)),
         None => {
-            let (next, response) = spec.apply(state, history.invocation_of(op.invocation))?;
-            Some((next, history.intern_response(&response)))
+            let (next, response) = spec.apply(state, invocation)?;
+            Some((next, arena.response(&response)))
         }
     }
 }
@@ -196,7 +196,8 @@ const NO_HINT: usize = usize::MAX;
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn wing_gong<S: SequentialSpec>(
     ctx: &SearchContext<'_, S>,
-    history: &mut InternedHistory,
+    history: &InternedHistory,
+    arena: &mut ArenaRead<'_>,
     mut claim: impl FnMut((u128, u128)) -> bool,
     interrupted: impl Fn() -> bool,
     counts: &mut [u32],
@@ -292,7 +293,7 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
                     continue;
                 }
                 frame.child_proc = p;
-                if let Some((next, assigned)) = linearize(spec, history, &frame.state, &op) {
+                if let Some((next, assigned)) = linearize(spec, arena, &frame.state, &op) {
                     counts[p] += 1;
                     order.push((op.id, assigned));
                     frame.child = if op.is_pending() {

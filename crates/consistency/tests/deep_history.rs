@@ -213,3 +213,98 @@ fn a_checkpoint_without_the_standing_bit_restores_and_searches_once() {
         assert_eq!(step(&mut restored, symbol), (expected, searches));
     }
 }
+
+/// A checkpoint the parent of the commit that made the history the only copy
+/// of the word wrote (it kept every symbol in a vector of its own and wrote
+/// that), after the seven symbols of [`mixed_prefix`] under linearizability;
+/// under sequential consistency it wrote the same bytes with flags `0x04`
+/// (the NO stands) in place of `0x01` (the NO is latched).
+const PARENT_CHECKPOINT: [u8; 156] = [
+    0x01, 0x01, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+    0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00,
+    0x02, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// Everything a checkpoint's word section can hold: an orphan response and
+/// an invocation on top of a pending one (both skipped, both part of the
+/// word), a wild read (the NO), and an operation still pending at the cut.
+fn mixed_prefix() -> [Symbol; 7] {
+    let (p0, p1) = (ProcId(0), ProcId(1));
+    [
+        Symbol::invoke(p0, Invocation::Write(1)),
+        Symbol::respond(p1, Response::Ack),
+        Symbol::invoke(p0, Invocation::Read),
+        Symbol::respond(p0, Response::Ack),
+        Symbol::invoke(p1, Invocation::Read),
+        Symbol::respond(p1, Response::Value(7)),
+        Symbol::invoke(p0, Invocation::Read),
+    ]
+}
+
+#[test]
+fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
+    use CheckOutcome::{Consistent, Inconsistent};
+    let (p0, p1) = (ProcId(0), ProcId(1));
+    let rest = [
+        Symbol::respond(p0, Response::Value(1)),
+        // The reader's own write cannot explain its read; another
+        // process's can, under sequential consistency only.
+        Symbol::invoke(p1, Invocation::Write(7)),
+        Symbol::respond(p1, Response::Ack),
+        Symbol::invoke(p0, Invocation::Write(7)),
+        Symbol::respond(p0, Response::Ack),
+        Symbol::invoke(p1, Invocation::Read),
+        Symbol::respond(p1, Response::Value(7)),
+    ];
+    for (config, flags, last) in [
+        (CheckerConfig::linearizability(), 0x01, Inconsistent),
+        (CheckerConfig::sequential_consistency(), 0x04, Consistent),
+    ] {
+        let mut literal = PARENT_CHECKPOINT;
+        literal[1] = flags;
+        let mut twin = IncrementalChecker::new(Register::new(), config, 2);
+        for symbol in mixed_prefix() {
+            step(&mut twin, symbol);
+        }
+        assert_eq!(twin.symbols_consumed(), 7, "skipped symbols count");
+        assert_eq!(
+            twin.checkpoint_bytes(),
+            literal,
+            "{config:?}: this build writes other bytes"
+        );
+        let mut restored = IncrementalChecker::new(Register::new(), config, 2);
+        restored
+            .restore_bytes(&literal)
+            .expect("a parent-written checkpoint restores");
+        assert_eq!(restored.symbols_consumed(), 7);
+        assert_eq!(
+            restored.checkpoint_bytes(),
+            literal,
+            "{config:?}: restore lost a byte"
+        );
+        let mut answer = Inconsistent;
+        for (at, symbol) in rest.iter().enumerate() {
+            let (outcome, searches) = step(&mut restored, symbol.clone());
+            assert_eq!(
+                (outcome, searches),
+                step(&mut twin, symbol.clone()),
+                "{config:?}: restored copy diverged at symbol {at} after the cut"
+            );
+            answer = outcome;
+        }
+        assert_eq!(answer, last, "{config:?}");
+        assert_eq!(restored.stats(), twin.stats(), "{config:?}");
+        assert_eq!(
+            restored.checkpoint_bytes(),
+            twin.checkpoint_bytes(),
+            "{config:?}"
+        );
+    }
+}

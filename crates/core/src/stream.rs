@@ -28,7 +28,7 @@ use crate::monitor::MonitorFamily;
 use crate::verdict::Verdict;
 use drv_adversary::{InvocationKey, View};
 use drv_consistency::{CheckOutcome, CheckerConfig, CheckerStats, IncrementalChecker};
-use drv_lang::{Action, Invocation, ObjectId, ProcId, Symbol};
+use drv_lang::{Action, Invocation, ObjectId, ProcId, SharedInterner, Symbol};
 use drv_spec::SequentialSpec;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -201,6 +201,12 @@ impl<S: SequentialSpec> ObjectMonitor for CheckerObjectMonitor<S> {
 
 /// Factory for [`CheckerObjectMonitor`]s: every object gets its own
 /// long-lived incremental checker of the configured criterion.
+///
+/// The objects of a factory speak one alphabet, so the factory owns its
+/// payload arena and every checker it creates interns into it: a distinct
+/// invocation or response is stored once per factory, and what an object
+/// keeps per symbol is ids.  The arena only grows and lives as long as the
+/// factory or any of its monitors (clones of a factory share it).
 #[derive(Debug, Clone)]
 pub struct CheckerMonitorFactory<S> {
     spec: S,
@@ -208,6 +214,7 @@ pub struct CheckerMonitorFactory<S> {
     processes: usize,
     parallel_threads: usize,
     label: &'static str,
+    arena: SharedInterner,
 }
 
 impl<S: SequentialSpec + Clone> CheckerMonitorFactory<S> {
@@ -221,6 +228,7 @@ impl<S: SequentialSpec + Clone> CheckerMonitorFactory<S> {
             processes,
             parallel_threads: 1,
             label: "LIN",
+            arena: SharedInterner::new(),
         }
     }
 
@@ -233,6 +241,7 @@ impl<S: SequentialSpec + Clone> CheckerMonitorFactory<S> {
             processes,
             parallel_threads: 1,
             label: "SC",
+            arena: SharedInterner::new(),
         }
     }
 
@@ -258,8 +267,13 @@ impl<S: SequentialSpec + Clone + 'static> ObjectMonitorFactory for CheckerMonito
     }
 
     fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
-        let checker = IncrementalChecker::new(self.spec.clone(), self.config, self.processes)
-            .with_parallel_fallback(self.parallel_threads);
+        let checker = IncrementalChecker::with_arena(
+            self.spec.clone(),
+            self.config,
+            self.processes,
+            self.arena.clone(),
+        )
+        .with_parallel_fallback(self.parallel_threads);
         Box::new(CheckerObjectMonitor::new(object, checker, self.label))
     }
 }
@@ -595,6 +609,160 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_factory_stores_each_payload_once_for_all_its_objects() {
+        use std::collections::HashSet;
+        let factory = CheckerMonitorFactory::linearizability(Register::new(), 2);
+        let bystander = CheckerMonitorFactory::linearizability(Register::new(), 2);
+        // 40 operations over the same 10 values, on every one of 64 objects.
+        let mut word = Word::new();
+        for i in 0..20u64 {
+            let value = i % 10 + 1;
+            word.op(ProcId(0), Invocation::Write(value), Response::Ack);
+            word.op(ProcId(1), Invocation::Read, Response::Value(value));
+        }
+        for object in 0..64 {
+            let mut monitor = factory.create(obj(object));
+            let mut verdicts = Vec::new();
+            monitor.on_batch(word.symbols(), &mut verdicts);
+            assert!(verdicts.iter().all(|verdict| *verdict == Verdict::Yes));
+        }
+        let (mut invocations, mut responses) = (HashSet::new(), HashSet::new());
+        for symbol in word.symbols() {
+            match &symbol.action {
+                Action::Invoke(invocation) => invocations.insert(invocation.clone()),
+                Action::Respond(response) => responses.insert(response.clone()),
+            };
+        }
+        let distinct = (invocations.len(), responses.len());
+        assert_eq!(factory.arena.versions(), distinct, "once per factory, not per object");
+        assert_eq!(factory.clone().arena.versions(), distinct, "a clone shares the arena");
+        assert_eq!(bystander.arena.versions(), (0, 0), "factories do not share one");
+    }
+
+    /// A last-writer cell over user-defined payloads: `name(v)` stores `v`
+    /// and answers `name:previous`, so no two operations of a test need share
+    /// a payload, and the response the specification gives a pending
+    /// operation is one the arena has not seen either.
+    #[derive(Debug, Clone)]
+    struct NamedCell;
+
+    impl SequentialSpec for NamedCell {
+        type State = u64;
+
+        fn name(&self) -> String {
+            "named cell".into()
+        }
+
+        fn kind(&self) -> drv_lang::ObjectKind {
+            drv_lang::ObjectKind::Register
+        }
+
+        fn initial(&self) -> u64 {
+            0
+        }
+
+        fn apply(&self, state: &u64, invocation: &Invocation) -> Option<(u64, Response)> {
+            match invocation {
+                Invocation::Custom(name, value) => {
+                    Some((*value, Response::Custom(name.clone(), *state)))
+                }
+                _ => None,
+            }
+        }
+    }
+
+    /// Overlapping pairs of cell operations under names nobody else uses;
+    /// the tenth operation answers with a value the cell never held.
+    fn named_cell_stream(owner: &str) -> Vec<Symbol> {
+        let mut symbols = Vec::new();
+        let mut held = 0u64;
+        for pair in 0..8u64 {
+            let (a, b) = (2 * pair + 1, 2 * pair + 2);
+            let name = |op: u64| format!("{owner}/op{op}");
+            let observed = if a == 9 { 77 } else { held };
+            symbols.extend([
+                Symbol::invoke(ProcId(0), Invocation::Custom(name(a), a)),
+                Symbol::invoke(ProcId(1), Invocation::Custom(name(b), b)),
+                Symbol::respond(ProcId(0), Response::Custom(name(a), observed)),
+                Symbol::respond(ProcId(1), Response::Custom(name(b), a)),
+            ]);
+            held = b;
+        }
+        symbols
+    }
+
+    #[test]
+    fn threads_intern_into_one_factory_arena_without_deadlock() {
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+        const THREADS: u64 = 4;
+        const OBJECTS: u64 = 6;
+        type Streams = Vec<(ObjectId, Vec<Verdict>)>;
+        // One thread's share: its own objects, fed one symbol per visit
+        // round-robin, so a run holds the arena's read guard while the other
+        // threads want to write — for the fed payloads and, with operations
+        // pending at every search, for the specification's responses.
+        fn feed(factory: &dyn ObjectMonitorFactory, thread: u64) -> Streams {
+            let mut objects: Vec<_> = (0..OBJECTS)
+                .map(|i| {
+                    let object = obj(thread * OBJECTS + i);
+                    let stream = named_cell_stream(&format!("t{thread}/{object}"));
+                    (object, factory.create(object), stream, Vec::new())
+                })
+                .collect();
+            for at in 0..objects[0].2.len() {
+                for (_, monitor, stream, verdicts) in &mut objects {
+                    monitor.on_batch(&stream[at..=at], verdicts);
+                }
+            }
+            objects
+                .into_iter()
+                .map(|(object, _, _, verdicts)| (object, verdicts))
+                .collect()
+        }
+        for make in [
+            CheckerMonitorFactory::linearizability,
+            CheckerMonitorFactory::sequential_consistency,
+        ] {
+            let alone = make(NamedCell, 2);
+            let expected: Vec<Streams> = (0..THREADS).map(|t| feed(&alone, t)).collect();
+            let verdicts = expected.iter().flatten().flat_map(|(_, verdicts)| verdicts);
+            assert!(verdicts.clone().any(|verdict| *verdict == Verdict::No));
+            assert!(verdicts.clone().any(|verdict| *verdict == Verdict::Yes));
+
+            let shared = Arc::new(make(NamedCell, 2));
+            let start = Arc::new(Barrier::new(THREADS as usize));
+            let (done, results) = mpsc::channel();
+            for thread in 0..THREADS {
+                let (shared, start, done) = (Arc::clone(&shared), Arc::clone(&start), done.clone());
+                // Detached on purpose: a deadlocked thread must fail the
+                // test below by message, not hang a join.
+                std::thread::spawn(move || {
+                    start.wait();
+                    let streams = feed(shared.as_ref(), thread);
+                    let _ = done.send((thread, streams));
+                });
+            }
+            for _ in 0..THREADS {
+                let (thread, streams) = results
+                    .recv_timeout(Duration::from_secs(120))
+                    .expect("a thread feeding monitors of a shared arena deadlocked or died");
+                assert_eq!(
+                    streams, expected[thread as usize],
+                    "{} thread {thread}",
+                    alone.label
+                );
+            }
+            assert_eq!(
+                shared.arena.versions(),
+                alone.arena.versions(),
+                "{}: the payloads of all threads' objects, each once",
+                alone.label
+            );
         }
     }
 

@@ -299,26 +299,34 @@ impl EngineMetrics {
         }
     }
 
-    /// Folds the monitor's monotone checker counters in as deltas against
-    /// the slot's last harvest, so each retirement/run adds exactly the
-    /// new work.
-    fn harvest(&self, slot: &mut ObjectSlot) {
+    /// The monitor's monotone checker counters as deltas against the slot's
+    /// last harvest, added onto `into`; the slot's watermark moves up, so
+    /// each run and the retirement count exactly the new work.
+    fn harvest(slot: &mut ObjectSlot, into: &mut CheckerStats) {
         let Some(now) = slot.monitor.checker_stats() else {
             return;
         };
         let last = slot.harvested;
-        self.checker_checks.add(now.checks.wrapping_sub(last.checks));
-        self.checker_fast_path
-            .add(now.fast_path.wrapping_sub(last.fast_path));
-        self.checker_splices.add(now.splices.wrapping_sub(last.splices));
-        self.checker_repairs.add(now.repairs.wrapping_sub(last.repairs));
-        self.checker_dfs_runs
-            .add(now.dfs_runs.wrapping_sub(last.dfs_runs));
-        self.checker_dfs_nodes
-            .add(now.dfs_nodes.wrapping_sub(last.dfs_nodes));
-        self.checker_latched
-            .add(now.latched.wrapping_sub(last.latched));
+        into.checks += now.checks.wrapping_sub(last.checks);
+        into.fast_path += now.fast_path.wrapping_sub(last.fast_path);
+        into.splices += now.splices.wrapping_sub(last.splices);
+        into.repairs += now.repairs.wrapping_sub(last.repairs);
+        into.dfs_runs += now.dfs_runs.wrapping_sub(last.dfs_runs);
+        into.dfs_nodes += now.dfs_nodes.wrapping_sub(last.dfs_nodes);
+        into.latched += now.latched.wrapping_sub(last.latched);
         slot.harvested = now;
+    }
+
+    /// Folds harvested deltas into the registry and zeroes them.
+    fn fold(&self, harvested: &mut CheckerStats) {
+        let delta = std::mem::take(harvested);
+        self.checker_checks.add(delta.checks);
+        self.checker_fast_path.add(delta.fast_path);
+        self.checker_splices.add(delta.splices);
+        self.checker_repairs.add(delta.repairs);
+        self.checker_dfs_runs.add(delta.dfs_runs);
+        self.checker_dfs_nodes.add(delta.dfs_nodes);
+        self.checker_latched.add(delta.latched);
     }
 }
 
@@ -557,7 +565,9 @@ impl Shared {
     ) {
         // Fold in the checker work the registry has not seen yet — the
         // monitor is about to be dropped.
-        self.m.harvest(&mut slot);
+        let mut unseen = CheckerStats::default();
+        EngineMetrics::harvest(&mut slot, &mut unseen);
+        self.m.fold(&mut unseen);
         if let Some(verdict) = slot.monitor.finalize() {
             let seq = slot.base + slot.verdicts.len() as u64;
             slot.verdicts.push(verdict);
@@ -765,7 +775,10 @@ impl Shared {
                 slot.monitor
                     .on_batch(&scratch.symbols[swallow..], &mut scratch.verdicts);
                 self.tel.observe(check_started, &self.m.check_ns);
-                self.m.harvest(slot);
+                // A run can be one event: its counters go to the registry
+                // with the rest of the drained batch's, not in seven atomic
+                // adds of their own.
+                EngineMetrics::harvest(slot, &mut scratch.harvested);
                 if let Some((trace_id, enqueue_ns)) = traced {
                     let run_end = self.tel.clock().now_ns();
                     let started = run_started.unwrap_or(run_end);
@@ -860,6 +873,9 @@ impl Shared {
                 index = end;
             }
             drop(state);
+            // Before the pending guard drops: whoever reads `backlog() == 0`
+            // reads every checker counter of the work that emptied it.
+            self.m.fold(&mut scratch.harvested);
             let flush_started =
                 (!scratch.traced.is_empty()).then(|| self.tel.clock().now_ns());
             self.flush_delivery(&subs, &mut scratch.delivery);
@@ -990,6 +1006,9 @@ struct WorkerScratch {
     /// span per traced run.  Reused across batches; empty whenever no trace
     /// is in flight.
     traced: Vec<(u64, u64)>,
+    /// Checker counter deltas of the current drained batch's runs, folded
+    /// into the registry once per batch.
+    harvested: CheckerStats,
 }
 
 /// Check-latency sampling period (a power of two).  A run can be a single

@@ -11,8 +11,22 @@
 //! materializing a witness).
 //!
 //! Ids are only meaningful relative to the interner that produced them;
-//! nothing enforces this at the type level, so keep one interner per engine
-//! (the incremental checker owns its own).
+//! nothing enforces this at the type level, so know which arena an id came
+//! from.  Two arenas exist in a serving process, both [`SharedInterner`]s:
+//!
+//! * **the engine's** — owned by the `MonitoringEngine`, filled by the wire
+//!   decoder and `submit_batch`, read by the workers through their
+//!   [`InternerMirror`]s; it lives as long as the engine;
+//! * **the factory's** — owned by a `CheckerMonitorFactory` and handed, as a
+//!   clone of the handle, to every incremental checker the factory creates
+//!   (a checker built on its own makes a private one); it lives as long as
+//!   the factory or its last checker, whichever goes later.
+//!
+//! Both only ever grow: an entry is never removed, so an id stays valid for
+//! the arena's lifetime and evicting an object does not return the payloads
+//! it brought.  That has always been true of the engine's arena; the
+//! factory's extends the same property to the checkers, in exchange for one
+//! copy of each payload per fleet instead of one per object.
 
 use crate::operation::OpId;
 use crate::symbol::{Invocation, ProcId, Response};
@@ -198,8 +212,24 @@ impl SharedInterner {
         (guard.invocation_count(), guard.response_count())
     }
 
+    /// Locks the arenas for reading: resolve and probe any number of ids
+    /// through one acquisition, without cloning a payload out.
+    ///
+    /// The calling thread must not intern through this handle (or take a
+    /// second guard) while it holds the guard: a writer queued in between
+    /// blocks new readers, and the thread would wait on itself.  Probe with
+    /// [`Interner::lookup_invocation`] / [`Interner::lookup_response`] under
+    /// the guard and, on a miss, drop it before interning.
+    #[must_use]
+    pub fn read(&self) -> InternerReadGuard<'_> {
+        InternerReadGuard {
+            guard: self.inner.read(),
+        }
+    }
+
     /// Clones the invocation behind an id out of the arena (mirror-free
-    /// slow path; use an [`InternerMirror`] in loops).
+    /// slow path; use [`SharedInterner::read`] or an [`InternerMirror`] in
+    /// loops).
     ///
     /// # Panics
     ///
@@ -217,6 +247,20 @@ impl SharedInterner {
     #[must_use]
     pub fn resolve_response(&self, id: ResponseId) -> Response {
         self.inner.read().resolve_response(id).clone()
+    }
+}
+
+/// Shared read access to a [`SharedInterner`]'s arenas, from
+/// [`SharedInterner::read`]; dereferences to the [`Interner`].
+pub struct InternerReadGuard<'a> {
+    guard: parking_lot::RwLockReadGuard<'a, Interner>,
+}
+
+impl std::ops::Deref for InternerReadGuard<'_> {
+    type Target = Interner;
+
+    fn deref(&self) -> &Interner {
+        &self.guard
     }
 }
 
@@ -339,6 +383,22 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(shared.versions().0, 1);
         assert_eq!(shared.resolve_invocation(ids[0]), Invocation::Write(42));
+    }
+
+    #[test]
+    fn a_read_guard_resolves_and_probes_without_cloning() {
+        let shared = SharedInterner::new();
+        let write = shared.invocation(&Invocation::Custom("cas".into(), 3));
+        let ack = shared.response(&Response::Ack);
+        let guard = shared.read();
+        assert_eq!(
+            guard.resolve_invocation(write),
+            &Invocation::Custom("cas".into(), 3)
+        );
+        assert_eq!(guard.lookup_response(&Response::Ack), Some(ack));
+        assert_eq!(guard.lookup_invocation(&Invocation::Read), None);
+        // Shared with other readers, as the per-call accessors are.
+        assert_eq!(shared.read().invocation_count(), 1);
     }
 
     #[test]

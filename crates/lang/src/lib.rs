@@ -61,7 +61,9 @@ pub mod word;
 
 pub use alphabet::{ObjectKind, SymbolSampler};
 pub use batch::{EventAction, EventBatch, EventRecord, TraceContext, VerdictBatch};
-pub use intern::{Interner, InternerMirror, InvocationId, OpRecord, ResponseId, SharedInterner};
+pub use intern::{
+    Interner, InternerMirror, InternerReadGuard, InvocationId, OpRecord, ResponseId, SharedInterner,
+};
 pub use language::{Complement, Intersection, Language, RunVerdict, Union};
 pub use oblivious::{oblivious_counterexample, ObliviousReport, ObliviousnessTester};
 pub use operation::{operations, OpId, Operation, OperationSet, Ordering as OpOrdering};
