@@ -13,7 +13,7 @@ use drv_spec::Register;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 fn factory() -> Arc<CheckerMonitorFactory<Register>> {
@@ -221,9 +221,46 @@ fn finish_never_deadlocks_on_an_abandoned_full_subscription() {
 /// Eviction and the idle-TTL sweep free slots without changing what is
 /// reported: a quiesced object's stream is bit-identical to an un-evicted
 /// run, and re-traffic after retirement starts a fresh monitor whose seq
-/// numbers continue where the retired stream left off.
+/// numbers continue where the retired stream left off.  The idle clock
+/// reads submission order even though a claim processes grouped by object.
 #[test]
 fn ttl_sweep_retires_idle_objects_and_keeps_reports_identical() {
+    // Two objects interleaved in one shard, one claim each round.  Object
+    // 20 is processed first (the claim groups by object id), but its last
+    // event is the last one submitted: its `last_seen` must be 23 of 24,
+    // where a processing-order clock would read 3 and the claim's own
+    // sweep would expire it at once.
+    let early = clean_stream(20, 1);
+    let mut round = early[..2].to_vec();
+    round.extend(clean_stream(21, 5));
+    round.extend_from_slice(&early[2..]);
+    let later = clean_stream(21, 4);
+    let engine = MonitoringEngine::new(
+        EngineConfig::new(1).with_shards(1).with_idle_ttl(16),
+        factory(),
+    );
+    // After the second claim object 20 is 40 − 23 = 17 ≥ 16 events idle.
+    for (events, evicted) in [(&round, 0), (&later, 1)] {
+        let mut batch = EventBatch::new();
+        for (object, symbol) in events {
+            batch.push_symbol(*object, symbol, engine.interner());
+        }
+        engine.submit_batch(&batch);
+        assert!(wait_until(Duration::from_secs(10), || engine.backlog() == 0));
+        assert_eq!(
+            engine.live_stats().evicted,
+            evicted,
+            "object 20's idle clock"
+        );
+    }
+    let mut all = round.clone();
+    all.extend(later);
+    let expected = sequential_reference(factory().as_ref(), &all);
+    let report = engine.finish().expect("no panics");
+    for (object, verdicts) in &expected {
+        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "{object}");
+    }
+
     let idle_events = clean_stream(0, 2);
     let busy_events = clean_stream(1, 30);
     let expected_idle = sequential_reference(factory().as_ref(), &idle_events);
@@ -338,6 +375,267 @@ fn zero_backlog_means_every_verdict_is_pollable() {
             engine.finish().expect("no panics");
         }
     }
+}
+
+// --- the grouped claim -------------------------------------------------
+
+/// Wraps the register checker and records `(object, run length)` for every
+/// `on_batch` call the engine makes.
+struct CountingFactory {
+    inner: Arc<CheckerMonitorFactory<Register>>,
+    calls: Arc<Mutex<Vec<(ObjectId, usize)>>>,
+}
+struct CountingMonitor {
+    object: ObjectId,
+    inner: Box<dyn ObjectMonitor>,
+    calls: Arc<Mutex<Vec<(ObjectId, usize)>>>,
+}
+impl ObjectMonitor for CountingMonitor {
+    fn name(&self) -> Cow<'_, str> {
+        self.inner.name()
+    }
+    fn on_symbol(&mut self, symbol: &Symbol) -> Verdict {
+        self.inner.on_symbol(symbol)
+    }
+    fn on_batch(&mut self, symbols: &[Symbol], verdicts: &mut Vec<Verdict>) {
+        self.calls
+            .lock()
+            .unwrap()
+            .push((self.object, symbols.len()));
+        self.inner.on_batch(symbols, verdicts);
+    }
+}
+impl ObjectMonitorFactory for CountingFactory {
+    fn name(&self) -> Cow<'_, str> {
+        Cow::Borrowed("counting")
+    }
+    fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
+        Box::new(CountingMonitor {
+            object,
+            inner: self.inner.create(object),
+            calls: Arc::clone(&self.calls),
+        })
+    }
+}
+
+/// `per_object` events of clean traffic for each of objects `0..objects`,
+/// interleaved one event per object at a time.
+fn round_robin(objects: u64, per_object: usize) -> Vec<(ObjectId, Symbol)> {
+    let rounds = per_object.div_ceil(4) as u64;
+    let streams: Vec<Vec<(ObjectId, Symbol)>> = (0..objects)
+        .map(|object| clean_stream(object, rounds)[..per_object].to_vec())
+        .collect();
+    (0..per_object)
+        .flat_map(|step| streams.iter().map(move |stream| stream[step].clone()))
+        .collect()
+}
+
+/// The tentpole's contract: one claim takes the whole shard queue and feeds
+/// each object's events to its monitor as one run, however finely the
+/// producer interleaved them — 3 objects × 50 round-robin events in one
+/// `submit_batch` are three `on_batch` calls of 50, in one claim, with
+/// verdict streams equal to the sequential reference.
+#[test]
+fn one_claim_feeds_each_object_one_run_in_queue_order() {
+    let events = round_robin(3, 50);
+    let expected = sequential_reference(factory().as_ref(), &events);
+    let calls = Arc::new(Mutex::new(Vec::new()));
+    let engine = MonitoringEngine::new(
+        EngineConfig::new(1).with_shards(1),
+        Arc::new(CountingFactory {
+            inner: factory(),
+            calls: Arc::clone(&calls),
+        }),
+    );
+    let tel = Arc::clone(engine.telemetry());
+    let mut batch = EventBatch::new();
+    for (object, symbol) in &events {
+        batch.push_symbol(*object, symbol, engine.interner());
+    }
+    engine.submit_batch(&batch);
+    let report = engine.finish().expect("no panics");
+    for (object, verdicts) in &expected {
+        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "{object}");
+    }
+    let mut calls = calls.lock().unwrap().clone();
+    calls.sort_unstable();
+    assert_eq!(
+        calls,
+        [(ObjectId(0), 50), (ObjectId(1), 50), (ObjectId(2), 50)]
+    );
+    let snap = tel.snapshot();
+    assert_eq!(
+        snap.counter("engine_batches"),
+        Some(1),
+        "one claim took the queue"
+    );
+    assert_eq!(snap.counter("engine_runs"), Some(3), "one run per object");
+    assert_eq!(snap.counter("engine_events"), Some(150));
+}
+
+/// Records the stream position of every checkpoint the engine writes.
+#[derive(Default)]
+struct RecordingSink {
+    checkpoints: Mutex<Vec<(ObjectId, usize)>>,
+}
+
+impl JournalSink for RecordingSink {
+    fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {}
+    fn checkpoint_interval(&self) -> u64 {
+        16
+    }
+    fn checkpoint(&self, object: ObjectId, verdicts: &[Verdict], _state: &[u8]) {
+        self.checkpoints
+            .lock()
+            .unwrap()
+            .push((object, verdicts.len()));
+    }
+    fn tombstone(&self, _object: ObjectId) {}
+}
+
+/// A grouped claim hands each object its 50 events at once, yet the
+/// checkpoints still land on every 16th event — where one-event runs put
+/// them — so the journal's bytes do not depend on how a claim grouped the
+/// traffic: each run is fed as 16 + 16 + 16 + 2.
+#[test]
+fn checkpoints_land_on_the_interval_however_a_claim_groups() {
+    let engine = MonitoringEngine::new(EngineConfig::new(1).with_shards(1), factory());
+    let sink = Arc::new(RecordingSink::default());
+    engine.attach_journal(sink.clone());
+    let tel = Arc::clone(engine.telemetry());
+    let mut batch = EventBatch::new();
+    for (object, symbol) in &round_robin(3, 50) {
+        batch.push_symbol(*object, symbol, engine.interner());
+    }
+    engine.submit_batch(&batch);
+    engine.finish().expect("no panics");
+    let mut checkpoints = sink.checkpoints.lock().unwrap().clone();
+    checkpoints.sort_unstable();
+    let expected: Vec<(ObjectId, usize)> = (0..3)
+        .flat_map(|object| [16, 32, 48].map(|fed| (ObjectId(object), fed)))
+        .collect();
+    assert_eq!(checkpoints, expected);
+    let snap = tel.snapshot();
+    assert_eq!(snap.counter("engine_batches"), Some(1));
+    assert_eq!(snap.counter("engine_runs"), Some(12));
+}
+
+/// Returns `Maybe(k)` for the `k`-th symbol of its generation and `No` on
+/// retirement; the first monitor of [`GATED`] blocks on its first symbol
+/// until released, holding the only worker while the test queues work.
+struct GenerationMonitor {
+    seen: u32,
+    gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+}
+impl ObjectMonitor for GenerationMonitor {
+    fn name(&self) -> Cow<'_, str> {
+        Cow::Borrowed("generation")
+    }
+    fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
+        if let Some((entered, release)) = self.gate.take() {
+            entered.send(()).expect("test waits for the gate");
+            release.recv().expect("test releases the gate");
+        }
+        self.seen += 1;
+        Verdict::Maybe(self.seen)
+    }
+    fn finalize(&mut self) -> Option<Verdict> {
+        Some(Verdict::No)
+    }
+}
+const GATED: ObjectId = ObjectId(99);
+struct GenerationFactory {
+    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+impl ObjectMonitorFactory for GenerationFactory {
+    fn name(&self) -> Cow<'_, str> {
+        Cow::Borrowed("generation")
+    }
+    fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
+        let gate = if object == GATED {
+            self.gate.lock().unwrap().take()
+        } else {
+            None
+        };
+        Box::new(GenerationMonitor { seen: 0, gate })
+    }
+}
+
+/// Grouping never moves an eviction marker across its object's events:
+/// with `A B A evict(A) A B` queued behind a held worker, the grouped claim
+/// finalizes A after exactly its first two events, and the third goes to a
+/// fresh generation whose `seq` continues after the finalize verdict.
+#[test]
+fn an_eviction_marker_splits_its_objects_run_in_a_grouped_claim() {
+    let (a, b) = (ObjectId(2), ObjectId(1));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let engine = MonitoringEngine::new(
+        EngineConfig::new(1).with_shards(1),
+        Arc::new(GenerationFactory {
+            gate: Mutex::new(Some((entered_tx, release_rx))),
+        }),
+    );
+    let tel = Arc::clone(engine.telemetry());
+    let subscription = engine.subscribe(64);
+    let symbol = Symbol::invoke(ProcId(0), Invocation::Read);
+    engine.submit(GATED, &symbol);
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the worker reaches the gate");
+    for object in [a, b, a] {
+        engine.submit(object, &symbol);
+    }
+    engine.evict(a);
+    for object in [a, b] {
+        engine.submit(object, &symbol);
+    }
+    release_tx.send(()).expect("the gated monitor waits");
+    assert!(wait_until(Duration::from_secs(10), || engine.backlog() == 0));
+    let mut received = VerdictBatch::new();
+    subscription.poll_batch(&mut received);
+    let stream = |wanted: ObjectId| -> Vec<(u64, Verdict)> {
+        received
+            .iter()
+            .filter(|(object, _, _)| *object == wanted)
+            .map(|(_, seq, verdict)| (seq, verdict))
+            .collect()
+    };
+    assert_eq!(
+        stream(a),
+        [
+            (0, Verdict::Maybe(1)),
+            (1, Verdict::Maybe(2)),
+            (2, Verdict::No),
+            (3, Verdict::Maybe(1)),
+        ],
+        "A's stream splits exactly at the marker"
+    );
+    assert_eq!(stream(b), [(0, Verdict::Maybe(1)), (1, Verdict::Maybe(2))]);
+    let snap = tel.snapshot();
+    assert_eq!(
+        snap.counter("engine_batches"),
+        Some(2),
+        "the gate's claim, then one"
+    );
+    assert_eq!(
+        snap.counter("engine_runs"),
+        Some(4),
+        "gate, B, A before and after"
+    );
+    let report = engine.finish().expect("no panics");
+    assert_eq!(
+        report.verdicts(a),
+        Some(
+            &[
+                Verdict::Maybe(1),
+                Verdict::Maybe(2),
+                Verdict::No,
+                Verdict::Maybe(1),
+                Verdict::No
+            ][..]
+        )
+    );
 }
 
 // --- panic-path regressions -------------------------------------------

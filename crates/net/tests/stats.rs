@@ -69,6 +69,10 @@ fn client_stats_returns_the_live_registry_snapshot() {
     // with the flat counters they are the source of truth for.
     let snap = &reply.telemetry;
     assert_eq!(snap.counter("engine_events"), Some(n));
+    // Events per monitor call — the run length the grouped claims achieve —
+    // is readable from outside the process.
+    let runs = snap.counter("engine_runs").expect("registered");
+    assert!((1..=n).contains(&runs), "{runs} runs for {n} events");
     assert_eq!(snap.counter("net_events"), Some(n));
     assert!(snap.counter("net_batches").unwrap() > 0);
     assert!(snap.counter("net_rx_bytes").unwrap() > 0);
