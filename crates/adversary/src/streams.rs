@@ -1,12 +1,12 @@
 //! Seeded multi-object register traffic: the shared scenario generator of
-//! the workspace's differential suites and load generators.
+//! the workspace's differential suites and benches.
 //!
 //! Several consumers — the engine's differential tests, the network
-//! loopback tests, the engine bench and the `netload` load generator —
-//! need the same shape of traffic: per-object register histories from a
-//! few client processes, with overlapping operations (real concurrency for
-//! the checkers to resolve) and, optionally, injected stale reads (so both
-//! YES and NO verdicts occur).  This module is the one copy of that
+//! loopback tests and the checker and engine benches — need the same shape
+//! of traffic: per-object register histories from a few client processes,
+//! with overlapping operations (real concurrency for the checkers to
+//! resolve) and, optionally, injected stale reads (so both YES and NO
+//! verdicts occur).  This module is the one copy of that
 //! generator; each consumer picks its [`RegisterStreamShape`] and merge
 //! order.
 //!

@@ -235,16 +235,15 @@ fn main() {
          ({total} symbols), {parallelism} hardware threads"
     );
     if parallelism == 1 {
-        // The ROADMAP "multi-core re-baseline" item, self-documenting: the
-        // recorded hardware-thread count travels with the JSON, and nobody
-        // should mistake a time-sliced run for a scaling measurement.
+        // The recorded hardware-thread count travels with the JSON, and
+        // nobody should mistake a time-sliced run for a scaling measurement.
         eprintln!(
             "\n\
              ==========================================================================\n\
              WARNING: only 1 hardware thread detected. Every multi-worker speedup in\n\
              this run (and in the BENCH_engine.json it writes) measures pipelining,\n\
              not parallelism. Re-run on a >= 4-core machine before tuning batch size\n\
-             or shard count (see ROADMAP: multi-core perf validation).\n\
+             or shard count.\n\
              ==========================================================================\n"
         );
     }

@@ -198,8 +198,7 @@ impl<'a> ArenaRead<'a> {
         self.guard.get_or_insert_with(|| self.handle.read())
     }
 
-    /// Gives the guard up and returns the handle: for interning, and for
-    /// waiting on threads that may.
+    /// Gives the guard up and returns the handle, for interning.
     pub(crate) fn release(&mut self) -> &'a SharedInterner {
         self.guard = None;
         self.handle

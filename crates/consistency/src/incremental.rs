@@ -114,15 +114,13 @@
 
 use crate::checker::{CheckerConfig, ConsistencyResult, Witness};
 use crate::history::{ArenaRead, HistoryDelta, InternedAction, InternedHistory};
-use crate::parallel::{parallel_dfs, SharedMemo};
-use crate::search::{wing_gong, with_scratch, Scratch, SearchContext, SearchOutcome};
+use crate::search::{wing_gong, with_scratch, SearchContext, SearchOutcome};
 use drv_lang::wire::{
     put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
 };
 use drv_lang::{Action, CodecError, OpId, ProcId, ResponseId, SharedInterner, Symbol, Word};
 use drv_spec::SequentialSpec;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// 128-bit FNV-1a, fed through the standard `Hash` machinery so any
 /// `Hash`-implementing sequential state can be fingerprinted without cloning.
@@ -207,10 +205,6 @@ pub struct CheckerStats {
     pub repairs: u64,
     /// Fallback DFS runs.
     pub dfs_runs: u64,
-    /// Fallback runs that were fanned out across threads (a subset of
-    /// [`CheckerStats::dfs_runs`]; only ever non-zero after
-    /// [`IncrementalChecker::with_parallel_fallback`]).
-    pub parallel_dfs_runs: u64,
     /// Total DFS nodes explored across all fallback runs.
     pub dfs_nodes: u64,
     /// Full resets because the fed word was not an extension of the
@@ -464,20 +458,13 @@ struct Core<S: SequentialSpec> {
     standing_no: bool,
     /// Cached verdict for the current history, cleared on every new symbol.
     cached: Option<CheckOutcome>,
-    /// The concurrent fallback, when enabled: the thread fan-out plus the
-    /// sharded-lock memo the branches share (epochs are this checker's, so
-    /// the memo must not be shared *between* checkers).
-    parallel: Option<ParallelFallback>,
+    /// Counts resets and searches.  Only the checkpoint reads it, and it
+    /// keeps counting so checkpoints stay byte-identical to the ones
+    /// already written in this format.
     epoch: u32,
     stats: CheckerStats,
     /// See [`IncrementalChecker::maintenance_steps`].
     maintenance_steps: u64,
-}
-
-#[derive(Clone)]
-struct ParallelFallback {
-    threads: usize,
-    memo: Arc<SharedMemo>,
 }
 
 impl<S: SequentialSpec> std::fmt::Debug for IncrementalChecker<S> {
@@ -521,32 +508,11 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 latched_inconsistent: false,
                 standing_no: false,
                 cached: None,
-                parallel: None,
                 epoch: 0,
                 stats: CheckerStats::default(),
                 maintenance_steps: 0,
             },
         }
-    }
-
-    /// Enables the parallel fallback: hard re-checks (the Wing–Gong DFS)
-    /// fan their root branches out over up to `threads` scoped threads with
-    /// a [`SharedMemo`] behind sharded locks.  `threads <= 1` keeps the
-    /// sequential fallback.
-    ///
-    /// Definite verdicts are unchanged; only `Unknown` can resolve
-    /// differently (the node budget applies per branch instead of globally).
-    /// Because branches race to claim memo entries, which side of the budget
-    /// a *budget-bound* search lands on can also vary run to run — give the
-    /// engine a budget its histories comfortably fit in (the default
-    /// 1 000 000 nodes, say) when bit-stable verdict streams are required.
-    #[must_use]
-    pub fn with_parallel_fallback(mut self, threads: usize) -> Self {
-        self.core.parallel = (threads > 1).then(|| ParallelFallback {
-            threads,
-            memo: Arc::new(SharedMemo::new(threads * 4)),
-        });
-        self
     }
 
     /// The engine's configuration.
@@ -671,8 +637,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// resolved — a checkpoint does not depend on the arena that wrote it),
     /// the maintained witness (as `(process, local index, response)`
     /// triples — the operation identity that survives reconstruction), the
-    /// search frontier, the latch, the standing NO, the memo epoch, and the
-    /// stats counters.
+    /// search frontier, the latch, the standing NO, the epoch counter, and
+    /// the stats counters.
     ///
     /// What is *not* serialized: dead configurations (they are scoped to a
     /// single DFS run, so prior contents can never influence a verdict) and
@@ -714,14 +680,11 @@ impl<S: SequentialSpec> Core<S> {
         self.bump_epoch();
     }
 
+    /// Advances the epoch counter, skipping 0 on wrap-around.  The counter
+    /// decides nothing, but checkpoint bytes carry it.
     fn bump_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            // One-in-4-billion wrap: drop the table rather than risk stale
-            // epoch-0 entries being trusted.
-            if let Some(parallel) = &self.parallel {
-                parallel.memo.clear();
-            }
             self.epoch = 1;
         }
     }
@@ -1083,14 +1046,7 @@ impl<S: SequentialSpec> Core<S> {
         self.stats.dfs_runs += 1;
         self.bump_epoch();
         let hint = std::mem::take(&mut self.frontier);
-        let fan_out = self
-            .parallel
-            .clone()
-            .filter(|_| self.history.process_count() >= 2 && !self.history.is_empty());
-        let (outcome, order) = match fan_out {
-            Some(parallel) => self.search_parallel(arena, &parallel, &hint),
-            None => self.search_sequential(arena, &hint),
-        };
+        let (outcome, order) = self.search(arena, &hint);
         if let SearchOutcome::Found = outcome {
             // The witness order is the frontier from here on; the old hint
             // is dropped.
@@ -1114,7 +1070,7 @@ impl<S: SequentialSpec> Core<S> {
     }
 
     /// The search on the calling thread, on that thread's scratch.
-    fn search_sequential(
+    fn search(
         &mut self,
         arena: &mut ArenaRead<'_>,
         hint: &[OpId],
@@ -1127,57 +1083,17 @@ impl<S: SequentialSpec> Core<S> {
         let history = &self.history;
         let mut explored = 0usize;
         let result = with_scratch(history.process_count(), |scratch| {
-            let Scratch {
-                dead,
-                counts,
-                order,
-            } = scratch;
-            let outcome = wing_gong(
-                &ctx,
-                history,
-                arena,
-                |key| dead.insert(key),
-                || false,
-                counts,
-                ctx.spec.initial(),
-                true,
-                order,
-                &mut explored,
-            );
+            let outcome = wing_gong(&ctx, history, arena, scratch, &mut explored);
             // Only a witness leaves the scratch; it is exactly as long as
             // the operations it orders.
             let witness = match outcome {
-                SearchOutcome::Found => order.clone(),
+                SearchOutcome::Found => scratch.order.clone(),
                 _ => Vec::new(),
             };
             (outcome, witness)
         });
         self.stats.dfs_nodes += explored as u64;
         result
-    }
-
-    /// The search fanned out across the root's first-branch processes (see
-    /// [`crate::parallel`]).  The branches take their own guards on the
-    /// arena and may intern, so this thread's guard is given up first.
-    fn search_parallel(
-        &mut self,
-        arena: &mut ArenaRead<'_>,
-        parallel: &ParallelFallback,
-        hint: &[OpId],
-    ) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
-        self.stats.parallel_dfs_runs += 1;
-        let (outcome, order, nodes) = parallel_dfs(
-            &self.spec,
-            &self.history,
-            arena.release(),
-            &self.config,
-            &parallel.memo,
-            self.epoch,
-            hint,
-            parallel.threads,
-        );
-        self.stats.dfs_nodes += nodes;
-        (outcome, order)
     }
 
     /// Installs a search-produced linearization as the maintained witness,
@@ -1245,7 +1161,9 @@ impl<S: SequentialSpec> Core<S> {
             self.stats.splices,
             self.stats.repairs,
             self.stats.dfs_runs,
-            self.stats.parallel_dfs_runs,
+            // A stats slot the format still carries: written as 0 and
+            // skipped on restore.
+            0,
             self.stats.dfs_nodes,
             self.stats.rebuilds,
             self.stats.latched,
@@ -1318,11 +1236,6 @@ impl<S: SequentialSpec> Core<S> {
         self.history = InternedHistory::new(processes);
         self.witness = None;
         self.frontier = Vec::new();
-        // Memo entries are only trusted at the epoch that wrote them, and
-        // the epoch is about to be rewound to the checkpoint's.
-        if let Some(parallel) = &self.parallel {
-            parallel.memo.clear();
-        }
         for _ in 0..symbol_count {
             let proc = ProcId(reader.u32("checkpoint symbol proc")? as usize);
             match reader.u8("checkpoint symbol tag")? {
@@ -1393,6 +1306,8 @@ impl<S: SequentialSpec> Core<S> {
         self.latched_inconsistent = flags & 1 != 0;
         self.standing_no = flags & 4 != 0;
         self.cached = None;
+        // The writer's counter, resumed so that this checker's next
+        // checkpoint carries what the writer's would have.
         self.epoch = epoch;
         self.stats = CheckerStats {
             checks: counters[0],
@@ -1400,7 +1315,6 @@ impl<S: SequentialSpec> Core<S> {
             splices: counters[2],
             repairs: counters[3],
             dfs_runs: counters[4],
-            parallel_dfs_runs: counters[5],
             dfs_nodes: counters[6],
             rebuilds: counters[7],
             latched: counters[8],
@@ -1495,7 +1409,7 @@ mod tests {
 
     #[test]
     fn verdicts_match_scratch_on_interleaved_queue() {
-        let word = WordBuilder::new()
+        let interleaved = WordBuilder::new()
             .invoke(p(0), Invocation::Enqueue(1))
             .invoke(p(1), Invocation::Enqueue(2))
             .respond(p(0), Response::Ack)
@@ -1503,29 +1417,49 @@ mod tests {
             .op(p(0), Invocation::Dequeue, Response::MaybeValue(Some(2)))
             .op(p(1), Invocation::Dequeue, Response::MaybeValue(Some(1)))
             .build();
-        let mut checker = IncrementalChecker::new(
-            Queue::new(),
-            CheckerConfig::linearizability(),
-            2,
-        );
-        for len in 0..=word.len() {
-            let prefix = word.prefix(len);
-            let scratch = check_history(
-                &Queue::new(),
-                &ConcurrentHistory::from_word(&prefix, 2),
-                &CheckerConfig::linearizability(),
+        // A dequeue left pending while another one completes: the search
+        // both completes and drops the open operation.
+        let pending = WordBuilder::new()
+            .invoke(p(0), Invocation::Enqueue(1))
+            .invoke(p(1), Invocation::Enqueue(2))
+            .respond(p(0), Response::Ack)
+            .respond(p(1), Response::Ack)
+            .invoke(p(0), Invocation::Dequeue)
+            .op(p(1), Invocation::Dequeue, Response::MaybeValue(Some(2)))
+            .build();
+        for word in [interleaved, pending] {
+            let mut checker = IncrementalChecker::new(
+                Queue::new(),
+                CheckerConfig::linearizability(),
+                2,
             );
-            let incremental = checker.check_word(&prefix);
-            assert_eq!(
-                incremental.is_consistent(),
-                scratch.is_consistent(),
-                "prefix length {len}"
-            );
-            assert_eq!(
-                matches!(incremental, ConsistencyResult::Inconsistent),
-                matches!(scratch, ConsistencyResult::Inconsistent),
-                "prefix length {len}"
-            );
+            for len in 0..=word.len() {
+                let prefix = word.prefix(len);
+                let scratch = check_history(
+                    &Queue::new(),
+                    &ConcurrentHistory::from_word(&prefix, 2),
+                    &CheckerConfig::linearizability(),
+                );
+                let incremental = checker.check_word(&prefix);
+                assert_eq!(
+                    incremental.is_consistent(),
+                    scratch.is_consistent(),
+                    "{word}, prefix length {len}"
+                );
+                assert_eq!(
+                    matches!(incremental, ConsistencyResult::Inconsistent),
+                    matches!(scratch, ConsistencyResult::Inconsistent),
+                    "{word}, prefix length {len}"
+                );
+                // Fresh engines search from the root every time.
+                let fresh = IncrementalChecker::new(
+                    Queue::new(),
+                    CheckerConfig::linearizability(),
+                    2,
+                )
+                .check_word_outcome(&prefix);
+                assert_eq!(fresh, checker.check_outcome(), "{word}, prefix length {len}");
+            }
         }
     }
 
@@ -1711,112 +1645,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fallback_agrees_with_sequential_on_definite_verdicts() {
-        // Concurrency-heavy words (invocations first, responses later) force
-        // the DFS fallback; both engines must agree on every prefix.
-        let make_word = |shuffled: bool| {
-            let mut builder = WordBuilder::new();
-            for i in 0..4u64 {
-                builder = builder.invoke(ProcId(i as usize), Invocation::Write(i + 1));
-            }
-            for i in 0..4u64 {
-                builder = builder.respond(ProcId(i as usize), Response::Ack);
-            }
-            // A read that observes one of the concurrent writes; in the
-            // shuffled variant it observes a value nobody wrote.
-            builder = builder.invoke(ProcId(0), Invocation::Read);
-            builder = builder.respond(
-                ProcId(0),
-                Response::Value(if shuffled { 99 } else { 3 }),
-            );
-            builder.build()
-        };
-        for (label, word) in [("member", make_word(false)), ("violation", make_word(true))] {
-            for config in [
-                CheckerConfig::linearizability(),
-                CheckerConfig::sequential_consistency(),
-            ] {
-                // Fresh engines per prefix: every check starts witness-less,
-                // so the fallback search actually runs each time.
-                for len in 1..=word.len() {
-                    let prefix = word.prefix(len);
-                    let mut sequential = IncrementalChecker::new(Register::new(), config, 4);
-                    let mut parallel = IncrementalChecker::new(Register::new(), config, 4)
-                        .with_parallel_fallback(3);
-                    let expected = sequential.check_word_outcome(&prefix);
-                    let actual = parallel.check_word_outcome(&prefix);
-                    assert_eq!(expected, actual, "{label}, prefix {len}, {config:?}");
-                    if prefix.operations().iter().any(drv_lang::Operation::is_complete) {
-                        assert!(
-                            parallel.stats().parallel_dfs_runs >= 1,
-                            "{label}, prefix {len}: fan-out must run: {:?}",
-                            parallel.stats()
-                        );
-                    }
-                }
-                // The long-lived engine path agrees too (witness maintenance
-                // plus the occasional parallel fallback).
-                let mut sequential = IncrementalChecker::new(Register::new(), config, 4);
-                let mut parallel = IncrementalChecker::new(Register::new(), config, 4)
-                    .with_parallel_fallback(3);
-                for len in 0..=word.len() {
-                    let prefix = word.prefix(len);
-                    let expected = sequential.check_word_outcome(&prefix);
-                    let actual = parallel.check_word_outcome(&prefix);
-                    assert_eq!(expected, actual, "{label}, grown prefix {len}, {config:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fallback_witnesses_validate() {
-        let word = WordBuilder::new()
-            .invoke(p(0), Invocation::Write(1))
-            .invoke(p(1), Invocation::Read)
-            .respond(p(1), Response::Value(1))
-            .respond(p(0), Response::Ack)
-            .op(p(1), Invocation::Read, Response::Value(1))
-            .build();
-        let mut checker = IncrementalChecker::new(
-            Register::new(),
-            CheckerConfig::linearizability(),
-            2,
-        )
-        .with_parallel_fallback(2);
-        let result = checker.check_word(&word);
-        let witness = result.witness().expect("linearizable").clone();
-        let history = ConcurrentHistory::from_word(&word, 2);
-        assert!(validate_witness(&Register::new(), &history, &witness, true));
-    }
-
-    #[test]
-    fn parallel_fallback_handles_pending_and_queue_objects() {
-        // Pending operations exercise the drop/complete root branches.
-        let word = WordBuilder::new()
-            .invoke(p(0), Invocation::Enqueue(1))
-            .invoke(p(1), Invocation::Enqueue(2))
-            .respond(p(0), Response::Ack)
-            .respond(p(1), Response::Ack)
-            .invoke(p(0), Invocation::Dequeue)
-            .op(p(1), Invocation::Dequeue, Response::MaybeValue(Some(2)))
-            .build();
-        for len in 0..=word.len() {
-            let prefix = word.prefix(len);
-            let mut sequential =
-                IncrementalChecker::new(Queue::new(), CheckerConfig::linearizability(), 2);
-            let mut parallel =
-                IncrementalChecker::new(Queue::new(), CheckerConfig::linearizability(), 2)
-                    .with_parallel_fallback(4);
-            assert_eq!(
-                sequential.check_word_outcome(&prefix),
-                parallel.check_word_outcome(&prefix),
-                "prefix {len}"
-            );
-        }
-    }
-
-    #[test]
     fn feed_batch_outcomes_match_per_symbol_feeding() {
         // Mixed traffic with a concurrency window and a stale read so the
         // batch crosses fast-path, splice and DFS territory; the recorded
@@ -1857,22 +1685,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threads_of_one_keeps_the_sequential_path() {
-        let mut checker = IncrementalChecker::new(
-            Register::new(),
-            CheckerConfig::linearizability(),
-            2,
-        )
-        .with_parallel_fallback(1);
-        let word = WordBuilder::new()
-            .op(p(0), Invocation::Write(1), Response::Ack)
-            .op(p(1), Invocation::Read, Response::Value(1))
-            .build();
-        assert!(checker.check_word(&word).is_consistent());
-        assert_eq!(checker.stats().parallel_dfs_runs, 0);
-    }
-
-    #[test]
     fn checkpoint_roundtrip_resumes_bit_identically() {
         // A checker restored from a checkpoint taken at *every* prefix
         // length must agree with the uninterrupted one on the entire
@@ -1898,6 +1710,10 @@ mod tests {
         for config in [CheckerConfig::linearizability(), CheckerConfig::sequential_consistency()] {
             for word in [&clean, &stale, &latched] {
                 let symbols = word.symbols();
+                // Restored into again and again after it has read the whole
+                // word: a restore replaces everything a checker held.
+                let mut reused = IncrementalChecker::new(Register::new(), config, 2);
+                reused.check_word(word);
                 for split in 0..=symbols.len() {
                     let mut live = IncrementalChecker::new(Register::new(), config, 2);
                     for symbol in &symbols[..split] {
@@ -1907,58 +1723,25 @@ mod tests {
                     let bytes = live.checkpoint_bytes();
                     let mut restored = IncrementalChecker::new(Register::new(), config, 2);
                     restored.restore_bytes(&bytes).expect("a checkpoint we wrote restores");
+                    reused.restore_bytes(&bytes).expect("a checkpoint we wrote restores");
                     for symbol in &symbols[split..] {
                         live.push_symbol(symbol);
                         restored.push_symbol(symbol);
+                        reused.push_symbol(symbol);
+                        let expected = live.check();
                         assert_eq!(
                             restored.check(),
-                            live.check(),
+                            expected,
                             "split {split}: the restored checker diverged"
+                        );
+                        assert_eq!(
+                            reused.check(),
+                            expected,
+                            "split {split}: the checker restored into diverged"
                         );
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn restore_rewinds_the_parallel_memo_with_the_epoch() {
-        // Two concurrent writes, then a read by p0 that only the order
-        // [w2, w1] explains: the maintained witness [w1, w2] cannot take it
-        // by splicing, so the check after the read searches.
-        let prefix = WordBuilder::new()
-            .invoke(p(0), Invocation::Write(1))
-            .invoke(p(1), Invocation::Write(2))
-            .respond(p(0), Response::Ack)
-            .respond(p(1), Response::Ack)
-            .build();
-        let read = |value| {
-            [
-                Symbol::invoke(p(0), Invocation::Read),
-                Symbol::respond(p(0), Response::Value(value)),
-            ]
-        };
-        let parallel =
-            || IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 2)
-                .with_parallel_fallback(2);
-        let mut reused = parallel();
-        let mut outcomes = Vec::new();
-        reused.feed_batch(prefix.symbols(), &mut outcomes);
-        let checkpoint = reused.checkpoint_bytes();
-        // First life: a read of a value nobody wrote.  The search refutes
-        // it, claiming every configuration on the way at the next epoch.
-        reused.feed_batch(&read(9), &mut outcomes);
-        assert_eq!(outcomes.last(), Some(&CheckOutcome::Inconsistent));
-        assert!(reused.stats().parallel_dfs_runs >= 1, "{:?}", reused.stats());
-        // Second life, same checker: back to the checkpoint and its epoch,
-        // then a read that *is* linearizable.  Its search runs at the epoch
-        // the refutation ran at and must not trust those claims.
-        let mut fresh = parallel();
-        for checker in [&mut reused, &mut fresh] {
-            checker.restore_bytes(&checkpoint).expect("a checkpoint we wrote restores");
-            let mut outcomes = Vec::new();
-            checker.feed_batch(&read(1), &mut outcomes);
-            assert_eq!(outcomes, [CheckOutcome::Consistent; 2]);
         }
     }
 

@@ -36,7 +36,6 @@ pub mod eventual;
 pub mod history;
 pub mod incremental;
 pub mod languages;
-pub mod parallel;
 mod search;
 
 pub use checker::{
@@ -49,7 +48,6 @@ pub use eventual::{
 };
 pub use history::{ConcurrentHistory, HistoryDelta, InternedHistory};
 pub use incremental::{CheckOutcome, CheckerStats, CheckpointError, IncrementalChecker};
-pub use parallel::SharedMemo;
 pub use languages::{
     ec_led, lin_led, lin_queue, lin_reg, lin_stack, sc_led, sc_reg, sec_count, table1_languages,
     wec_count, EcLedger, Linearizable, SecCounter, SequentiallyConsistent, WecCounter,

@@ -1,16 +1,15 @@
 //! The Wing–Gong fallback search, as an explicit-stack loop.
 //!
-//! One routine serves both fallbacks of [`crate::IncrementalChecker`]: the
-//! sequential one (the calling thread's [`Scratch`], never interrupted) and
-//! every branch of the parallel one ([`crate::parallel`]: shared memo, stop
-//! flag).  The search descends one level per linearized or dropped
-//! operation, so its depth is the length of the history.  Recursion would
-//! put that depth on the thread's call stack, and engine workers run on the
-//! default 2 MiB: a stale read after some ten thousand operations would
-//! overflow it, which aborts the process instead of panicking.  Here a level
-//! is a heap-allocated [`Frame`]; nodes are visited in the order of the
-//! recursive formulation (per process: linearize, then drop), which is what
-//! node counts and the witness found depend on.
+//! The fallback of [`crate::IncrementalChecker`] runs on the calling
+//! thread, on that thread's [`Scratch`].  The search descends one level per
+//! linearized or dropped operation, so its depth is the length of the
+//! history.  Recursion would put that depth on the thread's call stack, and
+//! engine workers run on the default 2 MiB: a stale read after some ten
+//! thousand operations would overflow it, which aborts the process instead
+//! of panicking.  Here a level is a heap-allocated [`Frame`]; nodes are
+//! visited in the order of the recursive formulation (per process:
+//! linearize, then drop), which is what node counts and the witness found
+//! depend on.
 
 use crate::checker::CheckerConfig;
 use crate::history::{ArenaRead, InternedHistory};
@@ -55,11 +54,11 @@ impl Hasher for FoldHasher {
 }
 
 /// What a search run needs besides its frame stack, kept per thread and
-/// reused by every run on it: the sequential fallback's dead configurations,
-/// the progress vector and the order under construction.  A checker visited
-/// round-robin among thousands finds these hot in the cache of the thread
-/// that last searched — for any object — where a table of its own would be
-/// cold, and a run that ends after four nodes allocates nothing.
+/// reused by every run on it: the dead configurations, the progress vector
+/// and the order under construction.  A checker visited round-robin among
+/// thousands finds these hot in the cache of the thread that last searched
+/// — for any object — where a table of its own would be cold, and a run that
+/// ends after four nodes allocates nothing.
 ///
 /// The frame stack is not here: its element holds an `S::State`, which need
 /// not be `'static`, so it cannot sit in a thread-local; it starts empty and
@@ -109,9 +108,6 @@ pub(crate) enum SearchOutcome {
     NotFound,
     /// The node budget ran out first.
     Budget,
-    /// `interrupted` fired (another parallel branch found a witness).
-    /// Carries no evidence either way.
-    Interrupted,
 }
 
 /// The read-only context of one search.
@@ -128,7 +124,7 @@ pub(crate) struct SearchContext<'a, S: SequentialSpec> {
 /// pending operation the specification's (interned on sight; idempotent, so
 /// the arena stays small, and the one point at which a search may have to
 /// give up its read guard).
-pub(crate) fn linearize<S: SequentialSpec>(
+fn linearize<S: SequentialSpec>(
     spec: &S,
     arena: &mut ArenaRead<'_>,
     state: &S::State,
@@ -186,41 +182,38 @@ struct Frame<State> {
 
 const NO_HINT: usize = usize::MAX;
 
-/// Searches for a linearization of the operations not yet covered by
-/// `counts`, starting from `state` with `order` holding the choices made so
-/// far.  `claim` marks a configuration visited and says whether this is its
-/// first visit; `interrupted` is polled once per node.
+/// Searches for a linearization of `history` from the specification's
+/// initial state, on a scratch emptied by [`with_scratch`], and adds the
+/// nodes it visits to `explored`.
 ///
-/// On [`SearchOutcome::Found`] `order` is the witness and `counts` the final
-/// progress; on every other outcome they are left as unspecified scratch.
-#[allow(clippy::too_many_arguments)]
+/// On [`SearchOutcome::Found`] `scratch.order` is the witness and
+/// `scratch.counts` the final progress; on every other outcome the scratch
+/// is left unspecified.
 pub(crate) fn wing_gong<S: SequentialSpec>(
     ctx: &SearchContext<'_, S>,
     history: &InternedHistory,
     arena: &mut ArenaRead<'_>,
-    mut claim: impl FnMut((u128, u128)) -> bool,
-    interrupted: impl Fn() -> bool,
-    counts: &mut [u32],
-    state: S::State,
-    on_hint: bool,
-    order: &mut Vec<(OpId, ResponseId)>,
+    scratch: &mut Scratch,
     explored: &mut usize,
 ) -> SearchOutcome {
     let SearchContext { spec, config, hint } = *ctx;
+    let Scratch {
+        dead,
+        counts,
+        order,
+    } = scratch;
+    let counts = counts.as_mut_slice();
     let n = history.process_count();
     // The top of `stack` is the node whose children are being enumerated,
     // below it its ancestors, each with the child it descended into.  It
     // grows with the depth reached, not with the history: most runs end a
     // few levels in.
     let mut stack: Vec<Frame<S::State>> = Vec::new();
-    let (mut state, mut on_hint) = (state, on_hint);
+    let (mut state, mut on_hint) = (spec.initial(), true);
     'enter: loop {
         // Enter the node `(state, on_hint)`.
         if history.is_done(counts, config.allow_drop_pending) {
             return SearchOutcome::Found;
-        }
-        if interrupted() {
-            return SearchOutcome::Interrupted;
         }
         if *explored >= config.max_states {
             return SearchOutcome::Budget;
@@ -229,7 +222,7 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
         // A claimed node gets a frame and its children are enumerated; a
         // known dead end makes its parent resume, as after any refuted
         // child.
-        let mut resumed = !claim((pack_counts(counts), hash_state(&state)));
+        let mut resumed = !dead.insert((pack_counts(counts), hash_state(&state)));
         if !resumed {
             // Preserved-frontier move ordering: at this depth, try the
             // process the previous witness linearized here first, so the

@@ -9,8 +9,8 @@
 //!
 //! * [`CheckerMonitorFactory`] — a per-object [`IncrementalChecker`]: the
 //!   object's language is `LIN_O` or `SC_O` for a sequential spec, checked
-//!   directly (optionally with the parallel Wing–Gong fallback).  This is the
-//!   reference the engine's differential suite compares against.
+//!   directly.  This is the reference the engine's differential suite
+//!   compares against.
 //! * [`FamilyMonitorFactory`] — the adapter that lets any of the paper's
 //!   [`MonitorFamily`] algorithms (Figure 5 `WEC_COUNT`, Figure 8 `V_O`,
 //!   Figure 9 `SEC_COUNT`, …) run over an engine stream *unchanged*: for each
@@ -212,7 +212,6 @@ pub struct CheckerMonitorFactory<S> {
     spec: S,
     config: CheckerConfig,
     processes: usize,
-    parallel_threads: usize,
     label: &'static str,
     arena: SharedInterner,
 }
@@ -226,7 +225,6 @@ impl<S: SequentialSpec + Clone> CheckerMonitorFactory<S> {
             spec,
             config: CheckerConfig::linearizability(),
             processes,
-            parallel_threads: 1,
             label: "LIN",
             arena: SharedInterner::new(),
         }
@@ -239,7 +237,6 @@ impl<S: SequentialSpec + Clone> CheckerMonitorFactory<S> {
             spec,
             config: CheckerConfig::sequential_consistency(),
             processes,
-            parallel_threads: 1,
             label: "SC",
             arena: SharedInterner::new(),
         }
@@ -249,14 +246,6 @@ impl<S: SequentialSpec + Clone> CheckerMonitorFactory<S> {
     #[must_use]
     pub fn with_max_states(mut self, max_states: usize) -> Self {
         self.config = self.config.with_max_states(max_states);
-        self
-    }
-
-    /// Enables the parallel Wing–Gong fallback inside every spawned checker
-    /// (see [`IncrementalChecker::with_parallel_fallback`]).
-    #[must_use]
-    pub fn with_parallel_fallback(mut self, threads: usize) -> Self {
-        self.parallel_threads = threads.max(1);
         self
     }
 }
@@ -272,8 +261,7 @@ impl<S: SequentialSpec + Clone + 'static> ObjectMonitorFactory for CheckerMonito
             self.config,
             self.processes,
             self.arena.clone(),
-        )
-        .with_parallel_fallback(self.parallel_threads);
+        );
         Box::new(CheckerObjectMonitor::new(object, checker, self.label))
     }
 }
@@ -497,8 +485,7 @@ mod tests {
     #[test]
     fn checker_monitor_flags_stale_reads() {
         let factory = CheckerMonitorFactory::linearizability(Register::new(), 2)
-            .with_max_states(10_000)
-            .with_parallel_fallback(2);
+            .with_max_states(10_000);
         let mut monitor = factory.create(obj(0));
         let word = WordBuilder::new()
             .op(ProcId(0), Invocation::Write(1), Response::Ack)

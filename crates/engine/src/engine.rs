@@ -30,12 +30,10 @@
 //! * **Work stealing.**  A shard with queued events is *scheduled* onto the
 //!   ready deque of its home worker (`shard mod workers`); a worker pops its
 //!   own deque from the front and, when empty, steals from the back of the
-//!   others', so a worker stuck in a hard Wing–Gong fallback sheds its
-//!   remaining shards to idle peers.  Inside a shard, the checker itself can
-//!   fan a hard fallback out across threads
-//!   ([`drv_consistency::IncrementalChecker::with_parallel_fallback`], see
-//!   [`drv_core::CheckerMonitorFactory::with_parallel_fallback`]) so one
-//!   adversarial object cannot serialize the pool.
+//!   others'.  A hard Wing–Gong search holds its worker for as long as it
+//!   runs, and the shard it is in waits with it; the other shards queued on
+//!   that worker are stolen by idle peers, so one adversarial object stalls
+//!   its own shard, not the pool.
 //! * **Untimed parking.**  An idle worker parks on the pool condvar with an
 //!   *untimed* `wait_while` guarded by a work-epoch ticket: it reads
 //!   [`Shared::work_epoch`] *before* scanning the deques, and every

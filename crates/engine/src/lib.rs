@@ -17,9 +17,7 @@
 //! [`drv_core::ObjectMonitorFactory`]:
 //!
 //! * [`drv_core::CheckerMonitorFactory`] — a long-lived incremental
-//!   `LIN_O`/`SC_O` checker per object (with the optional *parallel*
-//!   Wing–Gong fallback, so one adversarial object cannot serialize the
-//!   pool), or
+//!   `LIN_O`/`SC_O` checker per object, or
 //! * [`drv_core::FamilyMonitorFactory`] — any of the paper's
 //!   [`MonitorFamily`](drv_core::MonitorFamily) algorithms (`WEC_COUNT`,
 //!   `V_O`, `SEC_COUNT`, …), unchanged.

@@ -45,17 +45,12 @@ fn criterion_of(object: ObjectId) -> CheckerConfig {
 }
 
 /// The engine-side factory: a fresh incremental checker per object, LIN or
-/// SC by object id, optionally with the parallel fallback enabled so the
-/// fan-out path is exercised under the pool too.
-fn mixed_factory(parallel_threads: usize) -> Arc<RoutingMonitorFactory> {
-    let lin = Arc::new(
-        CheckerMonitorFactory::linearizability(Register::new(), PROCESSES)
-            .with_parallel_fallback(parallel_threads),
-    ) as Arc<dyn ObjectMonitorFactory>;
-    let sc = Arc::new(
-        CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES)
-            .with_parallel_fallback(parallel_threads),
-    ) as Arc<dyn ObjectMonitorFactory>;
+/// SC by object id.
+fn mixed_factory() -> Arc<RoutingMonitorFactory> {
+    let lin = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), PROCESSES))
+        as Arc<dyn ObjectMonitorFactory>;
+    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES))
+        as Arc<dyn ObjectMonitorFactory>;
     Arc::new(RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
         if object.0.is_multiple_of(2) {
             Arc::clone(&lin)
@@ -129,12 +124,7 @@ fn engine_verdicts_equal_sequential_checkers_on_seeded_streams() {
             yes_streams += 1;
         }
         for (workers, batch) in matrix() {
-            // Exercise the parallel fallback on a slice of the matrix (it is
-            // the expensive path; every stream × every count would dominate
-            // the suite's runtime without adding coverage).
-            let parallel_threads = if seed.is_multiple_of(7) { 2 } else { 1 };
-            let engine =
-                MonitoringEngine::new(EngineConfig::new(workers), mixed_factory(parallel_threads));
+            let engine = MonitoringEngine::new(EngineConfig::new(workers), mixed_factory());
             engine.submit_stream(&events, batch);
             let report = engine.finish().expect("no worker panicked");
             assert_eq!(
@@ -236,7 +226,7 @@ fn service_mode_soak_matches_sequential_reference() {
             let context = format!("seed {seed}, {workers} workers, batch {batch}");
             let engine = MonitoringEngine::new(
                 EngineConfig::new(workers).with_max_pending(MAX_PENDING),
-                mixed_factory(1),
+                mixed_factory(),
             );
             let subscription = engine.subscribe(16);
             let mut received = VerdictBatch::new();
@@ -334,7 +324,7 @@ fn deep_histories_survive_a_crash_bit_identically() {
         .expect("a read after STALE_AT");
     *stale += 1_000;
     let events = merge_round_robin(per_object);
-    let expected = sequential_reference(mixed_factory(1).as_ref(), &events);
+    let expected = sequential_reference(mixed_factory().as_ref(), &events);
     assert!(expected[&ObjectId(0)].last().is_some_and(|verdict| verdict.is_no()));
     assert!((1..4).all(|id| expected[&ObjectId(id)].iter().all(|verdict| verdict.is_yes())));
 
@@ -355,7 +345,7 @@ fn deep_histories_survive_a_crash_bit_identically() {
 
             // First life: journal the prefix, then die without a goodbye.
             let store = Arc::new(Store::open(&path, store_config).expect("journal opens"));
-            let engine = MonitoringEngine::new(EngineConfig::new(workers), mixed_factory(1));
+            let engine = MonitoringEngine::new(EngineConfig::new(workers), mixed_factory());
             engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
             let subscription = engine.subscribe(events.len());
             engine.submit_stream(&events[..cut], batch);
@@ -369,7 +359,7 @@ fn deep_histories_survive_a_crash_bit_identically() {
 
             // Second life: checkpoints seed every object, the journal's
             // suffix replays, and the rest of the stream arrives.
-            let recovery = recover(&path, store_config, EngineConfig::new(workers), mixed_factory(1))
+            let recovery = recover(&path, store_config, EngineConfig::new(workers), mixed_factory())
                 .expect("recovery succeeds");
             assert_eq!(recovery.stats.replayed_events, cut as u64, "{context}");
             assert_eq!(recovery.stats.seeded_objects, 4, "{context}: {:?}", recovery.stats);

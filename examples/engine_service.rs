@@ -58,16 +58,12 @@ const MAX_PENDING: usize = 4_096;
 const SUBSCRIPTION_CAPACITY: usize = 1_024;
 
 /// Per-object monitor: LIN for even ids, SC for odd ids — one long-lived
-/// incremental checker each, with the parallel Wing–Gong fallback armed.
+/// incremental checker each.
 fn mixed_factory() -> Arc<RoutingMonitorFactory> {
-    let lin = Arc::new(
-        CheckerMonitorFactory::linearizability(Register::new(), PROCESSES)
-            .with_parallel_fallback(2),
-    ) as Arc<dyn ObjectMonitorFactory>;
-    let sc = Arc::new(
-        CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES)
-            .with_parallel_fallback(2),
-    ) as Arc<dyn ObjectMonitorFactory>;
+    let lin = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), PROCESSES))
+        as Arc<dyn ObjectMonitorFactory>;
+    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES))
+        as Arc<dyn ObjectMonitorFactory>;
     Arc::new(RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
         if object.0.is_multiple_of(2) {
             Arc::clone(&lin)

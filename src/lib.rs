@@ -21,7 +21,7 @@
 //!        │      └──── recover(): checkpoint seed + replay
 //!        │ per-object ObjectMonitor state machines             [core]
 //!        ▼
-//!   IncrementalChecker (LIN/SC, parallel Wing–Gong)     [consistency]
+//!   IncrementalChecker (LIN/SC, Wing–Gong fallback)      [consistency]
 //!        │ against SequentialSpec objects                      [spec]
 //!        ▼
 //!   VerdictBatch (struct-of-arrays)                            [lang]
@@ -52,7 +52,7 @@
 //!
 //!   scenario sources: adversary scripts [adversary] · shared-memory
 //!   substrate [shmem] · ABD message-passing sim [abd] (bridged onto
-//!   the wire by net::stream_abd) · benches and load generators [bench]
+//!   the wire by net::stream_abd) · benches [bench]
 //! ```
 //!
 //! Re-exports the crates of the workspace under one name so integration
@@ -64,8 +64,7 @@
 //!   the wire payload codec ([`lang::wire`](crate::lang::wire)),
 //! * [`spec`] — sequential object specifications,
 //! * [`consistency`] — linearizability / sequential-consistency checkers
-//!   (including the incremental engine and its parallel Wing–Gong
-//!   fallback) and the Table 1 languages,
+//!   (including the incremental engine) and the Table 1 languages,
 //! * [`shmem`] — the shared-memory substrate (registers, snapshots, logs),
 //! * [`adversary`] — the adversaries A and Aτ plus behaviours,
 //! * [`core`] — monitors, runtime, decidability notions, impossibilities,
@@ -94,8 +93,8 @@
 //!   snapshot / Prometheus exporters — engine, net and store all record
 //!   into one shared [`Telemetry`](crate::telemetry::Telemetry) handle,
 //! * [`abd`] — the ABD message-passing port,
-//! * [`bench`] — the Table 1 reproduction harness and the `netload`
-//!   loopback load generator.
+//! * [`bench`] — the Table 1 reproduction harness and the `drvbench`
+//!   end-to-end benchmark.
 //!
 //! ## Quick start: monitoring many objects at once
 //!
