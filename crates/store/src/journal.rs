@@ -49,7 +49,8 @@ use drv_engine::JournalSink;
 use drv_lang::wire::{put_u32, put_u64, Reader};
 use drv_lang::{EventBatch, ObjectId, SharedInterner};
 use drv_net::wire::{
-    decode_frame, encode_checkpoint, encode_evict, Frame, FrameEncoder, MAX_PAYLOAD,
+    decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameEncoder, FrameKind,
+    MAX_PAYLOAD,
 };
 use drv_telemetry::{Counter, Histogram, Stage, Telemetry};
 use parking_lot::Mutex;
@@ -139,28 +140,45 @@ pub struct CheckpointRecord {
     pub state: Vec<u8>,
 }
 
-/// Encodes a checkpoint record's inner payload.
+/// Bytes of a checkpoint record: object + fed (u64 each), verdict count
+/// (u32), 5 bytes per verdict, state length (u32), state bytes.
+fn checkpoint_record_len(verdicts: &[Verdict], state: &[u8]) -> u64 {
+    24 + verdicts.len() as u64 * 5 + state.len() as u64
+}
+
+/// Encodes a checkpoint record as a sealed [`FrameKind::Checkpoint`]
+/// journal frame.  The record is written straight behind the frame's
+/// reserved header and sealed in place ([`seal_frame`]), so `state` is
+/// copied once, into the frame.  [`decode_checkpoint_record`] takes the
+/// frame's payload, `frame[HEADER_LEN..]`.
+///
+/// # Panics
+///
+/// Panics when the record exceeds [`MAX_PAYLOAD`] — [`Store`] skips such
+/// checkpoints before encoding them.
 #[must_use]
 pub fn encode_checkpoint_record(object: ObjectId, verdicts: &[Verdict], state: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(24 + verdicts.len() * 5 + state.len());
-    put_u64(&mut payload, object.0);
-    put_u64(&mut payload, verdicts.len() as u64);
-    put_u32(&mut payload, u32::try_from(verdicts.len()).expect("< 2^32 verdicts"));
+    let len = usize::try_from(checkpoint_record_len(verdicts, state)).expect("record fits memory");
+    let mut frame = frame_buffer(len);
+    put_u64(&mut frame, object.0);
+    put_u64(&mut frame, verdicts.len() as u64);
+    put_u32(&mut frame, u32::try_from(verdicts.len()).expect("< 2^32 verdicts"));
     for verdict in verdicts {
         let (tag, index) = match verdict {
             Verdict::Yes => (0u8, 0u32),
             Verdict::No => (1, 0),
             Verdict::Maybe(i) => (2, *i),
         };
-        payload.push(tag);
-        put_u32(&mut payload, index);
+        frame.push(tag);
+        put_u32(&mut frame, index);
     }
-    put_u32(&mut payload, u32::try_from(state.len()).expect("state < 4 GiB"));
-    payload.extend_from_slice(state);
-    payload
+    put_u32(&mut frame, u32::try_from(state.len()).expect("state < 4 GiB"));
+    frame.extend_from_slice(state);
+    seal_frame(FrameKind::Checkpoint, &mut frame);
+    frame
 }
 
-/// Decodes a checkpoint record's inner payload.
+/// Decodes a checkpoint record from its frame's payload.
 ///
 /// # Errors
 ///
@@ -390,13 +408,26 @@ impl Store {
         config: StoreConfig,
         telemetry: Arc<Telemetry>,
     ) -> Result<Store, StoreError> {
-        let path = path.as_ref();
+        Store::open_scanned(path.as_ref(), config, telemetry).map(|(store, _, _)| store)
+    }
+
+    /// The open step [`Store::open_with`] and recovery share: one read of
+    /// the file and one [`scan_journal`], then the torn tail truncated and
+    /// appends positioned at the end of the valid prefix.  The bytes read
+    /// and their scan come back with the store, so recovery selects its
+    /// seeds and replays without reading or scanning the file again.
+    pub(crate) fn open_scanned(
+        path: &Path,
+        config: StoreConfig,
+        telemetry: Arc<Telemetry>,
+    ) -> Result<(Store, Vec<u8>, ScanResult), StoreError> {
         let buf = match std::fs::read(path) {
             Ok(buf) => buf,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(err) => return Err(StoreError::Io(err)),
         };
-        // The scan arena is throwaway: open() only needs the valid length.
+        // The scan arena is throwaway: the records' payload ids are only
+        // counted, never resolved.
         let scan = scan_journal(&buf, &SharedInterner::new());
         let mut file = OpenOptions::new()
             .read(true)
@@ -410,7 +441,7 @@ impl Store {
         }
         file.seek(SeekFrom::Start(scan.valid_len))?;
         let m = StoreMetrics::register(&telemetry);
-        Ok(Store {
+        let store = Store {
             inner: Mutex::new(Appender {
                 file,
                 encoder: FrameEncoder::new(),
@@ -423,7 +454,8 @@ impl Store {
             truncated,
             tel: telemetry,
             m,
-        })
+        };
+        Ok((store, buf, scan))
     }
 
     /// The store's configuration.
@@ -603,19 +635,16 @@ impl JournalSink for Store {
     }
 
     fn checkpoint(&self, object: ObjectId, verdicts: &[Verdict], state: &[u8]) {
-        // The record layout is exactly sized: object + fed (u64 each),
-        // verdict count (u32), 5 bytes per verdict, state length (u32),
-        // state bytes.  A long-lived object eventually outgrows the frame
-        // payload cap — skip its checkpoint instead of letting
-        // `seal_frame` panic the worker: the engine has already advanced
-        // its watermark, and recovery falls back to full replay, exactly
-        // as for monitors without checkpoint support.
-        let record_len = 24u64 + verdicts.len() as u64 * 5 + state.len() as u64;
-        if record_len > u64::from(MAX_PAYLOAD) {
+        // A long-lived object eventually outgrows the frame payload cap —
+        // skip its checkpoint instead of letting `seal_frame`'s cap assert
+        // panic the worker: the engine has already advanced its watermark,
+        // and recovery falls back to full replay, exactly as for monitors
+        // without checkpoint support.
+        if checkpoint_record_len(verdicts, state) > u64::from(MAX_PAYLOAD) {
             self.m.oversized_checkpoints.inc();
             return;
         }
-        let frame = encode_checkpoint(&encode_checkpoint_record(object, verdicts, state));
+        let frame = encode_checkpoint_record(object, verdicts, state);
         let mut inner = self.inner.lock();
         if self.append(&mut inner, &frame, None) {
             self.m.checkpoints.inc();

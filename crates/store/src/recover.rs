@@ -32,10 +32,10 @@
 //! [`ObjectMonitor::restore`]: drv_core::ObjectMonitor::restore
 
 use crate::error::StoreError;
-use crate::journal::{scan_journal, CheckpointRecord, JournalRecord, Store, StoreConfig};
+use crate::journal::{CheckpointRecord, JournalRecord, Store, StoreConfig};
 use drv_core::ObjectMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine, RecoveredObject};
-use drv_lang::{ObjectId, SharedInterner};
+use drv_lang::ObjectId;
 use drv_net::{MonitorServer, ServerConfig};
 use drv_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
@@ -113,40 +113,36 @@ pub fn recover_with(
     factory: Arc<dyn ObjectMonitorFactory>,
     telemetry: Arc<Telemetry>,
 ) -> Result<Recovery, StoreError> {
-    let path = path.as_ref();
-    let store = Arc::new(Store::open_with(path, config, Arc::clone(&telemetry))?);
-    // Re-read the (now truncated-to-valid) file once for both passes.
-    let buf = std::fs::read(path)?;
+    // The one read and scan of the file: open truncates the torn tail
+    // there, and both passes below stay inside the same valid prefix.
+    let (store, buf, scan) = Store::open_scanned(path.as_ref(), config, Arc::clone(&telemetry))?;
+    let store = Arc::new(store);
     let mut stats = RecoveryStats {
         truncated_bytes: store.truncated_bytes(),
         ..RecoveryStats::default()
     };
 
-    // Pass 1 — seed selection, against a throwaway arena.  In a
-    // single-process world `open()` already truncated the torn tail, so
-    // the whole buffer scans clean; if another process touched the file
-    // between open and this read, the scan simply shortens the valid
-    // prefix again and both passes stay inside it.
-    let scan = scan_journal(&buf, &SharedInterner::new());
+    // Pass 1 — seed selection over the scanned records (their payload ids
+    // live in the scan's throwaway arena; only objects are read here).
     let mut seen: HashMap<ObjectId, u64> = HashMap::new();
     let mut seeds: HashMap<ObjectId, CheckpointRecord> = HashMap::new();
     let mut dead: HashSet<ObjectId> = HashSet::new();
-    for record in &scan.records {
+    for record in scan.records {
         match record {
             JournalRecord::Batch(batch) => {
-                for event in batch.iter() {
-                    *seen.entry(event.object).or_insert(0) += 1;
+                for &object in batch.objects() {
+                    *seen.entry(object).or_insert(0) += 1;
                 }
             }
             JournalRecord::Checkpoint(checkpoint) => {
                 let journaled = seen.get(&checkpoint.object).copied().unwrap_or(0);
                 if !dead.contains(&checkpoint.object) && checkpoint.fed <= journaled {
-                    seeds.insert(checkpoint.object, checkpoint.clone());
+                    seeds.insert(checkpoint.object, checkpoint);
                 }
             }
             JournalRecord::Evict(object) => {
-                seeds.remove(object);
-                dead.insert(*object);
+                seeds.remove(&object);
+                dead.insert(object);
             }
         }
     }
@@ -179,10 +175,11 @@ pub fn recover_with(
     let engine =
         MonitoringEngine::with_recovered(engine_config, factory, recovered, telemetry);
     let mut offset = 0usize;
-    // Replay only the scan-validated prefix, and propagate (never panic
-    // on) a decode error: the file has no lock against concurrent
-    // writers, so salvageable corruption must stay salvageable.
+    // Replay only the scan-validated prefix (the bytes past it are the
+    // torn tail open cut off the file).  A decode error there would mean
+    // the scan and this pass disagree; it propagates, never panics.
     let valid_len = usize::try_from(scan.valid_len).expect("scanned from a usize-length buffer");
+    let buf = &buf[..valid_len];
     while offset < valid_len {
         use drv_net::wire::{decode_frame, Frame};
         let (frame, used) = decode_frame(&buf[offset..], engine.interner())?;

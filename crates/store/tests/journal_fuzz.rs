@@ -13,7 +13,8 @@ use drv_core::{CheckerMonitorFactory, Verdict};
 use drv_engine::{sequential_reference, EngineConfig, JournalSink, MonitoringEngine};
 use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
 use drv_net::wire::{
-    crc32, decode_frame, encode_checkpoint, encode_evict, FrameEncoder, HEADER_LEN, MAX_PAYLOAD,
+    crc32, decode_frame, encode_evict, frame_buffer, seal_frame, FrameEncoder, FrameKind,
+    HEADER_LEN, MAX_PAYLOAD,
 };
 use drv_spec::Register;
 use drv_store::{
@@ -83,12 +84,11 @@ fn valid_journal(rng: &mut StdRng) -> Vec<u8> {
                     .map(|_| rng.gen_range(0..=255u8))
                     .collect();
                 let take = rng.gen_range(0..=verdicts.len().min(8));
-                let inner = encode_checkpoint_record(
+                buf.extend_from_slice(&encode_checkpoint_record(
                     ObjectId(rng.gen_range(0..4u64)),
                     &verdicts[..take],
                     &state,
-                );
-                buf.extend_from_slice(&encode_checkpoint(&inner));
+                ));
             }
             _ => {
                 buf.extend_from_slice(&encode_evict(ObjectId(rng.gen_range(0..4u64))));
@@ -191,12 +191,13 @@ fn inflated_length_fields_cannot_allocate() {
 fn checkpoint_interior_corruption_yields_typed_errors() {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let verdicts = vec![Verdict::Yes, Verdict::No, Verdict::Maybe(3), Verdict::Yes];
-    let inner = encode_checkpoint_record(ObjectId(7), &verdicts, b"opaque checker state");
-    decode_checkpoint_record(&inner).expect("the uncorrupted record decodes");
+    let frame = encode_checkpoint_record(ObjectId(7), &verdicts, b"opaque checker state");
+    let inner = &frame[HEADER_LEN..];
+    decode_checkpoint_record(inner).expect("the uncorrupted record decodes");
     let mut rejected = 0u64;
     let mut survivals = 0u64;
     for _ in 0..2000 {
-        let mut bad = inner.clone();
+        let mut bad = inner.to_vec();
         match rng.gen_range(0..3u32) {
             // Byte flips anywhere in the record.
             0 => {
@@ -221,7 +222,10 @@ fn checkpoint_interior_corruption_yields_typed_errors() {
         // The framed version must stop a scan with a typed cause, not kill
         // it: a journal embedding the corrupt record salvages up to it.
         let mut journal = encode_evict(ObjectId(1));
-        journal.extend_from_slice(&encode_checkpoint(&bad));
+        let mut framed = frame_buffer(bad.len());
+        framed.extend_from_slice(&bad);
+        seal_frame(FrameKind::Checkpoint, &mut framed);
+        journal.extend_from_slice(&framed);
         assert_salvage(&journal);
     }
     assert!(rejected > 0, "no interior mutation was ever rejected");
@@ -422,6 +426,150 @@ fn submit_journals_the_format_the_parent_commit_wrote() {
         .expect("a parent-written journal opens");
     assert_eq!(recovery.stats.truncated_bytes, 0);
     assert_eq!(recovery.stats.replayed_events, 6);
+    let report = recovery.engine.finish().expect("no worker panicked");
+    for (object, verdicts) in sequential_reference(factory.as_ref(), &events) {
+        assert_eq!(report.verdicts(object), Some(&verdicts[..]), "{object}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The ten-event stream [`PINNED_CHECKPOINT_JOURNAL`] records: two register
+/// objects, the first with six events and the second with four, so each
+/// reaches a checkpoint interval of 4.
+fn pinned_checkpoint_stream() -> Vec<(ObjectId, Symbol)> {
+    vec![
+        (ObjectId(1), Symbol::invoke(ProcId(0), Invocation::Write(7))),
+        (ObjectId(2), Symbol::invoke(ProcId(1), Invocation::Write(3))),
+        (ObjectId(1), Symbol::respond(ProcId(0), Response::Ack)),
+        (ObjectId(1), Symbol::invoke(ProcId(1), Invocation::Read)),
+        (ObjectId(2), Symbol::respond(ProcId(1), Response::Ack)),
+        (ObjectId(1), Symbol::respond(ProcId(1), Response::Value(7))),
+        (ObjectId(2), Symbol::invoke(ProcId(0), Invocation::Read)),
+        (ObjectId(1), Symbol::invoke(ProcId(0), Invocation::Write(9))),
+        (ObjectId(2), Symbol::respond(ProcId(0), Response::Value(3))),
+        (ObjectId(1), Symbol::respond(ProcId(0), Response::Ack)),
+    ]
+}
+
+/// Journals [`pinned_checkpoint_stream`] through a `Store` with checkpoint
+/// interval 4, then evicts object 1.  Waiting for the engine to drain after
+/// every submission fixes where the worker's checkpoint and tombstone
+/// records land between the write-ahead batch records.
+fn write_pinned_checkpoint_journal(path: &std::path::Path) {
+    let factory = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), 2));
+    let config = StoreConfig::new().with_fsync(FsyncPolicy::Never).with_checkpoint_interval(4);
+    let engine = MonitoringEngine::new(EngineConfig::new(1), factory);
+    let store = Arc::new(Store::open(path, config).unwrap());
+    engine.attach_journal(store.clone());
+    for (object, symbol) in &pinned_checkpoint_stream() {
+        engine.submit(*object, symbol);
+        engine.wait_drained();
+    }
+    engine.evict(ObjectId(1));
+    engine.wait_drained();
+    engine.finish().expect("no worker panicked");
+    let stats = store.stats();
+    assert_eq!((stats.batches, stats.checkpoints, stats.tombstones), (10, 2, 1));
+}
+
+/// The journal the parent commit (cb75736) wrote through
+/// [`write_pinned_checkpoint_journal`]: ten one-event Batch frames (38- and
+/// 46-byte payloads), a 220-byte Checkpoint frame for each object after its
+/// fourth event, and the Evict frame of object 1 last.  Payload lengths not
+/// a multiple of 16 make the checksum run its byte tail.
+#[rustfmt::skip]
+const PINNED_CHECKPOINT_JOURNAL: [u8; 1076] = [
+    0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0x52, 0xfd, 0x7c, 0xa0,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52,
+    0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0xf1, 0x7c, 0xa9, 0x33, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x03,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46,
+    0x01, 0x01, 0x00, 0x00, 0x26, 0x00, 0x00, 0x00, 0xef, 0xfe, 0x9f, 0x44, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x26, 0x00, 0x00, 0x00, 0xa7, 0x98,
+    0xc1, 0x9f, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00,
+    0x26, 0x00, 0x00, 0x00, 0xe6, 0xb1, 0xae, 0x9b, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52,
+    0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0xa5, 0xe5, 0xa3, 0xed, 0x06, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46,
+    0x01, 0x08, 0x00, 0x00, 0xdc, 0x00, 0x00, 0x00, 0xd2, 0x6f, 0x4d, 0x6c, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xb0, 0x00, 0x00, 0x00, 0x01, 0x02, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x02, 0x01, 0x07, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00,
+    0x26, 0x00, 0x00, 0x00, 0x07, 0xd7, 0xc8, 0x96, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52,
+    0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0xe0, 0xa3, 0xa6, 0xa8, 0x08, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x09,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46,
+    0x01, 0x01, 0x00, 0x00, 0x2e, 0x00, 0x00, 0x00, 0x3b, 0xf4, 0x5c, 0xbe, 0x09, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46, 0x01, 0x08,
+    0x00, 0x00, 0xdc, 0x00, 0x00, 0x00, 0x41, 0x55, 0x5a, 0xae, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xb0, 0x00, 0x00, 0x00, 0x01, 0x02, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46, 0x01, 0x01, 0x00, 0x00, 0x26, 0x00,
+    0x00, 0x00, 0x9b, 0xf9, 0x76, 0x7e, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x44, 0x52, 0x56, 0x46,
+    0x01, 0x07, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0xf7, 0xdf, 0x88, 0xa9, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
+];
+
+#[test]
+fn checkpoints_and_tombstones_journal_the_format_the_parent_commit_wrote() {
+    let events = pinned_checkpoint_stream();
+    let factory = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), 2));
+    let config = StoreConfig::new().with_fsync(FsyncPolicy::Never).with_checkpoint_interval(4);
+
+    // Written now: same bytes, checkpoint and tombstone frames included.
+    let path = journal_path("pin-checkpoint");
+    write_pinned_checkpoint_journal(&path);
+    assert_eq!(std::fs::read(&path).unwrap(), PINNED_CHECKPOINT_JOURNAL);
+
+    // Written then, recovered now: object 2 seeds from its checkpoint, the
+    // tombstone voids object 1's, and both streams are the reference's.
+    std::fs::write(&path, PINNED_CHECKPOINT_JOURNAL).unwrap();
+    let recovery = recover(&path, config, EngineConfig::new(2), factory.clone())
+        .expect("a parent-written journal opens");
+    assert_eq!(recovery.stats.truncated_bytes, 0);
+    assert_eq!(recovery.stats.replayed_events, 10);
+    assert_eq!(recovery.stats.seeded_objects, 1);
+    assert_eq!(recovery.stats.skipped_events, 4);
+    assert_eq!(recovery.stats.tombstones, 1);
     let report = recovery.engine.finish().expect("no worker panicked");
     for (object, verdicts) in sequential_reference(factory.as_ref(), &events) {
         assert_eq!(report.verdicts(object), Some(&verdicts[..]), "{object}");
