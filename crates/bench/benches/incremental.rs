@@ -30,6 +30,15 @@
 //! heap after the last event, from a counting allocator in this binary) is
 //! that state.
 //!
+//! The `checkpoint-chain` row is what a journal checkpoint costs the checker
+//! of a long-lived object: after 2 000 and after 20 000 operations of a
+//! two-process LIN register stream in `drvbench`'s shape, and 1 024 symbols
+//! (the store's default interval) after the previous checkpoint, it times
+//! and sizes the full form (`checkpoint_bytes`, what every checkpoint was
+//! before checkpoints became deltas) and the delta the engine now journals
+//! (`checkpoint_delta`).  The full form grows with the history; the delta
+//! should not.
+//!
 //! Besides the per-size report lines, the bench writes the machine-readable
 //! baseline `BENCH_checker.json` at the workspace root so future PRs can
 //! track the perf trajectory:
@@ -108,6 +117,11 @@ const STANDING_NO_OPS: usize = 400;
 /// `drvbench`'s `wide-batch256`.
 const FLEET_OBJECTS: usize = 2_048;
 const FLEET_OPS: usize = 150;
+/// Operations before the `checkpoint-chain` row's last checkpoint, and the
+/// symbols fed between it and the one before (the store's default
+/// checkpoint interval).
+const CHAIN_OPS: [usize; 2] = [2_000, 20_000];
+const CHAIN_INTERVAL: usize = 1_024;
 
 /// A linearizable register history: most operations complete immediately,
 /// some overlap in pairs; responses are drawn from an atomic register whose
@@ -450,6 +464,58 @@ fn measure_many_objects(lin: &CheckerConfig, sc: &CheckerConfig) -> ManyObjects 
     row
 }
 
+/// One size of the `checkpoint-chain` row: bytes and best-of-[`REPS`]
+/// microseconds of the full form and of the delta, taken at the same state.
+struct ChainRow {
+    full_bytes: usize,
+    full_us: f64,
+    delta_bytes: usize,
+    delta_us: f64,
+}
+
+fn measure_checkpoint_chain(config: &CheckerConfig) -> Vec<ChainRow> {
+    CHAIN_OPS
+        .iter()
+        .map(|&ops| {
+            let symbols = register_object_stream(
+                &mut StdRng::seed_from_u64(0xC4A1 + ops as u64),
+                ops + CHAIN_INTERVAL,
+                &RegisterStreamShape::load(),
+            );
+            let (before, interval) = symbols[..2 * ops + CHAIN_INTERVAL].split_at(2 * ops);
+            let mut best = [Duration::MAX; 2];
+            let mut bytes = [0usize; 2];
+            for _ in 0..REPS {
+                let mut checker = IncrementalChecker::new(Register::new(), *config, 2);
+                let mut outcomes = Vec::new();
+                checker.feed_batch(before, &mut outcomes);
+                let _ = checker.checkpoint_delta();
+                checker.feed_batch(interval, &mut outcomes);
+                assert!(outcomes.iter().all(|outcome| *outcome == CheckOutcome::Consistent));
+                let start = Instant::now();
+                let full = std::hint::black_box(checker.checkpoint_bytes());
+                best[0] = best[0].min(start.elapsed());
+                let start = Instant::now();
+                let delta = std::hint::black_box(checker.checkpoint_delta());
+                best[1] = best[1].min(start.elapsed());
+                bytes = [full.len(), delta.len()];
+            }
+            let row = ChainRow {
+                full_bytes: bytes[0],
+                full_us: best[0].as_secs_f64() * 1e6,
+                delta_bytes: bytes[1],
+                delta_us: best[1].as_secs_f64() * 1e6,
+            };
+            println!(
+                "checker/checkpoint-chain/{ops:<5} full: {} B in [min {:.1} µs], delta: {} B in \
+                 [min {:.1} µs]",
+                row.full_bytes, row.full_us, row.delta_bytes, row.delta_us
+            );
+            row
+        })
+        .collect()
+}
+
 fn json_section(label: &str, rows: &[Row], scaling: &[f64]) -> String {
     let sizes: Vec<String> = rows.iter().map(|r| r.size.to_string()).collect();
     let scratch: Vec<String> = rows.iter().map(|r| r.scratch.as_nanos().to_string()).collect();
@@ -493,6 +559,7 @@ fn main() {
     let sc_scaling = measure_scaling("sc", &sc);
     let standing_no = measure_standing_no(&sc);
     let many_objects = measure_many_objects(&lin, &sc);
+    let chain = measure_checkpoint_chain(&lin);
 
     for (label, rows) in [("lin", &lin_rows), ("sc", &sc_rows)] {
         let at_max = rows.last().expect("at least one size");
@@ -536,6 +603,15 @@ fn main() {
             "    \"object_by_object_ns_per_event\": {:.0},\n",
             "    \"arena_entries\": {},\n",
             "    \"heap_bytes_per_object\": {}\n",
+            "  }},\n",
+            "  \"checkpoint-chain\": {{\n",
+            "    \"stream\": \"2-process register (drvbench's shape), linearizability, ",
+            "one checkpoint {} symbols after the previous one\",\n",
+            "    \"ops\": [{}],\n",
+            "    \"full_bytes\": [{}],\n",
+            "    \"delta_bytes\": [{}],\n",
+            "    \"full_us\": [{}],\n",
+            "    \"delta_us\": [{}]\n",
             "  }}\n",
             "}}\n"
         ),
@@ -557,6 +633,12 @@ fn main() {
         many_objects.object_by_object_ns_per_event,
         many_objects.arena_entries,
         many_objects.heap_bytes_per_object,
+        CHAIN_INTERVAL,
+        CHAIN_OPS.map(|ops| ops.to_string()).join(", "),
+        chain.iter().map(|row| row.full_bytes.to_string()).collect::<Vec<_>>().join(", "),
+        chain.iter().map(|row| row.delta_bytes.to_string()).collect::<Vec<_>>().join(", "),
+        chain.iter().map(|row| format!("{:.1}", row.full_us)).collect::<Vec<_>>().join(", "),
+        chain.iter().map(|row| format!("{:.1}", row.delta_us)).collect::<Vec<_>>().join(", "),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_checker.json");
     match std::fs::write(path, &json) {

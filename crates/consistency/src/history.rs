@@ -274,13 +274,18 @@ impl InternedHistory {
         self.symbols = 0;
     }
 
+    /// Grows the history to (at least) `n` processes.
+    pub(crate) fn adopt_processes(&mut self, n: usize) {
+        if n > self.n {
+            self.n = n;
+            self.per_proc.resize_with(n, Vec::new);
+            self.open.resize(n, None);
+        }
+    }
+
     /// Claims the next symbol position for a symbol of `proc`.
     fn next_position(&mut self, proc: ProcId) -> u32 {
-        if proc.0 >= self.n {
-            self.n = proc.0 + 1;
-            self.per_proc.resize_with(self.n, Vec::new);
-            self.open.resize(self.n, None);
-        }
+        self.adopt_processes(proc.0 + 1);
         let position = u32::try_from(self.symbols).expect("< 2^32 symbols");
         self.symbols += 1;
         position
@@ -332,14 +337,36 @@ impl InternedHistory {
     /// The consumed word, symbol by symbol in position order, rebuilt from
     /// the records and the skipped symbols in one pass over both.
     pub(crate) fn word(&self) -> impl Iterator<Item = (ProcId, InternedAction)> + '_ {
+        self.word_from(0)
+    }
+
+    /// The consumed word from position `from` on: what a checkpoint taken
+    /// after `from` symbols adds to one taken there.  Costs the symbols it
+    /// yields plus a binary search per process, never the prefix.
+    pub(crate) fn word_from(
+        &self,
+        from: usize,
+    ) -> impl Iterator<Item = (ProcId, InternedAction)> + '_ {
+        let from = u32::try_from(from.min(self.symbols)).expect("< 2^32 symbols");
         // Records are in invocation order and skipped symbols in position
         // order, so the next invocation and the next skipped symbol are at
         // two cursors; a position that is neither is the response of an
         // operation invoked earlier and not answered yet — at most one per
-        // process, kept in `awaiting`.
-        let (mut next_record, mut next_skipped) = (0usize, 0usize);
-        let mut awaiting: Vec<usize> = Vec::new();
-        let mut positions = 0..u32::try_from(self.symbols).expect("< 2^32 symbols");
+        // process, kept in `awaiting`.  At `from` those are the operations
+        // invoked before it and answered at or after it: of each process
+        // only the last one it invoked before `from` can be.
+        let mut next_record = self.records.partition_point(|record| record.inv_pos < from);
+        let mut next_skipped = self.skipped.partition_point(|skipped| skipped.position < from);
+        let mut awaiting: Vec<usize> = self
+            .per_proc
+            .iter()
+            .filter_map(|ops| {
+                let before = ops.partition_point(|id| self.records[id.0].inv_pos < from);
+                let last = self.records[ops[..before].last()?.0];
+                last.resp_pos.is_some_and(|at| at >= from).then_some(last.id.0)
+            })
+            .collect();
+        let mut positions = from..u32::try_from(self.symbols).expect("< 2^32 symbols");
         std::iter::from_fn(move || {
             let position = positions.next()?;
             if let Some(record) = self.records.get(next_record) {

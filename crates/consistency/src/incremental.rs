@@ -96,9 +96,11 @@
 //! tests can assert the bound without a clock.  What still grows with `m`
 //! is memory, not time per event: one record, one per-process list entry and
 //! one witness entry (order, state, position index) per operation — ids and
-//! positions only.  And, outside this module's moves, what is proportional
-//! to it: checkpoint serialisation (the word is rebuilt from the history and
-//! written in full) and the callers' own per-object verdict vectors.
+//! positions only.  A checkpoint does not: [`IncrementalChecker::checkpoint_delta`]
+//! writes the symbols read since the previous one and the witness from the
+//! first entry any move above touched since (a watermark the moves lower),
+//! so it costs the interval plus the witness churn.  Only the full form,
+//! and a frontier stored while no witness is alive, are written whole.
 //!
 //! **Exactness.**  For definite verdicts the engine agrees with
 //! [`check_history`] bit for bit: a witness is only ever accepted after
@@ -256,18 +258,38 @@ struct WitnessPath<S: SequentialSpec> {
     /// operations past the end of the table are absent too.  Kept in step
     /// with `order` by every method that changes it.
     position: Vec<u32>,
+    /// `order[..clean]` is what it was at the last checkpoint delta: every
+    /// method that changes an entry lowers it to that entry's index, and
+    /// the delta writes only `order[clean..]`.
+    clean: usize,
 }
 
 impl<S: SequentialSpec> WitnessPath<S> {
-    fn new(order: Vec<(OpId, ResponseId)>, states: Vec<S::State>) -> Self {
-        debug_assert_eq!(states.len(), order.len() + 1);
-        let mut witness = WitnessPath {
-            order,
-            states,
+    /// The empty order, at `initial`.
+    fn new(initial: S::State) -> Self {
+        WitnessPath {
+            order: Vec::new(),
+            states: vec![initial],
             position: Vec::new(),
-        };
-        witness.reindex_from(0);
-        witness
+            clean: 0,
+        }
+    }
+
+    /// Appends `entry`; `state` is the state right after it.
+    fn push(&mut self, entry: (OpId, ResponseId), state: S::State) {
+        self.order.push(entry);
+        self.states.push(state);
+        self.reindex_from(self.order.len() - 1);
+    }
+
+    /// Drops `order[keep..]` and the states after it.
+    fn truncate(&mut self, keep: usize) {
+        for (id, _) in &self.order[keep..] {
+            self.position[id.0] = ABSENT;
+        }
+        self.order.truncate(keep);
+        self.states.truncate(keep + 1);
+        self.clean = self.clean.min(keep);
     }
 
     /// Where `op` sits in the order, if the witness contains it.
@@ -314,6 +336,7 @@ impl<S: SequentialSpec> WitnessPath<S> {
         self.order.insert(index, entry);
         self.set_states_after(index, std::iter::once(state).chain(suffix));
         self.reindex_from(index);
+        self.clean = self.clean.min(index);
     }
 
     /// Removes the operation at `index`; `suffix` holds the replayed states
@@ -323,12 +346,26 @@ impl<S: SequentialSpec> WitnessPath<S> {
         self.position[id.0] = ABSENT;
         self.set_states_after(index, suffix);
         self.reindex_from(index);
+        self.clean = self.clean.min(index);
+    }
+
+    /// Answers the operation at `index` with `response` in place; `states`
+    /// are the replayed states from it on.
+    fn swap_response(
+        &mut self,
+        index: usize,
+        response: ResponseId,
+        states: impl IntoIterator<Item = S::State>,
+    ) {
+        self.order[index].1 = response;
+        self.set_states_after(index, states);
+        self.clean = self.clean.min(index);
     }
 }
 
-/// Format version of [`IncrementalChecker::checkpoint_bytes`].  Bump when
-/// the layout changes; restore rejects versions it does not know.
-const CHECKPOINT_VERSION: u8 = 1;
+/// Format version of the checkpoint payload.  Bump when the layout changes;
+/// restore rejects versions it does not know and still reads version 1.
+const CHECKPOINT_VERSION: u8 = 2;
 
 /// Why a serialized checker checkpoint could not be restored.
 ///
@@ -363,6 +400,15 @@ pub enum CheckpointError {
         /// How many bytes were left over.
         remaining: usize,
     },
+    /// A delta extends a checker that has read `base` symbols, and this one
+    /// has read another number: it belongs after a checkpoint that was not
+    /// restored (or not the last one).
+    BaseMismatch {
+        /// Symbols the delta's base state had read.
+        base: usize,
+        /// Symbols the receiving checker has read.
+        consumed: usize,
+    },
 }
 
 impl From<CodecError> for CheckpointError {
@@ -392,6 +438,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after checkpoint")
             }
+            CheckpointError::BaseMismatch { base, consumed } => write!(
+                f,
+                "checkpoint delta extends {base} symbols, the checker has read {consumed}"
+            ),
         }
     }
 }
@@ -458,10 +508,11 @@ struct Core<S: SequentialSpec> {
     standing_no: bool,
     /// Cached verdict for the current history, cleared on every new symbol.
     cached: Option<CheckOutcome>,
-    /// Counts resets and searches.  Only the checkpoint reads it, and it
-    /// keeps counting so checkpoints stay byte-identical to the ones
-    /// already written in this format.
-    epoch: u32,
+    /// Symbols read at the last checkpoint delta or restore: where the next
+    /// delta starts (0 after a reset, so the next one is the full form —
+    /// a witness of a checker at mark 0 was built since, and its `clean`
+    /// watermark is 0 too).
+    mark: usize,
     stats: CheckerStats,
     /// See [`IncrementalChecker::maintenance_steps`].
     maintenance_steps: u64,
@@ -508,7 +559,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 latched_inconsistent: false,
                 standing_no: false,
                 cached: None,
-                epoch: 0,
+                mark: 0,
                 stats: CheckerStats::default(),
                 maintenance_steps: 0,
             },
@@ -637,8 +688,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// resolved — a checkpoint does not depend on the arena that wrote it),
     /// the maintained witness (as `(process, local index, response)`
     /// triples — the operation identity that survives reconstruction), the
-    /// search frontier, the latch, the standing NO, the epoch counter, and
-    /// the stats counters.
+    /// search frontier while no witness is alive (with one, the frontier is
+    /// its order), the latch, the standing NO, and the stats counters.
     ///
     /// What is *not* serialized: dead configurations (they are scoped to a
     /// single DFS run, so prior contents can never influence a verdict) and
@@ -646,23 +697,59 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// doubles as validation).  A checker restored from this
     /// payload therefore produces **bit-identical** verdicts to the
     /// original on any symbol suffix.
+    ///
+    /// This is the full form, the delta from nothing; it leaves the mark
+    /// of [`IncrementalChecker::checkpoint_delta`] where it is.  Layout
+    /// (version 2; integers little-endian):
+    ///
+    /// ```text
+    /// version u8 = 2 | flags u8 (1 latched, 2 witness, 4 standing NO) |
+    /// checks, fast_path, splices, repairs, dfs_runs, dfs_nodes, rebuilds,
+    /// latched: u64 each | processes u32 | base u32 |
+    /// count u32 | count × (proc u32, tag u8 (1 invoke, 2 respond), payload) |
+    /// flags & 2:  keep u32 | count u32 | count × (proc u32, index u32, response)
+    /// otherwise:  count u32 | count × (proc u32, index u32)      — the frontier
+    /// ```
+    ///
+    /// `base` is the number of symbols the payload's symbols follow and
+    /// `keep` the number of witness entries it leaves to the checker it
+    /// extends; both are 0 here.
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        self.core.checkpoint_bytes(&mut ArenaRead::new(&self.arena))
+        self.core.encode(&mut ArenaRead::new(&self.arena), 0, 0)
     }
 
-    /// Restores state serialized by [`IncrementalChecker::checkpoint_bytes`]
-    /// into this engine, replacing whatever it held.  The receiving checker
-    /// must have been built with the same spec and config as the serialized
-    /// one (the factory that created the original recreates it); the
-    /// witness replay validates that claim and rejects mismatches.
+    /// The checkpoint payload of [`IncrementalChecker::checkpoint_bytes`],
+    /// relative to this checker's last delta or restore (the *mark*): the
+    /// symbols read since, the witness from the first entry that changed
+    /// since, the frontier if no witness is alive, the flags and the
+    /// counters.  Then the mark moves here.  Its size is what the interval
+    /// added, not the history; before any delta or restore, and after a
+    /// reset, it is the full form.
+    ///
+    /// Restoring a checker's deltas in order, the first into a fresh
+    /// checker, gives the state restoring its full form would.
+    #[must_use]
+    pub fn checkpoint_delta(&mut self) -> Vec<u8> {
+        self.core.checkpoint_delta(&mut ArenaRead::new(&self.arena))
+    }
+
+    /// Restores a checkpoint payload into this engine.  A payload with base
+    /// 0 (every full form, and version 1's, which an earlier build wrote)
+    /// replaces whatever the checker held; one with another base extends
+    /// it and must follow exactly the symbols this checker has read.  The
+    /// receiving checker must have been built with the same spec and config
+    /// as the serialized one (the factory that created the original
+    /// recreates it); the witness replay validates that claim and rejects
+    /// mismatches.  The mark of [`IncrementalChecker::checkpoint_delta`]
+    /// moves to the restored state.
     ///
     /// # Errors
     ///
     /// Any [`CheckpointError`]: malformed bytes, a version or flag this
-    /// build does not know, dangling operation references, an illegal
-    /// witness replay, or trailing bytes.  On error the checker is left
-    /// safe but unspecified — discard it.
+    /// build does not know, a delta for another base, dangling operation
+    /// references, an illegal witness replay, or trailing bytes.  On error
+    /// the checker is left safe but unspecified — discard it.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.core
             .restore_bytes(&mut ArenaRead::new(&self.arena), bytes)
@@ -677,16 +764,7 @@ impl<S: SequentialSpec> Core<S> {
         self.latched_inconsistent = false;
         self.standing_no = false;
         self.cached = None;
-        self.bump_epoch();
-    }
-
-    /// Advances the epoch counter, skipping 0 on wrap-around.  The counter
-    /// decides nothing, but checkpoint bytes carry it.
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.epoch = 1;
-        }
+        self.mark = 0;
     }
 
     fn push_symbol(&mut self, arena: &mut ArenaRead<'_>, symbol: &Symbol) {
@@ -1004,8 +1082,7 @@ impl<S: SequentialSpec> Core<S> {
         let Some(suffix) = self.replay(arena, &state, &witness.order[position + 1..]) else {
             return false;
         };
-        witness.order[position].1 = observed;
-        witness.set_states_after(position, std::iter::once(state).chain(suffix));
+        witness.swap_response(position, observed, std::iter::once(state).chain(suffix));
         true
     }
 
@@ -1044,7 +1121,6 @@ impl<S: SequentialSpec> Core<S> {
     /// The fallback search from the root, guided by the stored frontier.
     fn run_dfs(&mut self, arena: &mut ArenaRead<'_>) -> CheckOutcome {
         self.stats.dfs_runs += 1;
-        self.bump_epoch();
         let hint = std::mem::take(&mut self.frontier);
         let (outcome, order) = self.search(arena, &hint);
         if let SearchOutcome::Found = outcome {
@@ -1099,45 +1175,51 @@ impl<S: SequentialSpec> Core<S> {
     /// Installs a search-produced linearization as the maintained witness,
     /// rebuilding the state path once (outside the search).
     fn install_witness(&mut self, arena: &mut ArenaRead<'_>, order: Vec<(OpId, ResponseId)>) {
-        let states = self
-            .state_path(arena, &order)
+        let mut witness = WitnessPath::new(self.spec.initial());
+        self.extend_witness(arena, &mut witness, &order)
             .expect("witness found by the search replays legally");
-        self.witness = Some(WitnessPath::new(order, states));
+        self.witness = Some(witness);
     }
 
-    /// The states along `order` from the initial one (`order.len() + 1` of
-    /// them), or the position at which the replay is illegal.
-    fn state_path(
+    /// Appends `entries` to `witness`, replaying the state after each, or
+    /// returns the position at which the replay is illegal.
+    fn extend_witness(
         &self,
         arena: &mut ArenaRead<'_>,
-        order: &[(OpId, ResponseId)],
-    ) -> Result<Vec<S::State>, usize> {
+        witness: &mut WitnessPath<S>,
+        entries: &[(OpId, ResponseId)],
+    ) -> Result<(), usize> {
         let interner = arena.interner();
-        let mut states = Vec::with_capacity(order.len() + 1);
-        states.push(self.spec.initial());
-        for (position, (id, resp)) in order.iter().enumerate() {
-            let q = self.history.record(*id);
+        witness.order.reserve(entries.len());
+        witness.states.reserve(entries.len());
+        for &(id, resp) in entries {
+            let q = self.history.record(id);
             let next = self
                 .spec
                 .step_if_legal(
-                    &states[position],
+                    witness.states.last().expect("the path starts at the initial state"),
                     interner.resolve_invocation(q.invocation),
-                    interner.resolve_response(*resp),
+                    interner.resolve_response(resp),
                 )
-                .ok_or(position)?;
-            states.push(next);
+                .ok_or(witness.order.len())?;
+            witness.push((id, resp), next);
         }
-        Ok(states)
+        Ok(())
     }
 
-    fn checkpoint_bytes(&self, arena: &mut ArenaRead<'_>) -> Vec<u8> {
+    /// The one checkpoint encoder (layout in the docs of
+    /// [`IncrementalChecker::checkpoint_bytes`]): the symbols from position
+    /// `base` on and the witness from entry `keep` on, both relative to a
+    /// checker that has read `base` symbols and holds this witness's first
+    /// `keep` entries.  `(0, 0)` is the full form.
+    fn encode(&self, arena: &mut ArenaRead<'_>, base: usize, keep: usize) -> Vec<u8> {
         let interner = arena.interner();
-        let symbols = self.history.symbols_consumed();
+        let symbols = self.history.symbols_consumed() - base;
         // Sized for register traffic (a symbol is 6 or 14 bytes, a witness
         // entry 9 or 17, a frontier entry 8) so that a long history is
         // written without regrowing the buffer a dozen times.
         let (witness_len, frontier_len) = match &self.witness {
-            Some(witness) => (witness.order.len(), witness.order.len()),
+            Some(witness) => (witness.order.len() - keep, 0),
             None => (0, self.frontier.len()),
         };
         let mut buf =
@@ -1154,16 +1236,12 @@ impl<S: SequentialSpec> Core<S> {
             flags |= 4;
         }
         buf.push(flags);
-        put_u32(&mut buf, self.epoch);
         for value in [
             self.stats.checks,
             self.stats.fast_path,
             self.stats.splices,
             self.stats.repairs,
             self.stats.dfs_runs,
-            // A stats slot the format still carries: written as 0 and
-            // skipped on restore.
-            0,
             self.stats.dfs_nodes,
             self.stats.rebuilds,
             self.stats.latched,
@@ -1171,8 +1249,9 @@ impl<S: SequentialSpec> Core<S> {
             put_u64(&mut buf, value);
         }
         put_u32(&mut buf, self.history.process_count() as u32);
+        put_u32(&mut buf, base as u32);
         put_u32(&mut buf, symbols as u32);
-        for (proc, action) in self.history.word() {
+        for (proc, action) in self.history.word_from(base) {
             put_u32(&mut buf, proc.0 as u32);
             match action {
                 InternedAction::Invoke(id) => {
@@ -1185,28 +1264,41 @@ impl<S: SequentialSpec> Core<S> {
                 }
             }
         }
-        if let Some(witness) = &self.witness {
-            put_u32(&mut buf, witness.order.len() as u32);
-            for (id, resp) in &witness.order {
-                let record = self.history.record(*id);
-                put_u32(&mut buf, record.proc.0 as u32);
-                put_u32(&mut buf, record.local_index);
-                put_response(&mut buf, interner.resolve_response(*resp));
+        match &self.witness {
+            Some(witness) => {
+                put_u32(&mut buf, keep as u32);
+                put_u32(&mut buf, witness_len as u32);
+                for (id, resp) in &witness.order[keep..] {
+                    let record = self.history.record(*id);
+                    put_u32(&mut buf, record.proc.0 as u32);
+                    put_u32(&mut buf, record.local_index);
+                    put_response(&mut buf, interner.resolve_response(*resp));
+                }
+            }
+            // While a witness is alive the frontier is its order; only the
+            // stored copy is ever written.
+            None => {
+                put_u32(&mut buf, frontier_len as u32);
+                for id in &self.frontier {
+                    let record = self.history.record(*id);
+                    put_u32(&mut buf, record.proc.0 as u32);
+                    put_u32(&mut buf, record.local_index);
+                }
             }
         }
-        // The frontier: the witness order while a witness is alive, the
-        // stored copy otherwise.
-        put_u32(&mut buf, frontier_len as u32);
-        let mut put_op = |id: OpId| {
-            let record = self.history.record(id);
-            put_u32(&mut buf, record.proc.0 as u32);
-            put_u32(&mut buf, record.local_index);
-        };
-        match &self.witness {
-            Some(witness) => witness.order.iter().for_each(|(id, _)| put_op(*id)),
-            None => self.frontier.iter().for_each(|id| put_op(*id)),
-        }
         buf
+    }
+
+    /// The delta since the mark, which then moves here.
+    fn checkpoint_delta(&mut self, arena: &mut ArenaRead<'_>) -> Vec<u8> {
+        let base = self.mark;
+        let keep = self.witness.as_ref().map_or(0, |witness| witness.clean);
+        let bytes = self.encode(arena, base, keep);
+        self.mark = self.history.symbols_consumed();
+        if let Some(witness) = &mut self.witness {
+            witness.clean = witness.order.len();
+        }
+        bytes
     }
 
     fn restore_bytes(
@@ -1216,26 +1308,52 @@ impl<S: SequentialSpec> Core<S> {
     ) -> Result<(), CheckpointError> {
         let mut reader = Reader::new(bytes);
         let version = reader.u8("checkpoint version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
+        // Version 1 is the full form an earlier build wrote, with three
+        // fields version 2 dropped: read and skipped.
+        let v1 = match version {
+            1 => true,
+            CHECKPOINT_VERSION => false,
+            _ => return Err(CheckpointError::BadVersion(version)),
+        };
         let flags = reader.u8("checkpoint flags")?;
         if flags & !7 != 0 {
             return Err(CheckpointError::BadFlags(flags));
         }
-        let epoch = reader.u32("checkpoint epoch")?;
-        let mut counters = [0u64; 9];
-        for slot in &mut counters {
-            *slot = reader.u64("checkpoint stats")?;
+        if v1 {
+            reader.u32("checkpoint epoch")?;
+        }
+        let mut counters = [0u64; 8];
+        for (slot, counter) in counters.iter_mut().enumerate() {
+            if v1 && slot == 5 {
+                // A stats slot version 1 wrote as 0.
+                reader.u64("checkpoint stats")?;
+            }
+            *counter = reader.u64("checkpoint stats")?;
         }
         let processes = reader.u32("checkpoint processes")? as usize;
+        let base = if v1 {
+            0
+        } else {
+            reader.u32("checkpoint base")? as usize
+        };
+        // Base 0 replaces the state; any other base must be exactly what
+        // this checker has read, and the payload extends it.
+        let consumed = self.history.symbols_consumed();
+        let held = if base == 0 {
+            self.history = InternedHistory::new(processes);
+            None
+        } else if base == consumed {
+            self.history.adopt_processes(processes);
+            self.witness.take()
+        } else {
+            return Err(CheckpointError::BaseMismatch { base, consumed });
+        };
+        self.witness = None;
+        self.frontier = Vec::new();
         // Each symbol costs at least proc (4) + tag (1) + one payload byte.
         let symbol_count = reader.count(6, "checkpoint symbols")?;
         // Re-feed the history directly, bypassing witness maintenance: the
         // serialized witness and frontier already encode its outcome.
-        self.history = InternedHistory::new(processes);
-        self.witness = None;
-        self.frontier = Vec::new();
         for _ in 0..symbol_count {
             let proc = ProcId(reader.u32("checkpoint symbol proc")? as usize);
             match reader.u8("checkpoint symbol tag")? {
@@ -1256,6 +1374,20 @@ impl<S: SequentialSpec> Core<S> {
             }
         }
         if flags & 2 != 0 {
+            // The entries the payload leaves to the held witness.
+            let keep = if v1 {
+                0
+            } else {
+                reader.u32("checkpoint witness keep")? as usize
+            };
+            let held_len = held.as_ref().map_or(0, |witness| witness.order.len());
+            if keep > held_len {
+                return Err(CheckpointError::Codec(CodecError::LengthOverflow {
+                    what: "checkpoint witness keep",
+                    claimed: keep as u64,
+                    admissible: held_len as u64,
+                }));
+            }
             // Each witness entry: proc (4) + index (4) + one response byte.
             let entries = reader.count(9, "checkpoint witness")?;
             let mut order = Vec::with_capacity(entries);
@@ -1271,53 +1403,59 @@ impl<S: SequentialSpec> Core<S> {
                 )?;
                 order.push((op, arena.response(&response)));
             }
-            // Rebuild the state path by replay: a crossed checkpoint (wrong
-            // spec, wrong config) must surface as an error, not a panic.
-            let states = self
-                .state_path(arena, &order)
+            // Recompute the states after the kept entries by replay: a
+            // crossed checkpoint (wrong spec, wrong config) must surface as
+            // an error, not a panic.
+            let mut witness = held.unwrap_or_else(|| WitnessPath::new(self.spec.initial()));
+            witness.truncate(keep);
+            self.extend_witness(arena, &mut witness, &order)
                 .map_err(|position| CheckpointError::IllegalWitness { position })?;
-            self.witness = Some(WitnessPath::new(order, states));
+            witness.clean = witness.order.len();
+            self.witness = Some(witness);
         }
-        // With a witness the frontier is its order (the writer serialized
-        // exactly that), so the entries are validated and not kept.
-        let frontier_entries = reader.count(8, "checkpoint frontier")?;
+        // Version 2 writes the frontier only while no witness is alive;
+        // version 1 also wrote a live witness's order as one, which is
+        // validated and not kept.
         let stored = self.witness.is_none();
-        let mut frontier = Vec::with_capacity(if stored { frontier_entries } else { 0 });
-        for _ in 0..frontier_entries {
-            let proc = ProcId(reader.u32("checkpoint frontier proc")? as usize);
-            let local_index = reader.u32("checkpoint frontier index")?;
-            let op = self
-                .history
-                .op_at(proc, local_index)
-                .ok_or(CheckpointError::UnknownOp {
-                    proc: proc.0,
-                    local_index,
-                })?;
-            if stored {
-                frontier.push(op);
+        if v1 || stored {
+            let frontier_entries = reader.count(8, "checkpoint frontier")?;
+            let mut frontier = Vec::with_capacity(if stored { frontier_entries } else { 0 });
+            for _ in 0..frontier_entries {
+                let proc = ProcId(reader.u32("checkpoint frontier proc")? as usize);
+                let local_index = reader.u32("checkpoint frontier index")?;
+                let op = self
+                    .history
+                    .op_at(proc, local_index)
+                    .ok_or(CheckpointError::UnknownOp {
+                        proc: proc.0,
+                        local_index,
+                    })?;
+                if stored {
+                    frontier.push(op);
+                }
             }
+            self.frontier = frontier;
         }
         if !reader.is_empty() {
             return Err(CheckpointError::TrailingBytes {
                 remaining: reader.remaining(),
             });
         }
-        self.frontier = frontier;
         self.latched_inconsistent = flags & 1 != 0;
         self.standing_no = flags & 4 != 0;
         self.cached = None;
-        // The writer's counter, resumed so that this checker's next
-        // checkpoint carries what the writer's would have.
-        self.epoch = epoch;
+        self.mark = self.history.symbols_consumed();
+        let [checks, fast_path, splices, repairs, dfs_runs, dfs_nodes, rebuilds, latched] =
+            counters;
         self.stats = CheckerStats {
-            checks: counters[0],
-            fast_path: counters[1],
-            splices: counters[2],
-            repairs: counters[3],
-            dfs_runs: counters[4],
-            dfs_nodes: counters[6],
-            rebuilds: counters[7],
-            latched: counters[8],
+            checks,
+            fast_path,
+            splices,
+            repairs,
+            dfs_runs,
+            dfs_nodes,
+            rebuilds,
+            latched,
         };
         Ok(())
     }
@@ -1785,5 +1923,132 @@ mod tests {
         ));
         // The uncorrupted payload still restores after all that.
         lin(Register::new()).restore_bytes(&bytes).expect("pristine payload restores");
+    }
+
+    /// A counter whose increment may answer `Ack` (what `apply` gives) or
+    /// the value it replaced: two legal responses for one step, so a
+    /// response the search assumed can be swapped for the other in place.
+    #[derive(Debug, Clone)]
+    struct TwoFacedCounter;
+
+    impl SequentialSpec for TwoFacedCounter {
+        type State = u64;
+
+        fn name(&self) -> String {
+            "two-faced counter".into()
+        }
+
+        fn kind(&self) -> drv_lang::ObjectKind {
+            drv_lang::ObjectKind::Counter
+        }
+
+        fn initial(&self) -> u64 {
+            0
+        }
+
+        fn apply(&self, state: &u64, invocation: &Invocation) -> Option<(u64, Response)> {
+            match invocation {
+                Invocation::Inc => Some((state + 1, Response::Ack)),
+                Invocation::Read => Some((*state, Response::Value(*state))),
+                _ => None,
+            }
+        }
+
+        fn step_if_legal(
+            &self,
+            state: &u64,
+            invocation: &Invocation,
+            response: &Response,
+        ) -> Option<u64> {
+            match (invocation, response) {
+                (Invocation::Inc, Response::Value(old)) if old == state => Some(state + 1),
+                _ => {
+                    let (next, expected) = self.apply(state, invocation)?;
+                    (expected == *response).then_some(next)
+                }
+            }
+        }
+    }
+
+    /// Feeds `before` and checks, takes a delta, feeds `after` (which
+    /// changes a witness entry below the first delta's end) and checks,
+    /// takes another, and checks that the two restored in order give the
+    /// live state.
+    fn chain_across<S: SequentialSpec + Clone>(
+        spec: S,
+        before: &[Symbol],
+        after: &[Symbol],
+    ) -> CheckerStats {
+        let mut live = lin(spec.clone());
+        let mut feed = |symbols: &[Symbol]| {
+            symbols.iter().for_each(|symbol| live.push_symbol(symbol));
+            assert!(live.check_outcome().is_consistent());
+            live.checkpoint_delta()
+        };
+        let first = feed(before);
+        let second = feed(after);
+        let mut restored = lin(spec);
+        restored.restore_bytes(&first).expect("the full form restores");
+        restored.restore_bytes(&second).expect("the delta extends it");
+        assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
+        live.stats()
+    }
+
+    #[test]
+    fn witness_entries_changed_in_place_reach_the_next_delta() {
+        // Repair: the read observes the pending increment, which joins the
+        // witness with the `Ack` the specification gives it; it answers with
+        // the old value instead, and the entry is repaired where it stands.
+        let repaired = chain_across(
+            TwoFacedCounter,
+            &[
+                Symbol::invoke(p(0), Invocation::Inc),
+                Symbol::invoke(p(1), Invocation::Read),
+                Symbol::respond(p(1), Response::Value(1)),
+            ],
+            &[Symbol::respond(p(0), Response::Value(0))],
+        );
+        assert_eq!(repaired.repairs, 1, "{repaired:?}");
+        // Excision: the search orders the pending read first, answering 0;
+        // it answers 1, leaves the order's head and is spliced in behind
+        // the write.
+        let excised = chain_across(
+            Register::new(),
+            &[
+                Symbol::invoke(p(0), Invocation::Read),
+                Symbol::invoke(p(1), Invocation::Write(1)),
+                Symbol::respond(p(1), Response::Ack),
+            ],
+            &[Symbol::respond(p(0), Response::Value(1))],
+        );
+        assert_eq!((excised.dfs_runs, excised.splices), (1, 1), "{excised:?}");
+    }
+
+    #[test]
+    fn a_delta_may_keep_only_the_witness_entries_held() {
+        let mut live = lin(Register::new());
+        let word = WordBuilder::new()
+            .op(p(0), Invocation::Write(1), Response::Ack)
+            .op(p(1), Invocation::Read, Response::Value(1))
+            .build();
+        assert!(live.check_word(&word).is_consistent());
+        let full = live.checkpoint_delta();
+        // Nothing happened since: no symbol, and both witness entries kept.
+        let empty = live.checkpoint_delta();
+        // Version, flags, eight counters, processes, base and the symbol
+        // count come before the witness's `keep`.
+        let keep_at = 1 + 1 + 8 * 8 + 4 + 4 + 4;
+        assert_eq!(empty.len(), keep_at + 8);
+        assert_eq!(empty[keep_at..], [2, 0, 0, 0, 0, 0, 0, 0]);
+        let mut restored = lin(Register::new());
+        restored.restore_bytes(&full).expect("the full form restores");
+        restored.restore_bytes(&empty).expect("an empty delta extends it");
+        assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
+        let mut inflated = empty.clone();
+        inflated[keep_at] = 3;
+        assert!(matches!(
+            restored.restore_bytes(&inflated),
+            Err(CheckpointError::Codec(CodecError::LengthOverflow { claimed: 3, .. }))
+        ));
     }
 }

@@ -209,11 +209,13 @@ fn a_checkpoint_without_the_standing_bit_restores_and_searches_once() {
     }
 }
 
-/// A checkpoint the parent of the commit that made the history the only copy
-/// of the word wrote (it kept every symbol in a vector of its own and wrote
-/// that), after the seven symbols of [`mixed_prefix`] under linearizability;
-/// under sequential consistency it wrote the same bytes with flags `0x04`
-/// (the NO stands) in place of `0x01` (the NO is latched).
+/// A version-1 checkpoint: what the parent of the commit that made the
+/// history the only copy of the word wrote (it kept every symbol in a vector
+/// of its own and wrote that), after the seven symbols of [`mixed_prefix`]
+/// under linearizability; under sequential consistency it wrote the same
+/// bytes with flags `0x04` (the NO stands) in place of `0x01` (the NO is
+/// latched).  It carries an epoch counter, a stats slot written as 0, and
+/// an empty frontier.
 const PARENT_CHECKPOINT: [u8; 156] = [
     0x01, 0x01, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -225,6 +227,22 @@ const PARENT_CHECKPOINT: [u8; 156] = [
     0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00,
     0x02, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01,
     0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// The same state in version 2, as the commit that made checkpoints deltas
+/// wrote it: no epoch, no zero slot, and a base of 0 (the full form) after
+/// the process count; flags `0x01` or `0x04` as above.
+const VERSION_2_CHECKPOINT: [u8; 148] = [
+    0x02, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x02, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
 ];
 
 /// Everything a checkpoint's word section can hold: an orphan response and
@@ -264,6 +282,8 @@ fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
     ] {
         let mut literal = PARENT_CHECKPOINT;
         literal[1] = flags;
+        let mut written = VERSION_2_CHECKPOINT;
+        written[1] = flags;
         let mut twin = IncrementalChecker::new(Register::new(), config, 2);
         for symbol in mixed_prefix() {
             step(&mut twin, symbol);
@@ -271,7 +291,7 @@ fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
         assert_eq!(twin.symbols_consumed(), 7, "skipped symbols count");
         assert_eq!(
             twin.checkpoint_bytes(),
-            literal,
+            written,
             "{config:?}: this build writes other bytes"
         );
         let mut restored = IncrementalChecker::new(Register::new(), config, 2);
@@ -281,9 +301,12 @@ fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
         assert_eq!(restored.symbols_consumed(), 7);
         assert_eq!(
             restored.checkpoint_bytes(),
-            literal,
+            written,
             "{config:?}: restore lost a byte"
         );
+        let mut reread = IncrementalChecker::new(Register::new(), config, 2);
+        reread.restore_bytes(&written).expect("a version-2 checkpoint restores");
+        assert_eq!(reread.checkpoint_bytes(), written, "{config:?}");
         let mut answer = Inconsistent;
         for (at, symbol) in rest.iter().enumerate() {
             let (outcome, searches) = step(&mut restored, symbol.clone());
@@ -300,6 +323,46 @@ fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
             restored.checkpoint_bytes(),
             twin.checkpoint_bytes(),
             "{config:?}"
+        );
+    }
+}
+
+/// Feeds the first `2 × ops` symbols of a `drvbench`-shaped register stream
+/// (≈ `ops` operations) and takes a checkpoint delta, feeds 1 024 more and
+/// takes another; returns the second delta's size and the full form's there.
+fn delta_and_full_bytes(config: CheckerConfig, ops: usize) -> (usize, usize) {
+    let mut rng = StdRng::seed_from_u64(24 + ops as u64);
+    let symbols = register_object_stream(&mut rng, ops + 600, &RegisterStreamShape::load());
+    let (before, interval) = symbols[..2 * ops + 1024].split_at(2 * ops);
+    let mut checker = IncrementalChecker::new(Register::new(), config, 2);
+    let mut outcomes = Vec::new();
+    checker.feed_batch(before, &mut outcomes);
+    let first = checker.checkpoint_delta();
+    assert_eq!(first, checker.checkpoint_bytes(), "the first delta is the full form");
+    checker.feed_batch(interval, &mut outcomes);
+    let delta = checker.checkpoint_delta();
+    assert!(outcomes.iter().all(|outcome| *outcome == CheckOutcome::Consistent));
+    (delta.len(), checker.checkpoint_bytes().len())
+}
+
+#[test]
+fn a_checkpoint_delta_costs_the_interval_not_the_history() {
+    for (label, config) in [
+        ("LIN", CheckerConfig::linearizability()),
+        ("SC", CheckerConfig::sequential_consistency()),
+    ] {
+        let (short_delta, short_full) = delta_and_full_bytes(config, 2_000);
+        let (long_delta, long_full) = delta_and_full_bytes(config, 20_000);
+        let delta_ratio = long_delta as f64 / short_delta as f64;
+        let full_ratio = long_full as f64 / short_full as f64;
+        assert!(
+            (1.0 / 1.5..=1.5).contains(&delta_ratio),
+            "{label}: a 1 024-symbol delta is {short_delta} B after 2 000 ops, {long_delta} B \
+             after 20 000"
+        );
+        assert!(
+            full_ratio >= 8.0,
+            "{label}: the full form grew only {full_ratio:.1}× ({short_full} → {long_full} B)"
         );
     }
 }

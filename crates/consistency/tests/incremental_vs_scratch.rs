@@ -11,8 +11,10 @@
 //! search frontier only steers the fallback's move ordering, so a wrong one
 //! keeps every verdict and silently changes how much the search explores:
 //! each sweep asserts the exact totals of the engine's path counters.  And
-//! at every 7th prefix the checker is checkpointed and restored: the copy
-//! must write the same bytes back and answer the rest of the word alike.
+//! at every 7th prefix the checker takes a checkpoint delta: a fresh copy
+//! restored from all the word's deltas so far, in order, must write the
+//! live checker's full checkpoint and answer the rest of the word alike,
+//! and a delta restored without the ones before it must be refused.
 //!
 //! Random responses almost never recover from a violation, so a second kind
 //! of word does it on purpose: a read observes a value nobody has produced,
@@ -26,7 +28,7 @@
 //! read besides its history, and must still know that word symbol for symbol.
 
 use drv_consistency::{
-    check_history, validate_witness, CheckOutcome, CheckerConfig, CheckerStats,
+    check_history, validate_witness, CheckOutcome, CheckerConfig, CheckerStats, CheckpointError,
     ConcurrentHistory, ConsistencyResult, IncrementalChecker,
 };
 use drv_lang::wire::{put_invocation, put_response, put_u32};
@@ -176,6 +178,10 @@ struct Sweep {
     recoveries: usize,
     /// Checks answered Inconsistent without a search.
     unsearched_no: u64,
+    /// Prefixes a checkpoint delta was taken at, and how many of them had
+    /// no witness (the delta carries the stored frontier instead).
+    cuts: usize,
+    cuts_without_witness: usize,
 }
 
 fn compare_on<S: SequentialSpec + Clone>(
@@ -198,8 +204,9 @@ fn compare_on<S: SequentialSpec + Clone>(
 }
 
 /// Feeds every `(process count, word)` to a fresh incremental checker symbol
-/// by symbol, comparing with [`check_history`] at every prefix and forking a
-/// checkpoint-restored copy at every 7th.
+/// by symbol, comparing with [`check_history`] at every prefix; at every 7th
+/// it takes a checkpoint delta and forks a copy restored from all the
+/// word's deltas so far.
 fn sweep<S: SequentialSpec + Clone>(
     spec: S,
     config: CheckerConfig,
@@ -208,12 +215,15 @@ fn sweep<S: SequentialSpec + Clone>(
 ) -> Sweep {
     let mut totals = PathTotals::default();
     let (mut recoveries, mut unsearched_no) = (0usize, 0u64);
+    let (mut cuts, mut cuts_without_witness) = (0usize, 0usize);
     let mut prefixes = 0usize;
     for (case, (n, word)) in words.into_iter().enumerate() {
         let mut incremental = IncrementalChecker::new(spec.clone(), config, n);
         let mut fed: Vec<Symbol> = Vec::new();
         let mut outcomes: Vec<CheckOutcome> = Vec::new();
         let mut forks: Vec<Fork> = Vec::new();
+        let mut chain: Vec<Vec<u8>> = Vec::new();
+        let mut previous_cut = 0usize;
         for (position, symbol) in word.symbols().iter().enumerate() {
             incremental.push_symbol(symbol);
             fed.push(symbol.clone());
@@ -244,13 +254,31 @@ fn sweep<S: SequentialSpec + Clone>(
             }
             prefixes += 1;
             if prefixes.is_multiple_of(7) {
-                let bytes = incremental.checkpoint_bytes();
+                chain.push(incremental.checkpoint_delta());
                 let mut restored = IncrementalChecker::new(spec.clone(), config, n);
-                restored.restore_bytes(&bytes).expect("a checkpoint we wrote restores");
+                for bytes in &chain {
+                    restored.restore_bytes(bytes).expect("a checkpoint we wrote restores");
+                }
                 assert!(
-                    restored.checkpoint_bytes() == bytes,
-                    "{ctx}: the restored checker writes a different checkpoint"
+                    restored.checkpoint_bytes() == incremental.checkpoint_bytes(),
+                    "{ctx}: the checker restored from {} deltas writes a different checkpoint",
+                    chain.len()
                 );
+                if previous_cut > 0 {
+                    // A delta extends only the state it was taken after.
+                    let mut fresh = IncrementalChecker::new(spec.clone(), config, n);
+                    assert_eq!(
+                        fresh.restore_bytes(&chain[chain.len() - 1]),
+                        Err(CheckpointError::BaseMismatch {
+                            base: previous_cut,
+                            consumed: 0
+                        }),
+                        "{ctx}"
+                    );
+                }
+                previous_cut = position + 1;
+                cuts += 1;
+                cuts_without_witness += usize::from(got.witness().is_none());
                 let mut fork_outcomes = Vec::new();
                 restored.feed_batch(&word.symbols()[position + 1..], &mut fork_outcomes);
                 forks.push(Fork {
@@ -290,6 +318,8 @@ fn sweep<S: SequentialSpec + Clone>(
         totals,
         recoveries,
         unsearched_no,
+        cuts,
+        cuts_without_witness,
     }
 }
 
@@ -463,6 +493,13 @@ fn sequential_consistency_recovers_when_a_later_mutator_explains_the_observation
                 swept.unsearched_no,
                 swept.totals
             );
+            // The chain sweep cut both with a witness and in frontier mode.
+            assert!(
+                (1..swept.cuts).contains(&swept.cuts_without_witness),
+                "{label}: {} of {} cuts without a witness",
+                swept.cuts_without_witness,
+                swept.cuts
+            );
         };
         run(Object::Register, 401);
         run(Object::Counter, 402);
@@ -470,8 +507,8 @@ fn sequential_consistency_recovers_when_a_later_mutator_explains_the_observation
     }
 }
 
-/// The word section of a version-1 checkpoint for `symbols`: the count, then
-/// per symbol the process, a tag and the payload.
+/// The word section of a checkpoint for `symbols`: the count, then per
+/// symbol the process, a tag and the payload.
 fn word_section(symbols: &[Symbol]) -> Vec<u8> {
     let mut bytes = Vec::new();
     put_u32(&mut bytes, symbols.len() as u32);
@@ -491,9 +528,9 @@ fn word_section(symbols: &[Symbol]) -> Vec<u8> {
     bytes
 }
 
-/// Where a checkpoint's word section starts: version, flags, epoch, nine
-/// counters and the process count come first.
-const WORD_SECTION_AT: usize = 1 + 1 + 4 + 9 * 8 + 4;
+/// Where a checkpoint's word section starts: version, flags, eight counters,
+/// the process count and the base come first.
+const WORD_SECTION_AT: usize = 1 + 1 + 8 * 8 + 4 + 4;
 
 /// Feeds `word` one growing prefix at a time and then every word that
 /// differs from it in one symbol; returns how many symbols of `word` belong
@@ -526,6 +563,14 @@ fn reconstructs<S: SequentialSpec + Clone>(
         assert!(
             checkpoint[WORD_SECTION_AT..].starts_with(&word_section(prefix.symbols())),
             "the word rebuilt for a checkpoint is not the {len} symbols fed: {prefix}"
+        );
+        // A delta per symbol: the word from the previous one's cut on is
+        // exactly the symbol fed since, wherever the cut falls.
+        let delta = by_symbol.checkpoint_delta();
+        assert_eq!(delta[WORD_SECTION_AT - 4..WORD_SECTION_AT], ((len - 1) as u32).to_le_bytes());
+        assert!(
+            delta[WORD_SECTION_AT..].starts_with(&word_section(&prefix.symbols()[len - 1..])),
+            "the delta after symbol {len} does not carry that symbol alone: {prefix}"
         );
         // The same word again is an extension by nothing.
         by_word.check_word_outcome(&prefix);

@@ -84,24 +84,28 @@ pub trait ObjectMonitor: Send {
         None
     }
 
-    /// Serializes the monitor's resumable state for a durable checkpoint,
-    /// or `None` when the monitor does not support checkpointing (the
-    /// default — such objects are recovered by full journal replay
-    /// instead).  A supporting implementation must round-trip through
-    /// [`ObjectMonitor::restore`] such that the restored monitor's verdicts
-    /// on any symbol suffix are bit-identical to this monitor's.
-    fn checkpoint(&self) -> Option<Vec<u8>> {
+    /// Serializes what changed in the monitor's resumable state since its
+    /// last checkpoint or restore (everything, the first time), for a
+    /// durable checkpoint, or `None` when the monitor does not support
+    /// checkpointing (the default — such objects are recovered by full
+    /// journal replay instead).  A supporting implementation must
+    /// round-trip through [`ObjectMonitor::restore`]: a fresh monitor that
+    /// restores every payload this one returned, in order, gives verdicts
+    /// on any symbol suffix bit-identical to this monitor's.
+    fn checkpoint(&mut self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Restores state serialized by [`ObjectMonitor::checkpoint`] into a
-    /// freshly created monitor of the same factory.
+    /// Restores one payload of [`ObjectMonitor::checkpoint`]: into a
+    /// freshly created monitor of the same factory for the first payload of
+    /// a chain, then into the same monitor for each later one, in order.
     ///
     /// # Errors
     ///
     /// [`RestoreError::Unsupported`] (the default) when the monitor cannot
-    /// checkpoint; [`RestoreError::Invalid`] when the bytes are rejected.
-    /// On error the monitor must be discarded, not fed.
+    /// checkpoint; [`RestoreError::Invalid`] when the bytes are rejected —
+    /// a payload that does not extend what the monitor has restored so far
+    /// included.  On error the monitor must be discarded, not fed.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
         let _ = bytes;
         Err(RestoreError::Unsupported)
@@ -188,8 +192,8 @@ impl<S: SequentialSpec> ObjectMonitor for CheckerObjectMonitor<S> {
         Some(self.checker.stats())
     }
 
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        Some(self.checker.checkpoint_bytes())
+    fn checkpoint(&mut self) -> Option<Vec<u8>> {
+        Some(self.checker.checkpoint_delta())
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
@@ -570,32 +574,42 @@ mod tests {
 
     #[test]
     fn monitor_checkpoint_restore_roundtrip() {
-        // The durability contract of CheckerObjectMonitor: restore() into a
-        // fresh monitor of the same factory, then bit-identical verdicts on
-        // any suffix.
+        // The durability contract of CheckerObjectMonitor: every checkpoint
+        // so far, restored in order into a fresh monitor of the same
+        // factory, then bit-identical verdicts on any suffix.
         let word = register_word();
         let symbols = word.symbols();
         for factory in [
             CheckerMonitorFactory::linearizability(Register::new(), 2),
             CheckerMonitorFactory::sequential_consistency(Register::new(), 2),
         ] {
+            let mut reference = factory.create(obj(3));
+            let expected: Vec<Verdict> =
+                symbols.iter().map(|symbol| reference.on_symbol(symbol)).collect();
+            let mut live = factory.create(obj(3));
+            let mut chain = Vec::new();
             for split in 0..=symbols.len() {
-                let mut live = factory.create(obj(3));
-                for symbol in &symbols[..split] {
-                    live.on_symbol(symbol);
+                if split > 0 {
+                    live.on_symbol(&symbols[split - 1]);
                 }
-                let bytes = live.checkpoint().expect("checker monitors checkpoint");
+                chain.push(live.checkpoint().expect("checker monitors checkpoint"));
                 let mut restored = factory.create(obj(3));
-                restored.restore(&bytes).expect("a checkpoint we wrote restores");
-                for symbol in &symbols[split..] {
+                for bytes in &chain {
+                    restored.restore(bytes).expect("a checkpoint we wrote restores");
+                }
+                for (symbol, want) in symbols[split..].iter().zip(&expected[split..]) {
                     assert_eq!(
                         restored.on_symbol(symbol),
-                        live.on_symbol(symbol),
+                        *want,
                         "{}: split {split} diverged",
                         factory.name()
                     );
                 }
             }
+            // A checkpoint out of order extends the wrong state: refused.
+            let mut skipped = factory.create(obj(3));
+            skipped.restore(&chain[0]).expect("the chain's first link restores");
+            assert!(matches!(skipped.restore(&chain[2]), Err(RestoreError::Invalid(_))));
         }
     }
 

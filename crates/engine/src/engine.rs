@@ -338,7 +338,10 @@ struct ObjectSlot {
     /// every slot created by live traffic.
     skip: u64,
     /// Fed-event count covered by the object's last journal checkpoint
-    /// (the next one is due `JournalSink::checkpoint_interval` later).
+    /// (the next one is due `JournalSink::checkpoint_interval` later, and
+    /// carries the verdicts from here on).  The monitor's own checkpoint
+    /// mark sits at the same count: both move together, and a recovered
+    /// slot starts both at its restored count.
     checkpointed: u64,
     /// Checker counters already folded into the registry (the harvest
     /// watermark; see [`EngineMetrics::harvest`]).
@@ -841,7 +844,9 @@ impl Shared {
                     let fed = slot.verdicts.len() as u64;
                     if fed >= slot.checkpointed.saturating_add(interval) {
                         if let Some(state) = slot.monitor.checkpoint() {
-                            sink.checkpoint(object, &slot.verdicts, &state);
+                            let since = usize::try_from(slot.checkpointed)
+                                .expect("checkpointed events are in memory");
+                            sink.checkpoint(object, fed, &slot.verdicts[since..], &state);
                             self.tel
                                 .flight(Stage::Checkpoint, object.0, fed, worker as u16, 0);
                         }

@@ -15,9 +15,15 @@
 //!   yet).
 //! * **Checkpoints trail processing.**  `checkpoint` is called from the
 //!   worker *after* the covered events were fed, so by file order a
-//!   checkpoint claiming `verdicts.len()` events is always preceded by at
-//!   least that many journaled events of the object — a torn journal tail
-//!   can truncate events, never a checkpoint's coverage.
+//!   checkpoint claiming `fed` events is always preceded by at least that
+//!   many journaled events of the object — a torn journal tail can
+//!   truncate events, never a checkpoint's coverage.
+//! * **Checkpoints form a chain.**  Each carries only what changed since
+//!   the object's previous one: the verdicts of the events fed since, and
+//!   the monitor's [`ObjectMonitor::checkpoint`] delta.  It extends the
+//!   checkpoint that ended at `fed − verdicts.len()`; one with no
+//!   predecessor (a new object, or the first after a recovery that could
+//!   not seed the object) starts at 0 and carries everything.
 //! * **Tombstones on retirement.**  `tombstone` is called whenever a
 //!   monitor is retired mid-run (explicit evict marker or idle-TTL sweep),
 //!   marking the spot in the stream so recovery retires the object at the
@@ -46,11 +52,12 @@ pub trait JournalSink: Send + Sync {
     /// Returning `u64::MAX` disables checkpointing (journal-only mode).
     fn checkpoint_interval(&self) -> u64;
 
-    /// Persists a checkpoint of `object`: `verdicts` is its full verdict
-    /// stream so far (one per fed event, from the object's first), `state`
-    /// the monitor's [`ObjectMonitor::checkpoint`] payload after exactly
-    /// those events.
-    fn checkpoint(&self, object: ObjectId, verdicts: &[Verdict], state: &[u8]);
+    /// Persists a checkpoint of `object` after `fed` events: `verdicts` are
+    /// the verdicts of the last `verdicts.len()` of them, those fed since
+    /// the object's previous checkpoint (all `fed` for its first), and
+    /// `state` is the monitor's [`ObjectMonitor::checkpoint`] delta over
+    /// the same events.
+    fn checkpoint(&self, object: ObjectId, fed: u64, verdicts: &[Verdict], state: &[u8]);
 
     /// Records that `object`'s monitor was retired at this point of the
     /// accepted stream (explicit eviction or idle-TTL sweep).
@@ -66,10 +73,10 @@ pub trait JournalSink: Send + Sync {
 pub struct RecoveredObject {
     /// The object the seed belongs to.
     pub object: ObjectId,
-    /// A factory-created monitor with its checkpoint state restored.
+    /// A factory-created monitor with its checkpoint chain restored.
     pub monitor: Box<dyn ObjectMonitor>,
-    /// The object's verdict stream up to the checkpoint, in `seq` order
-    /// from 0.
+    /// The object's verdict stream up to the chain's last checkpoint, in
+    /// `seq` order from 0.
     pub verdicts: Vec<Verdict>,
 }
 

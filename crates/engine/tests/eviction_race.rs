@@ -269,7 +269,7 @@ impl drv_engine::JournalSink for RecordingSink {
         u64::MAX
     }
 
-    fn checkpoint(&self, _object: ObjectId, _verdicts: &[Verdict], _state: &[u8]) {}
+    fn checkpoint(&self, _object: ObjectId, _fed: u64, _verdicts: &[Verdict], _state: &[u8]) {}
 
     fn tombstone(&self, object: ObjectId) {
         self.tombstones.lock().unwrap().push(object);

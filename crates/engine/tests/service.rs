@@ -54,7 +54,7 @@ impl JournalSink for CountingSink {
     fn checkpoint_interval(&self) -> u64 {
         u64::MAX
     }
-    fn checkpoint(&self, _object: ObjectId, _verdicts: &[Verdict], _state: &[u8]) {}
+    fn checkpoint(&self, _object: ObjectId, _fed: u64, _verdicts: &[Verdict], _state: &[u8]) {}
     fn tombstone(&self, _object: ObjectId) {}
 }
 
@@ -484,11 +484,12 @@ impl JournalSink for RecordingSink {
     fn checkpoint_interval(&self) -> u64 {
         16
     }
-    fn checkpoint(&self, object: ObjectId, verdicts: &[Verdict], _state: &[u8]) {
+    fn checkpoint(&self, object: ObjectId, fed: u64, verdicts: &[Verdict], _state: &[u8]) {
+        assert_eq!(verdicts.len(), 16, "a checkpoint carries the interval's verdicts");
         self.checkpoints
             .lock()
             .unwrap()
-            .push((object, verdicts.len()));
+            .push((object, fed as usize));
     }
     fn tombstone(&self, _object: ObjectId) {}
 }

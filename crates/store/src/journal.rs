@@ -12,8 +12,9 @@
 //! * [`FrameKind::Evict`] — the object was retired (explicit eviction or
 //!   idle-TTL sweep) at this point of the accepted stream;
 //! * [`FrameKind::Checkpoint`] — a store-owned record (layout below)
-//!   carrying one object's serialized checker state and verdict prefix,
-//!   appended **after** the covered events were processed.
+//!   carrying what one object's serialized checker state and verdict
+//!   stream gained since its previous checkpoint, appended **after** the
+//!   covered events were processed.
 //!
 //! Because every record lands in the one file under one append lock, file
 //! order is causal order: a checkpoint claiming `fed` events is preceded
@@ -38,10 +39,15 @@
 //! state_len u32 | state bytes
 //! ```
 //!
-//! `fed` must equal `count` (one verdict per fed event); `state` is the
-//! opaque [`ObjectMonitor::checkpoint`](drv_core::ObjectMonitor::checkpoint)
-//! payload.  All counts are validated against the remaining payload before
-//! any allocation.
+//! The record covers the object's first `fed` events and carries the
+//! verdicts of the last `count ≤ fed` of them; `state` is the opaque
+//! [`ObjectMonitor::checkpoint`](drv_core::ObjectMonitor::checkpoint)
+//! delta over the same `count` events.  It therefore extends the record of
+//! the same object that ended at its *base*, `fed − count`: the records of
+//! an object form a chain, and a base-0 record (`count == fed`) starts one
+//! on its own.  Records an earlier build wrote all have `count == fed` —
+//! each a chain of one.  `count > fed` is malformed.  All counts are
+//! validated against the remaining payload before any allocation.
 
 use crate::error::StoreError;
 use drv_core::Verdict;
@@ -134,10 +140,20 @@ pub struct CheckpointRecord {
     pub object: ObjectId,
     /// Events fed to the monitor when the checkpoint was taken.
     pub fed: u64,
-    /// The object's full verdict stream at that point (`fed` entries).
+    /// The verdicts of the last `verdicts.len()` of those events: the ones
+    /// fed since the record this one extends.
     pub verdicts: Vec<Verdict>,
-    /// The monitor's opaque serialized state.
+    /// The monitor's opaque serialized delta over the same events.
     pub state: Vec<u8>,
+}
+
+impl CheckpointRecord {
+    /// The fed count of the record this one extends (0: none).  A decoded
+    /// record never carries more verdicts than fed events.
+    #[must_use]
+    pub fn base(&self) -> u64 {
+        self.fed - self.verdicts.len() as u64
+    }
 }
 
 /// Bytes of a checkpoint record: object + fed (u64 each), verdict count
@@ -155,13 +171,20 @@ fn checkpoint_record_len(verdicts: &[Verdict], state: &[u8]) -> u64 {
 /// # Panics
 ///
 /// Panics when the record exceeds [`MAX_PAYLOAD`] — [`Store`] skips such
-/// checkpoints before encoding them.
+/// checkpoints before encoding them — or when `verdicts` is longer than
+/// `fed`.
 #[must_use]
-pub fn encode_checkpoint_record(object: ObjectId, verdicts: &[Verdict], state: &[u8]) -> Vec<u8> {
+pub fn encode_checkpoint_record(
+    object: ObjectId,
+    fed: u64,
+    verdicts: &[Verdict],
+    state: &[u8],
+) -> Vec<u8> {
+    assert!(verdicts.len() as u64 <= fed, "a checkpoint covers its verdicts' events");
     let len = usize::try_from(checkpoint_record_len(verdicts, state)).expect("record fits memory");
     let mut frame = frame_buffer(len);
     put_u64(&mut frame, object.0);
-    put_u64(&mut frame, verdicts.len() as u64);
+    put_u64(&mut frame, fed);
     put_u32(&mut frame, u32::try_from(verdicts.len()).expect("< 2^32 verdicts"));
     for verdict in verdicts {
         let (tag, index) = match verdict {
@@ -190,8 +213,8 @@ pub fn decode_checkpoint_record(payload: &[u8]) -> Result<CheckpointRecord, Stor
     let object = ObjectId(reader.u64("checkpoint object")?);
     let fed = reader.u64("checkpoint fed count")?;
     let count = reader.count(5, "checkpoint verdicts")?;
-    if fed != count as u64 {
-        return Err(StoreError::BadCheckpoint { what: "fed count != verdict count" });
+    if count as u64 > fed {
+        return Err(StoreError::BadCheckpoint { what: "more verdicts than fed events" });
     }
     let mut verdicts = Vec::with_capacity(count);
     for _ in 0..count {
@@ -634,21 +657,22 @@ impl JournalSink for Store {
         self.config.checkpoint_interval
     }
 
-    fn checkpoint(&self, object: ObjectId, verdicts: &[Verdict], state: &[u8]) {
-        // A long-lived object eventually outgrows the frame payload cap —
-        // skip its checkpoint instead of letting `seal_frame`'s cap assert
-        // panic the worker: the engine has already advanced its watermark,
-        // and recovery falls back to full replay, exactly as for monitors
-        // without checkpoint support.
+    fn checkpoint(&self, object: ObjectId, fed: u64, verdicts: &[Verdict], state: &[u8]) {
+        // A checkpoint over a huge interval (or the full form of a huge
+        // object) can outgrow the frame payload cap — skip it instead of
+        // letting `seal_frame`'s cap assert panic the worker: the engine
+        // has already advanced its watermark, so the object's chain ends
+        // at the record before, and recovery replays from there, exactly as
+        // for monitors without checkpoint support.
         if checkpoint_record_len(verdicts, state) > u64::from(MAX_PAYLOAD) {
             self.m.oversized_checkpoints.inc();
             return;
         }
-        let frame = encode_checkpoint_record(object, verdicts, state);
+        let frame = encode_checkpoint_record(object, fed, verdicts, state);
         let mut inner = self.inner.lock();
         if self.append(&mut inner, &frame, None) {
             self.m.checkpoints.inc();
-            self.tel.flight(Stage::Checkpoint, object.0, verdicts.len() as u64, 0, frame.len() as u32);
+            self.tel.flight(Stage::Checkpoint, object.0, fed, 0, frame.len() as u32);
         } else {
             self.m.checkpoints_skipped.inc();
         }

@@ -14,20 +14,22 @@
 //!   header + CRC-32 framing that travels over TCP, reusing its torn-input
 //!   hardening wholesale.  Fsync policy is [`FsyncPolicy`]:
 //!   `Always` / `EveryN` / `Never`.
-//! * **Checkpoints** — workers periodically serialize each object's
-//!   incremental checker (witness, frontier, stats — see
-//!   `drv_consistency::IncrementalChecker::checkpoint_bytes`) into the
-//!   journal, bounding recovery's replay to the post-checkpoint suffix.
+//! * **Checkpoints** — workers periodically write what each object's
+//!   incremental checker gained since its previous checkpoint (symbols,
+//!   witness tail, stats — see
+//!   `drv_consistency::IncrementalChecker::checkpoint_delta`) into the
+//!   journal, so a checkpoint costs its interval, not the object's history,
+//!   and recovery's replay is bounded by the post-checkpoint suffix.
 //!   Retired objects write a tombstone record so recovery retires them at
 //!   the same position instead of resurrecting them.
 //! * **Recovery** ([`recover`], [`serve_durable`]) — open the journal,
-//!   truncate the torn tail at the first bad CRC, seed an engine with the
-//!   latest valid checkpoint per object, replay the suffix through the
-//!   batched submit path, and re-attach the journal.  The merged verdict
-//!   stream is **bit-identical** to an uninterrupted run — with original
-//!   `seq` numbers, so a reconnected client resumes from its cursor
-//!   (`tests/recovery_differential.rs` crashes a run at every journal
-//!   offset and proves it against `sequential_reference`).
+//!   truncate the torn tail at the first bad CRC, seed an engine with each
+//!   object's checkpoint chain folded into one monitor, replay the suffix
+//!   through the batched submit path, and re-attach the journal.  The
+//!   merged verdict stream is **bit-identical** to an uninterrupted run —
+//!   with original `seq` numbers, so a reconnected client resumes from its
+//!   cursor (`tests/recovery_differential.rs` crashes a run at every
+//!   journal offset and proves it against `sequential_reference`).
 //!
 //! ```no_run
 //! use drv_core::CheckerMonitorFactory;

@@ -1,16 +1,23 @@
-//! Crash recovery: latest valid checkpoints + journal-suffix replay.
+//! Crash recovery: per object its checkpoint chain, then journal-suffix
+//! replay.
 //!
 //! ## The scan rules (per object X, walking records in file order)
 //!
 //! * **Batch** — count X's events (`seen[X]`).
-//! * **Checkpoint(X)** — a candidate seed when it is *provable from the
-//!   file alone*: `fed ≤ seen[X]` (its coverage is actually journaled
+//! * **Checkpoint(X)** — a checkpoint carries only what X gained since its
+//!   previous one and names where that was: its base, `fed − count`
+//!   (journal module docs).  It joins X's chain when it is *provable from
+//!   the file alone* — `fed ≤ seen[X]` (its coverage is actually journaled
 //!   ahead of it — always true in a file the store wrote, defensive
-//!   against hand-corrupted ones) and X has no tombstone yet.  Last valid
-//!   candidate wins.
-//! * **Evict(X)** — drop X's seed and blacklist all later checkpoints of
-//!   X: the engine never checkpoints post-retirement generations
-//!   (`base > 0`), so a later checkpoint can only be stale or forged, and
+//!   against hand-corrupted ones) and X has no tombstone yet — and it
+//!   links: its base equals the `fed` of the chain's last record.  A
+//!   base-0 record replaces the chain with a new one of its own; any
+//!   other record is ignored.  A record lost from the middle of a chain
+//!   (an oversized checkpoint the store skipped) therefore ends the chain
+//!   there: the records after it do not link, and replay covers them.
+//! * **Evict(X)** — drop X's chain and blacklist all later checkpoints of
+//!   X: the engine never checkpoints an object's generations after its
+//!   first retirement, so a later checkpoint can only be stale or forged, and
 //!   the eviction itself is replayed as an [`MonitoringEngine::evict`]
 //!   call that retires X at the same position.
 //!
@@ -18,16 +25,20 @@
 //!
 //! Events are journaled write-ahead in acceptance order and per-object
 //! FIFO (one producer per object — the net server's ownership rule).
-//! A seed restores the checker to its exact post-`fed`-events state
-//! ([`ObjectMonitor::restore`] is bit-identical by contract) with the
-//! verdict prefix pre-filled; the engine then swallows the first `fed`
+//! A seed restores the checker by restoring each record of the chain, in
+//! order, into one fresh monitor, which leaves it in its exact
+//! post-`fed`-events state ([`ObjectMonitor::restore`] is bit-identical by
+//! contract), with the chain's verdicts, concatenated, pre-filled.  The
+//! state a record extends is a pure function of the object's first `base`
+//! journaled events, so a record links to any chain that ends there,
+//! whichever run wrote either.  The engine then swallows the first `fed`
 //! replayed events of the object and feeds the rest, so the suffix
 //! verdicts are re-decided by the same deterministic checker from the
 //! same state — and carry their original `seq` numbers, letting a
-//! reconnecting client resume from its cursor.  A seed that fails
-//! [`ObjectMonitor::restore`] (corrupt state that survived the CRC, a
-//! factory change) is dropped, not trusted: the object falls back to full
-//! replay, which is slower and equally exact.
+//! reconnecting client resume from its cursor.  A chain any record of
+//! which fails [`ObjectMonitor::restore`] (corrupt state that survived
+//! the CRC, a factory change) is dropped, not trusted: the object falls
+//! back to full replay, which is slower and equally exact.
 //!
 //! [`ObjectMonitor::restore`]: drv_core::ObjectMonitor::restore
 
@@ -53,12 +64,14 @@ pub struct RecoveryStats {
     /// Events those batches carried (pre-checkpoint events included — the
     /// engine swallows, rather than re-feeds, the covered prefix).
     pub replayed_events: u64,
-    /// Events covered by accepted checkpoints (swallowed, not re-fed).
+    /// Events covered by accepted checkpoint chains (swallowed, not
+    /// re-fed).
     pub skipped_events: u64,
-    /// Objects seeded from a checkpoint.
+    /// Objects seeded from a checkpoint chain.
     pub seeded_objects: usize,
-    /// Checkpoints rejected because [`drv_core::ObjectMonitor::restore`]
-    /// refused their state (those objects fall back to full replay).
+    /// Chains rejected because [`drv_core::ObjectMonitor::restore`]
+    /// refused one of their records (those objects fall back to full
+    /// replay).
     pub rejected_checkpoints: usize,
     /// Eviction records replayed.
     pub tombstones: u64,
@@ -77,7 +90,7 @@ pub struct Recovery {
 }
 
 /// Opens (or creates) the journal at `path` and rebuilds a
-/// [`MonitoringEngine`] from it: latest valid checkpoint per object, then
+/// [`MonitoringEngine`] from it: each object's checkpoint chain, then
 /// replay of the journal suffix through the batched submit path, then the
 /// store re-attached as the engine's [`JournalSink`](drv_engine::JournalSink).
 /// On a fresh path this is just `MonitoringEngine::new` + journaling.
@@ -122,10 +135,10 @@ pub fn recover_with(
         ..RecoveryStats::default()
     };
 
-    // Pass 1 — seed selection over the scanned records (their payload ids
+    // Pass 1 — chain selection over the scanned records (their payload ids
     // live in the scan's throwaway arena; only objects are read here).
     let mut seen: HashMap<ObjectId, u64> = HashMap::new();
-    let mut seeds: HashMap<ObjectId, CheckpointRecord> = HashMap::new();
+    let mut chains: HashMap<ObjectId, Vec<CheckpointRecord>> = HashMap::new();
     let mut dead: HashSet<ObjectId> = HashSet::new();
     for record in scan.records {
         match record {
@@ -136,33 +149,39 @@ pub fn recover_with(
             }
             JournalRecord::Checkpoint(checkpoint) => {
                 let journaled = seen.get(&checkpoint.object).copied().unwrap_or(0);
-                if !dead.contains(&checkpoint.object) && checkpoint.fed <= journaled {
-                    seeds.insert(checkpoint.object, checkpoint);
+                if dead.contains(&checkpoint.object) || checkpoint.fed > journaled {
+                    continue;
+                }
+                let chain = chains.entry(checkpoint.object).or_default();
+                if checkpoint.base() == 0 {
+                    chain.clear();
+                    chain.push(checkpoint);
+                } else if chain.last().is_some_and(|last| last.fed == checkpoint.base()) {
+                    chain.push(checkpoint);
                 }
             }
             JournalRecord::Evict(object) => {
-                seeds.remove(&object);
+                chains.remove(&object);
                 dead.insert(object);
             }
         }
     }
 
-    // Validate each seed by actually restoring a monitor from it; a
-    // refusal means full replay for that object, never a half-trusted
-    // state.
-    let mut recovered: Vec<RecoveredObject> = Vec::with_capacity(seeds.len());
-    for (object, checkpoint) in seeds {
+    // Validate each chain by actually restoring a monitor from it, record
+    // by record; a refusal means full replay for that object, never a
+    // half-trusted state.
+    let mut recovered: Vec<RecoveredObject> = Vec::with_capacity(chains.len());
+    for (object, chain) in chains {
+        let Some(fed) = chain.last().map(|last| last.fed) else {
+            continue;
+        };
         let mut monitor = factory.create(object);
-        match monitor.restore(&checkpoint.state) {
-            Ok(()) => {
-                stats.skipped_events += checkpoint.fed;
-                recovered.push(RecoveredObject {
-                    object,
-                    monitor,
-                    verdicts: checkpoint.verdicts,
-                });
-            }
-            Err(_) => stats.rejected_checkpoints += 1,
+        if chain.iter().all(|record| monitor.restore(&record.state).is_ok()) {
+            stats.skipped_events += fed;
+            let verdicts = chain.into_iter().flat_map(|record| record.verdicts).collect();
+            recovered.push(RecoveredObject { object, monitor, verdicts });
+        } else {
+            stats.rejected_checkpoints += 1;
         }
     }
     stats.seeded_objects = recovered.len();

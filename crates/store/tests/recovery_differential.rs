@@ -7,7 +7,7 @@
 //! The journal is the ground truth of what was accepted: truncating it at
 //! offset X *is* the crash at X (everything past the valid prefix — torn
 //! frame included — is what the crash cost).  Recovery must rebuild the
-//! engine from the latest checkpoints, replay the suffix, and end up with
+//! engine from the checkpoint chains, replay the suffix, and end up with
 //! the exact per-object verdict streams an uninterrupted run over that
 //! prefix would have produced — original `seq` numbering included, which
 //! the pre-filled checkpoint prefixes guarantee by construction.
@@ -17,9 +17,12 @@ use drv_engine::{sequential_reference, EngineConfig, MonitoringEngine};
 use drv_lang::{
     EventAction, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol,
 };
-use drv_net::wire::decode_frame;
+use drv_net::wire::{decode_frame, Frame};
 use drv_spec::Register;
-use drv_store::{recover, scan_journal, FsyncPolicy, JournalRecord, Store, StoreConfig};
+use drv_store::{
+    decode_checkpoint_record, recover, scan_journal, FsyncPolicy, JournalRecord, Store,
+    StoreConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -334,5 +337,109 @@ fn tombstones_stop_checkpoint_resurrection() {
     // Both epochs of the victim, concatenated — exactly like the live run.
     assert_eq!(report.verdicts(victim), live_report.verdicts(victim));
     assert_eq!(report.verdicts(bystander), live_report.verdicts(bystander));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Journals `events` one submission at a time, each drained before the next,
+/// so every checkpoint lands right behind the event that made it due.
+fn journal_in_order(path: &PathBuf, events: &[(ObjectId, Symbol)], store_config: StoreConfig) {
+    let store = Arc::new(Store::open(path, store_config).expect("journal opens"));
+    let engine = MonitoringEngine::new(EngineConfig::new(1), mixed_factory());
+    engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
+    for (object, symbol) in events {
+        engine.submit(*object, symbol);
+        engine.wait_drained();
+    }
+    engine.finish().expect("no worker panicked");
+}
+
+/// Each Checkpoint frame of `buf`: its byte range, object, base and fed.
+fn checkpoint_frames(buf: &[u8]) -> Vec<(std::ops::Range<usize>, ObjectId, u64, u64)> {
+    let arena = SharedInterner::new();
+    let mut frames = Vec::new();
+    let mut offset = 0;
+    while offset < buf.len() {
+        let (frame, used) = decode_frame(&buf[offset..], &arena).expect("journal written by us");
+        if let Frame::Checkpoint(payload) = frame {
+            let record = decode_checkpoint_record(&payload).expect("a record we wrote");
+            frames.push((offset..offset + used, record.object, record.base(), record.fed));
+        }
+        offset += used;
+    }
+    frames
+}
+
+/// Recovers the journal at `path` and checks every object against the
+/// reference over `events`; returns the events the checkpoint chains
+/// covered.
+fn recover_and_check(path: &PathBuf, events: &[(ObjectId, Symbol)], config: StoreConfig) -> u64 {
+    let recovery =
+        recover(path, config, EngineConfig::new(2), mixed_factory()).expect("recovers");
+    assert_eq!(recovery.stats.rejected_checkpoints, 0);
+    let skipped = recovery.stats.skipped_events;
+    let report = recovery.engine.finish().expect("no worker panicked");
+    for (object, verdicts) in sequential_reference(mixed_factory().as_ref(), events) {
+        assert_eq!(report.verdicts(object), Some(&verdicts[..]), "{object:?}");
+    }
+    skipped
+}
+
+#[test]
+fn a_chain_stops_at_a_missing_checkpoint() {
+    // Twelve events per object at interval 4: chains of three records, the
+    // first a full form and the others deltas.  Without the middle record
+    // the last one extends a state nobody restores; recovery must seed
+    // from the first alone and replay the rest.
+    let config = StoreConfig::new()
+        .with_checkpoint_interval(4)
+        .with_fsync(FsyncPolicy::Never);
+    let events = seeded_stream(7, 2, 3);
+    let path = journal_path("gap");
+    journal_in_order(&path, &events, config);
+    let buf = std::fs::read(&path).expect("journal readable");
+    let frames = checkpoint_frames(&buf);
+    let mut links: Vec<(ObjectId, u64, u64)> =
+        frames.iter().map(|(_, object, base, fed)| (*object, *base, *fed)).collect();
+    links.sort_unstable();
+    // `seeded_stream`'s objects: a LIN one and an SC one.
+    let objects = [ObjectId(7 * 64), ObjectId(7 * 64 + 1)];
+    assert_eq!(
+        links,
+        objects.map(|object| [(object, 0, 4), (object, 4, 8), (object, 8, 12)]).concat()
+    );
+    assert_eq!(recover_and_check(&path, &events, config), 24, "whole chains seed");
+
+    // Splice each object's middle record out.
+    let mut spliced = buf.clone();
+    for (range, _, _, _) in frames.iter().filter(|(_, _, base, _)| *base == 4).rev() {
+        spliced.drain(range.clone());
+    }
+    std::fs::write(&path, &spliced).expect("write spliced journal");
+    assert_eq!(
+        recover_and_check(&path, &events, config),
+        8,
+        "each chain stops at its gap"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_torn_delta_costs_only_itself() {
+    // The journal ends with a delta record; a crash tears it.  The chain
+    // before it still seeds, and replay covers its interval.
+    let config = StoreConfig::new()
+        .with_checkpoint_interval(4)
+        .with_fsync(FsyncPolicy::Never);
+    let events = seeded_stream(11, 1, 3);
+    let path = journal_path("torn-delta");
+    journal_in_order(&path, &events, config);
+    let buf = std::fs::read(&path).expect("journal readable");
+    let frames = checkpoint_frames(&buf);
+    let (last, _, base, fed) = frames.last().expect("three checkpoints").clone();
+    assert_eq!((base, fed, last.end), (8, 12, buf.len()), "the tail is a delta");
+    for cut in [last.start + 1, last.start + 40, last.end - 1] {
+        std::fs::write(&path, &buf[..cut]).expect("write torn journal");
+        assert_eq!(recover_and_check(&path, &events, config), 8, "cut at {cut}");
+    }
     let _ = std::fs::remove_file(&path);
 }
