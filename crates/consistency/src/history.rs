@@ -7,13 +7,13 @@
 //!   shot from a word; used by the from-scratch [`crate::check_history`],
 //! * [`InternedHistory`] — an append-only, interned view (operations are
 //!   `Copy` [`OpRecord`]s, payloads live in an arena outside the history,
-//!   shared by every checker of a factory) fed symbol by symbol; the
+//!   shared by every checker of an engine) fed symbol by symbol; the
 //!   representation of the [`crate::IncrementalChecker`], and the only copy
 //!   it keeps of the word it has read.
 
 use drv_lang::{
-    Interner, InternerReadGuard, Invocation, InvocationId, OpId, OpRecord, Operation, ProcId,
-    Response, ResponseId, SharedInterner, Word,
+    EventAction, Interner, InternerReadGuard, Invocation, InvocationId, OpId, OpRecord,
+    Operation, ProcId, Response, ResponseId, SharedInterner, Word,
 };
 use serde::{Deserialize, Serialize};
 
@@ -142,8 +142,7 @@ impl ConcurrentHistory {
     }
 }
 
-/// What [`InternedHistory::push_invocation`] / [`InternedHistory::push_response`]
-/// did with a symbol.
+/// What [`InternedHistory::push`] did with a symbol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistoryDelta {
     /// The symbol opened a new (pending) operation.
@@ -156,24 +155,18 @@ pub enum HistoryDelta {
     Skipped,
 }
 
-/// A symbol's action with its payload interned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum InternedAction {
-    Invoke(InvocationId),
-    Respond(ResponseId),
-}
-
 /// A symbol the history skipped: part of the word, of no operation.
 #[derive(Debug, Clone, Copy)]
 struct SkippedSymbol {
     position: u32,
     proc: ProcId,
-    action: InternedAction,
+    action: EventAction,
 }
 
-/// One run's access to a payload arena shared with other checkers, possibly
-/// on other threads: a read guard taken at the first use and held to the end
-/// of the run, so resolving a payload is an index, not a lock.
+/// One run's access to a payload arena shared with other checkers and, in an
+/// engine, with the producers interning into it, possibly on other threads:
+/// a read guard taken at the first use and held to the end of the run, so
+/// resolving a payload is an index, not a lock.
 ///
 /// A thread that holds the guard must not intern: a writer queued behind the
 /// guard blocks new readers and the thread would wait on itself.  So a
@@ -223,10 +216,9 @@ impl<'a> ArenaRead<'a> {
 
 /// An append-only concurrent history over interned operations.
 ///
-/// Grown one symbol at a time by [`InternedHistory::push_invocation`] and
-/// [`InternedHistory::push_response`].  The history holds ids only: the
-/// payloads live in an arena the caller owns (the
-/// [`crate::IncrementalChecker`]'s [`SharedInterner`], one per factory), and
+/// Grown one symbol at a time by [`InternedHistory::push`].  The history
+/// holds ids only: the payloads live in an arena the caller owns (the
+/// [`crate::IncrementalChecker`]'s [`SharedInterner`], one per engine), and
 /// the per-operation view is the `Copy`-able [`OpRecord`].  It is also the
 /// only copy of the word: a well-formed symbol is the invocation or response
 /// side of a record, a skipped one is kept on the side, and together they
@@ -283,60 +275,46 @@ impl InternedHistory {
         }
     }
 
-    /// Claims the next symbol position for a symbol of `proc`.
-    fn next_position(&mut self, proc: ProcId) -> u32 {
+    /// Consumes the next symbol, `proc`'s interned invocation or response.
+    pub fn push(&mut self, proc: ProcId, action: EventAction) -> HistoryDelta {
         self.adopt_processes(proc.0 + 1);
         let position = u32::try_from(self.symbols).expect("< 2^32 symbols");
         self.symbols += 1;
-        position
-    }
-
-    fn skip(&mut self, position: u32, proc: ProcId, action: InternedAction) -> HistoryDelta {
-        self.skipped.push(SkippedSymbol {
-            position,
-            proc,
-            action,
-        });
-        HistoryDelta::Skipped
-    }
-
-    /// Consumes an invocation symbol of `proc`.
-    pub fn push_invocation(&mut self, proc: ProcId, invocation: InvocationId) -> HistoryDelta {
-        let position = self.next_position(proc);
         let p = proc.0;
-        if self.open[p].is_some() {
-            return self.skip(position, proc, InternedAction::Invoke(invocation));
+        match (action, self.open[p]) {
+            (EventAction::Invoke(invocation), None) => {
+                let id = OpId(self.records.len());
+                let local_index = u32::try_from(self.per_proc[p].len()).expect("< 2^32 ops");
+                self.open[p] = Some(self.records.len());
+                self.per_proc[p].push(id);
+                self.records.push(OpRecord {
+                    id,
+                    proc,
+                    invocation,
+                    response: None,
+                    inv_pos: position,
+                    resp_pos: None,
+                    local_index,
+                });
+                HistoryDelta::Invoked(id)
+            }
+            (EventAction::Respond(response), Some(index)) => {
+                self.open[p] = None;
+                let record = &mut self.records[index];
+                record.response = Some(response);
+                record.resp_pos = Some(position);
+                HistoryDelta::Completed(record.id)
+            }
+            _ => {
+                self.skipped.push(SkippedSymbol { position, proc, action });
+                HistoryDelta::Skipped
+            }
         }
-        let id = OpId(self.records.len());
-        let local_index = u32::try_from(self.per_proc[p].len()).expect("< 2^32 ops");
-        self.open[p] = Some(self.records.len());
-        self.per_proc[p].push(id);
-        self.records.push(OpRecord {
-            id,
-            proc,
-            invocation,
-            response: None,
-            inv_pos: position,
-            resp_pos: None,
-            local_index,
-        });
-        HistoryDelta::Invoked(id)
-    }
-
-    /// Consumes a response symbol of `proc`.
-    pub fn push_response(&mut self, proc: ProcId, response: ResponseId) -> HistoryDelta {
-        let position = self.next_position(proc);
-        let Some(index) = self.open[proc.0].take() else {
-            return self.skip(position, proc, InternedAction::Respond(response));
-        };
-        self.records[index].response = Some(response);
-        self.records[index].resp_pos = Some(position);
-        HistoryDelta::Completed(self.records[index].id)
     }
 
     /// The consumed word, symbol by symbol in position order, rebuilt from
     /// the records and the skipped symbols in one pass over both.
-    pub(crate) fn word(&self) -> impl Iterator<Item = (ProcId, InternedAction)> + '_ {
+    pub(crate) fn word(&self) -> impl Iterator<Item = (ProcId, EventAction)> + '_ {
         self.word_from(0)
     }
 
@@ -346,7 +324,7 @@ impl InternedHistory {
     pub(crate) fn word_from(
         &self,
         from: usize,
-    ) -> impl Iterator<Item = (ProcId, InternedAction)> + '_ {
+    ) -> impl Iterator<Item = (ProcId, EventAction)> + '_ {
         let from = u32::try_from(from.min(self.symbols)).expect("< 2^32 symbols");
         // Records are in invocation order and skipped symbols in position
         // order, so the next invocation and the next skipped symbol are at
@@ -375,7 +353,7 @@ impl InternedHistory {
                         awaiting.push(next_record);
                     }
                     next_record += 1;
-                    return Some((record.proc, InternedAction::Invoke(record.invocation)));
+                    return Some((record.proc, EventAction::Invoke(record.invocation)));
                 }
             }
             if let Some(skipped) = self.skipped.get(next_skipped) {
@@ -390,7 +368,7 @@ impl InternedHistory {
                 .expect("a position is an invocation, a skipped symbol or a response");
             let record = &self.records[awaiting.swap_remove(answered)];
             let response = record.response.expect("a complete record has a response");
-            Some((record.proc, InternedAction::Respond(response)))
+            Some((record.proc, EventAction::Respond(response)))
         })
     }
 

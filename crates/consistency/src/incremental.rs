@@ -37,9 +37,9 @@
 //! skipped ones beside them, which is enough to rebuild the word exactly —
 //! checkpoints and [`IncrementalChecker::check_word`]'s extension test do)
 //! and no payloads (they live in a [`SharedInterner`] outside the engine:
-//! the arena of the factory that created it, shared by every object of that
-//! factory, or a private one after [`IncrementalChecker::new`]; either way
-//! the same type, behind one read guard per run).
+//! the serving engine's or a factory's, shared by its checkers, or a
+//! private one after [`IncrementalChecker::new`]; either way the same
+//! type, behind one read guard per run).
 //!
 //! Nothing else outlives a search.  Dead configurations are keyed by a
 //! compact progress vector (counts packed exactly into a `u128` whenever
@@ -115,12 +115,15 @@
 //! of seeded histories.
 
 use crate::checker::{CheckerConfig, ConsistencyResult, Witness};
-use crate::history::{ArenaRead, HistoryDelta, InternedAction, InternedHistory};
+use crate::history::{ArenaRead, HistoryDelta, InternedHistory};
 use crate::search::{wing_gong, with_scratch, SearchContext, SearchOutcome};
 use drv_lang::wire::{
     put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
 };
-use drv_lang::{Action, CodecError, OpId, ProcId, ResponseId, SharedInterner, Symbol, Word};
+use drv_lang::{
+    Action, CodecError, EventAction, EventRecord, OpId, ProcId, ResponseId, SharedInterner,
+    Symbol, Word,
+};
 use drv_spec::SequentialSpec;
 use std::hash::{Hash, Hasher};
 
@@ -478,8 +481,8 @@ impl std::error::Error for CheckpointError {
 /// assert_eq!(checker.stats().checks, 1);
 /// ```
 pub struct IncrementalChecker<S: SequentialSpec> {
-    /// The payload arena every id in `core` refers to: the creating
-    /// factory's, shared with all its checkers, or a private one.
+    /// The payload arena every id in `core` refers to: an engine's or a
+    /// factory's, shared with other checkers, or a private one.
     arena: SharedInterner,
     core: Core<S>,
 }
@@ -611,8 +614,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     }
 
     /// Feeds a run of symbols of the (extending) history and records the
-    /// verdict after each one — the batched entry point of the engine's
-    /// event path (`drv-engine`'s `ObjectMonitor::on_batch` lands here).
+    /// verdict after each one (`drv-core`'s `ObjectMonitor::on_batch` lands
+    /// here; the engine's event path is [`IncrementalChecker::feed_records`]).
     ///
     /// The appended outcomes are bit-identical to calling
     /// [`IncrementalChecker::push_symbol`] +
@@ -630,6 +633,29 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
             self.core.push_symbol(arena, symbol);
             outcomes.push(self.core.check_outcome(arena));
         }
+    }
+
+    /// [`IncrementalChecker::feed_batch`] for one object's run of events
+    /// interned in `arena`.  When that is this checker's arena the ids go
+    /// into the history as they are — no payload hashed, cloned or resolved
+    /// — and the answer is `true`; otherwise nothing is fed and it is
+    /// `false` (the caller resolves the run and feeds symbols).
+    pub fn feed_records(
+        &mut self,
+        records: &[EventRecord],
+        arena: &SharedInterner,
+        outcomes: &mut Vec<CheckOutcome>,
+    ) -> bool {
+        if !SharedInterner::ptr_eq(arena, &self.arena) {
+            return false;
+        }
+        let arena = &mut ArenaRead::new(&self.arena);
+        outcomes.reserve(records.len());
+        for record in records {
+            self.core.push_event(arena, record.proc, record.action);
+            outcomes.push(self.core.check_outcome(arena));
+        }
+        true
     }
 
     /// Checks the history consisting of all symbols fed so far.
@@ -768,14 +794,15 @@ impl<S: SequentialSpec> Core<S> {
     }
 
     fn push_symbol(&mut self, arena: &mut ArenaRead<'_>, symbol: &Symbol) {
-        let delta = match &symbol.action {
-            Action::Invoke(invocation) => self
-                .history
-                .push_invocation(symbol.proc, arena.invocation(invocation)),
-            Action::Respond(response) => self
-                .history
-                .push_response(symbol.proc, arena.response(response)),
+        let action = match &symbol.action {
+            Action::Invoke(invocation) => EventAction::Invoke(arena.invocation(invocation)),
+            Action::Respond(response) => EventAction::Respond(arena.response(response)),
         };
+        self.push_event(arena, symbol.proc, action);
+    }
+
+    fn push_event(&mut self, arena: &mut ArenaRead<'_>, proc: ProcId, action: EventAction) {
+        let delta = self.history.push(proc, action);
         self.cached = None;
         if self.latched_inconsistent {
             // Prefix-closure: nothing to maintain, the NO is final.
@@ -783,10 +810,12 @@ impl<S: SequentialSpec> Core<S> {
         }
         match delta {
             HistoryDelta::Skipped => {}
-            HistoryDelta::Invoked(_) => {
+            HistoryDelta::Invoked(op) => {
                 // Only a pending mutator can rescue a standing NO (R2): the
                 // next check searches again, from the frontier it kept.
-                if matches!(&symbol.action, Action::Invoke(invocation) if invocation.is_mutator())
+                let invocation = self.history.record(op).invocation;
+                if self.standing_no
+                    && arena.interner().resolve_invocation(invocation).is_mutator()
                 {
                     self.standing_no = false;
                 }
@@ -853,10 +882,10 @@ impl<S: SequentialSpec> Core<S> {
             .all(|((proc, action), symbol)| {
                 symbol.proc == proc
                     && match (&symbol.action, action) {
-                        (Action::Invoke(invocation), InternedAction::Invoke(id)) => {
+                        (Action::Invoke(invocation), EventAction::Invoke(id)) => {
                             interner.resolve_invocation(id) == invocation
                         }
-                        (Action::Respond(response), InternedAction::Respond(id)) => {
+                        (Action::Respond(response), EventAction::Respond(id)) => {
                             interner.resolve_response(id) == response
                         }
                         _ => false,
@@ -1254,11 +1283,11 @@ impl<S: SequentialSpec> Core<S> {
         for (proc, action) in self.history.word_from(base) {
             put_u32(&mut buf, proc.0 as u32);
             match action {
-                InternedAction::Invoke(id) => {
+                EventAction::Invoke(id) => {
                     buf.push(1);
                     put_invocation(&mut buf, interner.resolve_invocation(id));
                 }
-                InternedAction::Respond(id) => {
+                EventAction::Respond(id) => {
                     buf.push(2);
                     put_response(&mut buf, interner.resolve_response(id));
                 }
@@ -1356,22 +1385,17 @@ impl<S: SequentialSpec> Core<S> {
         // serialized witness and frontier already encode its outcome.
         for _ in 0..symbol_count {
             let proc = ProcId(reader.u32("checkpoint symbol proc")? as usize);
-            match reader.u8("checkpoint symbol tag")? {
-                1 => {
-                    let invocation = arena.invocation(&take_invocation(&mut reader)?);
-                    self.history.push_invocation(proc, invocation);
-                }
-                2 => {
-                    let response = arena.response(&take_response(&mut reader)?);
-                    self.history.push_response(proc, response);
-                }
+            let action = match reader.u8("checkpoint symbol tag")? {
+                1 => EventAction::Invoke(arena.invocation(&take_invocation(&mut reader)?)),
+                2 => EventAction::Respond(arena.response(&take_response(&mut reader)?)),
                 tag => {
                     return Err(CheckpointError::Codec(CodecError::BadTag {
                         what: "checkpoint symbol tag",
                         tag,
                     }))
                 }
-            }
+            };
+            self.history.push(proc, action);
         }
         if flags & 2 != 0 {
             // The entries the payload leaves to the held witness.
@@ -1818,6 +1842,22 @@ mod tests {
                 if split == 0 {
                     assert_eq!(batched.stats(), reference.stats(), "{config:?}");
                 }
+                // The same run as records of the checker's own arena.
+                let arena = SharedInterner::new();
+                let records: Vec<EventRecord> = word
+                    .symbols()
+                    .iter()
+                    .map(|symbol| EventRecord::intern(drv_lang::ObjectId(0), symbol, &arena))
+                    .collect();
+                let mut by_id = IncrementalChecker::with_arena(Register::new(), config, 2, arena);
+                let mut outcomes = Vec::new();
+                let foreign = SharedInterner::new();
+                assert!(!by_id.feed_records(&records, &foreign, &mut outcomes));
+                assert_eq!((outcomes.len(), by_id.symbols_consumed()), (0, 0));
+                let arena = by_id.arena.clone();
+                assert!(by_id.feed_records(&records[..split], &arena, &mut outcomes));
+                assert!(by_id.feed_records(&records[split..], &arena, &mut outcomes));
+                assert_eq!(outcomes, expected, "records, split {split}, {config:?}");
             }
         }
     }

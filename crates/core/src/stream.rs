@@ -28,7 +28,7 @@ use crate::monitor::MonitorFamily;
 use crate::verdict::Verdict;
 use drv_adversary::{InvocationKey, View};
 use drv_consistency::{CheckOutcome, CheckerConfig, CheckerStats, IncrementalChecker};
-use drv_lang::{Action, Invocation, ObjectId, ProcId, SharedInterner, Symbol};
+use drv_lang::{Action, EventRecord, Invocation, ObjectId, ProcId, SharedInterner, Symbol};
 use drv_spec::SequentialSpec;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -48,8 +48,7 @@ pub trait ObjectMonitor: Send {
     fn on_symbol(&mut self, symbol: &Symbol) -> Verdict;
 
     /// Consumes a run of consecutive symbols of the object's stream,
-    /// appending exactly one verdict per symbol to `verdicts` — the batched
-    /// event path ([`EventBatch`](drv_lang::EventBatch) runs land here).
+    /// appending exactly one verdict per symbol to `verdicts`.
     ///
     /// The appended verdicts MUST be bit-identical to calling
     /// [`ObjectMonitor::on_symbol`] once per symbol (the engine's
@@ -62,6 +61,21 @@ pub trait ObjectMonitor: Send {
         for symbol in symbols {
             verdicts.push(self.on_symbol(symbol));
         }
+    }
+
+    /// [`ObjectMonitor::on_batch`] for a run of events interned in `arena`:
+    /// the engine's event path.  The default resolves the run under one
+    /// read guard, drops it and calls `on_batch`; [`CheckerObjectMonitor`]
+    /// hands the ids of its own arena to [`IncrementalChecker::feed_records`].
+    /// An override must not intern into `arena` while it holds a guard on it,
+    /// nor keep one past its return.
+    fn on_records(
+        &mut self,
+        records: &[EventRecord],
+        arena: &SharedInterner,
+        verdicts: &mut Vec<Verdict>,
+    ) {
+        self.on_batch(&resolve_run(records, arena), verdicts);
     }
 
     /// Called exactly once when the engine retires the monitor — on
@@ -112,6 +126,12 @@ pub trait ObjectMonitor: Send {
     }
 }
 
+/// A run of interned events as symbols, resolved under one read guard.
+fn resolve_run(records: &[EventRecord], arena: &SharedInterner) -> Vec<Symbol> {
+    let interner = arena.read();
+    records.iter().map(|record| record.resolve(&interner)).collect()
+}
+
 /// Why [`ObjectMonitor::restore`] refused a checkpoint payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
@@ -142,6 +162,14 @@ pub trait ObjectMonitorFactory: Send + Sync {
 
     /// Creates the monitor for `object`.
     fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor>;
+
+    /// Creates the monitor for `object` on `arena`, whose ids its
+    /// [`ObjectMonitor::on_records`] will be handed (an engine passes its
+    /// own).  The default ignores the arena and calls `create`.
+    fn create_in(&self, object: ObjectId, arena: &SharedInterner) -> Box<dyn ObjectMonitor> {
+        let _ = arena;
+        self.create(object)
+    }
 }
 
 /// An [`ObjectMonitor`] that feeds the object's stream straight into an
@@ -188,6 +216,20 @@ impl<S: SequentialSpec> ObjectMonitor for CheckerObjectMonitor<S> {
         verdicts.extend(self.outcomes.iter().map(|&outcome| Verdict::from(outcome)));
     }
 
+    fn on_records(
+        &mut self,
+        records: &[EventRecord],
+        arena: &SharedInterner,
+        verdicts: &mut Vec<Verdict>,
+    ) {
+        self.outcomes.clear();
+        if self.checker.feed_records(records, arena, &mut self.outcomes) {
+            verdicts.extend(self.outcomes.iter().map(|&outcome| Verdict::from(outcome)));
+        } else {
+            self.on_batch(&resolve_run(records, arena), verdicts);
+        }
+    }
+
     fn checker_stats(&self) -> Option<CheckerStats> {
         Some(self.checker.stats())
     }
@@ -206,11 +248,10 @@ impl<S: SequentialSpec> ObjectMonitor for CheckerObjectMonitor<S> {
 /// Factory for [`CheckerObjectMonitor`]s: every object gets its own
 /// long-lived incremental checker of the configured criterion.
 ///
-/// The objects of a factory speak one alphabet, so the factory owns its
-/// payload arena and every checker it creates interns into it: a distinct
-/// invocation or response is stored once per factory, and what an object
-/// keeps per symbol is ids.  The arena only grows and lives as long as the
-/// factory or any of its monitors (clones of a factory share it).
+/// A checker keeps ids, so a payload is stored once per arena its checkers
+/// share: [`ObjectMonitorFactory::create_in`] builds on the arena it is
+/// given (an engine's, whose decoded ids the checker keeps as they are),
+/// `create` on the factory's own, which clones of the factory share.
 #[derive(Debug, Clone)]
 pub struct CheckerMonitorFactory<S> {
     spec: S,
@@ -252,6 +293,12 @@ impl<S: SequentialSpec + Clone> CheckerMonitorFactory<S> {
         self.config = self.config.with_max_states(max_states);
         self
     }
+
+    /// The factory's own arena, the one `create` builds on.
+    #[must_use]
+    pub fn arena(&self) -> &SharedInterner {
+        &self.arena
+    }
 }
 
 impl<S: SequentialSpec + Clone + 'static> ObjectMonitorFactory for CheckerMonitorFactory<S> {
@@ -260,11 +307,15 @@ impl<S: SequentialSpec + Clone + 'static> ObjectMonitorFactory for CheckerMonito
     }
 
     fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
+        self.create_in(object, &self.arena)
+    }
+
+    fn create_in(&self, object: ObjectId, arena: &SharedInterner) -> Box<dyn ObjectMonitor> {
         let checker = IncrementalChecker::with_arena(
             self.spec.clone(),
             self.config,
             self.processes,
-            self.arena.clone(),
+            arena.clone(),
         );
         Box::new(CheckerObjectMonitor::new(object, checker, self.label))
     }
@@ -301,6 +352,10 @@ impl ObjectMonitorFactory for RoutingMonitorFactory {
 
     fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
         (self.route)(object).create(object)
+    }
+
+    fn create_in(&self, object: ObjectId, arena: &SharedInterner) -> Box<dyn ObjectMonitor> {
+        (self.route)(object).create_in(object, arena)
     }
 }
 
@@ -476,12 +531,23 @@ mod tests {
                 .iter()
                 .map(|symbol| by_symbol.on_symbol(symbol))
                 .collect();
+            let arena = SharedInterner::new();
+            let records: Vec<EventRecord> = word
+                .symbols()
+                .iter()
+                .map(|symbol| EventRecord::intern(obj(5), symbol, &arena))
+                .collect();
             for split in 0..=word.symbols().len() {
                 let mut by_batch = factory.create(obj(5));
                 let mut verdicts = Vec::new();
                 by_batch.on_batch(&word.symbols()[..split], &mut verdicts);
                 by_batch.on_batch(&word.symbols()[split..], &mut verdicts);
                 assert_eq!(verdicts, expected, "{} split {split}", factory.name());
+                let mut by_records = factory.create_in(obj(5), &arena);
+                let mut verdicts = Vec::new();
+                by_records.on_records(&records[..split], &arena, &mut verdicts);
+                by_records.on_records(&records[split..], &arena, &mut verdicts);
+                assert_eq!(verdicts, expected, "{} records, split {split}", factory.name());
             }
         }
     }
@@ -642,6 +708,23 @@ mod tests {
         assert_eq!(factory.arena.versions(), distinct, "once per factory, not per object");
         assert_eq!(factory.clone().arena.versions(), distinct, "a clone shares the arena");
         assert_eq!(bystander.arena.versions(), (0, 0), "factories do not share one");
+
+        // Created in an engine's arena and fed its records, the bystander's
+        // monitors keep the engine's ids: its own arena stays empty.
+        let engine_arena = SharedInterner::new();
+        let records: Vec<EventRecord> = word
+            .symbols()
+            .iter()
+            .map(|symbol| EventRecord::intern(obj(0), symbol, &engine_arena))
+            .collect();
+        for object in 0..64 {
+            let mut monitor = bystander.create_in(obj(object), &engine_arena);
+            let mut verdicts = Vec::new();
+            monitor.on_records(&records, &engine_arena, &mut verdicts);
+            assert!(verdicts.iter().all(|verdict| *verdict == Verdict::Yes));
+        }
+        assert_eq!(engine_arena.versions(), distinct, "once per engine");
+        assert_eq!(bystander.arena.versions(), (0, 0), "the engine's arena, not the factory's");
     }
 
     /// A last-writer cell over user-defined payloads: `name(v)` stores `v`

@@ -68,8 +68,9 @@
 //!   therefore stops growing with history length.
 //! * **Payload interning.**  Queued events are `Copy` records
 //!   ([`EventRecord`] — the workspace-wide interchange type); payloads are
-//!   interned once into a [`SharedInterner`] and resolved worker-side
-//!   through lock-free [`InternerMirror`]s grown by version deltas.
+//!   interned once, into the engine's [`SharedInterner`], on which every
+//!   monitor is created ([`ObjectMonitorFactory::create_in`]): a checker
+//!   keeps the queued ids as they are, no payload resolved on the way.
 //! * **Batched ingestion.**  [`MonitoringEngine::submit_batch`] /
 //!   [`MonitoringEngine::try_submit_batch`] scatter a whole [`EventBatch`]
 //!   across the shards in one routing pass — one queue lock per touched
@@ -78,7 +79,7 @@
 //!   Worker-side, a shard claim takes the whole queue and walks it grouped
 //!   by object (per-object FIFO is kept; the order across objects carries
 //!   nothing): each object's events of the claim, up to an eviction marker,
-//!   are fed to its monitor as one [`ObjectMonitor::on_batch`] run — one
+//!   are fed to its monitor as one [`ObjectMonitor::on_records`] run — one
 //!   slot lookup and one visit to the object's cold state per object per
 //!   claim, however finely the producers interleaved the objects.
 //! * **Failure.**  A panicking monitor does not hang the pool: the worker
@@ -92,9 +93,7 @@ use crate::report::{EngineReport, EngineStats, ObjectReport};
 use crate::service::{SubmitError, SubscriptionShared, VerdictEvent, VerdictSubscription};
 use drv_consistency::CheckerStats;
 use drv_core::{ObjectMonitor, ObjectMonitorFactory, Verdict, WorkerPanic};
-use drv_lang::{
-    EventBatch, EventRecord, InternerMirror, ObjectId, SharedInterner, Symbol, Word,
-};
+use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Word};
 use drv_telemetry::{Counter, Gauge, Histogram, SpanKind, Stage, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -222,7 +221,7 @@ struct EngineMetrics {
     events: Counter,
     /// Shard claims (each drains the whole shard queue).
     batches: Counter,
-    /// Monitor calls ([`ObjectMonitor::on_batch`], one per run, or per part
+    /// Monitor calls ([`ObjectMonitor::on_records`], one per run, or per part
     /// of a run split at a checkpoint due): `engine_events / engine_runs` is
     /// the mean run length the grouped claims achieve on live traffic.
     runs: Counter,
@@ -239,7 +238,7 @@ struct EngineMetrics {
     queue_depth: Gauge,
     /// Batch scatter latency (one routing pass of `submit_batch`), ns.
     scatter_ns: Histogram,
-    /// Per-run check latency (the run's `ObjectMonitor::on_batch` calls and
+    /// Per-run check latency (the run's `ObjectMonitor::on_records` calls and
     /// any checkpoint due inside it), ns — sampled at 1-in-[`CHECK_SAMPLE`]
     /// runs per worker (see the constant's docs).
     check_ns: Histogram,
@@ -685,9 +684,9 @@ impl Shared {
     /// items of the claim sit together in their queue order (per-object
     /// FIFO is the only order the engine promises; the order *across*
     /// objects carries nothing).  Each object's events up to its next
-    /// eviction marker form one *run*: resolved into `scratch.symbols` once
-    /// and handed to the object's monitor through
-    /// [`ObjectMonitor::on_batch`] — one slot lookup, one monitor call and
+    /// eviction marker form one *run*: its queued records, gathered into
+    /// `scratch.run` and handed with the engine's arena to
+    /// [`ObjectMonitor::on_records`] — one slot lookup, one monitor call and
     /// one walk over the object's cold state per object per claim, however
     /// the producers interleaved the objects.  A marker retires the monitor
     /// exactly between the events around it, after flushing the delivery
@@ -701,13 +700,7 @@ impl Shared {
     /// journal's bytes) land where one-event runs put them; and the idle-TTL
     /// clock reads submission order — a run stamps `last_seen` with its last
     /// event's position in the drained queue, not its processing position.
-    fn process(
-        &self,
-        shard_index: usize,
-        worker: usize,
-        mirror: &mut InternerMirror,
-        scratch: &mut WorkerScratch,
-    ) {
+    fn process(&self, shard_index: usize, worker: usize, scratch: &mut WorkerScratch) {
         let shard = &self.shards[shard_index];
         // Swap, not copy: the queue lock is held for O(1), and both buffers
         // keep their capacity.
@@ -724,7 +717,6 @@ impl Shared {
         if !drained.is_empty() {
             self.m.batches.inc();
             self.m.queue_depth.sub(drained.len() as i64);
-            mirror.sync(&self.interner);
             let clock = self.m.events.get();
             let items = drained.make_contiguous();
             let mut order = std::mem::take(&mut scratch.order);
@@ -760,13 +752,11 @@ impl Shared {
                     end += 1;
                 }
                 let run = &order[at..end];
-                scratch.symbols.clear();
-                for key in run {
-                    let QueueItem::Event(event) = items[key.index()] else {
-                        unreachable!("runs contain only events");
-                    };
-                    scratch.symbols.push(event.resolve(mirror));
-                }
+                scratch.run.clear();
+                scratch.run.extend(run.iter().map(|key| match items[key.index()] {
+                    QueueItem::Event(event) => event,
+                    QueueItem::Evict(_) => unreachable!("runs contain only events"),
+                }));
                 let slot = state.objects.entry(object).or_insert_with(|| {
                     // Seq numbers continue where a prior retirement of the
                     // same object left off.
@@ -776,7 +766,7 @@ impl Shared {
                         .get(&object)
                         .map_or(0, |report| report.verdicts.len() as u64);
                     ObjectSlot {
-                        monitor: self.factory.create(object),
+                        monitor: self.factory.create_in(object, &self.interner),
                         verdicts: Vec::new(),
                         base,
                         last_seen: clock,
@@ -788,7 +778,7 @@ impl Shared {
                 // A recovered slot swallows the replayed events its
                 // checkpoint already covers (their verdicts are pre-filled)
                 // and feeds only the suffix.
-                let swallow = slot.skip.min(scratch.symbols.len() as u64) as usize;
+                let swallow = slot.skip.min(scratch.run.len() as u64) as usize;
                 slot.skip -= swallow as u64;
                 // Seqs are assigned from the slot's stream position before
                 // the run's verdicts join it.
@@ -816,11 +806,11 @@ impl Shared {
                 let run_started = traced.map(|_| self.tel.clock().now_ns());
                 scratch.verdicts.clear();
                 let mut from = swallow;
-                while from < scratch.symbols.len() {
+                while from < scratch.run.len() {
                     // Feed up to the next checkpoint due, so a checkpoint
                     // lands on the same event however a claim grouped the
                     // object's traffic.
-                    let mut to = scratch.symbols.len();
+                    let mut to = scratch.run.len();
                     if let Some((_, interval)) = checkpoints {
                         let due = slot
                             .checkpointed
@@ -832,8 +822,11 @@ impl Shared {
                         }
                     }
                     let fed_before = scratch.verdicts.len();
-                    slot.monitor
-                        .on_batch(&scratch.symbols[from..to], &mut scratch.verdicts);
+                    slot.monitor.on_records(
+                        &scratch.run[from..to],
+                        &self.interner,
+                        &mut scratch.verdicts,
+                    );
                     runs += 1;
                     slot.verdicts
                         .extend_from_slice(&scratch.verdicts[fed_before..]);
@@ -898,8 +891,8 @@ impl Shared {
                 }
                 assert_eq!(
                     scratch.verdicts.len(),
-                    scratch.symbols.len() - swallow,
-                    "an ObjectMonitor::on_batch must append exactly one verdict per symbol"
+                    scratch.run.len() - swallow,
+                    "an ObjectMonitor::on_records must append exactly one verdict per event"
                 );
                 // Batched delivery: rows accumulate in processing order, so
                 // each object's seqs reach the channel in order.
@@ -1027,7 +1020,7 @@ impl Shared {
 }
 
 /// Per-worker reusable buffers of the grouped claim path: the drained
-/// queue, its grouping keys, one resolved symbol run and its verdicts,
+/// queue, its grouping keys, one object's run of records and its verdicts,
 /// recycled claim to claim so the hot loop performs no per-run allocations
 /// once warm.
 #[derive(Default)]
@@ -1037,7 +1030,7 @@ struct WorkerScratch {
     drained: VecDeque<QueueItem>,
     /// One key per drained item, sorted to group the claim by object.
     order: Vec<ClaimKey>,
-    symbols: Vec<Symbol>,
+    run: Vec<EventRecord>,
     verdicts: Vec<Verdict>,
     /// The coalesced delivery buffer: `(object, seq, verdict)` rows of the
     /// claim's runs, pushed into each subscription as one slice under one
@@ -1096,7 +1089,6 @@ const DELIVERY_CHUNK: usize = 64;
 const CHECK_SAMPLE: u32 = 16;
 
 fn worker_loop(shared: &Shared, worker: usize) {
-    let mut mirror = InternerMirror::new();
     let mut scratch = WorkerScratch::default();
     loop {
         // Checked between batches too, not just when idle: an abort (worker
@@ -1115,7 +1107,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let seen = shared.work_epoch.load(Ordering::SeqCst);
         if let Some(shard) = shared.find_work(worker) {
             if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                shared.process(shard, worker, &mut mirror, &mut scratch);
+                shared.process(shard, worker, &mut scratch);
             })) {
                 // Postmortem: stamp the panic into the flight ring and dump
                 // it (bounded, time-ordered) before the pool goes dark.
@@ -1176,7 +1168,7 @@ impl MonitoringEngine {
     /// object on first sight of its traffic.
     #[must_use]
     pub fn new(config: EngineConfig, factory: Arc<dyn ObjectMonitorFactory>) -> Self {
-        Self::with_recovered(config, factory, Vec::new(), Telemetry::passive())
+        Self::with_telemetry(config, factory, Telemetry::passive())
     }
 
     /// [`MonitoringEngine::new`] sharing an explicit [`Telemetry`] handle:
@@ -1191,7 +1183,7 @@ impl MonitoringEngine {
         factory: Arc<dyn ObjectMonitorFactory>,
         telemetry: Arc<Telemetry>,
     ) -> Self {
-        Self::with_recovered(config, factory, Vec::new(), telemetry)
+        Self::with_recovered(config, factory, Vec::new(), SharedInterner::new(), telemetry)
     }
 
     /// [`MonitoringEngine::with_telemetry`], seeded with recovered
@@ -1201,20 +1193,22 @@ impl MonitoringEngine {
     /// checkpointed verdict prefix pre-filled, so replaying the journal
     /// suffix re-emits the post-checkpoint verdicts with their original
     /// `seq` numbers and the final report is identical to an uninterrupted
-    /// run.  Seeds are installed before the workers spawn; no journal sink
-    /// is attached yet (attach one *after* replay with
-    /// [`MonitoringEngine::attach_journal`]).
+    /// run.  `interner` becomes the engine's arena: the seeds' monitors were
+    /// created on it, and the replay interned into it.  Seeds are installed
+    /// before the workers spawn; no journal sink is attached yet (attach one
+    /// *after* replay with [`MonitoringEngine::attach_journal`]).
     #[must_use]
     pub fn with_recovered(
         config: EngineConfig,
         factory: Arc<dyn ObjectMonitorFactory>,
         seeds: Vec<RecoveredObject>,
+        interner: SharedInterner,
         telemetry: Arc<Telemetry>,
     ) -> Self {
         let metrics = EngineMetrics::register(&telemetry);
         let shared = Arc::new(Shared {
             factory,
-            interner: SharedInterner::new(),
+            interner,
             shards: (0..config.shards).map(|_| Shard::default()).collect(),
             deques: (0..config.workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             park: Mutex::new(()),
@@ -1341,8 +1335,8 @@ impl MonitoringEngine {
         true
     }
 
-    /// The engine's payload arena: batches submitted through
-    /// [`MonitoringEngine::submit_batch`] /
+    /// The engine's payload arena, on which every monitor is created:
+    /// batches submitted through [`MonitoringEngine::submit_batch`] /
     /// [`MonitoringEngine::try_submit_batch`] must intern their payloads
     /// here (e.g. via [`EventBatch::push_symbol`]).
     #[must_use]
@@ -1640,9 +1634,10 @@ impl MonitoringEngine {
     /// from now on every accepted submission is journaled write-ahead,
     /// monitors are checkpointed every
     /// [`JournalSink::checkpoint_interval`] fed events, and retirements
-    /// write tombstones.  Attach *after* replaying a journal into a
-    /// [`MonitoringEngine::with_recovered`] engine, so recovery does not
-    /// re-append what it reads.  Replaces any previous sink.
+    /// write tombstones.  Attach only once a journal replayed into a
+    /// [`MonitoringEngine::with_recovered`] engine has drained, so recovery
+    /// does not re-append what it reads (a replayed eviction would journal
+    /// a second tombstone).  Replaces any previous sink.
     pub fn attach_journal(&self, sink: Arc<dyn JournalSink>) {
         *self.shared.sink.lock() = Some(sink);
     }

@@ -73,7 +73,8 @@ pub trait JournalSink: Send + Sync {
 pub struct RecoveredObject {
     /// The object the seed belongs to.
     pub object: ObjectId,
-    /// A factory-created monitor with its checkpoint chain restored.
+    /// A monitor the factory created on the recovered engine's arena
+    /// (`ObjectMonitorFactory::create_in`), its checkpoint chain restored.
     pub monitor: Box<dyn ObjectMonitor>,
     /// The object's verdict stream up to the chain's last checkpoint, in
     /// `seq` order from 0.

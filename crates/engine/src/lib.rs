@@ -55,19 +55,22 @@
 //! preserved, so per-object FIFO — and therefore verdict bit-identity —
 //! holds at any batch size), its backpressure is reserved in *events* up
 //! front, and the pool is published to with **one** `work_epoch` bump and
-//! one notify per batch instead of one per event.  Worker-side, drained
-//! queue items are walked as maximal runs of consecutive same-object events
-//! and fed to the object's monitor through
-//! [`drv_core::ObjectMonitor::on_batch`] (the incremental checkers forward
-//! the run to `IncrementalChecker::feed_batch`), so one slot lookup and one
-//! verdict flush cover the whole run.
+//! one notify per batch instead of one per event.  Worker-side, a claim's
+//! queue items are grouped into one run per object and fed to the object's
+//! monitor through [`drv_core::ObjectMonitor::on_records`] (the incremental
+//! checkers push the run's ids into their history), so one slot lookup and
+//! one verdict flush cover the whole run.
 //!
 //! **Arena lifetime rules.**  Payload ids are only meaningful relative to
 //! the arena that produced them: build batches against the target engine's
-//! [`MonitoringEngine::interner`].  The arena is append-only and lives as
-//! long as the engine, so a batch never dangles; workers resolve ids
-//! through lock-free mirrors grown by version deltas, which `submit_batch`
-//! never blocks on.
+//! [`MonitoringEngine::interner`].  It is the engine's only arena: every
+//! monitor is created on it ([`drv_core::ObjectMonitorFactory::create_in`]),
+//! so an id goes from the decoded frame to the checker's witness unchanged.
+//! It is append-only and lives as long as the engine or its last monitor,
+//! so a batch never dangles.  A monitor holds a read guard on it only inside
+//! one `on_records` call, never across a delivery, a journal append or a
+//! blocking wait, so a producer interning a new payload waits at most for
+//! the monitor calls in flight.
 //!
 //! Each event still maps 1:1 to one iteration of the paper's Figure 1 loop
 //! — a batch is a *window* of iterations delivered together, not a

@@ -1,17 +1,23 @@
 //! Service-mode acceptance tests: untimed parking (an idle engine performs
 //! **zero** wake-ups over a parked window — the 1 ms-poll band-aid cannot
-//! come back), backpressure, live verdict subscriptions, eviction/TTL, and
-//! the panic-path bookkeeping regressions (`pending` leak, discarded
-//! `Drop` panics).
+//! come back), backpressure, live verdict subscriptions, eviction/TTL, one
+//! payload arena per engine, and the panic-path bookkeeping regressions
+//! (`pending` leak, discarded `Drop` panics).
 
-use drv_core::{CheckerMonitorFactory, ObjectMonitor, ObjectMonitorFactory, Verdict};
+use drv_consistency::{CheckerConfig, IncrementalChecker};
+use drv_core::{
+    CheckerMonitorFactory, CheckerObjectMonitor, ObjectMonitor, ObjectMonitorFactory,
+    RoutingMonitorFactory, Verdict,
+};
 use drv_engine::{
     sequential_reference, EngineConfig, EventBatch, JournalSink, MonitoringEngine, SubmitError,
 };
-use drv_lang::{Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, VerdictBatch};
-use drv_spec::Register;
+use drv_lang::{
+    Action, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, VerdictBatch,
+};
+use drv_spec::{Register, SequentialSpec};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -637,6 +643,208 @@ fn an_eviction_marker_splits_its_objects_run_in_a_grouped_claim() {
             ][..]
         )
     );
+}
+
+// --- one arena per engine ---------------------------------------------
+
+/// The bench's fleet: LIN for even objects, SC for odd, each criterion's
+/// factory returned too, to read its own arena.
+fn mixed_fleet<S: SequentialSpec + Clone + 'static>(
+    spec: S,
+) -> (Arc<CheckerMonitorFactory<S>>, Arc<CheckerMonitorFactory<S>>, Arc<RoutingMonitorFactory>) {
+    let lin = Arc::new(CheckerMonitorFactory::linearizability(spec.clone(), 2));
+    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(spec, 2));
+    let (even, odd) = (
+        Arc::clone(&lin) as Arc<dyn ObjectMonitorFactory>,
+        Arc::clone(&sc) as Arc<dyn ObjectMonitorFactory>,
+    );
+    let fleet = RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
+        Arc::clone(if object.0.is_multiple_of(2) { &even } else { &odd })
+    });
+    (lin, sc, Arc::new(fleet))
+}
+
+fn assert_matches_reference(
+    report: &drv_engine::EngineReport,
+    expected: &BTreeMap<ObjectId, Vec<Verdict>>,
+    what: &str,
+) {
+    assert_eq!(report.objects.len(), expected.len(), "{what}: object sets");
+    for (object, verdicts) in expected {
+        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "{what}, {object:?}");
+    }
+}
+
+#[test]
+fn an_engine_stores_each_payload_once_for_its_whole_fleet() {
+    let (lin, sc, fleet) = mixed_fleet(Register::new());
+    let mut events = round_robin(16, 40);
+    // A stale read on an even and an odd object: both verdict polarities.
+    for object in [ObjectId(16), ObjectId(17)] {
+        events.extend([
+            (object, Symbol::invoke(ProcId(0), Invocation::Write(3))),
+            (object, Symbol::respond(ProcId(0), Response::Ack)),
+            (object, Symbol::invoke(ProcId(1), Invocation::Read)),
+            (object, Symbol::respond(ProcId(1), Response::Value(2))),
+        ]);
+    }
+    let engine = MonitoringEngine::new(EngineConfig::new(2), fleet);
+    engine.submit_stream(&events, 256);
+    engine.wait_drained();
+    let interned = engine.interner().versions();
+    let report = engine.finish().expect("no panics");
+
+    let (mut invocations, mut responses) = (HashSet::new(), HashSet::new());
+    for (_, symbol) in &events {
+        match &symbol.action {
+            Action::Invoke(invocation) => invocations.insert(invocation.clone()),
+            Action::Respond(response) => responses.insert(response.clone()),
+        };
+    }
+    assert_eq!(interned, (invocations.len(), responses.len()), "each payload once");
+    assert_eq!(lin.arena().versions(), (0, 0), "LIN checkers keep the engine's ids");
+    assert_eq!(sc.arena().versions(), (0, 0), "SC checkers keep the engine's ids");
+    let (_, _, reference) = mixed_fleet(Register::new());
+    let expected = sequential_reference(reference.as_ref(), &events);
+    assert!(expected.values().flatten().any(|verdict| *verdict == Verdict::No));
+    assert_matches_reference(&report, &expected, "one arena");
+}
+
+/// LIN checkers that each intern into a private arena, as a checker built
+/// on its own does: the engine's ids are not theirs.
+struct PrivateArenaFactory;
+impl ObjectMonitorFactory for PrivateArenaFactory {
+    fn name(&self) -> Cow<'_, str> {
+        Cow::Borrowed("LIN on private arenas")
+    }
+    fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
+        let checker = IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 2);
+        Box::new(CheckerObjectMonitor::new(object, checker, "LIN"))
+    }
+}
+
+#[test]
+fn a_checker_on_a_foreign_arena_is_fed_resolved_symbols() {
+    let mut events = round_robin(8, 24);
+    events.extend([
+        (ObjectId(8), Symbol::invoke(ProcId(0), Invocation::Write(5))),
+        (ObjectId(8), Symbol::respond(ProcId(0), Response::Ack)),
+        (ObjectId(8), Symbol::invoke(ProcId(1), Invocation::Read)),
+        (ObjectId(8), Symbol::respond(ProcId(1), Response::Value(4))),
+    ]);
+    let expected = sequential_reference(&PrivateArenaFactory, &events);
+    assert_eq!(expected[&ObjectId(8)].last(), Some(&Verdict::No));
+    for workers in [1, 2, 4] {
+        for batch in [1, 256] {
+            let engine =
+                MonitoringEngine::new(EngineConfig::new(workers), Arc::new(PrivateArenaFactory));
+            engine.submit_stream(&events, batch);
+            let report = engine.finish().expect("no panics");
+            assert_matches_reference(&report, &expected, &format!("{workers}w batch {batch}"));
+        }
+    }
+}
+
+/// A last-writer cell over user-defined payloads: `name(v)` stores `v` and
+/// answers `name:previous`, so no two operations need share a payload, and
+/// the response the specification gives a pending operation is one the
+/// arena has not seen either.
+#[derive(Debug, Clone)]
+struct NamedCell;
+
+impl SequentialSpec for NamedCell {
+    type State = u64;
+
+    fn name(&self) -> String {
+        "named cell".into()
+    }
+
+    fn kind(&self) -> drv_lang::ObjectKind {
+        drv_lang::ObjectKind::Register
+    }
+
+    fn initial(&self) -> u64 {
+        0
+    }
+
+    fn apply(&self, state: &u64, invocation: &Invocation) -> Option<(u64, Response)> {
+        match invocation {
+            Invocation::Custom(name, value) => Some((*value, Response::Custom(name.clone(), *state))),
+            _ => None,
+        }
+    }
+}
+
+/// Overlapping pairs of cell operations under names only `object` uses; the
+/// ninth operation answers with a value the cell never held.
+fn named_cell_stream(object: ObjectId) -> Vec<Symbol> {
+    let mut symbols = Vec::new();
+    let mut held = 0u64;
+    for pair in 0..8u64 {
+        let (a, b) = (2 * pair + 1, 2 * pair + 2);
+        let name = |op: u64| format!("{object}/op{op}");
+        let observed = if a == 9 { 77 } else { held };
+        symbols.extend([
+            Symbol::invoke(ProcId(0), Invocation::Custom(name(a), a)),
+            Symbol::invoke(ProcId(1), Invocation::Custom(name(b), b)),
+            Symbol::respond(ProcId(0), Response::Custom(name(a), observed)),
+            Symbol::respond(ProcId(1), Response::Custom(name(b), a)),
+        ]);
+        held = b;
+    }
+    symbols
+}
+
+/// A producer interning a payload the engine's arena has not seen takes its
+/// write lock while workers' checkers hold read guards on it (and release
+/// them to intern the specification's responses mid-search).  Two
+/// producers of first-sight payloads, one event per submission, against
+/// every worker count, under a watchdog: no thread may wait on itself.
+#[test]
+fn producers_intern_while_workers_feed_without_deadlock() {
+    const PRODUCERS: u64 = 2;
+    const OBJECTS: u64 = 6;
+    // Each producer's objects, round-robin one event at a time.
+    let streams: Vec<Vec<(ObjectId, Symbol)>> = (0..PRODUCERS)
+        .map(|producer| {
+            let objects: Vec<(ObjectId, Vec<Symbol>)> = (0..OBJECTS)
+                .map(|i| ObjectId(producer * OBJECTS + i))
+                .map(|object| (object, named_cell_stream(object)))
+                .collect();
+            (0..objects[0].1.len())
+                .flat_map(|at| objects.iter().map(move |(object, s)| (*object, s[at].clone())))
+                .collect()
+        })
+        .collect();
+    let all: Vec<(ObjectId, Symbol)> = streams.concat();
+    let (_, _, reference) = mixed_fleet(NamedCell);
+    let expected = sequential_reference(reference.as_ref(), &all);
+    let verdicts = expected.values().flatten();
+    assert!(verdicts.clone().any(|verdict| *verdict == Verdict::No));
+    assert!(verdicts.clone().any(|verdict| *verdict == Verdict::Yes));
+
+    for workers in [1, 2, 4] {
+        let streams = streams.clone();
+        let (done, result) = mpsc::channel();
+        // Detached on purpose: a deadlocked engine must fail the test by
+        // message, not hang a join.
+        std::thread::spawn(move || {
+            let (_, _, fleet) = mixed_fleet(NamedCell);
+            let engine = MonitoringEngine::new(EngineConfig::new(workers), fleet);
+            std::thread::scope(|scope| {
+                for stream in &streams {
+                    let engine = &engine;
+                    scope.spawn(move || engine.submit_stream(stream, 1));
+                }
+            });
+            let _ = done.send(engine.finish());
+        });
+        let report = result
+            .recv_timeout(Duration::from_secs(120))
+            .expect("producers interning while workers feed deadlocked")
+            .expect("no panics");
+        assert_matches_reference(&report, &expected, &format!("{workers} workers"));
+    }
 }
 
 // --- panic-path regressions -------------------------------------------

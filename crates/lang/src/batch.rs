@@ -8,15 +8,15 @@
 //! whose rows are the `Copy`-able [`EventRecord`].  Payloads (the heap data
 //! inside [`crate::Invocation`] / [`crate::Response`]) are interned exactly
 //! once into a [`SharedInterner`] arena when the batch is built; afterwards
-//! every layer — submission routing, shard queues, worker-side resolution —
+//! every layer — submission routing, shard queues, the checker's history —
 //! moves 24-byte integer records around.
 //!
 //! The batch is deliberately *order-preserving*: iterating a batch yields the
 //! events in the order they were pushed, which is the per-object FIFO order
 //! every consumer (engine shards, checkers) relies on.  [`EventBatch::runs`]
 //! exposes the maximal runs of consecutive same-object events, the unit that
-//! batched consumers (`ObjectMonitor::on_batch`, `IncrementalChecker::
-//! feed_batch`) process with one monitor lookup instead of one per event.
+//! batched consumers (`ObjectMonitor::on_records`, `IncrementalChecker::
+//! feed_records`) process with one monitor lookup instead of one per event.
 //!
 //! ```
 //! use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response,
@@ -33,7 +33,7 @@
 //! assert_eq!(runs[1], (ObjectId(9), 2..3));
 //! ```
 
-use crate::intern::{InternerMirror, InvocationId, ResponseId, SharedInterner};
+use crate::intern::{Interner, InvocationId, ResponseId, SharedInterner};
 use crate::symbol::{Action, ObjectId, ProcId, Symbol};
 use std::ops::Range;
 
@@ -120,17 +120,17 @@ impl EventAction {
         }
     }
 
-    /// Resolves the payload back out of a (synced) [`InternerMirror`].
+    /// Clones the payload back out of the arena the id came from (e.g.
+    /// under one [`SharedInterner::read`] guard for a whole run).
     ///
     /// # Panics
     ///
-    /// Panics when the id is newer than the mirror's last sync or came from
-    /// a different arena.
+    /// Panics when the id came from a different arena.
     #[must_use]
-    pub fn resolve(self, mirror: &InternerMirror) -> Action {
+    pub fn resolve(self, arena: &Interner) -> Action {
         match self {
-            EventAction::Invoke(id) => Action::Invoke(mirror.resolve_invocation(id).clone()),
-            EventAction::Respond(id) => Action::Respond(mirror.resolve_response(id).clone()),
+            EventAction::Invoke(id) => Action::Invoke(arena.resolve_invocation(id).clone()),
+            EventAction::Respond(id) => Action::Respond(arena.resolve_response(id).clone()),
         }
     }
 }
@@ -162,12 +162,12 @@ impl EventRecord {
     ///
     /// # Panics
     ///
-    /// Panics when the payload id is newer than the mirror's last sync.
+    /// Panics when the payload id came from a different arena.
     #[must_use]
-    pub fn resolve(self, mirror: &InternerMirror) -> Symbol {
+    pub fn resolve(self, arena: &Interner) -> Symbol {
         Symbol {
             proc: self.proc,
-            action: self.action.resolve(mirror),
+            action: self.action.resolve(arena),
         }
     }
 }
@@ -509,9 +509,8 @@ mod tests {
     #[test]
     fn round_trips_through_the_arena() {
         let (batch, arena) = sample();
-        let mut mirror = InternerMirror::new();
-        mirror.sync(&arena);
-        let symbols: Vec<Symbol> = batch.iter().map(|record| record.resolve(&mirror)).collect();
+        let interner = arena.read();
+        let symbols: Vec<Symbol> = batch.iter().map(|record| record.resolve(&interner)).collect();
         assert_eq!(symbols[0], Symbol::invoke(ProcId(0), Invocation::Write(7)));
         assert_eq!(symbols[1], Symbol::respond(ProcId(0), Response::Ack));
         assert_eq!(symbols[2], Symbol::invoke(ProcId(1), Invocation::Read));
@@ -549,11 +548,10 @@ mod tests {
     fn clear_keeps_capacity_and_from_stream_matches_pushes() {
         let (mut batch, arena) = sample();
         let events: Vec<(ObjectId, Symbol)> = {
-            let mut mirror = InternerMirror::new();
-            mirror.sync(&arena);
+            let interner = arena.read();
             batch
                 .iter()
-                .map(|record| (record.object, record.resolve(&mirror)))
+                .map(|record| (record.object, record.resolve(&interner)))
                 .collect()
         };
         let rebuilt = EventBatch::from_stream(&events, &arena);

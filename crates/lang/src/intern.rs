@@ -12,21 +12,20 @@
 //!
 //! Ids are only meaningful relative to the interner that produced them;
 //! nothing enforces this at the type level, so know which arena an id came
-//! from.  Two arenas exist in a serving process, both [`SharedInterner`]s:
+//! from.  A serving process has **one arena per engine**, a
+//! [`SharedInterner`] owned by the `MonitoringEngine`: the wire decoder,
+//! `submit_batch` and journal recovery intern into it, and the engine
+//! creates every object's monitor on it (`ObjectMonitorFactory::create_in`),
+//! so an event's ids go from the decoded frame into the checker's history
+//! unchanged — no payload is hashed or cloned between decode and verdict.
+//! A `CheckerMonitorFactory` used on its own (`create`, the sequential
+//! reference) has an arena of its own, shared by its checkers, and a checker
+//! built on its own makes a private one.
 //!
-//! * **the engine's** — owned by the `MonitoringEngine`, filled by the wire
-//!   decoder and `submit_batch`, read by the workers through their
-//!   [`InternerMirror`]s; it lives as long as the engine;
-//! * **the factory's** — owned by a `CheckerMonitorFactory` and handed, as a
-//!   clone of the handle, to every incremental checker the factory creates
-//!   (a checker built on its own makes a private one); it lives as long as
-//!   the factory or its last checker, whichever goes later.
-//!
-//! Both only ever grow: an entry is never removed, so an id stays valid for
-//! the arena's lifetime and evicting an object does not return the payloads
-//! it brought.  That has always been true of the engine's arena; the
-//! factory's extends the same property to the checkers, in exchange for one
-//! copy of each payload per fleet instead of one per object.
+//! Arenas only ever grow: an entry is never removed, so an id stays valid
+//! for the arena's lifetime and evicting an object does not return the
+//! payloads it brought, in exchange for one copy of each payload per fleet
+//! instead of one per object.
 
 use crate::operation::OpId;
 use crate::symbol::{Invocation, ProcId, Response};
@@ -140,40 +139,23 @@ impl Interner {
     pub fn lookup_response(&self, response: &Response) -> Option<ResponseId> {
         self.response_ids.get(response).copied()
     }
-
-    /// The invocation arena entries appended since `from` (ids `from..`).
-    #[must_use]
-    pub fn invocations_since(&self, from: usize) -> &[Invocation] {
-        &self.invocations[from.min(self.invocations.len())..]
-    }
-
-    /// The response arena entries appended since `from` (ids `from..`).
-    #[must_use]
-    pub fn responses_since(&self, from: usize) -> &[Response] {
-        &self.responses[from.min(self.responses.len())..]
-    }
 }
 
-/// A thread-safe interner shared by many engine shards.
-///
-/// The same versioned pattern as `drv_shmem::SharedArray`: the arenas only
-/// ever *grow*, so a reader that remembers the arena lengths it has already
-/// seen (its *version vector*) can refresh a lock-free local
-/// [`InternerMirror`] by copying just the tail entries appended since —
-/// resolving an id then never takes the lock on the hot path.
+/// A thread-safe interner shared by producers, engine workers and checkers;
+/// clones are handles onto the same arena.
 ///
 /// Interning takes a read lock for the (overwhelmingly common) already-known
 /// probe and upgrades to a write lock only on first sight of a payload, so
-/// concurrent shards interleave freely.
+/// concurrent threads interleave freely.  Payloads are resolved under a
+/// [`SharedInterner::read`] guard, any number per acquisition.
 ///
 /// ```
-/// use drv_lang::{Invocation, InternerMirror, SharedInterner};
+/// use drv_lang::{Invocation, SharedInterner};
 ///
 /// let shared = SharedInterner::new();
 /// let id = shared.invocation(&Invocation::Write(7));
-/// let mut mirror = InternerMirror::new();
-/// mirror.sync(&shared);
-/// assert_eq!(mirror.resolve_invocation(id), &Invocation::Write(7));
+/// assert_eq!(shared.read().resolve_invocation(id), &Invocation::Write(7));
+/// assert!(SharedInterner::ptr_eq(&shared, &shared.clone()));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedInterner {
@@ -204,12 +186,19 @@ impl SharedInterner {
         self.inner.write().response(response)
     }
 
-    /// The arena lengths `(invocations, responses)` — the version vector of
-    /// the mirror pattern.
+    /// The arena lengths `(invocations, responses)`: how many distinct
+    /// payloads of each kind it holds.
     #[must_use]
     pub fn versions(&self) -> (usize, usize) {
         let guard = self.inner.read();
         (guard.invocation_count(), guard.response_count())
+    }
+
+    /// Whether two handles are the same arena (so an id from one is an id
+    /// of the other), as [`std::sync::Arc::ptr_eq`].
+    #[must_use]
+    pub fn ptr_eq(a: &SharedInterner, b: &SharedInterner) -> bool {
+        std::sync::Arc::ptr_eq(&a.inner, &b.inner)
     }
 
     /// Locks the arenas for reading: resolve and probe any number of ids
@@ -226,28 +215,6 @@ impl SharedInterner {
             guard: self.inner.read(),
         }
     }
-
-    /// Clones the invocation behind an id out of the arena (mirror-free
-    /// slow path; use [`SharedInterner::read`] or an [`InternerMirror`] in
-    /// loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id came from a different interner.
-    #[must_use]
-    pub fn resolve_invocation(&self, id: InvocationId) -> Invocation {
-        self.inner.read().resolve_invocation(id).clone()
-    }
-
-    /// Clones the response behind an id out of the arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id came from a different interner.
-    #[must_use]
-    pub fn resolve_response(&self, id: ResponseId) -> Response {
-        self.inner.read().resolve_response(id).clone()
-    }
 }
 
 /// Shared read access to a [`SharedInterner`]'s arenas, from
@@ -261,62 +228,6 @@ impl std::ops::Deref for InternerReadGuard<'_> {
 
     fn deref(&self) -> &Interner {
         &self.guard
-    }
-}
-
-/// A reader's lock-free local copy of a [`SharedInterner`]'s arenas, grown
-/// by version deltas: [`InternerMirror::sync`] copies only the entries
-/// appended since the previous sync.
-#[derive(Debug, Clone, Default)]
-pub struct InternerMirror {
-    invocations: Vec<Invocation>,
-    responses: Vec<Response>,
-}
-
-impl InternerMirror {
-    /// Creates an empty mirror (version vector `(0, 0)`).
-    #[must_use]
-    pub fn new() -> Self {
-        InternerMirror::default()
-    }
-
-    /// Refreshes the mirror: copies the arena entries appended since the
-    /// last sync and returns how many `(invocations, responses)` arrived.
-    pub fn sync(&mut self, shared: &SharedInterner) -> (usize, usize) {
-        let guard = shared.inner.read();
-        let new_invocations = guard.invocations_since(self.invocations.len());
-        let new_responses = guard.responses_since(self.responses.len());
-        let delta = (new_invocations.len(), new_responses.len());
-        self.invocations.extend_from_slice(new_invocations);
-        self.responses.extend_from_slice(new_responses);
-        delta
-    }
-
-    /// The invocation behind an id, without locking.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is newer than the last [`InternerMirror::sync`]
-    /// (or came from a different interner).
-    #[must_use]
-    pub fn resolve_invocation(&self, id: InvocationId) -> &Invocation {
-        &self.invocations[id.0 as usize]
-    }
-
-    /// The response behind an id, without locking.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is newer than the last sync.
-    #[must_use]
-    pub fn resolve_response(&self, id: ResponseId) -> &Response {
-        &self.responses[id.0 as usize]
-    }
-
-    /// The mirror's version vector (how much of the arenas it has copied).
-    #[must_use]
-    pub fn versions(&self) -> (usize, usize) {
-        (self.invocations.len(), self.responses.len())
     }
 }
 
@@ -382,7 +293,7 @@ mod tests {
         });
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(shared.versions().0, 1);
-        assert_eq!(shared.resolve_invocation(ids[0]), Invocation::Write(42));
+        assert_eq!(shared.read().resolve_invocation(ids[0]), &Invocation::Write(42));
     }
 
     #[test]
@@ -399,23 +310,6 @@ mod tests {
         assert_eq!(guard.lookup_invocation(&Invocation::Read), None);
         // Shared with other readers, as the per-call accessors are.
         assert_eq!(shared.read().invocation_count(), 1);
-    }
-
-    #[test]
-    fn mirror_syncs_only_deltas() {
-        let shared = SharedInterner::new();
-        let w = shared.invocation(&Invocation::Write(1));
-        let ack = shared.response(&Response::Ack);
-        let mut mirror = InternerMirror::new();
-        assert_eq!(mirror.sync(&shared), (1, 1));
-        assert_eq!(mirror.resolve_invocation(w), &Invocation::Write(1));
-        assert_eq!(mirror.resolve_response(ack), &Response::Ack);
-        // No growth → empty delta.
-        assert_eq!(mirror.sync(&shared), (0, 0));
-        let r = shared.invocation(&Invocation::Read);
-        assert_eq!(mirror.sync(&shared), (1, 0));
-        assert_eq!(mirror.resolve_invocation(r), &Invocation::Read);
-        assert_eq!(mirror.versions(), shared.versions());
     }
 
     #[test]

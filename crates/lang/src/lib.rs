@@ -62,7 +62,7 @@ pub mod word;
 pub use alphabet::{ObjectKind, SymbolSampler};
 pub use batch::{EventAction, EventBatch, EventRecord, TraceContext, VerdictBatch};
 pub use intern::{
-    Interner, InternerMirror, InternerReadGuard, InvocationId, OpRecord, ResponseId, SharedInterner,
+    Interner, InternerReadGuard, InvocationId, OpRecord, ResponseId, SharedInterner,
 };
 pub use language::{Complement, Intersection, Language, RunVerdict, Union};
 pub use oblivious::{oblivious_counterexample, ObliviousReport, ObliviousnessTester};

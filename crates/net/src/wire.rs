@@ -648,14 +648,16 @@ impl FrameEncoder {
         let mut frame = frame_buffer(12 + dict_estimate + batch.len() * 17 + ext_len);
         put_u64(&mut frame, batch_id);
         put_u32(&mut frame, u32::try_from(batch.len()).expect("< 2^32 events"));
+        let interner = arena.read();
         put_u32(&mut frame, u32::try_from(inv_payloads.len()).expect("dict fits u32"));
         for id in &inv_payloads {
-            put_invocation(&mut frame, &arena.resolve_invocation(*id));
+            put_invocation(&mut frame, interner.resolve_invocation(*id));
         }
         put_u32(&mut frame, u32::try_from(resp_payloads.len()).expect("dict fits u32"));
         for id in &resp_payloads {
-            put_response(&mut frame, &arena.resolve_response(*id));
+            put_response(&mut frame, interner.resolve_response(*id));
         }
+        drop(interner);
         frame.reserve(batch.len() * 17 + ext_len);
         let mut row = [0u8; 17];
         for record in batch.iter() {
@@ -1210,14 +1212,10 @@ mod tests {
         assert_eq!(wire_batch.batch_id, 42);
         assert_eq!(wire_batch.events.len(), batch.len());
         // Same symbols after resolving through each side's own arena.
-        let mut sent = drv_lang::InternerMirror::new();
-        sent.sync(&sender);
-        let mut got = drv_lang::InternerMirror::new();
-        got.sync(&receiver);
         for index in 0..batch.len() {
             assert_eq!(
-                wire_batch.events.get(index).resolve(&got),
-                batch.get(index).resolve(&sent),
+                wire_batch.events.get(index).resolve(&receiver.read()),
+                batch.get(index).resolve(&sender.read()),
                 "row {index}"
             );
             assert_eq!(wire_batch.events.get(index).object, batch.get(index).object);

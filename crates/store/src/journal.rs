@@ -238,7 +238,7 @@ pub fn decode_checkpoint_record(payload: &[u8]) -> Result<CheckpointRecord, Stor
 /// One decoded journal record, in file (= causal) order.
 #[derive(Debug)]
 pub enum JournalRecord {
-    /// An accepted event batch (payload ids interned into the scan arena).
+    /// An accepted event batch (payload ids interned into the scan's arena).
     Batch(EventBatch),
     /// The object was retired here.
     Evict(ObjectId),
@@ -431,27 +431,28 @@ impl Store {
         config: StoreConfig,
         telemetry: Arc<Telemetry>,
     ) -> Result<Store, StoreError> {
-        Store::open_scanned(path.as_ref(), config, telemetry).map(|(store, _, _)| store)
+        // Only the valid prefix is wanted here; records and arena are dropped.
+        Store::open_scanned(path.as_ref(), config, telemetry, &SharedInterner::new())
+            .map(|(store, _)| store)
     }
 
     /// The open step [`Store::open_with`] and recovery share: one read of
-    /// the file and one [`scan_journal`], then the torn tail truncated and
-    /// appends positioned at the end of the valid prefix.  The bytes read
-    /// and their scan come back with the store, so recovery selects its
-    /// seeds and replays without reading or scanning the file again.
+    /// the file and one [`scan_journal`] into `arena`, then the torn tail
+    /// truncated and appends positioned at the end of the valid prefix.
+    /// The scan comes back with the store: recovery selects its seeds and
+    /// replays its batches without reading or decoding the file again.
     pub(crate) fn open_scanned(
         path: &Path,
         config: StoreConfig,
         telemetry: Arc<Telemetry>,
-    ) -> Result<(Store, Vec<u8>, ScanResult), StoreError> {
+        arena: &SharedInterner,
+    ) -> Result<(Store, ScanResult), StoreError> {
         let buf = match std::fs::read(path) {
             Ok(buf) => buf,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(err) => return Err(StoreError::Io(err)),
         };
-        // The scan arena is throwaway: the records' payload ids are only
-        // counted, never resolved.
-        let scan = scan_journal(&buf, &SharedInterner::new());
+        let scan = scan_journal(&buf, arena);
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -478,7 +479,7 @@ impl Store {
             tel: telemetry,
             m,
         };
-        Ok((store, buf, scan))
+        Ok((store, scan))
     }
 
     /// The store's configuration.

@@ -46,7 +46,7 @@ use crate::error::StoreError;
 use crate::journal::{CheckpointRecord, JournalRecord, Store, StoreConfig};
 use drv_core::ObjectMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine, RecoveredObject};
-use drv_lang::ObjectId;
+use drv_lang::{ObjectId, SharedInterner};
 use drv_net::{MonitorServer, ServerConfig};
 use drv_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
@@ -91,8 +91,10 @@ pub struct Recovery {
 
 /// Opens (or creates) the journal at `path` and rebuilds a
 /// [`MonitoringEngine`] from it: each object's checkpoint chain, then
-/// replay of the journal suffix through the batched submit path, then the
+/// replay of the journal suffix through the batched submit path until it
+/// has drained ([`MonitoringEngine::backlog`] is 0 on return), then the
 /// store re-attached as the engine's [`JournalSink`](drv_engine::JournalSink).
+/// Scan, seeds and replay share one payload arena, which the engine owns.
 /// On a fresh path this is just `MonitoringEngine::new` + journaling.
 ///
 /// # Errors
@@ -126,26 +128,31 @@ pub fn recover_with(
     factory: Arc<dyn ObjectMonitorFactory>,
     telemetry: Arc<Telemetry>,
 ) -> Result<Recovery, StoreError> {
-    // The one read and scan of the file: open truncates the torn tail
-    // there, and both passes below stay inside the same valid prefix.
-    let (store, buf, scan) = Store::open_scanned(path.as_ref(), config, Arc::clone(&telemetry))?;
+    // The one read and scan of the file, into the arena the recovered
+    // engine will own: open truncates the torn tail there, and both passes
+    // below stay inside the same valid prefix.
+    let arena = SharedInterner::new();
+    let (store, scan) =
+        Store::open_scanned(path.as_ref(), config, Arc::clone(&telemetry), &arena)?;
     let store = Arc::new(store);
     let mut stats = RecoveryStats {
         truncated_bytes: store.truncated_bytes(),
         ..RecoveryStats::default()
     };
 
-    // Pass 1 — chain selection over the scanned records (their payload ids
-    // live in the scan's throwaway arena; only objects are read here).
+    // Pass 1 — chain selection over the scanned records; the batches and
+    // evictions are kept, in file order, for replay.
     let mut seen: HashMap<ObjectId, u64> = HashMap::new();
     let mut chains: HashMap<ObjectId, Vec<CheckpointRecord>> = HashMap::new();
     let mut dead: HashSet<ObjectId> = HashSet::new();
+    let mut replay = Vec::with_capacity(scan.records.len());
     for record in scan.records {
         match record {
             JournalRecord::Batch(batch) => {
                 for &object in batch.objects() {
                     *seen.entry(object).or_insert(0) += 1;
                 }
+                replay.push(JournalRecord::Batch(batch));
             }
             JournalRecord::Checkpoint(checkpoint) => {
                 let journaled = seen.get(&checkpoint.object).copied().unwrap_or(0);
@@ -163,6 +170,7 @@ pub fn recover_with(
             JournalRecord::Evict(object) => {
                 chains.remove(&object);
                 dead.insert(object);
+                replay.push(JournalRecord::Evict(object));
             }
         }
     }
@@ -175,7 +183,7 @@ pub fn recover_with(
         let Some(fed) = chain.last().map(|last| last.fed) else {
             continue;
         };
-        let mut monitor = factory.create(object);
+        let mut monitor = factory.create_in(object, &arena);
         if chain.iter().all(|record| monitor.restore(&record.state).is_ok()) {
             stats.skipped_events += fed;
             let verdicts = chain.into_iter().flat_map(|record| record.verdicts).collect();
@@ -186,38 +194,33 @@ pub fn recover_with(
     }
     stats.seeded_objects = recovered.len();
 
-    // Pass 2 — replay through the batched submit path, no sink attached:
+    // Pass 2 — replay the scanned batches, whose ids are already the
+    // engine's, through the batched submit path, no sink attached:
     // recovery must not re-journal what it reads.  Eviction records replay
     // as evict() calls, which queue FIFO behind the events before them —
     // reproducing the retirement position, so tombstoned objects are
     // retired again instead of resurrected.
     let engine =
-        MonitoringEngine::with_recovered(engine_config, factory, recovered, telemetry);
-    let mut offset = 0usize;
-    // Replay only the scan-validated prefix (the bytes past it are the
-    // torn tail open cut off the file).  A decode error there would mean
-    // the scan and this pass disagree; it propagates, never panics.
-    let valid_len = usize::try_from(scan.valid_len).expect("scanned from a usize-length buffer");
-    let buf = &buf[..valid_len];
-    while offset < valid_len {
-        use drv_net::wire::{decode_frame, Frame};
-        let (frame, used) = decode_frame(&buf[offset..], engine.interner())?;
-        offset += used;
-        match frame {
-            Frame::Batch(batch) => {
+        MonitoringEngine::with_recovered(engine_config, factory, recovered, arena, telemetry);
+    for record in replay {
+        match record {
+            JournalRecord::Batch(batch) => {
                 stats.batches += 1;
-                stats.replayed_events += batch.events.len() as u64;
-                engine.submit_batch(&batch.events);
+                stats.replayed_events += batch.len() as u64;
+                engine.submit_batch(&batch);
             }
-            Frame::Evict { object } => {
+            JournalRecord::Evict(object) => {
                 stats.tombstones += 1;
                 engine.evict(object);
             }
-            Frame::Checkpoint(_) => {}
-            _ => unreachable!("scan admits only journal record kinds"),
+            JournalRecord::Checkpoint(_) => unreachable!("checkpoints are not replayed"),
         }
     }
 
+    // Only a drained replay may meet the sink: a worker that reached a
+    // replayed eviction after the attach would journal its tombstone again,
+    // behind whatever the caller submits next.
+    engine.wait_drained();
     engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
     Ok(Recovery { engine, store, stats })
 }

@@ -12,11 +12,9 @@
 //! prefix would have produced — original `seq` numbering included, which
 //! the pre-filled checkpoint prefixes guarantee by construction.
 
-use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactory};
+use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactory, Verdict};
 use drv_engine::{sequential_reference, EngineConfig, MonitoringEngine};
-use drv_lang::{
-    EventAction, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol,
-};
+use drv_lang::{Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
 use drv_net::wire::{decode_frame, Frame};
 use drv_spec::Register;
 use drv_store::{
@@ -103,20 +101,11 @@ fn seeded_stream(seed: u64, objects: u64, rounds: u64) -> Vec<(ObjectId, Symbol)
 fn journaled_events(buf: &[u8]) -> Vec<(ObjectId, Symbol)> {
     let arena = SharedInterner::new();
     let scan = scan_journal(buf, &arena);
+    let interner = arena.read();
     let mut events = Vec::new();
     for record in scan.records {
         if let JournalRecord::Batch(batch) = record {
-            for event in batch.iter() {
-                let symbol = match event.action {
-                    EventAction::Invoke(id) => {
-                        Symbol::invoke(event.proc, arena.resolve_invocation(id))
-                    }
-                    EventAction::Respond(id) => {
-                        Symbol::respond(event.proc, arena.resolve_response(id))
-                    }
-                };
-                events.push((event.object, symbol));
-            }
+            events.extend(batch.iter().map(|event| (event.object, event.resolve(&interner))));
         }
     }
     events
@@ -338,6 +327,74 @@ fn tombstones_stop_checkpoint_resurrection() {
     assert_eq!(report.verdicts(victim), live_report.verdicts(victim));
     assert_eq!(report.verdicts(bystander), live_report.verdicts(bystander));
     let _ = std::fs::remove_file(&path);
+}
+
+/// Regression: recovery attached the journal as soon as the replay was
+/// queued, so a worker reaching a replayed eviction after that journaled a
+/// second tombstone — behind the next generation's live batches, where the
+/// following recovery retired that generation.  Recovery returns drained now,
+/// having appended nothing.
+#[test]
+fn a_replayed_eviction_is_not_journaled_again() {
+    let config = StoreConfig::new()
+        .with_checkpoint_interval(4)
+        .with_fsync(FsyncPolicy::Never);
+    let victim = ObjectId(2);
+    let rounds = |values: std::ops::Range<u64>| -> Vec<(ObjectId, Symbol)> {
+        values
+            .flat_map(|value| {
+                [
+                    (victim, Symbol::invoke(ProcId(0), Invocation::Write(value))),
+                    (victim, Symbol::respond(ProcId(0), Response::Ack)),
+                    (victim, Symbol::invoke(ProcId(1), Invocation::Read)),
+                    (victim, Symbol::respond(ProcId(1), Response::Value(value))),
+                ]
+            })
+            .collect()
+    };
+    // Retired again between one of its writes and the read of it, the
+    // second generation would read a value its fresh monitor never saw.
+    let (first, second) = (rounds(1..4), rounds(7..10));
+    for workers in [1, 2, 4] {
+        let path = journal_path("evict-tail");
+        let store = Arc::new(Store::open(&path, config).expect("journal opens"));
+        let engine = MonitoringEngine::new(EngineConfig::new(workers), mixed_factory());
+        engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
+        engine.submit_stream(&first, 1);
+        engine.evict(victim);
+        engine.finish().expect("no worker panicked");
+        assert_eq!(store.stats().tombstones, 1);
+        drop(store);
+        let buf = std::fs::read(&path).expect("journal readable");
+        let tail = scan_journal(&buf, &SharedInterner::new()).records.pop();
+        assert!(matches!(tail, Some(JournalRecord::Evict(object)) if object == victim));
+
+        for _ in 0..8 {
+            std::fs::write(&path, &buf).expect("restore the journal");
+            let recovery = recover(&path, config, EngineConfig::new(workers), mixed_factory())
+                .expect("recovers");
+            assert_eq!(recovery.engine.backlog(), 0, "{workers}w: replay drained");
+            assert_eq!(recovery.store.stats().tombstones, 0, "{workers}w: tombstone re-journaled");
+            // A new generation of the victim, then a crash.
+            recovery.engine.submit_stream(&second, 1);
+            recovery.engine.wait_drained();
+            drop(recovery);
+
+            let recovery = recover(&path, config, EngineConfig::new(workers), mixed_factory())
+                .expect("recovers");
+            let report = recovery.engine.finish().expect("no worker panicked");
+            let expected: Vec<Verdict> = [&first, &second]
+                .iter()
+                .flat_map(|generation| {
+                    sequential_reference(mixed_factory().as_ref(), generation)
+                        .remove(&victim)
+                        .expect("the victim's stream")
+                })
+                .collect();
+            assert_eq!(report.verdicts(victim), Some(&expected[..]), "{workers} workers");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// Journals `events` one submission at a time, each drained before the next,
