@@ -22,7 +22,6 @@
 
 use crate::behavior::Behavior;
 use drv_lang::{Invocation, ProcId, Response};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -31,9 +30,7 @@ use std::fmt;
 ///
 /// The paper assumes every invocation symbol is sent at most once (or marked
 /// with its position to make it unique); the key is that marking.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InvocationKey {
     /// The issuing process.
     pub proc: ProcId,
@@ -49,7 +46,7 @@ impl fmt::Display for InvocationKey {
 
 /// The view attached by Aτ to a response: the set of invocations announced in
 /// `M` at the time of the snapshot, together with their payloads.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct View {
     invocations: BTreeMap<InvocationKey, Invocation>,
 }

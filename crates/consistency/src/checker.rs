@@ -20,13 +20,12 @@
 use crate::history::ConcurrentHistory;
 use drv_lang::{OpId, ProcId, Response, Word};
 use drv_spec::SequentialSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A sequential witness produced by the checker: the linearization order with
 /// the response assigned to each operation (observed responses for complete
 /// operations, specification responses for completed-pending ones).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Witness {
     /// Operations in linearization order, with their responses.
     pub order: Vec<(OpId, Response)>,
@@ -41,7 +40,7 @@ impl Witness {
 }
 
 /// Result of a consistency check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsistencyResult {
     /// The history is consistent; a witness order is attached.
     Consistent(Witness),
@@ -69,7 +68,7 @@ impl ConsistencyResult {
 }
 
 /// Configuration of the consistency checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckerConfig {
     /// When `true`, the produced order must respect the real-time precedence
     /// relation of the history (linearizability); when `false`, only program

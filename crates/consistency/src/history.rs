@@ -15,14 +15,13 @@ use drv_lang::{
     EventAction, Interner, InternerReadGuard, Invocation, InvocationId, OpId, OpRecord,
     Operation, ProcId, Response, ResponseId, SharedInterner, Word,
 };
-use serde::{Deserialize, Serialize};
 
 /// A concurrent history extracted from a finite word: the matched operations,
 /// organized per process, with real-time precedence helpers.
 ///
 /// Operation ids are indices into [`ConcurrentHistory::ops`], assigned in
 /// invocation order, exactly as in [`drv_lang::operations`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConcurrentHistory {
     ops: Vec<Operation>,
     per_proc: Vec<Vec<OpId>>,

@@ -10,11 +10,10 @@
 //! so that "finitely many NO" can be given the cut-based finitary reading used
 //! throughout the experiments.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value reported by a monitor process (Figure 1, line 06).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The process currently believes the behaviour is correct.
     Yes,
@@ -70,7 +69,7 @@ impl From<drv_consistency::CheckOutcome> for Verdict {
 
 /// One report of one process: the verdict plus the positions at which it was
 /// emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Report {
     /// The reported verdict.
     pub verdict: Verdict,
@@ -81,7 +80,7 @@ pub struct Report {
 }
 
 /// The sequence of verdicts one process reported in an execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerdictStream {
     reports: Vec<Report>,
 }

@@ -94,13 +94,14 @@ use crate::service::{SubmitError, SubscriptionShared, VerdictEvent, VerdictSubsc
 use drv_consistency::CheckerStats;
 use drv_core::{ObjectMonitor, ObjectMonitorFactory, Verdict, WorkerPanic};
 use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Word};
-use drv_telemetry::{Counter, Gauge, Histogram, SpanKind, Stage, Telemetry};
+use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Configuration of a [`MonitoringEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -238,6 +239,9 @@ struct EngineMetrics {
     queue_depth: Gauge,
     /// Batch scatter latency (one routing pass of `submit_batch`), ns.
     scatter_ns: Histogram,
+    /// How long a shard waited between being scheduled and being claimed,
+    /// ns — one sample per claim.
+    queue_wait_ns: Histogram,
     /// Per-run check latency (the run's `ObjectMonitor::on_records` calls and
     /// any checkpoint due inside it), ns — sampled at 1-in-[`CHECK_SAMPLE`]
     /// runs per worker (see the constant's docs).
@@ -262,6 +266,11 @@ struct EngineMetrics {
     /// Verdicts per delivered batch (the grouping the batched path
     /// actually achieves on live traffic).
     verdict_batch_len: Histogram,
+    /// One delivery flush into every open subscription, ns.
+    verdict_flush_ns: Histogram,
+    /// Verdicts a subscription discarded because it was already closed
+    /// when the worker pushed them (not counted in its `missed`).
+    verdicts_dropped_closed: Counter,
 }
 
 impl EngineMetrics {
@@ -277,6 +286,7 @@ impl EngineMetrics {
             park_wakeups: reg.counter("engine_park_wakeups"),
             queue_depth: reg.gauge("engine_queue_depth"),
             scatter_ns: reg.histogram("engine_scatter_ns"),
+            queue_wait_ns: reg.histogram("engine_queue_wait_ns"),
             check_ns: reg.histogram("engine_check_ns"),
             checker_checks: reg.counter("engine_checker_checks"),
             checker_fast_path: reg.counter("engine_checker_fast_path"),
@@ -288,6 +298,8 @@ impl EngineMetrics {
             verdict_batches: reg.counter("engine_verdict_batches"),
             verdict_batch_events: reg.counter("engine_verdict_batch_events"),
             verdict_batch_len: reg.histogram("engine_verdict_batch_len"),
+            verdict_flush_ns: reg.histogram("engine_verdict_flush_ns"),
+            verdicts_dropped_closed: reg.counter("engine_verdicts_dropped_closed"),
         }
     }
 
@@ -353,6 +365,23 @@ struct ShardQueue {
     /// `true` while the shard sits in some worker's deque or is being
     /// processed; guarantees at-most-one worker per shard (per-object FIFO).
     scheduled: bool,
+    /// When the shard last entered a deque (set where `scheduled` flips to
+    /// true and on a reschedule; `None` on a passive handle), taken by the
+    /// claim that drains it.
+    scheduled_at: Option<Instant>,
+}
+
+impl ShardQueue {
+    /// Marks the shard scheduled, stamping when it became so; `true` when
+    /// it was not scheduled before (the caller then hands it to a deque).
+    fn schedule(&mut self, tel: &Telemetry) -> bool {
+        if self.scheduled {
+            return false;
+        }
+        self.scheduled = true;
+        self.scheduled_at = tel.timer();
+        true
+    }
 }
 
 #[derive(Default)]
@@ -642,40 +671,21 @@ impl Shared {
 
     /// Flushes the coalesced delivery buffer: everything accumulated since
     /// the last flush goes into each subscription as one slice under one
-    /// channel lock, and each traced run whose verdicts it carried gets its
-    /// `verdict_flush` span.  Rows are in processing order, so per-object
-    /// `seq` order is preserved exactly.
-    fn flush_delivery(
-        &self,
-        subs: &[Arc<SubscriptionShared>],
-        scratch: &mut WorkerScratch,
-        worker: usize,
-    ) {
-        let flush_started = (!scratch.traced.is_empty()).then(|| self.tel.clock().now_ns());
-        let delivery = &mut scratch.delivery;
-        if !delivery.is_empty() {
-            self.m.verdict_batches.inc();
-            self.m.verdict_batch_events.add(delivery.len() as u64);
-            self.m.verdict_batch_len.record(delivery.len() as u64);
-            for sub in subs {
-                sub.push_events(delivery, &|| self.streaming());
-            }
-            delivery.clear();
+    /// channel lock.  Rows are in processing order, so per-object `seq`
+    /// order is preserved exactly.
+    fn flush_delivery(&self, subs: &[Arc<SubscriptionShared>], delivery: &mut Vec<VerdictEvent>) {
+        if delivery.is_empty() {
+            return;
         }
-        if let Some(started) = flush_started {
-            let now = self.tel.clock().now_ns();
-            for &(trace_id, object) in &scratch.traced {
-                self.tel.tracer().record(
-                    trace_id,
-                    SpanKind::VerdictFlush,
-                    started,
-                    now,
-                    object,
-                    worker as u16,
-                );
-            }
-            scratch.traced.clear();
+        self.m.verdict_batches.inc();
+        self.m.verdict_batch_events.add(delivery.len() as u64);
+        self.m.verdict_batch_len.record(delivery.len() as u64);
+        let started = self.tel.timer();
+        for sub in subs {
+            sub.push_events(delivery, &|| self.streaming());
         }
+        self.tel.observe(started, &self.m.verdict_flush_ns);
+        delivery.clear();
     }
 
     /// Claims the shard's whole queue and processes it grouped by object.
@@ -705,7 +715,11 @@ impl Shared {
         // Swap, not copy: the queue lock is held for O(1), and both buffers
         // keep their capacity.
         let mut drained = std::mem::take(&mut scratch.drained);
-        std::mem::swap(&mut shard.queue.lock().items, &mut drained);
+        let scheduled_at = {
+            let mut queue = shard.queue.lock();
+            std::mem::swap(&mut queue.items, &mut drained);
+            queue.scheduled_at.take()
+        };
         // From here the drained items leave `pending` when the guard drops,
         // unwinding included.
         let _pending = PendingGuard {
@@ -715,6 +729,7 @@ impl Shared {
         let subs = self.subscribers();
         let sink = self.journal();
         if !drained.is_empty() {
+            self.tel.observe(scheduled_at, &self.m.queue_wait_ns);
             self.m.batches.inc();
             self.m.queue_depth.sub(drained.len() as i64);
             let clock = self.m.events.get();
@@ -736,7 +751,7 @@ impl Shared {
                     // The finalize verdict must not overtake this claim's
                     // still-buffered event verdicts for the same object:
                     // flush the coalesced deliveries first, then retire.
-                    self.flush_delivery(&subs, scratch, worker);
+                    self.flush_delivery(&subs, &mut scratch.delivery);
                     // Marker path holds only the state lock, like event
                     // pushes: finalize verdicts stay lossless while live.
                     self.retire(&mut state, object, &subs, true);
@@ -795,15 +810,6 @@ impl Shared {
                 scratch.check_tick = scratch.check_tick.wrapping_add(1);
                 let sampled = scratch.check_tick & (CHECK_SAMPLE - 1) == 1;
                 let check_started = if sampled { self.tel.timer() } else { None };
-                // One relaxed load when no trace is in flight; a traced
-                // object's run gets queue-wait + check spans attributed to
-                // its trace.
-                let traced = if self.tel.tracer().is_active() {
-                    self.tel.tracer().lookup_object(object.0)
-                } else {
-                    None
-                };
-                let run_started = traced.map(|_| self.tel.clock().now_ns());
                 scratch.verdicts.clear();
                 let mut from = swallow;
                 while from < scratch.run.len() {
@@ -853,34 +859,7 @@ impl Shared {
                 // The run's counters go to the registry with the rest of the
                 // claim's, not in seven atomic adds of their own.
                 EngineMetrics::harvest(slot, &mut scratch.harvested);
-                if let Some((trace_id, enqueue_ns)) = traced {
-                    let run_end = self.tel.clock().now_ns();
-                    let started = run_started.unwrap_or(run_end);
-                    let tracer = self.tel.tracer();
-                    tracer.record(
-                        trace_id,
-                        SpanKind::QueueWait,
-                        enqueue_ns,
-                        started,
-                        object.0,
-                        worker as u16,
-                    );
-                    tracer.record(
-                        trace_id,
-                        SpanKind::Check,
-                        started,
-                        run_end,
-                        object.0,
-                        worker as u16,
-                    );
-                    if scratch.traced.last() != Some(&(trace_id, object.0)) {
-                        scratch.traced.push((trace_id, object.0));
-                    }
-                }
-                if sampled || traced.is_some() {
-                    // Traced runs always stamp the flight ring (bypassing
-                    // the 1-in-CHECK_SAMPLE thinning) so every check span
-                    // has a matching flight event.
+                if sampled {
                     self.tel.flight(
                         Stage::Check,
                         object.0,
@@ -911,7 +890,7 @@ impl Shared {
                 // event's position among the drained events.
                 slot.last_seen = clock + run[run.len() - 1].events_before();
                 if scratch.delivery.len() >= DELIVERY_CHUNK {
-                    self.flush_delivery(&subs, scratch, worker);
+                    self.flush_delivery(&subs, &mut scratch.delivery);
                 }
                 at = end;
             }
@@ -921,7 +900,7 @@ impl Shared {
             // Before the pending guard drops: whoever reads `backlog() == 0`
             // reads every checker counter of the work that emptied it.
             self.m.fold(&mut scratch.harvested);
-            self.flush_delivery(&subs, scratch, worker);
+            self.flush_delivery(&subs, &mut scratch.delivery);
             self.m.events.add(u64::from(events));
             self.m.runs.add(runs);
         }
@@ -938,6 +917,7 @@ impl Shared {
                 queue.scheduled = false;
                 false
             } else {
+                queue.scheduled_at = self.tel.timer();
                 true
             }
         };
@@ -1039,10 +1019,6 @@ struct WorkerScratch {
     /// Monotone run counter driving the 1-in-[`CHECK_SAMPLE`] check-latency
     /// sampling (worker-local, so no cross-worker coordination).
     check_tick: u32,
-    /// `(trace_id, object)` pairs of the traced runs whose verdicts sit in
-    /// `delivery`, so the next flush can close one `verdict_flush` span per
-    /// traced run.  Empty whenever no trace is in flight.
-    traced: Vec<(u64, u64)>,
     /// Checker counter deltas of the current claim's runs, folded into the
     /// registry once per claim.
     harvested: CheckerStats,
@@ -1284,12 +1260,7 @@ impl MonitoringEngine {
         let newly_scheduled = {
             let mut queue = self.shared.shards[shard_index].queue.lock();
             queue.items.push_back(item);
-            if queue.scheduled {
-                false
-            } else {
-                queue.scheduled = true;
-                true
-            }
+            queue.schedule(&self.shared.tel)
         };
         if newly_scheduled {
             self.push_home(shard_index);
@@ -1359,7 +1330,6 @@ impl MonitoringEngine {
         if batch.is_empty() || self.shared.aborted.load(Ordering::Acquire) {
             return;
         }
-        self.trace_expect(batch);
         if let Some(sink) = self.shared.journal() {
             // One write-ahead append for the whole batch.  The blocking
             // path below cannot refuse it (it only stops early on abort, in
@@ -1405,7 +1375,6 @@ impl MonitoringEngine {
         } else if self.shared.try_reserve(batch.len()).is_err() {
             return Err(SubmitError::Full);
         }
-        self.trace_expect(batch);
         if let Some(sink) = self.shared.journal() {
             // Write-ahead, after the all-or-nothing reservation: a refused
             // batch leaves no trace in the journal.
@@ -1413,21 +1382,6 @@ impl MonitoringEngine {
         }
         self.enqueue_batch_range(batch, 0, batch.len());
         Ok(())
-    }
-
-    /// Opens (or extends) a stamped sampled batch's trace with the whole
-    /// batch's expected verdict count — **before** any chunk enqueues, so
-    /// a trace can never observe `routed == expected` while later chunks
-    /// are still on their way and complete early.
-    fn trace_expect(&self, batch: &EventBatch) {
-        let Some(ctx) = batch.trace().filter(|ctx| ctx.sampled()) else {
-            return;
-        };
-        let tracer = self.shared.tel.tracer();
-        if tracer.enabled() {
-            tracer.begin(ctx.trace_id, self.shared.tel.clock().now_ns());
-            tracer.add_expected(ctx.trace_id, batch.len() as u64);
-        }
     }
 
     /// One routing pass over `batch[start..end]`: one shard decision per
@@ -1443,25 +1397,6 @@ impl MonitoringEngine {
         self.shared
             .tel
             .flight(Stage::Submit, 0, (end - start) as u64, 0, 0);
-        // Trace attribution for a stamped (sampled) batch: open/extend the
-        // trace, stamp the queue-entry instant, and register each object of
-        // the range so workers can attribute their runs.  Unstamped batches
-        // skip all of it on one `Option` branch.
-        if let Some(ctx) = batch.trace().filter(|ctx| ctx.sampled()) {
-            let tracer = self.shared.tel.tracer();
-            if tracer.enabled() {
-                let now = self.shared.tel.clock().now_ns();
-                tracer.begin(ctx.trace_id, now);
-                tracer.note_enqueue(ctx.trace_id, now);
-                for (object, range) in batch.runs_between(start, end) {
-                    if tracer.register_object(ctx.trace_id, object.0) {
-                        self.shared
-                            .tel
-                            .flight(Stage::Enqueue, object.0, range.len() as u64, 0, 0);
-                    }
-                }
-            }
-        }
         let shard_count = self.shared.shards.len();
         let runs: Vec<(usize, std::ops::Range<usize>)> = batch
             .runs_between(start, end)
@@ -1475,7 +1410,7 @@ impl MonitoringEngine {
                 for index in range.clone() {
                     queue.items.push_back(QueueItem::Event(batch.get(index)));
                 }
-                !std::mem::replace(&mut queue.scheduled, true)
+                queue.schedule(&self.shared.tel)
             };
             if newly_scheduled {
                 self.push_home(*shard_index);
@@ -1519,8 +1454,7 @@ impl MonitoringEngine {
                     queue.items.push_back(QueueItem::Event(batch.get(index)));
                 }
             }
-            if !queue.scheduled {
-                queue.scheduled = true;
+            if queue.schedule(&self.shared.tel) {
                 newly_scheduled.push(shard_index);
             }
         }
@@ -1654,7 +1588,10 @@ impl MonitoringEngine {
     /// [`crate::service`] for the backpressure semantics.
     #[must_use]
     pub fn subscribe(&self, capacity: usize) -> VerdictSubscription {
-        let shared = SubscriptionShared::new(capacity.max(1));
+        let shared = SubscriptionShared::new(
+            capacity.max(1),
+            self.shared.m.verdicts_dropped_closed.clone(),
+        );
         let mut subs = self.shared.subs.lock();
         subs.retain(|sub| sub.is_open());
         subs.push(Arc::clone(&shared));

@@ -47,6 +47,7 @@
 
 use drv_core::Verdict;
 use drv_lang::{ObjectId, VerdictBatch};
+use drv_telemetry::Counter;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
@@ -104,10 +105,13 @@ pub(crate) struct SubscriptionShared {
     readable: Condvar,
     /// Signalled when space frees up (or blocking becomes pointless).
     writable: Condvar,
+    /// The engine's `engine_verdicts_dropped_closed` cell: verdicts pushed
+    /// after the channel closed.
+    dropped_closed: Counter,
 }
 
 impl SubscriptionShared {
-    pub(crate) fn new(capacity: usize) -> Arc<Self> {
+    pub(crate) fn new(capacity: usize, dropped_closed: Counter) -> Arc<Self> {
         Arc::new(SubscriptionShared {
             state: Mutex::new(SubState {
                 queue: VecDeque::with_capacity(capacity),
@@ -118,6 +122,7 @@ impl SubscriptionShared {
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
+            dropped_closed,
         })
     }
 
@@ -127,7 +132,9 @@ impl SubscriptionShared {
     /// delivery order, which keeps each object's `seq`s in order.  Partial
     /// fills enqueue what fits, then block while `may_block()` holds (it
     /// reads the engine's live/shutdown state; never under shard locks),
-    /// then count the remainder as missed.  Returns how many were enqueued.
+    /// then count the remainder as missed.  A closed channel drops the
+    /// remainder into `dropped_closed` instead.  Returns how many were
+    /// enqueued.
     pub(crate) fn push_events(
         &self,
         events: &[VerdictEvent],
@@ -140,6 +147,7 @@ impl SubscriptionShared {
         let mut next = 0usize;
         loop {
             if state.closed {
+                self.dropped_closed.add((events.len() - next) as u64);
                 return next;
             }
             let space = state.capacity - state.queue.len();
@@ -296,6 +304,15 @@ impl fmt::Debug for VerdictSubscription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drv_telemetry::Telemetry;
+
+    /// A channel of `capacity` whose closed-drop counter the test keeps.
+    fn channel(capacity: usize) -> (Arc<SubscriptionShared>, Counter) {
+        let dropped = Telemetry::passive()
+            .registry()
+            .counter("engine_verdicts_dropped_closed");
+        (SubscriptionShared::new(capacity, dropped.clone()), dropped)
+    }
 
     fn event(seq: u64) -> VerdictEvent {
         VerdictEvent {
@@ -312,7 +329,7 @@ mod tests {
 
     #[test]
     fn bounded_push_poll_roundtrip() {
-        let shared = SubscriptionShared::new(2);
+        let (shared, _) = channel(2);
         let sub = VerdictSubscription::new(Arc::clone(&shared));
         assert!(push_nonblocking(&shared, event(0)));
         assert!(push_nonblocking(&shared, event(1)));
@@ -327,7 +344,7 @@ mod tests {
 
     #[test]
     fn close_keeps_queued_events_drainable_and_rejects_new_ones() {
-        let shared = SubscriptionShared::new(4);
+        let (shared, _) = channel(4);
         let sub = VerdictSubscription::new(Arc::clone(&shared));
         assert!(push_nonblocking(&shared, event(0)));
         sub.close();
@@ -343,7 +360,7 @@ mod tests {
     #[test]
     fn push_events_fills_then_misses_or_drops() {
         // Partial fill: space for 2 of 3, blocking not allowed → 1 missed.
-        let shared = SubscriptionShared::new(2);
+        let (shared, dropped) = channel(2);
         let sub = VerdictSubscription::new(Arc::clone(&shared));
         let events = [event(10), event(11), event(12)];
         assert_eq!(shared.push_events(&events, &|| false), 2);
@@ -354,16 +371,19 @@ mod tests {
             batch.iter().collect::<Vec<_>>(),
             vec![(ObjectId(1), 10, Verdict::Yes), (ObjectId(1), 11, Verdict::Yes)]
         );
-        // Closed channel: remainder dropped silently, not missed.
+        assert_eq!(dropped.get(), 0);
+        // Closed channel: remainder dropped, counted apart from missed.
         sub.close();
         assert_eq!(shared.push_events(&events, &|| true), 0);
         assert_eq!(sub.missed(), 1);
+        assert_eq!(dropped.get(), 3);
         assert_eq!(shared.push_events(&[], &|| true), 0);
+        assert_eq!(dropped.get(), 3);
     }
 
     #[test]
     fn blocked_slice_writer_is_freed_by_a_batch_reader() {
-        let shared = SubscriptionShared::new(2);
+        let (shared, _) = channel(2);
         let sub = VerdictSubscription::new(Arc::clone(&shared));
         let writer = {
             let shared = Arc::clone(&shared);

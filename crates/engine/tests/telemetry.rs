@@ -1,8 +1,9 @@
 //! Telemetry is *passive*: the differential soak re-run with full
 //! instrumentation attached (latency sampling + flight recorder) must
 //! produce verdict streams bit-identical to `sequential_reference`, at
-//! 1/2/4 workers × batch 1/256 — and the registry totals must agree with
-//! the work actually done.  Plus the postmortem contract: a forced worker
+//! 1/2/4 workers × batch 1/256 — and the registry totals, the per-claim
+//! queue-wait histogram among them, must agree with the work actually
+//! done.  Plus the postmortem contract: a forced worker
 //! panic leaves a bounded, time-ordered flight dump.
 
 use drv_adversary::{merge_random, register_object_stream, RegisterStreamShape};
@@ -10,12 +11,13 @@ use drv_core::{
     CheckerMonitorFactory, ObjectMonitor, ObjectMonitorFactory, RoutingMonitorFactory, Verdict,
 };
 use drv_engine::{sequential_reference, EngineConfig, MonitoringEngine};
-use drv_lang::{EventBatch, ObjectId, Symbol, TraceContext};
+use drv_lang::{EventBatch, ObjectId, Symbol, VerdictBatch};
 use drv_spec::Register;
 use drv_telemetry::{Stage, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const PROCESSES: usize = 2;
@@ -57,8 +59,9 @@ fn merged_stream(seed: u64) -> Vec<(ObjectId, Symbol)> {
 }
 
 /// The satellite soak: instrumented engine ≡ sequential reference at every
-/// (workers × batch) cell, and the `engine_events` counter lands exactly
-/// on the number of submitted events.
+/// (workers × batch) cell, the `engine_events` counter lands exactly on
+/// the number of submitted events, and `engine_queue_wait_ns` holds one
+/// sample per shard claim that drained work.
 #[test]
 fn instrumented_verdict_streams_are_bit_identical_to_sequential_reference() {
     for workers in [1usize, 2, 4] {
@@ -93,9 +96,16 @@ fn instrumented_verdict_streams_are_bit_identical_to_sequential_reference() {
                 );
                 assert_eq!(report.stats.events, events.len() as u64);
                 // live_stats is a view over the same registry cells.
-                assert_eq!(
-                    snap.counter("engine_batches").unwrap(),
-                    report.stats.batches
+                let claims = snap.counter("engine_batches").unwrap();
+                assert_eq!(claims, report.stats.batches);
+                let waits = snap
+                    .histogram("engine_queue_wait_ns")
+                    .expect("registered")
+                    .count;
+                assert!(
+                    0 < waits && waits <= claims,
+                    "{waits} queue waits for {claims} claims: {workers} workers, \
+                     batch {batch}, seed {seed}"
                 );
             }
             assert!(total_events > 0, "the soak must exercise real streams");
@@ -103,11 +113,11 @@ fn instrumented_verdict_streams_are_bit_identical_to_sequential_reference() {
     }
 }
 
-/// Tracing is passive too: the soak re-run with the tracer forced on
-/// (1-in-1 sampling, every batch stamped with a sampled trace context) —
-/// queue-wait/check/verdict-flush spans record on every run, and the
-/// verdict streams must stay bit-identical to the sequential reference at
-/// 1/4 workers × batch 1/256.
+/// Stage timing is never sampled, and that is passive too: explicit
+/// batches through `submit_batch` with a live subscription record the
+/// queue-wait, check and verdict-flush histograms on every run, and the
+/// verdict streams — in the report and on the subscription — stay
+/// bit-identical to the sequential reference at 1/4 workers × batch 1/256.
 #[test]
 fn tracing_forced_verdict_streams_are_bit_identical_to_sequential_reference() {
     for workers in [1usize, 4] {
@@ -116,40 +126,52 @@ fn tracing_forced_verdict_streams_are_bit_identical_to_sequential_reference() {
                 let events = merged_stream(seed);
                 let factory = mixed_factory();
                 let expected = sequential_reference(factory.as_ref(), &events);
-                let tel = Telemetry::with_trace_sampling(1);
+                let tel = Telemetry::new();
                 let engine = MonitoringEngine::with_telemetry(
                     EngineConfig::new(workers),
                     factory,
                     Arc::clone(&tel),
                 );
-                let mut stamped = 0u64;
+                let subscription = engine.subscribe(events.len());
                 for window in events.chunks(batch_size) {
                     let mut batch = EventBatch::with_capacity(window.len());
                     for (object, symbol) in window {
                         batch.push_symbol(*object, symbol, engine.interner());
                     }
-                    stamped += 1;
-                    batch.set_trace(Some(TraceContext::sampled_root(seed * 4096 + stamped)));
                     engine.submit_batch(&batch);
                 }
                 let report = engine.finish().expect("no worker panicked");
+                let mut received = VerdictBatch::new();
+                subscription.poll_batch(&mut received);
+                let mut streamed: BTreeMap<ObjectId, Vec<Verdict>> = BTreeMap::new();
+                for (object, seq, verdict) in received.iter() {
+                    let stream = streamed.entry(object).or_default();
+                    assert_eq!(seq, stream.len() as u64, "{object}: delivered out of order");
+                    stream.push(verdict);
+                }
                 for (object, verdicts) in &expected {
+                    let context =
+                        format!("{workers} workers, batch {batch_size}, seed {seed}, {object}");
                     assert_eq!(
                         report.verdicts(*object),
                         Some(&verdicts[..]),
-                        "forced tracing must be passive: {workers} workers, \
-                         batch {batch_size}, seed {seed}, {object}"
+                        "report: {context}"
+                    );
+                    assert_eq!(
+                        streamed.get(object),
+                        Some(verdicts),
+                        "subscription: {context}"
                     );
                 }
-                // Every stamped batch claimed a trace slot and recorded
-                // spans (in-engine traces never see a socket flush, so
-                // they stay active/recycled rather than completed).
-                let tracer = tel.tracer();
-                assert!(tracer.enabled());
-                assert!(
-                    tracer.is_active() || tracer.recycled() > 0,
-                    "forced sampling left no tracer activity: seed {seed}"
-                );
+                let snap = tel.snapshot();
+                for stage in [
+                    "engine_queue_wait_ns",
+                    "engine_check_ns",
+                    "engine_verdict_flush_ns",
+                ] {
+                    let count = snap.histogram(stage).expect("registered").count;
+                    assert!(count > 0, "{stage} recorded nothing: seed {seed}");
+                }
             }
         }
     }

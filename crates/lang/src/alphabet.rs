@@ -7,11 +7,10 @@
 
 use crate::symbol::Invocation;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of sequential object whose alphabet a process uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// Read/write register (Example 1).
     Register,
@@ -75,7 +74,7 @@ impl fmt::Display for ObjectKind {
 /// (`write`/`inc`/`append`/`enqueue`/`push`) versus observer invocations
 /// (`read`/`get`/`dequeue`/`pop`), and a bounded value domain so that
 /// histories remain readable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymbolSampler {
     /// The object whose alphabet is sampled.
     pub kind: ObjectKind,

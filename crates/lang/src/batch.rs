@@ -37,69 +37,6 @@ use crate::intern::{Interner, InvocationId, ResponseId, SharedInterner};
 use crate::symbol::{Action, ObjectId, ProcId, Symbol};
 use std::ops::Range;
 
-/// A 16-byte distributed-tracing context, born at the client and carried
-/// with an [`EventBatch`] through every pipeline layer (wire frame → engine
-/// shard queues → journal → verdict router).
-///
-/// The wire form is fixed at [`TraceContext::WIRE_LEN`] bytes, little
-/// endian: `trace_id u64 | parent_span u32 | flags u32`.  Only the
-/// [`TraceContext::FLAG_SAMPLED`] bit of `flags` is defined today; the rest
-/// are reserved and round-trip untouched.  This crate defines the *carrier*
-/// only — sampling decisions and span recording live in `drv-telemetry`,
-/// which deliberately depends on nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TraceContext {
-    /// Globally unique (per deployment, probabilistically) trace id.
-    pub trace_id: u64,
-    /// The sender-side span this batch's pipeline spans hang under
-    /// (`0` = the trace root).
-    pub parent_span: u32,
-    /// Bit flags; see [`TraceContext::FLAG_SAMPLED`].
-    pub flags: u32,
-}
-
-impl TraceContext {
-    /// Encoded size on the wire (and in the journal), in bytes.
-    pub const WIRE_LEN: usize = 16;
-
-    /// `flags` bit 0: the trace was selected by the client's sampler and
-    /// every layer should record spans for it.
-    pub const FLAG_SAMPLED: u32 = 1;
-
-    /// A sampled root context for `trace_id`.
-    #[must_use]
-    pub fn sampled_root(trace_id: u64) -> TraceContext {
-        TraceContext { trace_id, parent_span: 0, flags: TraceContext::FLAG_SAMPLED }
-    }
-
-    /// Whether the sampled flag is set.
-    #[must_use]
-    pub fn sampled(self) -> bool {
-        self.flags & TraceContext::FLAG_SAMPLED != 0
-    }
-
-    /// The fixed 16-byte little-endian wire form.
-    #[must_use]
-    pub fn to_bytes(self) -> [u8; TraceContext::WIRE_LEN] {
-        let mut bytes = [0u8; TraceContext::WIRE_LEN];
-        bytes[0..8].copy_from_slice(&self.trace_id.to_le_bytes());
-        bytes[8..12].copy_from_slice(&self.parent_span.to_le_bytes());
-        bytes[12..16].copy_from_slice(&self.flags.to_le_bytes());
-        bytes
-    }
-
-    /// Decodes the fixed 16-byte wire form (infallible: every bit pattern
-    /// is a structurally valid context).
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8; TraceContext::WIRE_LEN]) -> TraceContext {
-        TraceContext {
-            trace_id: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
-            parent_span: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
-            flags: u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")),
-        }
-    }
-}
-
 /// The action half of an [`EventRecord`]: an interned invocation or response
 /// payload reference into the batch's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,11 +119,6 @@ pub struct EventBatch {
     objects: Vec<ObjectId>,
     procs: Vec<ProcId>,
     actions: Vec<EventAction>,
-    /// The distributed-tracing context stamped by the producer, `None` for
-    /// the (overwhelmingly common) unsampled batch.  Rides along through
-    /// `submit_batch` so the engine can attribute spans; never affects
-    /// verdicts.
-    trace: Option<TraceContext>,
 }
 
 impl EventBatch {
@@ -203,7 +135,6 @@ impl EventBatch {
             objects: Vec::with_capacity(capacity),
             procs: Vec::with_capacity(capacity),
             actions: Vec::with_capacity(capacity),
-            trace: None,
         }
     }
 
@@ -236,20 +167,6 @@ impl EventBatch {
         self.objects.clear();
         self.procs.clear();
         self.actions.clear();
-        self.trace = None;
-    }
-
-    /// The distributed-tracing context stamped on this batch, if any.
-    #[must_use]
-    pub fn trace(&self) -> Option<TraceContext> {
-        self.trace
-    }
-
-    /// Stamps (or clears) the batch's tracing context.  Purely
-    /// observational: two batches differing only in context produce
-    /// identical verdict streams.
-    pub fn set_trace(&mut self, trace: Option<TraceContext>) {
-        self.trace = trace;
     }
 
     /// Appends an already-interned record.
@@ -559,25 +476,6 @@ mod tests {
         batch.clear();
         assert!(batch.is_empty());
         assert!(batch.objects.capacity() >= 4);
-    }
-
-    #[test]
-    fn trace_context_round_trips_and_clear_resets_it() {
-        let ctx = TraceContext { trace_id: 0xDEAD_BEEF_CAFE_F00D, parent_span: 7, flags: 0b101 };
-        assert_eq!(TraceContext::from_bytes(&ctx.to_bytes()), ctx);
-        assert!(ctx.sampled());
-        assert!(!TraceContext { flags: 0, ..ctx }.sampled());
-        let root = TraceContext::sampled_root(42);
-        assert_eq!(root.trace_id, 42);
-        assert_eq!(root.parent_span, 0);
-        assert!(root.sampled());
-
-        let (mut batch, _) = sample();
-        assert_eq!(batch.trace(), None);
-        batch.set_trace(Some(ctx));
-        assert_eq!(batch.trace(), Some(ctx));
-        batch.clear();
-        assert_eq!(batch.trace(), None, "clear drops the stamped context");
     }
 
     #[test]

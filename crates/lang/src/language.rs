@@ -17,12 +17,11 @@
 //! by the real-time obliviousness tester of [`crate::oblivious`].
 
 use crate::word::Word;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Outcome of evaluating a finite run against a language, with an explanation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunVerdict {
     /// The run is consistent with membership.
     Member,

@@ -60,7 +60,7 @@ pub mod wire;
 pub mod word;
 
 pub use alphabet::{ObjectKind, SymbolSampler};
-pub use batch::{EventAction, EventBatch, EventRecord, TraceContext, VerdictBatch};
+pub use batch::{EventAction, EventBatch, EventRecord, VerdictBatch};
 pub use intern::{
     Interner, InternerReadGuard, InvocationId, OpRecord, ResponseId, SharedInterner,
 };

@@ -16,12 +16,11 @@ use crate::language::Language;
 use crate::shuffle::Shuffle;
 use crate::word::Word;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A counterexample to real-time obliviousness: a member word `α·β` and an
 /// interleaving `α'` of `α`'s projections such that `α'·β` is not a member.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObliviousReport {
     /// The finite prefix `α` whose shuffle breaks membership.
     pub alpha: Word,
@@ -44,7 +43,7 @@ impl fmt::Display for ObliviousReport {
 }
 
 /// Strategy for exploring the interleavings of `α`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShuffleBudget {
     /// Enumerate every interleaving (exponential; fine for small `α`).
     Exhaustive,

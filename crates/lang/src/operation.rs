@@ -8,13 +8,10 @@
 
 use crate::symbol::{Invocation, ProcId, Response};
 use crate::word::Word;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an operation inside an [`OperationSet`] (its index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OpId(pub usize);
 
 impl fmt::Display for OpId {
@@ -27,7 +24,7 @@ impl fmt::Display for OpId {
 ///
 /// `resp`/`resp_pos` are `None` for operations that are *pending* in the word
 /// (their invocation appears but the response does not).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Operation {
     /// The identifier of this operation within its [`OperationSet`].
     pub id: OpId,
@@ -90,7 +87,7 @@ impl fmt::Display for Operation {
 }
 
 /// Relation between two operations under the real-time order of a word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ordering {
     /// The first operation precedes the second.
     Precedes,
@@ -102,7 +99,7 @@ pub enum Ordering {
 
 /// The set of operations extracted from a word, with helpers for the
 /// real-time precedence relation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OperationSet {
     ops: Vec<Operation>,
 }

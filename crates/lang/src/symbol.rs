@@ -7,16 +7,13 @@
 //! mentioned in the related-work discussion, and an escape hatch
 //! ([`Invocation::Custom`] / [`Response::Custom`]) for user-defined objects.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a monitor process `pᵢ` (0-based).
 ///
 /// The paper indexes processes `p₁ … pₙ`; we use 0-based indices internally
 /// and format them 1-based in `Display` to match the paper.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcId(pub usize);
 
 impl ProcId {
@@ -51,9 +48,7 @@ impl From<usize> for ProcId {
 /// ingesting the merged traffic tags every symbol with the object it belongs
 /// to.  Object ids carry no locality meaning — engines route them to shards
 /// by hash.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {
@@ -80,7 +75,7 @@ impl From<u64> for ObjectId {
 pub type Record = u64;
 
 /// An invocation symbol (an element of Σ<ᵢ for the issuing process).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Invocation {
     /// `write(x)` on a register (Example 1).
     Write(u64),
@@ -155,7 +150,7 @@ impl fmt::Display for Invocation {
 }
 
 /// A response symbol (an element of Σ>ᵢ for the issuing process).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Response {
     /// Response carrying no value (`write`, `inc`, `append`, `enqueue`, `push`).
     Ack,
@@ -212,7 +207,7 @@ impl fmt::Display for Response {
 }
 
 /// Whether a symbol is an invocation or a response.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Action {
     /// An invocation sent by the process to the service under inspection.
     Invoke(Invocation),
@@ -236,7 +231,7 @@ impl Action {
 
 /// A symbol of the distributed alphabet: an invocation or a response tagged
 /// with the process it belongs to.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Symbol {
     /// The process whose local alphabet the symbol belongs to.
     pub proc: ProcId,

@@ -7,12 +7,11 @@
 //! invocation and response symbols, starting with an invocation.
 
 use crate::symbol::{Action, Invocation, ProcId, Response, Symbol};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when a finite word violates well-formedness
 /// (Definition 2.1, sequentiality condition) as a prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WellFormedError {
     /// A response symbol appears for a process with no pending invocation.
     ResponseWithoutInvocation {
@@ -49,7 +48,7 @@ impl fmt::Display for WellFormedError {
 impl std::error::Error for WellFormedError {}
 
 /// The projection `x|ᵢ` of a word onto the local alphabet of one process.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalWord {
     /// The process the projection belongs to.
     pub proc: ProcId,
@@ -86,7 +85,7 @@ impl LocalWord {
 
 /// A finite word over the distributed alphabet: a finite prefix of a
 /// concurrent history of the service under inspection.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Word {
     symbols: Vec<Symbol>,
 }

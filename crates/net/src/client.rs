@@ -19,8 +19,7 @@ use crate::wire::{
     StatsReply, WireError,
 };
 use drv_engine::VerdictEvent;
-use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol, TraceContext};
-use drv_telemetry::{SpanKind, Telemetry};
+use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
@@ -295,14 +294,6 @@ fn reader_loop(shared: &ClientShared, mut stream: TcpStream) {
     }
 }
 
-/// Tracing state a client opts into via [`MonitorClient::enable_tracing`]:
-/// the telemetry handle whose tracer selects and records, plus the seed
-/// that makes trace-id derivation deterministic per client.
-struct ClientTracing {
-    tel: Arc<Telemetry>,
-    seed: u64,
-}
-
 /// A connection to a [`MonitorServer`](crate::MonitorServer).  See the
 /// module docs for the credit and verdict flows.
 pub struct MonitorClient {
@@ -312,7 +303,6 @@ pub struct MonitorClient {
     encoder: FrameEncoder,
     next_batch_id: u64,
     peer: SocketAddr,
-    tracing: Option<ClientTracing>,
 }
 
 impl MonitorClient {
@@ -401,7 +391,6 @@ impl MonitorClient {
             encoder: FrameEncoder::new(),
             next_batch_id: 0,
             peer,
-            tracing: None,
         };
         if let Some(timeout) = config.handshake_timeout {
             // The server speaks first (the opening Credit announces the
@@ -464,58 +453,6 @@ impl MonitorClient {
         std::mem::take(&mut *self.shared.nacks.lock())
     }
 
-    /// Opts this client into distributed tracing: batches selected by
-    /// `telemetry`'s sampler (deterministic 1-in-N by trace-id hash) are
-    /// stamped with a 16-byte wire trace context and open a `client-send`
-    /// span covering credit wait + encode + socket write.  Trace ids
-    /// derive deterministically from `seed` and the batch counter, so two
-    /// runs with the same seed sample the same batches.  With a passive
-    /// handle — or for the N−1 unsampled batches — the entire path is a
-    /// branch and a return, and the wire bytes stay bit-identical to an
-    /// untraced client's.
-    pub fn enable_tracing(&mut self, telemetry: Arc<Telemetry>, seed: u64) {
-        self.tracing = Some(ClientTracing { tel: telemetry, seed });
-    }
-
-    /// The trace context for the *next* batch, when tracing is enabled and
-    /// the sampler selects it.  One relaxed load and (for the selected
-    /// 1-in-N) one hash — nothing else on the unsampled path.
-    fn stamp_trace(&self) -> Option<TraceContext> {
-        let tracing = self.tracing.as_ref()?;
-        let tracer = tracing.tel.tracer();
-        if !tracer.enabled() {
-            return None;
-        }
-        // splitmix-style spread so consecutive batch ids land in unrelated
-        // sampling residues; `max(1)` keeps 0 free as the tracer's
-        // empty-slot sentinel.
-        let trace_id = (tracing.seed ^ self.next_batch_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)).max(1);
-        if !tracer.should_sample(trace_id) {
-            return None;
-        }
-        Some(TraceContext::sampled_root(trace_id))
-    }
-
-    /// Opens the client-send span for a stamped batch: `begin` the trace
-    /// and return its start timestamp.  Called only on the sampled path.
-    fn trace_send_start(&self, ctx: TraceContext) -> u64 {
-        let tracing = self.tracing.as_ref().expect("stamped ⇒ tracing enabled");
-        let now = tracing.tel.clock().now_ns();
-        tracing.tel.tracer().begin(ctx.trace_id, now);
-        now
-    }
-
-    /// Closes the client-send span right before the frame hits the socket
-    /// (so the record happens-before any server-side trace completion).
-    fn trace_send_end(&self, ctx: TraceContext, started_ns: u64) {
-        let tracing = self.tracing.as_ref().expect("stamped ⇒ tracing enabled");
-        let now = tracing.tel.clock().now_ns();
-        tracing
-            .tel
-            .tracer()
-            .record(ctx.trace_id, SpanKind::ClientSend, started_ns, now, 0, 0);
-    }
-
     /// Sends one batch, blocking while credit is insufficient (the remote
     /// engine's backpressure).  Returns the batch id.
     ///
@@ -525,13 +462,6 @@ impl MonitorClient {
     /// whole window; [`ClientError::Closed`] when the connection died while
     /// waiting; [`ClientError::Io`] on transport failure.
     pub fn send_batch(&mut self, batch: &EventBatch) -> Result<u64, ClientError> {
-        let trace = self.stamp_trace().or_else(|| batch.trace());
-        // Span only when this client records (a pre-stamped batch from a
-        // span-less caller still propagates its context on the wire).
-        let span = match (trace, &self.tracing) {
-            (Some(ctx), Some(_)) if ctx.sampled() => Some((ctx, self.trace_send_start(ctx))),
-            _ => None,
-        };
         let needed = batch.len() as u64;
         if needed > 0 {
             let mut credit = self.shared.credit.lock();
@@ -550,15 +480,10 @@ impl MonitorClient {
             }
             credit.available -= needed;
         }
-        let frame =
-            self.encoder
-                .encode_batch_traced(self.next_batch_id, batch, &self.shared.arena, trace);
+        let frame = self
+            .encoder
+            .encode_batch(self.next_batch_id, batch, &self.shared.arena);
         self.next_batch_id += 1;
-        if let Some((ctx, started_ns)) = span {
-            // Recorded before the bytes can reach the server, so the span
-            // happens-before any server-side completion of this trace.
-            self.trace_send_end(ctx, started_ns);
-        }
         self.stream.write_all(&frame)?;
         Ok(self.next_batch_id - 1)
     }
@@ -571,11 +496,6 @@ impl MonitorClient {
     /// (including before the first grant); [`TrySendError::Fatal`] on the
     /// hard failures of `send_batch`.
     pub fn try_send_batch(&mut self, batch: &EventBatch) -> Result<u64, TrySendError> {
-        let trace = self.stamp_trace().or_else(|| batch.trace());
-        let span = match (trace, &self.tracing) {
-            (Some(ctx), Some(_)) if ctx.sampled() => Some((ctx, self.trace_send_start(ctx))),
-            _ => None,
-        };
         let needed = batch.len() as u64;
         if needed > 0 {
             let mut credit = self.shared.credit.lock();
@@ -593,13 +513,10 @@ impl MonitorClient {
             }
             credit.available -= needed;
         }
-        let frame =
-            self.encoder
-                .encode_batch_traced(self.next_batch_id, batch, &self.shared.arena, trace);
+        let frame = self
+            .encoder
+            .encode_batch(self.next_batch_id, batch, &self.shared.arena);
         self.next_batch_id += 1;
-        if let Some((ctx, started_ns)) = span {
-            self.trace_send_end(ctx, started_ns);
-        }
         self.stream.write_all(&frame)
             .map_err(|err| TrySendError::Fatal(ClientError::Io(err)))?;
         Ok(self.next_batch_id - 1)

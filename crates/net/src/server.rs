@@ -118,7 +118,7 @@ use drv_engine::{
     EngineConfig, EngineReport, MonitoringEngine, SubmitError, VerdictEvent, VerdictSubscription,
 };
 use drv_lang::{EventBatch, ObjectId, VerdictBatch};
-use drv_telemetry::{Counter, Gauge, Histogram, Snapshot, SpanKind, Stage, Telemetry};
+use drv_telemetry::{Counter, Gauge, Histogram, Snapshot, Stage, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -272,8 +272,13 @@ struct NetMetrics {
     /// budget is in use).
     credit_outstanding: Gauge,
     /// Frame decode latency (raw bytes → typed [`Frame`]), sampled only
-    /// when the engine's telemetry handle has timing enabled.
+    /// when the engine's telemetry handle has timing enabled — as are the
+    /// two below.
     decode_ns: Histogram,
+    /// One verdict frame's encode plus its outbound-queue push (router).
+    verdict_route_ns: Histogram,
+    /// One connection flush's socket write loop (reactor).
+    socket_write_ns: Histogram,
     /// Poller returns on the reactor thread (one per readiness wakeup —
     /// flat at zero while the server is idle).
     reactor_wakeups: Counter,
@@ -323,6 +328,8 @@ impl NetMetrics {
             tx_bytes: r.counter("net_tx_bytes"),
             credit_outstanding: r.gauge("net_credit_outstanding"),
             decode_ns: r.histogram("net_decode_ns"),
+            verdict_route_ns: r.histogram("net_verdict_route_ns"),
+            socket_write_ns: r.histogram("net_socket_write_ns"),
             reactor_wakeups: r.counter("net_reactor_wakeups"),
             reactor_wake_skips: r.counter("net_reactor_wake_skips"),
             reactor_events: r.counter("net_reactor_events"),
@@ -837,29 +844,6 @@ impl Reactor {
             shared.m.reassembly_reads.record(conn.assembler.last_spread());
             match decoded {
                 Ok(Frame::Batch(batch)) => {
-                    if let Some(ctx) = batch.events.trace().filter(|ctx| ctx.sampled()) {
-                        // The decode span, reconstructed off the latency
-                        // timer already running for `net_decode_ns` — no
-                        // extra clock reads for unsampled frames.
-                        let tracer = shared.tel.tracer();
-                        if tracer.enabled() {
-                            let end = shared.tel.clock().now_ns();
-                            let start = started.map_or(end, |t| {
-                                end.saturating_sub(drv_telemetry::saturating_ns(
-                                    t.elapsed().as_nanos(),
-                                ))
-                            });
-                            tracer.begin(ctx.trace_id, start);
-                            tracer.record(
-                                ctx.trace_id,
-                                SpanKind::Decode,
-                                start,
-                                end,
-                                batch.batch_id,
-                                0,
-                            );
-                        }
-                    }
                     let n = batch.events.len() as u64;
                     if n > 0 {
                         // Register ownership before submitting: the router
@@ -1055,6 +1039,7 @@ impl Reactor {
     /// handshake when a draining connection runs dry.
     fn flush_conn(&mut self, id: u64) {
         let Some(conn) = self.io.get_mut(&id) else { return };
+        let started = self.shared.tel.timer();
         let mut fate: Option<Gone> = None;
         loop {
             if conn.write_pos == conn.write_buf.len() {
@@ -1105,17 +1090,11 @@ impl Reactor {
                 }
             }
         }
+        self.shared
+            .tel
+            .observe(started, &self.shared.m.socket_write_ns);
         if let Some(gone) = fate {
             self.teardown(id, gone);
-        } else if let Some(conn) = self.io.get(&id) {
-            if conn.write_pos == conn.write_buf.len() && self.shared.tel.tracer().is_active() {
-                // Everything queued for this connection has reached the
-                // socket: close the `socket_write` span of every trace
-                // awaiting it, completing those fully routed.  One relaxed
-                // load on the untraced path.
-                let now = self.shared.tel.clock().now_ns();
-                self.shared.tel.tracer().socket_flushed(id, now);
-            }
         }
     }
 
@@ -1318,13 +1297,7 @@ fn deliver(
             let (front, back) = entry.pending.as_slices();
             let piece = if front.is_empty() { back } else { front };
             let take = piece.len().min(chunk);
-            // One relaxed load when no trace is in flight; a live trace
-            // pays a clock read to open the verdict-route span.
-            let route_started = shared
-                .tel
-                .tracer()
-                .is_active()
-                .then(|| shared.tel.clock().now_ns());
+            let route_started = shared.tel.timer();
             // Per-object seq order is the delivery contract; the
             // interleaving *across* objects is not.  A stable by-object
             // sort (seqs arrive ascending, stability keeps them so) turns
@@ -1336,9 +1309,10 @@ fn deliver(
             let frame = encode_verdict_batch(scratch);
             match conn.try_push(frame, &shared.m.outbound_frames) {
                 Push::Queued { was_empty } => {
-                    if let Some(started) = route_started {
-                        trace_routed(shared, &piece[..take], conn.id, started);
-                    }
+                    shared.tel.observe(route_started, &shared.m.verdict_route_ns);
+                    shared
+                        .tel
+                        .flight(Stage::VerdictRoute, 0, take as u64, 0, conn.id as u32);
                     entry.pending.drain(..take);
                     entry.owed += take as u64;
                     progressed = true;
@@ -1427,33 +1401,6 @@ fn deliver(
     shared.wake_conns(&touched);
     let backlog = entries.values().any(|entry| !entry.pending.is_empty());
     (any_progress, backlog)
-}
-
-/// Attributes one queued verdict frame's events to their traces: per run
-/// of consecutive same-object events, a `verdict_route` span (encode →
-/// outbound-queue push), a matching [`Stage::VerdictRoute`] flight stamp,
-/// and a routed-count note so the next flush of connection `conn_id` can
-/// close the trace's `socket_write` span.  Called only while a trace is in
-/// flight.
-fn trace_routed(shared: &ServerShared, piece: &[VerdictEvent], conn_id: u64, started_ns: u64) {
-    let tracer = shared.tel.tracer();
-    let now = shared.tel.clock().now_ns();
-    let mut index = 0;
-    while index < piece.len() {
-        let object = piece[index].object;
-        let mut end = index + 1;
-        while end < piece.len() && piece[end].object == object {
-            end += 1;
-        }
-        if let Some((trace_id, _)) = tracer.lookup_object(object.0) {
-            tracer.record(trace_id, SpanKind::VerdictRoute, started_ns, now, object.0, 0);
-            shared
-                .tel
-                .flight(Stage::VerdictRoute, object.0, (end - index) as u64, 0, conn_id as u32);
-            tracer.note_routed(trace_id, (end - index) as u64, conn_id, now);
-        }
-        index = end;
-    }
 }
 
 /// A TCP monitoring server: accepts [`MonitorClient`](crate::MonitorClient)

@@ -47,17 +47,18 @@
 //!  inv_dict  u32 count, then count encoded Invocations (drv_lang::wire)
 //!  resp_dict u32 count, then count encoded Responses
 //!  rows      row_count × (object u64, proc u32, tag u8, dict u32)
-//!  [ext]     OPTIONAL: tag u8 = EXT_TRACE_CONTEXT, len u8 ≥ 16,
-//!            then len bytes (the 16-byte TraceContext; extras skipped)
+//!  [ext]     OLD BYTES ONLY: tag u8 = EXT_TRACE_CONTEXT, len u8 ≥ 16,
+//!            then len bytes
 //! ```
 //!
-//! The trailing extension block is the *versioned optional trace-context
-//! carrier*: absent entirely on an unstamped batch (legacy frames and the
-//! common unsampled case are byte-identical to the pre-extension layout),
-//! and when present it is explicitly consumed — an unknown tag, an
-//! undersized length or truncated context bytes decode to the typed
-//! [`WireError::BadTraceContext`] (lengths are bounds-checked before any
-//! read, and a refused frame interns nothing, like every other refusal).
+//! The trailing `[ext]` block is what earlier encoders appended to a batch
+//! stamped for sampled tracing, and journals they wrote can hold such
+//! frames.  No encoder writes it any more; the decoder reads a well-formed
+//! block and discards it, so an old stamped frame decodes to the same rows
+//! as its unstamped twin.  Anything else after the rows — an unknown tag,
+//! a length below 16, a block cut short — is a typed [`WireError`]
+//! ([`WireError::BadExtension`] or [`WireError::Payload`]), raised before
+//! anything is interned.
 //!
 //! Rows reference payloads by dictionary index, so a batch of 10 000 events
 //! over 12 distinct payloads carries 12 encoded payloads.  Decoding interns
@@ -106,7 +107,7 @@ use drv_lang::wire::{
 };
 use drv_lang::{
     EventAction, EventBatch, EventRecord, InvocationId, ObjectId, ProcId, ResponseId,
-    SharedInterner, TraceContext,
+    SharedInterner,
 };
 use drv_telemetry::metrics::BUCKETS;
 use drv_telemetry::{HistogramSnapshot, Snapshot};
@@ -127,11 +128,9 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// does not speak decodes to [`WireError::BadStatsVersion`], never to
 /// garbled counters.
 pub const STATS_VERSION: u8 = 2;
-/// Batch-payload extension tag: a version-1 trace context follows (one
-/// length byte, then at least [`TraceContext::WIRE_LEN`] bytes — the length
-/// byte is the forward-compatibility hinge: a future revision may append
-/// fields, which this decoder skips).  A batch without a stamped context
-/// carries no extension block at all.
+/// Tag of the trace-context block earlier encoders appended to a stamped
+/// batch (one length byte of at least 16, then that many bytes).  Read and
+/// discarded when decoding old bytes; never written.
 pub const EXT_TRACE_CONTEXT: u8 = 1;
 
 /// The discriminant of a frame.
@@ -368,11 +367,11 @@ pub enum WireError {
         /// Buckets the reply declared.
         buckets: u64,
     },
-    /// A batch's trailing extension block is malformed: an unknown
-    /// extension tag, a length below the fixed context size, or context
-    /// bytes the payload does not actually hold.  Nothing of the frame was
-    /// interned.
-    BadTraceContext {
+    /// Bytes after a batch's rows that do not open an
+    /// [`EXT_TRACE_CONTEXT`] block: an unknown tag or a length below 16 (a
+    /// block cut short is a [`WireError::Payload`] error).  Nothing of the
+    /// frame was interned.
+    BadExtension {
         /// What exactly was wrong.
         what: &'static str,
     },
@@ -427,7 +426,7 @@ impl fmt::Display for WireError {
             WireError::BadStatsHistogram { buckets } => {
                 write!(f, "stats histogram declares {buckets} buckets (expected {BUCKETS})")
             }
-            WireError::BadTraceContext { what } => {
+            WireError::BadExtension { what } => {
                 write!(f, "malformed trace-context extension: {what}")
             }
             WireError::TrailingBytes { extra } => {
@@ -588,25 +587,6 @@ impl FrameEncoder {
         batch: &EventBatch,
         arena: &SharedInterner,
     ) -> Vec<u8> {
-        self.encode_batch_traced(batch_id, batch, arena, batch.trace())
-    }
-
-    /// [`FrameEncoder::encode_batch`] with an explicit trace context,
-    /// overriding whatever the batch itself carries — how a client stamps
-    /// a *borrowed* batch at send time without cloning it.  `None` encodes
-    /// the legacy extension-free framing.
-    ///
-    /// # Panics
-    ///
-    /// As [`FrameEncoder::encode_batch`].
-    #[must_use]
-    pub fn encode_batch_traced(
-        &mut self,
-        batch_id: u64,
-        batch: &EventBatch,
-        arena: &SharedInterner,
-        trace: Option<TraceContext>,
-    ) -> Vec<u8> {
         self.epoch += 1;
         let epoch = self.epoch;
         // Pass 1 numbers the distinct payloads in first-use order: the
@@ -644,8 +624,7 @@ impl FrameEncoder {
         }
         // Dictionary entries are a few bytes each; the rows are exact.
         let dict_estimate = 8 + 16 * (inv_payloads.len() + resp_payloads.len());
-        let ext_len = 2 + TraceContext::WIRE_LEN;
-        let mut frame = frame_buffer(12 + dict_estimate + batch.len() * 17 + ext_len);
+        let mut frame = frame_buffer(12 + dict_estimate + batch.len() * 17);
         put_u64(&mut frame, batch_id);
         put_u32(&mut frame, u32::try_from(batch.len()).expect("< 2^32 events"));
         let interner = arena.read();
@@ -658,7 +637,7 @@ impl FrameEncoder {
             put_response(&mut frame, interner.resolve_response(*id));
         }
         drop(interner);
-        frame.reserve(batch.len() * 17 + ext_len);
+        frame.reserve(batch.len() * 17);
         let mut row = [0u8; 17];
         for record in batch.iter() {
             row[0..8].copy_from_slice(&record.object.0.to_le_bytes());
@@ -671,14 +650,6 @@ impl FrameEncoder {
             row[12] = tag;
             row[13..17].copy_from_slice(&index.to_le_bytes());
             frame.extend_from_slice(&row);
-        }
-        // Versioned optional extension block: only stamped (sampled)
-        // batches carry it, so unstamped traffic stays bit-identical to
-        // the legacy framing.
-        if let Some(ctx) = trace {
-            frame.push(EXT_TRACE_CONTEXT);
-            frame.push(TraceContext::WIRE_LEN as u8);
-            frame.extend_from_slice(&ctx.to_bytes());
         }
         seal_frame(FrameKind::Batch, &mut frame);
         frame
@@ -1107,28 +1078,24 @@ fn decode_batch(
             return Err(WireError::BadDictIndex { index, len: len as u32 });
         }
     }
-    // The optional trace-context extension trails the rows.  Validate it
-    // here — still before the intern step below — so a malformed context
-    // refuses the frame without growing the arena, same as every other
-    // refusal.  A declared length beyond the fixed context size is fine
-    // (a newer peer may extend the block); the extra bytes are consumed
-    // and ignored.
-    let trace = if reader.is_empty() {
-        None
-    } else {
-        let tag = reader.u8("extension tag")?;
-        if tag != EXT_TRACE_CONTEXT {
-            return Err(WireError::BadTraceContext { what: "unknown extension tag" });
+    // Old stamped batches carry a trace-context block after the rows:
+    // consume a well-formed one and discard it, still before the intern
+    // step below, so any other trailing bytes refuse the frame without
+    // growing the arena.
+    if !reader.is_empty() {
+        if reader.u8("extension tag")? != EXT_TRACE_CONTEXT {
+            return Err(WireError::BadExtension {
+                what: "unknown extension tag",
+            });
         }
         let len = reader.u8("extension length")? as usize;
-        if len < TraceContext::WIRE_LEN {
-            return Err(WireError::BadTraceContext { what: "extension shorter than a context" });
+        if len < 16 {
+            return Err(WireError::BadExtension {
+                what: "extension shorter than a context",
+            });
         }
-        let bytes = reader.take(len, "trace context")?;
-        Some(TraceContext::from_bytes(
-            bytes[..TraceContext::WIRE_LEN].try_into().expect("length checked"),
-        ))
-    };
+        reader.take(len, "trace context")?;
+    }
     let inv_ids: Vec<InvocationId> =
         invocations.iter().map(|invocation| arena.invocation(invocation)).collect();
     let resp_ids: Vec<ResponseId> =
@@ -1144,7 +1111,6 @@ fn decode_batch(
         };
         events.push(EventRecord { object, proc, action });
     }
-    events.set_trace(trace);
     Ok(WireBatch { batch_id, events })
 }
 
@@ -1333,106 +1299,83 @@ mod tests {
         assert!(decode_frame_capped(&frame, &receiver, 5).is_ok());
     }
 
-    #[test]
-    fn trace_context_extension_round_trips() {
-        let sender = SharedInterner::new();
-        let mut batch = sample_batch(&sender);
-        let ctx = TraceContext { trace_id: 0xDEAD_BEEF_CAFE, parent_span: 7, flags: 1 };
-        batch.set_trace(Some(ctx));
-        let frame = FrameEncoder::new().encode_batch(3, &batch, &sender);
-        let receiver = SharedInterner::new();
-        let (decoded, consumed) = decode_frame(&frame, &receiver).expect("stamped frame decodes");
-        assert_eq!(consumed, frame.len());
-        match decoded {
-            Frame::Batch(wire) => {
-                assert_eq!(wire.events.trace(), Some(ctx));
-                assert_eq!(wire.events.len(), batch.len());
-            }
-            other => panic!("expected a batch, got {other:?}"),
-        }
+    /// `frame` with the trace-context block earlier encoders appended to
+    /// a stamped batch: tag, length `len`, `len` opaque bytes, resealed.
+    fn stamped(frame: &[u8], len: u8) -> Vec<u8> {
+        let mut stamped = frame.to_vec();
+        stamped.extend_from_slice(&[EXT_TRACE_CONTEXT, len]);
+        stamped.extend((0..len).map(|i| i.wrapping_mul(37)));
+        seal_frame(FrameKind::Batch, &mut stamped);
+        stamped
     }
 
     #[test]
     fn unstamped_batches_stay_bit_identical_to_legacy_framing() {
         let sender = SharedInterner::new();
-        let batch = sample_batch(&sender);
-        let plain = FrameEncoder::new().encode_batch(3, &batch, &sender);
-        // A stamped frame is exactly the legacy frame plus the 18-byte
-        // extension (tag + length + 16 context bytes) before the CRC is
-        // recomputed: the legacy prefix is untouched.
-        let mut stamped_batch = sample_batch(&sender);
-        stamped_batch.set_trace(Some(TraceContext::sampled_root(9)));
-        let stamped = FrameEncoder::new().encode_batch(3, &stamped_batch, &sender);
-        assert_eq!(stamped.len(), plain.len() + 2 + TraceContext::WIRE_LEN);
-        assert_eq!(&stamped[HEADER_LEN..plain.len()], &plain[HEADER_LEN..]);
-        // And a plain frame still decodes to a context-free batch.
-        let (decoded, _) = decode_frame(&plain, &SharedInterner::new()).expect("legacy decodes");
-        match decoded {
-            Frame::Batch(wire) => assert_eq!(wire.events.trace(), None),
-            other => panic!("expected a batch, got {other:?}"),
-        }
+        let plain = FrameEncoder::new().encode_batch(3, &sample_batch(&sender), &sender);
+        // An old stamped frame was exactly this frame plus the 18-byte
+        // block (tag + length + 16 context bytes) before the CRC.
+        let old = stamped(&plain, 16);
+        assert_eq!(old.len(), plain.len() + 18);
+        assert_eq!(&old[HEADER_LEN..plain.len()], &plain[HEADER_LEN..]);
+        // The plain frame decodes whole and re-encodes to itself.
+        let receiver = SharedInterner::new();
+        let (decoded, consumed) = decode_frame(&plain, &receiver).expect("legacy decodes");
+        assert_eq!(consumed, plain.len());
+        let Frame::Batch(wire) = decoded else { panic!("expected a batch") };
+        assert_eq!(FrameEncoder::new().encode_batch(3, &wire.events, &receiver), plain);
+    }
+
+    #[test]
+    fn trace_context_extension_round_trips() {
+        // An old stamped frame decodes whole, to the rows of the plain
+        // frame: the block is read and discarded, so re-encoding writes
+        // the plain frame back.
+        let sender = SharedInterner::new();
+        let plain = FrameEncoder::new().encode_batch(3, &sample_batch(&sender), &sender);
+        let old = stamped(&plain, 16);
+        let receiver = SharedInterner::new();
+        let (expected, _) = decode_frame(&plain, &receiver).expect("plain frame decodes");
+        let (decoded, consumed) = decode_frame(&old, &receiver).expect("stamped frame decodes");
+        assert_eq!(consumed, old.len());
+        assert_eq!(decoded, expected);
+        let Frame::Batch(wire) = decoded else { panic!("expected a batch") };
+        assert_eq!(FrameEncoder::new().encode_batch(3, &wire.events, &receiver), plain);
     }
 
     #[test]
     fn longer_trace_extensions_from_newer_peers_are_tolerated() {
-        // A future peer may grow the extension block; today's decoder takes
-        // the declared length and reads only the prefix it understands.
+        // The length byte covers the whole block, so a block longer than
+        // 16 bytes is consumed whole.
         let sender = SharedInterner::new();
-        let mut batch = sample_batch(&sender);
-        batch.set_trace(Some(TraceContext { trace_id: 42, parent_span: 0, flags: 1 }));
-        let mut frame = FrameEncoder::new().encode_batch(1, &batch, &sender);
-        // Inflate the declared extension length and append 4 extra bytes.
-        let len_at = frame.len() - TraceContext::WIRE_LEN - 1;
-        frame[len_at] = (TraceContext::WIRE_LEN + 4) as u8;
-        frame.extend_from_slice(&[0xAA; 4]);
-        let payload_len = (frame.len() - HEADER_LEN) as u32;
-        frame[8..12].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&frame[HEADER_LEN..]);
-        frame[12..16].copy_from_slice(&crc.to_le_bytes());
-        let (decoded, _) = decode_frame(&frame, &SharedInterner::new()).expect("wider ext ok");
-        match decoded {
-            Frame::Batch(wire) => {
-                assert_eq!(wire.events.trace().map(|c| c.trace_id), Some(42));
-            }
-            other => panic!("expected a batch, got {other:?}"),
-        }
+        let plain = FrameEncoder::new().encode_batch(1, &sample_batch(&sender), &sender);
+        let receiver = SharedInterner::new();
+        let (expected, _) = decode_frame(&plain, &receiver).expect("plain frame decodes");
+        let wider = stamped(&plain, 20);
+        assert_eq!(decode_frame(&wider, &receiver), Ok((expected, wider.len())));
     }
 
     #[test]
     fn malformed_trace_extensions_refuse_without_interning() {
         let sender = SharedInterner::new();
-        let mut batch = sample_batch(&sender);
-        batch.set_trace(Some(TraceContext::sampled_root(5)));
-        let good = FrameEncoder::new().encode_batch(1, &batch, &sender);
-        let ext_at = good.len() - 2 - TraceContext::WIRE_LEN;
+        let plain = FrameEncoder::new().encode_batch(1, &sample_batch(&sender), &sender);
+        let good = stamped(&plain, 16);
         let reseal = |mut bytes: Vec<u8>| -> Vec<u8> {
-            let payload_len = (bytes.len() - HEADER_LEN) as u32;
-            bytes[8..12].copy_from_slice(&payload_len.to_le_bytes());
-            let crc = crc32(&bytes[HEADER_LEN..]);
-            bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+            seal_frame(FrameKind::Batch, &mut bytes);
             bytes
         };
-        // Unknown extension tag.
         let mut bad_tag = good.clone();
-        bad_tag[ext_at] = 99;
-        let bad_tag = reseal(bad_tag);
-        // Declared length below the fixed context size.
-        let mut short_len = good.clone();
-        short_len[ext_at + 1] = (TraceContext::WIRE_LEN - 1) as u8;
-        let short_len = reseal(short_len);
-        // Declared length beyond what the payload holds.
-        let truncated = reseal(good[..good.len() - 4].to_vec());
-        for (frame, what) in [
-            (bad_tag, "unknown tag"),
-            (short_len, "short length"),
-        ] {
+        bad_tag[plain.len()] = 99;
+        for (frame, what) in [(reseal(bad_tag), "unknown tag"), (stamped(&plain, 15), "short length")]
+        {
             let arena = SharedInterner::new();
             assert!(
-                matches!(decode_frame(&frame, &arena), Err(WireError::BadTraceContext { .. })),
+                matches!(decode_frame(&frame, &arena), Err(WireError::BadExtension { .. })),
                 "{what} must refuse with a typed error"
             );
             assert_eq!(arena.versions(), (0, 0), "{what} must not intern");
         }
+        let truncated = reseal(good[..good.len() - 4].to_vec());
         let arena = SharedInterner::new();
         assert!(
             matches!(decode_frame(&truncated, &arena), Err(WireError::Payload(_))),

@@ -11,19 +11,37 @@
 
 use drv_core::Verdict;
 use drv_engine::VerdictEvent;
-use drv_lang::{
-    EventBatch, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, TraceContext,
-};
+use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
 use drv_net::wire::{
-    decode_frame, encode_credit, encode_nack, encode_shutdown, encode_stats,
-    encode_stats_request, encode_verdict_batch, Frame, FrameEncoder, NackReason, StatsReply,
-    WireError, WireStats, HEADER_LEN, MAX_PAYLOAD,
+    decode_frame, encode_credit, encode_nack, encode_shutdown, encode_stats, encode_stats_request,
+    encode_verdict_batch, seal_frame, Frame, FrameEncoder, FrameKind, NackReason, StatsReply,
+    WireError, WireStats, EXT_TRACE_CONTEXT, HEADER_LEN, MAX_PAYLOAD,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Seeded fuzz rounds (each round mutates every generated frame kind).
 const ROUNDS: u64 = 400;
+
+/// `frame`, a Batch frame, with the trace-context block that earlier
+/// encoders appended after the rows of a batch stamped for sampled
+/// tracing: tag, length, the context bytes; resealed.
+fn stamped(mut frame: Vec<u8>, context: &[u8]) -> Vec<u8> {
+    frame.push(EXT_TRACE_CONTEXT);
+    frame.push(u8::try_from(context.len()).expect("a block length fits a byte"));
+    frame.extend_from_slice(context);
+    seal_frame(FrameKind::Batch, &mut frame);
+    frame
+}
+
+/// A 16-byte trace context as old encoders wrote it: `trace_id u64 |
+/// parent_span u32 | flags u32`, little endian.
+fn context(trace_id: u64, parent_span: u32, flags: u32) -> Vec<u8> {
+    let mut bytes = trace_id.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&parent_span.to_le_bytes());
+    bytes.extend_from_slice(&flags.to_le_bytes());
+    bytes
+}
 
 /// One valid frame of every kind, with seed-varied contents.
 fn valid_frames(rng: &mut StdRng) -> Vec<Vec<u8>> {
@@ -54,18 +72,20 @@ fn valid_frames(rng: &mut StdRng) -> Vec<Vec<u8>> {
             },
         })
         .collect();
-    // A second copy of the batch carrying the trace-context extension, so
+    // A second copy of the batch carrying an old trace-context block, so
     // every generic mutation pass (flips, truncation, inflation) also
-    // exercises the extension bytes.
-    let mut stamped = batch.clone();
-    stamped.set_trace(Some(TraceContext {
-        trace_id: rng.gen_range(1..u64::MAX),
-        parent_span: rng.gen_range(0..u32::MAX),
-        flags: rng.gen_range(0..4u32),
-    }));
+    // exercises the bytes the decoder discards.
+    let old_context = context(
+        rng.gen_range(1..u64::MAX),
+        rng.gen_range(0..u32::MAX),
+        rng.gen_range(0..4u32),
+    );
     vec![
         FrameEncoder::new().encode_batch(rng.gen_range(0..u64::MAX), &batch, &arena),
-        FrameEncoder::new().encode_batch(rng.gen_range(0..u64::MAX), &stamped, &arena),
+        stamped(
+            FrameEncoder::new().encode_batch(rng.gen_range(0..u64::MAX), &batch, &arena),
+            &old_context,
+        ),
         encode_credit(rng.gen_range(0..u64::MAX), rng.gen_range(0..u64::MAX)),
         encode_nack(rng.gen_range(0..u64::MAX), NackReason::CreditExceeded, rng.gen_range(0..u64::MAX)),
         encode_verdict_batch(&verdicts),
@@ -275,11 +295,12 @@ fn verdict_batch_probes_are_typed_with_resealed_crc() {
 
 #[test]
 fn trace_context_probes_are_typed_with_resealed_crc() {
-    // The Batch frame's trailing trace-context extension, corrupted with
-    // the CRC re-sealed so every probe reaches the payload decoder:
-    // truncated context bytes, inflated declared lengths, unknown tags and
-    // garbage interiors must each answer with a typed error — never a
-    // panic, and never an intern into the receiving arena.
+    // The trace-context block old stamped Batch frames carry after their
+    // rows, built by hand and corrupted with the CRC re-sealed so every
+    // probe reaches the payload decoder: truncated blocks, inflated
+    // declared lengths, unknown tags and short lengths must each answer
+    // with a typed error — never a panic, and never an intern into the
+    // receiving arena.  A well-formed block is read and discarded.
     use drv_net::wire::crc32;
     let arena = SharedInterner::new();
     let mut batch = EventBatch::new();
@@ -287,10 +308,9 @@ fn trace_context_probes_are_typed_with_resealed_crc() {
         batch.push_symbol(ObjectId(i % 2), &Symbol::invoke(ProcId(0), Invocation::Write(i)), &arena);
         batch.push_symbol(ObjectId(i % 2), &Symbol::respond(ProcId(0), Response::Ack), &arena);
     }
-    batch.set_trace(Some(TraceContext { trace_id: 0xABCD_EF01, parent_span: 3, flags: 1 }));
-    let frame = FrameEncoder::new().encode_batch(11, &batch, &arena);
-    let ext_len = 2 + TraceContext::WIRE_LEN; // tag + len + context bytes
-    let ext_at = frame.len() - ext_len;
+    let plain = FrameEncoder::new().encode_batch(11, &batch, &arena);
+    let frame = stamped(plain.clone(), &context(0xABCD_EF01, 3, 1));
+    let ext_at = plain.len();
     let reseal = |mut bytes: Vec<u8>| -> Vec<u8> {
         let payload_len = (bytes.len() - HEADER_LEN) as u32;
         bytes[8..12].copy_from_slice(&payload_len.to_le_bytes());
@@ -314,7 +334,7 @@ fn trace_context_probes_are_typed_with_resealed_crc() {
         bad[ext_at] = tag;
         probe(reseal(bad), "unknown extension tag");
     }
-    // Declared lengths below the fixed context size.
+    // Declared lengths below the 16-byte context.
     for len in [0u8, 1, 8, 15] {
         let mut bad = frame.clone();
         bad[ext_at + 1] = len;
@@ -324,21 +344,17 @@ fn trace_context_probes_are_typed_with_resealed_crc() {
     let mut inflated = frame.clone();
     inflated[ext_at + 1] = 0xFF;
     probe(reseal(inflated), "inflated declared length");
-    // Garbage context bytes still decode (the 16 bytes are opaque), but
-    // byte flips in tag/len stay typed; and the baseline still carries the
-    // stamped context exactly.
+    // The well-formed block decodes to the unstamped frame's rows.
     let receiver = SharedInterner::new();
-    match decode_frame(&frame, &receiver).expect("the baseline stamped frame decodes") {
-        (Frame::Batch(wire), _) => {
-            assert_eq!(
-                wire.events.trace(),
-                Some(TraceContext { trace_id: 0xABCD_EF01, parent_span: 3, flags: 1 })
-            );
-        }
-        (other, _) => panic!("batch decoded as {other:?}"),
-    }
+    let (decoded, consumed) = decode_frame(&frame, &receiver).expect("the stamped frame decodes");
+    assert_eq!(consumed, frame.len());
+    let (unstamped, _) = decode_frame(&plain, &receiver).expect("the plain frame decodes");
+    assert_eq!(
+        decoded, unstamped,
+        "the block carries nothing the batch keeps"
+    );
     // And a legacy (unstamped) batch round-trips bit-identically: decode,
-    // re-encode against a mirror of the receiving arena, compare bytes.
+    // re-encode against the receiving arena, compare bytes.
     let mut legacy_batch = EventBatch::new();
     for i in 0..4 {
         legacy_batch.push_symbol(ObjectId(9), &Symbol::invoke(ProcId(1), Invocation::Write(i)), &arena);
@@ -348,7 +364,6 @@ fn trace_context_probes_are_typed_with_resealed_crc() {
     let (decoded, consumed) = decode_frame(&legacy, &receiver).expect("legacy decodes");
     assert_eq!(consumed, legacy.len());
     let Frame::Batch(wire) = decoded else { panic!("not a batch") };
-    assert_eq!(wire.events.trace(), None, "no extension ⇒ no context");
     let reencoded = FrameEncoder::new().encode_batch(21, &wire.events, &receiver);
     assert_eq!(reencoded, legacy, "legacy frames must round-trip bit-identically");
 }

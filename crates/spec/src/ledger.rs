@@ -2,13 +2,12 @@
 
 use crate::sequential::SequentialSpec;
 use drv_lang::{Invocation, ObjectKind, Record, Response};
-use serde::{Deserialize, Serialize};
 
 /// A sequential ledger: an append-only list of records.
 ///
 /// Operations: `append(r)` appends record `r` and returns [`Response::Ack`];
 /// `get()` returns the whole list as [`Response::Sequence`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Ledger;
 
 impl Ledger {

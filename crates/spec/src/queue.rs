@@ -3,14 +3,13 @@
 
 use crate::sequential::SequentialSpec;
 use drv_lang::{Invocation, ObjectKind, Response};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A sequential FIFO queue.
 ///
 /// Operations: `enqueue(x)` returns [`Response::Ack`]; `dequeue()` returns the
 /// oldest element as [`Response::MaybeValue`] (`None` when empty).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Queue;
 
 impl Queue {

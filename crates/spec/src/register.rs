@@ -2,13 +2,12 @@
 
 use crate::sequential::SequentialSpec;
 use drv_lang::{Invocation, ObjectKind, Response};
-use serde::{Deserialize, Serialize};
 
 /// A sequential read/write register with initial value `0`.
 ///
 /// Operations: `write(x)` stores `x` and returns [`Response::Ack`];
 /// `read()` returns the current value as [`Response::Value`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Register {
     initial: u64,
 }

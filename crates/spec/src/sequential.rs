@@ -1,7 +1,6 @@
 //! The [`SequentialSpec`] trait and helpers for validating sequential words.
 
 use drv_lang::{Action, Invocation, ObjectKind, Response, Word};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hash;
 
@@ -91,7 +90,7 @@ impl<S: SequentialSpec + ?Sized> SequentialSpec for &S {
 }
 
 /// Error produced when validating a sequential word against a specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidationError {
     /// The word is not sequential: an invocation is not immediately followed
     /// by its matching response.
@@ -206,7 +205,7 @@ pub fn run_invocations<S: SequentialSpec>(
 /// The enum form is convenient for workloads that are parameterized by
 /// [`ObjectKind`] (e.g. the Table 1 harness) without making every consumer
 /// generic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecObject {
     /// A read/write register.
     Register,
@@ -236,7 +235,7 @@ impl SpecObject {
 
 /// The universal state used by [`SpecObject`]'s [`SequentialSpec`]
 /// implementation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SpecState {
     /// Register contents.
     Register(u64),

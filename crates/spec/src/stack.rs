@@ -3,13 +3,12 @@
 
 use crate::sequential::SequentialSpec;
 use drv_lang::{Invocation, ObjectKind, Response};
-use serde::{Deserialize, Serialize};
 
 /// A sequential LIFO stack.
 ///
 /// Operations: `push(x)` returns [`Response::Ack`]; `pop()` returns the newest
 /// element as [`Response::MaybeValue`] (`None` when empty).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stack;
 
 impl Stack {

@@ -567,32 +567,15 @@ impl Store {
     /// Degrades to a no-op once an I/O error has latched.  Returns whether
     /// the record actually reached the file, so callers only count records
     /// that were written.
-    ///
-    /// `trace` (a `(trace_id, journal batch id)` pair, present only for a
-    /// sampled traced batch) attributes a `journal_append` span over the
-    /// `write_all` and — when the policy makes this record the sync point —
-    /// an `fsync` span over the `sync_data`, so durable traces show the
-    /// write/sync split instead of one opaque blob.
-    fn append(&self, inner: &mut Appender, frame: &[u8], trace: Option<(u64, u64)>) -> bool {
+    fn append(&self, inner: &mut Appender, frame: &[u8]) -> bool {
         if self.failed.load(Ordering::Acquire) {
             self.m.degraded_appends.inc();
             return false;
         }
         let started = self.tel.timer();
-        let span_started = trace.map(|_| self.tel.clock().now_ns());
         if let Err(err) = inner.file.write_all(frame) {
             self.latch(err);
             return false;
-        }
-        if let (Some((trace_id, id)), Some(span_started)) = (trace, span_started) {
-            self.tel.tracer().record(
-                trace_id,
-                drv_telemetry::SpanKind::JournalAppend,
-                span_started,
-                self.tel.clock().now_ns(),
-                id,
-                0,
-            );
         }
         self.tel.observe(started, &self.m.append_ns);
         self.m.journal_bytes.add(frame.len() as u64);
@@ -605,22 +588,11 @@ impl Store {
         if due {
             inner.since_sync = 0;
             let started = self.tel.timer();
-            let span_started = trace.map(|_| self.tel.clock().now_ns());
             if let Err(err) = inner.file.sync_data() {
                 self.latch(err);
                 // The bytes were written but their promised durability
                 // point failed: degraded, and not counted as journaled.
                 return false;
-            }
-            if let (Some((trace_id, id)), Some(span_started)) = (trace, span_started) {
-                self.tel.tracer().record(
-                    trace_id,
-                    drv_telemetry::SpanKind::Fsync,
-                    span_started,
-                    self.tel.clock().now_ns(),
-                    id,
-                    0,
-                );
             }
             self.tel.observe(started, &self.m.fsync_ns);
             self.m.syncs.inc();
@@ -635,19 +607,7 @@ impl JournalSink for Store {
         inner.batch_id += 1;
         let id = inner.batch_id;
         let frame = inner.encoder.encode_batch(id, batch, arena);
-        // A sampled traced batch opens its trace here if the engine has
-        // not yet (write-ahead runs before enqueue): `begin` is
-        // find-or-claim, so whichever side runs first wins and the other
-        // attaches.
-        let trace = batch.trace().filter(|ctx| ctx.sampled()).and_then(|ctx| {
-            let tracer = self.tel.tracer();
-            if !tracer.enabled() {
-                return None;
-            }
-            tracer.begin(ctx.trace_id, self.tel.clock().now_ns());
-            Some((ctx.trace_id, id))
-        });
-        if self.append(&mut inner, &frame, trace) {
+        if self.append(&mut inner, &frame) {
             self.m.batches.inc();
             self.m.events.add(batch.len() as u64);
             self.tel.flight(Stage::JournalAppend, id, batch.len() as u64, 0, frame.len() as u32);
@@ -671,7 +631,7 @@ impl JournalSink for Store {
         }
         let frame = encode_checkpoint_record(object, fed, verdicts, state);
         let mut inner = self.inner.lock();
-        if self.append(&mut inner, &frame, None) {
+        if self.append(&mut inner, &frame) {
             self.m.checkpoints.inc();
             self.tel.flight(Stage::Checkpoint, object.0, fed, 0, frame.len() as u32);
         } else {
@@ -682,7 +642,7 @@ impl JournalSink for Store {
     fn tombstone(&self, object: ObjectId) {
         let frame = encode_evict(object);
         let mut inner = self.inner.lock();
-        if self.append(&mut inner, &frame, None) {
+        if self.append(&mut inner, &frame) {
             self.m.tombstones.inc();
         }
     }

@@ -1,14 +1,18 @@
 //! The store's registry cells: `store_*` metrics tick on the shared
 //! [`Telemetry`] handle, `StoreStats` is an exact view over them, and a
 //! recovered run journals into the same registry the engine checks with.
+//! Served durably, every server-side pipeline stage has a live histogram
+//! a client reads off the Stats frame.
 
 use drv_core::CheckerMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine};
 use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, Symbol};
+use drv_net::{MonitorClient, ServerConfig};
 use drv_spec::Register;
-use drv_store::{recover_with, FsyncPolicy, StoreConfig};
-use drv_telemetry::{Stage, Telemetry};
+use drv_store::{recover_with, serve_durable_with, FsyncPolicy, StoreConfig};
+use drv_telemetry::{Snapshot, Stage, Telemetry};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const OBJECTS: u64 = 4;
 const OPS: u64 = 50;
@@ -128,4 +132,70 @@ fn passive_store_still_counts_but_never_times() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every server-side pipeline stage, by its registry cell, in pipeline
+/// order.
+const STAGE_CELLS: [&str; 8] = [
+    "net_decode_ns",
+    "store_append_ns",
+    "store_fsync_ns",
+    "engine_queue_wait_ns",
+    "engine_check_ns",
+    "engine_verdict_flush_ns",
+    "net_verdict_route_ns",
+    "net_socket_write_ns",
+];
+
+/// Serves [`stream`] durably over loopback on `tel` (fsync on every
+/// record) and returns the registry snapshot the client reads off the
+/// Stats frame once every verdict has arrived.
+fn served_registry(tel: Arc<Telemetry>, tag: &str) -> Snapshot {
+    let dir = std::env::temp_dir().join(format!("drv-store-tel-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("served-{tag}.journal"));
+    let _ = std::fs::remove_file(&path);
+    let (server, _store, _) = serve_durable_with(
+        ("127.0.0.1", 0),
+        &path,
+        StoreConfig::new().with_fsync(FsyncPolicy::Always),
+        EngineConfig::new(2),
+        factory(),
+        ServerConfig::new(),
+        tel,
+    )
+    .expect("durable server binds");
+    let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
+    let events = stream();
+    client.send_stream(&events, 32).expect("stream sends");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut received = 0;
+    while received < events.len() {
+        assert!(
+            Instant::now() < deadline,
+            "{tag}: {received} of {} verdicts",
+            events.len()
+        );
+        received += client.wait_verdicts(Duration::from_millis(100)).len();
+    }
+    let reply = client.stats(Duration::from_secs(30)).expect("stats reply");
+    client.shutdown().expect("clean goodbye");
+    server.shutdown().expect("no worker panicked");
+    let _ = std::fs::remove_file(&path);
+    reply.telemetry
+}
+
+#[test]
+fn every_server_stage_has_a_live_histogram_on_the_stats_frame() {
+    let instrumented = served_registry(Telemetry::new(), "instrumented");
+    let passive = served_registry(Telemetry::passive(), "passive");
+    for cell in STAGE_CELLS {
+        let count = |snap: &Snapshot| snap.histogram(cell).expect("registered").count;
+        assert!(count(&instrumented) > 0, "{cell} recorded nothing");
+        assert_eq!(
+            count(&passive),
+            0,
+            "{cell} read a clock on a passive handle"
+        );
+    }
 }

@@ -1,7 +1,6 @@
 //! Zero-overhead-when-idle observability for the monitoring runtime:
-//! a sharded metrics registry, log₂-bucketed latency histograms, a
-//! lock-free pipeline flight recorder, and a sampling distributed tracer —
-//! std-only, no external deps.
+//! a sharded metrics registry, log₂-bucketed latency histograms and a
+//! lock-free pipeline flight recorder — std-only, no external deps.
 //!
 //! ## Hot-path rules
 //!
@@ -41,19 +40,29 @@
 //!   stage, worker, aux }` stamped with a monotonic timestamp.  Dumped,
 //!   bounded and time-ordered, on worker panic, NACK storm or
 //!   stalled-consumer disconnect.
-//! * [`Tracer`] — the sampling distributed tracer: deterministic 1-in-N
-//!   selection by trace-id hash, fixed-size span buffers per in-flight
-//!   trace, and a bounded ring of completed traces exported as Chrome
-//!   trace-event JSON ([`chrome_trace_json`] / [`Telemetry::dump_traces`])
-//!   or text timelines ([`render_timeline`], attached to postmortem
-//!   dumps).  Spans obey the same contract as every other primitive here:
-//!   a passive handle's tracer is disabled (recording is a branch and a
-//!   return), an *unsampled* batch never reaches the tracer at all, and
-//!   nothing allocates after construction — so tracing's cost is confined
-//!   to the 1-in-N batches actually selected.
-//! * [`Telemetry`] — the handle tying registry + recorder + tracer +
-//!   monotonic [`Clock`] together; this is what the engine, server and
-//!   store share.
+//! * [`Telemetry`] — the handle tying registry + recorder + monotonic
+//!   [`Clock`] together; this is what the engine, server and store share.
+//!
+//! ## Pipeline stages and their cells
+//!
+//! Every server-side stage of the pipeline has one log₂ histogram in the
+//! shared registry, recorded on a [`Telemetry::new`] handle (one
+//! [`Telemetry::timer`] plus one [`Telemetry::observe`]) and read from
+//! outside the process through the Stats frame.  On a passive handle
+//! none of them reads a clock and every count stays 0.
+//!
+//! | stage            | registry cell             | one sample per                               |
+//! |------------------|---------------------------|----------------------------------------------|
+//! | `decode`         | `net_decode_ns`           | frame decoded by the reactor                 |
+//! | `journal_append` | `store_append_ns`         | journal record written                       |
+//! | `fsync`          | `store_fsync_ns`          | journal sync                                 |
+//! | `queue_wait`     | `engine_queue_wait_ns`    | shard claim (scheduled → claimed)            |
+//! | `check`          | `engine_check_ns`         | 1 in 16 monitor runs per worker              |
+//! | `verdict_flush`  | `engine_verdict_flush_ns` | delivery-buffer flush into the subscriptions |
+//! | `verdict_route`  | `net_verdict_route_ns`    | verdict frame encoded and queued             |
+//! | `socket_write`   | `net_socket_write_ns`     | connection flush by the reactor              |
+//!
+//! `client_send` has no cell: the client holds no registry.
 //!
 //! ```
 //! use drv_telemetry::Telemetry;
@@ -74,15 +83,11 @@
 pub mod metrics;
 pub mod recorder;
 pub mod snapshot;
-pub mod trace;
 
 pub use metrics::{Clock, Counter, Gauge, Histogram, Registry};
 pub use recorder::{FlightEvent, FlightRecorder, Stage};
 pub use snapshot::{HistogramSnapshot, Snapshot};
-pub use trace::{chrome_trace_json, render_timeline, CompletedTrace, SpanEvent, SpanKind, Tracer};
 
-use std::io::Write;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,19 +109,13 @@ pub struct Telemetry {
     recorder: FlightRecorder,
     clock: Clock,
     timing: bool,
-    tracer: Tracer,
 }
 
 impl Telemetry {
     /// Flight-recorder ring capacity of [`Telemetry::new`].
     pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
-    /// Span-sampling period of [`Telemetry::new`]: clients stamping against
-    /// this handle trace 1 in 64 batches.
-    pub const DEFAULT_TRACE_SAMPLE: u32 = 64;
-
-    /// Fully instrumented handle (latency sampling + flight recorder +
-    /// a tracer sampling 1-in-[`Telemetry::DEFAULT_TRACE_SAMPLE`]).
+    /// Fully instrumented handle (latency sampling + flight recorder).
     #[must_use]
     pub fn new() -> Arc<Self> {
         Self::with_flight_capacity(Self::DEFAULT_FLIGHT_CAPACITY)
@@ -131,26 +130,10 @@ impl Telemetry {
             recorder: FlightRecorder::new(capacity),
             clock: Clock::new(),
             timing: true,
-            tracer: Tracer::new(Self::DEFAULT_TRACE_SAMPLE),
         })
     }
 
-    /// Fully instrumented handle whose tracer samples 1-in-`sample_every`
-    /// (`1` traces every stamped batch — what the forced-on differential
-    /// suites use; `0` is clamped to `1`).
-    #[must_use]
-    pub fn with_trace_sampling(sample_every: u32) -> Arc<Self> {
-        Arc::new(Telemetry {
-            registry: Registry::new(),
-            recorder: FlightRecorder::new(Self::DEFAULT_FLIGHT_CAPACITY),
-            clock: Clock::new(),
-            timing: true,
-            tracer: Tracer::new(sample_every),
-        })
-    }
-
-    /// Counters-only handle: no wall-clock reads, no flight ring, and a
-    /// disabled tracer — every span entry point is a branch and a return.
+    /// Counters-only handle: no wall-clock reads and no flight ring.
     #[must_use]
     pub fn passive() -> Arc<Self> {
         Arc::new(Telemetry {
@@ -158,7 +141,6 @@ impl Telemetry {
             recorder: FlightRecorder::new(0),
             clock: Clock::new(),
             timing: false,
-            tracer: Tracer::disabled(),
         })
     }
 
@@ -178,12 +160,6 @@ impl Telemetry {
     #[must_use]
     pub fn clock(&self) -> &Clock {
         &self.clock
-    }
-
-    /// The sampling tracer (disabled on a passive handle).
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Whether latency sampling is on (true for [`Telemetry::new`],
@@ -240,10 +216,7 @@ impl Telemetry {
     }
 
     /// Formats the flight ring as a bounded, time-ordered postmortem dump
-    /// (newest events last), headed by `reason`.  When the tracer holds
-    /// completed traces, their text timelines are appended — a panic /
-    /// NACK-storm / stalled-consumer dump carries per-batch causality, not
-    /// just the event ring.
+    /// (newest events last), headed by `reason`.
     #[must_use]
     pub fn flight_dump(&self, reason: &str) -> String {
         let events = self.recorder.dump();
@@ -263,30 +236,7 @@ impl Telemetry {
                 event.aux
             ));
         }
-        let traces = self.tracer.completed();
-        if !traces.is_empty() {
-            out.push_str(&format!("--- recent completed traces ({}) ---\n", traces.len()));
-            // Newest traces last, matching the event ordering above.
-            for completed in &traces {
-                out.push_str(&trace::render_timeline(completed));
-            }
-        }
         out
-    }
-
-    /// Drains the completed-trace ring into one Chrome trace-event JSON
-    /// file at `path` (Perfetto / `about://tracing` loadable), returning
-    /// how many traces it held.  Each call exports each trace exactly
-    /// once; an empty ring writes a valid empty trace file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error when the file cannot be created/written.
-    pub fn dump_traces(&self, path: &Path) -> std::io::Result<usize> {
-        let traces = self.tracer.take_completed();
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(trace::chrome_trace_json(&traces).as_bytes())?;
-        Ok(traces.len())
     }
 
     /// Writes [`Telemetry::flight_dump`] to stderr — the postmortem hook

@@ -39,16 +39,17 @@
 //!   hook — and zero-overhead-when-idle: the default passive handle
 //!   never reads the clock.
 //!
-//!   trace flow: MonitorClient stamps a sampled 16-byte TraceContext
-//!   (deterministic 1-in-N by trace-id hash) ──► Batch wire frame
-//!   carries it as an optional extension (legacy frames unchanged)
-//!   ──► EventBatch hands it to submit_batch ──► spans recorded at
-//!   every hop: client_send · decode · journal_append/fsync ·
-//!   queue_wait · check · verdict_flush · verdict_route ·
-//!   socket_write — assembled per trace on the shared handle, ended
-//!   when the last verdict byte hits the socket, exported as Chrome
-//!   trace-event JSON (Telemetry::dump_traces, loads in Perfetto)
-//!   and as text timelines attached to postmortem flight dumps.
+//!   stage cells: one log2 histogram per server-side stage, recorded
+//!   on every occurrence by an instrumented handle, read off the Stats
+//!   frame (client_send has none: the client holds no registry)
+//!     decode          net_decode_ns            reactor
+//!     journal_append  store_append_ns          store
+//!     fsync           store_fsync_ns           store
+//!     queue_wait      engine_queue_wait_ns     worker, per shard claim
+//!     check           engine_check_ns          worker, 1 in 16 runs
+//!     verdict_flush   engine_verdict_flush_ns  worker
+//!     verdict_route   net_verdict_route_ns     router, per verdict frame
+//!     socket_write    net_socket_write_ns      reactor
 //!
 //!   scenario sources: adversary scripts [adversary] · shared-memory
 //!   substrate [shmem] · ABD message-passing sim [abd] (bridged onto
@@ -87,11 +88,9 @@
 //!   ([`Counter`](crate::telemetry::Counter) /
 //!   [`Gauge`](crate::telemetry::Gauge) /
 //!   [`Histogram`](crate::telemetry::Histogram)), the lock-free pipeline
-//!   flight recorder, the sampling distributed tracer
-//!   ([`Tracer`](crate::telemetry::Tracer), spans assembled per wire-
-//!   propagated trace context, Chrome trace-event export), and the
-//!   snapshot / Prometheus exporters — engine, net and store all record
-//!   into one shared [`Telemetry`](crate::telemetry::Telemetry) handle,
+//!   flight recorder, and the snapshot / Prometheus exporters — engine,
+//!   net and store all record into one shared
+//!   [`Telemetry`](crate::telemetry::Telemetry) handle,
 //! * [`abd`] — the ABD message-passing port,
 //! * [`bench`] — the Table 1 reproduction harness and the `drvbench`
 //!   end-to-end benchmark.
