@@ -2,11 +2,11 @@
 //!
 //! Wraps `std::sync` primitives behind the parking_lot API surface the
 //! workspace uses: `Mutex::lock` / `RwLock::read` / `RwLock::write` return
-//! guards directly (poisoning is swallowed — a panicking holder does not
+//! guards directly (poisoning is ignored — a panicking holder does not
 //! poison the lock for everyone else, matching parking_lot semantics), and
 //! `Condvar::wait` takes `&mut MutexGuard` instead of consuming it.
 //!
-//! The `drv-engine` worker pool additionally relies on `try_lock`,
+//! The `drv-engine` worker pool additionally relies on
 //! `Condvar::wait_while` / `wait_for` (with [`WaitTimeoutResult`]) and the
 //! named [`RwLockReadGuard`] / [`RwLockWriteGuard`] types, all mirrored here
 //! with parking_lot's signatures.
@@ -49,18 +49,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             guard: Some(self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner)),
-        }
-    }
-
-    /// Attempts to acquire the lock without blocking; `None` when another
-    /// holder has it (parking_lot returns `Option`, not `Result`).
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(MutexGuard { guard: Some(guard) }),
-            Err(sync::TryLockError::Poisoned(poisoned)) => Some(MutexGuard {
-                guard: Some(poisoned.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
         }
     }
 
@@ -314,15 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn mutex_try_lock_contended_and_free() {
+    fn mutex_get_mut_and_into_inner() {
         let mut m = Mutex::new(5);
-        {
-            let held = m.lock();
-            assert_eq!(*held, 5);
-            assert!(m.try_lock().is_none(), "held elsewhere");
-        }
-        *m.try_lock().expect("free now") = 6;
-        assert_eq!(*m.get_mut(), 6);
+        *m.get_mut() = 6;
+        assert_eq!(*m.lock(), 6);
         assert_eq!(m.into_inner(), 6);
     }
 

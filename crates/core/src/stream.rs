@@ -78,16 +78,16 @@ pub trait ObjectMonitor: Send {
         self.on_batch(&resolve_run(records, arena), verdicts);
     }
 
-    /// Called exactly once when the engine retires the monitor — on
-    /// explicit eviction, idle-TTL expiry, or `finish()` — after the last
-    /// symbol it will ever see.  Returning `Some(verdict)` appends one
+    /// Called exactly once when the engine retires the monitor — at its
+    /// eviction marker or in `finish()` — after the last symbol it will
+    /// ever see.  Returning `Some(verdict)` appends one
     /// closing verdict to the object's stream (e.g. a monitor that buffers
     /// state may settle pending operations here); the default `None` keeps
     /// the stream exactly one-verdict-per-symbol, which is what keeps
     /// engine streams bit-identical to a sequential per-object run.
     /// Closing verdicts reach verdict subscriptions losslessly on the
-    /// explicit-evict path, best-effort (counted as missed when the
-    /// channel is full) from TTL sweeps and `finish()`.
+    /// eviction path, best-effort (counted as missed when the channel is
+    /// full) from `finish()`.
     fn finalize(&mut self) -> Option<Verdict> {
         None
     }

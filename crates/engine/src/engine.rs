@@ -17,7 +17,7 @@
 //!                                                │
 //!                                                ▼
 //!                               verdict subscriptions (bounded channels)
-//!                               + retired-object reports (evict / TTL)
+//!                               + retired-object reports (evict)
 //! ```
 //!
 //! * **Routing.**  Every event is tagged with an [`ObjectId`] and hashed to
@@ -63,9 +63,10 @@
 //! * **Eviction.**  [`MonitoringEngine::evict`] retires a quiesced object's
 //!   monitor through an in-queue marker (so it cannot overtake the object's
 //!   own events), flushing its verdicts into the final report and freeing
-//!   its slot; [`EngineConfig::with_idle_ttl`] does the same automatically
-//!   for objects idle longer than a processed-event TTL.  Per-object state
-//!   therefore stops growing with history length.
+//!   its slot: the monitor and its checker history go, the verdicts stay
+//!   in the report.  A marker is the only mid-run retirement (`finish`
+//!   flushes the rest), so every object's verdict stream is a function of
+//!   the submitted events and markers alone — never of thread timing.
 //! * **Payload interning.**  Queued events are `Copy` records
 //!   ([`EventRecord`] — the workspace-wide interchange type); payloads are
 //!   interned once, into the engine's [`SharedInterner`], on which every
@@ -96,7 +97,7 @@ use drv_core::{ObjectMonitor, ObjectMonitorFactory, Verdict, WorkerPanic};
 use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Word};
 use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -109,12 +110,11 @@ pub struct EngineConfig {
     workers: usize,
     shards: usize,
     max_pending: usize,
-    idle_ttl: Option<u64>,
 }
 
 impl EngineConfig {
     /// A pool of `workers` threads (clamped to ≥ 1) over `4 × workers`
-    /// shards, with unbounded ingestion and no idle-TTL eviction.
+    /// shards, with unbounded ingestion.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
@@ -122,7 +122,6 @@ impl EngineConfig {
             workers,
             shards: workers * 4,
             max_pending: usize::MAX,
-            idle_ttl: None,
         }
     }
 
@@ -145,20 +144,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables idle-TTL eviction (clamped to ≥ 1): an object whose last
-    /// symbol is more than `idle_events` *engine-wide processed events* in
-    /// the past is automatically retired — its monitor finalized, its
-    /// verdicts flushed into the final report, its slot freed — the next
-    /// time its shard is processed or [`MonitoringEngine::sweep_idle`]
-    /// runs.  An object that receives traffic again after retirement gets a
-    /// fresh monitor (its report then concatenates the epochs), so choose a
-    /// TTL past which streams are genuinely quiesced.
-    #[must_use]
-    pub fn with_idle_ttl(mut self, idle_events: u64) -> Self {
-        self.idle_ttl = Some(idle_events.max(1));
-        self
-    }
-
     /// The worker count.
     #[must_use]
     pub fn workers(&self) -> usize {
@@ -169,12 +154,6 @@ impl EngineConfig {
     #[must_use]
     pub fn max_pending(&self) -> usize {
         self.max_pending
-    }
-
-    /// The idle-TTL in processed events, when eviction is enabled.
-    #[must_use]
-    pub fn idle_ttl(&self) -> Option<u64> {
-        self.idle_ttl
     }
 }
 
@@ -218,7 +197,7 @@ fn shard_of(object: ObjectId, shards: usize) -> usize {
 /// these registry cells, and any [`Telemetry`] handle shared with the
 /// engine sees them under the `engine_*` names.
 struct EngineMetrics {
-    /// Processed events (also the idle-TTL clock).
+    /// Events fed to a monitor.
     events: Counter,
     /// Shard claims (each drains the whole shard queue).
     batches: Counter,
@@ -228,7 +207,7 @@ struct EngineMetrics {
     runs: Counter,
     /// Shard claims stolen from another worker's deque.
     steals: Counter,
-    /// Retired monitors (explicit evict + TTL sweeps).
+    /// Monitors retired by an eviction marker.
     evicted: Counter,
     /// Times a worker entered the park wait.
     parks: Counter,
@@ -340,14 +319,6 @@ struct ObjectSlot {
     /// Verdicts already flushed for this object by earlier retirements:
     /// subscription `seq` numbers continue across evictions.
     base: u64,
-    /// Engine-wide processed-event clock at the object's last symbol (the
-    /// idle-TTL reference point).
-    last_seen: u64,
-    /// Replayed-but-already-checkpointed events still to swallow: a
-    /// recovered slot skips its first `skip` symbols instead of feeding
-    /// them (their verdicts were pre-filled from the checkpoint).  Zero on
-    /// every slot created by live traffic.
-    skip: u64,
     /// Fed-event count covered by the object's last journal checkpoint
     /// (the next one is due `JournalSink::checkpoint_interval` later, and
     /// carries the verdicts from here on).  The monitor's own checkpoint
@@ -430,8 +401,8 @@ struct Shared {
     capacity_hook: OnceLock<Arc<dyn Fn() + Send + Sync>>,
     /// Open verdict subscription channels.
     subs: Mutex<Vec<Arc<SubscriptionShared>>>,
-    /// Reports of retired (evicted / TTL-expired) objects, merged into the
-    /// final [`EngineReport`] by `finish`.
+    /// Reports of evicted objects, merged into the final [`EngineReport`]
+    /// by `finish`.
     retired: Mutex<BTreeMap<ObjectId, ObjectReport>>,
     /// The shared observability handle: the `engine_*` metrics live in its
     /// registry, pipeline events in its flight recorder.  Constructed
@@ -450,7 +421,6 @@ struct Shared {
     sink: Mutex<Option<Arc<dyn JournalSink>>>,
     panic: Mutex<Option<WorkerPanic>>,
     max_pending: usize,
-    idle_ttl: Option<u64>,
 }
 
 /// Decrements `pending` by the drained batch size when dropped — on the
@@ -570,21 +540,16 @@ impl Shared {
 
     /// Moves `slot`'s verdict stream (plus its finalize verdict, if any)
     /// into `target`, appending when the object already has a retired
-    /// entry.
-    ///
-    /// `blocking` must only be true where a regular verdict push would be
-    /// allowed to block too (holding at most the shard *state* lock): the
-    /// explicit-evict marker path.  Sweeps hold the shard *queue* lock — a
-    /// blocked push there would dead-lock a producer that is also the
-    /// consumer — and `finish` runs after shutdown, so both deliver
-    /// finalize verdicts best-effort (counted in `missed` when full).
+    /// entry.  The finalize verdict is pushed like any other: blocking on a
+    /// full subscription while the engine is live (the marker path, which
+    /// holds only the shard state lock), best-effort once it shuts down
+    /// (`finish`, where a full channel counts it in `missed`).
     fn flush_slot(
         &self,
         object: ObjectId,
         mut slot: ObjectSlot,
         target: &mut BTreeMap<ObjectId, ObjectReport>,
         subs: &[Arc<SubscriptionShared>],
-        blocking: bool,
     ) {
         // Fold in the checker work the registry has not seen yet — the
         // monitor is about to be dropped.
@@ -600,7 +565,7 @@ impl Shared {
                 verdict,
             }];
             for sub in subs {
-                sub.push_events(&delivery, &|| blocking && self.streaming());
+                sub.push_events(&delivery, &|| self.streaming());
             }
         }
         let entry = target.entry(object).or_insert_with(|| ObjectReport {
@@ -610,63 +575,24 @@ impl Shared {
         entry.verdicts.append(&mut slot.verdicts);
     }
 
-    /// Retires `object`'s monitor: finalize, flush the verdicts into the
-    /// retired map, free the slot.  Returns whether the object had one.
-    fn retire(
-        &self,
-        state: &mut ShardState,
-        object: ObjectId,
-        subs: &[Arc<SubscriptionShared>],
-        blocking: bool,
-    ) -> bool {
+    /// Retires `object`'s monitor at its eviction marker: finalize, flush
+    /// the verdicts into the retired map, free the slot.  A no-op for an
+    /// object without one.
+    fn retire(&self, state: &mut ShardState, object: ObjectId, subs: &[Arc<SubscriptionShared>]) {
         let Some(slot) = state.objects.remove(&object) else {
-            return false;
+            return;
         };
         if let Some(sink) = self.journal() {
             // The tombstone marks the retirement's position in the durable
             // stream: recovery evicts here instead of resurrecting the
-            // object from a stale checkpoint.  (Covers both the explicit
-            // marker and the TTL sweep; the end-of-run `finish` flush goes
-            // through `flush_slot` directly and writes none.)
+            // object from a stale checkpoint.  (The end-of-run `finish`
+            // flush goes through `flush_slot` directly and writes none.)
             sink.tombstone(object);
         }
         let mut retired = self.retired.lock();
-        self.flush_slot(object, slot, &mut retired, subs, blocking);
+        self.flush_slot(object, slot, &mut retired, subs);
         self.m.evicted.inc();
         self.tel.flight(Stage::Evict, object.0, 0, 0, 0);
-        true
-    }
-
-    /// Retires every object of the (queue- and state-locked) shard that has
-    /// no queued work and has been idle ≥ `ttl` processed events.  Requiring
-    /// the queue lock is what makes it safe: no event for a swept object can
-    /// be drained-but-unprocessed, so a retired monitor has truly seen its
-    /// whole stream so far.
-    fn sweep_locked(
-        &self,
-        queue: &ShardQueue,
-        state: &mut ShardState,
-        ttl: u64,
-        subs: &[Arc<SubscriptionShared>],
-    ) -> usize {
-        if state.objects.is_empty() {
-            return 0;
-        }
-        let queued: HashSet<ObjectId> = queue.items.iter().map(QueueItem::object).collect();
-        let clock = self.m.events.get();
-        let stale: Vec<ObjectId> = state
-            .objects
-            .iter()
-            .filter(|(object, slot)| {
-                !queued.contains(object) && clock.saturating_sub(slot.last_seen) >= ttl
-            })
-            .map(|(object, _)| *object)
-            .collect();
-        for object in &stale {
-            // Non-blocking delivery: sweeps run under the shard queue lock.
-            self.retire(state, *object, subs, false);
-        }
-        stale.len()
     }
 
     /// Flushes the coalesced delivery buffer: everything accumulated since
@@ -704,12 +630,10 @@ impl Shared {
     /// verdicts.  Run verdicts accumulate in one delivery buffer, pushed
     /// into each subscription as one slice once it holds
     /// [`DELIVERY_CHUNK`] verdicts and at the end of the claim, so verdict
-    /// latency does not grow with queue depth.  Two things do not depend on
+    /// latency does not grow with queue depth.  Checkpoints do not depend on
     /// the grouping: a run is fed in one call per stretch between the events
     /// at which its object's checkpoints fall due, so checkpoints (and the
-    /// journal's bytes) land where one-event runs put them; and the idle-TTL
-    /// clock reads submission order — a run stamps `last_seen` with its last
-    /// event's position in the drained queue, not its processing position.
+    /// journal's bytes) land where one-event runs put them.
     fn process(&self, shard_index: usize, worker: usize, scratch: &mut WorkerScratch) {
         let shard = &self.shards[shard_index];
         // Swap, not copy: the queue lock is held for O(1), and both buffers
@@ -732,14 +656,13 @@ impl Shared {
             self.tel.observe(scheduled_at, &self.m.queue_wait_ns);
             self.m.batches.inc();
             self.m.queue_depth.sub(drained.len() as i64);
-            let clock = self.m.events.get();
             let items = drained.make_contiguous();
             let mut order = std::mem::take(&mut scratch.order);
             let len = u32::try_from(items.len()).expect("a shard queue holds < 2^32 items");
-            let mut events = 0u32;
+            let mut events = 0u64;
             for (index, item) in (0..len).zip(items.iter()) {
-                order.push(ClaimKey::new(item.object(), index, events));
-                events += u32::from(matches!(item, QueueItem::Event(_)));
+                order.push(ClaimKey::new(item.object(), index));
+                events += u64::from(matches!(item, QueueItem::Event(_)));
             }
             order.sort_unstable();
             let mut runs = 0u64;
@@ -754,7 +677,7 @@ impl Shared {
                     self.flush_delivery(&subs, &mut scratch.delivery);
                     // Marker path holds only the state lock, like event
                     // pushes: finalize verdicts stay lossless while live.
-                    self.retire(&mut state, object, &subs, true);
+                    self.retire(&mut state, object, &subs);
                     at += 1;
                     continue;
                 }
@@ -784,25 +707,16 @@ impl Shared {
                         monitor: self.factory.create_in(object, &self.interner),
                         verdicts: Vec::new(),
                         base,
-                        last_seen: clock,
-                        skip: 0,
                         checkpointed: 0,
                         harvested: CheckerStats::default(),
                     }
                 });
-                // A recovered slot swallows the replayed events its
-                // checkpoint already covers (their verdicts are pre-filled)
-                // and feeds only the suffix.
-                let swallow = slot.skip.min(scratch.run.len() as u64) as usize;
-                slot.skip -= swallow as u64;
                 // Seqs are assigned from the slot's stream position before
                 // the run's verdicts join it.
                 let run_base = slot.base + slot.verdicts.len() as u64;
-                // Checkpoint only a first-generation, fully caught-up slot:
-                // after a retirement (`base > 0`) the journal's tombstone
-                // already ends the object's durable stream, and a
-                // still-swallowing recovered slot (which feeds nothing) would
-                // claim coverage its monitor does not have.
+                // Checkpoint only a first-generation slot: after a
+                // retirement (`base > 0`) the journal's tombstone already
+                // ends the object's durable stream.
                 let checkpoints = sink
                     .as_ref()
                     .filter(|_| slot.base == 0)
@@ -811,7 +725,7 @@ impl Shared {
                 let sampled = scratch.check_tick & (CHECK_SAMPLE - 1) == 1;
                 let check_started = if sampled { self.tel.timer() } else { None };
                 scratch.verdicts.clear();
-                let mut from = swallow;
+                let mut from = 0;
                 while from < scratch.run.len() {
                     // Feed up to the next checkpoint due, so a checkpoint
                     // lands on the same event however a claim grouped the
@@ -870,7 +784,7 @@ impl Shared {
                 }
                 assert_eq!(
                     scratch.verdicts.len(),
-                    scratch.run.len() - swallow,
+                    scratch.run.len(),
                     "an ObjectMonitor::on_records must append exactly one verdict per event"
                 );
                 // Batched delivery: rows accumulate in processing order, so
@@ -886,9 +800,6 @@ impl Shared {
                             },
                         ));
                 }
-                // Submission order, not processing order: the run's last
-                // event's position among the drained events.
-                slot.last_seen = clock + run[run.len() - 1].events_before();
                 if scratch.delivery.len() >= DELIVERY_CHUNK {
                     self.flush_delivery(&subs, &mut scratch.delivery);
                 }
@@ -901,18 +812,14 @@ impl Shared {
             // reads every checker counter of the work that emptied it.
             self.m.fold(&mut scratch.harvested);
             self.flush_delivery(&subs, &mut scratch.delivery);
-            self.m.events.add(u64::from(events));
+            self.m.events.add(events);
             self.m.runs.add(runs);
         }
         drained.clear();
         scratch.drained = drained;
-        // Sweep (under queue→state, the one nesting order used anywhere),
-        // then reschedule or release the claim.
+        // Reschedule or release the claim.
         let reschedule = {
             let mut queue = shard.queue.lock();
-            if let Some(ttl) = self.idle_ttl {
-                self.sweep_locked(&queue, &mut shard.state.lock(), ttl, &subs);
-            }
             if queue.items.is_empty() {
                 queue.scheduled = false;
                 false
@@ -1024,18 +931,16 @@ struct WorkerScratch {
     harvested: CheckerStats,
 }
 
-/// A drained item's grouping key: object, queue index and the number of
-/// events before it in the drain, packed so that sorting plain integers
-/// groups a claim by object in queue order (the index is unique, so the low
-/// field never decides).  Sorting an 8 192-item drain of 2 048 objects
-/// takes ≈ 23 ns per item this way against ≈ 42 ns for the equivalent
-/// `(ObjectId, u32, u32)` tuples.
+/// A drained item's grouping key: object and queue index, packed so that
+/// sorting plain integers groups a claim by object in queue order (the
+/// index is unique, so no two keys tie).  Sorting an 8 192-item drain of
+/// 2 048 objects took ≈ 23 ns per item packed against ≈ 42 ns as tuples.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ClaimKey(u128);
 
 impl ClaimKey {
-    fn new(object: ObjectId, index: u32, events_before: u32) -> Self {
-        ClaimKey(u128::from(object.0) << 64 | u128::from(index) << 32 | u128::from(events_before))
+    fn new(object: ObjectId, index: u32) -> Self {
+        ClaimKey(u128::from(object.0) << 64 | u128::from(index))
     }
 
     fn object(self) -> ObjectId {
@@ -1043,11 +948,7 @@ impl ClaimKey {
     }
 
     fn index(self) -> usize {
-        (self.0 >> 32) as u32 as usize
-    }
-
-    fn events_before(self) -> u64 {
-        u64::from(self.0 as u32)
+        self.0 as u32 as usize
     }
 }
 
@@ -1112,8 +1013,8 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// Feed it interleaved traffic with [`MonitoringEngine::submit_batch`]
 /// (blocking under backpressure) or [`MonitoringEngine::try_submit_batch`];
 /// consume verdicts live through [`MonitoringEngine::subscribe`]; retire
-/// quiesced objects with [`MonitoringEngine::evict`] or an idle TTL; and
-/// collect the aggregate report with [`MonitoringEngine::finish`].
+/// quiesced objects with [`MonitoringEngine::evict`]; and collect the
+/// aggregate report with [`MonitoringEngine::finish`].
 ///
 /// ```
 /// use drv_core::CheckerMonitorFactory;
@@ -1166,13 +1067,14 @@ impl MonitoringEngine {
     /// per-object state — the constructor a durable store uses after a
     /// crash (sharing its handle, so engine, server and store report into
     /// one registry).  Each seed installs its restored monitor with the
-    /// checkpointed verdict prefix pre-filled, so replaying the journal
-    /// suffix re-emits the post-checkpoint verdicts with their original
-    /// `seq` numbers and the final report is identical to an uninterrupted
-    /// run.  `interner` becomes the engine's arena: the seeds' monitors were
-    /// created on it, and the replay interned into it.  Seeds are installed
-    /// before the workers spawn; no journal sink is attached yet (attach one
-    /// *after* replay with [`MonitoringEngine::attach_journal`]).
+    /// checkpointed verdict prefix pre-filled; the caller then submits only
+    /// the seed's events after its checkpoint, whose verdicts carry their
+    /// original `seq` numbers, so the final report is identical to an
+    /// uninterrupted run.  `interner` becomes the engine's arena: the seeds'
+    /// monitors were created on it, and the replay interned into it.  Seeds
+    /// are installed before the workers spawn; no journal sink is attached
+    /// yet (attach one *after* replay with
+    /// [`MonitoringEngine::attach_journal`]).
     #[must_use]
     pub fn with_recovered(
         config: EngineConfig,
@@ -1203,22 +1105,19 @@ impl MonitoringEngine {
             sink: Mutex::new(None),
             panic: Mutex::new(None),
             max_pending: config.max_pending,
-            idle_ttl: config.idle_ttl,
         });
         for seed in seeds {
             let shard_index = shard_of(seed.object, config.shards);
-            let skip = seed.verdicts.len() as u64;
             let mut state = shared.shards[shard_index].state.lock();
             state.objects.insert(
                 seed.object,
                 ObjectSlot {
+                    checkpointed: seed.verdicts.len() as u64,
+                    // The restored work was counted by the run that did it.
+                    harvested: seed.monitor.checker_stats().unwrap_or_default(),
                     monitor: seed.monitor,
                     verdicts: seed.verdicts,
                     base: 0,
-                    last_seen: 0,
-                    skip,
-                    checkpointed: skip,
-                    harvested: CheckerStats::default(),
                 },
             );
         }
@@ -1536,34 +1435,6 @@ impl MonitoringEngine {
         }
     }
 
-    /// Sweeps every unclaimed shard for idle objects (per the
-    /// [`EngineConfig::with_idle_ttl`] policy), retiring them now instead
-    /// of waiting for their shard to see traffic.  Returns the number of
-    /// objects retired; `0` when no TTL is configured.  Uses try-locks, so
-    /// it is safe to call from a thread that also drains subscriptions
-    /// (contended shards are skipped, not waited on).
-    pub fn sweep_idle(&self) -> usize {
-        let Some(ttl) = self.shared.idle_ttl else {
-            return 0;
-        };
-        let subs = self.shared.subscribers();
-        let mut retired = 0;
-        for shard in &self.shared.shards {
-            let Some(queue) = shard.queue.try_lock() else {
-                continue;
-            };
-            if queue.scheduled {
-                // A worker owns this shard; it sweeps on its own claim.
-                continue;
-            }
-            let Some(mut state) = shard.state.try_lock() else {
-                continue;
-            };
-            retired += self.shared.sweep_locked(&queue, &mut state, ttl, &subs);
-        }
-        retired
-    }
-
     /// Attaches a durability tap (see [`crate::journal`] for the contract):
     /// from now on every accepted submission is journaled write-ahead,
     /// monitors are checkpointed every
@@ -1574,12 +1445,6 @@ impl MonitoringEngine {
     /// a second tombstone).  Replaces any previous sink.
     pub fn attach_journal(&self, sink: Arc<dyn JournalSink>) {
         *self.shared.sink.lock() = Some(sink);
-    }
-
-    /// Detaches the journal sink, returning it; subsequent traffic is no
-    /// longer journaled.
-    pub fn detach_journal(&self) -> Option<Arc<dyn JournalSink>> {
-        self.shared.sink.lock().take()
     }
 
     /// Opens a bounded verdict channel (capacity clamped to ≥ 1): every
@@ -1720,7 +1585,7 @@ impl MonitoringEngine {
         for shard in &self.shared.shards {
             let mut state = shard.state.lock();
             for (object, slot) in state.objects.drain() {
-                self.shared.flush_slot(object, slot, &mut objects, &subs, false);
+                self.shared.flush_slot(object, slot, &mut objects, &subs);
             }
         }
         for sub in subs {
@@ -1816,14 +1681,9 @@ mod tests {
         assert_eq!(config.workers(), 1);
         assert_eq!(config.shards, 4);
         assert_eq!(config.max_pending(), usize::MAX);
-        assert_eq!(config.idle_ttl(), None);
-        let config = EngineConfig::new(4)
-            .with_shards(2)
-            .with_max_pending(0)
-            .with_idle_ttl(0);
+        let config = EngineConfig::new(4).with_shards(2).with_max_pending(0);
         assert_eq!(config.shards, 4, "shards clamp to the worker count");
         assert_eq!(config.max_pending(), 1, "max_pending clamps to ≥ 1");
-        assert_eq!(config.idle_ttl(), Some(1), "idle_ttl clamps to ≥ 1");
     }
 
     #[test]
@@ -2041,20 +1901,41 @@ mod tests {
 
     #[test]
     fn evicted_object_report_equals_unevicted_run() {
+        let object = ObjectId(3);
         let events: Vec<(ObjectId, Symbol)> = clean_stream(3);
-        let expected = sequential_reference(factory().as_ref(), &events);
+        let mut expected = sequential_reference(factory().as_ref(), &events)
+            .remove(&object)
+            .expect("the object's stream");
         let engine = MonitoringEngine::new(EngineConfig::new(2), factory());
+        let subscription = engine.subscribe(64);
         for (object, symbol) in &events {
             engine.submit(*object, symbol);
         }
         // Quiesced: no further traffic for the object → evicting must not
         // change its reported stream.
-        engine.evict(ObjectId(3));
-        engine.evict(ObjectId(3)); // double-evict is a no-op
+        engine.evict(object);
+        engine.evict(object); // double-evict is a no-op
         engine.evict(ObjectId(777)); // unknown object is a no-op
+        // Re-traffic after the eviction meets a fresh monitor: reading the
+        // initial value is linearizable again, where the retired monitor
+        // (which saw a write of 7) would answer NO.
+        let revived = vec![
+            (object, Symbol::invoke(ProcId(0), Invocation::Read)),
+            (object, Symbol::respond(ProcId(0), Response::Value(0))),
+        ];
+        for (object, symbol) in &revived {
+            engine.submit(*object, symbol);
+        }
         let report = engine.finish().expect("no panics");
-        assert_eq!(report.verdicts(ObjectId(3)), Some(&expected[&ObjectId(3)][..]));
+        expected.extend(&sequential_reference(factory().as_ref(), &revived)[&object]);
+        assert_eq!(expected.last(), Some(&Verdict::Yes));
+        assert_eq!(report.verdicts(object), Some(&expected[..]), "the epochs concatenate");
         assert_eq!(report.stats.evicted, 1);
+        // Subscription seqs continue across the eviction.
+        let mut received = drv_lang::VerdictBatch::new();
+        subscription.poll_batch(&mut received);
+        assert_eq!(received.seqs(), (0..expected.len() as u64).collect::<Vec<_>>());
+        assert_eq!(received.verdicts(), &expected[..]);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   predecessor (a new object, or the first after a recovery that could
 //!   not seed the object) starts at 0 and carries everything.
 //! * **Tombstones on retirement.**  `tombstone` is called whenever a
-//!   monitor is retired mid-run (explicit evict marker or idle-TTL sweep),
+//!   monitor is retired mid-run, which only its eviction marker does,
 //!   marking the spot in the stream so recovery retires the object at the
 //!   same position instead of resurrecting it from a stale checkpoint.
 //!   The end-of-run `finish()` flush writes none — it is not a retirement.
@@ -60,16 +60,17 @@ pub trait JournalSink: Send + Sync {
     fn checkpoint(&self, object: ObjectId, fed: u64, verdicts: &[Verdict], state: &[u8]);
 
     /// Records that `object`'s monitor was retired at this point of the
-    /// accepted stream (explicit eviction or idle-TTL sweep).
+    /// accepted stream (its eviction marker was processed).
     fn tombstone(&self, object: ObjectId);
 }
 
 /// One object's state handed back by a store's recovery scan, seeding
 /// [`MonitoringEngine::with_recovered`](crate::MonitoringEngine::with_recovered):
-/// the engine installs the monitor, pre-fills the verdict stream (so `seq`
-/// numbering and the final report continue where the crash cut off), and
-/// swallows the object's first `verdicts.len()` replayed events instead of
-/// feeding them again.
+/// the engine installs the monitor and pre-fills the verdict stream (so
+/// `seq` numbering and the final report continue where the crash cut off).
+/// The object's first `verdicts.len()` journaled events are covered: the
+/// store does not submit them again, and the monitor is fed from the next
+/// one on.
 pub struct RecoveredObject {
     /// The object the seed belongs to.
     pub object: ObjectId,

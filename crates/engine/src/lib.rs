@@ -36,10 +36,12 @@
 //! [`MonitoringEngine::submit_batch`] or non-blocking
 //! [`MonitoringEngine::try_submit_batch`]), verdicts stream live through bounded
 //! [`VerdictSubscription`] channels ([`MonitoringEngine::subscribe`]), and
-//! quiesced objects are retired ([`MonitoringEngine::evict`],
-//! [`EngineConfig::with_idle_ttl`]) so per-object state does not grow with
-//! history length.  See [`service`] for the channel semantics and
-//! `tests/service.rs` for the acceptance gates.
+//! quiesced objects are retired by an in-queue marker
+//! ([`MonitoringEngine::evict`]), which frees the monitor and its checker
+//! history; the object's verdicts stay in the final report.  A marker is
+//! the only mid-run retirement, so a verdict stream is a function of the
+//! submitted events and markers alone.  See [`service`] for the channel
+//! semantics and `tests/service.rs` for the acceptance gates.
 //!
 //! ## The batched event path
 //!

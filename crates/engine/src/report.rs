@@ -61,8 +61,8 @@ pub struct EngineStats {
     pub batches: u64,
     /// Shard claims that were stolen from another worker's deque.
     pub steals: u64,
-    /// Objects retired before end-of-stream (explicit `evict` markers and
-    /// idle-TTL sweeps); their verdicts are merged into the report.
+    /// Objects retired before end-of-stream by their `evict` markers; their
+    /// verdicts are merged into the report.
     pub evicted: u64,
     /// Times a worker came back out of the park wait.  Stays flat while
     /// the pool is idle: parking is untimed (epoch-ticketed), not polled.

@@ -32,9 +32,8 @@
 //! every verdict is still in the final report regardless.  One narrow
 //! exception to lossless-while-live: *finalize* verdicts (the optional
 //! closing verdict of `ObjectMonitor::finalize`) are delivered best-effort
-//! when the retirement happens inside a TTL sweep or `finish` — those run
-//! under locks a blocked push could deadlock against — and losslessly on
-//! the explicit `evict` path.
+//! when the retirement happens inside `finish` — which runs after shutdown,
+//! when no push blocks — and losslessly on the `evict` path.
 //!
 //! The channel closes ([`VerdictSubscription::is_closed`]) when `finish`
 //! has delivered the last verdict, when the engine is dropped, **or as soon

@@ -1,6 +1,6 @@
-//! Eviction racing ingestion: `sweep_idle()` / `evict()` interleaved with
-//! concurrent `submit_batch` on the *same* objects, with the merged report
-//! still matching the sequential reference.
+//! Eviction racing ingestion: `evict()` interleaved with concurrent
+//! `submit_batch` on the *same* objects, with the merged report still
+//! matching the sequential reference.
 //!
 //! Two angles:
 //!
@@ -8,15 +8,15 @@
 //!   eviction to a deterministic point of the submission sequence (so the
 //!   retirement boundaries — and therefore the epoch splits of each object's
 //!   monitor — are exactly reproducible) while a second thread hammers
-//!   `sweep_idle()` / `live_stats()` / `backlog()` the whole time.  The
-//!   merged report must be bit-identical to a reference replay that resets
-//!   its per-object monitors at the same points — including streams where a
-//!   pre-eviction epoch latched NO and the post-eviction epoch recovers.
-//! * [`ttl_sweeps_race_round_aligned_ingestion`] turns real TTL retirement
+//!   `live_stats()` / `backlog()` the whole time.  The merged report must
+//!   be bit-identical to a reference replay that resets its per-object
+//!   monitors at the same points — including streams where a pre-eviction
+//!   epoch latched NO and the post-eviction epoch recovers.
+//! * [`evictions_race_round_aligned_ingestion`] turns an evictor thread
 //!   loose against live traffic: object streams are self-contained rounds
 //!   (`write v; ack; read; v`), submitted whole-round-atomically, so *any*
-//!   interleaving of sweeps, random evictions and ingestion retires monitors
-//!   only at round boundaries — where a reset is invisible — and the merged
+//!   interleaving of random evictions and ingestion retires monitors only
+//!   at round boundaries — where a reset is invisible — and the merged
 //!   report must equal the uninterrupted [`sequential_reference`].
 
 use drv_core::{
@@ -28,7 +28,7 @@ use drv_spec::Register;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const PROCESSES: usize = 2;
@@ -88,19 +88,20 @@ fn reference_with_resets(
     verdicts
 }
 
-/// Spawns a thread that hammers the maintenance surface until stopped.
-fn spawn_sweeper(engine: &Arc<MonitoringEngine>, stop: &Arc<AtomicBool>) -> std::thread::JoinHandle<u64> {
+/// Spawns a thread that hammers the read-only maintenance surface until
+/// stopped.
+fn spawn_observer(
+    engine: &Arc<MonitoringEngine>,
+    stop: &Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
     let engine = Arc::clone(engine);
     let stop = Arc::clone(stop);
     std::thread::spawn(move || {
-        let mut sweeps = 0u64;
         while !stop.load(Ordering::Acquire) {
-            sweeps += engine.sweep_idle() as u64;
             let _ = engine.backlog();
             let _ = engine.live_stats();
             std::thread::yield_now();
         }
-        sweeps
     })
 }
 
@@ -133,15 +134,12 @@ fn deterministic_evictions_race_sweeps_and_match_reference() {
         let expected = reference_with_resets(mixed_factory().as_ref(), &events, &evictions);
 
         for workers in [1, 2, 4] {
-            // Huge TTL: the concurrent sweeper races the ingestion path but
-            // must never retire anything on its own (sweeps that find
-            // nothing stale must not corrupt state either).
-            let engine = Arc::new(MonitoringEngine::new(
-                EngineConfig::new(workers).with_idle_ttl(u64::MAX / 2),
-                mixed_factory(),
-            ));
+            // The concurrent observer races the ingestion path; reading
+            // the counters must not disturb what the workers decide.
+            let engine =
+                Arc::new(MonitoringEngine::new(EngineConfig::new(workers), mixed_factory()));
             let stop = Arc::new(AtomicBool::new(false));
-            let sweeper = spawn_sweeper(&engine, &stop);
+            let observer = spawn_observer(&engine, &stop);
             let mut batch = EventBatch::new();
             let mut next_evict = 0;
             for (index, (object, symbol)) in events.iter().enumerate() {
@@ -165,9 +163,8 @@ fn deterministic_evictions_race_sweeps_and_match_reference() {
                 next_evict += 1;
             }
             stop.store(true, Ordering::Release);
-            let swept = sweeper.join().expect("sweeper finished");
-            assert_eq!(swept, 0, "seed {seed}: a u64::MAX/2 TTL must never expire");
-            let engine = Arc::into_inner(engine).expect("sweeper dropped its handle");
+            observer.join().expect("observer finished");
+            let engine = Arc::into_inner(engine).expect("observer dropped its handle");
             let report = engine.finish().expect("no worker panicked");
             assert!(report.stats.evicted >= objects.len() as u64, "seed {seed}");
             for (object, verdicts) in &expected {
@@ -182,14 +179,14 @@ fn deterministic_evictions_race_sweeps_and_match_reference() {
 }
 
 #[test]
-fn ttl_sweeps_race_round_aligned_ingestion() {
+fn evictions_race_round_aligned_ingestion() {
     for seed in 0..4u64 {
         let objects: Vec<ObjectId> = (0..6).map(|i| ObjectId(seed * 8 + i)).collect();
         const ROUNDS: u64 = 12;
         // Clean, self-contained rounds only: a monitor reset at any round
         // boundary is invisible in the verdict stream, so the report is
         // comparable to the uninterrupted reference no matter where the
-        // racy TTL sweeps and evictions land.
+        // racy evictions land.
         let mut events: Vec<(ObjectId, Symbol)> = Vec::new();
         for r in 0..ROUNDS {
             for &object in &objects {
@@ -200,41 +197,47 @@ fn ttl_sweeps_race_round_aligned_ingestion() {
         }
         let expected = sequential_reference(mixed_factory().as_ref(), &events);
         for workers in [1, 4] {
-            let engine = Arc::new(MonitoringEngine::new(
-                // An aggressive one-event TTL: any object pause retires it.
-                EngineConfig::new(workers).with_idle_ttl(1),
-                mixed_factory(),
-            ));
+            let engine =
+                Arc::new(MonitoringEngine::new(EngineConfig::new(workers), mixed_factory()));
             let stop = Arc::new(AtomicBool::new(false));
-            let sweeper = spawn_sweeper(&engine, &stop);
-            // A second antagonist evicting live objects at arbitrary times;
+            let issued = Arc::new(AtomicU64::new(0));
+            // An antagonist evicting live objects at arbitrary times;
             // markers still only ever land at round boundaries because each
             // batch below holds whole rounds and is enqueued atomically per
             // shard.
             let evictor = {
                 let engine = Arc::clone(&engine);
                 let stop = Arc::clone(&stop);
+                let issued = Arc::clone(&issued);
                 let objects = objects.clone();
                 std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xE71C7);
                     while !stop.load(Ordering::Acquire) {
                         engine.evict(objects[rng.gen_range(0..objects.len())]);
+                        issued.fetch_add(1, Ordering::AcqRel);
                         std::thread::yield_now();
                     }
                 })
             };
             for chunk in events.chunks(4 * objects.len()) {
+                let before = issued.load(Ordering::Acquire);
                 engine.submit_batch(&EventBatch::from_stream(chunk, engine.interner()));
+                // Every chunk holds a round of every object, so the first
+                // eviction issued after the first chunk retires a live
+                // monitor: wait for one per chunk, so the race fires however
+                // the threads are scheduled.
+                while issued.load(Ordering::Acquire) == before {
+                    std::thread::yield_now();
+                }
             }
             stop.store(true, Ordering::Release);
-            let swept = sweeper.join().expect("sweeper finished");
             evictor.join().expect("evictor finished");
-            let engine = Arc::into_inner(engine).expect("antagonists dropped their handles");
+            let engine = Arc::into_inner(engine).expect("the evictor dropped its handle");
             let report = engine.finish().expect("no worker panicked");
             // The race must actually fire: something was retired mid-run.
             assert!(
                 report.stats.evicted > 0,
-                "seed {seed}, {workers} workers: no eviction ever raced ingestion ({swept} swept)"
+                "seed {seed}, {workers} workers: no eviction ever raced ingestion"
             );
             assert_eq!(
                 report.stats.events,
@@ -256,7 +259,7 @@ fn ttl_sweeps_race_round_aligned_ingestion() {
 /// *when* tombstones are emitted (checkpointing disabled).
 #[derive(Default)]
 struct RecordingSink {
-    events: std::sync::atomic::AtomicU64,
+    events: AtomicU64,
     tombstones: std::sync::Mutex<Vec<ObjectId>>,
 }
 
@@ -308,41 +311,5 @@ fn retirement_tombstones_fire_once_and_only_at_retirement() {
         *sink.tombstones.lock().unwrap(),
         vec![victim],
         "one tombstone for the evicted object, none for the survivor's end-of-run flush"
-    );
-}
-
-#[test]
-fn ttl_sweep_retirement_also_tombstones() {
-    // The idle-TTL sweep retires through the same retire() path as
-    // explicit eviction, so it must tombstone too — otherwise recovery
-    // would resurrect TTL-retired objects from their stale checkpoints.
-    let sink = Arc::new(RecordingSink::default());
-    let engine = MonitoringEngine::new(EngineConfig::new(2).with_idle_ttl(1), mixed_factory());
-    engine.attach_journal(Arc::clone(&sink) as Arc<dyn drv_engine::JournalSink>);
-    let idle = ObjectId(4);
-    let busy = ObjectId(5);
-    let idle_round: Vec<(ObjectId, Symbol)> =
-        round(1, false).into_iter().map(|symbol| (idle, symbol)).collect();
-    engine.submit_stream(&idle_round, 4);
-    // Advance the event clock with other traffic until a sweep catches the
-    // idle object.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let mut value = 0u64;
-    while !sink.tombstones.lock().unwrap().contains(&idle) {
-        assert!(std::time::Instant::now() < deadline, "the sweep never retired the idle object");
-        value += 1;
-        let busy_round: Vec<(ObjectId, Symbol)> =
-            round(value, false).into_iter().map(|symbol| (busy, symbol)).collect();
-        engine.submit_stream(&busy_round, 4);
-        engine.sweep_idle();
-        std::thread::yield_now();
-    }
-    let report = engine.finish().expect("no worker panicked");
-    assert!(report.stats.evicted > 0);
-    let tombstones = sink.tombstones.lock().unwrap();
-    assert_eq!(
-        tombstones.iter().filter(|&&object| object == idle).count(),
-        1,
-        "the idle object was retired once, so it must tombstone once"
     );
 }

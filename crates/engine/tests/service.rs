@@ -1,6 +1,6 @@
 //! Service-mode acceptance tests: untimed parking (an idle engine performs
 //! **zero** wake-ups over a parked window — the 1 ms-poll band-aid cannot
-//! come back), backpressure, live verdict subscriptions, eviction/TTL, one
+//! come back), backpressure, live verdict subscriptions, eviction, one
 //! payload arena per engine, and the panic-path bookkeeping regressions
 //! (`pending` leak, discarded `Drop` panics).
 
@@ -222,93 +222,6 @@ fn finish_never_deadlocks_on_an_abandoned_full_subscription() {
         "every verdict is either delivered or accounted as missed"
     );
     assert!(subscription.missed() > 0, "capacity 1 over 100 events must miss");
-}
-
-/// Eviction and the idle-TTL sweep free slots without changing what is
-/// reported: a quiesced object's stream is bit-identical to an un-evicted
-/// run, and re-traffic after retirement starts a fresh monitor whose seq
-/// numbers continue where the retired stream left off.  The idle clock
-/// reads submission order even though a claim processes grouped by object.
-#[test]
-fn ttl_sweep_retires_idle_objects_and_keeps_reports_identical() {
-    // Two objects interleaved in one shard, one claim each round.  Object
-    // 20 is processed first (the claim groups by object id), but its last
-    // event is the last one submitted: its `last_seen` must be 23 of 24,
-    // where a processing-order clock would read 3 and the claim's own
-    // sweep would expire it at once.
-    let early = clean_stream(20, 1);
-    let mut round = early[..2].to_vec();
-    round.extend(clean_stream(21, 5));
-    round.extend_from_slice(&early[2..]);
-    let later = clean_stream(21, 4);
-    let engine = MonitoringEngine::new(
-        EngineConfig::new(1).with_shards(1).with_idle_ttl(16),
-        factory(),
-    );
-    // After the second claim object 20 is 40 − 23 = 17 ≥ 16 events idle.
-    for (events, evicted) in [(&round, 0), (&later, 1)] {
-        let mut batch = EventBatch::new();
-        for (object, symbol) in events {
-            batch.push_symbol(*object, symbol, engine.interner());
-        }
-        engine.submit_batch(&batch);
-        assert!(wait_until(Duration::from_secs(10), || engine.backlog() == 0));
-        assert_eq!(
-            engine.live_stats().evicted,
-            evicted,
-            "object 20's idle clock"
-        );
-    }
-    let mut all = round.clone();
-    all.extend(later);
-    let expected = sequential_reference(factory().as_ref(), &all);
-    let report = engine.finish().expect("no panics");
-    for (object, verdicts) in &expected {
-        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "{object}");
-    }
-
-    let idle_events = clean_stream(0, 2);
-    let busy_events = clean_stream(1, 30);
-    let expected_idle = sequential_reference(factory().as_ref(), &idle_events);
-    let engine = MonitoringEngine::new(
-        EngineConfig::new(1).with_idle_ttl(16),
-        factory(),
-    );
-    for (object, symbol) in &idle_events {
-        engine.submit(*object, symbol);
-    }
-    assert!(wait_until(Duration::from_secs(10), || engine.backlog() == 0));
-    // Advance the engine-wide event clock far past the TTL with another
-    // object's traffic, then sweep: the idle object must be retired.
-    for (object, symbol) in &busy_events {
-        engine.submit(*object, symbol);
-    }
-    assert!(wait_until(Duration::from_secs(10), || engine.backlog() == 0));
-    let mut retired = engine.sweep_idle();
-    // The busy object's own shard sweep may have already retired it; what
-    // matters is that the idle object is retired by *some* sweep.
-    assert!(
-        wait_until(Duration::from_secs(10), || {
-            retired += engine.sweep_idle();
-            engine.live_stats().evicted >= 1
-        }),
-        "the idle object was never retired (evicted={}, swept={retired})",
-        engine.live_stats().evicted
-    );
-    // Re-traffic after retirement: fresh monitor, concatenated report.
-    let revived = clean_stream(0, 1);
-    for (object, symbol) in &revived {
-        engine.submit(*object, symbol);
-    }
-    let report = engine.finish().expect("no panics");
-    let stream = report.verdicts(ObjectId(0)).expect("monitored");
-    assert_eq!(stream.len(), idle_events.len() + revived.len());
-    assert_eq!(
-        &stream[..idle_events.len()],
-        &expected_idle[&ObjectId(0)][..],
-        "the retired prefix must be exactly the pre-eviction stream"
-    );
-    assert!(report.stats.evicted >= 1);
 }
 
 /// A monitor with a closing verdict, so an eviction marker pushes one.

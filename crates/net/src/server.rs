@@ -224,8 +224,8 @@ pub struct ServerStats {
     /// Events those batches carried.
     pub events: u64,
     /// Times a batch had to wait out [`SubmitError::Full`] before the
-    /// engine accepted it (each wait parks the connection for one retry
-    /// tick, not one batch).
+    /// engine accepted it (each wait parks the connection until the
+    /// engine's capacity hook wakes the reactor).
     pub engine_full_stalls: u64,
     /// Batches refused with a NACK (credit overrun / oversized).
     pub nacks: u64,
@@ -425,11 +425,6 @@ struct ServerShared {
     /// The engine's capacity hook reads it: freed capacity wakes the
     /// reactor only when something is actually waiting for it.
     parked_hint: AtomicBool,
-    /// Whether the engine accepted this server's capacity hook.  When it
-    /// did (the normal case), parked batches retry on the hook's wake and
-    /// the reactor needs no poll timeout for them; when it did not (a
-    /// pre-hooked engine), the reactor falls back to the retry tick.
-    capacity_hooked: AtomicBool,
     waker: Waker,
     m: NetMetrics,
 }
@@ -532,7 +527,8 @@ struct ConnIo {
     stream: TcpStream,
     assembler: FrameAssembler,
     /// A decoded batch the engine refused with `Full`: reads pause, the
-    /// reactor retries on a short tick.  At most one per connection.
+    /// reactor retries when the engine's capacity hook wakes it.  At most
+    /// one per connection.
     parked: Option<EventBatch>,
     write_buf: Vec<u8>,
     write_pos: usize,
@@ -580,7 +576,7 @@ struct Reactor {
     ready: Vec<crate::reactor::Event>,
     scratch: Vec<u8>,
     next_conn: u64,
-    /// Connections with a parked batch (drives the short retry tick).
+    /// Connections with a parked batch (retried on every wake while > 0).
     parked: usize,
     stop_seen: Option<Instant>,
 }
@@ -613,14 +609,7 @@ impl Reactor {
             if self.stop_seen.is_some() && self.io.is_empty() {
                 break;
             }
-            let timeout = if self.parked > 0 && !self.shared.capacity_hooked.load(Ordering::Acquire)
-            {
-                // Fallback retry tick, only for an engine that refused the
-                // capacity hook (one was already installed).  With the hook
-                // in place a parked batch waits fully event-driven: the
-                // engine wakes the reactor the moment capacity frees.
-                Some(Duration::from_millis(1))
-            } else if self.stop_seen.is_some() {
+            let timeout = if self.stop_seen.is_some() {
                 Some(Duration::from_millis(10))
             } else {
                 // Fully event-driven: the waker covers router pushes, stop
@@ -981,7 +970,8 @@ impl Reactor {
         }
     }
 
-    /// Retries every parked batch once (called on the short tick).
+    /// Retries every parked batch once (called on every reactor wake, the
+    /// capacity hook's included).
     fn retry_parked(&mut self) {
         if self.parked == 0 {
             return;
@@ -1337,7 +1327,7 @@ fn deliver(
             // connection's events in flight *end to end* (submitted but
             // not yet checked), not just its socket buffer.  Capped at
             // what the connection actually consumed, so extra verdicts (a
-            // monitor's finalize on an idle-TTL sweep) can never inflate
+            // monitor's finalize at its eviction marker) can never inflate
             // credit past the window.
             let consumed = conn.consumed.load(Ordering::Acquire);
             let granted = conn.granted.load(Ordering::Acquire);
@@ -1444,7 +1434,10 @@ impl MonitorServer {
     ///
     /// # Errors
     ///
-    /// The bind (or poller setup) error.
+    /// The bind (or poller setup) error, or [`io::ErrorKind::AlreadyExists`]
+    /// when the engine already has a capacity hook
+    /// ([`MonitoringEngine::set_capacity_hook`]): the server installs its
+    /// own, the only thing that wakes a batch parked on a full engine.
     pub fn with_engine(
         addr: impl ToSocketAddrs,
         engine: Arc<MonitoringEngine>,
@@ -1468,7 +1461,6 @@ impl MonitorServer {
             handles: Mutex::new(Vec::new()),
             dirty: Mutex::new(Vec::new()),
             parked_hint: AtomicBool::new(false),
-            capacity_hooked: AtomicBool::new(false),
             waker,
             m: metrics,
         });
@@ -1485,7 +1477,12 @@ impl MonitorServer {
                 }
             }
         }));
-        shared.capacity_hooked.store(hooked, Ordering::Release);
+        if !hooked {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "the engine already has a capacity hook",
+            ));
+        }
         let reactor = Reactor::new(Arc::clone(&shared), listener, wake_rx)?;
         let reactor_handle = std::thread::Builder::new()
             .name("drv-net-io".to_string())

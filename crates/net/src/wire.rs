@@ -149,8 +149,8 @@ pub enum FrameKind {
     Stats = 5,
     /// Clean end-of-stream (either direction).
     Shutdown = 6,
-    /// A journal record: the object was retired (evicted / TTL-swept) at
-    /// this point of the durable stream.  `drv-store` writes these; the TCP
+    /// A journal record: the object was retired (evicted) at this point of
+    /// the durable stream.  `drv-store` writes these; the TCP
     /// server treats one arriving over a connection as a protocol error.
     Evict = 7,
     /// A journal record: an opaque per-object checker checkpoint
@@ -225,7 +225,7 @@ pub struct WireStats {
     pub batches: u64,
     /// Work-stealing migrations.
     pub steals: u64,
-    /// Objects retired (evictions + TTL sweeps).
+    /// Objects retired by eviction markers.
     pub evicted: u64,
     /// Returns from the worker park (flat while idle).
     pub park_wakeups: u64,

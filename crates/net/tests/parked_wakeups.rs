@@ -3,18 +3,20 @@
 //! with a batch parked on [`SubmitError::Full`] performs **zero** poller
 //! wake-ups while the engine stays full — the 1 ms retry tick cannot come
 //! back — and still un-parks promptly the moment capacity frees, because
-//! the engine's capacity hook wakes it.  And the same bar for a server
-//! with nothing to do at all: reactor, router and engine workers of an idle
-//! server all sleep untimed, as does the connected client.
+//! the engine's capacity hook wakes it.  The hook is the only such wake, so
+//! a server refuses an engine that is already hooked.  And the same bar for
+//! a server with nothing to do at all: reactor, router and engine workers
+//! of an idle server all sleep untimed, as does the connected client.
 //!
 //! [`SubmitError::Full`]: drv_engine::SubmitError::Full
 
 mod common;
 
 use common::{wait_until, Gate, GatedFactory, DEADLINE};
-use drv_engine::EngineConfig;
+use drv_engine::{EngineConfig, MonitoringEngine};
 use drv_lang::{Invocation, ObjectId, ProcId, Symbol};
 use drv_net::{MonitorClient, MonitorServer, ServerConfig};
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,6 +78,27 @@ fn parked_reactor_performs_zero_wakeups_until_capacity_frees() {
     client.shutdown().expect("clean goodbye");
     let report = server.shutdown().expect("no worker panicked");
     assert_eq!(report.stats.events, 5);
+}
+
+/// A batch parked on a full engine waits for the server's own capacity hook,
+/// so an engine someone else hooked first is refused, not served with a
+/// parked batch that nothing would wake.
+#[test]
+fn an_engine_hooked_elsewhere_is_refused() {
+    let engine = Arc::new(MonitoringEngine::new(
+        EngineConfig::new(1).with_max_pending(4),
+        Arc::new(GatedFactory::new(Gate::opened())),
+    ));
+    assert!(engine.set_capacity_hook(Arc::new(|| {})));
+    let refused =
+        MonitorServer::with_engine(("127.0.0.1", 0), Arc::clone(&engine), ServerConfig::new());
+    assert_eq!(
+        refused.err().map(|error| error.kind()),
+        Some(io::ErrorKind::AlreadyExists)
+    );
+    // Nothing of the refused server holds on to the engine.
+    let engine = Arc::into_inner(engine).expect("the refused server dropped its handle");
+    engine.finish().expect("no worker panicked");
 }
 
 /// Idle is silent: with one client connected and nothing in flight, the

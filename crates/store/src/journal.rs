@@ -9,8 +9,8 @@
 //! * [`FrameKind::Batch`] — one accepted [`EventBatch`], exactly as it
 //!   would travel over a connection (self-contained per-frame
 //!   dictionaries), appended **write-ahead** of its enqueue;
-//! * [`FrameKind::Evict`] — the object was retired (explicit eviction or
-//!   idle-TTL sweep) at this point of the accepted stream;
+//! * [`FrameKind::Evict`] — the object's eviction marker retired its
+//!   monitor at this point of the accepted stream (a tombstone);
 //! * [`FrameKind::Checkpoint`] — a store-owned record (layout below)
 //!   carrying what one object's serialized checker state and verdict
 //!   stream gained since its previous checkpoint, appended **after** the

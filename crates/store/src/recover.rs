@@ -31,14 +31,16 @@
 //! contract), with the chain's verdicts, concatenated, pre-filled.  The
 //! state a record extends is a pure function of the object's first `base`
 //! journaled events, so a record links to any chain that ends there,
-//! whichever run wrote either.  The engine then swallows the first `fed`
-//! replayed events of the object and feeds the rest, so the suffix
-//! verdicts are re-decided by the same deterministic checker from the
-//! same state — and carry their original `seq` numbers, letting a
-//! reconnecting client resume from its cursor.  A chain any record of
-//! which fails [`ObjectMonitor::restore`] (corrupt state that survived
-//! the CRC, a factory change) is dropped, not trusted: the object falls
-//! back to full replay, which is slower and equally exact.
+//! whichever run wrote either.  Replay then drops the object's first `fed`
+//! events from the scanned batches and submits the rest, so the engine
+//! feeds its monitor exactly the suffix: those verdicts are re-decided by
+//! the same deterministic checker from the same state — and carry their
+//! original `seq` numbers, letting a reconnecting client resume from its
+//! cursor.  The cut is exact because a seeded object has no Evict record
+//! anywhere in the file (one would have dropped its chain).  A chain any
+//! record of which fails [`ObjectMonitor::restore`] (corrupt state that
+//! survived the CRC, a factory change) is dropped, not trusted: the object
+//! falls back to full replay, which is slower and equally exact.
 //!
 //! [`ObjectMonitor::restore`]: drv_core::ObjectMonitor::restore
 
@@ -46,7 +48,7 @@ use crate::error::StoreError;
 use crate::journal::{CheckpointRecord, JournalRecord, Store, StoreConfig};
 use drv_core::ObjectMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine, RecoveredObject};
-use drv_lang::{ObjectId, SharedInterner};
+use drv_lang::{EventBatch, ObjectId, SharedInterner};
 use drv_net::{MonitorServer, ServerConfig};
 use drv_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
@@ -59,13 +61,13 @@ use std::sync::Arc;
 pub struct RecoveryStats {
     /// Bytes truncated off a torn tail at open.
     pub truncated_bytes: u64,
-    /// Batch records replayed.
+    /// Batch records scanned for replay.
     pub batches: u64,
-    /// Events those batches carried (pre-checkpoint events included — the
-    /// engine swallows, rather than re-feeds, the covered prefix).
+    /// Events those batches carried, checkpoint-covered ones included.
     pub replayed_events: u64,
-    /// Events covered by accepted checkpoint chains (swallowed, not
-    /// re-fed).
+    /// Events covered by accepted checkpoint chains: dropped from the
+    /// batches before submission, never fed again (the engine processes
+    /// `replayed_events − skipped_events`).
     pub skipped_events: u64,
     /// Objects seeded from a checkpoint chain.
     pub seeded_objects: usize,
@@ -179,6 +181,9 @@ pub fn recover_with(
     // by record; a refusal means full replay for that object, never a
     // half-trusted state.
     let mut recovered: Vec<RecoveredObject> = Vec::with_capacity(chains.len());
+    // Per seeded object, how many of its journaled events the chain still
+    // covers as replay walks the batches.
+    let mut covered: HashMap<ObjectId, u64> = HashMap::new();
     for (object, chain) in chains {
         let Some(fed) = chain.last().map(|last| last.fed) else {
             continue;
@@ -186,6 +191,7 @@ pub fn recover_with(
         let mut monitor = factory.create_in(object, &arena);
         if chain.iter().all(|record| monitor.restore(&record.state).is_ok()) {
             stats.skipped_events += fed;
+            covered.insert(object, fed);
             let verdicts = chain.into_iter().flat_map(|record| record.verdicts).collect();
             recovered.push(RecoveredObject { object, monitor, verdicts });
         } else {
@@ -196,7 +202,8 @@ pub fn recover_with(
 
     // Pass 2 — replay the scanned batches, whose ids are already the
     // engine's, through the batched submit path, no sink attached:
-    // recovery must not re-journal what it reads.  Eviction records replay
+    // recovery must not re-journal what it reads.  Each batch goes in
+    // without the events a seed's chain covers.  Eviction records replay
     // as evict() calls, which queue FIFO behind the events before them —
     // reproducing the retirement position, so tombstoned objects are
     // retired again instead of resurrected.
@@ -207,7 +214,9 @@ pub fn recover_with(
             JournalRecord::Batch(batch) => {
                 stats.batches += 1;
                 stats.replayed_events += batch.len() as u64;
-                engine.submit_batch(&batch);
+                // A batch left empty is not submitted (`submit_batch`
+                // ignores it).
+                engine.submit_batch(&uncovered(batch, &mut covered));
             }
             JournalRecord::Evict(object) => {
                 stats.tombstones += 1;
@@ -223,6 +232,31 @@ pub fn recover_with(
     engine.wait_drained();
     engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
     Ok(Recovery { engine, store, stats })
+}
+
+/// `batch` without the events `covered` still claims — each seeded object's
+/// first journaled events, counted off as replay meets them.  A batch no
+/// seed covers passes through as it is.
+fn uncovered(batch: EventBatch, covered: &mut HashMap<ObjectId, u64>) -> EventBatch {
+    if covered.is_empty() || !batch.runs().any(|(object, _)| covered.contains_key(&object)) {
+        return batch;
+    }
+    let mut suffix = EventBatch::with_capacity(batch.len());
+    for (object, range) in batch.runs() {
+        let mut from = range.start;
+        if let Some(left) = covered.get_mut(&object) {
+            let cut = (*left).min(range.len() as u64);
+            *left -= cut;
+            from += cut as usize;
+            if *left == 0 {
+                covered.remove(&object);
+            }
+        }
+        for index in from..range.end {
+            suffix.push(batch.get(index));
+        }
+    }
+    suffix
 }
 
 /// The durable [`MonitorServer`] constructor: recovers (or freshly opens)

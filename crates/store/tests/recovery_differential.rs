@@ -441,22 +441,39 @@ fn recover_and_check(path: &PathBuf, events: &[(ObjectId, Symbol)], config: Stor
     skipped
 }
 
-#[test]
-fn a_chain_stops_at_a_missing_checkpoint() {
-    // Twelve events per object at interval 4: chains of three records, the
-    // first a full form and the others deltas.  Without the middle record
-    // the last one extends a state nobody restores; recovery must seed
-    // from the first alone and replay the rest.
-    let config = StoreConfig::new()
-        .with_checkpoint_interval(4)
-        .with_fsync(FsyncPolicy::Never);
+/// Twelve events per object at interval 4, journaled in order: chains of
+/// three records, the first a full form and the others deltas.  Returns
+/// the journal's path, its events and its bytes.
+fn chain_fixture(config: StoreConfig) -> (PathBuf, Vec<(ObjectId, Symbol)>, Vec<u8>) {
     let events = seeded_stream(7, 2, 3);
     let path = journal_path("gap");
     journal_in_order(&path, &events, config);
     let buf = std::fs::read(&path).expect("journal readable");
-    let frames = checkpoint_frames(&buf);
-    let mut links: Vec<(ObjectId, u64, u64)> =
-        frames.iter().map(|(_, object, base, fed)| (*object, *base, *fed)).collect();
+    (path, events, buf)
+}
+
+/// `buf` without each object's middle checkpoint record (base 4).
+fn splice_middle_records(buf: &[u8]) -> Vec<u8> {
+    let mut spliced = buf.to_vec();
+    let frames = checkpoint_frames(buf);
+    for (range, _, _, _) in frames.iter().filter(|(_, _, base, _)| *base == 4).rev() {
+        spliced.drain(range.clone());
+    }
+    spliced
+}
+
+#[test]
+fn a_chain_stops_at_a_missing_checkpoint() {
+    // Without the middle record the last one extends a state nobody
+    // restores; recovery must seed from the first alone and replay the rest.
+    let config = StoreConfig::new()
+        .with_checkpoint_interval(4)
+        .with_fsync(FsyncPolicy::Never);
+    let (path, events, buf) = chain_fixture(config);
+    let mut links: Vec<(ObjectId, u64, u64)> = checkpoint_frames(&buf)
+        .iter()
+        .map(|(_, object, base, fed)| (*object, *base, *fed))
+        .collect();
     links.sort_unstable();
     // `seeded_stream`'s objects: a LIN one and an SC one.
     let objects = [ObjectId(7 * 64), ObjectId(7 * 64 + 1)];
@@ -466,17 +483,43 @@ fn a_chain_stops_at_a_missing_checkpoint() {
     );
     assert_eq!(recover_and_check(&path, &events, config), 24, "whole chains seed");
 
-    // Splice each object's middle record out.
-    let mut spliced = buf.clone();
-    for (range, _, _, _) in frames.iter().filter(|(_, _, base, _)| *base == 4).rev() {
-        spliced.drain(range.clone());
-    }
-    std::fs::write(&path, &spliced).expect("write spliced journal");
+    std::fs::write(&path, splice_middle_records(&buf)).expect("write spliced journal");
     assert_eq!(
         recover_and_check(&path, &events, config),
         8,
         "each chain stops at its gap"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Recovery hands the engine only what the checkpoint chains do not cover:
+/// every event the engine processes is one its checkers check, and their
+/// number is the replayed events less the covered ones.
+#[test]
+fn recovery_feeds_the_engine_only_the_uncovered_suffix() {
+    let config = StoreConfig::new()
+        .with_checkpoint_interval(4)
+        .with_fsync(FsyncPolicy::Never);
+    let (path, events, buf) = chain_fixture(config);
+    for (journal, covered) in [(buf.clone(), 24), (splice_middle_records(&buf), 8)] {
+        std::fs::write(&path, journal).expect("write the journal");
+        let recovery =
+            recover(&path, config, EngineConfig::new(2), mixed_factory()).expect("recovers");
+        let stats = recovery.stats;
+        assert_eq!((stats.replayed_events, stats.skipped_events), (24, covered));
+        let telemetry = Arc::clone(recovery.engine.telemetry());
+        let report = recovery.engine.finish().expect("no worker panicked");
+        let checks = telemetry.snapshot().counter("engine_checker_checks");
+        assert_eq!(
+            report.stats.events,
+            stats.replayed_events - stats.skipped_events,
+            "{covered} covered: the engine processed covered events"
+        );
+        assert_eq!(checks, Some(report.stats.events), "{covered} covered");
+        for (object, verdicts) in sequential_reference(mixed_factory().as_ref(), &events) {
+            assert_eq!(report.verdicts(object), Some(&verdicts[..]), "{object:?}");
+        }
+    }
     let _ = std::fs::remove_file(&path);
 }
 

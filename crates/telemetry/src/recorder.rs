@@ -40,7 +40,7 @@ pub enum Stage {
     JournalAppend = 5,
     /// A checkpoint written (or skipped oversized) for an object.
     Checkpoint = 6,
-    /// An object's monitor retired (evict, TTL, finish).
+    /// An object's monitor retired at its eviction marker.
     Evict = 7,
     /// A NACK sent to a client (aux carries the reason code).
     Nack = 8,
