@@ -37,7 +37,10 @@ use std::sync::Arc;
 ///
 /// Implementations are `Send` (engine shards migrate between worker
 /// threads) and must be deterministic: the verdict sequence is a pure
-/// function of the symbol sequence.
+/// function of the symbol sequence.  A monitor reports exactly one verdict
+/// per symbol and nothing else — there is no closing verdict: the engine
+/// retires a monitor by dropping it, and an object's `seq` is its event
+/// index.
 pub trait ObjectMonitor: Send {
     /// Human-readable name (for reports; allocation-free like
     /// [`crate::Monitor::name`]).
@@ -76,20 +79,6 @@ pub trait ObjectMonitor: Send {
         verdicts: &mut Vec<Verdict>,
     ) {
         self.on_batch(&resolve_run(records, arena), verdicts);
-    }
-
-    /// Called exactly once when the engine retires the monitor — at its
-    /// eviction marker or in `finish()` — after the last symbol it will
-    /// ever see.  Returning `Some(verdict)` appends one
-    /// closing verdict to the object's stream (e.g. a monitor that buffers
-    /// state may settle pending operations here); the default `None` keeps
-    /// the stream exactly one-verdict-per-symbol, which is what keeps
-    /// engine streams bit-identical to a sequential per-object run.
-    /// Closing verdicts reach verdict subscriptions losslessly on the
-    /// eviction path, best-effort (counted as missed when the channel is
-    /// full) from `finish()`.
-    fn finalize(&mut self) -> Option<Verdict> {
-        None
     }
 
     /// The underlying consistency-checker counters, when the monitor is

@@ -12,12 +12,13 @@
 //!                                            idle workers steal)
 //!                                                │
 //!                                                ▼
-//!                               per-object ObjectMonitor state machines
-//!                               (created on first sight via the factory)
+//!                               per-object slots: an ObjectMonitor
+//!                               (created on first sight via the factory,
+//!                               dropped at an eviction marker) and the
+//!                               object's whole verdict stream
 //!                                                │
 //!                                                ▼
 //!                               verdict subscriptions (bounded channels)
-//!                               + retired-object reports (evict)
 //! ```
 //!
 //! * **Routing.**  Every event is tagged with an [`ObjectId`] and hashed to
@@ -62,11 +63,12 @@
 //!   content never do.
 //! * **Eviction.**  [`MonitoringEngine::evict`] retires a quiesced object's
 //!   monitor through an in-queue marker (so it cannot overtake the object's
-//!   own events), flushing its verdicts into the final report and freeing
-//!   its slot: the monitor and its checker history go, the verdicts stay
-//!   in the report.  A marker is the only mid-run retirement (`finish`
-//!   flushes the rest), so every object's verdict stream is a function of
-//!   the submitted events and markers alone — never of thread timing.
+//!   own events): the monitor and its checker history are dropped, the
+//!   object's slot — and its verdict stream — stays in its shard.  Later
+//!   traffic installs a fresh monitor on the same slot, so `seq` is always
+//!   the stream's length.  A marker adds no verdict and is the only mid-run
+//!   retirement, so every object's verdict stream is a function of the
+//!   submitted events and markers alone — never of thread timing.
 //! * **Payload interning.**  Queued events are `Copy` records
 //!   ([`EventRecord`] — the workspace-wide interchange type); payloads are
 //!   interned once, into the engine's [`SharedInterner`], on which every
@@ -226,7 +228,7 @@ struct EngineMetrics {
     /// runs per worker (see the constant's docs).
     check_ns: Histogram,
     /// Memo-relevant checker counters, harvested as deltas from
-    /// [`ObjectMonitor::checker_stats`] after each run / at retirement.
+    /// [`ObjectMonitor::checker_stats`] after each run.
     checker_checks: Counter,
     checker_fast_path: Counter,
     checker_splices: Counter,
@@ -236,9 +238,8 @@ struct EngineMetrics {
     /// NOs answered without a search: final under LIN, standing under SC.
     checker_latched: Counter,
     /// Coalesced verdict deliveries into subscriptions (one per flush of the
-    /// delivery buffer — once it holds [`DELIVERY_CHUNK`] verdicts, before an
-    /// eviction, at the end of a claim — regardless of the subscriber
-    /// count).
+    /// delivery buffer — once it holds [`DELIVERY_CHUNK`] verdicts, and at
+    /// the end of a claim — regardless of the subscriber count).
     verdict_batches: Counter,
     /// Verdicts delivered through those batches.
     verdict_batch_events: Counter,
@@ -282,11 +283,11 @@ impl EngineMetrics {
         }
     }
 
-    /// The monitor's monotone checker counters as deltas against the slot's
-    /// last harvest, added onto `into`; the slot's watermark moves up, so
-    /// each run and the retirement count exactly the new work.
+    /// The live monitor's monotone checker counters as deltas against the
+    /// slot's last harvest, added onto `into`; the slot's watermark moves
+    /// up, so each run counts exactly its new work.
     fn harvest(slot: &mut ObjectSlot, into: &mut CheckerStats) {
-        let Some(now) = slot.monitor.checker_stats() else {
+        let Some(now) = slot.monitor.as_ref().and_then(|monitor| monitor.checker_stats()) else {
             return;
         };
         let last = slot.harvested;
@@ -313,21 +314,42 @@ impl EngineMetrics {
     }
 }
 
+/// One object's place in its shard, from first sight to `finish`.
 struct ObjectSlot {
-    monitor: Box<dyn ObjectMonitor>,
-    verdicts: Vec<Verdict>,
-    /// Verdicts already flushed for this object by earlier retirements:
-    /// subscription `seq` numbers continue across evictions.
-    base: u64,
+    /// The live monitor; `None` from an eviction marker until the object's
+    /// next event installs a fresh one.
+    monitor: Option<Box<dyn ObjectMonitor>>,
+    /// The object's verdict stream across all its monitors: the verdict
+    /// with `seq` s sits at index s.
+    report: ObjectReport,
     /// Fed-event count covered by the object's last journal checkpoint
     /// (the next one is due `JournalSink::checkpoint_interval` later, and
     /// carries the verdicts from here on).  The monitor's own checkpoint
     /// mark sits at the same count: both move together, and a recovered
-    /// slot starts both at its restored count.
-    checkpointed: u64,
-    /// Checker counters already folded into the registry (the harvest
-    /// watermark; see [`EngineMetrics::harvest`]).
+    /// slot starts both at its restored count.  `None` once a tombstone
+    /// ended the object's durable stream: later monitors are never
+    /// checkpointed.
+    checkpointed: Option<u64>,
+    /// Checker counters of the live monitor already folded into the
+    /// registry (the harvest watermark; see [`EngineMetrics::harvest`]).
     harvested: CheckerStats,
+}
+
+impl ObjectSlot {
+    /// A slot whose stream starts with `verdicts` (a recovered prefix, or
+    /// nothing), fed to `monitor` and covered by a checkpoint.
+    fn new(monitor: Box<dyn ObjectMonitor>, verdicts: Vec<Verdict>) -> Self {
+        ObjectSlot {
+            checkpointed: Some(verdicts.len() as u64),
+            // A restored monitor's work was counted by the run that did it.
+            harvested: monitor.checker_stats().unwrap_or_default(),
+            report: ObjectReport {
+                verdicts,
+                monitor: monitor.name().into_owned(),
+            },
+            monitor: Some(monitor),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -401,9 +423,6 @@ struct Shared {
     capacity_hook: OnceLock<Arc<dyn Fn() + Send + Sync>>,
     /// Open verdict subscription channels.
     subs: Mutex<Vec<Arc<SubscriptionShared>>>,
-    /// Reports of evicted objects, merged into the final [`EngineReport`]
-    /// by `finish`.
-    retired: Mutex<BTreeMap<ObjectId, ObjectReport>>,
     /// The shared observability handle: the `engine_*` metrics live in its
     /// registry, pipeline events in its flight recorder.  Constructed
     /// passive (counters only, no clock reads) unless the engine was built
@@ -538,59 +557,26 @@ impl Shared {
         None
     }
 
-    /// Moves `slot`'s verdict stream (plus its finalize verdict, if any)
-    /// into `target`, appending when the object already has a retired
-    /// entry.  The finalize verdict is pushed like any other: blocking on a
-    /// full subscription while the engine is live (the marker path, which
-    /// holds only the shard state lock), best-effort once it shuts down
-    /// (`finish`, where a full channel counts it in `missed`).
-    fn flush_slot(
-        &self,
-        object: ObjectId,
-        mut slot: ObjectSlot,
-        target: &mut BTreeMap<ObjectId, ObjectReport>,
-        subs: &[Arc<SubscriptionShared>],
-    ) {
-        // Fold in the checker work the registry has not seen yet — the
-        // monitor is about to be dropped.
-        let mut unseen = CheckerStats::default();
-        EngineMetrics::harvest(&mut slot, &mut unseen);
-        self.m.fold(&mut unseen);
-        if let Some(verdict) = slot.monitor.finalize() {
-            let seq = slot.base + slot.verdicts.len() as u64;
-            slot.verdicts.push(verdict);
-            let delivery = [VerdictEvent {
-                object,
-                seq,
-                verdict,
-            }];
-            for sub in subs {
-                sub.push_events(&delivery, &|| self.streaming());
-            }
-        }
-        let entry = target.entry(object).or_insert_with(|| ObjectReport {
-            monitor: slot.monitor.name().into_owned(),
-            verdicts: Vec::new(),
-        });
-        entry.verdicts.append(&mut slot.verdicts);
-    }
-
-    /// Retires `object`'s monitor at its eviction marker: finalize, flush
-    /// the verdicts into the retired map, free the slot.  A no-op for an
-    /// object without one.
-    fn retire(&self, state: &mut ShardState, object: ObjectId, subs: &[Arc<SubscriptionShared>]) {
-        let Some(slot) = state.objects.remove(&object) else {
+    /// Retires `object`'s monitor at its eviction marker: the tombstone
+    /// goes into the journal and the monitor is dropped; the slot and its
+    /// verdict stream stay.  A no-op for an object without a live monitor.
+    fn retire(&self, state: &mut ShardState, object: ObjectId) {
+        let Some(slot) = state.objects.get_mut(&object).filter(|slot| slot.monitor.is_some())
+        else {
             return;
         };
         if let Some(sink) = self.journal() {
             // The tombstone marks the retirement's position in the durable
             // stream: recovery evicts here instead of resurrecting the
-            // object from a stale checkpoint.  (The end-of-run `finish`
-            // flush goes through `flush_slot` directly and writes none.)
+            // object from a stale checkpoint.  (`finish` retires nothing
+            // and writes none.)
             sink.tombstone(object);
         }
-        let mut retired = self.retired.lock();
-        self.flush_slot(object, slot, &mut retired, subs);
+        // Each run's checker work was harvested as it ran; the next
+        // monitor's counters start from zero.
+        slot.monitor = None;
+        slot.checkpointed = None;
+        slot.harvested = CheckerStats::default();
         self.m.evicted.inc();
         self.tel.flight(Stage::Evict, object.0, 0, 0, 0);
     }
@@ -625,9 +611,8 @@ impl Shared {
     /// [`ObjectMonitor::on_records`] — one slot lookup, one monitor call and
     /// one walk over the object's cold state per object per claim, however
     /// the producers interleaved the objects.  A marker retires the monitor
-    /// exactly between the events around it, after flushing the delivery
-    /// buffer, so a finalize verdict never overtakes buffered event
-    /// verdicts.  Run verdicts accumulate in one delivery buffer, pushed
+    /// exactly between the events around it, and the object's next run
+    /// meets a fresh one.  Run verdicts accumulate in one delivery buffer, pushed
     /// into each subscription as one slice once it holds
     /// [`DELIVERY_CHUNK`] verdicts and at the end of the claim, so verdict
     /// latency does not grow with queue depth.  Checkpoints do not depend on
@@ -671,13 +656,7 @@ impl Shared {
             while at < order.len() {
                 let object = order[at].object();
                 if let QueueItem::Evict(_) = items[order[at].index()] {
-                    // The finalize verdict must not overtake this claim's
-                    // still-buffered event verdicts for the same object:
-                    // flush the coalesced deliveries first, then retire.
-                    self.flush_delivery(&subs, &mut scratch.delivery);
-                    // Marker path holds only the state lock, like event
-                    // pushes: finalize verdicts stay lossless while live.
-                    self.retire(&mut state, object, &subs);
+                    self.retire(&mut state, object);
                     at += 1;
                     continue;
                 }
@@ -696,31 +675,16 @@ impl Shared {
                     QueueItem::Evict(_) => unreachable!("runs contain only events"),
                 }));
                 let slot = state.objects.entry(object).or_insert_with(|| {
-                    // Seq numbers continue where a prior retirement of the
-                    // same object left off.
-                    let base = self
-                        .retired
-                        .lock()
-                        .get(&object)
-                        .map_or(0, |report| report.verdicts.len() as u64);
-                    ObjectSlot {
-                        monitor: self.factory.create_in(object, &self.interner),
-                        verdicts: Vec::new(),
-                        base,
-                        checkpointed: 0,
-                        harvested: CheckerStats::default(),
-                    }
+                    ObjectSlot::new(self.factory.create_in(object, &self.interner), Vec::new())
                 });
+                // A retired slot's next run meets a fresh monitor.
+                let monitor = slot
+                    .monitor
+                    .get_or_insert_with(|| self.factory.create_in(object, &self.interner));
                 // Seqs are assigned from the slot's stream position before
                 // the run's verdicts join it.
-                let run_base = slot.base + slot.verdicts.len() as u64;
-                // Checkpoint only a first-generation slot: after a
-                // retirement (`base > 0`) the journal's tombstone already
-                // ends the object's durable stream.
-                let checkpoints = sink
-                    .as_ref()
-                    .filter(|_| slot.base == 0)
-                    .map(|sink| (sink, sink.checkpoint_interval()));
+                let run_base = slot.report.verdicts.len() as u64;
+                let checkpoints = sink.as_ref().map(|sink| (sink, sink.checkpoint_interval()));
                 scratch.check_tick = scratch.check_tick.wrapping_add(1);
                 let sampled = scratch.check_tick & (CHECK_SAMPLE - 1) == 1;
                 let check_started = if sampled { self.tel.timer() } else { None };
@@ -731,42 +695,46 @@ impl Shared {
                     // lands on the same event however a claim grouped the
                     // object's traffic.
                     let mut to = scratch.run.len();
-                    if let Some((_, interval)) = checkpoints {
-                        let due = slot
-                            .checkpointed
+                    if let (Some((_, interval)), Some(checkpointed)) =
+                        (checkpoints, slot.checkpointed)
+                    {
+                        let due = checkpointed
                             .saturating_add(interval)
-                            .saturating_sub(slot.verdicts.len() as u64)
+                            .saturating_sub(slot.report.verdicts.len() as u64)
                             .max(1);
                         if due < (to - from) as u64 {
                             to = from + due as usize;
                         }
                     }
                     let fed_before = scratch.verdicts.len();
-                    slot.monitor.on_records(
+                    monitor.on_records(
                         &scratch.run[from..to],
                         &self.interner,
                         &mut scratch.verdicts,
                     );
                     runs += 1;
-                    slot.verdicts
+                    slot.report
+                        .verdicts
                         .extend_from_slice(&scratch.verdicts[fed_before..]);
                     from = to;
-                    let Some((sink, interval)) = checkpoints else {
+                    let (Some((sink, interval)), Some(checkpointed)) =
+                        (checkpoints, slot.checkpointed)
+                    else {
                         continue;
                     };
-                    let fed = slot.verdicts.len() as u64;
-                    if fed >= slot.checkpointed.saturating_add(interval) {
-                        if let Some(state) = slot.monitor.checkpoint() {
-                            let since = usize::try_from(slot.checkpointed)
+                    let fed = slot.report.verdicts.len() as u64;
+                    if fed >= checkpointed.saturating_add(interval) {
+                        if let Some(state) = monitor.checkpoint() {
+                            let since = usize::try_from(checkpointed)
                                 .expect("checkpointed events are in memory");
-                            sink.checkpoint(object, fed, &slot.verdicts[since..], &state);
+                            sink.checkpoint(object, fed, &slot.report.verdicts[since..], &state);
                             self.tel
                                 .flight(Stage::Checkpoint, object.0, fed, worker as u16, 0);
                         }
                         // Monitors without checkpoint support advance the
                         // watermark too — the interval gates the *probe*,
                         // recovery falls back to full replay for them.
-                        slot.checkpointed = fed;
+                        slot.checkpointed = Some(fed);
                     }
                 }
                 self.tel.observe(check_started, &self.m.check_ns);
@@ -829,8 +797,9 @@ impl Shared {
             }
         };
         if reschedule {
-            // Back of the *own* deque: newly submitted shards (front) keep
-            // priority, and peers can still steal this one.
+            // Back of the *own* deque, as `push_home` queues a newly
+            // scheduled shard: shards already waiting there go first, and
+            // peers can still steal this one.
             self.deques[worker].lock().push_back(shard_index);
             self.publish_work(false);
         }
@@ -1099,7 +1068,6 @@ impl MonitoringEngine {
             space_signal: Condvar::new(),
             capacity_hook: OnceLock::new(),
             subs: Mutex::new(Vec::new()),
-            retired: Mutex::new(BTreeMap::new()),
             tel: telemetry,
             m: metrics,
             sink: Mutex::new(None),
@@ -1109,17 +1077,9 @@ impl MonitoringEngine {
         for seed in seeds {
             let shard_index = shard_of(seed.object, config.shards);
             let mut state = shared.shards[shard_index].state.lock();
-            state.objects.insert(
-                seed.object,
-                ObjectSlot {
-                    checkpointed: seed.verdicts.len() as u64,
-                    // The restored work was counted by the run that did it.
-                    harvested: seed.monitor.checker_stats().unwrap_or_default(),
-                    monitor: seed.monitor,
-                    verdicts: seed.verdicts,
-                    base: 0,
-                },
-            );
+            state
+                .objects
+                .insert(seed.object, ObjectSlot::new(seed.monitor, seed.verdicts));
         }
         let handles = (0..config.workers)
             .map(|worker| {
@@ -1410,9 +1370,11 @@ impl MonitoringEngine {
 
     /// Retires `object`'s monitor *after* everything submitted for it so
     /// far (the marker queues FIFO behind the object's events): the monitor
-    /// is finalized, its verdicts are flushed into the final report, and
-    /// its slot is freed.  A no-op for unknown (or already retired)
-    /// objects; later traffic for the object starts a fresh monitor.
+    /// and its checker history are dropped, and the object's verdict stream
+    /// stays in its slot for the final report.  The marker adds no verdict.
+    /// A no-op for unknown (or already retired) objects; later traffic for
+    /// the object starts a fresh monitor whose verdicts continue the stream
+    /// (and its `seq` numbers).
     ///
     /// Eviction markers bypass the `max_pending` bound — evicting *frees*
     /// state, so it must not be throttled by a full queue.
@@ -1480,8 +1442,7 @@ impl MonitoringEngine {
     /// converges to zero instead of freezing at the pre-panic backlog.
     ///
     /// **Verdict delivery precedes the decrement.**  A processed item leaves
-    /// the count only after every verdict it produced — its monitor's, and
-    /// the finalize verdict of an eviction marker — is in every open
+    /// the count only after every verdict it produced is in every open
     /// subscription (the worker's `PendingGuard` drops after
     /// `flush_delivery`).  So a thread that reads `backlog() == 0` and then
     /// finds [`VerdictSubscription::poll_batch`] empty knows that nothing
@@ -1580,15 +1541,12 @@ impl MonitoringEngine {
             }
             return Err(panic);
         }
-        let subs = self.shared.subscribers();
-        let mut objects = std::mem::take(&mut *self.shared.retired.lock());
+        let mut objects = BTreeMap::new();
         for shard in &self.shared.shards {
             let mut state = shard.state.lock();
-            for (object, slot) in state.objects.drain() {
-                self.shared.flush_slot(object, slot, &mut objects, &subs);
-            }
+            objects.extend(state.objects.drain().map(|(object, slot)| (object, slot.report)));
         }
-        for sub in subs {
+        for sub in self.shared.subscribers() {
             sub.close();
         }
         Ok(EngineReport {

@@ -28,7 +28,9 @@
 //!   monitor is retired mid-run, which only its eviction marker does,
 //!   marking the spot in the stream so recovery retires the object at the
 //!   same position instead of resurrecting it from a stale checkpoint.
-//!   The end-of-run `finish()` flush writes none — it is not a retirement.
+//!   A tombstone ends the object's checkpoint chain for good: the monitors
+//!   later traffic installs are never checkpointed.  `finish()` retires
+//!   nothing and writes none.
 //! * **Sinks are infallible here.**  I/O failure handling (latching the
 //!   error, degrading to no-op) lives behind the trait; the submit path
 //!   stays non-fallible.

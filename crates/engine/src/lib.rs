@@ -37,11 +37,13 @@
 //! [`MonitoringEngine::try_submit_batch`]), verdicts stream live through bounded
 //! [`VerdictSubscription`] channels ([`MonitoringEngine::subscribe`]), and
 //! quiesced objects are retired by an in-queue marker
-//! ([`MonitoringEngine::evict`]), which frees the monitor and its checker
-//! history; the object's verdicts stay in the final report.  A marker is
-//! the only mid-run retirement, so a verdict stream is a function of the
-//! submitted events and markers alone.  See [`service`] for the channel
-//! semantics and `tests/service.rs` for the acceptance gates.
+//! ([`MonitoringEngine::evict`]), which drops the monitor and its checker
+//! history; the object's slot keeps its verdict stream, and later traffic
+//! meets a fresh monitor on it.  A marker adds no verdict and is the only
+//! mid-run retirement, so a verdict stream holds one verdict per event and
+//! is a function of the submitted events and markers alone.  See
+//! [`service`] for the channel semantics and `tests/service.rs` for the
+//! acceptance gates.
 //!
 //! ## The batched event path
 //!

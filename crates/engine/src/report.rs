@@ -9,9 +9,11 @@ use std::fmt;
 /// The verdict stream of one monitored object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectReport {
-    /// The monitor's verdict after each ingested symbol, in stream order.
+    /// One verdict per ingested symbol, in stream order: the verdict with
+    /// subscription `seq` s is at index s.  Across evictions the monitors'
+    /// streams concatenate, each fresh monitor starting from scratch.
     pub verdicts: Vec<Verdict>,
-    /// Name of the per-object monitor that produced the stream.
+    /// Name of the object's first monitor.
     pub monitor: String,
 }
 
@@ -61,8 +63,9 @@ pub struct EngineStats {
     pub batches: u64,
     /// Shard claims that were stolen from another worker's deque.
     pub steals: u64,
-    /// Objects retired before end-of-stream by their `evict` markers; their
-    /// verdicts are merged into the report.
+    /// Monitors retired before end-of-stream by `evict` markers (a marker
+    /// for an unknown or already retired object does not count).  Their
+    /// objects' verdict streams stay whole in the report.
     pub evicted: u64,
     /// Times a worker came back out of the park wait.  Stays flat while
     /// the pool is idle: parking is untimed (epoch-ticketed), not polled.

@@ -29,11 +29,9 @@
 //! shutting down (`finish`, drop, or a worker panic) workers stop blocking
 //! and count undeliverable events in [`VerdictSubscription::missed`]
 //! instead, so `finish()` can never deadlock on an abandoned subscription;
-//! every verdict is still in the final report regardless.  One narrow
-//! exception to lossless-while-live: *finalize* verdicts (the optional
-//! closing verdict of `ObjectMonitor::finalize`) are delivered best-effort
-//! when the retirement happens inside `finish` — which runs after shutdown,
-//! when no push blocks — and losslessly on the `evict` path.
+//! every verdict is still in the final report regardless.  Every verdict
+//! is an event's — an eviction marker adds none — so an object's `seq` is
+//! its event index, across evictions.
 //!
 //! The channel closes ([`VerdictSubscription::is_closed`]) when `finish`
 //! has delivered the last verdict, when the engine is dropped, **or as soon
@@ -125,9 +123,9 @@ impl SubscriptionShared {
         })
     }
 
-    /// Worker-side delivery, the one push path: every verdict a drained
-    /// shard batch produced — possibly many objects' runs, or a single
-    /// finalize verdict — under **one** channel lock.  Rows arrive in
+    /// Worker-side delivery, the one push path: the verdicts of a drained
+    /// shard batch — possibly many objects' runs — under **one** channel
+    /// lock.  Rows arrive in
     /// delivery order, which keeps each object's `seq`s in order.  Partial
     /// fills enqueue what fits, then block while `may_block()` holds (it
     /// reads the engine's live/shutdown state; never under shard locks),

@@ -224,36 +224,33 @@ fn finish_never_deadlocks_on_an_abandoned_full_subscription() {
     assert!(subscription.missed() > 0, "capacity 1 over 100 events must miss");
 }
 
-/// A monitor with a closing verdict, so an eviction marker pushes one.
-struct Closing;
-impl ObjectMonitor for Closing {
+/// A monitor that answers YES to every symbol.
+struct Constant;
+impl ObjectMonitor for Constant {
     fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("closing")
+        Cow::Borrowed("constant")
     }
     fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
         Verdict::Yes
     }
-    fn finalize(&mut self) -> Option<Verdict> {
-        Some(Verdict::Maybe(0))
-    }
 }
-struct ClosingFactory;
-impl ObjectMonitorFactory for ClosingFactory {
+struct ConstantFactory;
+impl ObjectMonitorFactory for ConstantFactory {
     fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("closing")
+        Cow::Borrowed("constant")
     }
     fn create(&self, _object: ObjectId) -> Box<dyn ObjectMonitor> {
-        Box::new(Closing)
+        Box::new(Constant)
     }
 }
 
 /// The invariant `backlog()` documents and `drv-net`'s router flushes on:
 /// verdict delivery precedes the decrement.  Whenever the producer reads
 /// `backlog() == 0` after its own submissions, an immediate `poll_batch`
-/// already holds every verdict of everything it submitted — event verdicts
-/// and the finalize verdict of an eviction marker alike.  A worker that
-/// decremented first would let the zero be seen with verdicts still on
-/// their way, and a router trusting it would split frames.
+/// already holds every verdict of everything it submitted — one per event,
+/// eviction markers in the queue adding none.  A worker that decremented
+/// first would let the zero be seen with verdicts still on their way, and
+/// a router trusting it would split frames.
 #[test]
 fn zero_backlog_means_every_verdict_is_pollable() {
     const ROUNDS: u64 = 1000;
@@ -261,7 +258,7 @@ fn zero_backlog_means_every_verdict_is_pollable() {
     let symbol = Symbol::invoke(ProcId(0), Invocation::Read);
     for workers in [1, 2, 4] {
         for batch in [1u64, 256] {
-            let engine = MonitoringEngine::new(EngineConfig::new(workers), Arc::new(ClosingFactory));
+            let engine = MonitoringEngine::new(EngineConfig::new(workers), Arc::new(ConstantFactory));
             let subscription = engine.subscribe(4096);
             let mut events = EventBatch::with_capacity(batch as usize);
             let mut received = VerdictBatch::new();
@@ -272,13 +269,13 @@ fn zero_backlog_means_every_verdict_is_pollable() {
                     events.push_symbol(object, &symbol, engine.interner());
                 }
                 engine.submit_batch(&events);
-                let mut expected = batch as usize;
                 if round % 3 == 0 {
                     // The round's first object is live (its marker queues
-                    // behind its events), so this yields one verdict more.
+                    // behind its events): the marker retires its monitor
+                    // and adds no verdict.
                     engine.evict(ObjectId(round % OBJECTS));
-                    expected += 1;
                 }
+                let expected = batch as usize;
                 while engine.backlog() > 0 {
                     std::thread::yield_now();
                 }
@@ -291,7 +288,8 @@ fn zero_backlog_means_every_verdict_is_pollable() {
                      with verdicts still undelivered"
                 );
             }
-            engine.finish().expect("no panics");
+            let report = engine.finish().expect("no panics");
+            assert_eq!(report.stats.evicted, ROUNDS.div_ceil(3), "every marker met a live monitor");
         }
     }
 }
@@ -392,25 +390,43 @@ fn one_claim_feeds_each_object_one_run_in_queue_order() {
     assert_eq!(snap.counter("engine_events"), Some(150));
 }
 
-/// Records the stream position of every checkpoint the engine writes.
-#[derive(Default)]
+/// Records the stream position of every checkpoint the engine writes, one
+/// due every `interval` fed events, and counts tombstones.
 struct RecordingSink {
+    interval: u64,
     checkpoints: Mutex<Vec<(ObjectId, usize)>>,
+    tombstones: AtomicU64,
+}
+
+impl RecordingSink {
+    fn every(interval: u64) -> Self {
+        RecordingSink {
+            interval,
+            checkpoints: Mutex::new(Vec::new()),
+            tombstones: AtomicU64::new(0),
+        }
+    }
 }
 
 impl JournalSink for RecordingSink {
     fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {}
     fn checkpoint_interval(&self) -> u64 {
-        16
+        self.interval
     }
     fn checkpoint(&self, object: ObjectId, fed: u64, verdicts: &[Verdict], _state: &[u8]) {
-        assert_eq!(verdicts.len(), 16, "a checkpoint carries the interval's verdicts");
+        assert_eq!(
+            verdicts.len() as u64,
+            self.interval,
+            "a checkpoint carries the interval's verdicts"
+        );
         self.checkpoints
             .lock()
             .unwrap()
             .push((object, fed as usize));
     }
-    fn tombstone(&self, _object: ObjectId) {}
+    fn tombstone(&self, _object: ObjectId) {
+        self.tombstones.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// A grouped claim hands each object its 50 events at once, yet the
@@ -420,7 +436,7 @@ impl JournalSink for RecordingSink {
 #[test]
 fn checkpoints_land_on_the_interval_however_a_claim_groups() {
     let engine = MonitoringEngine::new(EngineConfig::new(1).with_shards(1), factory());
-    let sink = Arc::new(RecordingSink::default());
+    let sink = Arc::new(RecordingSink::every(16));
     engine.attach_journal(sink.clone());
     let tel = Arc::clone(engine.telemetry());
     let mut batch = EventBatch::new();
@@ -440,9 +456,70 @@ fn checkpoints_land_on_the_interval_however_a_claim_groups() {
     assert_eq!(snap.counter("engine_runs"), Some(12));
 }
 
-/// Returns `Maybe(k)` for the `k`-th symbol of its generation and `No` on
-/// retirement; the first monitor of [`GATED`] blocks on its first symbol
-/// until released, holding the only worker while the test queues work.
+/// Retirement drops the monitor, not the slot: across three generations of
+/// one object (8 events, evict, 8 events, evict twice, 4 events) the report
+/// is the three fresh monitors' streams back to back, the subscription's
+/// `seq`s run 0..20 without a gap, the second marker of the double evict
+/// neither counts nor journals a tombstone, and no checkpoint follows the
+/// first tombstone.
+#[test]
+fn a_retired_slot_keeps_its_stream_and_revives_without_checkpoints() {
+    let object = ObjectId(4);
+    // Each later generation opens by reading the initial value: YES from a
+    // fresh monitor, NO from one that kept the earlier writes.
+    let read_initial = [
+        (object, Symbol::invoke(ProcId(1), Invocation::Read)),
+        (object, Symbol::respond(ProcId(1), Response::Value(0))),
+    ];
+    let write = |value| {
+        [
+            (object, Symbol::invoke(ProcId(0), Invocation::Write(value))),
+            (object, Symbol::respond(ProcId(0), Response::Ack)),
+        ]
+    };
+    let generations: [Vec<(ObjectId, Symbol)>; 3] = [
+        clean_stream(object.0, 2),
+        [&read_initial[..], &clean_stream(object.0, 1), &write(9)].concat(),
+        [&read_initial[..], &write(3)].concat(),
+    ];
+    let expected: Vec<Verdict> = generations
+        .iter()
+        .flat_map(|events| sequential_reference(factory().as_ref(), events).remove(&object))
+        .flatten()
+        .collect();
+    assert_eq!(expected.len(), 20);
+    assert!(expected.iter().all(|verdict| *verdict == Verdict::Yes));
+
+    let engine = MonitoringEngine::new(EngineConfig::new(2), factory());
+    let sink = Arc::new(RecordingSink::every(4));
+    engine.attach_journal(sink.clone());
+    let subscription = engine.subscribe(64);
+    for (events, evictions) in generations.iter().zip([1, 2, 0]) {
+        for (object, symbol) in events {
+            engine.submit(*object, symbol);
+        }
+        for _ in 0..evictions {
+            engine.evict(object);
+        }
+    }
+    let report = engine.finish().expect("no panics");
+    assert_eq!(report.verdicts(object), Some(&expected[..]), "the generations concatenate");
+    assert_eq!(report.stats.evicted, 2);
+    let mut received = VerdictBatch::new();
+    subscription.poll_batch(&mut received);
+    assert_eq!(received.seqs(), (0..20).collect::<Vec<u64>>());
+    assert_eq!(received.verdicts(), &expected[..]);
+    assert_eq!(sink.tombstones.load(Ordering::SeqCst), 2, "the double evict journals one");
+    assert_eq!(
+        *sink.checkpoints.lock().unwrap(),
+        [(object, 4), (object, 8)],
+        "the first generation only"
+    );
+}
+
+/// Returns `Maybe(k)` for the `k`-th symbol of its generation; the first
+/// monitor of [`GATED`] blocks on its first symbol until released, holding
+/// the only worker while the test queues work.
 struct GenerationMonitor {
     seen: u32,
     gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
@@ -458,9 +535,6 @@ impl ObjectMonitor for GenerationMonitor {
         }
         self.seen += 1;
         Verdict::Maybe(self.seen)
-    }
-    fn finalize(&mut self) -> Option<Verdict> {
-        Some(Verdict::No)
     }
 }
 const GATED: ObjectId = ObjectId(99);
@@ -483,8 +557,8 @@ impl ObjectMonitorFactory for GenerationFactory {
 
 /// Grouping never moves an eviction marker across its object's events:
 /// with `A B A evict(A) A B` queued behind a held worker, the grouped claim
-/// finalizes A after exactly its first two events, and the third goes to a
-/// fresh generation whose `seq` continues after the finalize verdict.
+/// retires A's monitor after exactly its first two events, and the third
+/// goes to a fresh generation — its count restarts, its `seq` continues.
 #[test]
 fn an_eviction_marker_splits_its_objects_run_in_a_grouped_claim() {
     let (a, b) = (ObjectId(2), ObjectId(1));
@@ -526,8 +600,7 @@ fn an_eviction_marker_splits_its_objects_run_in_a_grouped_claim() {
         [
             (0, Verdict::Maybe(1)),
             (1, Verdict::Maybe(2)),
-            (2, Verdict::No),
-            (3, Verdict::Maybe(1)),
+            (2, Verdict::Maybe(1)),
         ],
         "A's stream splits exactly at the marker"
     );
@@ -546,16 +619,9 @@ fn an_eviction_marker_splits_its_objects_run_in_a_grouped_claim() {
     let report = engine.finish().expect("no panics");
     assert_eq!(
         report.verdicts(a),
-        Some(
-            &[
-                Verdict::Maybe(1),
-                Verdict::Maybe(2),
-                Verdict::No,
-                Verdict::Maybe(1),
-                Verdict::No
-            ][..]
-        )
+        Some(&[Verdict::Maybe(1), Verdict::Maybe(2), Verdict::Maybe(1)][..])
     );
+    assert_eq!(report.stats.evicted, 1);
 }
 
 // --- one arena per engine ---------------------------------------------

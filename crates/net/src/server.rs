@@ -100,8 +100,8 @@
 //!
 //! A connection that sends [`Shutdown`](crate::wire::Frame::Shutdown) — or
 //! disappears — has its objects evicted from the engine
-//! ([`MonitoringEngine::evict_many`]): monitors finalized, slots freed,
-//! verdicts flushed into the end-of-run report.  The clean handshake is
+//! ([`MonitoringEngine::evict_many`]): monitors dropped, verdicts kept for
+//! the end-of-run report.  The clean handshake is
 //! preserved: the reactor flushes the connection's outbound queue, appends
 //! the server's own Shutdown frame, and closes.  [`MonitorServer::shutdown`]
 //! stops accepting, disconnects every client, quiesces the engine and
@@ -118,7 +118,7 @@ use drv_engine::{
     EngineConfig, EngineReport, MonitoringEngine, SubmitError, VerdictEvent, VerdictSubscription,
 };
 use drv_lang::{EventBatch, ObjectId, VerdictBatch};
-use drv_telemetry::{Counter, Gauge, Histogram, Snapshot, Stage, Telemetry};
+use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -133,17 +133,18 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     window: u64,
-    subscription: usize,
     outbound: usize,
     verdict_chunk: usize,
     stall_grace: Duration,
 }
 
+/// Capacity of the engine verdict subscription the router drains.
+const SUBSCRIPTION: usize = 4096;
+
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             window: 4096,
-            subscription: 4096,
             outbound: 256,
             verdict_chunk: 512,
             stall_grace: Duration::from_secs(2),
@@ -152,9 +153,8 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The defaults: a 4096-event credit window, 4096-event verdict
-    /// subscription, 256-frame outbound queues, 512 verdicts per frame,
-    /// a 2 s stalled-consumer grace period.
+    /// The defaults: a 4096-event credit window, 256-frame outbound queues,
+    /// 512 verdicts per frame, a 2 s stalled-consumer grace period.
     #[must_use]
     pub fn new() -> Self {
         ServerConfig::default()
@@ -165,14 +165,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_window(mut self, window: u64) -> Self {
         self.window = window.max(1);
-        self
-    }
-
-    /// Capacity of the engine verdict subscription the router drains
-    /// (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_subscription(mut self, capacity: usize) -> Self {
-        self.subscription = capacity.max(1);
         self
     }
 
@@ -416,8 +408,6 @@ struct ServerShared {
     /// Which connection owns (first submitted traffic for) each object —
     /// the router's verdict dispatch table.
     owners: Mutex<HashMap<ObjectId, u64>>,
-    /// Snapshot-hook threads (the two core threads have their own slots).
-    handles: Mutex<Vec<JoinHandle<()>>>,
     /// Connections the router touched since the reactor last flushed —
     /// the wake channel's payload.
     dirty: Mutex<Vec<u64>>,
@@ -448,21 +438,21 @@ impl ServerShared {
         }
     }
 
-    /// Evicts every object `conn` owns (monitors finalized, report
-    /// flushed), removing the ownership entries.
-    fn evict_connection(&self, conn: u64) {
-        let owned: Vec<ObjectId> = {
+    /// Evicts every object of `known` (the objects connection `conn`
+    /// submitted) that `conn` still owns, removing those ownership entries
+    /// — O(objects the connection touched), not O(all objects).  The
+    /// monitors are dropped; their verdicts stay in the engine's report.
+    fn evict_connection(&self, conn: u64, known: &HashSet<ObjectId>) {
+        let mut owned = Vec::new();
+        {
             let mut owners = self.owners.lock();
-            let owned: Vec<ObjectId> = owners
-                .iter()
-                .filter(|(_, owner)| **owner == conn)
-                .map(|(object, _)| *object)
-                .collect();
-            for object in &owned {
-                owners.remove(object);
+            for object in known {
+                if owners.get(object) == Some(&conn) {
+                    owners.remove(object);
+                    owned.push(*object);
+                }
             }
-            owned
-        };
+        }
         self.engine.evict_many(owned);
     }
 
@@ -902,9 +892,11 @@ impl Reactor {
                 }
                 Ok(Frame::Shutdown) => {
                     // Clean end-of-stream: retire the connection's monitors
-                    // and run the drain-then-Shutdown handshake.
-                    shared.evict_connection(id);
+                    // and run the drain-then-Shutdown handshake.  A draining
+                    // connection reads no further frame, so its object set
+                    // is spent.
                     let Some(conn) = self.io.get_mut(&id) else { return Pass::Alive };
+                    shared.evict_connection(id, &std::mem::take(&mut conn.known));
                     conn.draining = true;
                     conn.shared.close();
                     return Pass::Alive;
@@ -1115,10 +1107,10 @@ impl Reactor {
         }
         self.shared.conns.lock().remove(&id);
         // Mid-stream disconnect or clean Shutdown alike: everything
-        // received so far stays checked; the monitors are retired into the
-        // report.  (After a client-initiated Shutdown the owners entries
-        // are already gone and this is a no-op.)
-        self.shared.evict_connection(id);
+        // received so far stays checked; the monitors are retired, their
+        // verdicts stay in the report.  (After a client-initiated Shutdown
+        // the object set is already spent and this is a no-op.)
+        self.shared.evict_connection(id, &conn.known);
         self.shared.m.active.sub(1);
         self.shared.m.reactor_fds.sub(1);
         let outstanding = conn
@@ -1326,9 +1318,9 @@ fn deliver(
             // Credit returns with verdicts: the window bounds a
             // connection's events in flight *end to end* (submitted but
             // not yet checked), not just its socket buffer.  Capped at
-            // what the connection actually consumed, so extra verdicts (a
-            // monitor's finalize at its eviction marker) can never inflate
-            // credit past the window.
+            // what the connection actually consumed, so verdicts of events
+            // another connection submitted for an object this one owns can
+            // never inflate its credit past the window.
             let consumed = conn.consumed.load(Ordering::Acquire);
             let granted = conn.granted.load(Ordering::Acquire);
             let grant = entry.owed.min(consumed.saturating_sub(granted));
@@ -1446,7 +1438,7 @@ impl MonitorServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let subscription = engine.subscribe(config.subscription);
+        let subscription = engine.subscribe(SUBSCRIPTION);
         let tel = Arc::clone(engine.telemetry());
         let metrics = NetMetrics::register(&tel);
         let (waker, wake_rx) = waker_pair()?;
@@ -1458,7 +1450,6 @@ impl MonitorServer {
             stopping: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             owners: Mutex::new(HashMap::new()),
-            handles: Mutex::new(Vec::new()),
             dirty: Mutex::new(Vec::new()),
             parked_hint: AtomicBool::new(false),
             waker,
@@ -1543,41 +1534,6 @@ impl MonitorServer {
         self.shared.tel.snapshot().to_prometheus()
     }
 
-    /// Spawns the periodic snapshot hook: every `interval` (clamped to
-    /// ≥ 10 ms), `hook` runs on a server-owned thread with a fresh
-    /// registry [`Snapshot`] — the export loop for scrapers, log shippers
-    /// or rolling dashboards.  The thread is joined by
-    /// [`MonitorServer::shutdown`] (it notices the stop within ~50 ms).
-    pub fn spawn_snapshot_hook(
-        &self,
-        interval: Duration,
-        hook: impl Fn(&Snapshot) + Send + 'static,
-    ) {
-        let shared = Arc::clone(&self.shared);
-        let interval = interval.max(Duration::from_millis(10));
-        let handle = std::thread::Builder::new()
-            .name("drv-net-snapshot".to_string())
-            .spawn(move || {
-                let mut last = Instant::now();
-                while !shared.stopping.load(Ordering::Acquire) {
-                    // Sleep in short slices so shutdown never waits a whole
-                    // interval on this thread.
-                    std::thread::sleep(
-                        interval.saturating_sub(last.elapsed()).min(Duration::from_millis(50)),
-                    );
-                    if shared.stopping.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if last.elapsed() >= interval {
-                        last = Instant::now();
-                        hook(&shared.tel.snapshot());
-                    }
-                }
-            })
-            .expect("spawning the snapshot hook");
-        self.shared.handles.lock().push(handle);
-    }
-
     /// Submitted-but-unprocessed events in the engine.
     #[must_use]
     pub fn backlog(&self) -> usize {
@@ -1604,10 +1560,6 @@ impl MonitorServer {
         self.shared.waker.wake();
         if let Some(handle) = self.reactor_handle.take() {
             join(handle, "net reactor", &mut escaped, 0);
-        }
-        let hooks: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.handles.lock());
-        for (index, handle) in hooks.into_iter().enumerate() {
-            join(handle, "net snapshot hook", &mut escaped, index);
         }
         // Quiesce the engine so the router's final drain sees everything
         // (an aborted engine reconciles its backlog to zero, so this also

@@ -1,8 +1,7 @@
 //! The Stats round trip, end to end: a live server answers a stats
 //! request with a versioned payload carrying its flat engine counters AND
 //! its whole telemetry registry — proven through [`MonitorClient::stats`]
-//! and again over a raw socket (bytes on the wire, decoded by hand), plus
-//! the periodic snapshot hook.
+//! and again over a raw socket (bytes on the wire, decoded by hand).
 
 use drv_core::CheckerMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine};
@@ -11,7 +10,6 @@ use drv_net::wire::{decode_frame, encode_stats_request, Frame, HEADER_LEN, STATS
 use drv_net::{FrameAssembler, MonitorClient, MonitorServer, ServerConfig};
 use drv_spec::Register;
 use drv_telemetry::Telemetry;
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -138,38 +136,4 @@ fn raw_socket_stats_frames_decode_with_the_version_byte() {
     );
     drop(socket);
     server.shutdown().expect("no worker panicked");
-}
-
-#[test]
-fn periodic_snapshot_hook_delivers_fresh_snapshots() {
-    let server = instrumented_server();
-    let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    {
-        let seen = Arc::clone(&seen);
-        server.spawn_snapshot_hook(Duration::from_millis(20), move |snap| {
-            seen.lock().push(snap.counter("net_events").unwrap_or(0));
-        });
-    }
-    let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
-    let events = stream();
-    client.send_stream(&events, 32).expect("stream events");
-    let mut received = 0usize;
-    while received < events.len() {
-        received += client.wait_verdicts(Duration::from_secs(5)).len();
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while {
-        let seen = seen.lock();
-        seen.len() < 3 || seen.last().copied().unwrap_or(0) < events.len() as u64
-    } {
-        assert!(std::time::Instant::now() < deadline, "hook never caught up");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    client.shutdown().expect("clean goodbye");
-    server.shutdown().expect("no worker panicked");
-    let seen: Vec<u64> = seen.lock().clone();
-    assert!(seen.len() >= 2, "the hook must have fired repeatedly: {seen:?}");
-    assert!(seen.windows(2).all(|w| w[0] <= w[1]), "snapshots are monotone");
-    // The server also renders the registry as Prometheus text on demand
-    // (exercised via the snapshot the hook handed out).
 }

@@ -125,8 +125,9 @@ impl Snapshot {
     }
 
     /// The difference `self − earlier`, metric by metric: what happened
-    /// *between* two snapshots, so rate computations (`spawn_snapshot_hook`
-    /// consumers, `drv-top`-style pollers) need no scraping math.
+    /// *between* two snapshots, so rate computations (pollers of the
+    /// Stats frame or of a shared `Telemetry` handle) need no scraping
+    /// math.
     ///
     /// Counters and histogram buckets/counts/sums subtract saturating (a
     /// restarted registry simply reads as its own fresh window); gauges —
