@@ -52,7 +52,7 @@ use drv_consistency::{
     check_history, CheckOutcome, CheckerConfig, ConcurrentHistory, IncrementalChecker,
 };
 use drv_core::{CheckerObjectMonitor, ObjectMonitor, Verdict};
-use drv_lang::{Action, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, Word};
+use drv_lang::{Action, Invocation, ProcId, Response, SharedInterner, Symbol, Word};
 use drv_spec::Register;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -390,14 +390,10 @@ fn measure_many_objects(lin: &CheckerConfig, sc: &CheckerConfig) -> ManyObjects 
     let fleet = |arena: &SharedInterner| -> Vec<Box<dyn ObjectMonitor>> {
         (0..FLEET_OBJECTS)
             .map(|object| {
-                let (config, label) = if object % 2 == 0 {
-                    (lin, "LIN")
-                } else {
-                    (sc, "SC")
-                };
+                let config = if object % 2 == 0 { lin } else { sc };
                 let checker =
                     IncrementalChecker::with_arena(Register::new(), *config, 2, arena.clone());
-                let monitor = CheckerObjectMonitor::new(ObjectId(object as u64), checker, label);
+                let monitor = CheckerObjectMonitor::new(checker);
                 Box::new(monitor) as Box<dyn ObjectMonitor>
             })
             .collect()

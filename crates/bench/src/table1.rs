@@ -697,7 +697,9 @@ fn time_one_cell<S: drv_spec::SequentialSpec + Clone + 'static>(
         let start = Instant::now();
         let engine = MonitoringEngine::new(EngineConfig::new(workers), make_factory());
         for (index, word) in words.iter().enumerate() {
-            engine.submit_word(ObjectId(index as u64), word);
+            for symbol in word.symbols() {
+                engine.submit(ObjectId(index as u64), symbol);
+            }
         }
         let report = engine.finish().expect("no engine worker panicked");
         let elapsed = start.elapsed();

@@ -42,10 +42,6 @@ use std::sync::Arc;
 /// retires a monitor by dropping it, and an object's `seq` is its event
 /// index.
 pub trait ObjectMonitor: Send {
-    /// Human-readable name (for reports; allocation-free like
-    /// [`crate::Monitor::name`]).
-    fn name(&self) -> Cow<'_, str>;
-
     /// Consumes the next symbol of the object's stream, returning the
     /// verdict for the stream consumed so far.
     fn on_symbol(&mut self, symbol: &Symbol) -> Verdict;
@@ -166,7 +162,6 @@ pub trait ObjectMonitorFactory: Send + Sync {
 /// `SC_O` per object.
 pub struct CheckerObjectMonitor<S: SequentialSpec> {
     checker: IncrementalChecker<S>,
-    name: String,
     /// Reusable scratch for [`ObjectMonitor::on_batch`] outcomes.
     outcomes: Vec<CheckOutcome>,
 }
@@ -174,9 +169,8 @@ pub struct CheckerObjectMonitor<S: SequentialSpec> {
 impl<S: SequentialSpec> CheckerObjectMonitor<S> {
     /// Wraps a fresh checker for one object.
     #[must_use]
-    pub fn new(object: ObjectId, checker: IncrementalChecker<S>, criterion: &str) -> Self {
+    pub fn new(checker: IncrementalChecker<S>) -> Self {
         CheckerObjectMonitor {
-            name: format!("{criterion} checker for {object}"),
             checker,
             outcomes: Vec::new(),
         }
@@ -190,10 +184,6 @@ impl<S: SequentialSpec> CheckerObjectMonitor<S> {
 }
 
 impl<S: SequentialSpec> ObjectMonitor for CheckerObjectMonitor<S> {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed(&self.name)
-    }
-
     fn on_symbol(&mut self, symbol: &Symbol) -> Verdict {
         self.checker.push_symbol(symbol);
         Verdict::from(self.checker.check_outcome())
@@ -299,14 +289,14 @@ impl<S: SequentialSpec + Clone + 'static> ObjectMonitorFactory for CheckerMonito
         self.create_in(object, &self.arena)
     }
 
-    fn create_in(&self, object: ObjectId, arena: &SharedInterner) -> Box<dyn ObjectMonitor> {
+    fn create_in(&self, _object: ObjectId, arena: &SharedInterner) -> Box<dyn ObjectMonitor> {
         let checker = IncrementalChecker::with_arena(
             self.spec.clone(),
             self.config,
             self.processes,
             arena.clone(),
         );
-        Box::new(CheckerObjectMonitor::new(object, checker, self.label))
+        Box::new(CheckerObjectMonitor::new(checker))
     }
 }
 
@@ -368,13 +358,12 @@ pub struct FamilyObjectMonitor {
     /// Per-process iteration counters for announce keys.
     seqs: Vec<u64>,
     last: Option<Verdict>,
-    name: String,
 }
 
 impl FamilyObjectMonitor {
     /// Spawns `family`'s local monitors for one object with `n` processes.
     #[must_use]
-    pub fn new(object: ObjectId, family: &dyn MonitorFamily, n: usize) -> Self {
+    pub fn new(family: &dyn MonitorFamily, n: usize) -> Self {
         FamilyObjectMonitor {
             monitors: family.spawn(n),
             requires_views: family.requires_views(),
@@ -382,16 +371,11 @@ impl FamilyObjectMonitor {
             pending: vec![None; n],
             seqs: vec![0; n],
             last: None,
-            name: format!("{} on {object}", family.name()),
         }
     }
 }
 
 impl ObjectMonitor for FamilyObjectMonitor {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed(&self.name)
-    }
-
     fn on_symbol(&mut self, symbol: &Symbol) -> Verdict {
         let p = symbol.proc.0;
         assert!(
@@ -455,12 +439,8 @@ impl ObjectMonitorFactory for FamilyMonitorFactory {
         self.family.name()
     }
 
-    fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
-        Box::new(FamilyObjectMonitor::new(
-            object,
-            self.family.as_ref(),
-            self.processes,
-        ))
+    fn create(&self, _object: ObjectId) -> Box<dyn ObjectMonitor> {
+        Box::new(FamilyObjectMonitor::new(self.family.as_ref(), self.processes))
     }
 }
 
@@ -488,7 +468,6 @@ mod tests {
     fn checker_monitor_tracks_the_incremental_checker() {
         let factory = CheckerMonitorFactory::linearizability(Register::new(), 2);
         let mut monitor = factory.create(obj(7));
-        assert!(monitor.name().contains("obj#7"));
         let mut reference =
             IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 2);
         for symbol in register_word().symbols() {
@@ -571,8 +550,20 @@ mod tests {
             }
         });
         assert_eq!(routed.name(), "mixed LIN/SC");
-        assert!(routed.create(obj(0)).name().contains("LIN"));
-        assert!(routed.create(obj(1)).name().contains("SC"));
+        // p0's write completes before p1 reads the initial value: SC (the
+        // read orders first) but not linearizable (real time forbids it).
+        let word = WordBuilder::new()
+            .op(ProcId(0), Invocation::Write(1), Response::Ack)
+            .op(ProcId(1), Invocation::Read, Response::Value(0))
+            .build();
+        let final_verdict = |object| {
+            let mut monitor = routed.create(object);
+            let mut verdicts = Vec::new();
+            monitor.on_batch(word.symbols(), &mut verdicts);
+            verdicts.last().copied()
+        };
+        assert_eq!(final_verdict(obj(0)), Some(Verdict::No), "even ids are checked for LIN");
+        assert_eq!(final_verdict(obj(1)), Some(Verdict::Yes), "odd ids are checked for SC");
     }
 
     #[test]

@@ -96,7 +96,7 @@ use crate::report::{EngineReport, EngineStats, ObjectReport};
 use crate::service::{SubmitError, SubscriptionShared, VerdictEvent, VerdictSubscription};
 use drv_consistency::CheckerStats;
 use drv_core::{ObjectMonitor, ObjectMonitorFactory, Verdict, WorkerPanic};
-use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Word};
+use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol};
 use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -343,10 +343,7 @@ impl ObjectSlot {
             checkpointed: Some(verdicts.len() as u64),
             // A restored monitor's work was counted by the run that did it.
             harvested: monitor.checker_stats().unwrap_or_default(),
-            report: ObjectReport {
-                verdicts,
-                monitor: monitor.name().into_owned(),
-            },
+            report: ObjectReport { verdicts },
             monitor: Some(monitor),
         }
     }
@@ -1053,6 +1050,11 @@ impl MonitoringEngine {
         telemetry: Arc<Telemetry>,
     ) -> Self {
         let metrics = EngineMetrics::register(&telemetry);
+        // The pool's shape, for readers that see only the registry (the
+        // Stats frame): added once, so engines sharing a registry sum.
+        let reg = telemetry.registry();
+        reg.gauge("engine_workers").add(config.workers as i64);
+        reg.gauge("engine_shards").add(config.shards as i64);
         let shared = Arc::new(Shared {
             factory,
             interner,
@@ -1333,13 +1335,6 @@ impl MonitoringEngine {
         self.shared
             .tel
             .observe(scatter_started, &self.shared.m.scatter_ns);
-    }
-
-    /// Ingests a whole word as `object`'s stream (symbols in word order).
-    pub fn submit_word(&self, object: ObjectId, word: &Word) {
-        for symbol in word.symbols() {
-            self.submit(object, symbol);
-        }
     }
 
     /// The rolling-batch producer loop, packaged: interns `events` into
@@ -1900,9 +1895,6 @@ mod tests {
     fn panicking_monitor_surfaces_worker_panic() {
         struct Bomb;
         impl ObjectMonitor for Bomb {
-            fn name(&self) -> Cow<'_, str> {
-                Cow::Borrowed("bomb")
-            }
             fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
                 panic!("boom on purpose");
             }

@@ -88,7 +88,6 @@ impl std::fmt::Debug for RecoveredObject {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecoveredObject")
             .field("object", &self.object)
-            .field("monitor", &self.monitor.name())
             .field("verdicts", &self.verdicts.len())
             .finish()
     }

@@ -13,8 +13,6 @@ pub struct ObjectReport {
     /// subscription `seq` s is at index s.  Across evictions the monitors'
     /// streams concatenate, each fresh monitor starting from scratch.
     pub verdicts: Vec<Verdict>,
-    /// Name of the object's first monitor.
-    pub monitor: String,
 }
 
 impl ObjectReport {
@@ -123,10 +121,7 @@ mod tests {
     use super::*;
 
     fn report(verdicts: Vec<Verdict>) -> ObjectReport {
-        ObjectReport {
-            verdicts,
-            monitor: "test".to_string(),
-        }
+        ObjectReport { verdicts }
     }
 
     #[test]

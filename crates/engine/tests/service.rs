@@ -227,9 +227,6 @@ fn finish_never_deadlocks_on_an_abandoned_full_subscription() {
 /// A monitor that answers YES to every symbol.
 struct Constant;
 impl ObjectMonitor for Constant {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("constant")
-    }
     fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
         Verdict::Yes
     }
@@ -308,9 +305,6 @@ struct CountingMonitor {
     calls: Arc<Mutex<Vec<(ObjectId, usize)>>>,
 }
 impl ObjectMonitor for CountingMonitor {
-    fn name(&self) -> Cow<'_, str> {
-        self.inner.name()
-    }
     fn on_symbol(&mut self, symbol: &Symbol) -> Verdict {
         self.inner.on_symbol(symbol)
     }
@@ -525,9 +519,6 @@ struct GenerationMonitor {
     gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
 }
 impl ObjectMonitor for GenerationMonitor {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("generation")
-    }
     fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
         if let Some((entered, release)) = self.gate.take() {
             entered.send(()).expect("test waits for the gate");
@@ -696,9 +687,9 @@ impl ObjectMonitorFactory for PrivateArenaFactory {
     fn name(&self) -> Cow<'_, str> {
         Cow::Borrowed("LIN on private arenas")
     }
-    fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
+    fn create(&self, _object: ObjectId) -> Box<dyn ObjectMonitor> {
         let checker = IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 2);
-        Box::new(CheckerObjectMonitor::new(object, checker, "LIN"))
+        Box::new(CheckerObjectMonitor::new(checker))
     }
 }
 
@@ -830,9 +821,6 @@ fn producers_intern_while_workers_feed_without_deadlock() {
 
 struct Bomb;
 impl ObjectMonitor for Bomb {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("bomb")
-    }
     fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
         panic!("boom on purpose");
     }

@@ -236,9 +236,6 @@ fn worker_panic_leaves_a_bounded_ordered_flight_dump() {
         fed: u32,
     }
     impl ObjectMonitor for Bomb {
-        fn name(&self) -> Cow<'_, str> {
-            Cow::Borrowed("bomb")
-        }
         fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
             self.fed += 1;
             assert!(self.fed < 4, "boom on purpose");

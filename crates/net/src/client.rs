@@ -16,15 +16,16 @@
 use crate::reactor::FrameAssembler;
 use crate::wire::{
     decode_frame, encode_shutdown, encode_stats_request, Frame, FrameEncoder, NackReason,
-    StatsReply, WireError,
+    WireError,
 };
 use drv_engine::VerdictEvent;
 use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol};
+use drv_telemetry::Snapshot;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -96,7 +97,6 @@ impl From<WireError> for ClientError {
 pub struct ClientConfig {
     connect_timeout: Option<Duration>,
     handshake_timeout: Option<Duration>,
-    read_timeout: Option<Duration>,
 }
 
 impl ClientConfig {
@@ -123,17 +123,6 @@ impl ClientConfig {
     #[must_use]
     pub fn with_handshake_timeout(mut self, timeout: Duration) -> Self {
         self.handshake_timeout = Some(timeout.max(Duration::from_millis(1)));
-        self
-    }
-
-    /// Sets `SO_RCVTIMEO` on the reader socket (clamped ≥ 1 ms): the
-    /// background reader wakes at least this often to notice a closed
-    /// client instead of blocking in `read` until the peer acts.  Quiet
-    /// periods do **not** kill the connection — an idle monitoring stream
-    /// is legal — the reader just re-arms the read.
-    #[must_use]
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = Some(timeout.max(Duration::from_millis(1)));
         self
     }
 }
@@ -188,7 +177,7 @@ struct ClientShared {
     credit_signal: Condvar,
     verdicts: Mutex<VecDeque<VerdictEvent>>,
     verdict_signal: Condvar,
-    stats: Mutex<Option<Box<StatsReply>>>,
+    stats: Mutex<Option<Box<Snapshot>>>,
     stats_signal: Condvar,
     nacks: Mutex<Vec<Nack>>,
     closed: AtomicBool,
@@ -218,9 +207,9 @@ impl ClientShared {
 }
 
 /// The background reader: reassembles frames from whatever chunk sizes the
-/// transport delivers ([`FrameAssembler`] — the read path works unchanged
-/// against a nonblocking or `SO_RCVTIMEO`-armed socket) and dispatches
-/// them into the shared state.
+/// transport delivers ([`FrameAssembler`]) and dispatches them into the
+/// shared state.  Its read blocks untimed; [`MonitorClient`]'s `Drop`
+/// unblocks it with `shutdown(Both)`.
 fn reader_loop(shared: &ClientShared, mut stream: TcpStream) {
     let mut assembler = FrameAssembler::new();
     let mut chunk = vec![0u8; 64 * 1024];
@@ -275,16 +264,6 @@ fn reader_loop(shared: &ClientShared, mut stream: TcpStream) {
                 return;
             }
             Ok(n) => assembler.feed(&chunk[..n]),
-            Err(err)
-                if matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                // A read deadline (ClientConfig::with_read_timeout) or a
-                // nonblocking socket: not an error, just a chance to
-                // notice a client-side close.
-                if shared.is_closed() {
-                    return;
-                }
-            }
             Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 shared.close();
@@ -302,7 +281,6 @@ pub struct MonitorClient {
     reader: Option<JoinHandle<()>>,
     encoder: FrameEncoder,
     next_batch_id: u64,
-    peer: SocketAddr,
 }
 
 impl MonitorClient {
@@ -321,8 +299,7 @@ impl MonitorClient {
     }
 
     /// [`MonitorClient::connect`] with deadlines: bounds connection
-    /// establishment, the opening credit handshake, and the background
-    /// reader's blocking reads per `config`.
+    /// establishment and the opening credit handshake per `config`.
     ///
     /// # Errors
     ///
@@ -360,11 +337,7 @@ impl MonitorClient {
             }
         };
         stream.set_nodelay(true).ok();
-        let peer = stream.peer_addr()?;
         let reader_stream = stream.try_clone()?;
-        if let Some(timeout) = config.read_timeout {
-            reader_stream.set_read_timeout(Some(timeout))?;
-        }
         let shared = Arc::new(ClientShared {
             credit: Mutex::new(CreditState { available: 0, window: 0 }),
             credit_signal: Condvar::new(),
@@ -390,7 +363,6 @@ impl MonitorClient {
             reader: Some(reader),
             encoder: FrameEncoder::new(),
             next_batch_id: 0,
-            peer,
         };
         if let Some(timeout) = config.handshake_timeout {
             // The server speaks first (the opening Credit announces the
@@ -415,12 +387,6 @@ impl MonitorClient {
             }
         }
         Ok(client)
-    }
-
-    /// The server's address.
-    #[must_use]
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
     }
 
     /// The client-side payload arena: build [`EventBatch`]es against this
@@ -579,9 +545,9 @@ impl MonitorClient {
     }
 
     /// Requests a stats snapshot and waits up to `timeout` for the reply:
-    /// the server's flat engine counters plus its entire telemetry
-    /// registry (engine, net and store metrics), decoded off the versioned
-    /// Stats payload.
+    /// the server's entire telemetry registry (engine, net and store
+    /// metrics), decoded off the versioned Stats payload.  Two replies
+    /// subtract with [`Snapshot::delta`].
     ///
     /// # Errors
     ///
@@ -591,7 +557,7 @@ impl MonitorClient {
     /// [`WireError::BadStatsVersion`](crate::wire::WireError::BadStatsVersion)
     /// on the reader); [`ClientError::Io`] when the request could not be
     /// written.
-    pub fn stats(&mut self, timeout: Duration) -> Result<StatsReply, ClientError> {
+    pub fn stats(&mut self, timeout: Duration) -> Result<Snapshot, ClientError> {
         *self.shared.stats.lock() = None;
         self.stream.write_all(&encode_stats_request())?;
         let mut slot = self.shared.stats.lock();
@@ -637,7 +603,7 @@ impl fmt::Debug for MonitorClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (available, window) = self.credit();
         f.debug_struct("MonitorClient")
-            .field("peer", &self.peer)
+            .field("peer", &self.stream.peer_addr().ok())
             .field("credit", &available)
             .field("window", &window)
             .field("closed", &self.shared.is_closed())
@@ -662,8 +628,7 @@ mod tests {
         let addr = listener.local_addr().expect("local addr");
         let config = ClientConfig::new()
             .with_connect_timeout(Duration::from_secs(5))
-            .with_handshake_timeout(Duration::from_millis(200))
-            .with_read_timeout(Duration::from_millis(50));
+            .with_handshake_timeout(Duration::from_millis(200));
         let started = Instant::now();
         let err = MonitorClient::connect_with(addr, config)
             .expect_err("a mute server must not yield a usable client");

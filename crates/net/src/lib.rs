@@ -147,6 +147,4 @@ pub use bridge::{stream_abd, BridgeReport};
 pub use client::{ClientConfig, ClientError, MonitorClient, Nack, TrySendError};
 pub use reactor::FrameAssembler;
 pub use server::{MonitorServer, ServerConfig, ServerStats};
-pub use wire::{
-    Frame, FrameKind, NackReason, StatsReply, WireBatch, WireError, WireStats,
-};
+pub use wire::{Frame, FrameKind, NackReason, WireBatch, WireError};

@@ -96,6 +96,21 @@
 //! connection that *owns* the object, so each connection should submit
 //! only objects it introduced.
 //!
+//! The reactor's own replies (Stats, NACKs) bypass the router, so the same
+//! bound is kept on the read side: while a connection's outbound queue
+//! holds [`ServerConfig::with_outbound`] frames or more, the reactor
+//! decodes none of its frames and drops its read interest.  A flush that
+//! drains the queue resumes it, frames already in the assembler first.  A
+//! peer that writes Stats requests and never reads costs the server one
+//! queue of replies, not one reply per request.
+//!
+//! ## Stats
+//!
+//! A Stats request is answered with the shared registry's snapshot
+//! ([`encode_stats`]): every `engine_*`, `net_*` and `store_*` cell, once.
+//! The engine's worker and shard counts are the `engine_workers` and
+//! `engine_shards` gauges, live connections the `net_connections` gauge.
+//!
 //! ## Disconnect and shutdown
 //!
 //! A connection that sends [`Shutdown`](crate::wire::Frame::Shutdown) — or
@@ -111,7 +126,7 @@
 use crate::reactor::{waker_pair, FrameAssembler, Poller, SysFd, WakeRx, Waker};
 use crate::wire::{
     decode_frame_capped, encode_credit, encode_nack, encode_shutdown, encode_stats,
-    encode_verdict_batch, Frame, NackReason, StatsReply, WireError, WireStats,
+    encode_verdict_batch, Frame, NackReason, WireError,
 };
 use drv_core::{ObjectMonitorFactory, Verdict, WorkerPanic};
 use drv_engine::{
@@ -169,7 +184,8 @@ impl ServerConfig {
     }
 
     /// Frames a connection's outbound queue buffers before the router
-    /// defers further delivery to it (clamped to ≥ 1).
+    /// defers further delivery to it and the reactor stops reading its
+    /// frames (clamped to ≥ 1).
     #[must_use]
     pub fn with_outbound(mut self, frames: usize) -> Self {
         self.outbound = frames.max(1);
@@ -233,9 +249,9 @@ pub struct ServerStats {
 }
 
 /// The server's operational metrics, registered as `net_*` on the serving
-/// engine's telemetry registry — [`ServerStats`] (and the Stats frame's
-/// snapshot) are *views* over these cells, there is no second set of
-/// bookkeeping.
+/// engine's telemetry registry — [`ServerStats`] is a *view* over these
+/// cells and the Stats frame carries them as they are; there is no second
+/// set of bookkeeping.
 struct NetMetrics {
     accepted: Counter,
     /// Live connections (gauge: accept adds, teardown subtracts).
@@ -420,24 +436,6 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    fn snapshot(&self) -> StatsReply {
-        let engine = self.engine.live_stats();
-        StatsReply {
-            engine: WireStats {
-                workers: engine.workers as u32,
-                shards: engine.shards as u32,
-                events: engine.events,
-                batches: engine.batches,
-                steals: engine.steals,
-                evicted: engine.evicted,
-                park_wakeups: engine.park_wakeups,
-                backlog: self.engine.backlog() as u64,
-                connections: self.m.active.get().max(0) as u32,
-            },
-            telemetry: self.tel.snapshot(),
-        }
-    }
-
     /// Evicts every object of `known` (the objects connection `conn`
     /// submitted) that `conn` still owns, removing those ownership entries
     /// — O(objects the connection touched), not O(all objects).  The
@@ -520,6 +518,9 @@ struct ConnIo {
     /// reactor retries when the engine's capacity hook wakes it.  At most
     /// one per connection.
     parked: Option<EventBatch>,
+    /// Frame processing stopped because the outbound queue was full: reads
+    /// pause until a flush drains it (see [`Reactor::flush_conn`]).
+    held: bool,
     write_buf: Vec<u8>,
     write_pos: usize,
     /// Objects this connection already registered in the owners map.
@@ -540,7 +541,7 @@ impl ConnIo {
     }
 
     fn wants_read(&self) -> bool {
-        !self.draining && self.parked.is_none()
+        !self.draining && self.parked.is_none() && !self.held
     }
 }
 
@@ -548,8 +549,9 @@ impl ConnIo {
 enum Pass {
     /// Keep going (assembler empty or drained cleanly so far).
     Alive,
-    /// A batch is parked on `SubmitError::Full`: stop reading this conn.
-    Parked,
+    /// Stop reading this conn: a batch is parked on `SubmitError::Full`,
+    /// or the outbound queue is full.
+    Paused,
     /// Tear the connection down.
     Dead(Gone),
 }
@@ -717,6 +719,7 @@ impl Reactor {
                 stream,
                 assembler: FrameAssembler::new(),
                 parked: None,
+                held: false,
                 write_buf: Vec::new(),
                 write_pos: 0,
                 known: HashSet::new(),
@@ -744,7 +747,7 @@ impl Reactor {
         loop {
             match self.process_frames(id) {
                 Pass::Alive => {}
-                Pass::Parked => return,
+                Pass::Paused => return,
                 Pass::Dead(gone) => {
                     self.teardown(id, gone);
                     return;
@@ -786,10 +789,17 @@ impl Reactor {
         loop {
             let Some(conn) = self.io.get_mut(&id) else { return Pass::Alive };
             if conn.parked.is_some() {
-                return Pass::Parked;
+                return Pass::Paused;
             }
             if conn.draining {
                 return Pass::Alive;
+            }
+            // Every frame may be answered into the outbound queue (Stats,
+            // NACK), so a peer that does not read would grow it without
+            // bound: hold the rest of its frames until a flush drains it.
+            if conn.shared.outbound.lock().len() >= conn.shared.capacity {
+                conn.held = true;
+                return Pass::Paused;
             }
             // Credit regenerates on *verdict delivery* (see the router), so
             // the connection's un-verdicted events are bounded by the
@@ -880,14 +890,14 @@ impl Reactor {
                                 shared.m.engine_full_stalls.inc();
                                 conn.parked = Some(batch.events);
                                 self.parked += 1;
-                                return Pass::Parked;
+                                return Pass::Paused;
                             }
                             Err(SubmitError::Aborted) => return Pass::Dead(Gone::Lost),
                         }
                     }
                 }
                 Ok(Frame::StatsRequest) => {
-                    let reply = encode_stats(&shared.snapshot());
+                    let reply = encode_stats(&shared.tel.snapshot());
                     self.push_direct(id, reply);
                 }
                 Ok(Frame::Shutdown) => {
@@ -952,9 +962,11 @@ impl Reactor {
         }
     }
 
-    /// Reactor-side push: appends straight to the outbound queue (the
-    /// reactor owns the socket, so no capacity refusal — these are its own
-    /// replies: the opening credit, NACKs, stats).
+    /// Reactor-side push: appends straight to the outbound queue (these are
+    /// the reactor's own replies: the opening credit, NACKs, stats).  No
+    /// capacity refusal: `process_frames` holds a connection's frames while
+    /// its queue is full, so a reply overshoots the capacity by at most the
+    /// one frame the router pushed in between.
     fn push_direct(&mut self, id: u64, frame: Vec<u8>) {
         if let Some(conn) = self.io.get_mut(&id) {
             conn.shared.outbound.lock().push_back(frame);
@@ -990,7 +1002,7 @@ impl Reactor {
                             self.teardown(id, gone);
                             continue;
                         }
-                        Pass::Alive | Pass::Parked => {}
+                        Pass::Alive | Pass::Paused => {}
                     }
                     self.flush_conn(id);
                     self.update_interest(id);
@@ -1015,11 +1027,31 @@ impl Reactor {
         }
     }
 
+    /// Writes as much of the outbound queue as the socket accepts, then
+    /// resumes a connection whose frames were held for a full queue — as
+    /// [`Reactor::retry_parked`] does for an unparked batch, so a frame
+    /// already in the assembler does not wait for the peer's next write.
+    /// Repeats while the resumed frames' replies flush at once.
+    fn flush_conn(&mut self, id: u64) {
+        loop {
+            self.write_out(id);
+            let Some(conn) = self.io.get_mut(&id) else { return };
+            if !conn.held || conn.shared.outbound.lock().len() >= conn.shared.capacity {
+                return;
+            }
+            conn.held = false;
+            if let Pass::Dead(gone) = self.process_frames(id) {
+                self.teardown(id, gone);
+                return;
+            }
+        }
+    }
+
     /// Writes as much of the outbound queue as the socket accepts,
     /// coalescing queued frames into one buffer (one syscall carries every
     /// frame queued since the last flush).  Completes the clean-shutdown
     /// handshake when a draining connection runs dry.
-    fn flush_conn(&mut self, id: u64) {
+    fn write_out(&mut self, id: u64) {
         let Some(conn) = self.io.get_mut(&id) else { return };
         let started = self.shared.tel.timer();
         let mut fate: Option<Gone> = None;

@@ -95,6 +95,23 @@
 //! row count rejected as [`WireError::BadRunTable`] — all before a single
 //! event is surfaced.
 //!
+//! ## Stats payload
+//!
+//! An empty [`FrameKind::Stats`] payload is a request.  The reply is the
+//! serving process's telemetry registry snapshot and nothing else:
+//!
+//! ```text
+//!  version   u8 = STATS_VERSION (3)
+//!  counters  u32 count, then count × (name string, value u64)
+//!  gauges    u32 count, then count × (name string, value i64 as u64)
+//!  hists     u32 count, then count × (name string, buckets u64 seq, sum u64)
+//! ```
+//!
+//! Strings and sequences are `u32`-length-prefixed; a histogram carries
+//! exactly [`BUCKETS`] buckets and its count is re-derived from them.  A
+//! reply decodes to a [`Snapshot`], so two replies subtract with
+//! [`Snapshot::delta`].
+//!
 //! Every decode error is a typed [`WireError`]; malformed, truncated or
 //! oversized input can neither panic nor over-allocate
 //! (`tests/wire_fuzz.rs`).
@@ -123,11 +140,12 @@ pub const HEADER_LEN: usize = 16;
 /// for the length field itself.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// Version byte leading a non-empty [`FrameKind::Stats`] payload.  The
-/// pre-telemetry flat layout was (an unversioned) 1; version 2 appends the
-/// encoded registry snapshot.  A reply whose version this implementation
-/// does not speak decodes to [`WireError::BadStatsVersion`], never to
-/// garbled counters.
-pub const STATS_VERSION: u8 = 2;
+/// pre-telemetry flat layout was (an unversioned) 1; version 2 led the
+/// registry snapshot with a flat block of engine counters the snapshot
+/// already carried; version 3 is the snapshot alone.  A reply whose version
+/// this implementation does not speak decodes to
+/// [`WireError::BadStatsVersion`], never to garbled counters.
+pub const STATS_VERSION: u8 = 3;
 /// Tag of the trace-context block earlier encoders appended to a stamped
 /// batch (one length byte of at least 16, then that many bytes).  Read and
 /// discarded when decoding old bytes; never written.
@@ -212,41 +230,6 @@ pub struct WireBatch {
     pub events: EventBatch,
 }
 
-/// The engine-level counters a [`FrameKind::Stats`] reply carries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Worker threads of the serving engine.
-    pub workers: u32,
-    /// Shards of the serving engine.
-    pub shards: u32,
-    /// Events processed so far.
-    pub events: u64,
-    /// Shard-claim batches drained so far.
-    pub batches: u64,
-    /// Work-stealing migrations.
-    pub steals: u64,
-    /// Objects retired by eviction markers.
-    pub evicted: u64,
-    /// Returns from the worker park (flat while idle).
-    pub park_wakeups: u64,
-    /// Submitted-but-unprocessed events at snapshot time.
-    pub backlog: u64,
-    /// Live client connections at snapshot time.
-    pub connections: u32,
-}
-
-/// A full [`FrameKind::Stats`] reply: the flat engine counters plus the
-/// server's entire telemetry registry at the same instant.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// The engine-level counters (the pre-telemetry reply, kept flat so
-    /// dashboards need no registry knowledge for the headline numbers).
-    pub engine: WireStats,
-    /// Every registered counter, gauge and histogram of the serving
-    /// process — engine, net and store metrics alike.
-    pub telemetry: Snapshot,
-}
-
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -275,8 +258,8 @@ pub enum Frame {
     VerdictBatch(Vec<VerdictEvent>),
     /// A stats request (empty [`FrameKind::Stats`] payload).
     StatsRequest,
-    /// A stats snapshot reply (engine counters + registry snapshot).
-    Stats(Box<StatsReply>),
+    /// A stats reply: the serving process's telemetry registry snapshot.
+    Stats(Box<Snapshot>),
     /// Clean end-of-stream.
     Shutdown,
     /// A journal retirement record (see [`FrameKind::Evict`]).
@@ -735,34 +718,23 @@ pub fn encode_stats_request() -> Vec<u8> {
     encode_with(FrameKind::Stats, 0, |_| {})
 }
 
-/// Encodes a stats snapshot reply: the version byte ([`STATS_VERSION`]),
-/// the flat engine counters, then the registry snapshot — counters and
-/// gauges as `(name, value)` pairs, histograms as `(name, bucket seq,
-/// sum)` (the count is the bucket sum, so it is not re-encoded).
+/// Encodes a stats reply: the version byte ([`STATS_VERSION`]), then the
+/// registry snapshot — counters and gauges as `(name, value)` pairs,
+/// histograms as `(name, bucket seq, sum)` (the count is the bucket sum, so
+/// it is not re-encoded).
 ///
 /// # Panics
 ///
 /// Panics when the encoded snapshot exceeds [`MAX_PAYLOAD`] (a registry
 /// would need hundreds of thousands of metrics).
 #[must_use]
-pub fn encode_stats(reply: &StatsReply) -> Vec<u8> {
-    let stats = &reply.engine;
-    let snapshot = &reply.telemetry;
-    let capacity = 64
+pub fn encode_stats(snapshot: &Snapshot) -> Vec<u8> {
+    let capacity = 16
         + snapshot.counters.len() * 24
         + snapshot.gauges.len() * 24
         + snapshot.histograms.len() * (32 + BUCKETS * 8);
     encode_with(FrameKind::Stats, capacity, |frame| {
         frame.push(STATS_VERSION);
-        put_u32(frame, stats.workers);
-        put_u32(frame, stats.shards);
-        put_u64(frame, stats.events);
-        put_u64(frame, stats.batches);
-        put_u64(frame, stats.steals);
-        put_u64(frame, stats.evicted);
-        put_u64(frame, stats.park_wakeups);
-        put_u64(frame, stats.backlog);
-        put_u32(frame, stats.connections);
         put_u32(frame, u32::try_from(snapshot.counters.len()).expect("< 2^32 counters"));
         for (name, value) in &snapshot.counters {
             put_string(frame, name);
@@ -961,27 +933,16 @@ fn decode_payload(
 
 /// Decodes a non-empty [`FrameKind::Stats`] payload: the version byte
 /// first (so layout drift across releases surfaces as the typed
-/// [`WireError::BadStatsVersion`], not as garbled counters), then the flat
-/// engine stats, then the registry snapshot.  Every collection length is
+/// [`WireError::BadStatsVersion`], not as garbled counters), then the
+/// registry snapshot.  Every collection length is
 /// bounds-checked against the remaining payload before allocation
 /// ([`Reader::count`]), and each histogram must carry exactly [`BUCKETS`]
 /// buckets.
-fn decode_stats_reply(reader: &mut Reader<'_>) -> Result<StatsReply, WireError> {
+fn decode_stats_reply(reader: &mut Reader<'_>) -> Result<Snapshot, WireError> {
     let version = reader.u8("stats version")?;
     if version != STATS_VERSION {
         return Err(WireError::BadStatsVersion(version));
     }
-    let engine = WireStats {
-        workers: reader.u32("stats workers")?,
-        shards: reader.u32("stats shards")?,
-        events: reader.u64("stats events")?,
-        batches: reader.u64("stats batches")?,
-        steals: reader.u64("stats steals")?,
-        evicted: reader.u64("stats evicted")?,
-        park_wakeups: reader.u64("stats park wakeups")?,
-        backlog: reader.u64("stats backlog")?,
-        connections: reader.u32("stats connections")?,
-    };
     // Each counter/gauge entry is ≥ 12 bytes (4-byte name length + 8-byte
     // value); each histogram ≥ 4 + 4 + 8 (empty name, bucket count, sum).
     let counter_count = reader.count(12, "stats counters")?;
@@ -1012,7 +973,7 @@ fn decode_stats_reply(reader: &mut Reader<'_>) -> Result<StatsReply, WireError> 
         hist.sum = reader.u64("histogram sum")?;
         histograms.push((name, hist));
     }
-    Ok(StatsReply { engine, telemetry: Snapshot { counters, gauges, histograms } })
+    Ok(Snapshot { counters, gauges, histograms })
 }
 
 /// Decodes a batch payload, interning each dictionary entry once into
@@ -1215,13 +1176,15 @@ mod tests {
             ),
             (encode_stats_request(), Frame::StatsRequest),
             (
-                encode_stats(&StatsReply {
-                    engine: WireStats { workers: 2, shards: 8, events: 100, ..WireStats::default() },
-                    telemetry: Snapshot::default(),
+                encode_stats(&Snapshot {
+                    counters: vec![("engine_events".to_string(), 100)],
+                    gauges: vec![("engine_workers".to_string(), 2)],
+                    histograms: Vec::new(),
                 }),
-                Frame::Stats(Box::new(StatsReply {
-                    engine: WireStats { workers: 2, shards: 8, events: 100, ..WireStats::default() },
-                    telemetry: Snapshot::default(),
+                Frame::Stats(Box::new(Snapshot {
+                    counters: vec![("engine_events".to_string(), 100)],
+                    gauges: vec![("engine_workers".to_string(), 2)],
+                    histograms: Vec::new(),
                 })),
             ),
             (encode_shutdown(), Frame::Shutdown),
@@ -1542,24 +1505,25 @@ mod tests {
         h.record(0);
         h.record(900);
         h.record(70_000);
-        let reply = StatsReply {
-            engine: WireStats { workers: 4, shards: 16, events: 9000, ..WireStats::default() },
-            telemetry: tel.snapshot(),
-        };
+        tel.registry().gauge("engine_workers").add(4);
+        let reply = tel.snapshot();
         let frame = encode_stats(&reply);
         let (decoded, consumed) =
             decode_frame(&frame, &SharedInterner::new()).expect("valid frame");
         assert_eq!(consumed, frame.len());
         let Frame::Stats(got) = decoded else { panic!("not a stats reply") };
         assert_eq!(*got, reply, "the snapshot survives the wire verbatim");
-        let hist = got.telemetry.histogram("net_decode_ns").expect("histogram");
+        assert_eq!(got.counter("net_batches"), Some(17));
+        assert_eq!(got.gauge("engine_queue_depth"), Some(-3));
+        assert_eq!(got.gauge("engine_workers"), Some(4));
+        let hist = got.histogram("net_decode_ns").expect("histogram");
         assert_eq!(hist.count, 3, "count re-derives from the bucket sum");
         assert_eq!(hist.sum, 70_900);
     }
 
     #[test]
     fn stats_version_mismatch_is_a_typed_error() {
-        let mut frame = encode_stats(&StatsReply::default());
+        let mut frame = encode_stats(&Snapshot::default());
         // The version byte is the first payload byte; claim version 9 and
         // re-seal the CRC so only the version is wrong.
         frame[HEADER_LEN] = 9;
@@ -1571,11 +1535,37 @@ mod tests {
         );
     }
 
+    /// A version-2 reply as the previous layout wrote it: the version byte,
+    /// the 60-byte flat block (workers u32, shards u32, six u64 counters,
+    /// connections u32), then three empty sections.  It is refused on its
+    /// version byte, before anything is read or allocated.
+    #[test]
+    fn a_version_2_stats_reply_is_a_typed_error() {
+        let mut frame = frame_buffer(1 + 60 + 12);
+        frame.push(2);
+        put_u32(&mut frame, 2); // workers
+        put_u32(&mut frame, 8); // shards
+        for counter in [100u64, 7, 0, 0, 3, 0] {
+            // events, batches, steals, evicted, park wakeups, backlog
+            put_u64(&mut frame, counter);
+        }
+        put_u32(&mut frame, 1); // connections
+        for _ in 0..3 {
+            put_u32(&mut frame, 0); // counters, gauges, histograms
+        }
+        assert_eq!(frame.len(), HEADER_LEN + 1 + 60 + 12);
+        seal_frame(FrameKind::Stats, &mut frame);
+        assert_eq!(
+            decode_frame(&frame, &SharedInterner::new()),
+            Err(WireError::BadStatsVersion(2))
+        );
+    }
+
     #[test]
     fn stats_histograms_must_carry_the_fixed_bucket_count() {
-        // Hand-build a version-2 payload whose one histogram declares 3
+        // Hand-build a current-version payload whose one histogram declares 3
         // buckets: the log₂ layout mandates exactly BUCKETS.
-        let mut frame = encode_stats(&StatsReply::default());
+        let mut frame = encode_stats(&Snapshot::default());
         // Replace the trailing (0 counters, 0 gauges, 0 histograms) tail:
         // the last 4 bytes are the histogram count.
         let len = frame.len();

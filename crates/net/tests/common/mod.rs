@@ -54,9 +54,6 @@ impl Gate {
 struct GatedMonitor(Arc<Gate>);
 
 impl ObjectMonitor for GatedMonitor {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("gated")
-    }
     fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
         self.0.wait_open();
         Verdict::Yes

@@ -244,8 +244,8 @@ fn stats_frame_splits_router_drains_by_exit() {
     let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
     let split = |client: &mut MonitorClient| {
         let reply = client.stats(DEADLINE).expect("stats reply");
-        let wakeups = reply.telemetry.counter("net_router_wakeups").unwrap_or(0);
-        (Exits::of(&reply.telemetry), wakeups)
+        let wakeups = reply.counter("net_router_wakeups").unwrap_or(0);
+        (Exits::of(&reply), wakeups)
     };
     let (start, start_wakeups) = split(&mut client);
     let mut received = Vec::new();

@@ -1,7 +1,9 @@
 //! The Stats round trip, end to end: a live server answers a stats
-//! request with a versioned payload carrying its flat engine counters AND
-//! its whole telemetry registry — proven through [`MonitorClient::stats`]
-//! and again over a raw socket (bytes on the wire, decoded by hand).
+//! request with a versioned payload carrying its whole telemetry registry
+//! and nothing else — proven through [`MonitorClient::stats`] and again
+//! over a raw socket (bytes on the wire, decoded by hand) — and a peer that
+//! requests stats without reading the replies cannot grow the server's
+//! outbound queue past its capacity.
 
 use drv_core::CheckerMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine};
@@ -58,15 +60,13 @@ fn client_stats_returns_the_live_registry_snapshot() {
         assert!(!verdicts.is_empty(), "verdicts must keep flowing");
         received += verdicts.len();
     }
-    let reply = client.stats(Duration::from_secs(5)).expect("stats reply");
+    let snap = client.stats(Duration::from_secs(5)).expect("stats reply");
     let n = events.len() as u64;
-    assert_eq!(reply.engine.workers, 2);
-    assert_eq!(reply.engine.events, n, "every event was checked before the request");
-    assert_eq!(reply.engine.connections, 1);
-    // The registry rode the same frame: engine- and net-layer cells agree
-    // with the flat counters they are the source of truth for.
-    let snap = &reply.telemetry;
-    assert_eq!(snap.counter("engine_events"), Some(n));
+    // The engine's shape and counters and the server's connection gauge are
+    // registry cells like every other.
+    assert_eq!(snap.gauge("engine_workers"), Some(2));
+    assert_eq!(snap.counter("engine_events"), Some(n), "every event checked before the request");
+    assert_eq!(snap.gauge("net_connections"), Some(1));
     // Events per monitor call — the run length the grouped claims achieve —
     // is readable from outside the process.
     let runs = snap.counter("engine_runs").expect("registered");
@@ -108,7 +108,7 @@ fn raw_socket_stats_frames_decode_with_the_version_byte() {
     let scratch = SharedInterner::new();
     let mut assembler = FrameAssembler::new();
     let mut chunk = [0u8; 4096];
-    let reply = loop {
+    let snap = loop {
         let Some(raw) = assembler.next_frame().expect("well-framed server bytes") else {
             let read = socket.read(&mut chunk).expect("server bytes");
             assert!(read > 0, "the server closed before replying");
@@ -118,22 +118,93 @@ fn raw_socket_stats_frames_decode_with_the_version_byte() {
         let (frame, consumed) = decode_frame(raw, &scratch).expect("decodable frame");
         assert_eq!(consumed, raw.len());
         match frame {
-            Frame::Stats(reply) => {
+            Frame::Stats(snap) => {
                 // The first payload byte is the layout version — the wire
                 // contract the decoder enforces with BadStatsVersion.
                 assert_eq!(raw[HEADER_LEN], STATS_VERSION);
-                break reply;
+                break snap;
             }
             Frame::Credit { .. } => continue,
             other => panic!("unexpected frame before the stats reply: {other:?}"),
         }
     };
-    assert_eq!(reply.engine.workers, 2);
-    assert_eq!(reply.engine.connections, 1);
+    assert_eq!(snap.gauge("engine_workers"), Some(2));
+    assert_eq!(snap.counter("engine_events"), Some(0));
+    assert_eq!(snap.gauge("net_connections"), Some(1));
     assert!(
-        reply.telemetry.counter("net_accepted").unwrap() >= 1,
+        snap.counter("net_accepted").unwrap() >= 1,
         "the registry snapshot decodes off the raw bytes"
     );
+    drop(socket);
+    server.shutdown().expect("no worker panicked");
+}
+
+#[test]
+fn a_peer_that_never_reads_cannot_grow_its_outbound_queue() {
+    const REQUESTS: usize = 4096;
+    const OUTBOUND: usize = 8;
+    let engine = Arc::new(MonitoringEngine::new(
+        EngineConfig::new(1),
+        Arc::new(CheckerMonitorFactory::linearizability(Register::new(), 2)),
+    ));
+    let server = MonitorServer::with_engine(
+        ("127.0.0.1", 0),
+        engine,
+        ServerConfig::new().with_outbound(OUTBOUND),
+    )
+    .expect("bind loopback");
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect raw");
+    // 64 KiB of requests, written whole; every reply is a full registry
+    // snapshot, far more bytes than loopback buffers hold.
+    let requests: Vec<u8> = (0..REQUESTS).flat_map(|_| encode_stats_request()).collect();
+    socket.write_all(&requests).expect("requests");
+
+    // Read nothing until the server stops reading too.
+    let rx_bytes = || server.telemetry().snapshot().counter("net_rx_bytes").expect("registered");
+    let mut last = rx_bytes();
+    let mut still = 0;
+    while still < 10 {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = rx_bytes();
+        still = if now == last { still + 1 } else { 0 };
+        last = now;
+    }
+    let queued = server
+        .telemetry()
+        .snapshot()
+        .gauge("net_outbound_frames")
+        .expect("registered");
+    assert!(
+        queued <= OUTBOUND as i64 + 1,
+        "{queued} frames queued for a peer that reads nothing ({last} request bytes read)"
+    );
+
+    // Now read: every request is answered, none lost, in order behind the
+    // opening Credit.  The read timeout turns a server that never resumes
+    // into a failure instead of a hang.
+    socket.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let scratch = SharedInterner::new();
+    let mut assembler = FrameAssembler::new();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut frames = 0usize;
+    while frames < 1 + REQUESTS {
+        let Some(raw) = assembler.next_frame().expect("well-framed server bytes") else {
+            let read = socket.read(&mut chunk).expect("server bytes");
+            assert!(read > 0, "the server closed after {frames} frames");
+            assembler.feed(&chunk[..read]);
+            continue;
+        };
+        let (frame, _) = decode_frame(raw, &scratch).expect("decodable frame");
+        match (frames, frame) {
+            (0, Frame::Credit { .. }) | (1.., Frame::Stats(_)) => frames += 1,
+            (at, other) => panic!("frame {at}: unexpected {other:?}"),
+        }
+    }
+    assert!(assembler.next_frame().expect("well-framed").is_none(), "a frame too many");
+    socket.set_read_timeout(Some(Duration::from_millis(200))).expect("read timeout");
+    let extra = socket.read(&mut chunk);
+    assert!(extra.is_err(), "bytes beyond the {REQUESTS} replies: {extra:?}");
+    assert_eq!(server.stats().protocol_errors, 0);
     drop(socket);
     server.shutdown().expect("no worker panicked");
 }

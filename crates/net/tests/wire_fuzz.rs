@@ -14,8 +14,8 @@ use drv_engine::VerdictEvent;
 use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
 use drv_net::wire::{
     decode_frame, encode_credit, encode_nack, encode_shutdown, encode_stats, encode_stats_request,
-    encode_verdict_batch, seal_frame, Frame, FrameEncoder, FrameKind, NackReason, StatsReply,
-    WireError, WireStats, EXT_TRACE_CONTEXT, HEADER_LEN, MAX_PAYLOAD,
+    encode_verdict_batch, seal_frame, Frame, FrameEncoder, FrameKind, NackReason, WireError,
+    EXT_TRACE_CONTEXT, HEADER_LEN, MAX_PAYLOAD,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,24 +90,19 @@ fn valid_frames(rng: &mut StdRng) -> Vec<Vec<u8>> {
         encode_nack(rng.gen_range(0..u64::MAX), NackReason::CreditExceeded, rng.gen_range(0..u64::MAX)),
         encode_verdict_batch(&verdicts),
         encode_stats_request(),
-        encode_stats(&StatsReply {
-            engine: WireStats {
-                workers: rng.gen_range(1..8u32),
-                events: rng.gen_range(0..u64::MAX),
-                ..WireStats::default()
-            },
-            telemetry: {
-                // A populated registry so the fuzz also mutates the
-                // snapshot section (names, counts, bucket arrays).
-                let tel = drv_telemetry::Telemetry::new();
-                tel.registry().counter("net_batches").add(rng.gen_range(0..1_000u64));
-                tel.registry().gauge("engine_queue_depth").add(rng.gen_range(0..100u64) as i64 - 50);
-                let hist = tel.registry().histogram("net_decode_ns");
-                for _ in 0..rng.gen_range(1..64u32) {
-                    hist.record(rng.gen_range(0..u64::MAX));
-                }
-                tel.snapshot()
-            },
+        encode_stats(&{
+            // A populated registry so the fuzz also mutates the snapshot
+            // (names, counts, bucket arrays).
+            let tel = drv_telemetry::Telemetry::new();
+            tel.registry().gauge("engine_workers").add(rng.gen_range(1..8u64) as i64);
+            tel.registry().counter("engine_events").add(rng.gen_range(0..u64::MAX));
+            tel.registry().counter("net_batches").add(rng.gen_range(0..1_000u64));
+            tel.registry().gauge("engine_queue_depth").add(rng.gen_range(0..100u64) as i64 - 50);
+            let hist = tel.registry().histogram("net_decode_ns");
+            for _ in 0..rng.gen_range(1..64u32) {
+                hist.record(rng.gen_range(0..u64::MAX));
+            }
+            tel.snapshot()
         }),
         encode_shutdown(),
     ]

@@ -410,33 +410,18 @@ impl Store {
     /// existing contents, truncates the torn tail if one is found, and
     /// positions appends at the end of the valid prefix.  The store runs
     /// over a passive [`Telemetry`] handle (counters tick, latency timing
-    /// off); use [`Store::open_with`] to share an instrumented one.
+    /// off); recovery opens it over the engine's.
     ///
     /// # Errors
     ///
     /// File I/O only — on-disk corruption is salvaged, not fatal.
     pub fn open(path: impl AsRef<Path>, config: StoreConfig) -> Result<Store, StoreError> {
-        Store::open_with(path, config, Telemetry::passive())
-    }
-
-    /// [`Store::open`] over a caller-supplied [`Telemetry`] handle — pass
-    /// the engine's so one registry (and one Stats frame) carries the
-    /// `engine_*`, `net_*` and `store_*` cells together.
-    ///
-    /// # Errors
-    ///
-    /// File I/O only — on-disk corruption is salvaged, not fatal.
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        config: StoreConfig,
-        telemetry: Arc<Telemetry>,
-    ) -> Result<Store, StoreError> {
         // Only the valid prefix is wanted here; records and arena are dropped.
-        Store::open_scanned(path.as_ref(), config, telemetry, &SharedInterner::new())
+        Store::open_scanned(path.as_ref(), config, Telemetry::passive(), &SharedInterner::new())
             .map(|(store, _)| store)
     }
 
-    /// The open step [`Store::open_with`] and recovery share: one read of
+    /// The open step [`Store::open`] and recovery share: one read of
     /// the file and one [`scan_journal`] into `arena`, then the torn tail
     /// truncated and appends positioned at the end of the valid prefix.
     /// The scan comes back with the store: recovery selects its seeds and

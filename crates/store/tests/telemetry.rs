@@ -182,7 +182,7 @@ fn served_registry(tel: Arc<Telemetry>, tag: &str) -> Snapshot {
     client.shutdown().expect("clean goodbye");
     server.shutdown().expect("no worker panicked");
     let _ = std::fs::remove_file(&path);
-    reply.telemetry
+    reply
 }
 
 #[test]

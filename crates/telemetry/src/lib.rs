@@ -162,13 +162,6 @@ impl Telemetry {
         &self.clock
     }
 
-    /// Whether latency sampling is on (true for [`Telemetry::new`],
-    /// false for [`Telemetry::passive`]).
-    #[must_use]
-    pub fn timing_enabled(&self) -> bool {
-        self.timing
-    }
-
     /// Starts a latency sample: `Some(Instant)` when timing is enabled,
     /// `None` on a passive handle (callers pay one branch, no clock
     /// read).  Close the sample with [`Telemetry::observe`].
@@ -264,7 +257,6 @@ mod tests {
     #[test]
     fn passive_handle_reads_no_clock_and_records_no_flights() {
         let tel = Telemetry::passive();
-        assert!(!tel.timing_enabled());
         assert!(tel.timer().is_none());
         tel.flight(Stage::Check, 1, 2, 3, 4);
         assert!(tel.recorder().dump().is_empty());

@@ -169,12 +169,6 @@ impl Histogram {
         s.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records the elapsed time of `started` in nanoseconds.
-    #[inline]
-    pub fn record_since(&self, started: Instant) {
-        self.record(crate::saturating_ns(started.elapsed().as_nanos()));
-    }
-
     /// Merges the stripes into a point-in-time snapshot.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {

@@ -71,24 +71,20 @@ fn main() {
                 // One connection also asks for the server's counters.
                 if conn == 0 {
                     let stats = client.stats(Duration::from_secs(5)).expect("stats reply");
+                    let counter = |name| stats.counter(name).expect("a registry counter");
+                    let gauge = |name| stats.gauge(name).expect("a registry gauge");
                     println!(
                         "stats frame: {} events checked, {} engine workers, {} connections, \
                          {} registry metrics over the wire",
-                        stats.engine.events,
-                        stats.engine.workers,
-                        stats.engine.connections,
-                        stats.telemetry.counters.len()
-                            + stats.telemetry.gauges.len()
-                            + stats.telemetry.histograms.len(),
+                        counter("engine_events"),
+                        gauge("engine_workers"),
+                        gauge("net_connections"),
+                        stats.counters.len() + stats.gauges.len() + stats.histograms.len(),
                     );
-                    let net_events = stats
-                        .telemetry
-                        .counter("net_events")
-                        .expect("the live registry snapshot rides the same frame");
                     // This connection's own traffic is fully verdicted, so
                     // it is contained in both the net- and engine-side tallies.
                     let own = OBJECTS_PER_CONN * OPS_PER_OBJECT * 2;
-                    assert!(net_events >= own && stats.engine.events >= own);
+                    assert!(counter("net_events") >= own && counter("engine_events") >= own);
                 }
                 client.shutdown().expect("clean goodbye");
                 (received, yes)
