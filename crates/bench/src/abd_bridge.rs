@@ -1,5 +1,6 @@
 //! The `drv-abd` → network bridge: a *live* ABD simulation streamed through
-//! a [`MonitorClient`] as it runs.
+//! a [`MonitorClient`] as it runs.  It lives in the harness, not in
+//! `drv-net`, so the served crates do not compile the simulation.
 //!
 //! `drv_abd::run_abd` extracts a finished history and hands it to a checker
 //! post-hoc.  This adapter runs the same deterministic simulation but ships
@@ -14,9 +15,9 @@
 //! would have extracted for the same `(config, workload)` (the simulation
 //! is seed-deterministic), which is what the loopback tests assert.
 
-use crate::client::{ClientError, MonitorClient};
 use drv_abd::{AbdNode, NetConfig, Simulator, Time, Workload};
 use drv_lang::{EventBatch, ObjectId, ProcId, Symbol};
+use drv_net::{ClientError, MonitorClient};
 use std::collections::VecDeque;
 
 /// What a bridged simulation run produced.

@@ -11,6 +11,8 @@
 //!   `cargo run -p drv-bench --bin table1 --release`.
 //! * [`witnesses`] — the Appendix A / Theorem 5.2 witness words used by the
 //!   characterization experiments.
+//! * [`abd_bridge`] — a live ABD message-passing simulation streamed through
+//!   a `drv-net` client as it runs ([`stream_abd`]).
 //!
 //! ```no_run
 //! use drv_bench::{reproduce_table1, Table1Config};
@@ -23,9 +25,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod abd_bridge;
 pub mod table1;
 pub mod witnesses;
 
+pub use abd_bridge::{reference_stream, stream_abd, BridgeReport};
 pub use table1::{
     reproduce_table1, time_object_cells, time_object_cells_with_engine, CellResult,
     ObjectCellTiming, Table1Config, Table1Report,

@@ -77,9 +77,6 @@ pub struct CheckerConfig {
     /// Maximum number of DFS nodes to explore before giving up with
     /// [`ConsistencyResult::Unknown`].
     pub max_states: usize,
-    /// Whether pending operations may be dropped (both linearizability and
-    /// sequential consistency allow it; set to `false` to force completion).
-    pub allow_drop_pending: bool,
 }
 
 impl CheckerConfig {
@@ -89,7 +86,6 @@ impl CheckerConfig {
         CheckerConfig {
             respect_real_time: true,
             max_states: 1_000_000,
-            allow_drop_pending: true,
         }
     }
 
@@ -99,7 +95,6 @@ impl CheckerConfig {
         CheckerConfig {
             respect_real_time: false,
             max_states: 1_000_000,
-            allow_drop_pending: true,
         }
     }
 
@@ -134,10 +129,7 @@ enum DfsOutcome {
 
 impl<'a, S: SequentialSpec> Dfs<'a, S> {
     fn run(&mut self, counts: &mut Vec<usize>, state: S::State) -> DfsOutcome {
-        if self
-            .history
-            .is_done(counts, self.config.allow_drop_pending)
-        {
+        if self.history.is_done(counts) {
             return DfsOutcome::Found;
         }
         if self.explored >= self.config.max_states {
@@ -185,7 +177,7 @@ impl<'a, S: SequentialSpec> Dfs<'a, S> {
             }
             // Choice 2: drop a pending operation (only ever the last op of its
             // process, so dropping it simply finishes that process).
-            if op.is_pending() && self.config.allow_drop_pending {
+            if op.is_pending() {
                 counts[p] += 1;
                 match self.run(counts, state.clone()) {
                     DfsOutcome::Found => return DfsOutcome::Found,
@@ -496,9 +488,8 @@ mod tests {
     }
 
     #[test]
-    fn forcing_pending_completion_changes_outcome() {
-        // A pending read for p2 cannot be legally completed returning 9, but it
-        // can always be dropped.
+    fn a_pending_read_may_be_dropped() {
+        // p1's read is still pending: a linearization may leave it out.
         let w = WordBuilder::new()
             .op(p(0), Invocation::Write(1), Response::Ack)
             .invoke(p(1), Invocation::Read)
@@ -510,10 +501,5 @@ mod tests {
             &CheckerConfig::linearizability(),
         );
         assert!(drop_ok.is_consistent());
-        let mut no_drop = CheckerConfig::linearizability();
-        no_drop.allow_drop_pending = false;
-        let forced = check_history(&Register::new(), &history, &no_drop);
-        // Completing the pending read with the spec response (1) is legal.
-        assert!(forced.is_consistent());
     }
 }

@@ -126,14 +126,14 @@ impl ConcurrentHistory {
     }
 
     /// Returns `true` when every process has been fully linearized or only its
-    /// trailing pending operation remains and `allow_drop_pending` is set.
+    /// trailing pending operation remains (both criteria may drop it).
     #[must_use]
-    pub fn is_done(&self, counts: &[usize], allow_drop_pending: bool) -> bool {
+    pub fn is_done(&self, counts: &[usize]) -> bool {
         for (per, &count) in self.per_proc.iter().zip(counts) {
             let remaining = &per[count..];
             match remaining {
                 [] => {}
-                [single] if allow_drop_pending && self.op(*single).is_pending() => {}
+                [single] if self.op(*single).is_pending() => {}
                 _ => return false,
             }
         }
@@ -462,12 +462,12 @@ impl InternedHistory {
     /// Returns `true` when every process is fully linearized, up to trailing
     /// droppable pending operations (cf. [`ConcurrentHistory::is_done`]).
     #[must_use]
-    pub fn is_done(&self, counts: &[u32], allow_drop_pending: bool) -> bool {
+    pub fn is_done(&self, counts: &[u32]) -> bool {
         for (per, &count) in self.per_proc.iter().zip(counts) {
             let remaining = &per[count as usize..];
             match remaining {
                 [] => {}
-                [single] if allow_drop_pending && self.records[single.0].is_pending() => {}
+                [single] if self.records[single.0].is_pending() => {}
                 _ => return false,
             }
         }
@@ -549,9 +549,8 @@ mod tests {
             .build();
         let h = ConcurrentHistory::from_word(&w, 2);
         assert_eq!(h.pending_count(), 1);
-        assert!(!h.is_done(&[0, 0], true));
-        assert!(h.is_done(&[1, 0], true));
-        assert!(!h.is_done(&[1, 0], false));
-        assert!(h.is_done(&[1, 1], false));
+        assert!(!h.is_done(&[0, 0]));
+        assert!(h.is_done(&[1, 0]));
+        assert!(h.is_done(&[1, 1]));
     }
 }

@@ -614,8 +614,10 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     }
 
     /// Feeds a run of symbols of the (extending) history and records the
-    /// verdict after each one (`drv-core`'s `ObjectMonitor::on_batch` lands
-    /// here; the engine's event path is [`IncrementalChecker::feed_records`]).
+    /// verdict after each one ([`ObjectMonitor::on_batch`] lands here; the
+    /// engine's event path is [`IncrementalChecker::feed_records`]).
+    ///
+    /// [`ObjectMonitor::on_batch`]: crate::ObjectMonitor::on_batch
     ///
     /// The appended outcomes are bit-identical to calling
     /// [`IncrementalChecker::push_symbol`] +
@@ -820,14 +822,7 @@ impl<S: SequentialSpec> Core<S> {
                     self.standing_no = false;
                 }
                 // A fresh pending operation can always be dropped (both
-                // criteria), so an existing witness stays valid as-is.  In
-                // the no-drop configuration the witness must cover it; keep
-                // things simple and let the fallback handle that rare mode.
-                if !self.config.allow_drop_pending {
-                    if let Some(witness) = self.witness.take() {
-                        self.discard(&witness);
-                    }
-                }
+                // criteria), so an existing witness stays valid as-is.
             }
             HistoryDelta::Completed(op) => self.incorporate_completion(arena, op),
         }

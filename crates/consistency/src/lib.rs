@@ -13,7 +13,10 @@
 //! * eventual-consistency checkers for the weak/strong eventual counter and
 //!   the eventually-consistent ledger ([`eventual`]),
 //! * the seven Table 1 languages as [`drv_lang::Language`] implementations
-//!   ([`languages`]).
+//!   ([`languages`]),
+//! * the streaming per-object monitor surface a monitoring engine consumes
+//!   ([`ObjectMonitor`] / [`ObjectMonitorFactory`], [`stream`]) with the
+//!   checker-backed [`CheckerMonitorFactory`].
 //!
 //! ```
 //! use drv_consistency::{is_linearizable, languages::lin_reg};
@@ -37,6 +40,7 @@ pub mod history;
 pub mod incremental;
 pub mod languages;
 mod search;
+pub mod stream;
 
 pub use checker::{
     check_history, check_linearizable, check_sequentially_consistent, is_linearizable,
@@ -51,4 +55,8 @@ pub use incremental::{CheckOutcome, CheckerStats, CheckpointError, IncrementalCh
 pub use languages::{
     ec_led, lin_led, lin_queue, lin_reg, lin_stack, sc_led, sc_reg, sec_count, table1_languages,
     wec_count, EcLedger, Linearizable, SecCounter, SequentiallyConsistent, WecCounter,
+};
+pub use stream::{
+    CheckerMonitorFactory, CheckerObjectMonitor, ObjectMonitor, ObjectMonitorFactory, RestoreError,
+    RoutingMonitorFactory,
 };

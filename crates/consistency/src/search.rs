@@ -212,7 +212,7 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
     let (mut state, mut on_hint) = (spec.initial(), true);
     'enter: loop {
         // Enter the node `(state, on_hint)`.
-        if history.is_done(counts, config.allow_drop_pending) {
+        if history.is_done(counts) {
             return SearchOutcome::Found;
         }
         if *explored >= config.max_states {
@@ -255,16 +255,13 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
                         counts[p] -= 1;
                     }
                     Child::LinearizedPending => {
+                        // The drop replaces the linearization: the count
+                        // stays as it is.
                         order.pop();
-                        if config.allow_drop_pending {
-                            // The drop replaces the linearization: the
-                            // count stays as it is.
-                            frame.child = Child::Dropped;
-                            state = frame.state.clone();
-                            on_hint = false;
-                            continue 'enter;
-                        }
-                        counts[p] -= 1;
+                        frame.child = Child::Dropped;
+                        state = frame.state.clone();
+                        on_hint = false;
+                        continue 'enter;
                     }
                     Child::Dropped => counts[p] -= 1,
                 }
@@ -298,7 +295,7 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
                     state = next;
                     continue 'enter;
                 }
-                if op.is_pending() && config.allow_drop_pending {
+                if op.is_pending() {
                     counts[p] += 1;
                     frame.child = Child::Dropped;
                     state = frame.state.clone();

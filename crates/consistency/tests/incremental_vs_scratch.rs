@@ -461,50 +461,45 @@ fn sequential_consistency_matches_scratch_on_random_histories() {
 
 /// Violations that are explained later: the standing NO of sequential
 /// consistency must hold exactly as long as the from-scratch checker says NO
-/// and a restored copy must carry it, with and without the licence to drop
-/// pending operations, on observers that preserve the state (`read`) and on
-/// one that does not (`dequeue`).
+/// and a restored copy must carry it, on observers that preserve the state
+/// (`read`) and on one that does not (`dequeue`).
 #[test]
 fn sequential_consistency_recovers_when_a_later_mutator_explains_the_observation() {
-    let sc = CheckerConfig::sequential_consistency();
-    let mut sc_no_drop = sc;
-    sc_no_drop.allow_drop_pending = false;
-    for (config, drop) in [(sc, "drop"), (sc_no_drop, "nodrop")] {
-        let run = |object: Object, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let words: Vec<(usize, Word)> = (0..250)
-                .map(|_| {
-                    let n = rng.gen_range(2..4usize);
-                    (n, rescue_word(&mut rng, object, n))
-                })
-                .collect();
-            let label = format!("rescue/{drop}/{object:?}");
-            let swept = match object {
-                Object::Register => sweep(Register::new(), config, &label, words),
-                Object::Counter => sweep(Counter::new(), config, &label, words),
-                Object::Queue => sweep(Queue::new(), config, &label, words),
-            };
-            // Neither vacuous (a third of the verdicts do come back) nor
-            // searched per symbol (the NOs in between mostly stand).
-            assert!(swept.recoveries >= 80, "{label}: {} recoveries", swept.recoveries);
-            assert!(
-                swept.unsearched_no >= swept.totals.dfs_runs / 2,
-                "{label}: {} standing NOs, {:?}",
-                swept.unsearched_no,
-                swept.totals
-            );
-            // The chain sweep cut both with a witness and in frontier mode.
-            assert!(
-                (1..swept.cuts).contains(&swept.cuts_without_witness),
-                "{label}: {} of {} cuts without a witness",
-                swept.cuts_without_witness,
-                swept.cuts
-            );
+    let config = CheckerConfig::sequential_consistency();
+    let run = |object: Object, seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let words: Vec<(usize, Word)> = (0..250)
+            .map(|_| {
+                let n = rng.gen_range(2..4usize);
+                (n, rescue_word(&mut rng, object, n))
+            })
+            .collect();
+        let label = format!("rescue/{object:?}");
+        let swept = match object {
+            Object::Register => sweep(Register::new(), config, &label, words),
+            Object::Counter => sweep(Counter::new(), config, &label, words),
+            Object::Queue => sweep(Queue::new(), config, &label, words),
         };
-        run(Object::Register, 401);
-        run(Object::Counter, 402);
-        run(Object::Queue, 403);
-    }
+        // Neither vacuous (a third of the verdicts do come back) nor
+        // searched per symbol (the NOs in between mostly stand).
+        assert!(swept.recoveries >= 80, "{label}: {} recoveries", swept.recoveries);
+        assert!(
+            swept.unsearched_no >= swept.totals.dfs_runs / 2,
+            "{label}: {} standing NOs, {:?}",
+            swept.unsearched_no,
+            swept.totals
+        );
+        // The chain sweep cut both with a witness and in frontier mode.
+        assert!(
+            (1..swept.cuts).contains(&swept.cuts_without_witness),
+            "{label}: {} of {} cuts without a witness",
+            swept.cuts_without_witness,
+            swept.cuts
+        );
+    };
+    run(Object::Register, 401);
+    run(Object::Counter, 402);
+    run(Object::Queue, 403);
 }
 
 /// The word section of a checkpoint for `symbols`: the count, then per
@@ -637,18 +632,6 @@ fn the_fed_word_is_reconstructible_symbol_for_symbol() {
     assert!(
         skipped >= 100,
         "only {skipped} skipped symbols in 120 words"
-    );
-}
-
-/// The no-drop configuration (pending operations must be completed) follows
-/// the same engine paths; keep it honest too.
-#[test]
-fn no_drop_configuration_matches_scratch() {
-    let mut config = CheckerConfig::linearizability();
-    config.allow_drop_pending = false;
-    assert_eq!(
-        compare_on(Register::new(), Object::Register, config, "nodrop/register", 150, 301),
-        PathTotals { splices: 185, repairs: 0, dfs_runs: 486, dfs_nodes: 1211, fast_path: 566 }
     );
 }
 

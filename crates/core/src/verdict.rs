@@ -4,68 +4,15 @@
 //! process *reports* a value.  The paper's two-valued decidability notions use
 //! YES/NO; Section 5.2 and Section 7 discuss richer verdict domains (MAYBE,
 //! or arbitrarily many opinions), which [`Verdict::Maybe`] makes representable.
+//! [`Verdict`] itself is `drv-lang`'s, re-exported here.
 //!
 //! A [`VerdictStream`] is the sequence of verdicts one process reported in an
 //! execution, each tagged with the length of the input word at reporting time
 //! so that "finitely many NO" can be given the cut-based finitary reading used
 //! throughout the experiments.
 
+pub use drv_lang::Verdict;
 use std::fmt;
-
-/// A value reported by a monitor process (Figure 1, line 06).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Verdict {
-    /// The process currently believes the behaviour is correct.
-    Yes,
-    /// The process currently believes the behaviour is incorrect.
-    No,
-    /// An inconclusive opinion; the index allows multi-opinion domains
-    /// (Section 5.2 discusses verdicts with `2k + 4` opinions).
-    Maybe(u32),
-}
-
-impl Verdict {
-    /// Returns `true` for [`Verdict::Yes`].
-    #[must_use]
-    pub fn is_yes(self) -> bool {
-        matches!(self, Verdict::Yes)
-    }
-
-    /// Returns `true` for [`Verdict::No`].
-    #[must_use]
-    pub fn is_no(self) -> bool {
-        matches!(self, Verdict::No)
-    }
-
-    /// Returns `true` for any [`Verdict::Maybe`].
-    #[must_use]
-    pub fn is_maybe(self) -> bool {
-        matches!(self, Verdict::Maybe(_))
-    }
-}
-
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Verdict::Yes => write!(f, "YES"),
-            Verdict::No => write!(f, "NO"),
-            Verdict::Maybe(i) => write!(f, "MAYBE({i})"),
-        }
-    }
-}
-
-impl From<drv_consistency::CheckOutcome> for Verdict {
-    /// The canonical reading of a consistency-checker outcome as a monitor
-    /// verdict: consistent → YES, inconsistent → NO, budget-exhausted →
-    /// MAYBE(0).
-    fn from(outcome: drv_consistency::CheckOutcome) -> Self {
-        match outcome {
-            drv_consistency::CheckOutcome::Consistent => Verdict::Yes,
-            drv_consistency::CheckOutcome::Inconsistent => Verdict::No,
-            drv_consistency::CheckOutcome::Unknown => Verdict::Maybe(0),
-        }
-    }
-}
 
 /// One report of one process: the verdict plus the positions at which it was
 /// emitted.
@@ -156,32 +103,10 @@ impl VerdictStream {
             .count()
     }
 
-    /// Number of YES reports from report index `from` (inclusive) onwards.
-    #[must_use]
-    pub fn yes_count_from(&self, from: usize) -> usize {
-        self.reports
-            .iter()
-            .skip(from)
-            .filter(|r| r.verdict.is_yes())
-            .count()
-    }
-
     /// Index of the first NO report, if any.
     #[must_use]
     pub fn first_no(&self) -> Option<usize> {
         self.reports.iter().position(|r| r.verdict.is_no())
-    }
-
-    /// Index of the last NO report, if any.
-    #[must_use]
-    pub fn last_no(&self) -> Option<usize> {
-        self.reports.iter().rposition(|r| r.verdict.is_no())
-    }
-
-    /// Returns `true` when the stream never contains NO.
-    #[must_use]
-    pub fn never_no(&self) -> bool {
-        self.no_count() == 0
     }
 
     /// Returns `true` when the stream contains no NO from report index `from`
@@ -220,17 +145,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn verdict_predicates_and_display() {
-        assert!(Verdict::Yes.is_yes());
-        assert!(Verdict::No.is_no());
-        assert!(Verdict::Maybe(2).is_maybe());
-        assert!(!Verdict::Yes.is_no());
-        assert_eq!(Verdict::Yes.to_string(), "YES");
-        assert_eq!(Verdict::No.to_string(), "NO");
-        assert_eq!(Verdict::Maybe(3).to_string(), "MAYBE(3)");
-    }
-
-    #[test]
     fn stream_counts() {
         let stream: VerdictStream = [
             Verdict::Yes,
@@ -247,10 +161,7 @@ mod tests {
         assert_eq!(stream.yes_count(), 2);
         assert_eq!(stream.maybe_count(), 1);
         assert_eq!(stream.first_no(), Some(1));
-        assert_eq!(stream.last_no(), Some(4));
-        assert!(!stream.never_no());
         assert_eq!(stream.no_count_from(2), 1);
-        assert_eq!(stream.yes_count_from(3), 0);
         assert!(!stream.no_free_tail(4));
         assert!(stream.no_free_tail(5));
         assert_eq!(stream.verdicts().len(), 5);
@@ -261,10 +172,8 @@ mod tests {
     fn empty_stream_is_no_free() {
         let stream = VerdictStream::new();
         assert!(stream.is_empty());
-        assert!(stream.never_no());
         assert!(stream.no_free_tail(0));
         assert_eq!(stream.first_no(), None);
-        assert_eq!(stream.last_no(), None);
     }
 
     #[test]

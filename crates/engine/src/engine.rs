@@ -95,8 +95,8 @@ use crate::journal::{JournalSink, RecoveredObject};
 use crate::report::{EngineReport, EngineStats, ObjectReport};
 use crate::service::{SubmitError, SubscriptionShared, VerdictEvent, VerdictSubscription};
 use drv_consistency::CheckerStats;
-use drv_core::{ObjectMonitor, ObjectMonitorFactory, Verdict, WorkerPanic};
-use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol};
+use drv_consistency::{ObjectMonitor, ObjectMonitorFactory};
+use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Verdict, WorkerPanic};
 use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -983,7 +983,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// aggregate report with [`MonitoringEngine::finish`].
 ///
 /// ```
-/// use drv_core::CheckerMonitorFactory;
+/// use drv_consistency::CheckerMonitorFactory;
 /// use drv_engine::{EngineConfig, MonitoringEngine};
 /// use drv_lang::{Invocation, ObjectId, ProcId, Response, Symbol};
 /// use drv_spec::Register;

@@ -40,8 +40,8 @@
 //! server's ownership rule), and no same-object traffic racing the
 //! object's own eviction.
 
-use drv_core::{ObjectMonitor, Verdict};
-use drv_lang::{EventBatch, ObjectId, SharedInterner};
+use drv_consistency::ObjectMonitor;
+use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
 
 /// A durability tap for everything the engine accepts; see the module docs
 /// for the exact call-site contract.

@@ -14,13 +14,13 @@
 //! ([`EngineReport::aggregate`]).
 //!
 //! What runs per object is pluggable through
-//! [`drv_core::ObjectMonitorFactory`]:
+//! [`drv_consistency::ObjectMonitorFactory`]:
 //!
-//! * [`drv_core::CheckerMonitorFactory`] — a long-lived incremental
+//! * [`drv_consistency::CheckerMonitorFactory`] — a long-lived incremental
 //!   `LIN_O`/`SC_O` checker per object, or
-//! * [`drv_core::FamilyMonitorFactory`] — any of the paper's
-//!   [`MonitorFamily`](drv_core::MonitorFamily) algorithms (`WEC_COUNT`,
-//!   `V_O`, `SEC_COUNT`, …), unchanged.
+//! * `drv-core`'s `FamilyMonitorFactory` — any of the paper's
+//!   `MonitorFamily` algorithms (`WEC_COUNT`, `V_O`, `SEC_COUNT`, …),
+//!   unchanged; the engine itself does not depend on `drv-core`.
 //!
 //! **Determinism is the acceptance bar:** per-object streams are FIFO and a
 //! shard is owned by at most one worker at a time, so the verdict streams
@@ -61,14 +61,15 @@
 //! front, and the pool is published to with **one** `work_epoch` bump and
 //! one notify per batch instead of one per event.  Worker-side, a claim's
 //! queue items are grouped into one run per object and fed to the object's
-//! monitor through [`drv_core::ObjectMonitor::on_records`] (the incremental
-//! checkers push the run's ids into their history), so one slot lookup and
-//! one verdict flush cover the whole run.
+//! monitor through [`drv_consistency::ObjectMonitor::on_records`] (the
+//! incremental checkers push the run's ids into their history), so one slot
+//! lookup and one verdict flush cover the whole run.
 //!
 //! **Arena lifetime rules.**  Payload ids are only meaningful relative to
 //! the arena that produced them: build batches against the target engine's
 //! [`MonitoringEngine::interner`].  It is the engine's only arena: every
-//! monitor is created on it ([`drv_core::ObjectMonitorFactory::create_in`]),
+//! monitor is created on it
+//! ([`drv_consistency::ObjectMonitorFactory::create_in`]),
 //! so an id goes from the decoded frame to the checker's witness unchanged.
 //! It is append-only and lives as long as the engine or its last monitor,
 //! so a batch never dangles.  A monitor holds a read guard on it only inside
@@ -83,7 +84,7 @@
 //! over workers {1, 2, 4} × batch sizes {1, 256} to prove it).
 //!
 //! ```
-//! use drv_core::CheckerMonitorFactory;
+//! use drv_consistency::CheckerMonitorFactory;
 //! use drv_engine::{EngineConfig, MonitoringEngine};
 //! use drv_lang::{Invocation, ObjectId, ProcId, Response, Symbol};
 //! use drv_spec::Register;

@@ -1,8 +1,7 @@
 //! What a finished engine run hands back: per-object verdict streams, the
 //! aggregated engine-level verdict, and the pool's operational counters.
 
-use drv_core::Verdict;
-use drv_lang::ObjectId;
+use drv_lang::{ObjectId, Verdict};
 use std::collections::BTreeMap;
 use std::fmt;
 

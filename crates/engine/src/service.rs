@@ -42,8 +42,7 @@
 //! [`MonitoringEngine::try_submit_batch`]: crate::MonitoringEngine::try_submit_batch
 //! [`MonitoringEngine::subscribe`]: crate::MonitoringEngine::subscribe
 
-use drv_core::Verdict;
-use drv_lang::{ObjectId, VerdictBatch};
+use drv_lang::{ObjectId, Verdict, VerdictBatch};
 use drv_telemetry::Counter;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;

@@ -261,13 +261,13 @@ impl EventBatch {
 /// the return half of the pipeline, mirroring [`EventBatch`] on the
 /// ingestion half.
 ///
-/// The verdict type is generic (`V: Copy`) because this crate sits below the
-/// crate that defines the concrete verdict enum; consumers instantiate it
-/// with their own `Copy` verdict.  Like [`EventBatch`], the container is
-/// order-preserving and reusable: a consumer loop drains a subscription into
-/// the same batch (`clear` keeps the column allocations), then walks
-/// [`VerdictBatch::runs`] to process maximal same-object spans with one
-/// lookup each.
+/// The verdict type is generic (`V: Copy`): the pipeline instantiates it
+/// with [`Verdict`](crate::Verdict), and a consumer with a verdict of its own
+/// (any `Copy` type) reuses the same columns.  Like [`EventBatch`], the
+/// container is order-preserving and reusable: a consumer loop drains a
+/// subscription into the same batch (`clear` keeps the column allocations),
+/// then walks [`VerdictBatch::runs`] to process maximal same-object spans
+/// with one lookup each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerdictBatch<V: Copy> {
     objects: Vec<ObjectId>,

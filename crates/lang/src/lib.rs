@@ -28,7 +28,10 @@
 //!   notion of the paper's characterization (Theorem 5.2),
 //! * [`wire`] — the bounds-checked binary codec for [`Invocation`] /
 //!   [`Response`] payloads (the dictionary entries of `drv-net`'s
-//!   `EventBatch` frames).
+//!   `EventBatch` frames),
+//! * [`Verdict`] — the value a monitor reports (Figure 1, line 06), and
+//!   [`WorkerPanic`], the attributed death of a worker thread: the two items
+//!   the served pipeline and the paper's simulator both speak.
 //!
 //! ## Example
 //!
@@ -56,8 +59,10 @@ pub mod oblivious;
 pub mod operation;
 pub mod shuffle;
 pub mod symbol;
+pub mod verdict;
 pub mod wire;
 pub mod word;
+pub mod worker;
 
 pub use alphabet::{ObjectKind, SymbolSampler};
 pub use batch::{EventAction, EventBatch, EventRecord, VerdictBatch};
@@ -69,5 +74,7 @@ pub use oblivious::{oblivious_counterexample, ObliviousReport, ObliviousnessTest
 pub use operation::{operations, OpId, Operation, OperationSet, Ordering as OpOrdering};
 pub use shuffle::{enumerate_shuffles, is_interleaving_of, random_shuffle, Shuffle};
 pub use symbol::{Action, Invocation, ObjectId, ProcId, Record, Response, Symbol};
+pub use verdict::Verdict;
 pub use wire::CodecError;
 pub use word::{LocalWord, WellFormedError, Word, WordBuilder};
+pub use worker::WorkerPanic;

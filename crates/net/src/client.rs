@@ -6,8 +6,8 @@
 //! share id spaces.  Flow control is credit-based: the server grants a
 //! window of events at connect time and re-grants as the engine accepts
 //! batches; [`MonitorClient::send_batch`] blocks while the window is
-//! exhausted (the remote engine is full), [`MonitorClient::try_send_batch`]
-//! reports [`TrySendError::NoCredit`] instead.  A background reader thread
+//! exhausted (the remote engine is full), and [`MonitorClient::credit`]
+//! tells a caller beforehand whether it would.  A background reader thread
 //! processes everything the server pushes: credits update the window,
 //! verdicts buffer for [`MonitorClient::poll_verdicts`] /
 //! [`MonitorClient::wait_verdicts`], stats replies fill the
@@ -126,34 +126,6 @@ impl ClientConfig {
         self
     }
 }
-
-/// Why a non-blocking send was refused.
-#[derive(Debug)]
-pub enum TrySendError {
-    /// Not enough credit right now (the remote engine is applying
-    /// backpressure) — retry after draining verdicts / waiting.
-    NoCredit {
-        /// Events the batch needs.
-        needed: u64,
-        /// Credit currently available.
-        available: u64,
-    },
-    /// A hard failure (see [`ClientError`]).
-    Fatal(ClientError),
-}
-
-impl fmt::Display for TrySendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrySendError::NoCredit { needed, available } => {
-                write!(f, "insufficient credit: need {needed}, have {available}")
-            }
-            TrySendError::Fatal(err) => write!(f, "{err}"),
-        }
-    }
-}
-
-impl std::error::Error for TrySendError {}
 
 /// A NACK the server sent (credit overrun or oversized batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -451,40 +423,6 @@ impl MonitorClient {
             .encode_batch(self.next_batch_id, batch, &self.shared.arena);
         self.next_batch_id += 1;
         self.stream.write_all(&frame)?;
-        Ok(self.next_batch_id - 1)
-    }
-
-    /// Non-blocking [`MonitorClient::send_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`TrySendError::NoCredit`] while the window cannot absorb the batch
-    /// (including before the first grant); [`TrySendError::Fatal`] on the
-    /// hard failures of `send_batch`.
-    pub fn try_send_batch(&mut self, batch: &EventBatch) -> Result<u64, TrySendError> {
-        let needed = batch.len() as u64;
-        if needed > 0 {
-            let mut credit = self.shared.credit.lock();
-            if self.shared.is_closed() {
-                return Err(TrySendError::Fatal(ClientError::Closed));
-            }
-            if credit.window > 0 && needed > credit.window {
-                return Err(TrySendError::Fatal(ClientError::BatchTooLarge {
-                    len: needed,
-                    window: credit.window,
-                }));
-            }
-            if credit.window == 0 || credit.available < needed {
-                return Err(TrySendError::NoCredit { needed, available: credit.available });
-            }
-            credit.available -= needed;
-        }
-        let frame = self
-            .encoder
-            .encode_batch(self.next_batch_id, batch, &self.shared.arena);
-        self.next_batch_id += 1;
-        self.stream.write_all(&frame)
-            .map_err(|err| TrySendError::Fatal(ClientError::Io(err)))?;
         Ok(self.next_batch_id - 1)
     }
 

@@ -99,7 +99,7 @@
 //! ## Quick start (loopback)
 //!
 //! ```
-//! use drv_core::CheckerMonitorFactory;
+//! use drv_consistency::CheckerMonitorFactory;
 //! use drv_engine::EngineConfig;
 //! use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, Symbol};
 //! use drv_net::{MonitorClient, MonitorServer, ServerConfig};
@@ -137,14 +137,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bridge;
 pub mod client;
 pub mod reactor;
 pub mod server;
 pub mod wire;
 
-pub use bridge::{stream_abd, BridgeReport};
-pub use client::{ClientConfig, ClientError, MonitorClient, Nack, TrySendError};
+pub use client::{ClientConfig, ClientError, MonitorClient, Nack};
 pub use reactor::FrameAssembler;
 pub use server::{MonitorServer, ServerConfig, ServerStats};
 pub use wire::{Frame, FrameKind, NackReason, WireBatch, WireError};

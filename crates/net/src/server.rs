@@ -128,11 +128,11 @@ use crate::wire::{
     decode_frame_capped, encode_credit, encode_nack, encode_shutdown, encode_stats,
     encode_verdict_batch, Frame, NackReason, WireError,
 };
-use drv_core::{ObjectMonitorFactory, Verdict, WorkerPanic};
+use drv_consistency::ObjectMonitorFactory;
 use drv_engine::{
     EngineConfig, EngineReport, MonitoringEngine, SubmitError, VerdictEvent, VerdictSubscription,
 };
-use drv_lang::{EventBatch, ObjectId, VerdictBatch};
+use drv_lang::{EventBatch, ObjectId, Verdict, VerdictBatch, WorkerPanic};
 use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};

@@ -46,7 +46,8 @@
 //!  row_count u32   (up front, so size caps apply before anything interns)
 //!  inv_dict  u32 count, then count encoded Invocations (drv_lang::wire)
 //!  resp_dict u32 count, then count encoded Responses
-//!  rows      row_count × (object u64, proc u32, tag u8, dict u32)
+//!  rows      row_count × (object u64, proc u32, tag u8, dict u32),
+//!            proc < MAX_PROCESSES (1 024)
 //!  [ext]     OLD BYTES ONLY: tag u8 = EXT_TRACE_CONTEXT, len u8 ≥ 16,
 //!            then len bytes
 //! ```
@@ -73,7 +74,8 @@
 //! their credit window) and a dictionary larger than the row count (every
 //! legitimate entry is referenced by at least one row) is rejected as
 //! [`WireError::DictOverflow`] *before* the first intern, so a peer
-//! cannot grow server memory with dictionary-only frames.
+//! cannot grow server memory with dictionary-only frames; a row naming a
+//! process past [`MAX_PROCESSES`] is refused the same way.
 //!
 //! ## Verdict batch payload
 //!
@@ -116,7 +118,6 @@
 //! oversized input can neither panic nor over-allocate
 //! (`tests/wire_fuzz.rs`).
 
-use drv_core::Verdict;
 use drv_engine::VerdictEvent;
 use drv_lang::wire::{
     put_invocation, put_response, put_string, put_u32, put_u64, put_u64_seq, take_invocation,
@@ -124,7 +125,7 @@ use drv_lang::wire::{
 };
 use drv_lang::{
     EventAction, EventBatch, EventRecord, InvocationId, ObjectId, ProcId, ResponseId,
-    SharedInterner,
+    SharedInterner, Verdict,
 };
 use drv_telemetry::metrics::BUCKETS;
 use drv_telemetry::{HistogramSnapshot, Snapshot};
@@ -139,6 +140,10 @@ pub const HEADER_LEN: usize = 16;
 /// Hard cap on a frame's payload length (16 MiB): the over-allocation guard
 /// for the length field itself.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+/// Bound on a batch row's process id (`proc < MAX_PROCESSES`): a checker
+/// sizes dense per-process tables (40 B a slot) by the largest id it is fed,
+/// so one event can cost an object at most 40 KiB.
+pub const MAX_PROCESSES: u32 = 1024;
 /// Version byte leading a non-empty [`FrameKind::Stats`] payload.  The
 /// pre-telemetry flat layout was (an unversioned) 1; version 2 led the
 /// registry snapshot with a flat block of engine counters the snapshot
@@ -311,6 +316,14 @@ pub enum WireError {
         /// Entries the dictionary has.
         len: u32,
     },
+    /// A batch row names a process id at or above [`MAX_PROCESSES`];
+    /// nothing of the frame was interned.
+    BadProcess {
+        /// The offending process id.
+        proc: u32,
+        /// The cap, [`MAX_PROCESSES`].
+        limit: u32,
+    },
     /// A batch declares more rows than the decoder's cap (a server's
     /// credit window) admits; nothing of the frame was interned.
     TooManyRows {
@@ -393,6 +406,9 @@ impl fmt::Display for WireError {
             WireError::Payload(err) => write!(f, "payload decode: {err}"),
             WireError::BadDictIndex { index, len } => {
                 write!(f, "row references dictionary entry {index} of {len}")
+            }
+            WireError::BadProcess { proc, limit } => {
+                write!(f, "row names process {proc}, the cap is {limit} processes")
             }
             WireError::TooManyRows { batch_id, rows, limit } => {
                 write!(f, "batch {batch_id} declares {rows} rows over the {limit}-row cap")
@@ -561,8 +577,8 @@ impl FrameEncoder {
     /// # Panics
     ///
     /// Panics when a payload id is unknown to `arena` (the batch was built
-    /// against a different interner) or the encoded frame would exceed
-    /// [`MAX_PAYLOAD`].
+    /// against a different interner), a row's process id is not below
+    /// [`MAX_PROCESSES`], or the encoded frame would exceed [`MAX_PAYLOAD`].
     #[must_use]
     pub fn encode_batch(
         &mut self,
@@ -624,8 +640,9 @@ impl FrameEncoder {
         let mut row = [0u8; 17];
         for record in batch.iter() {
             row[0..8].copy_from_slice(&record.object.0.to_le_bytes());
-            let proc = u32::try_from(record.proc.0).expect("< 2^32 procs");
-            row[8..12].copy_from_slice(&proc.to_le_bytes());
+            let proc = record.proc.0;
+            assert!(proc < MAX_PROCESSES as usize, "process id {proc} is not below MAX_PROCESSES");
+            row[8..12].copy_from_slice(&(proc as u32).to_le_bytes());
             let (tag, index) = match record.action {
                 EventAction::Invoke(id) => (0u8, self.inv_dict[id.0 as usize].1),
                 EventAction::Respond(id) => (1u8, self.resp_dict[id.0 as usize].1),
@@ -1022,11 +1039,15 @@ fn decode_batch(
         responses.push(take_response(reader)?);
     }
     // All row bytes in one bounds check (rows*17 cannot overflow: rows was
-    // validated against remaining/17), then two passes: validate every tag
-    // and dictionary index FIRST, intern only once the whole frame is
-    // known-good, then build.
+    // validated against remaining/17), then two passes: validate every
+    // process id, tag and dictionary index FIRST, intern only once the whole
+    // frame is known-good, then build.
     let row_bytes = reader.take(rows * 17, "batch rows")?;
     for chunk in row_bytes.chunks_exact(17) {
+        let proc = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
+        if proc >= MAX_PROCESSES {
+            return Err(WireError::BadProcess { proc, limit: MAX_PROCESSES });
+        }
         let index = u32::from_le_bytes(chunk[13..17].try_into().expect("4 bytes"));
         let len = match chunk[12] {
             0 => inv_count,
@@ -1365,6 +1386,46 @@ mod tests {
             Err(WireError::DictOverflow { entries: 1, rows: 0 })
         );
         assert_eq!(arena.versions(), (0, 0), "the probe must not intern");
+    }
+
+    #[test]
+    fn a_process_id_past_the_cap_is_refused_before_interning() {
+        // One row, one fresh payload, hand-sealed as a peer could write it.
+        let frame_naming = |proc: u32| {
+            let mut frame = frame_buffer(0);
+            put_u64(&mut frame, 3); // batch id
+            put_u32(&mut frame, 1); // rows
+            put_u32(&mut frame, 1); // invocation dict count
+            drv_lang::wire::put_invocation(&mut frame, &Invocation::Write(5));
+            put_u32(&mut frame, 0); // response dict count
+            put_u64(&mut frame, 1); // object
+            put_u32(&mut frame, proc);
+            frame.push(0); // invoke
+            put_u32(&mut frame, 0); // dict index
+            seal_frame(FrameKind::Batch, &mut frame);
+            frame
+        };
+        let arena = SharedInterner::new();
+        for proc in [MAX_PROCESSES, MAX_PROCESSES + 1, u32::MAX] {
+            assert_eq!(
+                decode_frame(&frame_naming(proc), &arena),
+                Err(WireError::BadProcess { proc, limit: MAX_PROCESSES })
+            );
+        }
+        assert_eq!(arena.versions(), (0, 0), "a refused row must not intern");
+        let last = (MAX_PROCESSES - 1) as usize;
+        match decode_frame(&frame_naming(MAX_PROCESSES - 1), &arena) {
+            Ok((Frame::Batch(batch), _)) => assert_eq!(batch.events.procs(), &[ProcId(last)]),
+            other => panic!("the last process under the cap must decode: {other:?}"),
+        }
+        // Nor can a client write one.
+        let mut batch = EventBatch::new();
+        let beyond = Symbol::invoke(ProcId(last + 1), Invocation::Write(5));
+        batch.push_symbol(ObjectId(1), &beyond, &arena);
+        let encoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FrameEncoder::new().encode_batch(0, &batch, &arena)
+        }));
+        assert!(encoded.is_err(), "the encoder must refuse a process past the cap");
     }
 
     #[test]

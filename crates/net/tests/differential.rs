@@ -11,7 +11,6 @@
 //! no event.
 
 use drv_adversary::{merge_random, register_object_stream, RegisterStreamShape};
-use drv_consistency::{CheckerConfig, IncrementalChecker};
 use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactory, Verdict};
 use drv_engine::{sequential_reference, EngineConfig};
 use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, Symbol};
@@ -152,8 +151,7 @@ fn wire_verdicts_equal_sequential_reference() {
 
 /// Forced credit stalls: a tiny window (8 events) against a long stream
 /// through a tiny-`max_pending` engine — the client must repeatedly run dry
-/// and wait for re-grants, and nothing may move a verdict.  Also proves the
-/// `try_send_batch` NoCredit path.
+/// and wait for re-grants, and nothing may move a verdict.
 #[test]
 fn forced_credit_exhaustion_preserves_streams() {
     let events = merged_stream(99, 3, 8);
@@ -173,19 +171,12 @@ fn forced_credit_exhaustion_preserves_streams() {
     for (object, symbol) in &events {
         batch.push_symbol(*object, symbol, &arena);
         if batch.len() == 4 {
-            // Nonblocking first: count genuine NoCredit rejections (credit
-            // only returns as verdicts are delivered, so the drains below
-            // are what un-wedges the window).
-            loop {
-                match client.try_send_batch(&batch) {
-                    Ok(_) => break,
-                    Err(drv_net::TrySendError::NoCredit { .. }) => {
-                        no_credit += 1;
-                        received.extend(client.wait_verdicts(Duration::from_millis(1)));
-                    }
-                    Err(drv_net::TrySendError::Fatal(err)) => panic!("fatal send: {err}"),
-                }
+            // Count the sends that find the window too dry for the batch:
+            // each blocks until verdicts delivered to us return credit.
+            if client.credit().0 < 4 {
+                no_credit += 1;
             }
+            client.send_batch(&batch).expect("send under a dry window");
             batch.clear();
         }
     }
@@ -320,66 +311,6 @@ fn verdicts_route_to_the_owning_connection() {
     assert_eq!(report.objects.len(), expected.len());
 }
 
-/// The live ABD bridge end-to-end: a message-passing simulation (including
-/// one with a crashed minority) streamed over the wire must produce exactly
-/// the verdict stream of checking `run_abd`'s post-hoc history — and the
-/// histories an ABD cluster produces are linearizable, so the final verdict
-/// is YES.
-#[test]
-fn abd_bridge_matches_post_hoc_history() {
-    use drv_abd::{NetConfig, Workload};
-    use drv_net::stream_abd;
-
-    for (seed, crash) in [(42u64, None), (43, Some((1usize, 40u64)))] {
-        let n = 3;
-        let config = {
-            let base = NetConfig::new(n, seed);
-            match crash {
-                Some((node, time)) => base.crash(node, time),
-                None => base,
-            }
-        };
-        let workload = Workload::mixed(n, 2);
-        let object = ObjectId(777);
-        // The reference: the post-hoc history through a sequential checker.
-        let reference_events =
-            drv_net::bridge::reference_stream(object, config.clone(), &workload);
-        let mut checker =
-            IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), n);
-        let mut expected = Vec::new();
-        for (_, symbol) in &reference_events {
-            checker.push_symbol(symbol);
-            expected.push(Verdict::from(checker.check_outcome()));
-        }
-
-        let factory = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), n));
-        let server = MonitorServer::bind(
-            ("127.0.0.1", 0),
-            EngineConfig::new(2).with_max_pending(256),
-            factory,
-            ServerConfig::new().with_window(64),
-        )
-        .expect("bind");
-        let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
-        let report = stream_abd(&mut client, object, config, &workload, 7).expect("bridge");
-        assert_eq!(
-            report.invocations + report.responses,
-            reference_events.len(),
-            "seed {seed}: bridge stream length differs from run_abd history"
-        );
-        let received = drain_exactly(&client, reference_events.len(), "abd bridge");
-        let streamed = streams_of(&received, "abd bridge");
-        assert_eq!(streamed.get(&object), Some(&expected), "seed {seed}");
-        if crash.is_none() {
-            assert_eq!(expected.last(), Some(&Verdict::Yes), "ABD must linearize");
-            assert_eq!(report.incomplete, 0);
-        }
-        client.shutdown().expect("clean goodbye");
-        let engine_report = server.shutdown().expect("no worker panicked");
-        assert_eq!(engine_report.verdicts(object), Some(&expected[..]), "seed {seed}");
-    }
-}
-
 /// Oversized batches are refused with a typed NACK (and dropped before the
 /// engine), and the connection keeps working afterwards.
 #[test]
@@ -501,4 +432,61 @@ fn raw_credit_violations_are_nacked_server_side() {
     let report = server.shutdown().expect("no worker panicked");
     // The owner's 2 events plus the raw peer's admitted batch of 3.
     assert_eq!(report.stats.events, 5);
+}
+
+/// One row naming a process past `MAX_PROCESSES` is a protocol error: the
+/// server refuses the frame before interning or submitting anything, closes
+/// that connection, and every other connection's verdicts stay exact.
+#[test]
+fn a_process_id_past_the_cap_closes_only_its_connection() {
+    use drv_lang::wire::{put_invocation, put_u32, put_u64};
+    use drv_net::wire::{frame_buffer, seal_frame, FrameKind, MAX_PROCESSES};
+    use std::io::{Read, Write};
+
+    let events = merged_stream(61, 3, 6);
+    let expected = sequential_reference(mixed_factory().as_ref(), &events);
+    let server = MonitorServer::bind(
+        ("127.0.0.1", 0),
+        EngineConfig::new(2).with_max_pending(256),
+        mixed_factory(),
+        ServerConfig::new(),
+    )
+    .expect("bind");
+    let mut client = MonitorClient::connect(server.local_addr()).expect("connect");
+    let (first, rest) = events.split_at(events.len() / 2);
+    client.send_stream(first, 4).expect("first half");
+
+    let errors_before = server.stats().protocol_errors;
+    let mut frame = frame_buffer(0);
+    put_u64(&mut frame, 1); // batch id
+    put_u32(&mut frame, 1); // rows
+    put_u32(&mut frame, 1); // invocation dict count
+    put_invocation(&mut frame, &Invocation::Write(1));
+    put_u32(&mut frame, 0); // response dict count
+    put_u64(&mut frame, 999); // object
+    put_u32(&mut frame, MAX_PROCESSES);
+    frame.push(0); // invoke
+    put_u32(&mut frame, 0); // dict index
+    seal_frame(FrameKind::Batch, &mut frame);
+    let mut socket = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    socket.set_read_timeout(Some(DEADLINE)).expect("read timeout");
+    socket.write_all(&frame).expect("send the frame");
+    // The opening Credit, then end of stream: the server hung up.
+    let mut chunk = [0u8; 4096];
+    loop {
+        match socket.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(err) if err.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(err) => panic!("the server kept the connection open: {err}"),
+        }
+    }
+    assert_eq!(server.stats().protocol_errors, errors_before + 1);
+
+    client.send_stream(rest, 4).expect("second half");
+    let received = drain_exactly(&client, events.len(), "beside a refused peer");
+    assert_eq!(streams_of(&received, "beside a refused peer"), expected);
+    client.shutdown().expect("clean goodbye");
+    let report = server.shutdown().expect("no worker panicked");
+    assert_eq!(report.stats.events, events.len() as u64, "the refused row never reached the engine");
 }

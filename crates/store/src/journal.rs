@@ -41,7 +41,7 @@
 //!
 //! The record covers the object's first `fed` events and carries the
 //! verdicts of the last `count ≤ fed` of them; `state` is the opaque
-//! [`ObjectMonitor::checkpoint`](drv_core::ObjectMonitor::checkpoint)
+//! [`ObjectMonitor::checkpoint`](drv_consistency::ObjectMonitor::checkpoint)
 //! delta over the same `count` events.  It therefore extends the record of
 //! the same object that ended at its *base*, `fed − count`: the records of
 //! an object form a chain, and a base-0 record (`count == fed`) starts one
@@ -50,10 +50,9 @@
 //! validated against the remaining payload before any allocation.
 
 use crate::error::StoreError;
-use drv_core::Verdict;
 use drv_engine::JournalSink;
 use drv_lang::wire::{put_u32, put_u64, Reader};
-use drv_lang::{EventBatch, ObjectId, SharedInterner};
+use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
 use drv_net::wire::{
     decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameEncoder, FrameKind,
     MAX_PAYLOAD,

@@ -32,7 +32,7 @@
 //!   journal offset and proves it against `sequential_reference`).
 //!
 //! ```no_run
-//! use drv_core::CheckerMonitorFactory;
+//! use drv_consistency::CheckerMonitorFactory;
 //! use drv_engine::EngineConfig;
 //! use drv_store::{recover, StoreConfig};
 //! use drv_spec::Register;

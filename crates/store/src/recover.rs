@@ -42,11 +42,11 @@
 //! survived the CRC, a factory change) is dropped, not trusted: the object
 //! falls back to full replay, which is slower and equally exact.
 //!
-//! [`ObjectMonitor::restore`]: drv_core::ObjectMonitor::restore
+//! [`ObjectMonitor::restore`]: drv_consistency::ObjectMonitor::restore
 
 use crate::error::StoreError;
 use crate::journal::{CheckpointRecord, JournalRecord, Store, StoreConfig};
-use drv_core::ObjectMonitorFactory;
+use drv_consistency::ObjectMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine, RecoveredObject};
 use drv_lang::{EventBatch, ObjectId, SharedInterner};
 use drv_net::{MonitorServer, ServerConfig};
@@ -71,7 +71,7 @@ pub struct RecoveryStats {
     pub skipped_events: u64,
     /// Objects seeded from a checkpoint chain.
     pub seeded_objects: usize,
-    /// Chains rejected because [`drv_core::ObjectMonitor::restore`]
+    /// Chains rejected because [`drv_consistency::ObjectMonitor::restore`]
     /// refused one of their records (those objects fall back to full
     /// replay).
     pub rejected_checkpoints: usize,

@@ -16,7 +16,8 @@ use drv::abd::{NetConfig, Workload};
 use drv::core::CheckerMonitorFactory;
 use drv::engine::EngineConfig;
 use drv::lang::ObjectId;
-use drv::net::{stream_abd, MonitorClient, MonitorServer, ServerConfig};
+use drv::bench::stream_abd;
+use drv::net::{MonitorClient, MonitorServer, ServerConfig};
 use drv::spec::Register;
 use std::sync::Arc;
 use std::time::Duration;

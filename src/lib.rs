@@ -19,7 +19,7 @@
 //!   MonitoringEngine (shards + work-stealing pool)           [engine]
 //!        │      ▲ └──► append-only journal + checkpoints      [store]
 //!        │      └──── recover(): checkpoint seed + replay
-//!        │ per-object ObjectMonitor state machines             [core]
+//!        │ per-object ObjectMonitor state machines      [consistency]
 //!        ▼
 //!   IncrementalChecker (LIN/SC, Wing–Gong fallback)      [consistency]
 //!        │ against SequentialSpec objects                      [spec]
@@ -51,9 +51,13 @@
 //!     verdict_route   net_verdict_route_ns     router, per verdict frame
 //!     socket_write    net_socket_write_ns      reactor
 //!
-//!   scenario sources: adversary scripts [adversary] · shared-memory
-//!   substrate [shmem] · ABD message-passing sim [abd] (bridged onto
-//!   the wire by net::stream_abd) · benches [bench]
+//!   the served crates (net, store, engine) build on lang, consistency,
+//!   spec and telemetry only; the paper's simulator stays off that line:
+//!   monitors and runtime [core] (its family adapter plugs into the
+//!   engine through ObjectMonitorFactory) · adversary scripts
+//!   [adversary] · shared-memory substrate [shmem] · ABD message-passing
+//!   sim [abd] (bridged onto the wire by bench::stream_abd) · benches
+//!   [bench]
 //! ```
 //!
 //! Re-exports the crates of the workspace under one name so integration
@@ -65,12 +69,14 @@
 //!   the wire payload codec ([`lang::wire`](crate::lang::wire)),
 //! * [`spec`] — sequential object specifications,
 //! * [`consistency`] — linearizability / sequential-consistency checkers
-//!   (including the incremental engine) and the Table 1 languages,
+//!   (including the incremental engine), the Table 1 languages, and the
+//!   streaming [`ObjectMonitor`](crate::consistency::ObjectMonitor) surface
+//!   an engine consumes,
 //! * [`shmem`] — the shared-memory substrate (registers, snapshots, logs),
 //! * [`adversary`] — the adversaries A and Aτ plus behaviours,
 //! * [`core`] — monitors, runtime, decidability notions, impossibilities,
-//!   and the streaming [`ObjectMonitor`](crate::core::ObjectMonitor)
-//!   surface,
+//!   and the adapter that runs the paper's monitor families as engine
+//!   monitors ([`FamilyMonitorFactory`](crate::core::FamilyMonitorFactory)),
 //! * [`engine`] — the sharded multi-object streaming monitoring engine
 //!   with its work-stealing checker pool,
 //! * [`net`] — the network subsystem: wire-format `EventBatch` frames in,
@@ -78,7 +84,7 @@
 //!   [`MonitorServer`](crate::net::MonitorServer) over the service-mode
 //!   engine (a std-only readiness reactor — one I/O thread plus one router
 //!   thread serve any number of connections), the
-//!   [`MonitorClient`](crate::net::MonitorClient), and the live ABD bridge,
+//!   [`MonitorClient`](crate::net::MonitorClient),
 //! * [`store`] — the durability subsystem: append-only CRC-framed event
 //!   journal, checkpointed checker state, and replay-identical crash
 //!   recovery ([`store::recover`](crate::store::recover) /
@@ -92,13 +98,14 @@
 //!   net and store all record into one shared
 //!   [`Telemetry`](crate::telemetry::Telemetry) handle,
 //! * [`abd`] — the ABD message-passing port,
-//! * [`bench`] — the Table 1 reproduction harness and the `drvbench`
+//! * [`bench`] — the Table 1 reproduction harness, the live ABD bridge
+//!   ([`stream_abd`](crate::bench::stream_abd)) and the `drvbench`
 //!   end-to-end benchmark.
 //!
 //! ## Quick start: monitoring many objects at once
 //!
 //! ```
-//! use drv::core::CheckerMonitorFactory;
+//! use drv::consistency::CheckerMonitorFactory;
 //! use drv::engine::{EngineConfig, MonitoringEngine};
 //! use drv::lang::{Invocation, ObjectId, ProcId, Response, Symbol};
 //! use drv::spec::Register;
