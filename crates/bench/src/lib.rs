@@ -2,9 +2,11 @@
 //!
 //! The experiment harness of the repository: regenerates Table 1 of
 //! *"Asynchronous Fault-Tolerant Language Decidability for Runtime
-//! Verification of Distributed Systems"* (Castañeda & Rodríguez, PODC 2025)
-//! and hosts the Criterion benchmarks that reproduce the cost profile of
-//! every figure's construction (see `benches/` and EXPERIMENTS.md).
+//! Verification of Distributed Systems"* (Castañeda & Rodríguez, PODC 2025).
+//! Its two benches are plain `main`s: `incremental` times the incremental
+//! checker against from-scratch checking and writes `BENCH_checker.json`
+//! (`cargo bench -p drv-bench --bench incremental`), and `crc32` times the
+//! frame checksum in ns per byte (`cargo bench -p drv-bench --bench crc32`).
 //!
 //! * [`table1`] — the cell-by-cell reproduction of Table 1
 //!   ([`reproduce_table1`]), also exposed as the `table1` binary:

@@ -144,12 +144,20 @@ struct CreditState {
     window: u64,
 }
 
+/// The latest Stats reply and how many have arrived.  A reply carries no
+/// request id, but the server answers a connection's frames in order, so
+/// the `n`-th reply answers the `n`-th request.
+struct StatsSlot {
+    latest: Option<Box<Snapshot>>,
+    replies: u64,
+}
+
 struct ClientShared {
     credit: Mutex<CreditState>,
     credit_signal: Condvar,
     verdicts: Mutex<VecDeque<VerdictEvent>>,
     verdict_signal: Condvar,
-    stats: Mutex<Option<Box<Snapshot>>>,
+    stats: Mutex<StatsSlot>,
     stats_signal: Condvar,
     nacks: Mutex<Vec<Nack>>,
     closed: AtomicBool,
@@ -205,7 +213,9 @@ fn reader_loop(shared: &ClientShared, mut stream: TcpStream) {
                     shared.verdict_signal.notify_all();
                 }
                 Ok((Frame::Stats(reply), _)) => {
-                    *shared.stats.lock() = Some(reply);
+                    let mut slot = shared.stats.lock();
+                    slot.latest = Some(reply);
+                    slot.replies += 1;
                     shared.stats_signal.notify_all();
                 }
                 Ok((Frame::Nack { batch_id, reason, detail }, _)) => {
@@ -253,6 +263,8 @@ pub struct MonitorClient {
     reader: Option<JoinHandle<()>>,
     encoder: FrameEncoder,
     next_batch_id: u64,
+    /// Stats requests written so far.
+    stats_requests: u64,
 }
 
 impl MonitorClient {
@@ -315,7 +327,7 @@ impl MonitorClient {
             credit_signal: Condvar::new(),
             verdicts: Mutex::new(VecDeque::new()),
             verdict_signal: Condvar::new(),
-            stats: Mutex::new(None),
+            stats: Mutex::new(StatsSlot { latest: None, replies: 0 }),
             stats_signal: Condvar::new(),
             nacks: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
@@ -335,6 +347,7 @@ impl MonitorClient {
             reader: Some(reader),
             encoder: FrameEncoder::new(),
             next_batch_id: 0,
+            stats_requests: 0,
         };
         if let Some(timeout) = config.handshake_timeout {
             // The server speaks first (the opening Credit announces the
@@ -485,26 +498,40 @@ impl MonitorClient {
     /// Requests a stats snapshot and waits up to `timeout` for the reply:
     /// the server's entire telemetry registry (engine, net and store
     /// metrics), decoded off the versioned Stats payload.  Two replies
-    /// subtract with [`Snapshot::delta`].
+    /// subtract with [`Snapshot::delta`].  The reply returned is the one
+    /// to this call's request: a reply to an earlier call that timed out
+    /// is skipped when it arrives late.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Closed`] when the reply never arrived (timeout or a
-    /// dead connection — including a reply whose payload version this
-    /// client does not speak, which kills the connection with a typed
+    /// [`ClientError::Wire`]\([`WireError::Timeout`]\) when the connection
+    /// is live but the reply did not arrive within `timeout`;
+    /// [`ClientError::Closed`] when the connection died first — including
+    /// on a reply whose payload version this client does not speak, which
+    /// kills the connection with a typed
     /// [`WireError::BadStatsVersion`](crate::wire::WireError::BadStatsVersion)
-    /// on the reader); [`ClientError::Io`] when the request could not be
+    /// on the reader; [`ClientError::Io`] when the request could not be
     /// written.
     pub fn stats(&mut self, timeout: Duration) -> Result<Snapshot, ClientError> {
-        *self.shared.stats.lock() = None;
         self.stream.write_all(&encode_stats_request())?;
+        self.stats_requests += 1;
         let mut slot = self.shared.stats.lock();
         self.shared.stats_signal.wait_while_for(
             &mut slot,
-            |slot| slot.is_none() && !self.shared.is_closed(),
+            |slot| slot.replies < self.stats_requests && !self.shared.is_closed(),
             timeout,
         );
-        slot.take().map(|reply| *reply).ok_or(ClientError::Closed)
+        if slot.replies >= self.stats_requests {
+            if let Some(reply) = slot.latest.take() {
+                return Ok(*reply);
+            }
+        }
+        if self.shared.is_closed() {
+            return Err(ClientError::Closed);
+        }
+        Err(ClientError::Wire(WireError::Timeout {
+            millis: u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX),
+        }))
     }
 
     /// The clean goodbye: sends a Shutdown frame (the server evicts this

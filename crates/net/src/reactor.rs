@@ -175,7 +175,12 @@ mod sys {
 // ---------------------------------------------------------------------------
 
 enum Backend {
-    /// `epoll(7)`: O(ready) wakeups — the Linux production path.
+    /// `epoll(7)`: O(ready) wakeups — the Linux production path.  It stays
+    /// beside `poll(2)` because `poll(2)` measured no faster (`drvbench`'s
+    /// 1-event-frame `paced-batch1` on two connections: behind on verdict
+    /// latency p75 and CPU per event in most pairs, see PERF.md), and
+    /// `poll(2)`'s wait scans every registered descriptor, a cost that
+    /// grows with the connection count.
     #[cfg(target_os = "linux")]
     Epoll { epfd: SysFd, buf: Vec<sys::epoll::EpollEvent> },
     /// `poll(2)`: O(registered) per wait — portable unix, and the Linux

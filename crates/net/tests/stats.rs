@@ -3,17 +3,21 @@
 //! and nothing else — proven through [`MonitorClient::stats`] and again
 //! over a raw socket (bytes on the wire, decoded by hand) — and a peer that
 //! requests stats without reading the replies cannot grow the server's
-//! outbound queue past its capacity.
+//! outbound queue past its capacity.  A reply that arrives after its call
+//! timed out is not handed to the next call.
 
 use drv_core::CheckerMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine};
 use drv_lang::{Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
-use drv_net::wire::{decode_frame, encode_stats_request, Frame, HEADER_LEN, STATS_VERSION};
-use drv_net::{FrameAssembler, MonitorClient, MonitorServer, ServerConfig};
+use drv_net::wire::{
+    decode_frame, encode_credit, encode_stats, encode_stats_request, Frame, WireError, HEADER_LEN,
+    STATS_VERSION,
+};
+use drv_net::{ClientError, FrameAssembler, MonitorClient, MonitorServer, ServerConfig};
 use drv_spec::Register;
-use drv_telemetry::Telemetry;
+use drv_telemetry::{Snapshot, Telemetry};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -207,4 +211,47 @@ fn a_peer_that_never_reads_cannot_grow_its_outbound_queue() {
     assert_eq!(server.stats().protocol_errors, 0);
     drop(socket);
     server.shutdown().expect("no worker panicked");
+}
+
+#[test]
+fn a_reply_that_arrives_after_its_call_timed_out_is_not_the_next_calls() {
+    // A scripted server: the opening Credit, then it reads two Stats
+    // requests before answering either, the first answer (`marker` 1)
+    // 300 ms ahead of the second (`marker` 2).
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().expect("accept");
+        socket.write_all(&encode_credit(64, 64)).expect("credit");
+        let mut requests = vec![0u8; 2 * encode_stats_request().len()];
+        socket.read_exact(&mut requests).expect("two stats requests");
+        let reply = |marker| {
+            encode_stats(&Snapshot {
+                counters: vec![("marker".to_string(), marker)],
+                ..Snapshot::default()
+            })
+        };
+        socket.write_all(&reply(1)).expect("first reply");
+        std::thread::sleep(Duration::from_millis(300));
+        socket.write_all(&reply(2)).expect("second reply");
+        // Hold the connection open until the client hangs up.
+        let mut rest = Vec::new();
+        let _ = socket.read_to_end(&mut rest);
+    });
+
+    let mut client = MonitorClient::connect(addr).expect("connect");
+    let first = client.stats(Duration::from_millis(50)).expect_err("no reply within 50 ms");
+    assert!(
+        matches!(first, ClientError::Wire(WireError::Timeout { millis: 50 })),
+        "a live connection times out with the typed error, got: {first}"
+    );
+    let second = client.stats(Duration::from_secs(10)).expect("the second reply");
+    assert_eq!(
+        second.counter("marker"),
+        Some(2),
+        "the late reply to the first request was handed to the second"
+    );
+    assert!(!client.is_closed());
+    drop(client);
+    server.join().expect("scripted server");
 }
