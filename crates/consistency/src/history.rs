@@ -411,6 +411,12 @@ impl InternedHistory {
         &self.records
     }
 
+    /// The operations of `proc` in program order.
+    #[must_use]
+    pub fn ops_of(&self, proc: ProcId) -> &[OpId] {
+        &self.per_proc[proc.0]
+    }
+
     /// The candidate operation of `proc` given per-process progress `counts`.
     #[must_use]
     pub fn next_of(&self, proc: ProcId, counts: &[u32]) -> Option<OpRecord> {

@@ -58,7 +58,8 @@
 //!   latches and later checks are O(1).  Sequential consistency is *not*
 //!   closed under extension (a later write by another process can legalize
 //!   an earlier wild read), so the SC engine never latches.
-//! * **A sequential-consistency NO stands until a mutator is invoked.**
+//! * **A sequential-consistency NO stands until a process that is not
+//!   blocked invokes a mutator.**
 //!   After a search has refuted the history, the next symbol cannot create a
 //!   witness when it is (R0) ill-formed and skipped: the history is the same;
 //!   (R1) a response: the operation was pending in the refuted history, a
@@ -66,10 +67,21 @@
 //!   produces exactly the observed response, and is therefore a witness of
 //!   the refuted word too; (R2) the invocation of an observer
 //!   (`!Invocation::is_mutator()`): deleting a state-preserving operation
-//!   from a witness leaves a witness.  Only the invocation of a mutator
-//!   searches again — from the same stored frontier, so with the nodes,
-//!   outcome and witness a per-symbol search would have had there.  `Unknown`
-//!   is not knowledge and never stands.
+//!   from a witness leaves a witness; (R3) the invocation of a mutator by a
+//!   *blocked* process.  The refuting search records, per process `p`,
+//!   whether any configuration it entered had all of `p`'s operations placed
+//!   (linearized or dropped); `p` is blocked when none did.  A witness of
+//!   the longer word must place the new operation (dropping it would leave a
+//!   witness of the refuted word), and with it every earlier operation of
+//!   `p`, which takes a configuration of the refuted word's own search with
+//!   all of them placed.  The set stays valid across R0–R3 (R1 relies on
+//!   [`SequentialSpec::step_if_legal`] reaching the state `apply` gives, so
+//!   the longer word's configurations are among the refuted one's), and a
+//!   checkpoint carries it.  Only the invocation of a mutator by another
+//!   process searches again — from the same stored frontier, so with the
+//!   nodes, outcome and witness a per-symbol search would have had there —
+//!   and a search that refutes again records the set afresh.  `Unknown` is
+//!   not knowledge and never stands.
 //! * Histories are interned ([`InternedHistory`]): operations are `Copy`
 //!   records, payload comparisons happen once at intern time, and a fleet of
 //!   checkers on one arena stores each distinct payload once.
@@ -90,7 +102,7 @@
 //! | repair (swap or excise)      | `s` replayed in place; an illegal replay leaves the witness untouched |
 //! | pending rescue               | one index lookup per open operation, 2 states pushed |
 //! | witness discarded            | `m` ids copied into the stored frontier, then the DFS |
-//! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness, under LIN once (the NO latches), under SC at each mutator invocation (the NO stands in between), after `Unknown` at every symbol |
+//! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness, under LIN once (the NO latches), under SC at each mutator invocation of a process a refuted configuration could complete (the NO stands in between), after `Unknown` at every symbol |
 //!
 //! [`IncrementalChecker::maintenance_steps`] counts the first six rows, so
 //! tests can assert the bound without a clock.  What still grows with `m`
@@ -217,7 +229,8 @@ pub struct CheckerStats {
     pub rebuilds: u64,
     /// Checks answered Inconsistent without a search: the NO is final under
     /// linearizability (prefix-closed, latched) and stands under sequential
-    /// consistency until a mutator is invoked.
+    /// consistency until a mutator is invoked by a process that is not
+    /// blocked (module docs, R3).
     pub latched: u64,
 }
 
@@ -398,6 +411,12 @@ pub enum CheckpointError {
         /// Linearization position at which the replay became illegal.
         position: usize,
     },
+    /// The blocked set names a process the history does not have, or is not
+    /// in ascending order.
+    BadProcess {
+        /// The offending process.
+        proc: usize,
+    },
     /// Bytes remained after the checkpoint decoded completely.
     TrailingBytes {
         /// How many bytes were left over.
@@ -438,6 +457,9 @@ impl std::fmt::Display for CheckpointError {
                 f,
                 "checkpoint witness replays illegally at position {position}"
             ),
+            CheckpointError::BadProcess { proc } => {
+                write!(f, "checkpoint blocks process {proc} out of range or order")
+            }
             CheckpointError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after checkpoint")
             }
@@ -505,10 +527,13 @@ struct Core<S: SequentialSpec> {
     /// order is copied here at the points a witness is discarded.
     frontier: Vec<OpId>,
     latched_inconsistent: bool,
-    /// A search refuted the history under a criterion whose NO is not final,
-    /// and no symbol since could have created a witness (module docs, R0–R2):
-    /// the NO stands without a search until a mutator is invoked.
-    standing_no: bool,
+    /// `Some(blocked)`: a search refuted the history under a criterion whose
+    /// NO is not final, and no symbol since could have created a witness
+    /// (module docs, R0–R3), so the NO stands without a search until a
+    /// process that is not blocked invokes a mutator.  `blocked[p]`: no
+    /// configuration of the refuting search had all of process `p`'s
+    /// operations placed (R3); processes past its end are not blocked.
+    standing_no: Option<Vec<bool>>,
     /// Cached verdict for the current history, cleared on every new symbol.
     cached: Option<CheckOutcome>,
     /// Symbols read at the last checkpoint delta or restore: where the next
@@ -560,7 +585,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 witness: None,
                 frontier: Vec::new(),
                 latched_inconsistent: false,
-                standing_no: false,
+                standing_no: None,
                 cached: None,
                 mark: 0,
                 stats: CheckerStats::default(),
@@ -717,7 +742,8 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// the maintained witness (as `(process, local index, response)`
     /// triples — the operation identity that survives reconstruction), the
     /// search frontier while no witness is alive (with one, the frontier is
-    /// its order), the latch, the standing NO, and the stats counters.
+    /// its order), the latch, the standing NO with its blocked processes, and
+    /// the stats counters.
     ///
     /// What is *not* serialized: dead configurations (they are scoped to a
     /// single DFS run, so prior contents can never influence a verdict) and
@@ -731,17 +757,22 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// (version 2; integers little-endian):
     ///
     /// ```text
-    /// version u8 = 2 | flags u8 (1 latched, 2 witness, 4 standing NO) |
+    /// version u8 = 2 |
+    /// flags u8 (1 latched, 2 witness, 4 standing NO, 8 blocked set) |
     /// checks, fast_path, splices, repairs, dfs_runs, dfs_nodes, rebuilds,
     /// latched: u64 each | processes u32 | base u32 |
     /// count u32 | count × (proc u32, tag u8 (1 invoke, 2 respond), payload) |
     /// flags & 2:  keep u32 | count u32 | count × (proc u32, index u32, response)
     /// otherwise:  count u32 | count × (proc u32, index u32)      — the frontier
+    /// flags & 8:  count u32 | count × proc u32            — blocked, ascending
     /// ```
     ///
     /// `base` is the number of symbols the payload's symbols follow and
     /// `keep` the number of witness entries it leaves to the checker it
-    /// extends; both are 0 here.
+    /// extends; both are 0 here.  Flag 8 is set with every standing NO,
+    /// also when no process is blocked, and never without one; bytes with
+    /// flag 4 and not 8 were written before the blocked set was, and their
+    /// restore derives it with one search that no counter sees.
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         self.core.encode(&mut ArenaRead::new(&self.arena), 0, 0)
@@ -775,9 +806,9 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// # Errors
     ///
     /// Any [`CheckpointError`]: malformed bytes, a version or flag this
-    /// build does not know, a delta for another base, dangling operation
-    /// references, an illegal witness replay, or trailing bytes.  On error
-    /// the checker is left safe but unspecified — discard it.
+    /// build does not know, a delta for another base, dangling operation or
+    /// process references, an illegal witness replay, or trailing bytes.  On
+    /// error the checker is left safe but unspecified — discard it.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.core
             .restore_bytes(&mut ArenaRead::new(&self.arena), bytes)
@@ -790,7 +821,7 @@ impl<S: SequentialSpec> Core<S> {
         self.witness = None;
         self.frontier.clear();
         self.latched_inconsistent = false;
-        self.standing_no = false;
+        self.standing_no = None;
         self.cached = None;
         self.mark = 0;
     }
@@ -813,13 +844,15 @@ impl<S: SequentialSpec> Core<S> {
         match delta {
             HistoryDelta::Skipped => {}
             HistoryDelta::Invoked(op) => {
-                // Only a pending mutator can rescue a standing NO (R2): the
-                // next check searches again, from the frontier it kept.
-                let invocation = self.history.record(op).invocation;
-                if self.standing_no
-                    && arena.interner().resolve_invocation(invocation).is_mutator()
+                // Only a pending mutator of a process that is not blocked can
+                // rescue a standing NO (R2, R3): the next check searches
+                // again, from the frontier it kept.
+                let record = self.history.record(op);
+                let p = record.proc.0;
+                if self.standing_no.as_ref().is_some_and(|blocked| blocked.get(p) != Some(&true))
+                    && arena.interner().resolve_invocation(record.invocation).is_mutator()
                 {
-                    self.standing_no = false;
+                    self.standing_no = None;
                 }
                 // A fresh pending operation can always be dropped (both
                 // criteria), so an existing witness stays valid as-is.
@@ -1130,7 +1163,7 @@ impl<S: SequentialSpec> Core<S> {
     }
 
     fn evaluate(&mut self, arena: &mut ArenaRead<'_>) -> CheckOutcome {
-        if self.latched_inconsistent || self.standing_no {
+        if self.latched_inconsistent || self.standing_no.is_some() {
             self.stats.fast_path += 1;
             self.stats.latched += 1;
             return CheckOutcome::Inconsistent;
@@ -1146,54 +1179,51 @@ impl<S: SequentialSpec> Core<S> {
     fn run_dfs(&mut self, arena: &mut ArenaRead<'_>) -> CheckOutcome {
         self.stats.dfs_runs += 1;
         let hint = std::mem::take(&mut self.frontier);
-        let (outcome, order) = self.search(arena, &hint);
-        if let SearchOutcome::Found = outcome {
-            // The witness order is the frontier from here on; the old hint
-            // is dropped.
-            self.install_witness(arena, order);
-            return CheckOutcome::Consistent;
-        }
-        self.frontier = hint;
+        let mut explored = 0usize;
+        let outcome = self.search(arena, &hint, &mut explored);
+        self.stats.dfs_nodes += explored as u64;
         match outcome {
-            SearchOutcome::NotFound => {
+            SearchOutcome::Found(order) => {
+                // The witness order is the frontier from here on; the old
+                // hint is dropped.
+                self.install_witness(arena, order);
+                CheckOutcome::Consistent
+            }
+            SearchOutcome::NotFound { blocked } => {
+                self.frontier = hint;
                 if self.config.respect_real_time {
                     // Linearizability is prefix-closed: the NO is final for
                     // every extension of this word.
                     self.latched_inconsistent = true;
                 } else {
-                    self.standing_no = true;
+                    self.standing_no = Some(blocked);
                 }
                 CheckOutcome::Inconsistent
             }
-            _ => CheckOutcome::Unknown,
+            SearchOutcome::Budget => {
+                self.frontier = hint;
+                CheckOutcome::Unknown
+            }
         }
     }
 
-    /// The search on the calling thread, on that thread's scratch.
+    /// The search on the calling thread, on that thread's scratch; adds the
+    /// nodes it visits to `explored`.
     fn search(
-        &mut self,
+        &self,
         arena: &mut ArenaRead<'_>,
         hint: &[OpId],
-    ) -> (SearchOutcome, Vec<(OpId, ResponseId)>) {
+        explored: &mut usize,
+    ) -> SearchOutcome {
         let ctx = SearchContext {
             spec: &self.spec,
             config: &self.config,
             hint,
         };
         let history = &self.history;
-        let mut explored = 0usize;
-        let result = with_scratch(history.process_count(), |scratch| {
-            let outcome = wing_gong(&ctx, history, arena, scratch, &mut explored);
-            // Only a witness leaves the scratch; it is exactly as long as
-            // the operations it orders.
-            let witness = match outcome {
-                SearchOutcome::Found => scratch.order.clone(),
-                _ => Vec::new(),
-            };
-            (outcome, witness)
-        });
-        self.stats.dfs_nodes += explored as u64;
-        result
+        with_scratch(history.process_count(), |scratch| {
+            wing_gong(&ctx, history, arena, scratch, explored)
+        })
     }
 
     /// Installs a search-produced linearization as the maintained witness,
@@ -1246,8 +1276,10 @@ impl<S: SequentialSpec> Core<S> {
             Some(witness) => (witness.order.len() - keep, 0),
             None => (0, self.frontier.len()),
         };
-        let mut buf =
-            Vec::with_capacity(96 + 10 * symbols + 13 * witness_len + 8 * frontier_len);
+        let blocked_len = self.standing_no.as_ref().map_or(0, Vec::len);
+        let mut buf = Vec::with_capacity(
+            96 + 10 * symbols + 13 * witness_len + 8 * frontier_len + 4 * blocked_len,
+        );
         buf.push(CHECKPOINT_VERSION);
         let mut flags = 0u8;
         if self.latched_inconsistent {
@@ -1256,8 +1288,8 @@ impl<S: SequentialSpec> Core<S> {
         if self.witness.is_some() {
             flags |= 2;
         }
-        if self.standing_no {
-            flags |= 4;
+        if self.standing_no.is_some() {
+            flags |= 4 | 8;
         }
         buf.push(flags);
         for value in [
@@ -1310,6 +1342,12 @@ impl<S: SequentialSpec> Core<S> {
                 }
             }
         }
+        if let Some(blocked) = &self.standing_no {
+            put_u32(&mut buf, blocked.iter().filter(|b| **b).count() as u32);
+            for (proc, _) in blocked.iter().enumerate().filter(|(_, b)| **b) {
+                put_u32(&mut buf, proc as u32);
+            }
+        }
         buf
     }
 
@@ -1340,7 +1378,8 @@ impl<S: SequentialSpec> Core<S> {
             _ => return Err(CheckpointError::BadVersion(version)),
         };
         let flags = reader.u8("checkpoint flags")?;
-        if flags & !7 != 0 {
+        // The blocked set belongs to a standing NO.
+        if flags & !15 != 0 || flags & 12 == 8 {
             return Err(CheckpointError::BadFlags(flags));
         }
         if v1 {
@@ -1455,13 +1494,38 @@ impl<S: SequentialSpec> Core<S> {
             }
             self.frontier = frontier;
         }
+        let mut blocked = Vec::new();
+        if flags & 8 != 0 {
+            let processes = self.history.process_count();
+            blocked = vec![false; processes];
+            let entries = reader.count(4, "checkpoint blocked processes")?;
+            let mut previous = None;
+            for _ in 0..entries {
+                let proc = reader.u32("checkpoint blocked process")? as usize;
+                if proc >= processes || previous.is_some_and(|previous| proc <= previous) {
+                    return Err(CheckpointError::BadProcess { proc });
+                }
+                blocked[proc] = true;
+                previous = Some(proc);
+            }
+        }
         if !reader.is_empty() {
             return Err(CheckpointError::TrailingBytes {
                 remaining: reader.remaining(),
             });
         }
         self.latched_inconsistent = flags & 1 != 0;
-        self.standing_no = flags & 4 != 0;
+        if flags & 12 == 4 {
+            // A standing NO written before the blocked set was: the search
+            // that refutes the history derives it.  Like the witness replay
+            // above, it is not counted.
+            if let SearchOutcome::NotFound { blocked: derived } =
+                self.search(arena, &self.frontier, &mut 0)
+            {
+                blocked = derived;
+            }
+        }
+        self.standing_no = (flags & 4 != 0).then_some(blocked);
         self.cached = None;
         self.mark = self.history.symbols_consumed();
         let [checks, fast_path, splices, repairs, dfs_runs, dfs_nodes, rebuilds, latched] =
@@ -1963,6 +2027,7 @@ mod tests {
     /// A counter whose increment may answer `Ack` (what `apply` gives) or
     /// the value it replaced: two legal responses for one step, so a
     /// response the search assumed can be swapped for the other in place.
+    /// Both lead to the state `apply` gives, as `step_if_legal` must.
     #[derive(Debug, Clone)]
     struct TwoFacedCounter;
 

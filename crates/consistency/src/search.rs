@@ -54,11 +54,11 @@ impl Hasher for FoldHasher {
 }
 
 /// What a search run needs besides its frame stack, kept per thread and
-/// reused by every run on it: the dead configurations, the progress vector
-/// and the order under construction.  A checker visited round-robin among
-/// thousands finds these hot in the cache of the thread that last searched
-/// — for any object — where a table of its own would be cold, and a run that
-/// ends after four nodes allocates nothing.
+/// reused by every run on it: the dead configurations, the progress vector,
+/// the order under construction and which processes it has completed.  A
+/// checker visited round-robin among thousands finds these hot in the cache
+/// of the thread that last searched — for any object — where a table of its
+/// own would be cold, and a run that ends after four nodes allocates nothing.
 ///
 /// The frame stack is not here: its element holds an `S::State`, which need
 /// not be `'static`, so it cannot sit in a thread-local; it starts empty and
@@ -71,6 +71,9 @@ pub(crate) struct Scratch {
     /// `counts[p]`: operations of process `p` linearized or dropped.
     pub counts: Vec<u32>,
     pub order: Vec<(OpId, ResponseId)>,
+    /// `complete[p]`: some configuration the current run entered had every
+    /// operation of process `p` linearized or dropped.
+    pub complete: Vec<bool>,
 }
 
 /// Clearing a table costs its capacity, so one huge refutation must not tax
@@ -93,6 +96,7 @@ pub(crate) fn with_scratch<R>(processes: usize, search: impl FnOnce(&mut Scratch
         scratch.counts.clear();
         scratch.counts.resize(processes, 0);
         scratch.order.clear();
+        scratch.complete.clear();
         let result = search(&mut scratch);
         slot.set(scratch);
         result
@@ -101,11 +105,13 @@ pub(crate) fn with_scratch<R>(processes: usize, search: impl FnOnce(&mut Scratch
 
 /// How a search ended.
 pub(crate) enum SearchOutcome {
-    /// Every operation is linearized (or legitimately dropped); `order`
-    /// holds the witness.
-    Found,
-    /// The subtree was exhaustively refuted.
-    NotFound,
+    /// Every operation is linearized (or legitimately dropped), in this
+    /// order: the witness.
+    Found(Vec<(OpId, ResponseId)>),
+    /// The history was exhaustively refuted.  `blocked[p]`: no configuration
+    /// the search entered had every operation of process `p` placed — so no
+    /// witness of a longer history places an operation `p` invokes next.
+    NotFound { blocked: Vec<bool> },
     /// The node budget ran out first.
     Budget,
 }
@@ -184,11 +190,7 @@ const NO_HINT: usize = usize::MAX;
 
 /// Searches for a linearization of `history` from the specification's
 /// initial state, on a scratch emptied by [`with_scratch`], and adds the
-/// nodes it visits to `explored`.
-///
-/// On [`SearchOutcome::Found`] `scratch.order` is the witness and
-/// `scratch.counts` the final progress; on every other outcome the scratch
-/// is left unspecified.
+/// nodes it visits to `explored`.  The scratch is left unspecified.
 pub(crate) fn wing_gong<S: SequentialSpec>(
     ctx: &SearchContext<'_, S>,
     history: &InternedHistory,
@@ -201,9 +203,14 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
         dead,
         counts,
         order,
+        complete,
     } = scratch;
     let counts = counts.as_mut_slice();
     let n = history.process_count();
+    // Every descent enters a configuration; the one that places a process's
+    // last operation marks it complete, and the root those with none.
+    let ops_of = |p: usize| history.ops_of(ProcId(p)).len();
+    complete.extend((0..n).map(|p| ops_of(p) == 0));
     // The top of `stack` is the node whose children are being enumerated,
     // below it its ancestors, each with the child it descended into.  It
     // grows with the depth reached, not with the history: most runs end a
@@ -213,7 +220,7 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
     'enter: loop {
         // Enter the node `(state, on_hint)`.
         if history.is_done(counts) {
-            return SearchOutcome::Found;
+            return SearchOutcome::Found(order.clone());
         }
         if *explored >= config.max_states {
             return SearchOutcome::Budget;
@@ -243,7 +250,8 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
         }
         loop {
             let Some(frame) = stack.last_mut() else {
-                return SearchOutcome::NotFound;
+                let blocked = complete.iter().map(|done| !done).collect();
+                return SearchOutcome::NotFound { blocked };
             };
             if resumed {
                 // Undo the refuted child; after a linearize child the same
@@ -285,6 +293,7 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
                 frame.child_proc = p;
                 if let Some((next, assigned)) = linearize(spec, arena, &frame.state, &op) {
                     counts[p] += 1;
+                    complete[p] |= counts[p] as usize == ops_of(p);
                     order.push((op.id, assigned));
                     frame.child = if op.is_pending() {
                         Child::LinearizedPending
@@ -296,7 +305,9 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
                     continue 'enter;
                 }
                 if op.is_pending() {
+                    // A pending operation is its process's last.
                     counts[p] += 1;
+                    complete[p] = true;
                     frame.child = Child::Dropped;
                     state = frame.state.clone();
                     on_hint = false;

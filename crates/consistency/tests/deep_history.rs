@@ -12,8 +12,11 @@
 //! counts.
 
 use drv_adversary::{register_object_stream, RegisterStreamShape};
-use drv_consistency::{CheckOutcome, CheckerConfig, IncrementalChecker};
-use drv_lang::{Invocation, ProcId, Response, Symbol};
+use drv_consistency::{
+    check_history, CheckOutcome, CheckerConfig, CheckpointError, ConcurrentHistory,
+    ConsistencyResult, IncrementalChecker,
+};
+use drv_lang::{Action, Invocation, ProcId, Response, Symbol, Word};
 use drv_spec::Register;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,7 +130,7 @@ fn wild_read() -> [Symbol; 4] {
 }
 
 #[test]
-fn a_standing_sc_no_is_searched_again_only_at_a_mutator_invocation() {
+fn a_standing_sc_no_is_searched_again_only_at_a_mutator_of_an_unblocked_process() {
     use CheckOutcome::{Consistent, Inconsistent};
     let mut checker =
         IncrementalChecker::new(Register::new(), CheckerConfig::sequential_consistency(), 2);
@@ -141,9 +144,10 @@ fn a_standing_sc_no_is_searched_again_only_at_a_mutator_invocation() {
         (Symbol::respond(p1, Response::Ack), Inconsistent, 0),
         (Symbol::invoke(p0, Invocation::Write(7)), Inconsistent, 0),
         (Symbol::respond(p0, Response::Value(1)), Inconsistent, 0),
-        // The reader's own write comes after its read in program order: one
-        // search says so, and its response cannot change that.
-        (Symbol::invoke(p1, Invocation::Write(7)), Inconsistent, 1),
+        // The reader's own write comes after its read in program order, and
+        // the refuting search never placed that read: the reader is
+        // blocked, and its mutator keeps the NO without a search (R3).
+        (Symbol::invoke(p1, Invocation::Write(7)), Inconsistent, 0),
         (Symbol::invoke(p0, Invocation::Read), Inconsistent, 0),
         (Symbol::respond(p1, Response::Ack), Inconsistent, 0),
         (Symbol::respond(p0, Response::Value(1)), Inconsistent, 0),
@@ -158,7 +162,47 @@ fn a_standing_sc_no_is_searched_again_only_at_a_mutator_invocation() {
         assert_eq!(step(&mut checker, symbol), (outcome, searches), "script step {at}");
     }
     let stats = checker.stats();
-    assert_eq!((stats.dfs_runs, stats.latched), (4, 7), "{stats:?}");
+    assert_eq!((stats.dfs_runs, stats.latched), (3, 8), "{stats:?}");
+}
+
+/// A `drvbench`-shaped register stream of `ops` operations whose first read
+/// after the 40th symbol answers a value no write produces, and the
+/// position of that answer.
+fn one_wild_read(ops: usize) -> (Vec<Symbol>, usize) {
+    let mut rng = StdRng::seed_from_u64(34);
+    let mut symbols = register_object_stream(&mut rng, ops, &RegisterStreamShape::load());
+    let at = (40..symbols.len())
+        .find(|at| matches!(symbols[*at].action, Action::Respond(Response::Value(_))))
+        .expect("the stream reads");
+    symbols[at] = Symbol::respond(symbols[at].proc, Response::Value(1_000_000));
+    (symbols, at)
+}
+
+#[test]
+fn writes_that_cannot_rescue_a_standing_sc_no_are_not_searched() {
+    let config = CheckerConfig::sequential_consistency();
+    let (symbols, wild) = one_wild_read(150);
+    let mut checker = IncrementalChecker::new(Register::new(), config, 2);
+    let (mut searches, mut writes) = (0, 0);
+    for (at, symbol) in symbols.iter().enumerate() {
+        let (outcome, searched) = step(&mut checker, symbol.clone());
+        let history = ConcurrentHistory::from_word(&Word::from_symbols(symbols[..=at].to_vec()), 2);
+        let expected = match check_history(&Register::new(), &history, &config) {
+            ConsistencyResult::Consistent(_) => CheckOutcome::Consistent,
+            ConsistencyResult::Inconsistent => CheckOutcome::Inconsistent,
+            ConsistencyResult::Unknown => CheckOutcome::Unknown,
+        };
+        assert_eq!(outcome, expected, "symbol {at}");
+        assert_eq!(outcome == CheckOutcome::Inconsistent, at >= wild, "symbol {at}");
+        if at > wild {
+            searches += searched;
+            writes += u64::from(matches!(symbol.action, Action::Invoke(Invocation::Write(_))));
+        }
+    }
+    // One search per write invocation after the wild read would be 64: only
+    // the writes of a process the last refuting search could complete run
+    // one, and the reader of the wild value is never such a process.
+    assert_eq!((searches, writes), (3, 64), "{:?}", checker.stats());
 }
 
 #[test]
@@ -184,16 +228,20 @@ fn an_unknown_never_stands() {
 #[test]
 fn a_checkpoint_without_the_standing_bit_restores_and_searches_once() {
     // What a build that predates the standing NO writes for this state: the
-    // same payload with flag bit 2 clear.  It must restore, re-establish the
-    // standing NO with a single search, and answer the rest alike.
+    // same payload with flag bits 4 and 8 clear and without the blocked set
+    // that ends it.  It must restore, re-establish the standing NO with a
+    // single search, and answer the rest alike.
     let config = CheckerConfig::sequential_consistency();
     let mut live = IncrementalChecker::new(Register::new(), config, 2);
     for symbol in wild_read() {
         step(&mut live, symbol);
     }
     let mut bytes = live.checkpoint_bytes();
-    assert_eq!(bytes[1] & 4, 4, "the standing NO is checkpointed");
-    bytes[1] &= !4;
+    assert_eq!(bytes[1] & 12, 12, "the standing NO is checkpointed with its set");
+    let set_at = bytes.len() - 8;
+    assert_eq!(bytes[set_at..], [1, 0, 0, 0, 1, 0, 0, 0], "the reader is blocked");
+    bytes[1] &= !12;
+    bytes.truncate(set_at);
     let mut restored = IncrementalChecker::new(Register::new(), config, 2);
     restored.restore_bytes(&bytes).expect("an older checkpoint restores");
     let rest = [
@@ -207,6 +255,62 @@ fn a_checkpoint_without_the_standing_bit_restores_and_searches_once() {
         let (expected, _) = step(&mut live, symbol.clone());
         assert_eq!(step(&mut restored, symbol), (expected, searches));
     }
+}
+
+#[test]
+fn a_blocked_set_survives_a_delta_chain() {
+    use CheckOutcome::{Consistent, Inconsistent};
+    let (p0, p1) = (ProcId(0), ProcId(1));
+    let config = CheckerConfig::sequential_consistency();
+    let mut live = IncrementalChecker::new(Register::new(), config, 2);
+    for symbol in wild_read() {
+        step(&mut live, symbol);
+    }
+    // The set ends every checkpoint of a standing NO, delta or not.
+    let blocks_the_reader = |bytes: &[u8]| {
+        bytes[1] == 0x0C && bytes[bytes.len() - 8..] == [1, 0, 0, 0, 1, 0, 0, 0]
+    };
+    let full = live.checkpoint_delta();
+    assert!(blocks_the_reader(&full), "{full:?}");
+    // The reader writes (R3) and the writer reads (R2): no search.
+    for symbol in [
+        Symbol::invoke(p1, Invocation::Write(7)),
+        Symbol::respond(p1, Response::Ack),
+        Symbol::invoke(p0, Invocation::Read),
+        Symbol::respond(p0, Response::Value(1)),
+    ] {
+        assert_eq!(step(&mut live, symbol), (Inconsistent, 0));
+    }
+    let delta = live.checkpoint_delta();
+    assert!(blocks_the_reader(&delta), "{delta:?}");
+    let mut restored = IncrementalChecker::new(Register::new(), config, 2);
+    restored.restore_bytes(&full).expect("the full form restores");
+    restored.restore_bytes(&delta).expect("the delta extends it");
+    assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
+    // The reader's next write still stands; the writer's finds the witness.
+    let rest = [
+        (Symbol::invoke(p1, Invocation::Write(7)), Inconsistent, 0),
+        (Symbol::respond(p1, Response::Ack), Inconsistent, 0),
+        (Symbol::invoke(p0, Invocation::Write(7)), Consistent, 1),
+        (Symbol::respond(p0, Response::Ack), Consistent, 0),
+    ];
+    for (at, (symbol, outcome, searches)) in rest.into_iter().enumerate() {
+        assert_eq!(step(&mut live, symbol.clone()), (outcome, searches), "symbol {at}");
+        assert_eq!(step(&mut restored, symbol), (outcome, searches), "symbol {at}");
+    }
+    assert_eq!(restored.stats(), live.stats());
+    // The set belongs to a standing NO, and names processes the history has.
+    let mut orphan = full.clone();
+    orphan[1] = 0x08;
+    let mut fresh = IncrementalChecker::new(Register::new(), config, 2);
+    assert_eq!(fresh.restore_bytes(&orphan), Err(CheckpointError::BadFlags(0x08)));
+    let mut stranger = full;
+    let last = stranger.len() - 4;
+    stranger[last] = 2;
+    assert_eq!(
+        fresh.restore_bytes(&stranger),
+        Err(CheckpointError::BadProcess { proc: 2 })
+    );
 }
 
 /// A version-1 checkpoint: what the parent of the commit that made the
@@ -243,6 +347,23 @@ const VERSION_2_CHECKPOINT: [u8; 148] = [
     0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x02, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
     0x00, 0x00, 0x00, 0x00,
+];
+
+/// [`VERSION_2_CHECKPOINT`]'s sequential-consistency state as this build
+/// writes it: flags `0x0C` (the NO stands, and the set of processes the
+/// refuting search could not complete follows) and, after the frontier, that
+/// set: `{1}`, the reader of the wild value.
+const BLOCKED_SET_CHECKPOINT: [u8; 156] = [
+    0x02, 0x0c, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x02, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
 ];
 
 /// Everything a checkpoint's word section can hold: an orphan response and
@@ -282,8 +403,14 @@ fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
     ] {
         let mut literal = PARENT_CHECKPOINT;
         literal[1] = flags;
-        let mut written = VERSION_2_CHECKPOINT;
-        written[1] = flags;
+        let mut older = VERSION_2_CHECKPOINT;
+        older[1] = flags;
+        // A latched NO is written as before; a standing one with its
+        // blocked set, which a restore of the older bytes derives.
+        let written: &[u8] = match flags {
+            0x01 => &older,
+            _ => &BLOCKED_SET_CHECKPOINT,
+        };
         let mut twin = IncrementalChecker::new(Register::new(), config, 2);
         for symbol in mixed_prefix() {
             step(&mut twin, symbol);
@@ -305,20 +432,32 @@ fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
             "{config:?}: restore lost a byte"
         );
         let mut reread = IncrementalChecker::new(Register::new(), config, 2);
-        reread.restore_bytes(&written).expect("a version-2 checkpoint restores");
+        reread.restore_bytes(written).expect("a version-2 checkpoint restores");
         assert_eq!(reread.checkpoint_bytes(), written, "{config:?}");
+        let mut from_older = IncrementalChecker::new(Register::new(), config, 2);
+        from_older
+            .restore_bytes(&older)
+            .expect("a checkpoint without the blocked set restores");
+        assert_eq!(from_older.checkpoint_bytes(), written, "{config:?}");
         let mut answer = Inconsistent;
         for (at, symbol) in rest.iter().enumerate() {
             let (outcome, searches) = step(&mut restored, symbol.clone());
+            let live = step(&mut twin, symbol.clone());
             assert_eq!(
                 (outcome, searches),
-                step(&mut twin, symbol.clone()),
+                live,
                 "{config:?}: restored copy diverged at symbol {at} after the cut"
+            );
+            assert_eq!(
+                step(&mut from_older, symbol.clone()),
+                live,
+                "{config:?}: the copy restored from version-2 bytes diverged at symbol {at}"
             );
             answer = outcome;
         }
         assert_eq!(answer, last, "{config:?}");
         assert_eq!(restored.stats(), twin.stats(), "{config:?}");
+        assert_eq!(from_older.stats(), twin.stats(), "{config:?}");
         assert_eq!(
             restored.checkpoint_bytes(),
             twin.checkpoint_bytes(),

@@ -447,15 +447,15 @@ fn sequential_consistency_matches_scratch_on_random_histories() {
     let config = CheckerConfig::sequential_consistency();
     assert_eq!(
         compare_on(Register::new(), Object::Register, config, "sc/register", 400, 201),
-        PathTotals { splices: 615, repairs: 0, dfs_runs: 842, dfs_nodes: 3067, fast_path: 1991 }
+        PathTotals { splices: 615, repairs: 0, dfs_runs: 748, dfs_nodes: 2626, fast_path: 2085 }
     );
     assert_eq!(
         compare_on(Counter::new(), Object::Counter, config, "sc/counter", 300, 202),
-        PathTotals { splices: 492, repairs: 0, dfs_runs: 648, dfs_nodes: 2157, fast_path: 1569 }
+        PathTotals { splices: 492, repairs: 0, dfs_runs: 562, dfs_nodes: 1834, fast_path: 1655 }
     );
     assert_eq!(
         compare_on(Queue::new(), Object::Queue, config, "sc/queue", 300, 203),
-        PathTotals { splices: 466, repairs: 0, dfs_runs: 865, dfs_nodes: 4265, fast_path: 1403 }
+        PathTotals { splices: 466, repairs: 0, dfs_runs: 694, dfs_nodes: 3241, fast_path: 1574 }
     );
 }
 

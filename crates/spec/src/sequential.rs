@@ -41,6 +41,12 @@ pub trait SequentialSpec: Send + Sync {
     /// Checks whether `(invocation, response)` is a legal step from `state`,
     /// returning the successor state when it is.
     ///
+    /// A legal observed response leads to the state `apply` gives: when this
+    /// returns `Some(next)`, `apply(state, invocation)` returns `next` too,
+    /// whatever response it pairs it with.  Checkers rely on it: a history
+    /// whose pending operation was linearized with the response `apply`
+    /// gives reaches no state more once the operation answers.
+    ///
     /// The default implementation applies the invocation and compares the
     /// produced response with the observed one, which is correct for
     /// deterministic objects.
