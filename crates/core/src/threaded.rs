@@ -427,6 +427,7 @@ mod tests {
         assert_eq!(panic.worker, 1, "{panic}");
         assert_eq!(panic.role, "monitor process");
         assert!(panic.message.contains("injected fault"), "{panic}");
+        assert_eq!(panic.object, None);
         assert!(panic.to_string().contains("monitor process 1"), "{panic}");
     }
 

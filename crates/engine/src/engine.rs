@@ -89,7 +89,8 @@
 //!   catches it, aborts the run (reconciling the backlog so
 //!   [`MonitoringEngine::backlog`] does not over-report forever), and the
 //!   [`WorkerPanic`] surfaces from [`MonitoringEngine::finish`] — or early,
-//!   through [`MonitoringEngine::take_panic`].
+//!   through [`MonitoringEngine::take_panic`] — naming the object whose
+//!   monitor, checkpoint or tombstone the panic unwound out of.
 
 use crate::journal::{JournalSink, RecoveredObject};
 use crate::report::{EngineReport, EngineStats, ObjectReport};
@@ -97,7 +98,7 @@ use crate::service::{SubmitError, SubscriptionShared, VerdictEvent, VerdictSubsc
 use drv_consistency::CheckerStats;
 use drv_consistency::{ObjectMonitor, ObjectMonitorFactory};
 use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Verdict, WorkerPanic};
-use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
+use drv_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -421,9 +422,8 @@ struct Shared {
     /// Open verdict subscription channels.
     subs: Mutex<Vec<Arc<SubscriptionShared>>>,
     /// The shared observability handle: the `engine_*` metrics live in its
-    /// registry, pipeline events in its flight recorder.  Constructed
-    /// passive (counters only, no clock reads) unless the engine was built
-    /// with [`MonitoringEngine::with_telemetry`].
+    /// registry.  Constructed passive (counters only, no clock reads) unless
+    /// the engine was built with [`MonitoringEngine::with_telemetry`].
     tel: Arc<Telemetry>,
     /// Registered handles onto `tel`'s registry (events, batches, steals,
     /// evicted, parks/park_wakeups, queue depth, latency histograms,
@@ -575,7 +575,6 @@ impl Shared {
         slot.checkpointed = None;
         slot.harvested = CheckerStats::default();
         self.m.evicted.inc();
-        self.tel.flight(Stage::Evict, object.0, 0, 0, 0);
     }
 
     /// Flushes the coalesced delivery buffer: everything accumulated since
@@ -652,8 +651,11 @@ impl Shared {
             let mut at = 0;
             while at < order.len() {
                 let object = order[at].object();
+                // Whose work a panic from here on unwinds out of.
+                scratch.object = Some(object);
                 if let QueueItem::Evict(_) = items[order[at].index()] {
                     self.retire(&mut state, object);
+                    scratch.object = None;
                     at += 1;
                     continue;
                 }
@@ -725,8 +727,6 @@ impl Shared {
                             let since = usize::try_from(checkpointed)
                                 .expect("checkpointed events are in memory");
                             sink.checkpoint(object, fed, &slot.report.verdicts[since..], &state);
-                            self.tel
-                                .flight(Stage::Checkpoint, object.0, fed, worker as u16, 0);
                         }
                         // Monitors without checkpoint support advance the
                         // watermark too — the interval gates the *probe*,
@@ -738,20 +738,12 @@ impl Shared {
                 // The run's counters go to the registry with the rest of the
                 // claim's, not in seven atomic adds of their own.
                 EngineMetrics::harvest(slot, &mut scratch.harvested);
-                if sampled {
-                    self.tel.flight(
-                        Stage::Check,
-                        object.0,
-                        run.len() as u64,
-                        worker as u16,
-                        shard_index as u32,
-                    );
-                }
                 assert_eq!(
                     scratch.verdicts.len(),
                     scratch.run.len(),
                     "an ObjectMonitor::on_records must append exactly one verdict per event"
                 );
+                scratch.object = None;
                 // Batched delivery: rows accumulate in processing order, so
                 // each object's seqs reach the channel in order.
                 if !subs.is_empty() {
@@ -892,6 +884,9 @@ struct WorkerScratch {
     /// Monotone run counter driving the 1-in-[`CHECK_SAMPLE`] check-latency
     /// sampling (worker-local, so no cross-worker coordination).
     check_tick: u32,
+    /// The object whose monitor, checkpoint or tombstone the worker is in,
+    /// `None` between objects: what a panic's [`WorkerPanic::object`] says.
+    object: Option<ObjectId>,
     /// Checker counter deltas of the current claim's runs, folded into the
     /// registry once per claim.
     harvested: CheckerStats,
@@ -924,11 +919,10 @@ impl ClaimKey {
 const DELIVERY_CHUNK: usize = 64;
 
 /// Check-latency sampling period (a power of two).  A run can be a single
-/// event (a claim holding one event per object), and two `Instant::now`
-/// calls plus a flight stamp per event is the difference between ~1% and
-/// ~10% instrumented overhead — so each worker times its first run and then
-/// every 16th.  Counters stay exact; only the `engine_check_ns` histogram
-/// and the `Check` flight stage are sampled.
+/// event (a claim holding one event per object), so timing every run would
+/// put two `Instant::now` calls on every event; each worker times its first
+/// run and then every 16th.  Counters stay exact; only the
+/// `engine_check_ns` histogram is sampled.
 const CHECK_SAMPLE: u32 = 16;
 
 fn worker_loop(shared: &Shared, worker: usize) {
@@ -952,11 +946,10 @@ fn worker_loop(shared: &Shared, worker: usize) {
             if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 shared.process(shard, worker, &mut scratch);
             })) {
-                // Postmortem: stamp the panic into the flight ring and dump
-                // it (bounded, time-ordered) before the pool goes dark.
-                shared.tel.flight(Stage::Panic, 0, shard as u64, worker as u16, 0);
-                shared.tel.dump_to_stderr("engine worker panic");
-                shared.abort(WorkerPanic::from_payload("engine worker", worker, payload));
+                shared.abort(WorkerPanic {
+                    object: scratch.object,
+                    ..WorkerPanic::from_payload("engine worker", worker, payload)
+                });
                 return;
             }
             continue;
@@ -1016,10 +1009,9 @@ impl MonitoringEngine {
 
     /// [`MonitoringEngine::new`] sharing an explicit [`Telemetry`] handle:
     /// the engine registers its `engine_*` metrics into `telemetry`'s
-    /// registry and records pipeline events into its flight ring.  Pass a
-    /// [`Telemetry::new`] handle to turn latency sampling and the flight
-    /// recorder on; [`MonitoringEngine::new`] uses a passive handle
-    /// (counters only — no wall-clock reads on the hot path).
+    /// registry.  Pass a [`Telemetry::new`] handle to turn latency sampling
+    /// on; [`MonitoringEngine::new`] uses a passive handle (counters only —
+    /// no wall-clock reads on the hot path).
     #[must_use]
     pub fn with_telemetry(
         config: EngineConfig,
@@ -1115,9 +1107,6 @@ impl MonitoringEngine {
     fn enqueue(&self, object: ObjectId, item: QueueItem) {
         let shard_index = shard_of(object, self.shared.shards.len());
         self.shared.m.queue_depth.add(1);
-        self.shared
-            .tel
-            .flight(Stage::Enqueue, object.0, 1, 0, shard_index as u32);
         let newly_scheduled = {
             let mut queue = self.shared.shards[shard_index].queue.lock();
             queue.items.push_back(item);
@@ -1255,9 +1244,6 @@ impl MonitoringEngine {
     fn enqueue_batch_range(&self, batch: &EventBatch, start: usize, end: usize) {
         let scatter_started = self.shared.tel.timer();
         self.shared.m.queue_depth.add((end - start) as i64);
-        self.shared
-            .tel
-            .flight(Stage::Submit, 0, (end - start) as u64, 0, 0);
         let shard_count = self.shared.shards.len();
         let runs: Vec<(usize, std::ops::Range<usize>)> = batch
             .runs_between(start, end)
@@ -1488,10 +1474,9 @@ impl MonitoringEngine {
     }
 
     /// The engine's observability handle: its registry carries the
-    /// `engine_*` metrics (and whatever other layers registered into it),
-    /// its flight recorder the last N pipeline events.  Share it with a
-    /// `MonitorServer` and a `Store` so the whole pipeline reports into
-    /// one registry.
+    /// `engine_*` metrics (and whatever other layers registered into it).
+    /// Share it with a `MonitorServer` and a `Store` so the whole pipeline
+    /// reports into one registry.
     #[must_use]
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.shared.tel

@@ -133,7 +133,7 @@ use drv_engine::{
     EngineConfig, EngineReport, MonitoringEngine, SubmitError, VerdictEvent, VerdictSubscription,
 };
 use drv_lang::{EventBatch, ObjectId, Verdict, VerdictBatch, WorkerPanic};
-use drv_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
+use drv_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -410,9 +410,9 @@ impl ConnShared {
 
 struct ServerShared {
     engine: Arc<MonitoringEngine>,
-    /// The engine's telemetry handle (registry + flight recorder) — the
-    /// server registers its `net_*` metrics on the same registry, so one
-    /// Stats reply carries the whole process.
+    /// The engine's telemetry handle — the server registers its `net_*`
+    /// metrics on the same registry, so one Stats reply carries the whole
+    /// process.
     tel: Arc<Telemetry>,
     config: ServerConfig,
     /// The engine's verdict stream.  The router is its one consumer; the
@@ -464,11 +464,6 @@ impl ServerShared {
     }
 }
 
-/// Consecutive NACKs on one connection before the server calls it a storm
-/// and writes the flight-recorder postmortem to stderr (once per run of
-/// refusals — a successful batch re-arms it).
-const NACK_STORM: u64 = 32;
-
 /// Bytes per nonblocking read (also the per-readiness fairness unit: after
 /// [`READ_BUDGET`] chunks the reactor moves on and lets level-triggered
 /// readiness re-report the socket).
@@ -496,17 +491,6 @@ fn raw_fd<T>(_stream: &T) -> SysFd {
     -1
 }
 
-/// Why the reactor is removing a connection.
-enum Gone {
-    /// Peer EOF / transport error / forced close: evict and drop.
-    Lost,
-    /// Protocol violation (bad frame, client-forbidden kind): counted,
-    /// flight-recorded, then evict and drop.
-    Protocol(u32),
-    /// Clean drain completed (outbound flushed, server Shutdown written).
-    Drained,
-}
-
 /// The reactor-private half of a connection.
 struct ConnIo {
     shared: Arc<ConnShared>,
@@ -525,7 +509,6 @@ struct ConnIo {
     write_pos: usize,
     /// Objects this connection already registered in the owners map.
     known: HashSet<ObjectId>,
-    nack_run: u64,
     /// Flush outbound, append the server Shutdown frame, then close.
     draining: bool,
     shutdown_queued: bool,
@@ -552,8 +535,9 @@ enum Pass {
     /// Stop reading this conn: a batch is parked on `SubmitError::Full`,
     /// or the outbound queue is full.
     Paused,
-    /// Tear the connection down.
-    Dead(Gone),
+    /// Tear the connection down: peer EOF, transport error, protocol
+    /// violation or an aborted engine.
+    Dead,
 }
 
 /// The one I/O thread: accepts, reads, writes and retires every socket.
@@ -644,7 +628,7 @@ impl Reactor {
                     // Stragglers that never read their final frames: cut.
                     let ids: Vec<u64> = self.io.keys().copied().collect();
                     for id in ids {
-                        self.teardown(id, Gone::Lost);
+                        self.teardown(id);
                     }
                 }
             }
@@ -723,7 +707,6 @@ impl Reactor {
                 write_buf: Vec::new(),
                 write_pos: 0,
                 known: HashSet::new(),
-                nack_run: 0,
                 draining: false,
                 shutdown_queued: false,
                 interest: (true, false),
@@ -748,8 +731,8 @@ impl Reactor {
             match self.process_frames(id) {
                 Pass::Alive => {}
                 Pass::Paused => return,
-                Pass::Dead(gone) => {
-                    self.teardown(id, gone);
+                Pass::Dead => {
+                    self.teardown(id);
                     return;
                 }
             }
@@ -760,7 +743,7 @@ impl Reactor {
             budget -= 1;
             match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
-                    self.teardown(id, Gone::Lost);
+                    self.teardown(id);
                     return;
                 }
                 Ok(n) => {
@@ -770,7 +753,7 @@ impl Reactor {
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.teardown(id, Gone::Lost);
+                    self.teardown(id);
                     return;
                 }
             }
@@ -823,7 +806,7 @@ impl Reactor {
                     // An unframeable byte stream (bad magic/version/kind or
                     // an oversized length claim): not a MonitorClient.
                     shared.m.protocol_errors.inc();
-                    return Pass::Dead(Gone::Protocol(2));
+                    return Pass::Dead;
                 }
             };
             let started = shared.tel.timer();
@@ -872,13 +855,12 @@ impl Reactor {
                                 shared.parked_hint.store(true, Ordering::Release);
                                 shared.engine.try_submit_batch(&batch.events)
                             }
-                            Err(SubmitError::Aborted) => return Pass::Dead(Gone::Lost),
+                            Err(SubmitError::Aborted) => return Pass::Dead,
                         };
                         match submitted {
                             Ok(()) => {
                                 shared.m.batches.inc();
                                 shared.m.events.add(n);
-                                conn.nack_run = 0;
                             }
                             Err(SubmitError::Full) => {
                                 // The backpressure loop, reactor-style: the
@@ -892,7 +874,7 @@ impl Reactor {
                                 self.parked += 1;
                                 return Pass::Paused;
                             }
-                            Err(SubmitError::Aborted) => return Pass::Dead(Gone::Lost),
+                            Err(SubmitError::Aborted) => return Pass::Dead,
                         }
                     }
                 }
@@ -915,7 +897,7 @@ impl Reactor {
                     // Credit/Nack/Verdict/Stats replies are server-to-client
                     // only: a peer sending them is not a MonitorClient.
                     shared.m.protocol_errors.inc();
-                    return Pass::Dead(Gone::Protocol(1));
+                    return Pass::Dead;
                 }
                 Err(WireError::TooManyRows { batch_id, rows, .. }) => {
                     // Refused by the decoder before any interning; the
@@ -925,38 +907,16 @@ impl Reactor {
                     shared.m.nacks.inc();
                     let nack = if u64::from(rows) > window {
                         shared.m.nacks_batch_too_large.inc();
-                        shared.tel.flight(
-                            Stage::Nack,
-                            batch_id,
-                            id,
-                            0,
-                            NackReason::BatchTooLarge as u32,
-                        );
                         encode_nack(batch_id, NackReason::BatchTooLarge, window)
                     } else {
                         shared.m.nacks_credit_exceeded.inc();
-                        shared.tel.flight(
-                            Stage::Nack,
-                            batch_id,
-                            id,
-                            0,
-                            NackReason::CreditExceeded as u32,
-                        );
                         encode_nack(batch_id, NackReason::CreditExceeded, remaining)
                     };
                     self.push_direct(id, nack);
-                    let Some(conn) = self.io.get_mut(&id) else { return Pass::Alive };
-                    conn.nack_run += 1;
-                    if conn.nack_run == NACK_STORM {
-                        // A compliant client waits for credit; a run this
-                        // long is a peer bug or a wedged pipeline — leave
-                        // the postmortem while the evidence is in the ring.
-                        shared.tel.dump_to_stderr("nack storm");
-                    }
                 }
                 Err(_) => {
                     shared.m.protocol_errors.inc();
-                    return Pass::Dead(Gone::Protocol(2));
+                    return Pass::Dead;
                 }
             }
         }
@@ -994,12 +954,11 @@ impl Reactor {
                     self.parked -= 1;
                     self.shared.m.batches.inc();
                     self.shared.m.events.add(batch.len() as u64);
-                    conn.nack_run = 0;
                     // Unparked: frames may be waiting in the assembler, and
                     // read interest comes back.
                     match self.process_frames(id) {
-                        Pass::Dead(gone) => {
-                            self.teardown(id, gone);
+                        Pass::Dead => {
+                            self.teardown(id);
                             continue;
                         }
                         Pass::Alive | Pass::Paused => {}
@@ -1012,7 +971,7 @@ impl Reactor {
                 }
                 Err(SubmitError::Aborted) => {
                     self.parked -= 1;
-                    self.teardown(id, Gone::Lost);
+                    self.teardown(id);
                 }
             }
         }
@@ -1040,8 +999,8 @@ impl Reactor {
                 return;
             }
             conn.held = false;
-            if let Pass::Dead(gone) = self.process_frames(id) {
-                self.teardown(id, gone);
+            if let Pass::Dead = self.process_frames(id) {
+                self.teardown(id);
                 return;
             }
         }
@@ -1054,7 +1013,7 @@ impl Reactor {
     fn write_out(&mut self, id: u64) {
         let Some(conn) = self.io.get_mut(&id) else { return };
         let started = self.shared.tel.timer();
-        let mut fate: Option<Gone> = None;
+        let mut gone = false;
         loop {
             if conn.write_pos == conn.write_buf.len() {
                 conn.write_buf.clear();
@@ -1081,7 +1040,7 @@ impl Reactor {
                         conn.shutdown_queued = true;
                     } else {
                         if conn.draining && conn.shutdown_queued {
-                            fate = Some(Gone::Drained);
+                            gone = true;
                         }
                         break;
                     }
@@ -1089,7 +1048,7 @@ impl Reactor {
             }
             match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
                 Ok(0) => {
-                    fate = Some(Gone::Lost);
+                    gone = true;
                     break;
                 }
                 Ok(n) => {
@@ -1099,7 +1058,7 @@ impl Reactor {
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    fate = Some(Gone::Lost);
+                    gone = true;
                     break;
                 }
             }
@@ -1107,8 +1066,8 @@ impl Reactor {
         self.shared
             .tel
             .observe(started, &self.shared.m.socket_write_ns);
-        if let Some(gone) = fate {
-            self.teardown(id, gone);
+        if gone {
+            self.teardown(id);
         }
     }
 
@@ -1127,16 +1086,13 @@ impl Reactor {
 
     /// Retires a connection: poller deregistration, eviction of its
     /// objects, metric reconciliation, socket close.
-    fn teardown(&mut self, id: u64, gone: Gone) {
+    fn teardown(&mut self, id: u64) {
         let Some(conn) = self.io.remove(&id) else { return };
         if conn.parked.is_some() {
             self.parked -= 1;
         }
         let _ = self.poller.deregister(raw_fd(&conn.stream));
         conn.shared.close();
-        if let Gone::Protocol(code) = gone {
-            self.shared.tel.flight(Stage::Disconnect, 0, id, 0, code);
-        }
         self.shared.conns.lock().remove(&id);
         // Mid-stream disconnect or clean Shutdown alike: everything
         // received so far stays checked; the monitors are retired, their
@@ -1324,9 +1280,6 @@ fn deliver(
             match conn.try_push(frame, &shared.m.outbound_frames) {
                 Push::Queued { was_empty } => {
                     shared.tel.observe(route_started, &shared.m.verdict_route_ns);
-                    shared
-                        .tel
-                        .flight(Stage::VerdictRoute, 0, take as u64, 0, conn.id as u32);
                     entry.pending.drain(..take);
                     entry.owed += take as u64;
                     progressed = true;
@@ -1395,8 +1348,6 @@ fn deliver(
                 // lossy exit is a dead connection.
                 shared.m.stalled_disconnects.inc();
                 shared.m.dropped_verdicts.add(entry.pending.len() as u64);
-                shared.tel.flight(Stage::Disconnect, 0, conn.id, 0, 0);
-                shared.tel.dump_to_stderr("stalled consumer disconnected");
                 conn.close();
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
                 entry.pending.clear();
@@ -1553,8 +1504,7 @@ impl MonitorServer {
 
     /// The telemetry handle the server and its engine share: the `net_*`
     /// metrics (including the `net_reactor_*` family) live on this registry
-    /// next to the `engine_*` ones, and the flight recorder carries both
-    /// layers' pipeline events.
+    /// next to the `engine_*` ones.
     #[must_use]
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.shared.tel

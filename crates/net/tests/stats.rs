@@ -24,7 +24,7 @@ use std::time::Duration;
 const OBJECTS: u64 = 4;
 const OPS: u64 = 25;
 
-/// A server over a fully instrumented engine (timing + flight ring on).
+/// A server over a fully instrumented engine (timing on).
 fn instrumented_server() -> MonitorServer {
     let engine = Arc::new(MonitoringEngine::with_telemetry(
         EngineConfig::new(2).with_max_pending(4096),

@@ -57,7 +57,7 @@ use drv_net::wire::{
     decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameEncoder, FrameKind,
     MAX_PAYLOAD,
 };
-use drv_telemetry::{Counter, Histogram, Stage, Telemetry};
+use drv_telemetry::{Counter, Histogram, Telemetry};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -594,7 +594,6 @@ impl JournalSink for Store {
         if self.append(&mut inner, &frame) {
             self.m.batches.inc();
             self.m.events.add(batch.len() as u64);
-            self.tel.flight(Stage::JournalAppend, id, batch.len() as u64, 0, frame.len() as u32);
         }
     }
 
@@ -617,7 +616,6 @@ impl JournalSink for Store {
         let mut inner = self.inner.lock();
         if self.append(&mut inner, &frame) {
             self.m.checkpoints.inc();
-            self.tel.flight(Stage::Checkpoint, object.0, fed, 0, frame.len() as u32);
         } else {
             self.m.checkpoints_skipped.inc();
         }

@@ -115,9 +115,8 @@ pub fn recover(
 /// [`recover`] over a caller-supplied [`Telemetry`] handle, shared by the
 /// store and the rebuilt engine — one registry carries the `engine_*` and
 /// `store_*` cells (and the `net_*` cells, once a server binds over the
-/// engine), and the flight ring sees the whole pipeline.  Replay itself is
-/// instrumented like live traffic: the engine's check histograms include
-/// the replayed suffix.
+/// engine).  Replay itself is instrumented like live traffic: the engine's
+/// check histograms include the replayed suffix.
 ///
 /// # Errors
 ///
@@ -289,8 +288,8 @@ pub fn serve_durable(
 /// [`serve_durable`] over a caller-supplied [`Telemetry`] handle: store,
 /// engine and TCP server share one registry, so the server's Stats frame
 /// (and Prometheus text) carries `store_*` append/fsync metrics alongside
-/// the `engine_*`/`net_*` cells, and the flight ring spans submit →
-/// check → verdict route → journal append end to end.
+/// the `engine_*`/`net_*` cells: every stage from decode through journal
+/// append, check and verdict route to socket write, read off one frame.
 ///
 /// # Errors
 ///

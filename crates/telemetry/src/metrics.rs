@@ -13,7 +13,6 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Stripes per metric: enough to keep an 8-worker pool off each other's
 /// cache lines without bloating per-metric memory (8 × 64 B per counter).
@@ -269,34 +268,6 @@ impl Registry {
     }
 }
 
-/// A monotonic clock anchored at construction; `now_ns` is the nanoseconds
-/// since the anchor — what flight-recorder events are stamped with.
-pub struct Clock {
-    origin: Instant,
-}
-
-impl Default for Clock {
-    fn default() -> Self {
-        Clock::new()
-    }
-}
-
-impl Clock {
-    /// Anchors the clock now.
-    #[must_use]
-    pub fn new() -> Self {
-        Clock {
-            origin: Instant::now(),
-        }
-    }
-
-    /// Monotonic nanoseconds since the anchor.
-    #[must_use]
-    pub fn now_ns(&self) -> u64 {
-        crate::saturating_ns(self.origin.elapsed().as_nanos())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,13 +310,5 @@ mod tests {
         assert_eq!(snap.count, 5);
         assert_eq!(snap.sum, 1_001_101);
         assert_eq!(snap.buckets[0], 1, "the zero went to bucket 0");
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let clock = Clock::new();
-        let a = clock.now_ns();
-        let b = clock.now_ns();
-        assert!(b >= a);
     }
 }

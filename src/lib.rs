@@ -33,7 +33,7 @@
 //!   verdict streams → batched subscriptions / VerdictBatch frames / report
 //!
 //!   cross-cutting: one shared Telemetry registry           [telemetry]
-//!   (striped counters/gauges, log2 latency histograms, flight ring)
+//!   (striped counters/gauges, log2 latency histograms)
 //!   fed by engine (engine_*), net (net_*) and store (store_*);
 //!   exported as a Stats wire frame, Prometheus text, or a snapshot
 //!   hook — and zero-overhead-when-idle: the default passive handle
@@ -93,9 +93,8 @@
 //!   allocation-free metrics registry
 //!   ([`Counter`](crate::telemetry::Counter) /
 //!   [`Gauge`](crate::telemetry::Gauge) /
-//!   [`Histogram`](crate::telemetry::Histogram)), the lock-free pipeline
-//!   flight recorder, and the snapshot / Prometheus exporters — engine,
-//!   net and store all record into one shared
+//!   [`Histogram`](crate::telemetry::Histogram)) and the snapshot /
+//!   Prometheus exporters — engine, net and store all record into one shared
 //!   [`Telemetry`](crate::telemetry::Telemetry) handle,
 //! * [`abd`] — the ABD message-passing port,
 //! * [`bench`] — the Table 1 reproduction harness, the live ABD bridge
