@@ -1,10 +1,12 @@
-//! Offline stand-in for `parking_lot`.
+//! Offline stand-in for `parking_lot`: this is **not** parking_lot, it is
+//! `std::sync` with poisoning ignored.
 //!
-//! Wraps `std::sync` primitives behind the parking_lot API surface the
-//! workspace uses: `Mutex::lock` / `RwLock::read` / `RwLock::write` return
-//! guards directly (poisoning is ignored — a panicking holder does not
-//! poison the lock for everyone else, matching parking_lot semantics), and
-//! `Condvar::wait` takes `&mut MutexGuard` instead of consuming it.
+//! Wraps the `std::sync` primitives behind the slice of the parking_lot API
+//! surface the workspace uses: `Mutex::lock` / `RwLock::read` /
+//! `RwLock::write` return guards directly (a panicking holder does not
+//! poison the lock for everyone else, as in parking_lot), and
+//! `Condvar::wait` takes `&mut MutexGuard` instead of consuming it.  The
+//! locks themselves are std's, with std's fairness and performance.
 //!
 //! The `drv-engine` worker pool additionally relies on
 //! `Condvar::wait_while` / `wait_for` (with [`WaitTimeoutResult`]) and the
@@ -123,28 +125,6 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard {
             guard: self.inner.write().unwrap_or_else(sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Attempts to acquire a read guard without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(guard) => Some(RwLockReadGuard { guard }),
-            Err(sync::TryLockError::Poisoned(poisoned)) => Some(RwLockReadGuard {
-                guard: poisoned.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts to acquire a write guard without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(guard) => Some(RwLockWriteGuard { guard }),
-            Err(sync::TryLockError::Poisoned(poisoned)) => Some(RwLockWriteGuard {
-                guard: poisoned.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
         }
     }
 
@@ -318,19 +298,17 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_guard_types_and_try_variants() {
+    fn rwlock_guard_types() {
         let mut l = RwLock::new(String::from("a"));
         {
             let r1: RwLockReadGuard<'_, String> = l.read();
-            let r2 = l.try_read().expect("readers share");
+            let r2 = l.read();
             assert_eq!(&*r1, "a");
             assert_eq!(&*r2, "a");
-            assert!(l.try_write().is_none(), "readers block writers");
         }
         {
-            let mut w: RwLockWriteGuard<'_, String> = l.try_write().expect("free");
+            let mut w: RwLockWriteGuard<'_, String> = l.write();
             w.push('b');
-            assert!(l.try_read().is_none(), "writer blocks readers");
         }
         l.get_mut().push('c');
         assert_eq!(l.into_inner(), "abc");

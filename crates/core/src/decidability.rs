@@ -17,7 +17,7 @@
 //! *tail*: a NO is "persistent" when it still occurs in the last
 //! `1 − tail_fraction` of a process's reports.  The tail fraction is a
 //! parameter of every experiment and is reported alongside the results (see
-//! EXPERIMENTS.md).
+//! `crates/bench/src/table1.rs`, the Table 1 harness).
 //!
 //! [`Decider`] bundles a language with the evaluation parameters;
 //! [`evaluate`] checks one trace against one notion and says whether the

@@ -13,75 +13,40 @@
 //!
 //! The server's thread count is **flat**: one reactor thread owns every
 //! socket — nonblocking, multiplexed by a readiness poller (`epoll` on
-//! Linux, `poll(2)` on other unix; see [`reactor`]) — and one router
-//! thread fans verdicts out.  Three rules define the event loop:
-//!
-//! * **Readiness loop** — the reactor sleeps in the poller until a socket
-//!   has bytes, a peer connects, or the waker fires (the router queued
-//!   output, or shutdown was requested).  An idle server makes no
-//!   syscalls and spins nothing.
-//! * **Reassembly buffers** — TCP delivers arbitrary chunks, so each
-//!   connection accumulates partial reads in a
-//!   [`FrameAssembler`](reactor::FrameAssembler); a frame is decoded
-//!   (bounds-checked, straight into the engine's arena) only once its
-//!   declared length has fully arrived, and the buffer grows with *bytes
-//!   received*, never with lengths merely claimed.
-//! * **Write-interest rules** — output goes through bounded
-//!   per-connection outbound queues drained by the reactor; a socket is
-//!   registered for write-readiness only while unflushed output exists.
-//!   A queue that stays full past the grace period
-//!   ([`ServerConfig::with_stall_grace`]) marks a stalled consumer: it is
-//!   disconnected (a `stalled_disconnects` eviction) rather than allowed
-//!   to head-of-line block every other connection or buffer unboundedly.
+//! Linux, `poll(2)` on other unix; see [`reactor`]) — and one router thread
+//! fans verdicts out.  An idle server makes no syscalls and spins nothing.
+//! Partial reads reassemble in a [`FrameAssembler`] whose buffer grows
+//! with *bytes received*, never with lengths claimed;
+//! output goes through bounded per-connection outbound queues, and a queue
+//! that stays full past [`ServerConfig::with_stall_grace`] marks a stalled
+//! consumer, disconnected rather than allowed to head-of-line block the
+//! rest.  Both threads are shells around socket-free, clock-free cores (see
+//! [`server`]).
 //!
 //! ## The wire format ([`wire`])
 //!
-//! Length-prefixed, CRC-checked frames:
-//!
-//! ```text
-//!  ┌──────────── header, 16 bytes ────────────┐┌── payload ──┐
-//!  │ magic  version kind  reserved  len   crc ││ kind-specific│
-//!  │ u32    u8      u8    u16       u32   u32 ││ bytes        │
-//!  └──────────────────────────────────────────┘└──────────────┘
-//!  kinds: Batch · Credit · Nack · Stats · Shutdown · VerdictBatch
-//! ```
-//!
-//! A `Batch` payload carries the struct-of-arrays rows of an `EventBatch`
-//! plus a dictionary of the *distinct* invocation/response payloads the
-//! rows reference.  **The arena-interning rule:** decoding interns each
-//! dictionary entry exactly once into the interner it is handed — the
-//! server passes the engine's own arena, so a decoded batch is directly
-//! submittable and a payload repeated across a million events is interned
-//! once, not a million times.
-//!
-//! Verdicts travel the other way as `VerdictBatch` frames: a *run table*
-//! of `(object, base_seq, len)` entries plus 5-byte `(tag, index)` rows,
-//! so a run of consecutive same-object verdicts costs one table entry
-//! instead of repeating the 16-byte `(object, seq)` pair per row.  The
-//! router stably groups each frame's rows by object before encoding —
-//! per-object `seq` order is the only delivery contract, and grouping is
-//! what makes the runs maximal.
-//!
-//! Malformed, truncated, corrupted or oversized input decodes to a typed
-//! [`WireError`] — never a panic, never an allocation sized by
-//! unvalidated input (`tests/wire_fuzz.rs`).
+//! Length-prefixed, CRC-checked frames — Batch, Credit, Nack, Stats,
+//! Shutdown, VerdictBatch — whose layouts [`wire`] documents.  Decoding a
+//! batch interns each distinct payload once, straight into the engine's
+//! arena; verdicts travel back run-compressed, grouped by object (per-object
+//! `seq` order is the only delivery contract).  Malformed, truncated,
+//! corrupted or oversized input decodes to a typed [`WireError`] — never a
+//! panic, never an allocation sized by unvalidated input
+//! (`tests/wire_fuzz.rs`).
 //!
 //! ## The backpressure protocol
 //!
-//! Flow control is *credit-based*, in events: the server opens each
-//! connection with a window `W` ([`ServerConfig::with_window`]), a batch
-//! consumes its event count, and credit returns **with the verdicts** (one
-//! event per verdict delivered to the owning connection) — the window
-//! bounds a connection's submitted-but-unchecked events end to end.  The
-//! engine's [`SubmitError::Full`](drv_engine::SubmitError::Full) therefore
-//! never turns into unbounded server-side buffering: a full engine stops
-//! producing verdicts, grants dry up, and the client stalls while the
-//! server holds exactly one in-flight batch per connection — parked
-//! wakeup-silent until the engine's capacity hook wakes the reactor (no
-//! retry polling; `tests/parked_wakeups.rs` asserts zero wakeups across a
-//! parked window).  A client that overruns its window gets a `Nack` and
-//! the batch is dropped *before* touching the engine, so per-object order
-//! survives refusals.
+//! Flow control is *credit-based*, in events, and each connection's rules
+//! are one state machine, the server's `ConnCore`.  A connection opens with
+//! a window `W` ([`ServerConfig::with_window`]), a batch consumes its event
+//! count, and credit returns **with the verdicts**, so the window bounds a
+//! connection's submitted-but-unchecked events end to end.  A full engine
+//! therefore never turns into unbounded buffering: grants dry up, the
+//! client stalls, and `ConnCore` parks the connection's one in-flight batch
+//! until the engine's capacity hook wakes the reactor (no retry polling;
+//! `tests/parked_wakeups.rs`).  A batch over the remaining credit gets a
+//! `Nack` *before* touching the engine, so per-object order survives
+//! refusals.
 //!
 //! ## End-to-end order
 //!
@@ -138,7 +103,9 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod conn;
 pub mod reactor;
+mod router;
 pub mod server;
 pub mod wire;
 
