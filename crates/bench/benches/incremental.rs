@@ -12,12 +12,16 @@
 //! the history grows: the scaling rows time it alone, two orders of
 //! magnitude deeper.
 //!
-//! The `sc-standing-no` row is the object that has left the fast path for
-//! good: a two-process register stream in which one read in a hundred
-//! returns a value nobody wrote, checked for sequential consistency after
-//! *every* symbol, as the engine's monitors do.  The NO is never rescued, so
-//! what the row times is how the engine holds it: `dfs_runs_per_kevent`
-//! says how often it searched to do so.
+//! The `sc-standing-no` rows are the object that has left the fast path for
+//! good: a two-process register stream in which one read in a hundred is
+//! wrong, checked for sequential consistency after *every* symbol, as the
+//! engine's monitors do.  The NO is never rescued, so what a row times is
+//! how the engine holds it: `dfs_runs_per_kevent` says how often it
+//! searched to do so.  In `sc-standing-no` the wrong read returns a value
+//! nobody wrote, which the engine refutes and holds without any search (R4
+//! in `incremental.rs`); in `sc-standing-no-stale` it returns a value its
+//! reader has already seen overwritten, which only a search refutes, and
+//! which a blocked process's write cannot rescue (R3).
 //!
 //! The `many-objects` row is the engine's checker working set without the
 //! engine: 2 048 register objects of 150 operations each (the shape and size
@@ -110,8 +114,8 @@ const SIZES: [usize; 4] = [25, 50, 100, 200];
 const SCALING_SIZES: [usize; 3] = [200, 2_000, 20_000];
 /// Timed repetitions per measurement (minimum is reported).
 const REPS: usize = 3;
-/// Completed operations of the `sc-standing-no` stream: two wild reads, and
-/// what the from-scratch baseline can still refute at every symbol.
+/// Completed operations of the `sc-standing-no` streams: two wrong reads,
+/// and what the from-scratch baseline can still refute at every symbol.
 const STANDING_NO_OPS: usize = 400;
 /// Live objects and operations per object of the `many-objects` row:
 /// `drvbench`'s `wide-batch256`.
@@ -287,7 +291,7 @@ fn measure_scaling(label: &str, config: &CheckerConfig) -> Vec<f64> {
         .collect()
 }
 
-/// The `sc-standing-no` row: nanoseconds per event on either path and the
+/// An `sc-standing-no` row: nanoseconds per event on either path and the
 /// incremental engine's searches and unsearched NOs per thousand events.
 struct StandingNo {
     events: usize,
@@ -298,23 +302,52 @@ struct StandingNo {
     latched_per_kevent: f64,
 }
 
-fn measure_standing_no(config: &CheckerConfig) -> StandingNo {
-    // Correct traffic, then every hundredth read made wild by hand: where
-    // the violations fall does not depend on the seed.
+/// How the `sc-standing-no` rows make every hundredth read wrong.
+#[derive(Clone, Copy)]
+enum WrongRead {
+    /// A value no write produces.
+    ThinAir,
+    /// The first value the reader has read and seen overwritten since.
+    Stale,
+}
+
+/// Correct traffic, then every hundredth read made wrong by hand: where
+/// the violations fall does not depend on the seed.  A stale read needs its
+/// reader to have seen a value change; until it has, the next read is taken.
+fn standing_no_stream(wrong: WrongRead) -> Vec<Symbol> {
     let mut symbols: Vec<Symbol> = register_object_stream(
         &mut StdRng::seed_from_u64(0x5C_57A9D),
         STANDING_NO_OPS,
         &RegisterStreamShape::load(),
     );
-    let mut reads = 0usize;
+    let mut read: [Vec<u64>; 2] = Default::default();
+    let (mut reads, mut owed) = (0usize, false);
     for symbol in &mut symbols {
+        let reader = symbol.proc.0;
         if let Action::Respond(Response::Value(value)) = &mut symbol.action {
             reads += 1;
-            if reads.is_multiple_of(100) {
-                *value += 1_000;
+            owed |= reads.is_multiple_of(100);
+            let seen = &read[reader];
+            let overwritten = seen.iter().find(|v| Some(*v) != seen.last()).copied();
+            match (owed, wrong, overwritten) {
+                (false, ..) => read[reader].push(*value),
+                (true, WrongRead::ThinAir, _) => {
+                    *value += 1_000;
+                    owed = false;
+                }
+                (true, WrongRead::Stale, Some(old)) => {
+                    *value = old;
+                    owed = false;
+                }
+                (true, WrongRead::Stale, None) => read[reader].push(*value),
             }
         }
     }
+    symbols
+}
+
+fn measure_standing_no(row: &str, wrong: WrongRead, config: &CheckerConfig) -> StandingNo {
+    let symbols = standing_no_stream(wrong);
     let mut stats = None;
     let (incremental, verdicts) = best_of(|| {
         let mut checker = IncrementalChecker::new(Register::new(), *config, 2);
@@ -338,11 +371,11 @@ fn measure_standing_no(config: &CheckerConfig) -> StandingNo {
         }
         (start.elapsed(), verdicts)
     });
-    assert_eq!(scratch_verdicts, verdicts, "sc-standing-no: the two paths disagree");
+    assert_eq!(scratch_verdicts, verdicts, "{row}: the two paths disagree");
     let stats = stats.expect("REPS > 0");
     let events = symbols.len();
     let per_kevent = |count: u64| count as f64 * 1e3 / events as f64;
-    let row = StandingNo {
+    let measured = StandingNo {
         events,
         inconsistent: verdicts.iter().filter(|consistent| !**consistent).count(),
         scratch_ns_per_event: scratch.as_nanos() as f64 / events as f64,
@@ -351,19 +384,46 @@ fn measure_standing_no(config: &CheckerConfig) -> StandingNo {
         latched_per_kevent: per_kevent(stats.latched),
     };
     println!(
-        "checker/sc-standing-no/scratch      time: [min {:.0} ns/event]",
-        row.scratch_ns_per_event
+        "checker/{row}/scratch      time: [min {:.0} ns/event]",
+        measured.scratch_ns_per_event
     );
     println!(
-        "checker/sc-standing-no/incremental  time: [min {:.0} ns/event], {:.1} searches and \
+        "checker/{row}/incremental  time: [min {:.0} ns/event], {:.1} searches and \
          {:.1} unsearched NOs per 1000 events ({} of {} events inconsistent)",
+        measured.incremental_ns_per_event,
+        measured.dfs_runs_per_kevent,
+        measured.latched_per_kevent,
+        measured.inconsistent,
+        measured.events,
+    );
+    measured
+}
+
+/// `row` as a section of `BENCH_checker.json`.
+fn standing_no_section(name: &str, wrong: &str, row: &StandingNo) -> String {
+    format!(
+        concat!(
+            "  \"{}\": {{\n",
+            "    \"stream\": \"2-process register, {} operations, 1 read in 100 {}, ",
+            "sequential consistency, a verdict after every symbol\",\n",
+            "    \"events\": {},\n",
+            "    \"inconsistent_events\": {},\n",
+            "    \"scratch_ns_per_event\": {:.0},\n",
+            "    \"incremental_ns_per_event\": {:.0},\n",
+            "    \"dfs_runs_per_kevent\": {:.1},\n",
+            "    \"latched_per_kevent\": {:.1}\n",
+            "  }},\n",
+        ),
+        name,
+        STANDING_NO_OPS,
+        wrong,
+        row.events,
+        row.inconsistent,
+        row.scratch_ns_per_event,
         row.incremental_ns_per_event,
         row.dfs_runs_per_kevent,
         row.latched_per_kevent,
-        row.inconsistent,
-        row.events,
-    );
-    row
+    )
 }
 
 /// The `many-objects` row.
@@ -553,7 +613,8 @@ fn main() {
     let sc_rows = measure_criterion("sc", &sc);
     let lin_scaling = measure_scaling("lin", &lin);
     let sc_scaling = measure_scaling("sc", &sc);
-    let standing_no = measure_standing_no(&sc);
+    let standing_no = measure_standing_no("sc-standing-no", WrongRead::ThinAir, &sc);
+    let standing_no_stale = measure_standing_no("sc-standing-no-stale", WrongRead::Stale, &sc);
     let many_objects = measure_many_objects(&lin, &sc);
     let chain = measure_checkpoint_chain(&lin);
 
@@ -580,16 +641,8 @@ fn main() {
             "{},\n",
             "{}\n",
             "  }},\n",
-            "  \"sc-standing-no\": {{\n",
-            "    \"stream\": \"2-process register, {} operations, 1 read in 100 wild, ",
-            "sequential consistency, a verdict after every symbol\",\n",
-            "    \"events\": {},\n",
-            "    \"inconsistent_events\": {},\n",
-            "    \"scratch_ns_per_event\": {:.0},\n",
-            "    \"incremental_ns_per_event\": {:.0},\n",
-            "    \"dfs_runs_per_kevent\": {:.1},\n",
-            "    \"latched_per_kevent\": {:.1}\n",
-            "  }},\n",
+            "{}",
+            "{}",
             "  \"many-objects\": {{\n",
             "    \"fleet\": \"{} register objects x {} operations (wide-batch256's shape), ",
             "2 processes, LIN on even and SC on odd objects, one payload arena, ",
@@ -615,13 +668,8 @@ fn main() {
         MAX_STATES,
         json_section("linearizability", &lin_rows, &lin_scaling),
         json_section("sequential_consistency", &sc_rows, &sc_scaling),
-        STANDING_NO_OPS,
-        standing_no.events,
-        standing_no.inconsistent,
-        standing_no.scratch_ns_per_event,
-        standing_no.incremental_ns_per_event,
-        standing_no.dfs_runs_per_kevent,
-        standing_no.latched_per_kevent,
+        standing_no_section("sc-standing-no", "wild", &standing_no),
+        standing_no_section("sc-standing-no-stale", "stale", &standing_no_stale),
         FLEET_OBJECTS,
         FLEET_OPS,
         many_objects.events,

@@ -82,6 +82,32 @@
 //!   nodes, outcome and witness a per-symbol search would have had there —
 //!   and a search that refutes again records the set afresh.  `Unknown` is
 //!   not knowledge and never stands.
+//! * **A response no invocation of the history can produce is a NO without
+//!   a search** (R4).  [`SequentialSpec::producer`] names, for some steps,
+//!   an invocation that every legal sequential word taking the step invokes
+//!   before it: a register's read of `v` other than the initial value needs
+//!   `write(v)`, a dequeue or pop of `x` needs `enqueue(x)` or `push(x)`.  A
+//!   complete operation whose producer no operation of the history invokes,
+//!   pending or complete, of any process, is an *orphan*.  A witness places
+//!   every complete operation, so it would place the orphan, and some
+//!   operation before it would invoke the producer: there is no witness,
+//!   under either criterion.  This is the first clause of Golab, Li &
+//!   Shah's zone test ("no read precedes its write", PODC 2011) where the
+//!   write does not exist at all, for every specification that names
+//!   producers.  The engine looks for orphans only where one can be: a
+//!   witness proves the history has none, so only a completion that leaves
+//!   the checker without a witness is checked, and the orphans found are
+//!   kept until an invocation of their producer drops them.  A check
+//!   without a witness answers from them before any search.  Under
+//!   linearizability the NO latches.  Under sequential consistency it stands,
+//!   with the orphans' owners as the blocked set: no configuration of any
+//!   search of this history places all of an owner's operations, so the set
+//!   is a subset of the one a refuting search records, and R3's proof holds
+//!   for it as it stands.  Where R3 would end a standing NO at a mutator of
+//!   a process that is not blocked and an orphan is left, the NO stays, and
+//!   the blocked set becomes the owners of the orphans left.  A restore
+//!   rebuilds the orphans with one pass over the history, so a restored
+//!   checker holds what the live one does; a checkpoint carries nothing new.
 //! * Histories are interned ([`InternedHistory`]): operations are `Copy`
 //!   records, payload comparisons happen once at intern time, and a fleet of
 //!   checkers on one arena stores each distinct payload once.
@@ -102,7 +128,8 @@
 //! | repair (swap or excise)      | `s` replayed in place; an illegal replay leaves the witness untouched |
 //! | pending rescue               | one index lookup per open operation, 2 states pushed |
 //! | witness discarded            | `m` ids copied into the stored frontier, then the DFS |
-//! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness, under LIN once (the NO latches), under SC at each mutator invocation of a process a refuted configuration could complete (the NO stands in between), after `Unknown` at every symbol |
+//! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness and without an orphan, under LIN once (the NO latches), under SC at each mutator invocation of a process a refuted configuration could complete (the NO stands in between), after `Unknown` at every symbol |
+//! | orphan check (R4)            | none while a witness is alive; without one, a completion looks its producer up in the arena and, when the arena knows it, scans the records from the newest back to it; an invocation is compared with each orphan; a restore makes one pass over the records |
 //!
 //! [`IncrementalChecker::maintenance_steps`] counts the first six rows, so
 //! tests can assert the bound without a clock.  What still grows with `m`
@@ -115,16 +142,18 @@
 //! and a frontier stored while no witness is alive, are written whole.
 //!
 //! **Exactness.**  For definite verdicts the engine agrees with
-//! [`check_history`] bit for bit: a witness is only ever accepted after
-//! explicit legality + order validation, and the fallback search is the same
-//! complete Wing–Gong enumeration.  The two ways the engines can differ are
-//! (a) `Unknown`: search order differs, so one engine may exhaust its node
-//! budget where the other does not — `Unknown` is only ever refined into a
-//! definite verdict, never contradicted — and (b) a 2⁻¹²⁸-probability state
-//! hash collision, which would prune a live branch (the from-scratch checker
-//! keys its memo on full states and has no such term).  The property tests
-//! in `tests/incremental_vs_scratch.rs` check exact agreement on thousands
-//! of seeded histories.
+//! [`check_history`](crate::check_history) bit for bit: a witness is only
+//! ever accepted after explicit legality + order validation, and the
+//! fallback search is the same complete Wing–Gong enumeration.  The two
+//! ways the engines can differ are (a) `Unknown`: search order differs, so
+//! one engine may exhaust its node budget where the other does not —
+//! `Unknown` is only ever refined into a definite verdict, never
+//! contradicted; R4 is such a refinement, a NO found without the search
+//! that may run out of nodes, and it never flips a verdict — and (b) a
+//! 2⁻¹²⁸-probability state hash collision, which would prune a live branch
+//! (the from-scratch checker keys its memo on full states and has no such
+//! term).  The property tests in `tests/incremental_vs_scratch.rs` check
+//! exact agreement on thousands of seeded histories.
 
 use crate::checker::{CheckerConfig, ConsistencyResult, Witness};
 use crate::history::{ArenaRead, HistoryDelta, InternedHistory};
@@ -133,10 +162,11 @@ use drv_lang::wire::{
     put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
 };
 use drv_lang::{
-    Action, CodecError, EventAction, EventRecord, OpId, ProcId, ResponseId, SharedInterner,
-    Symbol, Word,
+    Action, CodecError, EventAction, EventRecord, Interner, Invocation, InvocationId, OpId,
+    OpRecord, ProcId, ResponseId, SharedInterner, Symbol, Word,
 };
 use drv_spec::SequentialSpec;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 /// 128-bit FNV-1a, fed through the standard `Hash` machinery so any
@@ -212,7 +242,7 @@ pub struct CheckerStats {
     /// Calls to [`IncrementalChecker::check_word`] / `check`.
     pub checks: u64,
     /// Checks answered without any search: untouched witness, successful
-    /// splice, latched or standing NO, or cached verdict.
+    /// splice, latched, standing or orphan NO, or cached verdict.
     pub fast_path: u64,
     /// Successful greedy splices of a completed operation into the witness.
     pub splices: u64,
@@ -230,7 +260,9 @@ pub struct CheckerStats {
     /// Checks answered Inconsistent without a search: the NO is final under
     /// linearizability (prefix-closed, latched) and stands under sequential
     /// consistency until a mutator is invoked by a process that is not
-    /// blocked (module docs, R3).
+    /// blocked (module docs, R3).  A NO refuted by an orphan, a response no
+    /// invocation of the history produces (R4), counts here too, also the
+    /// first time, and never in `dfs_runs`.
     pub latched: u64,
 }
 
@@ -534,6 +566,11 @@ struct Core<S: SequentialSpec> {
     /// configuration of the refuting search had all of process `p`'s
     /// operations placed (R3); processes past its end are not blocked.
     standing_no: Option<Vec<bool>>,
+    /// The complete operations whose response needs a producer that no
+    /// operation of the history invokes (R4): the owner, and the invocation
+    /// it needs.  Unless the NO is latched these are exactly the history's;
+    /// while a witness is alive there are none.
+    orphans: Vec<(ProcId, Invocation)>,
     /// Cached verdict for the current history, cleared on every new symbol.
     cached: Option<CheckOutcome>,
     /// Symbols read at the last checkpoint delta or restore: where the next
@@ -586,6 +623,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 frontier: Vec::new(),
                 latched_inconsistent: false,
                 standing_no: None,
+                orphans: Vec::new(),
                 cached: None,
                 mark: 0,
                 stats: CheckerStats::default(),
@@ -822,6 +860,7 @@ impl<S: SequentialSpec> Core<S> {
         self.frontier.clear();
         self.latched_inconsistent = false;
         self.standing_no = None;
+        self.orphans.clear();
         self.cached = None;
         self.mark = 0;
     }
@@ -844,21 +883,91 @@ impl<S: SequentialSpec> Core<S> {
         match delta {
             HistoryDelta::Skipped => {}
             HistoryDelta::Invoked(op) => {
+                let record = self.history.record(op);
+                // A producer, once invoked, no longer leaves an orphan (R4).
+                if !self.orphans.is_empty() {
+                    let invocation = arena.interner().resolve_invocation(record.invocation);
+                    self.orphans.retain(|(_, needs)| needs != invocation);
+                }
                 // Only a pending mutator of a process that is not blocked can
                 // rescue a standing NO (R2, R3): the next check searches
-                // again, from the frontier it kept.
-                let record = self.history.record(op);
+                // again, from the frontier it kept — unless an orphan is
+                // left, which keeps the NO and blocks its owner (R4).
                 let p = record.proc.0;
                 if self.standing_no.as_ref().is_some_and(|blocked| blocked.get(p) != Some(&true))
                     && arena.interner().resolve_invocation(record.invocation).is_mutator()
                 {
-                    self.standing_no = None;
+                    self.standing_no = (!self.orphans.is_empty()).then(|| self.orphan_owners());
                 }
                 // A fresh pending operation can always be dropped (both
                 // criteria), so an existing witness stays valid as-is.
             }
-            HistoryDelta::Completed(op) => self.incorporate_completion(arena, op),
+            HistoryDelta::Completed(op) => {
+                self.incorporate_completion(arena, op);
+                // A witness that took the operation in proves it no orphan;
+                // before it lost one, the history had none (R4).
+                if self.witness.is_none() {
+                    self.note_orphan(arena, op);
+                }
+            }
         }
+    }
+
+    /// Records the complete operation `op` as an orphan when its response
+    /// needs a producer that no operation of the history invokes (R4).
+    fn note_orphan(&mut self, arena: &mut ArenaRead<'_>, op: OpId) {
+        let record = self.history.record(op);
+        let interner = arena.interner();
+        let Some(needs) = self.producer_of(interner, &record) else {
+            return;
+        };
+        // A payload the arena has never seen is invoked nowhere; one it has
+        // is looked for from the newest operation back, where the producer
+        // of a response usually is.
+        let invoked = interner.lookup_invocation(&needs).is_some_and(|id| {
+            self.history.records().iter().rev().any(|q| q.invocation == id)
+        });
+        if !invoked {
+            self.orphans.push((record.proc, needs));
+        }
+    }
+
+    /// The orphans of the whole history, found in one pass over it (R4):
+    /// what a checker that read the history symbol by symbol holds.
+    fn rebuild_orphans(&mut self, arena: &mut ArenaRead<'_>) {
+        self.orphans.clear();
+        if self.latched_inconsistent || self.witness.is_some() {
+            return;
+        }
+        let interner = arena.interner();
+        let records = self.history.records();
+        let invoked: HashSet<InvocationId> = records.iter().map(|q| q.invocation).collect();
+        for record in records {
+            if let Some(needs) = self.producer_of(interner, record) {
+                if !interner.lookup_invocation(&needs).is_some_and(|id| invoked.contains(&id)) {
+                    self.orphans.push((record.proc, needs));
+                }
+            }
+        }
+    }
+
+    /// The producer `record`'s response needs, if it is complete and needs
+    /// one ([`SequentialSpec::producer`]).
+    fn producer_of(&self, interner: &Interner, record: &OpRecord) -> Option<Invocation> {
+        self.spec.producer(
+            interner.resolve_invocation(record.invocation),
+            interner.resolve_response(record.response?),
+        )
+    }
+
+    /// The orphans' owners, as a blocked set: no configuration of any search
+    /// could place all of an owner's operations (R4).
+    fn orphan_owners(&self) -> Vec<bool> {
+        let mut blocked = vec![false; self.history.process_count()];
+        for (owner, _) in &self.orphans {
+            blocked[owner.0] = true;
+        }
+        blocked
     }
 
     fn check(&mut self, arena: &mut ArenaRead<'_>) -> ConsistencyResult {
@@ -1171,6 +1280,19 @@ impl<S: SequentialSpec> Core<S> {
         if self.witness.is_some() {
             self.stats.fast_path += 1;
             return CheckOutcome::Consistent;
+        }
+        if !self.orphans.is_empty() {
+            // R4: no witness can place an orphan, so there is none, and the
+            // NO latches or stands exactly as a refuting search's would.
+            self.stats.fast_path += 1;
+            self.stats.latched += 1;
+            if self.config.respect_real_time {
+                self.latched_inconsistent = true;
+                self.orphans.clear();
+            } else {
+                self.standing_no = Some(self.orphan_owners());
+            }
+            return CheckOutcome::Inconsistent;
         }
         self.run_dfs(arena)
     }
@@ -1526,6 +1648,7 @@ impl<S: SequentialSpec> Core<S> {
             }
         }
         self.standing_no = (flags & 4 != 0).then_some(blocked);
+        self.rebuild_orphans(arena);
         self.cached = None;
         self.mark = self.history.symbols_consumed();
         let [checks, fast_path, splices, repairs, dfs_runs, dfs_nodes, rebuilds, latched] =

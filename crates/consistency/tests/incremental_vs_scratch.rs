@@ -26,6 +26,13 @@
 //! responses, invocations on top of a pending one), which makes them the
 //! input for one more property: the checker keeps no copy of the word it has
 //! read besides its history, and must still know that word symbol for symbol.
+//!
+//! A response no invocation of the history produces — a read of a value
+//! nobody writes, a dequeue or pop of an element nobody enqueues or pushes —
+//! is a NO the engine answers without a search (R4 in `incremental.rs`).  A
+//! third kind of word is made of such thin-air responses, some of whose
+//! producers are invoked later, pending producers that other processes
+//! already observe among them.
 
 use drv_consistency::{
     check_history, validate_witness, CheckOutcome, CheckerConfig, CheckerStats, CheckpointError,
@@ -33,7 +40,7 @@ use drv_consistency::{
 };
 use drv_lang::wire::{put_invocation, put_response, put_u32};
 use drv_lang::{Action, Invocation, ProcId, Response, Symbol, Word};
-use drv_spec::{Counter, Queue, Register, SequentialSpec};
+use drv_spec::{Counter, Queue, Register, SequentialSpec, SpecObject, Stack};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,6 +49,7 @@ enum Object {
     Register,
     Counter,
     Queue,
+    Stack,
 }
 
 /// Generates a random well-formed word: random interleaving, random
@@ -101,6 +109,13 @@ fn random_invocation(rng: &mut StdRng, object: Object) -> Invocation {
                 Invocation::Dequeue
             }
         }
+        Object::Stack => {
+            if rng.gen_bool(0.5) {
+                Invocation::Push(rng.gen_range(1..4u64))
+            } else {
+                Invocation::Pop
+            }
+        }
     }
 }
 
@@ -110,7 +125,7 @@ fn random_response(rng: &mut StdRng, object: Object, invocation: &Invocation) ->
     match invocation {
         Invocation::Write(_) | Invocation::Inc | Invocation::Enqueue(_) => Response::Ack,
         Invocation::Read => Response::Value(rng.gen_range(0..4u64)),
-        Invocation::Dequeue => {
+        Invocation::Dequeue | Invocation::Pop => {
             if rng.gen_bool(0.25) {
                 Response::MaybeValue(None)
             } else {
@@ -182,6 +197,11 @@ struct Sweep {
     /// no witness (the delta carries the stored frontier instead).
     cuts: usize,
     cuts_without_witness: usize,
+    /// Checks that answered NO after a check that had not, without a
+    /// search: only a thin-air response (R4) does that.
+    thin_air_refutations: usize,
+    /// Cases whose verdict went back to Consistent after such a NO.
+    thin_air_rescues: usize,
 }
 
 fn compare_on<S: SequentialSpec + Clone>(
@@ -216,6 +236,7 @@ fn sweep<S: SequentialSpec + Clone>(
     let mut totals = PathTotals::default();
     let (mut recoveries, mut unsearched_no) = (0usize, 0u64);
     let (mut cuts, mut cuts_without_witness) = (0usize, 0usize);
+    let (mut thin_air_refutations, mut thin_air_rescues) = (0usize, 0usize);
     let mut prefixes = 0usize;
     for (case, (n, word)) in words.into_iter().enumerate() {
         let mut incremental = IncrementalChecker::new(spec.clone(), config, n);
@@ -224,11 +245,21 @@ fn sweep<S: SequentialSpec + Clone>(
         let mut forks: Vec<Fork> = Vec::new();
         let mut chain: Vec<Vec<u8>> = Vec::new();
         let mut previous_cut = 0usize;
+        let mut thin_air_at = None;
         for (position, symbol) in word.symbols().iter().enumerate() {
             incremental.push_symbol(symbol);
             fed.push(symbol.clone());
+            let searches = incremental.stats().dfs_runs;
             let got = incremental.check();
-            outcomes.push(outcome_of(&got));
+            let outcome = outcome_of(&got);
+            if outcome == CheckOutcome::Inconsistent
+                && outcomes.last() != Some(&CheckOutcome::Inconsistent)
+                && incremental.stats().dfs_runs == searches
+            {
+                thin_air_refutations += 1;
+                thin_air_at.get_or_insert(position);
+            }
+            outcomes.push(outcome);
             let want = scratch_verdict(&spec, &fed, n, &config);
             let ctx = format!(
                 "{label} case {case} (n={n}), after symbol {position} of {:?}",
@@ -313,6 +344,9 @@ fn sweep<S: SequentialSpec + Clone>(
         if first_no.is_some_and(|at| outcomes[at..].contains(&CheckOutcome::Consistent)) {
             recoveries += 1;
         }
+        if thin_air_at.is_some_and(|at| outcomes[at..].contains(&CheckOutcome::Consistent)) {
+            thin_air_rescues += 1;
+        }
     }
     Sweep {
         totals,
@@ -320,6 +354,23 @@ fn sweep<S: SequentialSpec + Clone>(
         unsearched_no,
         cuts,
         cuts_without_witness,
+        thin_air_refutations,
+        thin_air_rescues,
+    }
+}
+
+/// [`sweep`] on `object`'s specification.
+fn sweep_object(
+    object: Object,
+    config: CheckerConfig,
+    label: &str,
+    words: Vec<(usize, Word)>,
+) -> Sweep {
+    match object {
+        Object::Register => sweep(Register::new(), config, label, words),
+        Object::Counter => sweep(Counter::new(), config, label, words),
+        Object::Queue => sweep(Queue::new(), config, label, words),
+        Object::Stack => sweep(Stack::new(), config, label, words),
     }
 }
 
@@ -347,6 +398,16 @@ fn rescue_alphabet(object: Object) -> (Invocation, Response, Invocation, [Respon
             Invocation::Dequeue,
             Response::MaybeValue(Some(WILD)),
             Invocation::Enqueue(WILD),
+            [
+                Response::MaybeValue(None),
+                Response::MaybeValue(Some(WILD)),
+                Response::MaybeValue(Some(1)),
+            ],
+        ),
+        Object::Stack => (
+            Invocation::Pop,
+            Response::MaybeValue(Some(WILD)),
+            Invocation::Push(WILD),
             [
                 Response::MaybeValue(None),
                 Response::MaybeValue(Some(WILD)),
@@ -412,13 +473,13 @@ fn rescue_word(rng: &mut StdRng, object: Object, n: usize) -> Word {
 }
 
 /// ≥ 1000 seeded histories for linearizability: 400 register + 300 counter +
-/// 300 queue, each checked at every prefix.
+/// 300 queue + 300 stack, each checked at every prefix.
 #[test]
 fn linearizability_matches_scratch_on_random_histories() {
     let config = CheckerConfig::linearizability();
     assert_eq!(
         compare_on(Register::new(), Object::Register, config, "lin/register", 400, 101),
-        PathTotals { splices: 547, repairs: 0, dfs_runs: 633, dfs_nodes: 1060, fast_path: 2285 }
+        PathTotals { splices: 547, repairs: 0, dfs_runs: 433, dfs_nodes: 279, fast_path: 2485 }
     );
     assert_eq!(
         compare_on(Counter::new(), Object::Counter, config, "lin/counter", 300, 102),
@@ -426,7 +487,11 @@ fn linearizability_matches_scratch_on_random_histories() {
     );
     assert_eq!(
         compare_on(Queue::new(), Object::Queue, config, "lin/queue", 300, 103),
-        PathTotals { splices: 380, repairs: 0, dfs_runs: 489, dfs_nodes: 950, fast_path: 1761 }
+        PathTotals { splices: 380, repairs: 0, dfs_runs: 331, dfs_nodes: 272, fast_path: 1919 }
+    );
+    assert_eq!(
+        compare_on(Stack::new(), Object::Stack, config, "lin/stack", 300, 104),
+        PathTotals { splices: 369, repairs: 0, dfs_runs: 314, dfs_nodes: 93, fast_path: 1826 }
     );
 }
 
@@ -436,18 +501,19 @@ fn linearizability_matches_scratch_on_random_histories() {
 /// How these literals may move when the engine changes *when* it searches
 /// and nothing else: `splices` and `repairs` not at all, and `dfs_runs +
 /// fast_path` not at all either (the sweep asserts it equals the number of
-/// checks, which the seed fixes: 2833, 2217 and 2268 here).  A NO that
+/// checks, which the seed fixes: 2833, 2217, 2268 and 2210 here).  A NO that
 /// stands instead of being searched for again moves a check from `dfs_runs`
 /// to `fast_path` and takes its nodes out of `dfs_nodes`; the searches that
 /// still run start from the frontier a per-symbol search would have had, so
-/// they cost the same nodes.  The linearizability sweeps above latch and do
-/// not move.
+/// they cost the same nodes.  The linearizability sweeps above move only
+/// where a NO needs no search at all: a response no invocation of the
+/// history can produce (R4, register, queue and stack words) latches it.
 #[test]
 fn sequential_consistency_matches_scratch_on_random_histories() {
     let config = CheckerConfig::sequential_consistency();
     assert_eq!(
         compare_on(Register::new(), Object::Register, config, "sc/register", 400, 201),
-        PathTotals { splices: 615, repairs: 0, dfs_runs: 748, dfs_nodes: 2626, fast_path: 2085 }
+        PathTotals { splices: 615, repairs: 0, dfs_runs: 478, dfs_nodes: 861, fast_path: 2355 }
     );
     assert_eq!(
         compare_on(Counter::new(), Object::Counter, config, "sc/counter", 300, 202),
@@ -455,14 +521,18 @@ fn sequential_consistency_matches_scratch_on_random_histories() {
     );
     assert_eq!(
         compare_on(Queue::new(), Object::Queue, config, "sc/queue", 300, 203),
-        PathTotals { splices: 466, repairs: 0, dfs_runs: 694, dfs_nodes: 3241, fast_path: 1574 }
+        PathTotals { splices: 466, repairs: 0, dfs_runs: 405, dfs_nodes: 1440, fast_path: 1863 }
+    );
+    assert_eq!(
+        compare_on(Stack::new(), Object::Stack, config, "sc/stack", 300, 204),
+        PathTotals { splices: 434, repairs: 0, dfs_runs: 395, dfs_nodes: 1093, fast_path: 1815 }
     );
 }
 
 /// Violations that are explained later: the standing NO of sequential
 /// consistency must hold exactly as long as the from-scratch checker says NO
 /// and a restored copy must carry it, on observers that preserve the state
-/// (`read`) and on one that does not (`dequeue`).
+/// (`read`) and on ones that do not (`dequeue`, `pop`).
 #[test]
 fn sequential_consistency_recovers_when_a_later_mutator_explains_the_observation() {
     let config = CheckerConfig::sequential_consistency();
@@ -475,11 +545,7 @@ fn sequential_consistency_recovers_when_a_later_mutator_explains_the_observation
             })
             .collect();
         let label = format!("rescue/{object:?}");
-        let swept = match object {
-            Object::Register => sweep(Register::new(), config, &label, words),
-            Object::Counter => sweep(Counter::new(), config, &label, words),
-            Object::Queue => sweep(Queue::new(), config, &label, words),
-        };
+        let swept = sweep_object(object, config, &label, words);
         // Neither vacuous (a third of the verdicts do come back) nor
         // searched per symbol (the NOs in between mostly stand).
         assert!(swept.recoveries >= 80, "{label}: {} recoveries", swept.recoveries);
@@ -500,6 +566,111 @@ fn sequential_consistency_recovers_when_a_later_mutator_explains_the_observation
     run(Object::Register, 401);
     run(Object::Counter, 402);
     run(Object::Queue, 403);
+    run(Object::Stack, 404);
+}
+
+/// A random word of `object` whose observers mostly answer what the
+/// sequential object gives with every operation taking effect at its
+/// invocation (the mutators) or at its response (the observers), and now
+/// and then 4 or 5 instead: thin air, until a mutator of it is invoked.
+/// Mutators produce 1..=3 in the first half of the word; in the second,
+/// half of them produce a value observed from thin air so far, possibly
+/// while another process observes it again.
+fn thin_air_word(rng: &mut StdRng, object: Object, n: usize, max_ops: usize) -> Word {
+    let (spec, observer, produce): (SpecObject, Invocation, fn(u64) -> Invocation) = match object {
+        Object::Register => (SpecObject::Register, Invocation::Read, Invocation::Write),
+        Object::Queue => (SpecObject::Queue, Invocation::Dequeue, Invocation::Enqueue),
+        Object::Stack => (SpecObject::Stack, Invocation::Pop, Invocation::Push),
+        Object::Counter => unreachable!("a counter's responses need no one producer"),
+    };
+    let thin_air = |value: u64| match object {
+        Object::Register => Response::Value(value),
+        _ => Response::MaybeValue(Some(value)),
+    };
+    let mut state = spec.initial();
+    let mut word = Word::new();
+    let mut pending: Vec<Option<Invocation>> = vec![None; n];
+    let mut invoked = 0usize;
+    let mut from_thin_air = Vec::new();
+    for _ in 0..max_ops * 4 {
+        let p = rng.gen_range(0..n);
+        match pending[p].take() {
+            Some(invocation) if rng.gen_bool(0.8) => {
+                let response = if invocation != observer {
+                    Response::Ack
+                } else if rng.gen_bool(0.3) {
+                    from_thin_air.push(rng.gen_range(4..6));
+                    thin_air(from_thin_air[from_thin_air.len() - 1])
+                } else {
+                    let (next, response) = spec.apply(&state, &observer).expect("its observer");
+                    state = next;
+                    response
+                };
+                word.respond(ProcId(p), response);
+            }
+            Some(invocation) => pending[p] = Some(invocation),
+            None if invoked < max_ops => {
+                let value = match from_thin_air.len() {
+                    thin if thin > 0 && 2 * invoked >= max_ops && rng.gen_bool(0.5) => {
+                        from_thin_air[rng.gen_range(0..thin)]
+                    }
+                    _ => rng.gen_range(1..4),
+                };
+                let invocation = if rng.gen_bool(0.5) {
+                    let invocation = produce(value);
+                    state = spec.apply(&state, &invocation).expect("its mutator").0;
+                    invocation
+                } else {
+                    observer.clone()
+                };
+                word.invoke(ProcId(p), invocation.clone());
+                pending[p] = Some(invocation);
+                invoked += 1;
+            }
+            None => break,
+        }
+    }
+    word
+}
+
+/// Thin-air responses under both criteria, on every specification with
+/// producers: the NO comes without a search, and under sequential
+/// consistency gives way once the producer is invoked by a process that
+/// can still place it.  Every prefix is compared with [`check_history`],
+/// and the chain sweep shows a restored checker holds the same orphans
+/// (search for search, counter for counter).
+#[test]
+fn thin_air_responses_are_refuted_without_a_search_and_rescued_by_their_producer() {
+    for (config, criterion) in [
+        (CheckerConfig::linearizability(), "lin"),
+        (CheckerConfig::sequential_consistency(), "sc"),
+    ] {
+        for (object, seed) in [(Object::Register, 601), (Object::Queue, 602), (Object::Stack, 603)]
+        {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let words: Vec<(usize, Word)> = (0..400)
+                .map(|_| {
+                    let n = rng.gen_range(2..4usize);
+                    let max_ops = rng.gen_range(2..9usize);
+                    (n, thin_air_word(&mut rng, object, n, max_ops))
+                })
+                .collect();
+            let label = format!("thin-air/{criterion}/{object:?}");
+            let swept = sweep_object(object, config, &label, words);
+            assert!(
+                swept.thin_air_refutations >= 150,
+                "{label}: {} NOs without a search",
+                swept.thin_air_refutations
+            );
+            if !config.respect_real_time {
+                assert!(
+                    swept.thin_air_rescues >= 15,
+                    "{label}: {} rescued thin-air NOs",
+                    swept.thin_air_rescues
+                );
+            }
+        }
+    }
 }
 
 /// The word section of a checkpoint for `symbols`: the count, then per
@@ -614,8 +785,8 @@ fn the_fed_word_is_reconstructible_symbol_for_symbol() {
     let mut rng = StdRng::seed_from_u64(501);
     let mut skipped = 0usize;
     for case in 0..120 {
-        let object = [Object::Register, Object::Counter, Object::Queue][case % 3];
-        let config = if case % 2 == 0 {
+        let object = [Object::Register, Object::Counter, Object::Queue, Object::Stack][case % 4];
+        let config = if case / 4 % 2 == 0 {
             CheckerConfig::sequential_consistency()
         } else {
             CheckerConfig::linearizability()
@@ -626,6 +797,7 @@ fn the_fed_word_is_reconstructible_symbol_for_symbol() {
             Object::Register => reconstructs(Register::new(), config, n, &word),
             Object::Counter => reconstructs(Counter::new(), config, n, &word),
             Object::Queue => reconstructs(Queue::new(), config, n, &word),
+            Object::Stack => reconstructs(Stack::new(), config, n, &word),
         };
     }
     // Not vacuous: the words do carry symbols of no operation.

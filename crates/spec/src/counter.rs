@@ -40,6 +40,13 @@ impl SequentialSpec for Counter {
             _ => None,
         }
     }
+
+    /// None: a read of `v` needs `v` increments, a count that one invocation
+    /// cannot name, and every increment is the same `inc()`, so the first
+    /// one would meet every read's need at once.
+    fn producer(&self, _invocation: &Invocation, _response: &Response) -> Option<Invocation> {
+        None
+    }
 }
 
 #[cfg(test)]

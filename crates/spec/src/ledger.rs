@@ -48,6 +48,14 @@ impl SequentialSpec for Ledger {
             _ => None,
         }
     }
+
+    /// None: a `get` needs one `append` per record it returns, in that
+    /// order, which one invocation cannot name.  Naming the first record's
+    /// append would be sound but would refute only the gets whose first
+    /// record nobody appended.
+    fn producer(&self, _invocation: &Invocation, _response: &Response) -> Option<Invocation> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -54,6 +54,15 @@ impl SequentialSpec for Queue {
             _ => None,
         }
     }
+
+    /// A dequeue that returns `x` needs `enqueue(x)`: an element leaves only
+    /// after it entered.
+    fn producer(&self, invocation: &Invocation, response: &Response) -> Option<Invocation> {
+        match (invocation, response) {
+            (Invocation::Dequeue, Response::MaybeValue(Some(x))) => Some(Invocation::Enqueue(*x)),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -84,6 +93,17 @@ mod tests {
         assert!(Queue::new()
             .apply(&VecDeque::new(), &Invocation::Pop)
             .is_none());
+    }
+
+    #[test]
+    fn a_dequeued_element_needs_its_enqueue() {
+        let spec = Queue::new();
+        assert_eq!(
+            spec.producer(&Invocation::Dequeue, &Response::MaybeValue(Some(4))),
+            Some(Invocation::Enqueue(4))
+        );
+        assert_eq!(spec.producer(&Invocation::Dequeue, &Response::MaybeValue(None)), None);
+        assert_eq!(spec.producer(&Invocation::Enqueue(4), &Response::Ack), None);
     }
 
     #[test]

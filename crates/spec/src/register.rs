@@ -48,6 +48,17 @@ impl SequentialSpec for Register {
             _ => None,
         }
     }
+
+    /// A read of `v` other than the initial value needs `write(v)`: the
+    /// state is `v` only after a write of `v`.
+    fn producer(&self, invocation: &Invocation, response: &Response) -> Option<Invocation> {
+        match (invocation, response) {
+            (Invocation::Read, Response::Value(v)) if *v != self.initial => {
+                Some(Invocation::Write(*v))
+            }
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -78,6 +89,15 @@ mod tests {
         let reg = Register::new();
         assert!(reg.apply(&0, &Invocation::Inc).is_none());
         assert!(reg.apply(&0, &Invocation::Get).is_none());
+    }
+
+    #[test]
+    fn a_read_of_a_written_value_needs_its_write() {
+        let reg = Register::with_initial(7);
+        let read = |v| reg.producer(&Invocation::Read, &Response::Value(v));
+        assert_eq!(read(3), Some(Invocation::Write(3)));
+        assert_eq!(read(7), None, "the initial value needs no write");
+        assert_eq!(reg.producer(&Invocation::Write(3), &Response::Ack), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The [`SequentialSpec`] trait and helpers for validating sequential words.
 
+use crate::{Counter, Ledger, Queue, Register, Stack};
 use drv_lang::{Action, Invocation, ObjectKind, Response, Word};
 use std::fmt;
 use std::hash::Hash;
@@ -63,6 +64,20 @@ pub trait SequentialSpec: Send + Sync {
             None
         }
     }
+
+    /// An invocation without which `(invocation, response)` is never a
+    /// step: `Some(x)` promises that in every legal sequential word that
+    /// takes this step, an earlier step invokes `x`.
+    ///
+    /// Checkers rely on it: a history holding a complete operation with this
+    /// invocation and response, and no operation (pending or complete, of any
+    /// process) that invokes `x`, is neither linearizable nor sequentially
+    /// consistent, and that is known without a search.  The default, `None`,
+    /// promises nothing and is always sound.
+    fn producer(&self, invocation: &Invocation, response: &Response) -> Option<Invocation> {
+        let _ = (invocation, response);
+        None
+    }
 }
 
 /// Blanket implementation so `&S` can be used wherever a spec is expected.
@@ -92,6 +107,9 @@ impl<S: SequentialSpec + ?Sized> SequentialSpec for &S {
         response: &Response,
     ) -> Option<Self::State> {
         (**self).step_if_legal(state, invocation, response)
+    }
+    fn producer(&self, invocation: &Invocation, response: &Response) -> Option<Invocation> {
+        (**self).producer(invocation, response)
     }
 }
 
@@ -327,6 +345,17 @@ impl SequentialSpec for SpecObject {
                 }
             }
             _ => None,
+        }
+    }
+
+    /// The producer of the concrete specification this handle stands for.
+    fn producer(&self, invocation: &Invocation, response: &Response) -> Option<Invocation> {
+        match self {
+            SpecObject::Register => Register::new().producer(invocation, response),
+            SpecObject::Counter => Counter::new().producer(invocation, response),
+            SpecObject::Ledger => Ledger::new().producer(invocation, response),
+            SpecObject::Queue => Queue::new().producer(invocation, response),
+            SpecObject::Stack => Stack::new().producer(invocation, response),
         }
     }
 }
@@ -566,6 +595,49 @@ mod tests {
             assert_eq!(applied > 0, has_observer, "{object:?}");
             // The blanket impl forwards `apply`, so the law carries over.
             assert_eq!(observers_applied_without_moving(&&object, 6 + seed as u64), applied);
+        }
+    }
+
+    #[test]
+    fn producers_forward_through_the_enum_and_references() {
+        let steps = [
+            (Invocation::Read, Response::Value(2)),
+            (Invocation::Read, Response::Value(0)),
+            (Invocation::Dequeue, Response::MaybeValue(Some(2))),
+            (Invocation::Pop, Response::MaybeValue(Some(2))),
+            (Invocation::Get, Response::Sequence(vec![2])),
+        ];
+        let expected = [
+            Some(Invocation::Write(2)),
+            None,
+            Some(Invocation::Enqueue(2)),
+            Some(Invocation::Push(2)),
+            None,
+        ];
+        let named = |(invocation, response): &(Invocation, Response)| {
+            [
+                Register::new().producer(invocation, response),
+                Counter::new().producer(invocation, response),
+                Ledger::new().producer(invocation, response),
+                Queue::new().producer(invocation, response),
+                Stack::new().producer(invocation, response),
+            ]
+        };
+        let objects = [
+            SpecObject::Register,
+            SpecObject::Counter,
+            SpecObject::Ledger,
+            SpecObject::Queue,
+            SpecObject::Stack,
+        ];
+        for (step, expected) in steps.iter().zip(expected) {
+            let (invocation, response) = step;
+            let by_name = named(step);
+            assert_eq!(by_name.iter().flatten().next(), expected.as_ref(), "{step:?}");
+            for (object, by_name) in objects.iter().zip(by_name) {
+                assert_eq!(object.producer(invocation, response), by_name, "{object:?}");
+                assert_eq!((&object).producer(invocation, response), by_name, "&{object:?}");
+            }
         }
     }
 

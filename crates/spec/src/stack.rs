@@ -49,6 +49,15 @@ impl SequentialSpec for Stack {
             _ => None,
         }
     }
+
+    /// A pop that returns `x` needs `push(x)`: an element leaves only
+    /// after it entered.
+    fn producer(&self, invocation: &Invocation, response: &Response) -> Option<Invocation> {
+        match (invocation, response) {
+            (Invocation::Pop, Response::MaybeValue(Some(x))) => Some(Invocation::Push(*x)),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -77,6 +86,17 @@ mod tests {
     #[test]
     fn foreign_invocations_are_rejected() {
         assert!(Stack::new().apply(&vec![], &Invocation::Dequeue).is_none());
+    }
+
+    #[test]
+    fn a_popped_element_needs_its_push() {
+        let spec = Stack::new();
+        assert_eq!(
+            spec.producer(&Invocation::Pop, &Response::MaybeValue(Some(4))),
+            Some(Invocation::Push(4))
+        );
+        assert_eq!(spec.producer(&Invocation::Pop, &Response::MaybeValue(None)), None);
+        assert_eq!(spec.producer(&Invocation::Push(4), &Response::Ack), None);
     }
 
     #[test]
