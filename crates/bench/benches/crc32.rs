@@ -1,4 +1,4 @@
-//! The frame checksum alone: `drv_net::wire::crc32` in ns per byte, at the
+//! The frame checksum alone: `drv_lang::frame::crc32` in ns per byte, at the
 //! size of a small batch frame's payload (1 300 B) and at the order of a
 //! long history's checkpoint record (600 000 B).
 //!
@@ -8,7 +8,7 @@
 //!
 //! Each row is the best of five timings of ≈ 64 MiB of checksumming.
 
-use drv_net::wire::crc32;
+use drv_lang::frame::crc32;
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -33,8 +33,8 @@ use drv_core::monitors::{
 };
 use drv_core::runtime::{run, RunConfig, Schedule};
 use drv_core::transform::WadAllFamily;
-use drv_lang::{oblivious_counterexample, Invocation, Language, ObjectKind, ProcId, Response,
-    SymbolSampler, Word, WordBuilder};
+use drv_core::{oblivious_counterexample, SymbolSampler};
+use drv_lang::{Invocation, Language, ObjectKind, ProcId, Response, Word, WordBuilder};
 use drv_spec::{Ledger, Register};
 use std::fmt;
 use std::sync::Arc;
@@ -590,10 +590,10 @@ pub struct ObjectCellTiming {
     /// Cell label, e.g. `"LIN_REG"`.
     pub cell: String,
     /// Total wall-clock of the cell's runs under
-    /// [`CheckStrategy::FromScratch`].
+    /// [`CheckStrategy::FromScratch`](drv_core::monitors::CheckStrategy::FromScratch).
     pub scratch: std::time::Duration,
     /// Total wall-clock of the same runs under
-    /// [`CheckStrategy::Incremental`].
+    /// [`CheckStrategy::Incremental`](drv_core::monitors::CheckStrategy::Incremental).
     pub incremental: std::time::Duration,
     /// Total wall-clock of checking the cell's execution words through
     /// `drv-engine` (one object per run, all runs ingested concurrently),

@@ -79,7 +79,8 @@ mod tests {
     use drv_consistency::languages::{
         ec_led, lin_led, lin_reg, sc_led, sc_reg, sec_count, wec_count,
     };
-    use drv_lang::{oblivious_counterexample, Language};
+    use drv_core::oblivious_counterexample;
+    use drv_lang::Language;
 
     #[test]
     fn ledger_witness_separates_the_ledger_languages() {

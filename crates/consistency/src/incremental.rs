@@ -12,13 +12,15 @@
 //!    append-at-the-end case is O(1); position `i` costs a replay of the
 //!    suffix, and a budget caps the replays so the scan never degenerates
 //!    to O(m²)).  Two further maintenance moves run before the search
-//!    fallback: *repair* — an operation the search had completed with an
-//!    assumed specification response and that came back differently is
-//!    re-validated in place or excised and re-spliced — and *pending
-//!    rescue* — when the new operation observed the effect of an operation
-//!    that is still pending (its view ran ahead of its acknowledgement, the
-//!    signature pattern of the Figure 8 sketches), that open operation is
-//!    linearized at the end first.  Only when all of these fail does the
+//!    fallback: *excision* — an operation the search had completed with an
+//!    assumed specification response and that came back differently leaves
+//!    the order and is re-spliced (every specification shipped in
+//!    `drv-spec` has one legal response per step, so a different response
+//!    never fits where the assumed one stood) — and *pending rescue* — when
+//!    the new operation observed the effect of an operation that is still
+//!    pending (its view ran ahead of its acknowledgement, the signature
+//!    pattern of the Figure 8 sketches), that open operation is linearized
+//!    at the end first.  Only when all of these fail does the
 //!    engine fall back to search.  A new *pending* invocation is free: both
 //!    criteria allow dropping pending operations, so the old witness stays
 //!    valid untouched.
@@ -125,7 +127,7 @@
 //! | assumed response confirmed   | 1 (index lookup)                            |
 //! | append splice                | `c` scanned, 1 state pushed                 |
 //! | mid-order splice at `i`      | `c` scanned, `s = m − i` replayed and re-indexed per attempt, ≤ 16 attempts |
-//! | repair (swap or excise)      | `s` replayed in place; an illegal replay leaves the witness untouched |
+//! | excision                     | `s` replayed in place; an illegal replay discards the witness |
 //! | pending rescue               | one index lookup per open operation, 2 states pushed |
 //! | witness discarded            | `m` ids copied into the stored frontier, then the DFS |
 //! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness and without an orphan, under LIN once (the NO latches), under SC at each mutator invocation of a process a refuted configuration could complete (the NO stands in between), after `Unknown` at every symbol |
@@ -246,10 +248,6 @@ pub struct CheckerStats {
     pub fast_path: u64,
     /// Successful greedy splices of a completed operation into the witness.
     pub splices: u64,
-    /// Witness repairs: a pending operation the search had completed with an
-    /// assumed specification response came back with a different one, and
-    /// the witness was fixed by suffix replay instead of a fresh search.
-    pub repairs: u64,
     /// Fallback DFS runs.
     pub dfs_runs: u64,
     /// Total DFS nodes explored across all fallback runs.
@@ -394,19 +392,6 @@ impl<S: SequentialSpec> WitnessPath<S> {
         self.position[id.0] = ABSENT;
         self.set_states_after(index, suffix);
         self.reindex_from(index);
-        self.clean = self.clean.min(index);
-    }
-
-    /// Answers the operation at `index` with `response` in place; `states`
-    /// are the replayed states from it on.
-    fn swap_response(
-        &mut self,
-        index: usize,
-        response: ResponseId,
-        states: impl IntoIterator<Item = S::State>,
-    ) {
-        self.order[index].1 = response;
-        self.set_states_after(index, states);
         self.clean = self.clean.min(index);
     }
 }
@@ -647,7 +632,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// The work witness maintenance has done over this engine's lifetime:
     /// witness entries visited plus sequential states replayed while
     /// incorporating completed operations (splice scans, suffix replays,
-    /// repairs, and copying the order out when a witness is discarded).
+    /// excisions, and copying the order out when a witness is discarded).
     ///
     /// A deterministic stand-in for time: a stream that stays on the fast
     /// path costs a bounded number of steps per operation however long the
@@ -685,7 +670,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// The appended outcomes are bit-identical to calling
     /// [`IncrementalChecker::push_symbol`] +
     /// [`IncrementalChecker::check_outcome`] once per symbol: witness
-    /// maintenance (splice / repair / pending rescue) still runs per
+    /// maintenance (splice / excision / pending rescue) still runs per
     /// completed operation, because the intermediate verdicts are part of
     /// the contract.  What the batch amortizes is everything *around* the
     /// maintenance — one call, one read guard on the payload arena, one
@@ -797,7 +782,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// ```text
     /// version u8 = 2 |
     /// flags u8 (1 latched, 2 witness, 4 standing NO, 8 blocked set) |
-    /// checks, fast_path, splices, repairs, dfs_runs, dfs_nodes, rebuilds,
+    /// checks, fast_path, splices, 0, dfs_runs, dfs_nodes, rebuilds,
     /// latched: u64 each | processes u32 | base u32 |
     /// count u32 | count × (proc u32, tag u8 (1 invoke, 2 respond), payload) |
     /// flags & 2:  keep u32 | count u32 | count × (proc u32, index u32, response)
@@ -810,7 +795,9 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
     /// extends; both are 0 here.  Flag 8 is set with every standing NO,
     /// also when no process is blocked, and never without one; bytes with
     /// flag 4 and not 8 were written before the blocked set was, and their
-    /// restore derives it with one search that no counter sees.
+    /// restore derives it with one search that no counter sees.  The fourth
+    /// counter slot is unused: written 0, ignored on restore, so bytes that
+    /// held a count there still restore.
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         self.core.encode(&mut ArenaRead::new(&self.arena), 0, 0)
@@ -1102,16 +1089,10 @@ impl<S: SequentialSpec> Core<S> {
                 self.witness = Some(witness);
                 return;
             }
-            // The assumed response was wrong.  Repair in place: swap the
-            // actual response in and revalidate the suffix (reads and other
-            // non-mutators often still fit where they are)…
-            if self.swap_response(arena, &mut witness, position, observed) {
-                self.stats.repairs += 1;
-                self.witness = Some(witness);
-                return;
-            }
-            // …or excise it and fall through to re-splicing it afresh at a
-            // position where the actual response is legal.
+            // The assumed response was wrong: excise the operation and fall
+            // through to re-splicing it afresh at a position where the actual
+            // response is legal (under a deterministic specification it is
+            // never legal where the assumed one stood).
             if !self.remove_at(arena, &mut witness, position) {
                 self.discard(&witness);
                 return;
@@ -1223,33 +1204,6 @@ impl<S: SequentialSpec> Core<S> {
             states.push(next);
         }
         Some(states)
-    }
-
-    /// Replaces the response at `position` with `observed` and replays the
-    /// suffix; `false`, with the witness untouched, when that is illegal.
-    fn swap_response(
-        &mut self,
-        arena: &mut ArenaRead<'_>,
-        witness: &mut WitnessPath<S>,
-        position: usize,
-        observed: ResponseId,
-    ) -> bool {
-        let (id, _) = witness.order[position];
-        let record = self.history.record(id);
-        let interner = arena.interner();
-        let stepped = self.spec.step_if_legal(
-            &witness.states[position],
-            interner.resolve_invocation(record.invocation),
-            interner.resolve_response(observed),
-        );
-        let Some(state) = stepped else {
-            return false;
-        };
-        let Some(suffix) = self.replay(arena, &state, &witness.order[position + 1..]) else {
-            return false;
-        };
-        witness.swap_response(position, observed, std::iter::once(state).chain(suffix));
-        true
     }
 
     /// Removes the operation at `position` and replays the suffix; `false`,
@@ -1418,7 +1372,7 @@ impl<S: SequentialSpec> Core<S> {
             self.stats.checks,
             self.stats.fast_path,
             self.stats.splices,
-            self.stats.repairs,
+            0,
             self.stats.dfs_runs,
             self.stats.dfs_nodes,
             self.stats.rebuilds,
@@ -1651,13 +1605,12 @@ impl<S: SequentialSpec> Core<S> {
         self.rebuild_orphans(arena);
         self.cached = None;
         self.mark = self.history.symbols_consumed();
-        let [checks, fast_path, splices, repairs, dfs_runs, dfs_nodes, rebuilds, latched] =
+        let [checks, fast_path, splices, _retired, dfs_runs, dfs_nodes, rebuilds, latched] =
             counters;
         self.stats = CheckerStats {
             checks,
             fast_path,
             splices,
-            repairs,
             dfs_runs,
             dfs_nodes,
             rebuilds,
@@ -1918,7 +1871,7 @@ mod tests {
         let order = &repaired.witness().expect("linearizable").order;
         assert_eq!(order[..], [(OpId(1), Response::Ack), (OpId(0), Response::Value(1))]);
         let stats = checker.stats();
-        assert_eq!((stats.dfs_runs, stats.splices, stats.repairs), (1, 1, 0), "{stats:?}");
+        assert_eq!((stats.dfs_runs, stats.splices), (1, 1), "{stats:?}");
     }
 
     #[test]
@@ -2148,9 +2101,8 @@ mod tests {
     }
 
     /// A counter whose increment may answer `Ack` (what `apply` gives) or
-    /// the value it replaced: two legal responses for one step, so a
-    /// response the search assumed can be swapped for the other in place.
-    /// Both lead to the state `apply` gives, as `step_if_legal` must.
+    /// the value it replaced: two legal responses for one step, both
+    /// leading to the state `apply` gives, as `step_if_legal` must.
     #[derive(Debug, Clone)]
     struct TwoFacedCounter;
 
@@ -2219,10 +2171,12 @@ mod tests {
 
     #[test]
     fn witness_entries_changed_in_place_reach_the_next_delta() {
-        // Repair: the read observes the pending increment, which joins the
-        // witness with the `Ack` the specification gives it; it answers with
-        // the old value instead, and the entry is repaired where it stands.
-        let repaired = chain_across(
+        // Two legal responses: the first search linearizes the pending
+        // increment the read observed with the `Ack` the specification gives
+        // it; it answers with the old value instead.  Excised, it leaves the
+        // read illegal, so the witness goes, and a second search from the old
+        // order finds the same order with the observed response.
+        let two_faced = chain_across(
             TwoFacedCounter,
             &[
                 Symbol::invoke(p(0), Invocation::Inc),
@@ -2231,7 +2185,7 @@ mod tests {
             ],
             &[Symbol::respond(p(0), Response::Value(0))],
         );
-        assert_eq!(repaired.repairs, 1, "{repaired:?}");
+        assert_eq!((two_faced.dfs_runs, two_faced.splices), (2, 0), "{two_faced:?}");
         // Excision: the search orders the pending read first, answering 0;
         // it answers 1, leaves the order's head and is spliced in behind
         // the write.

@@ -507,7 +507,8 @@ fn mixed_prefix() -> [Symbol; 7] {
 const COUNTERS: std::ops::Range<usize> = 2..2 + 8 * 8;
 
 /// The counters this build writes for [`mixed_prefix`]: checks, fast path,
-/// splices, repairs, searches, search nodes, rebuilds, unsearched NOs.  The
+/// splices, a retired slot (always 0), searches, search nodes, rebuilds,
+/// unsearched NOs.  The
 /// literals above carry `[7, 5, 1, 0, 2, 2, 0, 1]`: a search refuted the
 /// wild read.  Here no write of its value is what refutes it (R4).
 const MIXED_PREFIX_COUNTERS: [u64; 8] = [7, 6, 1, 0, 1, 0, 0, 2];
@@ -521,12 +522,11 @@ fn with_mixed_prefix_counters(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// What a checker's stats moved by since `before`, field by field.
-fn since(after: CheckerStats, before: CheckerStats) -> [u64; 8] {
+fn since(after: CheckerStats, before: CheckerStats) -> [u64; 7] {
     [
         after.checks - before.checks,
         after.fast_path - before.fast_path,
         after.splices - before.splices,
-        after.repairs - before.repairs,
         after.dfs_runs - before.dfs_runs,
         after.dfs_nodes - before.dfs_nodes,
         after.rebuilds - before.rebuilds,

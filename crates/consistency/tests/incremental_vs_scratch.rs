@@ -33,6 +33,11 @@
 //! third kind of word is made of such thin-air responses, some of whose
 //! producers are invoked later, pending producers that other processes
 //! already observe among them.
+//!
+//! Every specification in `drv-spec` has one legal response per step, but
+//! the checker's contract allows a `step_if_legal` that accepts several.  The
+//! random sweeps run once more on such a specification, a counter whose
+//! increment may also answer the value it replaced.
 
 use drv_consistency::{
     check_history, validate_witness, CheckOutcome, CheckerConfig, CheckerStats, CheckpointError,
@@ -154,7 +159,6 @@ fn scratch_verdict<S: SequentialSpec>(
 #[derive(Debug, Default, PartialEq, Eq)]
 struct PathTotals {
     splices: u64,
-    repairs: u64,
     dfs_runs: u64,
     dfs_nodes: u64,
     fast_path: u64,
@@ -163,7 +167,6 @@ struct PathTotals {
 impl PathTotals {
     fn add(&mut self, stats: CheckerStats) {
         self.splices += stats.splices;
-        self.repairs += stats.repairs;
         self.dfs_runs += stats.dfs_runs;
         self.dfs_nodes += stats.dfs_nodes;
         self.fast_path += stats.fast_path;
@@ -334,8 +337,8 @@ fn sweep<S: SequentialSpec + Clone>(
             );
         }
         let stats = incremental.stats();
-        // Every check either searched or did not: with `splices` and
-        // `repairs` (maintenance, decided before any check) this sum is what
+        // Every check either searched or did not: with `splices`
+        // (maintenance, decided before any check) this sum is what
         // a change to *when* the engine searches cannot move.
         assert_eq!(stats.dfs_runs + stats.fast_path, stats.checks, "{label} case {case}");
         totals.add(stats);
@@ -479,19 +482,19 @@ fn linearizability_matches_scratch_on_random_histories() {
     let config = CheckerConfig::linearizability();
     assert_eq!(
         compare_on(Register::new(), Object::Register, config, "lin/register", 400, 101),
-        PathTotals { splices: 547, repairs: 0, dfs_runs: 433, dfs_nodes: 279, fast_path: 2485 }
+        PathTotals { splices: 547, dfs_runs: 433, dfs_nodes: 279, fast_path: 2485 }
     );
     assert_eq!(
         compare_on(Counter::new(), Object::Counter, config, "lin/counter", 300, 102),
-        PathTotals { splices: 451, repairs: 0, dfs_runs: 464, dfs_nodes: 860, fast_path: 1672 }
+        PathTotals { splices: 451, dfs_runs: 464, dfs_nodes: 860, fast_path: 1672 }
     );
     assert_eq!(
         compare_on(Queue::new(), Object::Queue, config, "lin/queue", 300, 103),
-        PathTotals { splices: 380, repairs: 0, dfs_runs: 331, dfs_nodes: 272, fast_path: 1919 }
+        PathTotals { splices: 380, dfs_runs: 331, dfs_nodes: 272, fast_path: 1919 }
     );
     assert_eq!(
         compare_on(Stack::new(), Object::Stack, config, "lin/stack", 300, 104),
-        PathTotals { splices: 369, repairs: 0, dfs_runs: 314, dfs_nodes: 93, fast_path: 1826 }
+        PathTotals { splices: 369, dfs_runs: 314, dfs_nodes: 93, fast_path: 1826 }
     );
 }
 
@@ -499,7 +502,7 @@ fn linearizability_matches_scratch_on_random_histories() {
 /// splices constrained by program order only).
 ///
 /// How these literals may move when the engine changes *when* it searches
-/// and nothing else: `splices` and `repairs` not at all, and `dfs_runs +
+/// and nothing else: `splices` not at all, and `dfs_runs +
 /// fast_path` not at all either (the sweep asserts it equals the number of
 /// checks, which the seed fixes: 2833, 2217, 2268 and 2210 here).  A NO that
 /// stands instead of being searched for again moves a check from `dfs_runs`
@@ -513,20 +516,137 @@ fn sequential_consistency_matches_scratch_on_random_histories() {
     let config = CheckerConfig::sequential_consistency();
     assert_eq!(
         compare_on(Register::new(), Object::Register, config, "sc/register", 400, 201),
-        PathTotals { splices: 615, repairs: 0, dfs_runs: 478, dfs_nodes: 861, fast_path: 2355 }
+        PathTotals { splices: 615, dfs_runs: 478, dfs_nodes: 861, fast_path: 2355 }
     );
     assert_eq!(
         compare_on(Counter::new(), Object::Counter, config, "sc/counter", 300, 202),
-        PathTotals { splices: 492, repairs: 0, dfs_runs: 562, dfs_nodes: 1834, fast_path: 1655 }
+        PathTotals { splices: 492, dfs_runs: 562, dfs_nodes: 1834, fast_path: 1655 }
     );
     assert_eq!(
         compare_on(Queue::new(), Object::Queue, config, "sc/queue", 300, 203),
-        PathTotals { splices: 466, repairs: 0, dfs_runs: 405, dfs_nodes: 1440, fast_path: 1863 }
+        PathTotals { splices: 466, dfs_runs: 405, dfs_nodes: 1440, fast_path: 1863 }
     );
     assert_eq!(
         compare_on(Stack::new(), Object::Stack, config, "sc/stack", 300, 204),
-        PathTotals { splices: 434, repairs: 0, dfs_runs: 395, dfs_nodes: 1093, fast_path: 1815 }
+        PathTotals { splices: 434, dfs_runs: 395, dfs_nodes: 1093, fast_path: 1815 }
     );
+}
+
+/// A counter whose increment may answer `Ack`, what `apply` gives, or the
+/// value it replaced: two legal responses for one step, both leading to the
+/// state `apply` gives, as `step_if_legal` must.
+#[derive(Debug, Clone)]
+struct TwoFaced;
+
+impl SequentialSpec for TwoFaced {
+    type State = u64;
+
+    fn name(&self) -> String {
+        "two-faced counter".into()
+    }
+
+    fn kind(&self) -> drv_lang::ObjectKind {
+        drv_lang::ObjectKind::Counter
+    }
+
+    fn initial(&self) -> u64 {
+        0
+    }
+
+    fn apply(&self, state: &u64, invocation: &Invocation) -> Option<(u64, Response)> {
+        match invocation {
+            Invocation::Inc => Some((state + 1, Response::Ack)),
+            Invocation::Read => Some((*state, Response::Value(*state))),
+            _ => None,
+        }
+    }
+
+    fn step_if_legal(&self, state: &u64, invocation: &Invocation, response: &Response) -> Option<u64> {
+        match (invocation, response) {
+            (Invocation::Inc, Response::Value(old)) if old == state => Some(state + 1),
+            _ => {
+                let (next, expected) = self.apply(state, invocation)?;
+                (expected == *response).then_some(next)
+            }
+        }
+    }
+}
+
+/// A random counter word whose increments answer, half of the time, a value
+/// drawn from `0..4` instead of `Ack`; the value an increment replaced when
+/// the draw is right.
+fn two_faced_word(rng: &mut StdRng, n: usize, max_ops: usize) -> Word {
+    let word = random_word(rng, Object::Counter, n, max_ops);
+    let mut incrementing = vec![false; n];
+    let symbols = word
+        .symbols()
+        .iter()
+        .map(|symbol| match &symbol.action {
+            Action::Invoke(invocation) => {
+                incrementing[symbol.proc.0] = *invocation == Invocation::Inc;
+                symbol.clone()
+            }
+            Action::Respond(_) if incrementing[symbol.proc.0] && rng.gen_bool(0.5) => {
+                Symbol::respond(symbol.proc, Response::Value(rng.gen_range(0..4u64)))
+            }
+            Action::Respond(_) => symbol.clone(),
+        })
+        .collect();
+    Word::from_symbols(symbols)
+}
+
+/// ≥ 300 seeded histories per criterion on [`TwoFaced`], each checked at
+/// every prefix and chain-restored at every 7th.  Neither sweep is vacuous:
+/// many prefixes end in an increment that answered the value it replaced
+/// and are consistent.
+#[test]
+fn a_step_with_two_legal_responses_matches_scratch_on_random_histories() {
+    for (config, label, seed, totals) in [
+        (
+            CheckerConfig::linearizability(),
+            "lin/two-faced",
+            105,
+            PathTotals { splices: 220, dfs_runs: 523, dfs_nodes: 805, fast_path: 1537 },
+        ),
+        (
+            CheckerConfig::sequential_consistency(),
+            "sc/two-faced",
+            205,
+            PathTotals { splices: 293, dfs_runs: 673, dfs_nodes: 1830, fast_path: 1611 },
+        ),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let words: Vec<(usize, Word)> = (0..300)
+            .map(|_| {
+                let n = rng.gen_range(2..4usize);
+                let max_ops = rng.gen_range(1..8usize);
+                (n, two_faced_word(&mut rng, n, max_ops))
+            })
+            .collect();
+        // Prefixes ending in an increment's answer of a value, consistent.
+        let answered_old_value = words
+            .iter()
+            .flat_map(|(n, word)| {
+                let mut incrementing = vec![false; *n];
+                let mut ends = Vec::new();
+                for (position, symbol) in word.symbols().iter().enumerate() {
+                    match &symbol.action {
+                        Action::Invoke(invocation) => {
+                            incrementing[symbol.proc.0] = *invocation == Invocation::Inc;
+                        }
+                        Action::Respond(Response::Value(_)) if incrementing[symbol.proc.0] => {
+                            ends.push((*n, &word.symbols()[..=position]));
+                        }
+                        Action::Respond(_) => {}
+                    }
+                }
+                ends
+            })
+            .filter(|(n, prefix)| scratch_verdict(&TwoFaced, prefix, *n, &config).is_consistent())
+            .count();
+        assert!(answered_old_value >= 40, "{label}: {answered_old_value} prefixes");
+        assert_eq!(sweep(TwoFaced, config, label, words).totals, totals, "{label}");
+    }
 }
 
 /// Violations that are explained later: the standing NO of sequential

@@ -20,7 +20,7 @@
 //! `crates/bench/src/table1.rs`, the Table 1 harness).
 //!
 //! [`Decider`] bundles a language with the evaluation parameters;
-//! [`evaluate`] checks one trace against one notion and says whether the
+//! [`Decider::evaluate`] checks one trace against one notion and says whether the
 //! implication required by the definition holds for that run.  The Table 1
 //! harness aggregates these outcomes over many runs per cell.
 

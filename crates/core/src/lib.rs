@@ -26,7 +26,10 @@
 //!   (Lemmas 5.1, 5.2, 6.2, 6.5) built from indistinguishable execution
 //!   pairs,
 //! * [`threaded`] — a real-thread runtime showing the monitors also work
-//!   under OS concurrency, outside the deterministic simulator.
+//!   under OS concurrency, outside the deterministic simulator,
+//! * [`alphabet`] ([`SymbolSampler`]), [`shuffle`] and [`oblivious`] — the
+//!   seeded invocation sampler, the shuffle operator of Definition 5.2 and
+//!   the real-time obliviousness test of Definition 5.3 (Theorem 5.2).
 //!
 //! ## Quick start
 //!
@@ -36,7 +39,8 @@
 //! use drv_core::runtime::{run, RunConfig, Schedule};
 //! use drv_adversary::AtomicObject;
 //! use drv_consistency::languages::wec_count;
-//! use drv_lang::{ObjectKind, SymbolSampler};
+//! use drv_core::SymbolSampler;
+//! use drv_lang::ObjectKind;
 //! use drv_spec::Counter;
 //! use std::sync::Arc;
 //!
@@ -56,20 +60,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alphabet;
 pub mod decidability;
 pub mod impossibility;
 pub mod monitor;
 pub mod monitors;
+pub mod oblivious;
 pub mod runtime;
+pub mod shuffle;
 pub mod stream;
 pub mod threaded;
 pub mod trace;
 pub mod transform;
 pub mod verdict;
 
+pub use alphabet::SymbolSampler;
 pub use decidability::{Decider, Evaluation, Notion};
 pub use monitor::{ConstantFamily, Monitor, MonitorFamily};
+pub use oblivious::{oblivious_counterexample, ObliviousReport, ObliviousnessTester};
 pub use runtime::{run, RunConfig, Schedule};
+pub use shuffle::{enumerate_shuffles, is_interleaving_of, random_shuffle, Shuffle};
 pub use stream::{
     CheckerMonitorFactory, CheckerObjectMonitor, FamilyMonitorFactory, FamilyObjectMonitor,
     ObjectMonitor, ObjectMonitorFactory, RestoreError, RoutingMonitorFactory,

@@ -114,10 +114,11 @@ impl MonitorFamily for LocalWecFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SymbolSampler;
     use crate::runtime::{run, RunConfig, Schedule};
     use drv_adversary::{AtomicObject, NonMonotoneCounter};
     use drv_consistency::languages::wec_count;
-    use drv_lang::{ObjectKind, SymbolSampler};
+    use drv_lang::ObjectKind;
     use drv_spec::Counter;
 
     fn counter_config(n: usize, iterations: usize, seed: u64) -> RunConfig {

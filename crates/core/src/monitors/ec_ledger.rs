@@ -175,10 +175,11 @@ impl MonitorFamily for EcLedgerGuessFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SymbolSampler;
     use crate::runtime::{run, RunConfig, Schedule};
     use drv_adversary::{AtomicObject, ForgetfulLedger, ForkingLedger, ReplicatedLedger};
     use drv_consistency::languages::ec_led;
-    use drv_lang::{ObjectKind, SymbolSampler};
+    use drv_lang::ObjectKind;
     use drv_spec::Ledger;
 
     fn ledger_config(n: usize, iterations: usize, seed: u64) -> RunConfig {

@@ -401,11 +401,12 @@ impl<S: SequentialSpec + Clone + 'static> MonitorFamily for PredictiveFamily<S> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SymbolSampler;
     use crate::decidability::{Decider, Notion};
     use crate::runtime::{run, RunConfig, Schedule};
     use drv_adversary::{AtomicObject, ReplicatedLedger, StaleReadRegister};
     use drv_consistency::languages::{lin_led, lin_reg, sc_reg};
-    use drv_lang::{ObjectKind, SymbolSampler};
+    use drv_lang::ObjectKind;
     use drv_spec::{Ledger, Register};
     use std::sync::Arc;
 

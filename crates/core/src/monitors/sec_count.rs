@@ -173,11 +173,12 @@ impl MonitorFamily for SecCountFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SymbolSampler;
     use crate::decidability::{Decider, Notion};
     use crate::runtime::{run, RunConfig, Schedule};
     use drv_adversary::{AtomicObject, OverCounter, ReplicatedCounter};
     use drv_consistency::languages::sec_count;
-    use drv_lang::{ObjectKind, SymbolSampler};
+    use drv_lang::ObjectKind;
     use drv_spec::Counter;
     use std::sync::Arc;
 

@@ -196,10 +196,11 @@ pub fn three_valued_holds(trace: &ExecutionTrace, language: &dyn Language) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SymbolSampler;
     use crate::runtime::{run, RunConfig, Schedule};
     use drv_adversary::{AtomicObject, LossyCounter, NonMonotoneCounter, OverCounter};
     use drv_consistency::languages::{sec_count, wec_count};
-    use drv_lang::{ObjectKind, SymbolSampler};
+    use drv_lang::ObjectKind;
     use drv_spec::Counter;
 
     fn counter_config(n: usize, iterations: usize, seed: u64, timed: bool) -> RunConfig {

@@ -165,11 +165,12 @@ impl MonitorFamily for WecCountFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SymbolSampler;
     use crate::decidability::{Decider, Notion};
     use crate::runtime::{run, RunConfig, Schedule};
     use drv_adversary::{AtomicObject, LossyCounter, NonMonotoneCounter, ReplicatedCounter};
     use drv_consistency::languages::wec_count;
-    use drv_lang::{ObjectKind, SymbolSampler};
+    use drv_lang::ObjectKind;
     use drv_spec::Counter;
     use std::sync::Arc;
 

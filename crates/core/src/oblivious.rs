@@ -12,9 +12,8 @@
 //! [`Language::accepts_run`] with a cut at `|α|`: the finite continuation `β`
 //! plays the role of the infinite suffix.
 
-use crate::language::Language;
 use crate::shuffle::Shuffle;
-use crate::word::Word;
+use drv_lang::{Language, Word};
 use rand::Rng;
 use std::fmt;
 
@@ -172,8 +171,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol::{Action, Invocation, ProcId, Response};
-    use crate::word::WordBuilder;
+    use drv_lang::{Action, Invocation, ProcId, Response, WordBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

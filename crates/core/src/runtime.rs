@@ -40,7 +40,8 @@ use crate::monitor::MonitorFamily;
 use crate::trace::{AdversaryMode, ExecutionTrace};
 use crate::verdict::VerdictStream;
 use drv_adversary::{Behavior, InvocationKey, TimedAdversary, TimedOp, View};
-use drv_lang::{Invocation, ObjectKind, ProcId, Response, SymbolSampler, Word};
+use crate::alphabet::SymbolSampler;
+use drv_lang::{Invocation, ObjectKind, ProcId, Response, Word};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

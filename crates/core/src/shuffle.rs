@@ -6,8 +6,7 @@
 //! language is real-time oblivious when replacing `α` by any interleaving
 //! `α' ∈ α|₁ ⧢ … ⧢ α|ₙ` preserves membership.
 
-use crate::symbol::Symbol;
-use crate::word::{LocalWord, Word};
+use drv_lang::{LocalWord, Symbol, Word};
 use rand::Rng;
 
 /// A set of words to be interleaved.
@@ -133,7 +132,7 @@ pub fn is_interleaving_of(candidate: &Word, original: &Word, n: usize) -> bool {
     if candidate.len() != original.len() {
         return false;
     }
-    for p in crate::symbol::ProcId::all(n.max(
+    for p in drv_lang::ProcId::all(n.max(
         original
             .procs()
             .iter()
@@ -151,8 +150,7 @@ pub fn is_interleaving_of(candidate: &Word, original: &Word, n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol::{Invocation, ProcId, Response};
-    use crate::word::WordBuilder;
+    use drv_lang::{Invocation, ProcId, Response, WordBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

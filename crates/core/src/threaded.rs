@@ -18,7 +18,8 @@ use crate::monitor::MonitorFamily;
 use crate::trace::{AdversaryMode, ExecutionTrace};
 use crate::verdict::VerdictStream;
 use drv_adversary::{Behavior, InvocationKey, TimedAdversary, TimedOp, View};
-use drv_lang::{ObjectKind, ProcId, SymbolSampler, Word};
+use crate::alphabet::SymbolSampler;
+use drv_lang::{ObjectKind, ProcId, Word};
 pub use drv_lang::WorkerPanic;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;

@@ -296,13 +296,14 @@ impl<F: MonitorFamily> MonitorFamily for WodStableFamily<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::SymbolSampler;
     use crate::decidability::{Decider, Notion};
     use crate::monitor::ConstantFamily;
     use crate::monitors::WecCountFamily;
     use crate::runtime::{run, RunConfig, Schedule};
     use drv_adversary::{AtomicObject, NonMonotoneCounter};
     use drv_consistency::languages::wec_count;
-    use drv_lang::{ObjectKind, SymbolSampler};
+    use drv_lang::ObjectKind;
     use drv_spec::Counter;
     use std::sync::Arc;
 

@@ -37,7 +37,7 @@
 //!   its own shard, not the pool.
 //! * **Untimed parking.**  An idle worker parks on the pool condvar with an
 //!   *untimed* `wait_while` guarded by a work-epoch ticket: it reads
-//!   [`Shared::work_epoch`] *before* scanning the deques, and every
+//!   `Shared::work_epoch` *before* scanning the deques, and every
 //!   work-publishing action (submit, reschedule, shutdown, abort,
 //!   backlog-drained) bumps the epoch and then notifies under the park
 //!   lock.  Work published after the read changes the epoch the predicate
@@ -94,10 +94,12 @@
 
 use crate::journal::{JournalSink, RecoveredObject};
 use crate::report::{EngineReport, EngineStats, ObjectReport};
-use crate::service::{SubmitError, SubscriptionShared, VerdictEvent, VerdictSubscription};
+use crate::service::{SubmitError, SubscriptionShared, VerdictSubscription};
 use drv_consistency::CheckerStats;
 use drv_consistency::{ObjectMonitor, ObjectMonitorFactory};
-use drv_lang::{EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Verdict, WorkerPanic};
+use drv_lang::{
+    EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Verdict, VerdictEvent, WorkerPanic,
+};
 use drv_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -233,7 +235,6 @@ struct EngineMetrics {
     checker_checks: Counter,
     checker_fast_path: Counter,
     checker_splices: Counter,
-    checker_repairs: Counter,
     checker_dfs_runs: Counter,
     checker_dfs_nodes: Counter,
     /// NOs answered without a search: final under LIN, standing under SC.
@@ -272,7 +273,6 @@ impl EngineMetrics {
             checker_checks: reg.counter("engine_checker_checks"),
             checker_fast_path: reg.counter("engine_checker_fast_path"),
             checker_splices: reg.counter("engine_checker_splices"),
-            checker_repairs: reg.counter("engine_checker_repairs"),
             checker_dfs_runs: reg.counter("engine_checker_dfs_runs"),
             checker_dfs_nodes: reg.counter("engine_checker_dfs_nodes"),
             checker_latched: reg.counter("engine_checker_latched"),
@@ -295,7 +295,6 @@ impl EngineMetrics {
         into.checks += now.checks.wrapping_sub(last.checks);
         into.fast_path += now.fast_path.wrapping_sub(last.fast_path);
         into.splices += now.splices.wrapping_sub(last.splices);
-        into.repairs += now.repairs.wrapping_sub(last.repairs);
         into.dfs_runs += now.dfs_runs.wrapping_sub(last.dfs_runs);
         into.dfs_nodes += now.dfs_nodes.wrapping_sub(last.dfs_nodes);
         into.latched += now.latched.wrapping_sub(last.latched);
@@ -308,7 +307,6 @@ impl EngineMetrics {
         self.checker_checks.add(delta.checks);
         self.checker_fast_path.add(delta.fast_path);
         self.checker_splices.add(delta.splices);
-        self.checker_repairs.add(delta.repairs);
         self.checker_dfs_runs.add(delta.dfs_runs);
         self.checker_dfs_nodes.add(delta.dfs_nodes);
         self.checker_latched.add(delta.latched);

@@ -48,8 +48,8 @@
 //! ## The batched event path
 //!
 //! One event model runs end-to-end: producers intern traffic into an
-//! [`EventBatch`](drv_lang::EventBatch) — an arena-backed, struct-of-arrays
-//! batch of `Copy` [`EventRecord`](drv_lang::EventRecord)s whose payloads
+//! [`EventBatch`] — an arena-backed, struct-of-arrays
+//! batch of `Copy` [`EventRecord`]s whose payloads
 //! live in the engine's [`SharedInterner`](drv_lang::SharedInterner) arena
 //! ([`MonitoringEngine::interner`]) — and hand whole batches to
 //! [`MonitoringEngine::submit_batch`] /
@@ -113,8 +113,8 @@ pub mod service;
 pub use engine::{sequential_reference, EngineConfig, MonitoringEngine};
 pub use journal::{JournalSink, RecoveredObject};
 pub use report::{AggregateVerdict, EngineReport, EngineStats, ObjectReport};
-pub use service::{SubmitError, VerdictEvent, VerdictSubscription};
+pub use service::{SubmitError, VerdictSubscription};
 
 // The event interchange types live in `drv-lang` (one model from ingestion
 // to checker); re-exported here for producer convenience.
-pub use drv_lang::{EventAction, EventBatch, EventRecord};
+pub use drv_lang::{EventAction, EventBatch, EventRecord, VerdictEvent};

@@ -16,7 +16,7 @@
 //! Delivery is **batched** on both sides of the channel: a worker pushes
 //! every verdict a drained shard batch produced as one slice under one
 //! channel lock, and consumers drain everything queued into a reusable
-//! struct-of-arrays [`VerdictBatch`](drv_lang::VerdictBatch) via
+//! struct-of-arrays [`VerdictBatch`] via
 //! [`VerdictSubscription::poll_batch`] / [`VerdictSubscription::wait_batch`].
 //!
 //! ## Channel semantics
@@ -42,7 +42,7 @@
 //! [`MonitoringEngine::try_submit_batch`]: crate::MonitoringEngine::try_submit_batch
 //! [`MonitoringEngine::subscribe`]: crate::MonitoringEngine::subscribe
 
-use drv_lang::{ObjectId, Verdict, VerdictBatch};
+use drv_lang::{Verdict, VerdictBatch, VerdictEvent};
 use drv_telemetry::Counter;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -71,18 +71,6 @@ impl fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-/// One delivered verdict: the monitor's verdict for `object` after its
-/// `seq`-th stream element (0-based, counted across evictions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerdictEvent {
-    /// The object the verdict belongs to.
-    pub object: ObjectId,
-    /// Position in the object's verdict stream (0-based).
-    pub seq: u64,
-    /// The verdict itself.
-    pub verdict: Verdict,
-}
 
 struct SubState {
     queue: VecDeque<VerdictEvent>,
@@ -300,6 +288,7 @@ impl fmt::Debug for VerdictSubscription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drv_lang::ObjectId;
     use drv_telemetry::Telemetry;
 
     /// A channel of `capacity` whose closed-drop counter the test keeps.

@@ -1,6 +1,10 @@
 //! The frame layer: length-prefixed, CRC-checked binary frames carrying
-//! [`EventBatch`]es, credits, verdicts, stats and shutdowns over a byte
+//! [`EventBatch`](crate::EventBatch)es, credits, verdicts, stats and shutdowns over a byte
 //! stream.
+//!
+//! `drv-net` speaks it over sockets (as `drv_net::wire`) and `drv-store`
+//! writes it as its journal: the log a client sends and the log that is
+//! stored are one format.  The payload codec it frames is [`crate::wire`].
 //!
 //! ## Frame layout
 //!
@@ -38,7 +42,7 @@
 //! ## Batch payload and the arena-interning rule
 //!
 //! A [`FrameKind::Batch`] payload is the struct-of-arrays rows of an
-//! [`EventBatch`] plus a *dictionary* of the distinct invocation/response
+//! [`EventBatch`](crate::EventBatch) plus a *dictionary* of the distinct invocation/response
 //! payloads the rows reference:
 //!
 //! ```text
@@ -64,9 +68,9 @@
 //! Rows reference payloads by dictionary index, so a batch of 10 000 events
 //! over 12 distinct payloads carries 12 encoded payloads.  Decoding interns
 //! each dictionary entry **once** into the supplied [`SharedInterner`] —
-//! when that interner is the engine's arena ([`MonitoringEngine::
-//! interner`](drv_engine::MonitoringEngine::interner)), the decoded batch is
-//! directly submittable: one intern per distinct payload, not per event.
+//! when that interner is the engine's arena (`MonitoringEngine::interner`
+//! in `drv-engine`), the decoded batch is directly submittable: one intern
+//! per distinct payload, not per event.
 //!
 //! Because the arena is append-only, decode refuses to intern anything
 //! from a frame that fails the structural caps: `row_count` is validated
@@ -115,20 +119,26 @@
 //! [`Snapshot::delta`].
 //!
 //! Every decode error is a typed [`WireError`]; malformed, truncated or
-//! oversized input can neither panic nor over-allocate
-//! (`tests/wire_fuzz.rs`).
+//! oversized input can neither panic nor over-allocate (`drv-net`'s
+//! `tests/wire_fuzz.rs`).
 
-use drv_engine::VerdictEvent;
-use drv_lang::wire::{
-    put_invocation, put_response, put_string, put_u32, put_u64, put_u64_seq, take_invocation,
-    take_response, CodecError, Reader,
-};
-use drv_lang::{
-    EventAction, EventBatch, EventRecord, InvocationId, ObjectId, ProcId, ResponseId,
-    SharedInterner, Verdict,
-};
+mod assembler;
+mod batch;
+mod stats;
+mod verdict;
+
+pub use assembler::FrameAssembler;
+pub use batch::{FrameEncoder, WireBatch, EXT_TRACE_CONTEXT, MAX_PROCESSES};
+pub use stats::{encode_stats, encode_stats_request, STATS_VERSION};
+pub use verdict::encode_verdict_batch;
+
+use self::batch::decode_batch;
+use self::stats::decode_stats_reply;
+use self::verdict::decode_verdict_batch;
+use crate::wire::{put_u64, CodecError, Reader};
+use crate::{ObjectId, SharedInterner, VerdictEvent};
 use drv_telemetry::metrics::BUCKETS;
-use drv_telemetry::{HistogramSnapshot, Snapshot};
+use drv_telemetry::Snapshot;
 use std::fmt;
 
 /// Frame magic: `"DRVF"` little-endian.
@@ -140,27 +150,12 @@ pub const HEADER_LEN: usize = 16;
 /// Hard cap on a frame's payload length (16 MiB): the over-allocation guard
 /// for the length field itself.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
-/// Bound on a batch row's process id (`proc < MAX_PROCESSES`): a checker
-/// sizes dense per-process tables (40 B a slot) by the largest id it is fed,
-/// so one event can cost an object at most 40 KiB.
-pub const MAX_PROCESSES: u32 = 1024;
-/// Version byte leading a non-empty [`FrameKind::Stats`] payload.  The
-/// pre-telemetry flat layout was (an unversioned) 1; version 2 led the
-/// registry snapshot with a flat block of engine counters the snapshot
-/// already carried; version 3 is the snapshot alone.  A reply whose version
-/// this implementation does not speak decodes to
-/// [`WireError::BadStatsVersion`], never to garbled counters.
-pub const STATS_VERSION: u8 = 3;
-/// Tag of the trace-context block earlier encoders appended to a stamped
-/// batch (one length byte of at least 16, then that many bytes).  Read and
-/// discarded when decoding old bytes; never written.
-pub const EXT_TRACE_CONTEXT: u8 = 1;
 
 /// The discriminant of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// Client → server: an [`EventBatch`] of monitored traffic.
+    /// Client → server: an [`EventBatch`](crate::EventBatch) of monitored traffic.
     Batch = 1,
     /// Server → client: a credit grant (flow control, counted in events).
     Credit = 2,
@@ -224,15 +219,6 @@ impl NackReason {
             _ => return None,
         })
     }
-}
-
-/// A decoded batch frame: the id echoes back in acknowledgements/NACKs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireBatch {
-    /// Sender-chosen id (monotone per connection in the provided client).
-    pub batch_id: u64,
-    /// The events, payload ids interned into the decode-time arena.
-    pub events: EventBatch,
 }
 
 /// One decoded frame.
@@ -378,7 +364,7 @@ pub enum WireError {
     },
     /// A deadline elapsed before the peer produced the awaited bytes — a
     /// hung or wedged endpoint, surfaced typed instead of blocking forever
-    /// (see [`ClientConfig`](crate::client::ClientConfig)).
+    /// (see `drv-net`'s `ClientConfig`).
     Timeout {
         /// How long the caller waited, in milliseconds.
         millis: u64,
@@ -551,111 +537,6 @@ fn encode_with(
     frame
 }
 
-/// A reusable batch-frame encoder: keeps the dictionary maps warm across
-/// frames.  Dictionary lookups are dense `Vec`s indexed by the arena id
-/// (epoch-stamped so `clear` is O(1)), not hash maps — the per-row cost is
-/// an array index.
-#[derive(Debug, Default)]
-pub struct FrameEncoder {
-    /// `inv_dict[id] = (epoch, dict index)`; valid when epoch matches.
-    inv_dict: Vec<(u64, u32)>,
-    resp_dict: Vec<(u64, u32)>,
-    epoch: u64,
-}
-
-impl FrameEncoder {
-    /// A fresh encoder.
-    #[must_use]
-    pub fn new() -> Self {
-        FrameEncoder::default()
-    }
-
-    /// Encodes `batch` (whose payload ids live in `arena`) as one sealed
-    /// [`FrameKind::Batch`] frame: rows by dictionary index, each distinct
-    /// payload encoded once.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a payload id is unknown to `arena` (the batch was built
-    /// against a different interner), a row's process id is not below
-    /// [`MAX_PROCESSES`], or the encoded frame would exceed [`MAX_PAYLOAD`].
-    #[must_use]
-    pub fn encode_batch(
-        &mut self,
-        batch_id: u64,
-        batch: &EventBatch,
-        arena: &SharedInterner,
-    ) -> Vec<u8> {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        // Pass 1 numbers the distinct payloads in first-use order: the
-        // dictionaries precede the rows in the payload, so pass 2 can then
-        // write every row straight into the frame.
-        let mut inv_payloads: Vec<InvocationId> = Vec::new();
-        let mut resp_payloads: Vec<ResponseId> = Vec::new();
-        for action in batch.actions() {
-            match *action {
-                EventAction::Invoke(id) => {
-                    let slot = id.0 as usize;
-                    if self.inv_dict.len() <= slot {
-                        self.inv_dict.resize(slot + 1, (0, 0));
-                    }
-                    let entry = &mut self.inv_dict[slot];
-                    if entry.0 != epoch {
-                        *entry =
-                            (epoch, u32::try_from(inv_payloads.len()).expect("dict fits u32"));
-                        inv_payloads.push(id);
-                    }
-                }
-                EventAction::Respond(id) => {
-                    let slot = id.0 as usize;
-                    if self.resp_dict.len() <= slot {
-                        self.resp_dict.resize(slot + 1, (0, 0));
-                    }
-                    let entry = &mut self.resp_dict[slot];
-                    if entry.0 != epoch {
-                        *entry =
-                            (epoch, u32::try_from(resp_payloads.len()).expect("dict fits u32"));
-                        resp_payloads.push(id);
-                    }
-                }
-            }
-        }
-        // Dictionary entries are a few bytes each; the rows are exact.
-        let dict_estimate = 8 + 16 * (inv_payloads.len() + resp_payloads.len());
-        let mut frame = frame_buffer(12 + dict_estimate + batch.len() * 17);
-        put_u64(&mut frame, batch_id);
-        put_u32(&mut frame, u32::try_from(batch.len()).expect("< 2^32 events"));
-        let interner = arena.read();
-        put_u32(&mut frame, u32::try_from(inv_payloads.len()).expect("dict fits u32"));
-        for id in &inv_payloads {
-            put_invocation(&mut frame, interner.resolve_invocation(*id));
-        }
-        put_u32(&mut frame, u32::try_from(resp_payloads.len()).expect("dict fits u32"));
-        for id in &resp_payloads {
-            put_response(&mut frame, interner.resolve_response(*id));
-        }
-        drop(interner);
-        frame.reserve(batch.len() * 17);
-        let mut row = [0u8; 17];
-        for record in batch.iter() {
-            row[0..8].copy_from_slice(&record.object.0.to_le_bytes());
-            let proc = record.proc.0;
-            assert!(proc < MAX_PROCESSES as usize, "process id {proc} is not below MAX_PROCESSES");
-            row[8..12].copy_from_slice(&(proc as u32).to_le_bytes());
-            let (tag, index) = match record.action {
-                EventAction::Invoke(id) => (0u8, self.inv_dict[id.0 as usize].1),
-                EventAction::Respond(id) => (1u8, self.resp_dict[id.0 as usize].1),
-            };
-            row[12] = tag;
-            row[13..17].copy_from_slice(&index.to_le_bytes());
-            frame.extend_from_slice(&row);
-        }
-        seal_frame(FrameKind::Batch, &mut frame);
-        frame
-    }
-}
-
 /// Encodes a credit grant.
 #[must_use]
 pub fn encode_credit(grant: u64, window: u64) -> Vec<u8> {
@@ -675,102 +556,6 @@ pub fn encode_nack(batch_id: u64, reason: NackReason, detail: u64) -> Vec<u8> {
     })
 }
 
-/// Encodes a run-compressed [`FrameKind::VerdictBatch`] frame:
-///
-/// ```text
-///  run_count u32   row_count u32
-///  runs  run_count × (object u64, base_seq u64, len u32)
-///  rows  row_count × (tag u8, index u32)
-/// ```
-///
-/// The encoder splits `events` into maximal runs of same-object,
-/// consecutive-`seq` verdicts, so the 16 bytes of `(object, seq)` are paid
-/// once per run and a row costs 5 bytes.  Splitting is lossless:
-/// any input (object changes, seq gaps, even out-of-order seqs) round-trips
-/// to exactly the same event sequence.
-///
-/// # Panics
-///
-/// Panics on 2^32 or more events per frame (senders chunk far below).
-#[must_use]
-pub fn encode_verdict_batch(events: &[VerdictEvent]) -> Vec<u8> {
-    let mut runs: Vec<(ObjectId, u64, u32)> = Vec::new();
-    for event in events {
-        match runs.last_mut() {
-            Some((object, base, len))
-                if *object == event.object
-                    && *len < u32::MAX
-                    && event.seq == base.wrapping_add(u64::from(*len)) =>
-            {
-                *len += 1;
-            }
-            _ => runs.push((event.object, event.seq, 1)),
-        }
-    }
-    encode_with(FrameKind::VerdictBatch, 8 + runs.len() * 20 + events.len() * 5, |frame| {
-        put_u32(frame, u32::try_from(runs.len()).expect("< 2^32 runs"));
-        put_u32(frame, u32::try_from(events.len()).expect("< 2^32 verdicts"));
-        for (object, base, len) in &runs {
-            put_u64(frame, object.0);
-            put_u64(frame, *base);
-            put_u32(frame, *len);
-        }
-        let mut row = [0u8; 5];
-        for event in events {
-            let (tag, index) = match event.verdict {
-                Verdict::Yes => (0u8, 0u32),
-                Verdict::No => (1, 0),
-                Verdict::Maybe(i) => (2, i),
-            };
-            row[0] = tag;
-            row[1..5].copy_from_slice(&index.to_le_bytes());
-            frame.extend_from_slice(&row);
-        }
-    })
-}
-
-/// Encodes a stats request (empty [`FrameKind::Stats`] payload).
-#[must_use]
-pub fn encode_stats_request() -> Vec<u8> {
-    encode_with(FrameKind::Stats, 0, |_| {})
-}
-
-/// Encodes a stats reply: the version byte ([`STATS_VERSION`]), then the
-/// registry snapshot — counters and gauges as `(name, value)` pairs,
-/// histograms as `(name, bucket seq, sum)` (the count is the bucket sum, so
-/// it is not re-encoded).
-///
-/// # Panics
-///
-/// Panics when the encoded snapshot exceeds [`MAX_PAYLOAD`] (a registry
-/// would need hundreds of thousands of metrics).
-#[must_use]
-pub fn encode_stats(snapshot: &Snapshot) -> Vec<u8> {
-    let capacity = 16
-        + snapshot.counters.len() * 24
-        + snapshot.gauges.len() * 24
-        + snapshot.histograms.len() * (32 + BUCKETS * 8);
-    encode_with(FrameKind::Stats, capacity, |frame| {
-        frame.push(STATS_VERSION);
-        put_u32(frame, u32::try_from(snapshot.counters.len()).expect("< 2^32 counters"));
-        for (name, value) in &snapshot.counters {
-            put_string(frame, name);
-            put_u64(frame, *value);
-        }
-        put_u32(frame, u32::try_from(snapshot.gauges.len()).expect("< 2^32 gauges"));
-        for (name, value) in &snapshot.gauges {
-            put_string(frame, name);
-            put_u64(frame, *value as u64);
-        }
-        put_u32(frame, u32::try_from(snapshot.histograms.len()).expect("< 2^32 histograms"));
-        for (name, hist) in &snapshot.histograms {
-            put_string(frame, name);
-            put_u64_seq(frame, &hist.buckets);
-            put_u64(frame, hist.sum);
-        }
-    })
-}
-
 /// Encodes a shutdown notice.
 #[must_use]
 pub fn encode_shutdown() -> Vec<u8> {
@@ -784,16 +569,15 @@ pub fn encode_evict(object: ObjectId) -> Vec<u8> {
 }
 
 /// A validated frame header.
-pub(crate) struct Header {
+struct Header {
     kind: FrameKind,
-    pub(crate) len: u32,
+    len: u32,
     crc: u32,
 }
 
 /// Validates the fixed-size header — the ONE copy of the header contract,
-/// shared by the buffer decoder and the reactor's
-/// [`FrameAssembler`](crate::reactor::FrameAssembler).
-pub(crate) fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, WireError> {
+/// shared by the buffer decoder and the [`FrameAssembler`].
+fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<Header, WireError> {
     let mut header = Reader::new(bytes);
     let magic = header.u32("magic").expect("fixed-size header");
     if magic != MAGIC {
@@ -877,60 +661,7 @@ fn decode_payload(
             ))?;
             Frame::Nack { batch_id, reason, detail: reader.u64("nack detail")? }
         }
-        FrameKind::VerdictBatch => {
-            // Size caps first, exactly like batch decode: the run count is
-            // bounded by remaining/20, the row count by remaining/5, and
-            // every allocation below is sized only after the backing bytes
-            // were actually taken off the payload.
-            let runs = reader.count(20, "verdict runs")?;
-            let rows = reader.count(5, "verdict batch rows")?;
-            if runs > rows {
-                // Every legitimate run covers ≥ 1 row — a fatter run table
-                // is the same memory-growth probe as a dictionary overflow.
-                return Err(WireError::DictOverflow { entries: runs as u64, rows: rows as u32 });
-            }
-            let run_bytes = reader.take(runs * 20, "verdict run table")?;
-            let mut table: Vec<(ObjectId, u64, u32)> = Vec::with_capacity(runs);
-            let mut summed = 0u64;
-            for chunk in run_bytes.chunks_exact(20) {
-                let object =
-                    ObjectId(u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes")));
-                let base = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"));
-                let len = u32::from_le_bytes(chunk[16..20].try_into().expect("4 bytes"));
-                summed += u64::from(len);
-                table.push((object, base, len));
-            }
-            if summed != rows as u64 {
-                return Err(WireError::BadRunTable { declared_rows: rows as u32, summed });
-            }
-            let row_bytes = reader.take(rows * 5, "verdict batch rows")?;
-            // Validate every tag before surfacing anything.
-            for chunk in row_bytes.chunks_exact(5) {
-                if chunk[0] > 2 {
-                    return Err(WireError::Payload(CodecError::BadTag {
-                        what: "verdict",
-                        tag: chunk[0],
-                    }));
-                }
-            }
-            let mut events = Vec::with_capacity(rows);
-            let mut cursor = row_bytes.chunks_exact(5);
-            for (object, base, len) in table {
-                for offset in 0..u64::from(len) {
-                    let chunk = cursor.next().expect("lengths sum to the row count");
-                    let index = u32::from_le_bytes(chunk[1..5].try_into().expect("4 bytes"));
-                    let verdict = match chunk[0] {
-                        0 => Verdict::Yes,
-                        1 => Verdict::No,
-                        _ => Verdict::Maybe(index),
-                    };
-                    // Wrapping: a hostile base near u64::MAX yields odd
-                    // seqs, never a panic.
-                    events.push(VerdictEvent { object, seq: base.wrapping_add(offset), verdict });
-                }
-            }
-            Frame::VerdictBatch(events)
-        }
+        FrameKind::VerdictBatch => Frame::VerdictBatch(decode_verdict_batch(&mut reader)?),
         FrameKind::Stats if payload.is_empty() => Frame::StatsRequest,
         FrameKind::Stats => Frame::Stats(Box::new(decode_stats_reply(&mut reader)?)),
         FrameKind::Shutdown => Frame::Shutdown,
@@ -947,154 +678,3 @@ fn decode_payload(
     }
     Ok(frame)
 }
-
-/// Decodes a non-empty [`FrameKind::Stats`] payload: the version byte
-/// first (so layout drift across releases surfaces as the typed
-/// [`WireError::BadStatsVersion`], not as garbled counters), then the
-/// registry snapshot.  Every collection length is
-/// bounds-checked against the remaining payload before allocation
-/// ([`Reader::count`]), and each histogram must carry exactly [`BUCKETS`]
-/// buckets.
-fn decode_stats_reply(reader: &mut Reader<'_>) -> Result<Snapshot, WireError> {
-    let version = reader.u8("stats version")?;
-    if version != STATS_VERSION {
-        return Err(WireError::BadStatsVersion(version));
-    }
-    // Each counter/gauge entry is ≥ 12 bytes (4-byte name length + 8-byte
-    // value); each histogram ≥ 4 + 4 + 8 (empty name, bucket count, sum).
-    let counter_count = reader.count(12, "stats counters")?;
-    let mut counters = Vec::with_capacity(counter_count);
-    for _ in 0..counter_count {
-        let name = reader.string("counter name")?;
-        counters.push((name, reader.u64("counter value")?));
-    }
-    let gauge_count = reader.count(12, "stats gauges")?;
-    let mut gauges = Vec::with_capacity(gauge_count);
-    for _ in 0..gauge_count {
-        let name = reader.string("gauge name")?;
-        gauges.push((name, reader.u64("gauge value")? as i64));
-    }
-    let hist_count = reader.count(16, "stats histograms")?;
-    let mut histograms = Vec::with_capacity(hist_count);
-    for _ in 0..hist_count {
-        let name = reader.string("histogram name")?;
-        let bucket_seq = reader.u64_seq("histogram buckets")?;
-        if bucket_seq.len() != BUCKETS {
-            return Err(WireError::BadStatsHistogram { buckets: bucket_seq.len() as u64 });
-        }
-        let mut hist = HistogramSnapshot::default();
-        hist.buckets.copy_from_slice(&bucket_seq);
-        // The count is definitionally the bucket sum — derived, not
-        // trusted off the wire.
-        hist.count = hist.buckets.iter().fold(0u64, |acc, &n| acc.wrapping_add(n));
-        hist.sum = reader.u64("histogram sum")?;
-        histograms.push((name, hist));
-    }
-    Ok(Snapshot { counters, gauges, histograms })
-}
-
-/// Decodes a batch payload, interning each dictionary entry once into
-/// `arena` (the arena-interning rule of the module docs).  The structural
-/// caps — row count vs `max_rows`, dictionary entries vs rows — are
-/// enforced **before** the first intern, so a refused frame leaves the
-/// (append-only) arena untouched.
-fn decode_batch(
-    reader: &mut Reader<'_>,
-    arena: &SharedInterner,
-    max_rows: u32,
-) -> Result<WireBatch, WireError> {
-    let batch_id = reader.u64("batch id")?;
-    // Each row is 8 + 4 + 1 + 4 = 17 bytes; the declared count can never
-    // exceed remaining/17 in a valid frame (the dictionaries only add).
-    let rows = reader.count(17, "batch rows")?;
-    if rows as u64 > u64::from(max_rows) {
-        return Err(WireError::TooManyRows {
-            batch_id,
-            rows: rows as u32,
-            limit: max_rows,
-        });
-    }
-    // Every encoded invocation/response is ≥ 1 byte.  Both dictionaries
-    // are PARSED (into locals) before anything is interned: the arena is
-    // append-only, so a frame refused by any later check — the combined
-    // DictOverflow below, a truncated entry, a bad row — must leave it
-    // untouched, or refusals would still grow server memory.
-    let inv_count = reader.count(1, "invocation dictionary")?;
-    if inv_count > rows {
-        return Err(WireError::DictOverflow { entries: inv_count as u64, rows: rows as u32 });
-    }
-    let mut invocations = Vec::with_capacity(inv_count);
-    for _ in 0..inv_count {
-        invocations.push(take_invocation(reader)?);
-    }
-    let resp_count = reader.count(1, "response dictionary")?;
-    if inv_count + resp_count > rows {
-        return Err(WireError::DictOverflow {
-            entries: (inv_count + resp_count) as u64,
-            rows: rows as u32,
-        });
-    }
-    let mut responses = Vec::with_capacity(resp_count);
-    for _ in 0..resp_count {
-        responses.push(take_response(reader)?);
-    }
-    // All row bytes in one bounds check (rows*17 cannot overflow: rows was
-    // validated against remaining/17), then two passes: validate every
-    // process id, tag and dictionary index FIRST, intern only once the whole
-    // frame is known-good, then build.
-    let row_bytes = reader.take(rows * 17, "batch rows")?;
-    for chunk in row_bytes.chunks_exact(17) {
-        let proc = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
-        if proc >= MAX_PROCESSES {
-            return Err(WireError::BadProcess { proc, limit: MAX_PROCESSES });
-        }
-        let index = u32::from_le_bytes(chunk[13..17].try_into().expect("4 bytes"));
-        let len = match chunk[12] {
-            0 => inv_count,
-            1 => resp_count,
-            tag => {
-                return Err(WireError::Payload(CodecError::BadTag { what: "row action", tag }))
-            }
-        };
-        if index as usize >= len {
-            return Err(WireError::BadDictIndex { index, len: len as u32 });
-        }
-    }
-    // Old stamped batches carry a trace-context block after the rows:
-    // consume a well-formed one and discard it, still before the intern
-    // step below, so any other trailing bytes refuse the frame without
-    // growing the arena.
-    if !reader.is_empty() {
-        if reader.u8("extension tag")? != EXT_TRACE_CONTEXT {
-            return Err(WireError::BadExtension {
-                what: "unknown extension tag",
-            });
-        }
-        let len = reader.u8("extension length")? as usize;
-        if len < 16 {
-            return Err(WireError::BadExtension {
-                what: "extension shorter than a context",
-            });
-        }
-        reader.take(len, "trace context")?;
-    }
-    let inv_ids: Vec<InvocationId> =
-        invocations.iter().map(|invocation| arena.invocation(invocation)).collect();
-    let resp_ids: Vec<ResponseId> =
-        responses.iter().map(|response| arena.response(response)).collect();
-    let mut events = EventBatch::with_capacity(rows);
-    for chunk in row_bytes.chunks_exact(17) {
-        let object = ObjectId(u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes")));
-        let proc = ProcId(u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes")) as usize);
-        let index = u32::from_le_bytes(chunk[13..17].try_into().expect("4 bytes")) as usize;
-        let action = match chunk[12] {
-            0 => EventAction::Invoke(inv_ids[index]),
-            _ => EventAction::Respond(resp_ids[index]),
-        };
-        events.push(EventRecord { object, proc, action });
-    }
-    Ok(WireBatch { batch_id, events })
-}
-
-#[cfg(test)]
-mod tests;

@@ -13,8 +13,8 @@
 //!   `α` (up to `cut`) followed by a probe suffix `β`; eventual clauses (e.g.
 //!   clause (3) of the weakly-eventual counter) are evaluated on the suffix.
 //!
-//! The same interface is used by the decidability evaluators in `drv-core` and
-//! by the real-time obliviousness tester of [`crate::oblivious`].
+//! The same interface is used by the decidability evaluators and the
+//! real-time obliviousness tester (`oblivious`) in `drv-core`.
 
 use crate::word::Word;
 use std::fmt;

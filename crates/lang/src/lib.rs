@@ -21,17 +21,16 @@
 //!   checking (Definition 2.1), local projections, and builders,
 //! * [`Operation`] and [`operations`] — matched invocation/response pairs with
 //!   the real-time precedence (`≺`) and concurrency (`‖`) relations,
-//! * [`shuffle`] — the shuffle operator of Definition 5.2,
 //! * [`Language`] — the distributed-language abstraction (Definition 2.2) with
 //!   a finitary, cut-based reading of eventual ("Büchi-style") properties,
-//! * [`oblivious`] — real-time obliviousness testing (Definition 5.3), the key
-//!   notion of the paper's characterization (Theorem 5.2),
 //! * [`wire`] — the bounds-checked binary codec for [`Invocation`] /
-//!   [`Response`] payloads (the dictionary entries of `drv-net`'s
-//!   `EventBatch` frames),
+//!   [`Response`] payloads (the dictionary entries of batch frames),
+//! * [`frame`] — the CRC-checked frame codec that `drv-net` speaks over
+//!   sockets and `drv-store` writes as its journal,
 //! * [`Verdict`] — the value a monitor reports (Figure 1, line 06), and
 //!   [`WorkerPanic`], the attributed death of a worker thread: the two items
-//!   the served pipeline and the paper's simulator both speak.
+//!   the served pipeline and the paper's simulator both speak; and
+//!   [`VerdictEvent`], one delivered verdict of the served pipeline.
 //!
 //! ## Example
 //!
@@ -53,28 +52,25 @@
 
 pub mod alphabet;
 pub mod batch;
+pub mod frame;
 pub mod intern;
 pub mod language;
-pub mod oblivious;
 pub mod operation;
-pub mod shuffle;
 pub mod symbol;
 pub mod verdict;
 pub mod wire;
 pub mod word;
 pub mod worker;
 
-pub use alphabet::{ObjectKind, SymbolSampler};
+pub use alphabet::ObjectKind;
 pub use batch::{EventAction, EventBatch, EventRecord, VerdictBatch};
 pub use intern::{
     Interner, InternerReadGuard, InvocationId, OpRecord, ResponseId, SharedInterner,
 };
 pub use language::{Complement, Intersection, Language, RunVerdict, Union};
-pub use oblivious::{oblivious_counterexample, ObliviousReport, ObliviousnessTester};
 pub use operation::{operations, OpId, Operation, OperationSet, Ordering as OpOrdering};
-pub use shuffle::{enumerate_shuffles, is_interleaving_of, random_shuffle, Shuffle};
 pub use symbol::{Action, Invocation, ObjectId, ProcId, Record, Response, Symbol};
-pub use verdict::Verdict;
+pub use verdict::{Verdict, VerdictEvent};
 pub use wire::CodecError;
 pub use word::{LocalWord, WellFormedError, Word, WordBuilder};
 pub use worker::WorkerPanic;

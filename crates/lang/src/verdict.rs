@@ -1,6 +1,7 @@
 //! The value a monitor reports, shared by the served pipeline and the
-//! paper's simulator.
+//! paper's simulator, and the served pipeline's delivered verdict.
 
+use crate::symbol::ObjectId;
 use std::fmt;
 
 /// A value reported by a monitor process (Figure 1, line 06).  The paper's
@@ -45,6 +46,18 @@ impl fmt::Display for Verdict {
             Verdict::Maybe(i) => write!(f, "MAYBE({i})"),
         }
     }
+}
+
+/// One delivered verdict: the monitor's verdict for `object` after its
+/// `seq`-th stream element (0-based, counted across evictions).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerdictEvent {
+    /// The object the verdict belongs to.
+    pub object: ObjectId,
+    /// Position in the object's verdict stream (0-based).
+    pub seq: u64,
+    /// The verdict itself.
+    pub verdict: Verdict,
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
 //! Binary payload codec: the byte-level encoding of [`Invocation`] and
 //! [`Response`] values used by the network wire format.
 //!
-//! `drv-net` frames an [`crate::EventBatch`] as integer rows plus a
+//! [`crate::frame`] frames an [`crate::EventBatch`] as integer rows plus a
 //! *dictionary* of the distinct payloads the rows reference; this module is
 //! the codec for those dictionary entries (and the primitive scalars the
-//! frame layer shares).  It lives in `drv-lang` because only this crate
-//! knows the payload enums; everything frame-shaped (magic, kinds, CRC,
-//! length prefixes) lives in `drv-net`.
+//! frame layer shares).  Everything frame-shaped (magic, kinds, CRC, length
+//! prefixes) is [`crate::frame`]'s.
 //!
 //! ## Hardening contract
 //!
@@ -364,138 +363,4 @@ pub fn take_response(reader: &mut Reader<'_>) -> Result<Response, CodecError> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn invocations() -> Vec<Invocation> {
-        vec![
-            Invocation::Write(7),
-            Invocation::Read,
-            Invocation::Inc,
-            Invocation::Append(u64::MAX),
-            Invocation::Get,
-            Invocation::Enqueue(0),
-            Invocation::Dequeue,
-            Invocation::Push(3),
-            Invocation::Pop,
-            Invocation::Custom("cas".into(), 9),
-        ]
-    }
-
-    fn responses() -> Vec<Response> {
-        vec![
-            Response::Ack,
-            Response::Value(42),
-            Response::Sequence(vec![]),
-            Response::Sequence(vec![1, 2, 3]),
-            Response::MaybeValue(Some(5)),
-            Response::MaybeValue(None),
-            Response::Custom("cas".into(), 1),
-        ]
-    }
-
-    #[test]
-    fn payloads_round_trip() {
-        for invocation in invocations() {
-            let mut buf = Vec::new();
-            put_invocation(&mut buf, &invocation);
-            let mut reader = Reader::new(&buf);
-            assert_eq!(take_invocation(&mut reader).unwrap(), invocation);
-            assert!(reader.is_empty(), "{invocation:?} left bytes behind");
-        }
-        for response in responses() {
-            let mut buf = Vec::new();
-            put_response(&mut buf, &response);
-            let mut reader = Reader::new(&buf);
-            assert_eq!(take_response(&mut reader).unwrap(), response);
-            assert!(reader.is_empty(), "{response:?} left bytes behind");
-        }
-    }
-
-    #[test]
-    fn truncation_yields_typed_errors_at_every_cut() {
-        for invocation in invocations() {
-            let mut buf = Vec::new();
-            put_invocation(&mut buf, &invocation);
-            for cut in 0..buf.len() {
-                let err = take_invocation(&mut Reader::new(&buf[..cut]))
-                    .expect_err("truncated input must fail");
-                assert!(
-                    matches!(err, CodecError::Truncated { .. } | CodecError::LengthOverflow { .. }),
-                    "{invocation:?} cut at {cut}: {err:?}"
-                );
-            }
-        }
-        for response in responses() {
-            let mut buf = Vec::new();
-            put_response(&mut buf, &response);
-            for cut in 0..buf.len() {
-                assert!(
-                    take_response(&mut Reader::new(&buf[..cut])).is_err(),
-                    "{response:?} cut at {cut} decoded"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bad_tags_are_rejected() {
-        for tag in [10u8, 0x7f, 0xff] {
-            assert_eq!(
-                take_invocation(&mut Reader::new(&[tag])),
-                Err(CodecError::BadTag { what: "invocation", tag })
-            );
-        }
-        for tag in [6u8, 0x80] {
-            assert_eq!(
-                take_response(&mut Reader::new(&[tag])),
-                Err(CodecError::BadTag { what: "response", tag })
-            );
-        }
-    }
-
-    #[test]
-    fn oversized_length_prefixes_cannot_allocate() {
-        // A sequence response claiming u32::MAX entries backed by 0 bytes:
-        // the count guard must reject it before any allocation is sized.
-        let mut buf = vec![RESP_SEQUENCE];
-        put_u32(&mut buf, u32::MAX);
-        match take_response(&mut Reader::new(&buf)) {
-            Err(CodecError::LengthOverflow { claimed, admissible, .. }) => {
-                assert_eq!(claimed, u64::from(u32::MAX));
-                assert_eq!(admissible, 0);
-            }
-            other => panic!("expected LengthOverflow, got {other:?}"),
-        }
-        // Same for a custom-invocation string.
-        let mut buf = vec![INV_CUSTOM];
-        put_u32(&mut buf, 1_000_000);
-        buf.push(b'x');
-        assert!(matches!(
-            take_invocation(&mut Reader::new(&buf)),
-            Err(CodecError::LengthOverflow { .. })
-        ));
-    }
-
-    #[test]
-    fn non_utf8_strings_are_rejected() {
-        let mut buf = vec![INV_CUSTOM];
-        put_u32(&mut buf, 2);
-        buf.extend_from_slice(&[0xff, 0xfe]);
-        put_u64(&mut buf, 1);
-        assert_eq!(
-            take_invocation(&mut Reader::new(&buf)),
-            Err(CodecError::BadUtf8 { what: "custom invocation name" })
-        );
-    }
-
-    #[test]
-    fn reader_reports_remaining() {
-        let mut reader = Reader::new(&[1, 2, 3, 4, 5]);
-        assert_eq!(reader.remaining(), 5);
-        assert_eq!(reader.u8("byte").unwrap(), 1);
-        assert_eq!(reader.u32("word").unwrap(), u32::from_le_bytes([2, 3, 4, 5]));
-        assert!(reader.is_empty());
-        assert!(reader.u8("byte").is_err());
-    }
-}
+mod tests;

@@ -13,13 +13,11 @@
 //! [`MonitorClient::wait_verdicts`], stats replies fill the
 //! [`MonitorClient::stats`] slot.
 
-use crate::reactor::FrameAssembler;
 use crate::wire::{
-    decode_frame, encode_shutdown, encode_stats_request, Frame, FrameEncoder, NackReason,
-    WireError,
+    decode_frame, encode_shutdown, encode_stats_request, Frame, FrameAssembler, FrameEncoder,
+    NackReason, WireError,
 };
-use drv_engine::VerdictEvent;
-use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol};
+use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol, VerdictEvent};
 use drv_telemetry::Snapshot;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -509,7 +507,7 @@ impl MonitorClient {
     /// [`ClientError::Closed`] when the connection died first — including
     /// on a reply whose payload version this client does not speak, which
     /// kills the connection with a typed
-    /// [`WireError::BadStatsVersion`](crate::wire::WireError::BadStatsVersion)
+    /// [`WireError::BadStatsVersion`]
     /// on the reader; [`ClientError::Io`] when the request could not be
     /// written.
     pub fn stats(&mut self, timeout: Duration) -> Result<Snapshot, ClientError> {

@@ -16,11 +16,10 @@
 //!   read, the queue flushes, and the server's Shutdown follows once
 //!   nothing is queued *or parked*.
 
-use crate::reactor::FrameAssembler;
 use crate::server::ServerConfig;
 use crate::wire::{
     decode_frame_capped, encode_credit, encode_nack, encode_shutdown, encode_stats, Frame,
-    NackReason, WireError,
+    FrameAssembler, NackReason, WireError,
 };
 use drv_engine::SubmitError;
 use drv_lang::{EventBatch, ObjectId, SharedInterner};

@@ -26,7 +26,8 @@
 //! ## The wire format ([`wire`])
 //!
 //! Length-prefixed, CRC-checked frames — Batch, Credit, Nack, Stats,
-//! Shutdown, VerdictBatch — whose layouts [`wire`] documents.  Decoding a
+//! Shutdown, VerdictBatch — whose layouts [`wire`] documents; it is
+//! [`drv_lang::frame`], which `drv-store` writes as its journal.  Decoding a
 //! batch interns each distinct payload once, straight into the engine's
 //! arena; verdicts travel back run-compressed, grouped by object (per-object
 //! `seq` order is the only delivery contract).  Malformed, truncated,
@@ -107,9 +108,8 @@ mod conn;
 pub mod reactor;
 mod router;
 pub mod server;
-pub mod wire;
+pub use drv_lang::frame as wire;
 
 pub use client::{ClientConfig, ClientError, MonitorClient, Nack};
-pub use reactor::FrameAssembler;
 pub use server::{MonitorServer, ServerConfig, ServerStats};
-pub use wire::{Frame, FrameKind, NackReason, WireBatch, WireError};
+pub use wire::{Frame, FrameAssembler, FrameKind, NackReason, WireBatch, WireError};

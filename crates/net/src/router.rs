@@ -8,8 +8,7 @@
 
 use crate::conn::{Env, Outbound, Push};
 use crate::wire::{encode_credit, encode_verdict_batch};
-use drv_engine::VerdictEvent;
-use drv_lang::{ObjectId, Verdict, VerdictBatch};
+use drv_lang::{ObjectId, Verdict, VerdictBatch, VerdictEvent};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -12,7 +12,7 @@
 //! * [`Register`] — read/write register (Example 1),
 //! * [`Counter`] — `inc()`/`read()` counter (Example 3),
 //! * [`Ledger`] — `append(r)`/`get()` ledger (Examples 2 and 4, after \[3\]),
-//! * [`Queue`] and [`Stack`] — the objects for which [17] proved the original
+//! * [`Queue`] and [`Stack`] — the objects for which \[17\] proved the original
 //!   strong-decidability impossibility.
 //!
 //! All objects are *total* (every operation can be invoked in every state),

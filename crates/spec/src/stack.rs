@@ -1,4 +1,4 @@
-//! A LIFO stack object (one of the objects for which [17] proved the original
+//! A LIFO stack object (one of the objects for which \[17\] proved the original
 //! sound-and-complete impossibility).
 
 use crate::sequential::SequentialSpec;

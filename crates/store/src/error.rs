@@ -4,7 +4,7 @@
 //! corruption through every decoder to hold the line.
 
 use drv_lang::CodecError;
-use drv_net::WireError;
+use drv_lang::frame::WireError;
 use std::fmt;
 use std::io;
 

@@ -2,9 +2,9 @@
 //!
 //! ## File format
 //!
-//! A journal is a flat sequence of the `drv-net` wire frames
-//! (`crates/net/src/wire.rs` — magic, version, kind, length, CRC-32 per
-//! frame), restricted to three kinds:
+//! A journal is a flat sequence of the frames a connection carries
+//! ([`drv_lang::frame`], `crates/lang/src/frame.rs` — magic, version, kind,
+//! length, CRC-32 per frame), restricted to three kinds:
 //!
 //! * [`FrameKind::Batch`] — one accepted [`EventBatch`], exactly as it
 //!   would travel over a connection (self-contained per-frame
@@ -53,7 +53,7 @@ use crate::error::StoreError;
 use drv_engine::JournalSink;
 use drv_lang::wire::{put_u32, put_u64, Reader};
 use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
-use drv_net::wire::{
+use drv_lang::frame::{
     decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameEncoder, FrameKind,
     MAX_PAYLOAD,
 };
@@ -385,7 +385,7 @@ impl StoreMetrics {
 /// The crash-durable journal store: an open journal file plus the
 /// [`JournalSink`] the engine taps.  Construct with [`Store::open`] (fresh
 /// or existing file; torn tails truncated), or let
-/// [`recover`](crate::recover) open it as part of rebuilding an engine.
+/// [`recover`](crate::recover()) open it as part of rebuilding an engine.
 ///
 /// Sink appends are **infallible by signature** (the engine's submit path
 /// does not fail): an I/O error latches the store into a degraded no-op

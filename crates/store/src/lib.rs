@@ -10,9 +10,9 @@
 //!
 //! * **Journal** ([`Store`], [`journal`]) — every accepted submission
 //!   (after backpressure: refused frames are never journaled) is appended
-//!   write-ahead to one file as `drv-net` wire frames — the same 16-byte
-//!   header + CRC-32 framing that travels over TCP, reusing its torn-input
-//!   hardening wholesale.  Fsync policy is [`FsyncPolicy`]:
+//!   write-ahead to one file as [`drv_lang::frame`] frames — the same
+//!   16-byte header + CRC-32 framing `drv-net` sends over TCP, reusing its
+//!   torn-input hardening wholesale.  Fsync policy is [`FsyncPolicy`]:
 //!   `Always` / `EveryN` / `Never`.
 //! * **Checkpoints** — workers periodically write what each object's
 //!   incremental checker gained since its previous checkpoint (symbols,
@@ -22,7 +22,7 @@
 //!   and recovery's replay is bounded by the post-checkpoint suffix.
 //!   Retired objects write a tombstone record so recovery retires them at
 //!   the same position instead of resurrecting them.
-//! * **Recovery** ([`recover`], [`serve_durable`]) — open the journal,
+//! * **Recovery** ([`recover()`], [`serve_durable`]) — open the journal,
 //!   truncate the torn tail at the first bad CRC, seed an engine with each
 //!   object's checkpoint chain folded into one monitor, replay the suffix
 //!   through the batched submit path, and re-attach the journal.  The

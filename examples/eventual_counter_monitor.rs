@@ -22,7 +22,8 @@ use drv_core::monitors::three_valued::three_valued_holds;
 use drv_core::monitors::{SecCountFamily, ThreeValuedSecFamily, WecCountFamily};
 use drv_core::runtime::{run, RunConfig, Schedule};
 use drv_core::transform::WadAllFamily;
-use drv_lang::{Language, ObjectKind, SymbolSampler};
+use drv_core::SymbolSampler;
+use drv_lang::{Language, ObjectKind};
 use std::sync::Arc;
 
 fn config(n: usize, iterations: usize, timed: bool) -> RunConfig {

@@ -16,7 +16,8 @@ use drv_core::decidability::{Decider, Notion};
 use drv_core::monitors::WecCountFamily;
 use drv_core::runtime::{run, RunConfig, Schedule};
 use drv_core::transform::WadAllFamily;
-use drv_lang::{ObjectKind, SymbolSampler};
+use drv_core::SymbolSampler;
+use drv_lang::ObjectKind;
 use drv_spec::Counter;
 use std::sync::Arc;
 

@@ -18,7 +18,8 @@ use drv_consistency::languages::lin_reg;
 use drv_core::decidability::{Decider, Notion};
 use drv_core::monitors::PredictiveFamily;
 use drv_core::runtime::{run, RunConfig, Schedule};
-use drv_lang::{Language, ObjectKind, SymbolSampler};
+use drv_core::SymbolSampler;
+use drv_lang::{Language, ObjectKind};
 use drv_spec::Register;
 use std::sync::Arc;
 

@@ -66,7 +66,7 @@
 //! * [`lang`] — distributed alphabets, words, histories, languages, the
 //!   interned [`EventBatch`](crate::lang::EventBatch) /
 //!   [`VerdictBatch`](crate::lang::VerdictBatch) interchange types and
-//!   the wire payload codec ([`lang::wire`](crate::lang::wire)),
+//!   the wire payload and frame codecs ([`lang::wire`], [`lang::frame`]),
 //! * [`spec`] — sequential object specifications,
 //! * [`consistency`] — linearizability / sequential-consistency checkers
 //!   (including the incremental engine), the Table 1 languages, and the
@@ -87,8 +87,7 @@
 //!   [`MonitorClient`](crate::net::MonitorClient),
 //! * [`store`] — the durability subsystem: append-only CRC-framed event
 //!   journal, checkpointed checker state, and replay-identical crash
-//!   recovery ([`store::recover`](crate::store::recover) /
-//!   [`store::serve_durable`](crate::store::serve_durable)),
+//!   recovery ([`store::recover()`] / [`store::serve_durable`]),
 //! * [`telemetry`] — the observability subsystem: the sharded
 //!   allocation-free metrics registry
 //!   ([`Counter`](crate::telemetry::Counter) /
@@ -97,7 +96,7 @@
 //!   Prometheus exporters — engine, net and store all record into one shared
 //!   [`Telemetry`](crate::telemetry::Telemetry) handle,
 //! * [`abd`] — the ABD message-passing port,
-//! * [`bench`] — the Table 1 reproduction harness, the live ABD bridge
+//! * [`bench`](mod@bench) — the Table 1 reproduction harness, the live ABD bridge
 //!   ([`stream_abd`](crate::bench::stream_abd)) and the `drvbench`
 //!   end-to-end benchmark.
 //!

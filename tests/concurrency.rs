@@ -5,7 +5,8 @@ use drv_adversary::{AtomicObject, ReplicatedCounter};
 use drv_core::monitors::{SecCountFamily, WecCountFamily};
 use drv_core::runtime::{run, RunConfig, Schedule};
 use drv_core::threaded::{run_threaded, ThreadedConfig};
-use drv_lang::{ObjectKind, ProcId, SymbolSampler};
+use drv_core::SymbolSampler;
+use drv_lang::{ObjectKind, ProcId};
 use drv_shmem::{CrashPlan, SchedulePolicy, SharedArray, StepSim};
 use drv_spec::Counter;
 

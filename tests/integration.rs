@@ -10,7 +10,8 @@ use drv_core::impossibility::{lemma_5_1, lemma_5_2};
 use drv_core::monitors::{PredictiveFamily, SecCountFamily, WecCountFamily};
 use drv_core::runtime::{run, RunConfig, Schedule};
 use drv_core::transform::WadAllFamily;
-use drv_lang::{Language, ObjectKind, SymbolSampler};
+use drv_core::SymbolSampler;
+use drv_lang::{Language, ObjectKind};
 use drv_spec::{Counter, Register};
 use std::sync::Arc;
 

@@ -12,7 +12,8 @@ use drv_consistency::languages::{lin_reg, sec_count, wec_count};
 use drv_core::decidability::{Decider, Notion};
 use drv_core::monitors::{PredictiveFamily, SecCountFamily, WecCountFamily};
 use drv_core::runtime::{run, RunConfig, Schedule};
-use drv_lang::{Language, ObjectKind, SymbolSampler};
+use drv_core::SymbolSampler;
+use drv_lang::{Language, ObjectKind};
 use drv_spec::{Counter, Register};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
