@@ -164,11 +164,10 @@ use drv_lang::wire::{
     put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
 };
 use drv_lang::{
-    Action, CodecError, EventAction, EventRecord, Interner, Invocation, InvocationId, OpId,
+    hash, Action, CodecError, EventAction, EventRecord, Interner, Invocation, InvocationId, OpId,
     OpRecord, ProcId, ResponseId, SharedInterner, Symbol, Word,
 };
 use drv_spec::SequentialSpec;
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 /// 128-bit FNV-1a, fed through the standard `Hash` machinery so any
@@ -262,6 +261,11 @@ pub struct CheckerStats {
     /// invocation of the history produces (R4), counts here too, also the
     /// first time, and never in `dfs_runs`.
     pub latched: u64,
+    /// Checks answered Unknown: a search ran out of
+    /// [`CheckerConfig::max_states`], or a check repeated such an answer from
+    /// the cache.  Checkpoints do not carry it (their eight counter slots
+    /// are the fields above), so a restored checker counts from 0.
+    pub unknown: u64,
 }
 
 /// A witness-free verdict: what per-iteration callers (the Figure 8
@@ -928,7 +932,7 @@ impl<S: SequentialSpec> Core<S> {
         }
         let interner = arena.interner();
         let records = self.history.records();
-        let invoked: HashSet<InvocationId> = records.iter().map(|q| q.invocation).collect();
+        let invoked: hash::HashSet<InvocationId> = records.iter().map(|q| q.invocation).collect();
         for record in records {
             if let Some(needs) = self.producer_of(interner, record) {
                 if !interner.lookup_invocation(&needs).is_some_and(|id| invoked.contains(&id)) {
@@ -984,12 +988,17 @@ impl<S: SequentialSpec> Core<S> {
 
     fn check_outcome(&mut self, arena: &mut ArenaRead<'_>) -> CheckOutcome {
         self.stats.checks += 1;
-        if let Some(cached) = self.cached {
+        let outcome = if let Some(cached) = self.cached {
             self.stats.fast_path += 1;
-            return cached;
+            cached
+        } else {
+            let outcome = self.evaluate(arena);
+            self.cached = Some(outcome);
+            outcome
+        };
+        if outcome == CheckOutcome::Unknown {
+            self.stats.unknown += 1;
         }
-        let outcome = self.evaluate(arena);
-        self.cached = Some(outcome);
         outcome
     }
 
@@ -1615,6 +1624,7 @@ impl<S: SequentialSpec> Core<S> {
             dfs_nodes,
             rebuilds,
             latched,
+            unknown: 0,
         };
         Ok(())
     }

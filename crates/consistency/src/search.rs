@@ -26,7 +26,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// multiply spreads and `finish` brings down to the bits the table indexes
 /// by.  The keys are fingerprints computed by this crate, not bytes chosen
 /// by a client, and a node of the search is little more than one insert:
-/// the default hasher's flood resistance is not worth its cost here.
+/// no flood resistance is worth its cost here.
+///
+/// It stays apart from [`drv_lang::hash`], the keyed hasher of the maps the
+/// served path keys by client-chosen object ids and payloads.  That one
+/// draws a key per map so that colliding keys cannot be precomputed; this
+/// one needs no key, costs no per-table draw (the table is cleared and
+/// reused by every search on the thread), and hashes the same way in every
+/// process.
 #[derive(Default)]
 pub(crate) struct FoldHasher(u64);
 

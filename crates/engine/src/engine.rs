@@ -98,7 +98,8 @@ use crate::service::{SubmitError, SubscriptionShared, VerdictSubscription};
 use drv_consistency::CheckerStats;
 use drv_consistency::{ObjectMonitor, ObjectMonitorFactory};
 use drv_lang::{
-    EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Verdict, VerdictEvent, WorkerPanic,
+    hash, EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Verdict, VerdictEvent,
+    WorkerPanic,
 };
 use drv_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use parking_lot::{Condvar, Mutex};
@@ -239,6 +240,9 @@ struct EngineMetrics {
     checker_dfs_nodes: Counter,
     /// NOs answered without a search: final under LIN, standing under SC.
     checker_latched: Counter,
+    /// Checks answered Unknown (a `Verdict::Maybe(0)`): the search ran out of
+    /// its `max_states` budget.
+    checker_unknown: Counter,
     /// Coalesced verdict deliveries into subscriptions (one per flush of the
     /// delivery buffer — once it holds [`DELIVERY_CHUNK`] verdicts, and at
     /// the end of a claim — regardless of the subscriber count).
@@ -276,6 +280,7 @@ impl EngineMetrics {
             checker_dfs_runs: reg.counter("engine_checker_dfs_runs"),
             checker_dfs_nodes: reg.counter("engine_checker_dfs_nodes"),
             checker_latched: reg.counter("engine_checker_latched"),
+            checker_unknown: reg.counter("engine_checker_unknown"),
             verdict_batches: reg.counter("engine_verdict_batches"),
             verdict_batch_events: reg.counter("engine_verdict_batch_events"),
             verdict_batch_len: reg.histogram("engine_verdict_batch_len"),
@@ -298,6 +303,7 @@ impl EngineMetrics {
         into.dfs_runs += now.dfs_runs.wrapping_sub(last.dfs_runs);
         into.dfs_nodes += now.dfs_nodes.wrapping_sub(last.dfs_nodes);
         into.latched += now.latched.wrapping_sub(last.latched);
+        into.unknown += now.unknown.wrapping_sub(last.unknown);
         slot.harvested = now;
     }
 
@@ -310,6 +316,7 @@ impl EngineMetrics {
         self.checker_dfs_runs.add(delta.dfs_runs);
         self.checker_dfs_nodes.add(delta.dfs_nodes);
         self.checker_latched.add(delta.latched);
+        self.checker_unknown.add(delta.unknown);
     }
 }
 
@@ -375,7 +382,7 @@ impl ShardQueue {
 
 #[derive(Default)]
 struct ShardState {
-    objects: HashMap<ObjectId, ObjectSlot>,
+    objects: hash::HashMap<ObjectId, ObjectSlot>,
 }
 
 #[derive(Default)]

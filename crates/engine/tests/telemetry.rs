@@ -10,7 +10,7 @@ use drv_core::{
     CheckerMonitorFactory, ObjectMonitor, ObjectMonitorFactory, RoutingMonitorFactory, Verdict,
 };
 use drv_engine::{sequential_reference, EngineConfig, MonitoringEngine};
-use drv_lang::{EventBatch, ObjectId, Symbol, VerdictBatch};
+use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, Symbol, VerdictBatch};
 use drv_spec::Register;
 use drv_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -108,6 +108,73 @@ fn instrumented_verdict_streams_are_bit_identical_to_sequential_reference() {
                 );
             }
             assert!(total_events > 0, "the soak must exercise real streams");
+        }
+    }
+}
+
+/// A register word whose last read returns an overwritten value: refuting
+/// it takes a search under either criterion.
+fn stale_read() -> Vec<Symbol> {
+    let (p0, p1) = (ProcId(0), ProcId(1));
+    vec![
+        Symbol::invoke(p0, Invocation::Write(7)),
+        Symbol::respond(p0, Response::Ack),
+        Symbol::invoke(p0, Invocation::Write(1)),
+        Symbol::respond(p0, Response::Ack),
+        Symbol::invoke(p1, Invocation::Read),
+        Symbol::respond(p1, Response::Value(7)),
+    ]
+}
+
+/// Every `Verdict::Maybe(0)` is an `engine_checker_unknown` count: a fleet
+/// whose checkers may explore one configuration per search, LIN and SC,
+/// half its objects opening with a stale read, at 1/2/4 workers × batch
+/// 1/256.  The counter is folded once per claim with the other checker
+/// counters, so it is complete once `finish` has returned.
+#[test]
+fn every_unknown_verdict_is_counted_in_the_registry() {
+    let lin = Arc::new(
+        CheckerMonitorFactory::linearizability(Register::new(), PROCESSES).with_max_states(1),
+    ) as Arc<dyn ObjectMonitorFactory>;
+    let sc = Arc::new(
+        CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES)
+            .with_max_states(1),
+    ) as Arc<dyn ObjectMonitorFactory>;
+    let factory = Arc::new(RoutingMonitorFactory::new("starved LIN/SC", move |object: ObjectId| {
+        Arc::clone(if object.0 % 4 < 2 { &lin } else { &sc })
+    })) as Arc<dyn ObjectMonitorFactory>;
+    let mut rng = StdRng::seed_from_u64(0x5eed_0007);
+    let per_object = (0..16)
+        .map(|object| {
+            let mut stream = if object % 2 == 1 { stale_read() } else { Vec::new() };
+            stream.extend(register_object_stream(&mut rng, 12, &RegisterStreamShape::load()));
+            (ObjectId(object), stream)
+        })
+        .collect();
+    let events = merge_random(&mut rng, per_object);
+    for workers in [1usize, 2, 4] {
+        for batch in [1usize, 256] {
+            let tel = Telemetry::new();
+            let engine = MonitoringEngine::with_telemetry(
+                EngineConfig::new(workers),
+                Arc::clone(&factory),
+                Arc::clone(&tel),
+            );
+            engine.submit_stream(&events, batch);
+            let report = engine.finish().expect("no worker panicked");
+            let verdicts: Vec<Verdict> =
+                report.objects.values().flat_map(|object| object.verdicts.clone()).collect();
+            let maybes = verdicts.iter().filter(|&&verdict| verdict == Verdict::Maybe(0)).count();
+            assert!(
+                maybes >= 50 && verdicts.contains(&Verdict::Yes),
+                "the fleet must answer both Unknown and YES: {maybes} Unknown of {}",
+                verdicts.len()
+            );
+            assert_eq!(
+                tel.snapshot().counter("engine_checker_unknown"),
+                Some(maybes as u64),
+                "{workers} workers, batch {batch}"
+            );
         }
     }
 }

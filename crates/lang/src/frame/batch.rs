@@ -132,7 +132,9 @@ impl FrameEncoder {
 }
 
 /// Decodes a batch payload, interning each dictionary entry once into
-/// `arena` (the arena-interning rule of the module docs).  The structural
+/// `arena` (the arena-interning rule of the module docs), both dictionaries
+/// under one read lock and, if some entry is new, one write lock
+/// ([`SharedInterner::intern_dictionaries`]).  The structural
 /// caps — row count vs `max_rows`, dictionary entries vs rows — are
 /// enforced **before** the first intern, so a refused frame leaves the
 /// (append-only) arena untouched.
@@ -216,10 +218,7 @@ pub(super) fn decode_batch(
         }
         reader.take(len, "trace context")?;
     }
-    let inv_ids: Vec<InvocationId> =
-        invocations.iter().map(|invocation| arena.invocation(invocation)).collect();
-    let resp_ids: Vec<ResponseId> =
-        responses.iter().map(|response| arena.response(response)).collect();
+    let (inv_ids, resp_ids) = arena.intern_dictionaries(&invocations, &responses);
     let mut events = EventBatch::with_capacity(rows);
     for chunk in row_bytes.chunks_exact(17) {
         let object = ObjectId(u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes")));

@@ -26,10 +26,22 @@
 //! for the arena's lifetime and evicting an object does not return the
 //! payloads it brought, in exchange for one copy of each payload per fleet
 //! instead of one per object.
+//!
+//! ## One lock per frame
+//!
+//! A decoded batch frame interns its two dictionaries through
+//! [`SharedInterner::intern_dictionaries`]: every entry is probed under one
+//! read guard, and the misses, if any, are interned under one write lock in
+//! dictionary order, so the ids are those that interning entry by entry
+//! would give.  A miss is hashed twice in all, once by the probe and once by
+//! the insertion ([`Interner::invocation`] goes through the map's entry API).
+//! The maps hash with [`crate::hash`]'s keyed fold: their keys are payloads a
+//! client chose.
 
+use crate::hash::HashMap;
 use crate::operation::OpId;
 use crate::symbol::{Invocation, ProcId, Response};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Dense arena id of an interned [`Invocation`].
@@ -58,7 +70,9 @@ impl fmt::Display for ResponseId {
 /// [`Invocation::Custom`] / [`Response::Custom`] and the record sequences
 /// inside [`Response::Sequence`]) is cloned and hashed exactly once, on first
 /// sight; every later occurrence costs one hash-map probe and yields a `Copy`
-/// id.
+/// id.  Interning itself hashes once, and clones the payload for the map's
+/// key before it knows whether the payload is new: it is the write half of
+/// [`SharedInterner`], whose callers probe first.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     invocations: Vec<Invocation>,
@@ -76,24 +90,28 @@ impl Interner {
 
     /// Interns an invocation, returning its id (stable across repeats).
     pub fn invocation(&mut self, invocation: &Invocation) -> InvocationId {
-        if let Some(id) = self.invocation_ids.get(invocation) {
-            return *id;
+        match self.invocation_ids.entry(invocation.clone()) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let id = InvocationId(
+                    u32::try_from(self.invocations.len()).expect("< 2^32 invocations"),
+                );
+                self.invocations.push(invocation.clone());
+                *entry.insert(id)
+            }
         }
-        let id = InvocationId(u32::try_from(self.invocations.len()).expect("< 2^32 invocations"));
-        self.invocations.push(invocation.clone());
-        self.invocation_ids.insert(invocation.clone(), id);
-        id
     }
 
     /// Interns a response, returning its id (stable across repeats).
     pub fn response(&mut self, response: &Response) -> ResponseId {
-        if let Some(id) = self.response_ids.get(response) {
-            return *id;
+        match self.response_ids.entry(response.clone()) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let id = ResponseId(u32::try_from(self.responses.len()).expect("< 2^32 responses"));
+                self.responses.push(response.clone());
+                *entry.insert(id)
+            }
         }
-        let id = ResponseId(u32::try_from(self.responses.len()).expect("< 2^32 responses"));
-        self.responses.push(response.clone());
-        self.response_ids.insert(response.clone(), id);
-        id
     }
 
     /// The invocation behind an id.
@@ -184,6 +202,36 @@ impl SharedInterner {
             return id;
         }
         self.inner.write().response(response)
+    }
+
+    /// Interns a frame's dictionaries, returning their ids in entry order:
+    /// the ids interning the entries one by one would give, for one read
+    /// lock and, only if some entry is new, one write lock.
+    pub fn intern_dictionaries(
+        &self,
+        invocations: &[Invocation],
+        responses: &[Response],
+    ) -> (Vec<InvocationId>, Vec<ResponseId>) {
+        let (mut inv_ids, mut resp_ids): (Vec<_>, Vec<_>) = {
+            let arena = self.inner.read();
+            (
+                invocations.iter().map(|entry| arena.lookup_invocation(entry)).collect(),
+                responses.iter().map(|entry| arena.lookup_response(entry)).collect(),
+            )
+        };
+        if inv_ids.contains(&None) || resp_ids.contains(&None) {
+            let mut arena = self.inner.write();
+            for (id, entry) in inv_ids.iter_mut().zip(invocations) {
+                id.get_or_insert_with(|| arena.invocation(entry));
+            }
+            for (id, entry) in resp_ids.iter_mut().zip(responses) {
+                id.get_or_insert_with(|| arena.response(entry));
+            }
+        }
+        (
+            inv_ids.into_iter().map(|id| id.expect("interned above")).collect(),
+            resp_ids.into_iter().map(|id| id.expect("interned above")).collect(),
+        )
     }
 
     /// The arena lengths `(invocations, responses)`: how many distinct

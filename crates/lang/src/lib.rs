@@ -27,6 +27,8 @@
 //!   [`Response`] payloads (the dictionary entries of batch frames),
 //! * [`frame`] — the CRC-checked frame codec that `drv-net` speaks over
 //!   sockets and `drv-store` writes as its journal,
+//! * [`hash`] — the keyed hasher of every map the served path keys by
+//!   object ids or payloads,
 //! * [`Verdict`] — the value a monitor reports (Figure 1, line 06), and
 //!   [`WorkerPanic`], the attributed death of a worker thread: the two items
 //!   the served pipeline and the paper's simulator both speak; and
@@ -53,6 +55,7 @@
 pub mod alphabet;
 pub mod batch;
 pub mod frame;
+pub mod hash;
 pub mod intern;
 pub mod language;
 pub mod operation;

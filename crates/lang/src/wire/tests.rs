@@ -2,7 +2,9 @@
 
 use super::*;
 use crate::frame::*;
-use crate::{EventBatch, ObjectId, ProcId, SharedInterner, Symbol, Verdict, VerdictEvent};
+use crate::{
+    EventAction, EventBatch, ObjectId, ProcId, SharedInterner, Symbol, Verdict, VerdictEvent,
+};
 use drv_telemetry::Snapshot;
 
 fn invocations() -> Vec<Invocation> {
@@ -464,6 +466,92 @@ fn a_process_id_past_the_cap_is_refused_before_interning() {
         FrameEncoder::new().encode_batch(0, &batch, &arena)
     }));
     assert!(encoded.is_err(), "the encoder must refuse a process past the cap");
+}
+
+/// An arena that has seen some of [`mixed_batch`]'s payloads, `Custom`
+/// strings among them.
+fn seeded_arena() -> SharedInterner {
+    let arena = SharedInterner::new();
+    arena.invocation(&Invocation::Custom("cas".into(), 3));
+    arena.invocation(&Invocation::Write(1));
+    arena.response(&Response::Custom("cas".into(), 1));
+    arena.response(&Response::Ack);
+    arena
+}
+
+/// Rows whose payloads the seeded arena has seen, interleaved with
+/// first-sight ones (one repeated), `Custom` strings on both sides.
+fn mixed_batch(arena: &SharedInterner) -> EventBatch {
+    let (p0, p1) = (ProcId(0), ProcId(1));
+    let symbols = [
+        Symbol::invoke(p0, Invocation::Custom("swap".into(), 2)),
+        Symbol::invoke(p1, Invocation::Write(1)),
+        Symbol::respond(p0, Response::Custom("swapped".into(), 2)),
+        Symbol::respond(p1, Response::Ack),
+        Symbol::invoke(p0, Invocation::Custom("cas".into(), 3)),
+        Symbol::invoke(p1, Invocation::Read),
+        Symbol::respond(p0, Response::Custom("cas".into(), 1)),
+        Symbol::respond(p1, Response::Sequence(vec![4, 5])),
+        Symbol::invoke(p0, Invocation::Custom("swap".into(), 2)),
+        Symbol::respond(p0, Response::Custom("swapped".into(), 2)),
+    ];
+    let mut batch = EventBatch::new();
+    for (row, symbol) in symbols.iter().enumerate() {
+        batch.push_symbol(ObjectId(row as u64 % 3), symbol, arena);
+    }
+    batch
+}
+
+#[test]
+fn a_frame_interns_its_dictionaries_as_entry_by_entry_interning_would() {
+    let sender = SharedInterner::new();
+    let batch = mixed_batch(&sender);
+    let frame = FrameEncoder::new().encode_batch(5, &batch, &sender);
+    let decoded_into = seeded_arena();
+    let Ok((Frame::Batch(decoded), _)) = decode_frame(&frame, &decoded_into) else {
+        panic!("a valid frame");
+    };
+    // The reference interns the rows' payloads one at a time, in row order:
+    // the dictionaries list them in first use, so this is entry by entry.
+    let one_by_one = seeded_arena();
+    let expected: Vec<EventAction> = batch
+        .iter()
+        .map(|record| EventAction::intern(&record.resolve(&sender.read()).action, &one_by_one))
+        .collect();
+    assert_eq!(decoded.events.actions(), &expected[..]);
+    assert_eq!(decoded.events.objects(), batch.objects());
+    assert_eq!(decoded_into.versions(), one_by_one.versions());
+    // Four invocations and four responses, two of each already known.
+    assert_eq!(decoded_into.versions(), (4, 4));
+    // A second decode is all hits: the same ids, nothing new.
+    let Ok((Frame::Batch(again), _)) = decode_frame(&frame, &decoded_into) else {
+        panic!("a valid frame");
+    };
+    assert_eq!(again.events, decoded.events);
+    assert_eq!(decoded_into.versions(), (4, 4));
+}
+
+#[test]
+fn a_frame_refused_after_its_dictionaries_leaves_a_used_arena_as_it_was() {
+    let sender = SharedInterner::new();
+    let batch = mixed_batch(&sender);
+    let frame = FrameEncoder::new().encode_batch(6, &batch, &sender);
+    let arena = seeded_arena();
+    let before = arena.versions();
+    // A bad row: the last dictionary index points past its dictionary.
+    let mut bad = frame.clone();
+    let len = bad.len();
+    bad[len - 4..].copy_from_slice(&200u32.to_le_bytes());
+    let crc = crc32(&bad[HEADER_LEN..]);
+    bad[12..16].copy_from_slice(&crc.to_le_bytes());
+    assert!(matches!(decode_frame(&bad, &arena), Err(WireError::BadDictIndex { .. })));
+    assert_eq!(arena.versions(), before, "a bad row must refuse before interning");
+    // More rows than the remaining credit.
+    assert_eq!(
+        decode_frame_capped(&frame, &arena, 9),
+        Err(WireError::TooManyRows { batch_id: 6, rows: 10, limit: 9 })
+    );
+    assert_eq!(arena.versions(), before, "a capped frame must refuse before interning");
 }
 
 #[test]

@@ -22,10 +22,11 @@ use crate::wire::{
     FrameAssembler, NackReason, WireError,
 };
 use drv_engine::SubmitError;
+use drv_lang::hash::{HashMap, HashSet};
 use drv_lang::{EventBatch, ObjectId, SharedInterner};
 use drv_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -136,7 +137,7 @@ impl Env {
             interner,
             m: NetMetrics::register(&tel),
             tel,
-            owners: Mutex::new(HashMap::new()),
+            owners: Mutex::new(HashMap::default()),
         }
     }
 }
@@ -305,7 +306,7 @@ impl ConnCore {
             parked: None,
             stalled: false,
             held: false,
-            known: HashSet::new(),
+            known: HashSet::default(),
             draining: false,
             shutdown_queued: false,
             write_buf: Vec::new(),
@@ -525,14 +526,15 @@ impl ConnCore {
     /// the very first verdict — counts it consumed, and hands it to the
     /// shell.
     fn admit(&mut self, events: EventBatch, actions: &mut Actions) {
-        // Deduplicated against the connection-local `known` set first: the
-        // owners lock is taken only when the batch introduces objects.
+        // Deduplicated against the connection-local `known` set first, one
+        // probe per run of the object's events: the owners lock is taken
+        // only when the batch introduces objects.
         let mut owners = None;
-        for object in events.objects() {
-            if self.known.insert(*object) {
+        for (object, _) in events.runs() {
+            if self.known.insert(object) {
                 owners
                     .get_or_insert_with(|| self.env.owners.lock())
-                    .entry(*object)
+                    .entry(object)
                     .or_insert_with(|| Arc::clone(&self.out));
             }
         }

@@ -9,7 +9,8 @@
 use crate::conn::{Env, Outbound, Push};
 use crate::wire::{encode_credit, encode_verdict_batch};
 use drv_lang::{ObjectId, Verdict, VerdictBatch, VerdictEvent};
-use std::collections::{HashMap, VecDeque};
+use drv_lang::hash::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,7 +72,7 @@ impl RouterCore {
     pub(crate) fn new(env: Arc<Env>) -> RouterCore {
         RouterCore {
             env,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             window_ends: None,
             scratch: Vec::new(),
             touched: Vec::new(),
@@ -294,7 +295,7 @@ mod tests {
         let mut exit = core.open_window(held, now);
         loop {
             if let Some(exit) = exit {
-                core.on_verdicts(&VerdictBatch::new(), &HashMap::new(), exit);
+                core.on_verdicts(&VerdictBatch::new(), &HashMap::default(), exit);
                 return (exit, held);
             }
             now += step;
@@ -342,7 +343,7 @@ mod tests {
         let env = env(ServerConfig::new());
         let mut core = RouterCore::new(Arc::clone(&env));
         let now = Instant::now();
-        let mut owners = HashMap::new();
+        let mut owners = HashMap::default();
         for id in 0..CYCLES {
             let out = Arc::new(Outbound::new(id, &env));
             out.consume(2);
@@ -371,7 +372,7 @@ mod tests {
         let mut core = RouterCore::new(Arc::clone(&env));
         let out = Arc::new(Outbound::new(7, &env));
         out.consume(5);
-        let owners = HashMap::from([(ObjectId(1), Arc::clone(&out))]);
+        let owners: HashMap<_, _> = [(ObjectId(1), Arc::clone(&out))].into_iter().collect();
         core.on_verdicts(&verdicts(1, 0..5), &owners, Exit::Quiescent);
         let ms = Duration::from_millis;
         let t0 = Instant::now();

@@ -81,7 +81,7 @@ use drv_engine::{EngineConfig, EngineReport, MonitoringEngine, SubmitError, Verd
 use drv_lang::{EventBatch, Verdict, VerdictBatch, WorkerPanic};
 use drv_telemetry::Telemetry;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use drv_lang::hash::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -293,8 +293,8 @@ impl Reactor {
             poller,
             listener,
             wake_rx,
-            conns: HashMap::new(),
-            parked: HashSet::new(),
+            conns: HashMap::default(),
+            parked: HashSet::default(),
             ready: Vec::new(),
             scratch: vec![0u8; READ_CHUNK],
             next_conn: 0,

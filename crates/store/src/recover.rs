@@ -48,10 +48,10 @@ use crate::error::StoreError;
 use crate::journal::{CheckpointRecord, JournalRecord, Store, StoreConfig};
 use drv_consistency::ObjectMonitorFactory;
 use drv_engine::{EngineConfig, MonitoringEngine, RecoveredObject};
+use drv_lang::hash::{HashMap, HashSet};
 use drv_lang::{EventBatch, ObjectId, SharedInterner};
 use drv_net::{MonitorServer, ServerConfig};
 use drv_telemetry::Telemetry;
-use std::collections::{HashMap, HashSet};
 use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::sync::Arc;
@@ -143,15 +143,15 @@ pub fn recover_with(
 
     // Pass 1 — chain selection over the scanned records; the batches and
     // evictions are kept, in file order, for replay.
-    let mut seen: HashMap<ObjectId, u64> = HashMap::new();
-    let mut chains: HashMap<ObjectId, Vec<CheckpointRecord>> = HashMap::new();
-    let mut dead: HashSet<ObjectId> = HashSet::new();
+    let mut seen: HashMap<ObjectId, u64> = HashMap::default();
+    let mut chains: HashMap<ObjectId, Vec<CheckpointRecord>> = HashMap::default();
+    let mut dead: HashSet<ObjectId> = HashSet::default();
     let mut replay = Vec::with_capacity(scan.records.len());
     for record in scan.records {
         match record {
             JournalRecord::Batch(batch) => {
-                for &object in batch.objects() {
-                    *seen.entry(object).or_insert(0) += 1;
+                for (object, run) in batch.runs() {
+                    *seen.entry(object).or_insert(0) += run.len() as u64;
                 }
                 replay.push(JournalRecord::Batch(batch));
             }
@@ -182,7 +182,7 @@ pub fn recover_with(
     let mut recovered: Vec<RecoveredObject> = Vec::with_capacity(chains.len());
     // Per seeded object, how many of its journaled events the chain still
     // covers as replay walks the batches.
-    let mut covered: HashMap<ObjectId, u64> = HashMap::new();
+    let mut covered: HashMap<ObjectId, u64> = HashMap::default();
     for (object, chain) in chains {
         let Some(fed) = chain.last().map(|last| last.fed) else {
             continue;
