@@ -878,7 +878,7 @@ impl<S: SequentialSpec> Core<S> {
                 // A producer, once invoked, no longer leaves an orphan (R4).
                 if !self.orphans.is_empty() {
                     let invocation = arena.interner().resolve_invocation(record.invocation);
-                    self.orphans.retain(|(_, needs)| needs != invocation);
+                    self.orphans.retain(|(_, needs)| *needs != *invocation);
                 }
                 // Only a pending mutator of a process that is not blocked can
                 // rescue a standing NO (R2, R3): the next check searches
@@ -946,8 +946,8 @@ impl<S: SequentialSpec> Core<S> {
     /// one ([`SequentialSpec::producer`]).
     fn producer_of(&self, interner: &Interner, record: &OpRecord) -> Option<Invocation> {
         self.spec.producer(
-            interner.resolve_invocation(record.invocation),
-            interner.resolve_response(record.response?),
+            &interner.resolve_invocation(record.invocation),
+            &interner.resolve_response(record.response?),
         )
     }
 
@@ -971,7 +971,7 @@ impl<S: SequentialSpec> Core<S> {
                             order: witness
                                 .order
                                 .iter()
-                                .map(|(id, resp)| (*id, interner.resolve_response(*resp).clone()))
+                                .map(|(id, resp)| (*id, interner.resolve_response(*resp).into_owned()))
                                 .collect(),
                         }
                     }
@@ -1016,10 +1016,10 @@ impl<S: SequentialSpec> Core<S> {
                 symbol.proc == proc
                     && match (&symbol.action, action) {
                         (Action::Invoke(invocation), EventAction::Invoke(id)) => {
-                            interner.resolve_invocation(id) == invocation
+                            *interner.resolve_invocation(id) == *invocation
                         }
                         (Action::Respond(response), EventAction::Respond(id)) => {
-                            interner.resolve_response(id) == response
+                            *interner.resolve_response(id) == *response
                         }
                         _ => false,
                     }
@@ -1137,8 +1137,8 @@ impl<S: SequentialSpec> Core<S> {
             let interner = arena.interner();
             let Some(state) = self.spec.step_if_legal(
                 &witness.states[i],
-                interner.resolve_invocation(record.invocation),
-                interner.resolve_response(observed),
+                &interner.resolve_invocation(record.invocation),
+                &interner.resolve_response(observed),
             ) else {
                 continue;
             };
@@ -1169,14 +1169,14 @@ impl<S: SequentialSpec> Core<S> {
             let interner = arena.interner();
             let Some((mid_state, q_response)) = self.spec.apply(
                 &witness.states[m],
-                interner.resolve_invocation(q_record.invocation),
+                &interner.resolve_invocation(q_record.invocation),
             ) else {
                 continue;
             };
             let Some(final_state) = self.spec.step_if_legal(
                 &mid_state,
-                interner.resolve_invocation(record.invocation),
-                interner.resolve_response(observed),
+                &interner.resolve_invocation(record.invocation),
+                &interner.resolve_response(observed),
             ) else {
                 continue;
             };
@@ -1207,8 +1207,8 @@ impl<S: SequentialSpec> Core<S> {
             let q = self.history.record(*id);
             let next = self.spec.step_if_legal(
                 states.last().unwrap_or(start),
-                interner.resolve_invocation(q.invocation),
-                interner.resolve_response(*resp),
+                &interner.resolve_invocation(q.invocation),
+                &interner.resolve_response(*resp),
             )?;
             states.push(next);
         }
@@ -1337,8 +1337,8 @@ impl<S: SequentialSpec> Core<S> {
                 .spec
                 .step_if_legal(
                     witness.states.last().expect("the path starts at the initial state"),
-                    interner.resolve_invocation(q.invocation),
-                    interner.resolve_response(resp),
+                    &interner.resolve_invocation(q.invocation),
+                    &interner.resolve_response(resp),
                 )
                 .ok_or(witness.order.len())?;
             witness.push((id, resp), next);
@@ -1397,11 +1397,11 @@ impl<S: SequentialSpec> Core<S> {
             match action {
                 EventAction::Invoke(id) => {
                     buf.push(1);
-                    put_invocation(&mut buf, interner.resolve_invocation(id));
+                    put_invocation(&mut buf, &interner.resolve_invocation(id));
                 }
                 EventAction::Respond(id) => {
                     buf.push(2);
-                    put_response(&mut buf, interner.resolve_response(id));
+                    put_response(&mut buf, &interner.resolve_response(id));
                 }
             }
         }
@@ -1413,7 +1413,7 @@ impl<S: SequentialSpec> Core<S> {
                     let record = self.history.record(*id);
                     put_u32(&mut buf, record.proc.0 as u32);
                     put_u32(&mut buf, record.local_index);
-                    put_response(&mut buf, interner.resolve_response(*resp));
+                    put_response(&mut buf, &interner.resolve_response(*resp));
                 }
             }
             // While a witness is alive the frontier is its order; only the
@@ -2065,6 +2065,75 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_checker_and_its_restore_give_a_scalar_payload_its_inline_id() {
+        use drv_lang::INLINE_VALUE_LIMIT;
+        // Every scalar variant at the inline boundary, one operation each,
+        // and two payloads that always take a slot.
+        let mut word = WordBuilder::new();
+        for value in [0, 1, INLINE_VALUE_LIMIT - 1, INLINE_VALUE_LIMIT, u64::MAX] {
+            word = word
+                .op(p(0), Invocation::Write(value), Response::Ack)
+                .op(p(1), Invocation::Read, Response::Value(value))
+                .op(p(0), Invocation::Enqueue(value), Response::MaybeValue(None))
+                .op(p(1), Invocation::Dequeue, Response::MaybeValue(Some(value)))
+                .op(p(0), Invocation::Push(value), Response::Ack)
+                .op(p(1), Invocation::Pop, Response::Ack);
+        }
+        let word = word
+            .op(p(0), Invocation::Inc, Response::Ack)
+            .op(p(1), Invocation::Get, Response::Sequence(vec![1]))
+            .op(p(0), Invocation::Custom("cas".into(), 1), Response::Custom("ok".into(), 0))
+            .build();
+        let mut reference = Interner::new();
+        for config in [CheckerConfig::linearizability(), CheckerConfig::sequential_consistency()] {
+            let mut fed = IncrementalChecker::new(Register::new(), config, 2);
+            fed.check_word(&word);
+            // Restored on an arena whose first slots hold something else.
+            let seeded = SharedInterner::new();
+            seeded.invocation(&Invocation::Custom("other".into(), 0));
+            seeded.response(&Response::Custom("other".into(), 0));
+            let mut restored = IncrementalChecker::with_arena(Register::new(), config, 2, seeded);
+            restored.restore_bytes(&fed.checkpoint_bytes()).expect("a checkpoint we wrote");
+            let (fed_records, restored_records) =
+                (fed.core.history.records(), restored.core.history.records());
+            assert_eq!(fed_records.len(), word.operations().len());
+            assert_eq!(restored_records.len(), fed_records.len());
+            for ((record, again), operation) in
+                fed_records.iter().zip(restored_records).zip(word.operations())
+            {
+                let (invocation, response) = (&operation.invocation, operation.response.as_ref());
+                let response = response.expect("every operation completes");
+                let inline = |value: u64| value < INLINE_VALUE_LIMIT;
+                let expect_inline = match invocation {
+                    Invocation::Write(v) | Invocation::Enqueue(v) | Invocation::Push(v) => {
+                        inline(*v)
+                    }
+                    Invocation::Custom(..) => false,
+                    _ => true,
+                };
+                assert_eq!(record.invocation.is_inline(), expect_inline, "{invocation}");
+                assert_eq!(record.invocation, reference.invocation(invocation), "{invocation}");
+                let id = record.response.expect("complete");
+                assert_eq!(id, reference.response(response), "{response}");
+                // The same inline ids on the other arena; slots resolve to
+                // the same payloads there.
+                assert_eq!(again.invocation == record.invocation, expect_inline, "{invocation}");
+                if id.is_inline() {
+                    assert_eq!(again.response, Some(id), "{response}");
+                }
+                let read = restored.arena.read();
+                assert_eq!(*read.resolve_invocation(again.invocation), *invocation);
+                assert_eq!(*read.resolve_response(again.response.expect("complete")), *response);
+            }
+            // Write, enqueue and push of the two values past the bound, and
+            // the `Custom` invocation; the two values as `Value` and as
+            // `MaybeValue`, the sequence and the `Custom` response.
+            assert_eq!(fed.arena.versions(), (7, 6));
+            assert_eq!(restored.arena.versions(), (8, 7));
         }
     }
 

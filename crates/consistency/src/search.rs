@@ -147,10 +147,10 @@ fn linearize<S: SequentialSpec>(
     let invocation = interner.resolve_invocation(op.invocation);
     match op.response {
         Some(observed) => spec
-            .step_if_legal(state, invocation, interner.resolve_response(observed))
+            .step_if_legal(state, &invocation, &interner.resolve_response(observed))
             .map(|next| (next, observed)),
         None => {
-            let (next, response) = spec.apply(state, invocation)?;
+            let (next, response) = spec.apply(state, &invocation)?;
             Some((next, arena.response(&response)))
         }
     }

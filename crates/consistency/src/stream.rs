@@ -329,7 +329,10 @@ impl From<CheckOutcome> for Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drv_lang::{Action, Invocation, ProcId, Response, Word, WordBuilder};
+    use drv_lang::{
+        Action, Invocation, InvocationId, ProcId, Response, ResponseId, Word, WordBuilder,
+        INLINE_VALUE_LIMIT,
+    };
     use drv_spec::Register;
 
     fn obj(i: u64) -> ObjectId {
@@ -454,27 +457,40 @@ mod tests {
         use std::collections::HashSet;
         let factory = CheckerMonitorFactory::linearizability(Register::new(), 2);
         let bystander = CheckerMonitorFactory::linearizability(Register::new(), 2);
-        // 40 operations over the same 10 values, on every one of 64 objects.
+        // 40 operations over the same 10 values, on every one of 64 objects;
+        // five of the values are past the inline bound, so their writes and
+        // reads take arena slots, and the other five, the read and the ack
+        // are inline ids.
         let mut word = Word::new();
         for i in 0..20u64 {
-            let value = i % 10 + 1;
+            let value = i % 10 + 1 + if i % 10 < 5 { 0 } else { INLINE_VALUE_LIMIT };
             word.op(ProcId(0), Invocation::Write(value), Response::Ack);
             word.op(ProcId(1), Invocation::Read, Response::Value(value));
         }
+        let scalar_only = CheckerMonitorFactory::linearizability(Register::new(), 2);
         for object in 0..64 {
-            let mut monitor = factory.create(obj(object));
-            let mut verdicts = Vec::new();
-            monitor.on_batch(word.symbols(), &mut verdicts);
-            assert!(verdicts.iter().all(|verdict| *verdict == Verdict::Yes));
+            for (factory, word) in [(&factory, &word), (&scalar_only, &word.prefix(20))] {
+                let mut monitor = factory.create(obj(object));
+                let mut verdicts = Vec::new();
+                monitor.on_batch(word.symbols(), &mut verdicts);
+                assert!(verdicts.iter().all(|verdict| *verdict == Verdict::Yes));
+            }
         }
+        assert_eq!(scalar_only.arena.versions(), (0, 0), "scalar payloads take no slot");
         let (mut invocations, mut responses) = (HashSet::new(), HashSet::new());
         for symbol in word.symbols() {
             match &symbol.action {
-                Action::Invoke(invocation) => invocations.insert(invocation.clone()),
-                Action::Respond(response) => responses.insert(response.clone()),
+                Action::Invoke(invocation) if InvocationId::inline(invocation).is_none() => {
+                    invocations.insert(invocation.clone())
+                }
+                Action::Respond(response) if ResponseId::inline(response).is_none() => {
+                    responses.insert(response.clone())
+                }
+                _ => false,
             };
         }
         let distinct = (invocations.len(), responses.len());
+        assert_eq!(distinct, (5, 5));
         assert_eq!(factory.arena.versions(), distinct, "once per factory, not per object");
         assert_eq!(factory.clone().arena.versions(), distinct, "a clone shares the arena");
         assert_eq!(bystander.arena.versions(), (0, 0), "factories do not share one");

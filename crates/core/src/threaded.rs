@@ -21,7 +21,7 @@ use drv_adversary::{Behavior, InvocationKey, TimedAdversary, TimedOp, View};
 use crate::alphabet::SymbolSampler;
 use drv_lang::{ObjectKind, ProcId, Word};
 pub use drv_lang::WorkerPanic;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -79,7 +79,9 @@ impl ThreadedConfig {
         self
     }
 
-    /// Stops picking mutator invocations after the given iteration.
+    /// Stops picking mutator invocations after the given iteration: every
+    /// process completes its iterations before it, then they all start the
+    /// observer-only ones together.
     #[must_use]
     pub fn stop_mutators_after(mut self, iteration: usize) -> Self {
         self.mutator_stop_after = Some(iteration);
@@ -96,6 +98,55 @@ struct EventLog {
     word: Word,
     events: Vec<(InvocationKey, bool)>,
     ops: Vec<TimedOp>,
+}
+
+/// The end of the mutator phase: every process passes it before its first
+/// observer-only iteration, so the last mutator of the run completes before
+/// any process starts the observer-only suffix.  A worker that panics breaks
+/// it and so releases the others.
+struct PhaseBarrier {
+    /// `(processes arrived, broken)`.
+    state: Mutex<(usize, bool)>,
+    opened: Condvar,
+    n: usize,
+}
+
+impl PhaseBarrier {
+    fn new(n: usize) -> Self {
+        PhaseBarrier {
+            state: Mutex::new((0, false)),
+            opened: Condvar::new(),
+            n,
+        }
+    }
+
+    /// Waits until all `n` processes arrived or one broke the barrier.
+    fn wait(&self) {
+        let mut state = self.state.lock();
+        state.0 += 1;
+        if state.0 == self.n {
+            self.opened.notify_all();
+        }
+        while state.0 < self.n && !state.1 {
+            self.opened.wait(&mut state);
+        }
+    }
+
+    fn break_open(&self) {
+        self.state.lock().1 = true;
+        self.opened.notify_all();
+    }
+}
+
+/// Breaks the barrier when dropped by a panicking worker.
+struct BreakOnPanic(Arc<PhaseBarrier>);
+
+impl Drop for BreakOnPanic {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.break_open();
+        }
+    }
 }
 
 /// Runs `family` against `behavior` on real OS threads.
@@ -152,6 +203,7 @@ pub fn try_run_threaded(
 
     let monitors = family.spawn(n);
     assert_eq!(monitors.len(), n, "family spawned the wrong number of monitors");
+    let phase = Arc::new(PhaseBarrier::new(n));
 
     let mut handles = Vec::with_capacity(n);
     for (pid, mut monitor) in monitors.into_iter().enumerate() {
@@ -163,10 +215,14 @@ pub fn try_run_threaded(
         let iterations = config.iterations;
         let mutator_stop_after = config.mutator_stop_after;
         let mode = config.mode;
+        let phase = BreakOnPanic(Arc::clone(&phase));
         handles.push(thread::spawn(move || {
             let proc = ProcId(pid);
             let mut verdicts = VerdictStream::new();
             for iteration in 0..iterations {
+                if mutator_stop_after == Some(iteration) {
+                    phase.0.wait();
+                }
                 // Figure 1, lines 01–02.
                 let invocation = {
                     let mut guard = adversary.lock();
@@ -415,21 +471,25 @@ mod tests {
 
         let config = ThreadedConfig::new(3, 5)
             .with_sampler(SymbolSampler::new(ObjectKind::Counter).with_mutator_ratio(0.4));
-        // Silence the worker's default panic-hook backtrace for this test.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = try_run_threaded(
-            &config,
-            &FaultyFamily,
-            Box::new(AtomicObject::new(Counter::new())),
-        );
-        std::panic::set_hook(hook);
-        let panic = result.expect_err("process 1 must panic");
-        assert_eq!(panic.worker, 1, "{panic}");
-        assert_eq!(panic.role, "monitor process");
-        assert!(panic.message.contains("injected fault"), "{panic}");
-        assert_eq!(panic.object, None);
-        assert!(panic.to_string().contains("monitor process 1"), "{panic}");
+        // The second run has the others wait at the end of the mutator
+        // phase, which process 1 never reaches: its panic releases them.
+        for config in [config.clone(), config.stop_mutators_after(4)] {
+            // Silence the worker's default panic-hook backtrace for this test.
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let result = try_run_threaded(
+                &config,
+                &FaultyFamily,
+                Box::new(AtomicObject::new(Counter::new())),
+            );
+            std::panic::set_hook(hook);
+            let panic = result.expect_err("process 1 must panic");
+            assert_eq!(panic.worker, 1, "{panic}");
+            assert_eq!(panic.role, "monitor process");
+            assert!(panic.message.contains("injected fault"), "{panic}");
+            assert_eq!(panic.object, None);
+            assert!(panic.to_string().contains("monitor process 1"), "{panic}");
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@ use drv_engine::{
     sequential_reference, EngineConfig, EventBatch, JournalSink, MonitoringEngine, SubmitError,
 };
 use drv_lang::{
-    Action, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, VerdictBatch,
+    Action, Invocation, InvocationId, ObjectId, ProcId, Response, ResponseId, SharedInterner,
+    Symbol, VerdictBatch, INLINE_VALUE_LIMIT,
 };
 use drv_spec::{Register, SequentialSpec};
 use std::borrow::Cow;
@@ -648,14 +649,29 @@ fn assert_matches_reference(
 #[test]
 fn an_engine_stores_each_payload_once_for_its_whole_fleet() {
     let (lin, sc, fleet) = mixed_fleet(Register::new());
+    // Objects 8..16 write and read values past the inline bound, which take
+    // arena slots; the values of objects 0..8, the read and the ack are
+    // inline ids.
+    let big = |value: u64| value + INLINE_VALUE_LIMIT;
     let mut events = round_robin(16, 40);
+    for (object, symbol) in &mut events {
+        symbol.action = match &symbol.action {
+            Action::Invoke(Invocation::Write(value)) if object.0 >= 8 => {
+                Action::Invoke(Invocation::Write(big(*value)))
+            }
+            Action::Respond(Response::Value(value)) if object.0 >= 8 => {
+                Action::Respond(Response::Value(big(*value)))
+            }
+            action => action.clone(),
+        };
+    }
     // A stale read on an even and an odd object: both verdict polarities.
     for object in [ObjectId(16), ObjectId(17)] {
         events.extend([
-            (object, Symbol::invoke(ProcId(0), Invocation::Write(3))),
+            (object, Symbol::invoke(ProcId(0), Invocation::Write(big(3)))),
             (object, Symbol::respond(ProcId(0), Response::Ack)),
             (object, Symbol::invoke(ProcId(1), Invocation::Read)),
-            (object, Symbol::respond(ProcId(1), Response::Value(2))),
+            (object, Symbol::respond(ProcId(1), Response::Value(big(2)))),
         ]);
     }
     let engine = MonitoringEngine::new(EngineConfig::new(2), fleet);
@@ -667,17 +683,32 @@ fn an_engine_stores_each_payload_once_for_its_whole_fleet() {
     let (mut invocations, mut responses) = (HashSet::new(), HashSet::new());
     for (_, symbol) in &events {
         match &symbol.action {
-            Action::Invoke(invocation) => invocations.insert(invocation.clone()),
-            Action::Respond(response) => responses.insert(response.clone()),
+            Action::Invoke(invocation) if InvocationId::inline(invocation).is_none() => {
+                invocations.insert(invocation.clone())
+            }
+            Action::Respond(response) if ResponseId::inline(response).is_none() => {
+                responses.insert(response.clone())
+            }
+            _ => false,
         };
     }
-    assert_eq!(interned, (invocations.len(), responses.len()), "each payload once");
+    // Ten writes and ten read values past the bound, each once.
+    assert_eq!((invocations.len(), responses.len()), (10, 10));
+    assert_eq!(interned, (invocations.len(), responses.len()), "each arena payload once");
     assert_eq!(lin.arena().versions(), (0, 0), "LIN checkers keep the engine's ids");
     assert_eq!(sc.arena().versions(), (0, 0), "SC checkers keep the engine's ids");
     let (_, _, reference) = mixed_fleet(Register::new());
     let expected = sequential_reference(reference.as_ref(), &events);
     assert!(expected.values().flatten().any(|verdict| *verdict == Verdict::No));
     assert_matches_reference(&report, &expected, "one arena");
+
+    // A fleet fed scalar payloads only leaves its engine's arena empty.
+    let (_, _, fleet) = mixed_fleet(Register::new());
+    let engine = MonitoringEngine::new(EngineConfig::new(2), fleet);
+    engine.submit_stream(&round_robin(8, 40), 256);
+    engine.wait_drained();
+    assert_eq!(engine.interner().versions(), (0, 0), "scalar payloads take no slot");
+    engine.finish().expect("no panics");
 }
 
 /// LIN checkers that each intern into a private arena, as a checker built

@@ -66,8 +66,8 @@ impl EventAction {
     #[must_use]
     pub fn resolve(self, arena: &Interner) -> Action {
         match self {
-            EventAction::Invoke(id) => Action::Invoke(arena.resolve_invocation(id).clone()),
-            EventAction::Respond(id) => Action::Respond(arena.resolve_response(id).clone()),
+            EventAction::Invoke(id) => Action::Invoke(arena.resolve_invocation(id).into_owned()),
+            EventAction::Respond(id) => Action::Respond(arena.resolve_response(id).into_owned()),
         }
     }
 }

@@ -26,16 +26,65 @@ pub struct WireBatch {
     pub events: EventBatch,
 }
 
-/// A reusable batch-frame encoder: keeps the dictionary maps warm across
-/// frames.  Dictionary lookups are dense `Vec`s indexed by the arena id
-/// (epoch-stamped so `clear` is O(1)), not hash maps — the per-row cost is
-/// an array index.
+/// A reusable batch-frame encoder: keeps the dictionary tables warm across
+/// frames.  An arena-slot id finds its dictionary index in a dense `Vec`
+/// indexed by the slot, an inline id (the payload itself, see
+/// [`crate::intern`]) in an open-addressing table; both are epoch-stamped so
+/// starting a frame is O(1), not hash maps keyed by payloads.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
-    /// `inv_dict[id] = (epoch, dict index)`; valid when epoch matches.
+    /// `inv_dict[slot] = (epoch, dict index)`; valid when epoch matches.
     inv_dict: Vec<(u64, u32)>,
     resp_dict: Vec<(u64, u32)>,
+    inv_inline: InlineDict,
+    resp_inline: InlineDict,
+    /// Each row's dictionary index, numbered by pass 1 for pass 2.
+    row_index: Vec<u32>,
     epoch: u64,
+}
+
+/// One frame's inline ids and their dictionary indices: linear probing over
+/// a power-of-two table at most half full, entries valid in their epoch.
+#[derive(Debug, Default)]
+struct InlineDict {
+    /// `(id, (epoch, dict index))`.
+    slots: Vec<(u32, (u64, u32))>,
+}
+
+impl InlineDict {
+    /// Makes room for `rows` distinct ids; call before a frame's first
+    /// [`InlineDict::entry`].  Growing drops nothing the frame needs: every
+    /// entry stamped before the frame began is stale.
+    fn reserve(&mut self, rows: usize) {
+        let slots = (2 * rows).next_power_of_two().max(16);
+        if self.slots.len() < slots {
+            self.slots = vec![(0, (0, 0)); slots];
+        }
+    }
+
+    /// The entry of `id` in frame `epoch`: its own slot, or the free slot it
+    /// takes (stamped with an older epoch).
+    fn entry(&mut self, id: u32, epoch: u64) -> &mut (u64, u32) {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the product's top bits, as many as the table
+        // has slots.
+        let bits = self.slots.len().trailing_zeros();
+        let mut slot = (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        while self.slots[slot].1 .0 == epoch && self.slots[slot].0 != id {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot].0 = id;
+        &mut self.slots[slot].1
+    }
+}
+
+/// The entry of arena slot `slot` in a dense dictionary table.
+fn slot_entry(dict: &mut Vec<(u64, u32)>, slot: u32) -> &mut (u64, u32) {
+    let slot = slot as usize;
+    if dict.len() <= slot {
+        dict.resize(slot + 1, (0, 0));
+    }
+    &mut dict[slot]
 }
 
 impl FrameEncoder {
@@ -63,66 +112,85 @@ impl FrameEncoder {
     ) -> Vec<u8> {
         self.epoch += 1;
         let epoch = self.epoch;
-        // Pass 1 numbers the distinct payloads in first-use order: the
-        // dictionaries precede the rows in the payload, so pass 2 can then
-        // write every row straight into the frame.
+        self.inv_inline.reserve(batch.len());
+        self.resp_inline.reserve(batch.len());
+        self.row_index.clear();
+        // Pass 1 numbers the distinct payloads in first-use order and notes
+        // each row's number: the dictionaries precede the rows in the
+        // payload, so pass 2 can then write every row straight into the
+        // frame.
         let mut inv_payloads: Vec<InvocationId> = Vec::new();
         let mut resp_payloads: Vec<ResponseId> = Vec::new();
         for action in batch.actions() {
-            match *action {
+            let index = match *action {
                 EventAction::Invoke(id) => {
-                    let slot = id.0 as usize;
-                    if self.inv_dict.len() <= slot {
-                        self.inv_dict.resize(slot + 1, (0, 0));
-                    }
-                    let entry = &mut self.inv_dict[slot];
+                    let entry = if id.is_inline() {
+                        self.inv_inline.entry(id.0, epoch)
+                    } else {
+                        slot_entry(&mut self.inv_dict, id.0)
+                    };
                     if entry.0 != epoch {
                         *entry =
                             (epoch, u32::try_from(inv_payloads.len()).expect("dict fits u32"));
                         inv_payloads.push(id);
                     }
+                    entry.1
                 }
                 EventAction::Respond(id) => {
-                    let slot = id.0 as usize;
-                    if self.resp_dict.len() <= slot {
-                        self.resp_dict.resize(slot + 1, (0, 0));
-                    }
-                    let entry = &mut self.resp_dict[slot];
+                    let entry = if id.is_inline() {
+                        self.resp_inline.entry(id.0, epoch)
+                    } else {
+                        slot_entry(&mut self.resp_dict, id.0)
+                    };
                     if entry.0 != epoch {
                         *entry =
                             (epoch, u32::try_from(resp_payloads.len()).expect("dict fits u32"));
                         resp_payloads.push(id);
                     }
+                    entry.1
                 }
-            }
+            };
+            self.row_index.push(index);
         }
         // Dictionary entries are a few bytes each; the rows are exact.
         let dict_estimate = 8 + 16 * (inv_payloads.len() + resp_payloads.len());
         let mut frame = frame_buffer(12 + dict_estimate + batch.len() * 17);
         put_u64(&mut frame, batch_id);
         put_u32(&mut frame, u32::try_from(batch.len()).expect("< 2^32 events"));
-        let interner = arena.read();
+        // Only an arena slot needs the arena's lock.
+        let mut guard = None;
         put_u32(&mut frame, u32::try_from(inv_payloads.len()).expect("dict fits u32"));
         for id in &inv_payloads {
-            put_invocation(&mut frame, interner.resolve_invocation(*id));
+            match id.inline_payload() {
+                Some(payload) => put_invocation(&mut frame, &payload),
+                None => put_invocation(
+                    &mut frame,
+                    &guard.get_or_insert_with(|| arena.read()).resolve_invocation(*id),
+                ),
+            }
         }
         put_u32(&mut frame, u32::try_from(resp_payloads.len()).expect("dict fits u32"));
         for id in &resp_payloads {
-            put_response(&mut frame, interner.resolve_response(*id));
+            match id.inline_payload() {
+                Some(payload) => put_response(&mut frame, &payload),
+                None => put_response(
+                    &mut frame,
+                    &guard.get_or_insert_with(|| arena.read()).resolve_response(*id),
+                ),
+            }
         }
-        drop(interner);
+        drop(guard);
         frame.reserve(batch.len() * 17);
         let mut row = [0u8; 17];
-        for record in batch.iter() {
+        for (record, index) in batch.iter().zip(&self.row_index) {
             row[0..8].copy_from_slice(&record.object.0.to_le_bytes());
             let proc = record.proc.0;
             assert!(proc < MAX_PROCESSES as usize, "process id {proc} is not below MAX_PROCESSES");
             row[8..12].copy_from_slice(&(proc as u32).to_le_bytes());
-            let (tag, index) = match record.action {
-                EventAction::Invoke(id) => (0u8, self.inv_dict[id.0 as usize].1),
-                EventAction::Respond(id) => (1u8, self.resp_dict[id.0 as usize].1),
+            row[12] = match record.action {
+                EventAction::Invoke(_) => 0,
+                EventAction::Respond(_) => 1,
             };
-            row[12] = tag;
             row[13..17].copy_from_slice(&index.to_le_bytes());
             frame.extend_from_slice(&row);
         }

@@ -69,6 +69,7 @@ pub use alphabet::ObjectKind;
 pub use batch::{EventAction, EventBatch, EventRecord, VerdictBatch};
 pub use intern::{
     Interner, InternerReadGuard, InvocationId, OpRecord, ResponseId, SharedInterner,
+    INLINE_VALUE_LIMIT,
 };
 pub use language::{Complement, Intersection, Language, RunVerdict, Union};
 pub use operation::{operations, OpId, Operation, OperationSet, Ordering as OpOrdering};

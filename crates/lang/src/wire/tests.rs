@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::frame::*;
+use crate::intern::INLINE_VALUE_LIMIT;
 use crate::{
     EventAction, EventBatch, ObjectId, ProcId, SharedInterner, Symbol, Verdict, VerdictEvent,
 };
@@ -189,11 +190,15 @@ fn crc32_kernel_matches_the_bitwise_reference() {
 #[test]
 fn batch_frames_round_trip_across_arenas() {
     let sender = SharedInterner::new();
-    let batch = sample_batch(&sender);
+    let mut batch = sample_batch(&sender);
+    let cas = Symbol::invoke(ProcId(0), Invocation::Custom("cas".into(), 1));
+    let big = Symbol::respond(ProcId(1), Response::Value(INLINE_VALUE_LIMIT));
+    batch.push_symbol(ObjectId(9), &cas, &sender);
+    batch.push_symbol(ObjectId(9), &big, &sender);
     let frame = FrameEncoder::new().encode_batch(42, &batch, &sender);
     let receiver = SharedInterner::new();
-    // Pre-populate the receiver arena so ids differ from the sender's.
-    let _ = receiver.invocation(&Invocation::Inc);
+    // Pre-populate the receiver arena so slot ids differ from the sender's.
+    let _ = receiver.invocation(&Invocation::Custom("inc".into(), 0));
     let (decoded, consumed) = decode_frame(&frame, &receiver).expect("valid frame");
     assert_eq!(consumed, frame.len());
     let Frame::Batch(wire_batch) = decoded else { panic!("not a batch") };
@@ -207,11 +212,18 @@ fn batch_frames_round_trip_across_arenas() {
             "row {index}"
         );
         assert_eq!(wire_batch.events.get(index).object, batch.get(index).object);
+        // A scalar payload is the same id in both arenas.
+        if index < 5 {
+            assert_eq!(wire_batch.events.get(index).action, batch.get(index).action, "row {index}");
+        }
     }
-    // The dictionary interned each distinct payload once: 2 invocations
-    // (write 1, read), 2 responses (ack, value 1) — plus the pre-seeded
-    // Inc.
-    assert_eq!(receiver.versions(), (3, 2));
+    // The `Custom` invocation holds a different slot in each.
+    assert_ne!(wire_batch.events.get(5).action, batch.get(5).action);
+    // The dictionary interned each distinct arena payload once: the `Custom`
+    // invocation and the value past the inline bound — plus the pre-seeded
+    // invocation.  Write 1, read, ack and value 1 are inline.
+    assert_eq!(receiver.versions(), (2, 1));
+    assert_eq!(sender.versions(), (1, 1));
 }
 
 #[test]
@@ -436,7 +448,7 @@ fn a_process_id_past_the_cap_is_refused_before_interning() {
         put_u64(&mut frame, 3); // batch id
         put_u32(&mut frame, 1); // rows
         put_u32(&mut frame, 1); // invocation dict count
-        put_invocation(&mut frame, &Invocation::Write(5));
+        put_invocation(&mut frame, &Invocation::Write(INLINE_VALUE_LIMIT));
         put_u32(&mut frame, 0); // response dict count
         put_u64(&mut frame, 1); // object
         put_u32(&mut frame, proc);
@@ -473,19 +485,20 @@ fn a_process_id_past_the_cap_is_refused_before_interning() {
 fn seeded_arena() -> SharedInterner {
     let arena = SharedInterner::new();
     arena.invocation(&Invocation::Custom("cas".into(), 3));
-    arena.invocation(&Invocation::Write(1));
+    arena.invocation(&Invocation::Write(INLINE_VALUE_LIMIT));
     arena.response(&Response::Custom("cas".into(), 1));
     arena.response(&Response::Ack);
     arena
 }
 
 /// Rows whose payloads the seeded arena has seen, interleaved with
-/// first-sight ones (one repeated), `Custom` strings on both sides.
+/// first-sight ones (one repeated), `Custom` strings on both sides, and
+/// inline ones (the read and the ack).
 fn mixed_batch(arena: &SharedInterner) -> EventBatch {
     let (p0, p1) = (ProcId(0), ProcId(1));
     let symbols = [
         Symbol::invoke(p0, Invocation::Custom("swap".into(), 2)),
-        Symbol::invoke(p1, Invocation::Write(1)),
+        Symbol::invoke(p1, Invocation::Write(INLINE_VALUE_LIMIT)),
         Symbol::respond(p0, Response::Custom("swapped".into(), 2)),
         Symbol::respond(p1, Response::Ack),
         Symbol::invoke(p0, Invocation::Custom("cas".into(), 3)),
@@ -521,14 +534,31 @@ fn a_frame_interns_its_dictionaries_as_entry_by_entry_interning_would() {
     assert_eq!(decoded.events.actions(), &expected[..]);
     assert_eq!(decoded.events.objects(), batch.objects());
     assert_eq!(decoded_into.versions(), one_by_one.versions());
-    // Four invocations and four responses, two of each already known.
-    assert_eq!(decoded_into.versions(), (4, 4));
+    // Three invocations and three responses hold slots, two and one of
+    // them already known; the read and the ack are inline, seeded or not,
+    // and so the sender's ids.
+    assert_eq!(decoded_into.versions(), (3, 3));
+    let inline: Vec<bool> = decoded
+        .events
+        .actions()
+        .iter()
+        .map(|action| match action {
+            EventAction::Invoke(id) => id.is_inline(),
+            EventAction::Respond(id) => id.is_inline(),
+        })
+        .collect();
+    assert_eq!(inline, [false, false, false, true, false, true, false, false, false, false]);
+    for (row, inline) in inline.iter().enumerate() {
+        if *inline {
+            assert_eq!(decoded.events.get(row).action, batch.get(row).action, "row {row}");
+        }
+    }
     // A second decode is all hits: the same ids, nothing new.
     let Ok((Frame::Batch(again), _)) = decode_frame(&frame, &decoded_into) else {
         panic!("a valid frame");
     };
     assert_eq!(again.events, decoded.events);
-    assert_eq!(decoded_into.versions(), (4, 4));
+    assert_eq!(decoded_into.versions(), (3, 3));
 }
 
 #[test]
@@ -585,6 +615,85 @@ fn refused_frames_never_intern_regardless_of_where_they_fail() {
     let arena = SharedInterner::new();
     assert!(matches!(decode_frame(&bad, &arena), Err(WireError::BadDictIndex { .. })));
     assert_eq!(arena.versions(), (0, 0), "a bad row must refuse before interning");
+}
+
+/// Inline and arena payloads interleaved, each kind repeated, on three
+/// processes and two objects: the rows of [`INLINE_AND_ARENA_FRAME`].
+fn inline_and_arena_batch(arena: &SharedInterner) -> EventBatch {
+    let (p0, p1, p2) = (ProcId(0), ProcId(1), ProcId(2));
+    let big = INLINE_VALUE_LIMIT;
+    let symbols = [
+        Symbol::invoke(p0, Invocation::Write(7)),
+        Symbol::invoke(p1, Invocation::Write(big)),
+        Symbol::respond(p0, Response::Ack),
+        Symbol::invoke(p2, Invocation::Custom("cas".into(), 1)),
+        Symbol::respond(p1, Response::Ack),
+        Symbol::invoke(p0, Invocation::Read),
+        Symbol::respond(p2, Response::Custom("cas".into(), 0)),
+        Symbol::respond(p0, Response::Value(big)),
+        Symbol::invoke(p1, Invocation::Read),
+        Symbol::respond(p1, Response::Value(7)),
+        Symbol::invoke(p2, Invocation::Write(7)),
+        Symbol::invoke(p0, Invocation::Push(big - 1)),
+        Symbol::respond(p2, Response::Ack),
+        Symbol::respond(p0, Response::Ack),
+        Symbol::invoke(p1, Invocation::Pop),
+        Symbol::respond(p1, Response::MaybeValue(Some(big - 1))),
+        Symbol::invoke(p2, Invocation::Dequeue),
+        Symbol::respond(p2, Response::MaybeValue(None)),
+        Symbol::invoke(p0, Invocation::Write(big)),
+        Symbol::respond(p0, Response::Value(u64::MAX)),
+    ];
+    let mut batch = EventBatch::new();
+    for (row, symbol) in symbols.iter().enumerate() {
+        batch.push_symbol(ObjectId(row as u64 % 2), symbol, arena);
+    }
+    batch
+}
+
+/// [`inline_and_arena_batch`] as batch 42, hex, from an encoder that had
+/// already written one frame: the bytes the encoder wrote before scalar
+/// payloads were inline ids.
+const INLINE_AND_ARENA_FRAME: &str = concat!(
+    "4452564601010000cc010000baac62792a00000000000000140000000700000000070000000000000000000000200000",
+    "0000090300000063617301000000000000000107ffffff1f000000000806070000000005030000006361730000000000",
+    "00000001000000200000000001070000000000000003ffffff1f000000000401ffffffffffffffff0000000000000000",
+    "000000000000000000010000000000000001000000000100000000000000000000000000000001000000000100000000",
+    "000000020000000002000000000000000000000001000000010000000001000000000000000000000000030000000000",
+    "000000000000020000000101000000010000000000000000000000010200000000000000000000000100000000030000",
+    "000100000000000000010000000103000000000000000000000002000000000000000001000000000000000000000000",
+    "040000000000000000000000020000000100000000010000000000000000000000010000000000000000000000000100",
+    "000000050000000100000000000000010000000104000000000000000000000002000000000600000001000000000000",
+    "0002000000010500000000000000000000000000000000010000000100000000000000000000000106000000",
+);
+
+#[test]
+fn a_frame_of_inline_and_arena_payloads_is_written_byte_for_byte() {
+    let arena = SharedInterner::new();
+    arena.invocation(&Invocation::Custom("inc".into(), 0));
+    arena.response(&Response::Sequence(vec![1]));
+    let batch = inline_and_arena_batch(&arena);
+    let mut encoder = FrameEncoder::new();
+    let _ = encoder.encode_batch(1, &sample_batch(&arena), &arena);
+    let frame = encoder.encode_batch(0x2A, &batch, &arena);
+    let hex: String = frame.iter().map(|byte| format!("{byte:02x}")).collect();
+    assert_eq!(hex, INLINE_AND_ARENA_FRAME);
+    // It decodes to the same payloads, and re-encodes to itself.
+    let receiver = SharedInterner::new();
+    let Ok((Frame::Batch(decoded), _)) = decode_frame(&frame, &receiver) else {
+        panic!("a valid frame");
+    };
+    for row in 0..batch.len() {
+        assert_eq!(
+            decoded.events.get(row).resolve(&receiver.read()),
+            batch.get(row).resolve(&arena.read()),
+            "row {row}"
+        );
+    }
+    // Write(2^29) and the `Custom` invocation; the `Custom` response,
+    // Value(2^29) and Value(u64::MAX).
+    assert_eq!(receiver.versions(), (2, 3));
+    assert_eq!(FrameEncoder::new().encode_batch(0x2A, &decoded.events, &receiver), frame);
 }
 
 #[test]

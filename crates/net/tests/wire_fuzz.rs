@@ -11,7 +11,9 @@
 
 use drv_core::Verdict;
 use drv_engine::VerdictEvent;
-use drv_lang::{EventBatch, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
+use drv_lang::{
+    EventBatch, Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol, INLINE_VALUE_LIMIT,
+};
 use drv_net::wire::{
     decode_frame, encode_credit, encode_nack, encode_shutdown, encode_stats, encode_stats_request,
     encode_verdict_batch, seal_frame, Frame, FrameEncoder, FrameKind, NackReason, WireError,
@@ -300,7 +302,11 @@ fn trace_context_probes_are_typed_with_resealed_crc() {
     let arena = SharedInterner::new();
     let mut batch = EventBatch::new();
     for i in 0..6 {
-        batch.push_symbol(ObjectId(i % 2), &Symbol::invoke(ProcId(0), Invocation::Write(i)), &arena);
+        // Odd writes carry values past the inline bound: arena payloads, so
+        // that a refused frame that interned would show in `versions()`.
+        let value = i + (i % 2) * INLINE_VALUE_LIMIT;
+        let write = Symbol::invoke(ProcId(0), Invocation::Write(value));
+        batch.push_symbol(ObjectId(i % 2), &write, &arena);
         batch.push_symbol(ObjectId(i % 2), &Symbol::respond(ProcId(0), Response::Ack), &arena);
     }
     let plain = FrameEncoder::new().encode_batch(11, &batch, &arena);
@@ -343,6 +349,7 @@ fn trace_context_probes_are_typed_with_resealed_crc() {
     let receiver = SharedInterner::new();
     let (decoded, consumed) = decode_frame(&frame, &receiver).expect("the stamped frame decodes");
     assert_eq!(consumed, frame.len());
+    assert_eq!(receiver.versions(), (3, 0), "an accepted frame interns its arena payloads");
     let (unstamped, _) = decode_frame(&plain, &receiver).expect("the plain frame decodes");
     assert_eq!(
         decoded, unstamped,
