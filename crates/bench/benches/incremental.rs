@@ -21,7 +21,10 @@
 //! nobody wrote, which the engine refutes and holds without any search (R4
 //! in `incremental.rs`); in `sc-standing-no-stale` it returns a value its
 //! reader has already seen overwritten, which only a search refutes, and
-//! which a blocked process's write cannot rescue (R3).
+//! which a blocked process's write cannot rescue (R3).  Each row also times
+//! the incremental path alone on the same shape of stream 50 times longer
+//! (`long_incremental_ns_per_event`): holding a NO must not cost more per
+//! event as the history grows.
 //!
 //! The `many-objects` row is the engine's checker working set without the
 //! engine: 2 048 register objects of 150 operations each (the shape and size
@@ -53,7 +56,8 @@
 
 use drv_adversary::{register_object_stream, RegisterStreamShape};
 use drv_consistency::{
-    check_history, CheckOutcome, CheckerConfig, ConcurrentHistory, IncrementalChecker,
+    check_history, CheckOutcome, CheckerConfig, CheckerStats, ConcurrentHistory,
+    IncrementalChecker,
 };
 use drv_core::{CheckerObjectMonitor, ObjectMonitor, Verdict};
 use drv_lang::{Action, Invocation, ProcId, Response, SharedInterner, Symbol, Word};
@@ -117,6 +121,10 @@ const REPS: usize = 3;
 /// Completed operations of the `sc-standing-no` streams: two wrong reads,
 /// and what the from-scratch baseline can still refute at every symbol.
 const STANDING_NO_OPS: usize = 400;
+/// Completed operations of the long `sc-standing-no` runs, timed on the
+/// incremental path alone: a NO held this long must not cost more per event
+/// than one held over `STANDING_NO_OPS`.
+const STANDING_NO_LONG_OPS: usize = 20_000;
 /// Live objects and operations per object of the `many-objects` row:
 /// `drvbench`'s `wide-batch256`.
 const FLEET_OBJECTS: usize = 2_048;
@@ -298,6 +306,10 @@ struct StandingNo {
     inconsistent: usize,
     scratch_ns_per_event: f64,
     incremental_ns_per_event: f64,
+    /// The same stream shape at `STANDING_NO_LONG_OPS`, incremental only.
+    long_events: usize,
+    long_inconsistent: usize,
+    long_incremental_ns_per_event: f64,
     dfs_runs_per_kevent: f64,
     latched_per_kevent: f64,
 }
@@ -305,7 +317,8 @@ struct StandingNo {
 /// How the `sc-standing-no` rows make every hundredth read wrong.
 #[derive(Clone, Copy)]
 enum WrongRead {
-    /// A value no write produces.
+    /// A value no write produces: 2^28 above the one read, beyond any
+    /// value the stream writes and still a scalar payload's inline id.
     ThinAir,
     /// The first value the reader has read and seen overwritten since.
     Stale,
@@ -314,10 +327,10 @@ enum WrongRead {
 /// Correct traffic, then every hundredth read made wrong by hand: where
 /// the violations fall does not depend on the seed.  A stale read needs its
 /// reader to have seen a value change; until it has, the next read is taken.
-fn standing_no_stream(wrong: WrongRead) -> Vec<Symbol> {
+fn standing_no_stream(wrong: WrongRead, ops: usize) -> Vec<Symbol> {
     let mut symbols: Vec<Symbol> = register_object_stream(
         &mut StdRng::seed_from_u64(0x5C_57A9D),
-        STANDING_NO_OPS,
+        ops,
         &RegisterStreamShape::load(),
     );
     let mut read: [Vec<u64>; 2] = Default::default();
@@ -332,7 +345,7 @@ fn standing_no_stream(wrong: WrongRead) -> Vec<Symbol> {
             match (owed, wrong, overwritten) {
                 (false, ..) => read[reader].push(*value),
                 (true, WrongRead::ThinAir, _) => {
-                    *value += 1_000;
+                    *value += 1 << 28;
                     owed = false;
                 }
                 (true, WrongRead::Stale, Some(old)) => {
@@ -346,19 +359,35 @@ fn standing_no_stream(wrong: WrongRead) -> Vec<Symbol> {
     symbols
 }
 
+/// Feeds `symbols` to a fresh SC checker in one batch: the time, the
+/// verdict after each symbol, and the checker's counters.
+fn feed_standing_no(
+    symbols: &[Symbol],
+    config: &CheckerConfig,
+) -> (Duration, Vec<bool>, CheckerStats) {
+    let mut checker = IncrementalChecker::new(Register::new(), *config, 2);
+    let mut outcomes = Vec::with_capacity(symbols.len());
+    let start = Instant::now();
+    checker.feed_batch(symbols, &mut outcomes);
+    let elapsed = start.elapsed();
+    let verdicts = outcomes.iter().map(|o| *o == CheckOutcome::Consistent).collect();
+    (elapsed, verdicts, checker.stats())
+}
+
 fn measure_standing_no(row: &str, wrong: WrongRead, config: &CheckerConfig) -> StandingNo {
-    let symbols = standing_no_stream(wrong);
+    let symbols = standing_no_stream(wrong, STANDING_NO_OPS);
     let mut stats = None;
     let (incremental, verdicts) = best_of(|| {
-        let mut checker = IncrementalChecker::new(Register::new(), *config, 2);
-        let mut outcomes = Vec::with_capacity(symbols.len());
-        let start = Instant::now();
-        checker.feed_batch(&symbols, &mut outcomes);
-        let elapsed = start.elapsed();
-        stats = Some(checker.stats());
-        let verdicts = outcomes.iter().map(|o| *o == CheckOutcome::Consistent).collect();
+        let (elapsed, verdicts, run) = feed_standing_no(&symbols, config);
+        stats = Some(run);
         (elapsed, verdicts)
     });
+    let long = standing_no_stream(wrong, STANDING_NO_LONG_OPS);
+    let (long_incremental, long_verdicts) = best_of(|| {
+        let (elapsed, verdicts, _) = feed_standing_no(&long, config);
+        (elapsed, verdicts)
+    });
+
     let (scratch, scratch_verdicts) = best_of(|| {
         let spec = Register::new();
         let mut prefix = Word::new();
@@ -380,6 +409,9 @@ fn measure_standing_no(row: &str, wrong: WrongRead, config: &CheckerConfig) -> S
         inconsistent: verdicts.iter().filter(|consistent| !**consistent).count(),
         scratch_ns_per_event: scratch.as_nanos() as f64 / events as f64,
         incremental_ns_per_event: incremental.as_nanos() as f64 / events as f64,
+        long_events: long.len(),
+        long_inconsistent: long_verdicts.iter().filter(|consistent| !**consistent).count(),
+        long_incremental_ns_per_event: long_incremental.as_nanos() as f64 / long.len() as f64,
         dfs_runs_per_kevent: per_kevent(stats.dfs_runs),
         latched_per_kevent: per_kevent(stats.latched),
     };
@@ -396,6 +428,13 @@ fn measure_standing_no(row: &str, wrong: WrongRead, config: &CheckerConfig) -> S
         measured.inconsistent,
         measured.events,
     );
+    println!(
+        "checker/{row}/incremental at {STANDING_NO_LONG_OPS} ops  time: [min {:.0} ns/event] \
+         ({} of {} events inconsistent)",
+        measured.long_incremental_ns_per_event,
+        measured.long_inconsistent,
+        measured.long_events,
+    );
     measured
 }
 
@@ -410,6 +449,9 @@ fn standing_no_section(name: &str, wrong: &str, row: &StandingNo) -> String {
             "    \"inconsistent_events\": {},\n",
             "    \"scratch_ns_per_event\": {:.0},\n",
             "    \"incremental_ns_per_event\": {:.0},\n",
+            "    \"long_ops\": {},\n",
+            "    \"long_inconsistent_events\": {},\n",
+            "    \"long_incremental_ns_per_event\": {:.0},\n",
             "    \"dfs_runs_per_kevent\": {:.1},\n",
             "    \"latched_per_kevent\": {:.1}\n",
             "  }},\n",
@@ -421,6 +463,9 @@ fn standing_no_section(name: &str, wrong: &str, row: &StandingNo) -> String {
         row.inconsistent,
         row.scratch_ns_per_event,
         row.incremental_ns_per_event,
+        STANDING_NO_LONG_OPS,
+        row.long_inconsistent,
+        row.long_incremental_ns_per_event,
         row.dfs_runs_per_kevent,
         row.latched_per_kevent,
     )

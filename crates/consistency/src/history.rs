@@ -170,7 +170,10 @@ struct SkippedSymbol {
 /// A thread that holds the guard must not intern: a writer queued behind the
 /// guard blocks new readers and the thread would wait on itself.  So a
 /// payload is probed under the guard, and only one the arena has never seen
-/// costs a release, the write, and a fresh guard at the next use.
+/// costs a release, the write, and a fresh guard at the next use.  A scalar
+/// payload is its own id ([`InvocationId::inline`]) and is interned without
+/// the guard; a run that resolves a payload for its specification still
+/// takes it, once.
 pub(crate) struct ArenaRead<'a> {
     handle: &'a SharedInterner,
     guard: Option<InternerReadGuard<'a>>,
@@ -198,6 +201,9 @@ impl<'a> ArenaRead<'a> {
 
     /// The id of `invocation`, interned on first sight.
     pub(crate) fn invocation(&mut self, invocation: &Invocation) -> InvocationId {
+        if let Some(id) = InvocationId::inline(invocation) {
+            return id;
+        }
         match self.interner().lookup_invocation(invocation) {
             Some(id) => id,
             None => self.release().invocation(invocation),
@@ -206,6 +212,9 @@ impl<'a> ArenaRead<'a> {
 
     /// The id of `response`, interned on first sight.
     pub(crate) fn response(&mut self, response: &Response) -> ResponseId {
+        if let Some(id) = ResponseId::inline(response) {
+            return id;
+        }
         match self.interner().lookup_response(response) {
             Some(id) => id,
             None => self.release().response(response),

@@ -131,7 +131,7 @@
 //! | pending rescue               | one index lookup per open operation, 2 states pushed |
 //! | witness discarded            | `m` ids copied into the stored frontier, then the DFS |
 //! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness and without an orphan, under LIN once (the NO latches), under SC at each mutator invocation of a process a refuted configuration could complete (the NO stands in between), after `Unknown` at every symbol |
-//! | orphan check (R4)            | none while a witness is alive; without one, a completion looks its producer up in the arena and, when the arena knows it, scans the records from the newest back to it; an invocation is compared with each orphan; a restore makes one pass over the records |
+//! | orphan check (R4)            | none while a witness is alive; without one, a completion looks its producer up in a set of the history's invocation ids (built in one pass at the first such completion, caught up with the records appended since at each one after); an invocation is compared with each orphan; a restore makes one pass over the records |
 //!
 //! [`IncrementalChecker::maintenance_steps`] counts the first six rows, so
 //! tests can assert the bound without a clock.  What still grows with `m`
@@ -530,6 +530,15 @@ pub struct IncrementalChecker<S: SequentialSpec> {
     core: Core<S>,
 }
 
+/// The ids the history's first `covered` records invoke (R4's producer
+/// probe).  Records are only ever appended, so catching up is a pass over
+/// the ones since.
+#[derive(Default)]
+struct InvokedIds {
+    ids: hash::HashSet<InvocationId>,
+    covered: usize,
+}
+
 /// Everything of an [`IncrementalChecker`] but its arena handle, and every
 /// move it makes.  Each public entry point opens one [`ArenaRead`] on the
 /// handle and passes it down, which only works while the handle sits beside
@@ -560,6 +569,13 @@ struct Core<S: SequentialSpec> {
     /// it needs.  Unless the NO is latched these are exactly the history's;
     /// while a witness is alive there are none.
     orphans: Vec<(ProcId, Invocation)>,
+    /// The ids of the history's invocations, for R4's producer probe, so a
+    /// completion without a witness costs one lookup, not a scan of the
+    /// records.  Built by the first probe (or a restore's rebuild) and
+    /// caught up with the records at each probe after, so no invocation
+    /// pays for it.  `None` until a probe needs it: an object that keeps its
+    /// witness never builds it.
+    invoked: Option<Box<InvokedIds>>,
     /// Cached verdict for the current history, cleared on every new symbol.
     cached: Option<CheckOutcome>,
     /// Symbols read at the last checkpoint delta or restore: where the next
@@ -613,6 +629,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 latched_inconsistent: false,
                 standing_no: None,
                 orphans: Vec::new(),
+                invoked: None,
                 cached: None,
                 mark: 0,
                 stats: CheckerStats::default(),
@@ -852,6 +869,7 @@ impl<S: SequentialSpec> Core<S> {
         self.latched_inconsistent = false;
         self.standing_no = None;
         self.orphans.clear();
+        self.invoked = None;
         self.cached = None;
         self.mark = 0;
     }
@@ -912,13 +930,12 @@ impl<S: SequentialSpec> Core<S> {
         let Some(needs) = self.producer_of(interner, &record) else {
             return;
         };
-        // A payload the arena has never seen is invoked nowhere; one it has
-        // is looked for from the newest operation back, where the producer
-        // of a response usually is.
-        let invoked = interner.lookup_invocation(&needs).is_some_and(|id| {
-            self.history.records().iter().rev().any(|q| q.invocation == id)
-        });
-        if !invoked {
+        let records = self.history.records();
+        let invoked = self.invoked.get_or_insert_with(Box::default);
+        invoked.ids.extend(records[invoked.covered..].iter().map(|q| q.invocation));
+        invoked.covered = records.len();
+        // A payload the arena has never seen is invoked nowhere.
+        if !interner.lookup_invocation(&needs).is_some_and(|id| invoked.ids.contains(&id)) {
             self.orphans.push((record.proc, needs));
         }
     }
@@ -927,19 +944,24 @@ impl<S: SequentialSpec> Core<S> {
     /// what a checker that read the history symbol by symbol holds.
     fn rebuild_orphans(&mut self, arena: &mut ArenaRead<'_>) {
         self.orphans.clear();
+        self.invoked = None;
         if self.latched_inconsistent || self.witness.is_some() {
             return;
         }
         let interner = arena.interner();
         let records = self.history.records();
-        let invoked: hash::HashSet<InvocationId> = records.iter().map(|q| q.invocation).collect();
+        let invoked = InvokedIds {
+            ids: records.iter().map(|q| q.invocation).collect(),
+            covered: records.len(),
+        };
         for record in records {
             if let Some(needs) = self.producer_of(interner, record) {
-                if !interner.lookup_invocation(&needs).is_some_and(|id| invoked.contains(&id)) {
+                if !interner.lookup_invocation(&needs).is_some_and(|id| invoked.ids.contains(&id)) {
                     self.orphans.push((record.proc, needs));
                 }
             }
         }
+        self.invoked = Some(Box::new(invoked));
     }
 
     /// The producer `record`'s response needs, if it is complete and needs
@@ -1497,6 +1519,7 @@ impl<S: SequentialSpec> Core<S> {
             return Err(CheckpointError::BaseMismatch { base, consumed });
         };
         self.witness = None;
+        self.invoked = None;
         self.frontier = Vec::new();
         // Each symbol costs at least proc (4) + tag (1) + one payload byte.
         let symbol_count = reader.count(6, "checkpoint symbols")?;

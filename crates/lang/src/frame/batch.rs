@@ -27,33 +27,29 @@ pub struct WireBatch {
 }
 
 /// A reusable batch-frame encoder: keeps the dictionary tables warm across
-/// frames.  An arena-slot id finds its dictionary index in a dense `Vec`
-/// indexed by the slot, an inline id (the payload itself, see
-/// [`crate::intern`]) in an open-addressing table; both are epoch-stamped so
-/// starting a frame is O(1), not hash maps keyed by payloads.
+/// frames.  Each side numbers its ids — arena slots and inline ids (the
+/// payload itself, see [`crate::intern`]) alike — in an open-addressing
+/// table keyed by the raw id, epoch-stamped so starting a frame is O(1).
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
-    /// `inv_dict[slot] = (epoch, dict index)`; valid when epoch matches.
-    inv_dict: Vec<(u64, u32)>,
-    resp_dict: Vec<(u64, u32)>,
-    inv_inline: InlineDict,
-    resp_inline: InlineDict,
+    inv_index: DictIndex,
+    resp_index: DictIndex,
     /// Each row's dictionary index, numbered by pass 1 for pass 2.
     row_index: Vec<u32>,
     epoch: u64,
 }
 
-/// One frame's inline ids and their dictionary indices: linear probing over
-/// a power-of-two table at most half full, entries valid in their epoch.
+/// One frame's ids and their dictionary indices: linear probing over a
+/// power-of-two table at most half full, entries valid in their epoch.
 #[derive(Debug, Default)]
-struct InlineDict {
+struct DictIndex {
     /// `(id, (epoch, dict index))`.
     slots: Vec<(u32, (u64, u32))>,
 }
 
-impl InlineDict {
+impl DictIndex {
     /// Makes room for `rows` distinct ids; call before a frame's first
-    /// [`InlineDict::entry`].  Growing drops nothing the frame needs: every
+    /// [`DictIndex::entry`].  Growing drops nothing the frame needs: every
     /// entry stamped before the frame began is stale.
     fn reserve(&mut self, rows: usize) {
         let slots = (2 * rows).next_power_of_two().max(16);
@@ -76,15 +72,6 @@ impl InlineDict {
         self.slots[slot].0 = id;
         &mut self.slots[slot].1
     }
-}
-
-/// The entry of arena slot `slot` in a dense dictionary table.
-fn slot_entry(dict: &mut Vec<(u64, u32)>, slot: u32) -> &mut (u64, u32) {
-    let slot = slot as usize;
-    if dict.len() <= slot {
-        dict.resize(slot + 1, (0, 0));
-    }
-    &mut dict[slot]
 }
 
 impl FrameEncoder {
@@ -112,8 +99,8 @@ impl FrameEncoder {
     ) -> Vec<u8> {
         self.epoch += 1;
         let epoch = self.epoch;
-        self.inv_inline.reserve(batch.len());
-        self.resp_inline.reserve(batch.len());
+        self.inv_index.reserve(batch.len());
+        self.resp_index.reserve(batch.len());
         self.row_index.clear();
         // Pass 1 numbers the distinct payloads in first-use order and notes
         // each row's number: the dictionaries precede the rows in the
@@ -124,11 +111,7 @@ impl FrameEncoder {
         for action in batch.actions() {
             let index = match *action {
                 EventAction::Invoke(id) => {
-                    let entry = if id.is_inline() {
-                        self.inv_inline.entry(id.0, epoch)
-                    } else {
-                        slot_entry(&mut self.inv_dict, id.0)
-                    };
+                    let entry = self.inv_index.entry(id.0, epoch);
                     if entry.0 != epoch {
                         *entry =
                             (epoch, u32::try_from(inv_payloads.len()).expect("dict fits u32"));
@@ -137,11 +120,7 @@ impl FrameEncoder {
                     entry.1
                 }
                 EventAction::Respond(id) => {
-                    let entry = if id.is_inline() {
-                        self.resp_inline.entry(id.0, epoch)
-                    } else {
-                        slot_entry(&mut self.resp_dict, id.0)
-                    };
+                    let entry = self.resp_index.entry(id.0, epoch);
                     if entry.0 != epoch {
                         *entry =
                             (epoch, u32::try_from(resp_payloads.len()).expect("dict fits u32"));

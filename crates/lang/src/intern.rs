@@ -18,7 +18,9 @@
 //!   and the responses `Value(v)` and `MaybeValue(Some(v))` are inline when
 //!   `v` < [`INLINE_VALUE_LIMIT`] (2²⁹); the unit payloads — `Read`, `Inc`,
 //!   `Get`, `Dequeue`, `Pop`, `Ack` and `MaybeValue(None)` — always are.
-//!   Interning one takes no lock, no hash and no arena slot.
+//!   Interning one takes no lock, no hash and no arena slot.  (A checker
+//!   run that resolves payloads to step its specification still takes the
+//!   arena's read guard, once per run.)
 //! * **Arena slot** (bit 31 clear): a dense index into the interner's arena,
 //!   assigned on first sight.  `Append`, `Sequence`, `Custom` and the
 //!   scalar variants with a value from 2²⁹ up take one.
