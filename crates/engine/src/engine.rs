@@ -1219,6 +1219,23 @@ impl MonitoringEngine {
     /// [`SubmitError::Full`] when the backlog cannot absorb the whole batch
     /// right now; [`SubmitError::Aborted`] once a worker has panicked.
     pub fn try_submit_batch(&self, batch: &EventBatch) -> Result<(), SubmitError> {
+        self.try_submit(batch, None)
+    }
+
+    /// [`MonitoringEngine::try_submit_batch`] for a batch decoded from a
+    /// wire frame: `frame` is the sealed batch frame `batch` was decoded
+    /// from (into this engine's arena), and an attached journal appends
+    /// those bytes as they are ([`JournalSink::append_frame`]) instead of
+    /// encoding the batch again.  The server's reactor is its caller.
+    ///
+    /// # Errors
+    ///
+    /// As [`MonitoringEngine::try_submit_batch`].
+    pub fn try_submit_frame(&self, batch: &EventBatch, frame: &[u8]) -> Result<(), SubmitError> {
+        self.try_submit(batch, Some(frame))
+    }
+
+    fn try_submit(&self, batch: &EventBatch, frame: Option<&[u8]>) -> Result<(), SubmitError> {
         if self.shared.aborted.load(Ordering::Acquire) {
             return Err(SubmitError::Aborted);
         }
@@ -1233,7 +1250,10 @@ impl MonitoringEngine {
         if let Some(sink) = self.shared.journal() {
             // Write-ahead, after the all-or-nothing reservation: a refused
             // batch leaves no trace in the journal.
-            sink.append_batch(batch, &self.shared.interner);
+            match frame {
+                Some(frame) => sink.append_frame(frame),
+                None => sink.append_batch(batch, &self.shared.interner),
+            }
         }
         self.enqueue_batch_range(batch, 0, batch.len());
         Ok(())

@@ -6,13 +6,21 @@
 //! implements the sink against its on-disk journal.  The contract between
 //! the two layers:
 //!
-//! * **Write-ahead.**  `append_batch` — the one record kind for accepted
-//!   events; a single `submit` is a batch of one — is called after a
-//!   submission clears the backpressure bound (so refused work is never
-//!   journaled) and *before* it is enqueued — a crash between the append
-//!   and the enqueue replays the events, which is exactly the at-least-once
-//!   side replay-identical recovery needs (the monitor has not seen them
-//!   yet).
+//! * **Write-ahead, one record per accepted batch.**  A batch record is
+//!   appended after a submission clears the backpressure bound (so refused
+//!   work is never journaled) and *before* it is enqueued — a crash
+//!   between the append and the enqueue replays the events, which is
+//!   exactly the at-least-once side replay-identical recovery needs (the
+//!   monitor has not seen them yet).  It arrives by one of two doors:
+//!   - `append_frame` — a served batch, handed over as the sealed batch
+//!     frame the client sent and the reactor decoded
+//!     ([`MonitoringEngine::try_submit_frame`](crate::MonitoringEngine::try_submit_frame)).
+//!     The sink writes those bytes as they are: the batch is not encoded
+//!     again, and the client's batch id (and an old client's trace stamp)
+//!     stays in the record, where recovery ignores it.
+//!   - `append_batch` — an in-process batch (`submit`, `submit_batch`,
+//!     `submit_stream`, `try_submit_batch`; a single `submit` is a batch
+//!     of one), which the sink encodes once, into the same frame format.
 //! * **Checkpoints trail processing.**  `checkpoint` is called from the
 //!   worker *after* the covered events were fed, so by file order a
 //!   checkpoint claiming `fed` events is always preceded by at least that
@@ -46,9 +54,15 @@ use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
 /// A durability tap for everything the engine accepts; see the module docs
 /// for the exact call-site contract.
 pub trait JournalSink: Send + Sync {
-    /// Appends one accepted [`EventBatch`] (payload ids live in `arena`,
-    /// the engine's own interner) ahead of its enqueue.
+    /// Appends one accepted in-process [`EventBatch`] (payload ids live in
+    /// `arena`, the engine's own interner) ahead of its enqueue, encoded
+    /// as a batch frame.
     fn append_batch(&self, batch: &EventBatch, arena: &SharedInterner);
+
+    /// Appends one accepted served batch ahead of its enqueue: `frame` is
+    /// the sealed, CRC-checked batch frame it was decoded from, journaled
+    /// byte for byte.
+    fn append_frame(&self, frame: &[u8]);
 
     /// How many fed events of one object between two of its checkpoints.
     /// Returning `u64::MAX` disables checkpointing (journal-only mode).

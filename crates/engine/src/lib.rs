@@ -34,7 +34,9 @@
 //! idle — no timed polling), ingestion is bounded
 //! ([`EngineConfig::with_max_pending`]: blocking
 //! [`MonitoringEngine::submit_batch`] or non-blocking
-//! [`MonitoringEngine::try_submit_batch`]), verdicts stream live through bounded
+//! [`MonitoringEngine::try_submit_batch`], or
+//! [`MonitoringEngine::try_submit_frame`] for a batch decoded from a wire
+//! frame, whose bytes the journal keeps), verdicts stream live through bounded
 //! [`VerdictSubscription`] channels ([`MonitoringEngine::subscribe`]), and
 //! quiesced objects are retired by an in-queue marker
 //! ([`MonitoringEngine::evict`]), which drops the monitor and its checker

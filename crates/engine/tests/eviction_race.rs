@@ -268,6 +268,10 @@ impl drv_engine::JournalSink for RecordingSink {
         self.events.fetch_add(batch.len() as u64, Ordering::Relaxed);
     }
 
+    fn append_frame(&self, _frame: &[u8]) {
+        unreachable!("nothing here is served")
+    }
+
     fn checkpoint_interval(&self) -> u64 {
         u64::MAX
     }

@@ -58,6 +58,9 @@ impl JournalSink for CountingSink {
     fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {
         self.batches.fetch_add(1, Ordering::SeqCst);
     }
+    fn append_frame(&self, _frame: &[u8]) {
+        self.batches.fetch_add(1, Ordering::SeqCst);
+    }
     fn checkpoint_interval(&self) -> u64 {
         u64::MAX
     }
@@ -405,6 +408,7 @@ impl RecordingSink {
 
 impl JournalSink for RecordingSink {
     fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {}
+    fn append_frame(&self, _frame: &[u8]) {}
     fn checkpoint_interval(&self) -> u64 {
         self.interval
     }

@@ -10,6 +10,11 @@
 //!   `BatchTooLarge` over the whole window, `CreditExceeded` over the rest.
 //! * **Parked.**  A batch the engine refused with `Full` parks, and reads
 //!   pause, until [`ConnCore::on_engine_capacity`].
+//! * **Ingest once.**  A batch travels to the engine with the frame it was
+//!   decoded from ([`ConnCore::frame`]), which the journal appends as it
+//!   is.  The core copies each batch frame into one buffer it reuses; no
+//!   frame is decoded while a batch awaits submission or is parked, so a
+//!   parked batch keeps its bytes until the engine takes it.
 //! * **Held.**  Every frame may be answered into the outbound queue, so
 //!   while the queue is full no frame is decoded; a flush resumes them.
 //! * **Shutdown.**  A peer's Shutdown, or a server stop, drains: no frame is
@@ -265,7 +270,8 @@ pub(crate) enum Close {
 /// core's write buffer ([`ConnCore::unsent`]).
 #[derive(Default)]
 pub(crate) struct Actions {
-    /// Submit this batch and hand it back with [`ConnCore::on_submitted`].
+    /// Submit this batch, with [`ConnCore::frame`], and hand it back with
+    /// [`ConnCore::on_submitted`].
     pub(crate) submit: Option<EventBatch>,
     /// Evict these objects (the ones a departing peer still owned).
     pub(crate) evict: Vec<ObjectId>,
@@ -279,6 +285,8 @@ pub(crate) struct ConnCore {
     assembler: FrameAssembler,
     /// A batch the engine refused with `Full`.
     parked: Option<EventBatch>,
+    /// The sealed frame of the batch awaiting submission or parked.
+    frame: Vec<u8>,
     /// The current batch has met `Full` at least once (one stall counted).
     stalled: bool,
     /// Frames are held because the outbound queue was full.
@@ -304,6 +312,7 @@ impl ConnCore {
             out,
             assembler: FrameAssembler::new(),
             parked: None,
+            frame: Vec::new(),
             stalled: false,
             held: false,
             known: HashSet::default(),
@@ -367,6 +376,12 @@ impl ConnCore {
     pub(crate) fn begin_stop(&mut self) {
         self.draining = true;
         self.out.close();
+    }
+
+    /// The sealed frame of the batch in [`Actions::submit`], byte for byte
+    /// as the peer sent it.
+    pub(crate) fn frame(&self) -> &[u8] {
+        &self.frame
     }
 
     pub(crate) fn is_parked(&self) -> bool {
@@ -484,6 +499,11 @@ impl ConnCore {
             let started = env.tel.timer();
             let decoded = decode_frame_capped(raw, &env.interner, row_cap).map(|(frame, _)| frame);
             env.tel.observe(started, &env.m.decode_ns);
+            if let Ok(Frame::Batch(_)) = decoded {
+                // The bytes the journal appends (`ConnCore::frame`).
+                self.frame.clear();
+                self.frame.extend_from_slice(raw);
+            }
             env.m.reassembly_reads.record(self.assembler.last_spread());
             match decoded {
                 Ok(Frame::Batch(batch)) if batch.events.is_empty() => {}
@@ -553,8 +573,14 @@ impl ConnCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_frame, encode_stats_request, FrameEncoder};
-    use drv_lang::{Invocation, ProcId, Symbol};
+    use crate::wire::{
+        decode_frame, encode_stats_request, seal_frame, FrameEncoder, FrameKind, EXT_TRACE_CONTEXT,
+    };
+    use drv_consistency::CheckerMonitorFactory;
+    use drv_engine::{sequential_reference, EngineConfig, JournalSink, MonitoringEngine};
+    use drv_lang::{Invocation, ProcId, Response, Symbol, Verdict, VerdictBatch};
+    use drv_spec::Register;
+    use std::time::Duration;
 
     fn core(config: ServerConfig) -> (ConnCore, SharedInterner) {
         let arena = SharedInterner::new();
@@ -707,5 +733,117 @@ mod tests {
         core.on_bytes(&encode_credit(1, 1), &mut actions);
         assert_eq!(actions.close, Some(Close::Protocol));
         assert_eq!(core.env.m.protocol_errors.get(), 1);
+    }
+
+    /// A journal that keeps the batch frames it is handed.
+    #[derive(Default)]
+    struct FrameLog(Mutex<Vec<Vec<u8>>>);
+
+    impl JournalSink for FrameLog {
+        fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {
+            panic!("a served batch is journaled as its frame");
+        }
+        fn append_frame(&self, frame: &[u8]) {
+            self.0.lock().push(frame.to_vec());
+        }
+        fn checkpoint_interval(&self) -> u64 {
+            u64::MAX
+        }
+        fn checkpoint(&self, _object: ObjectId, _fed: u64, _verdicts: &[Verdict], _state: &[u8]) {}
+        fn tombstone(&self, _object: ObjectId) {}
+    }
+
+    /// `frame` with the trace-context block an earlier client appended to a
+    /// stamped batch (tag 1, a length, 16 bytes), sealed again.
+    fn stamped(mut frame: Vec<u8>) -> Vec<u8> {
+        frame.extend_from_slice(&[EXT_TRACE_CONTEXT, 16]);
+        frame.extend_from_slice(&[0x5A; 16]);
+        seal_frame(FrameKind::Batch, &mut frame);
+        frame
+    }
+
+    /// Two write/read rounds on object 1: p0 writes, p1 reads the value.
+    fn rounds() -> Vec<(ObjectId, Symbol)> {
+        (1..=2)
+            .flat_map(|value| {
+                [
+                    Symbol::invoke(ProcId(0), Invocation::Write(value)),
+                    Symbol::respond(ProcId(0), Response::Ack),
+                    Symbol::invoke(ProcId(1), Invocation::Read),
+                    Symbol::respond(ProcId(1), Response::Value(value)),
+                ]
+            })
+            .map(|symbol| (ObjectId(1), symbol))
+            .collect()
+    }
+
+    /// The reactor's part of ingest-once, played against a real engine: a
+    /// batch refused with `Full` leaves no journal record, the parked batch
+    /// is journaled once after the capacity retry, as the bytes it came in
+    /// (the next frame, already buffered, does not overwrite them), and an
+    /// old client's stamped frame is journaled with its stamp and replays
+    /// to the reference.
+    #[test]
+    fn a_parked_batch_is_journaled_once_as_the_frame_it_came_in() {
+        let factory = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), 2));
+        // Four pending slots and a one-verdict subscription nobody drains
+        // yet: object 9's second verdict finds it full, and the worker
+        // holds that event's slot until somebody drains.
+        let engine =
+            MonitoringEngine::new(EngineConfig::new(1).with_max_pending(4), factory.clone());
+        let subscription = engine.subscribe(1);
+        engine.submit(ObjectId(9), &Symbol::invoke(ProcId(0), Invocation::Write(7)));
+        engine.submit(ObjectId(9), &Symbol::respond(ProcId(0), Response::Ack));
+        let log = Arc::new(FrameLog::default());
+        engine.attach_journal(log.clone());
+        let env = Env::new(ServerConfig::new(), engine.interner().clone(), Telemetry::passive());
+        let mut core = ConnCore::new(0, Arc::new(env));
+
+        let events = rounds();
+        let client = SharedInterner::new();
+        let mut encoder = FrameEncoder::new();
+        let mut frame = |id: u64, events: &[(ObjectId, Symbol)]| {
+            encoder.encode_batch(id, &EventBatch::from_stream(events, &client), &client)
+        };
+        let sent = vec![frame(0, &events[..4]), stamped(frame(1, &events[4..]))];
+        let mut actions = Actions::default();
+        core.on_bytes(&sent.concat(), &mut actions);
+        let batch = actions.submit.take().expect("the first frame's batch");
+        assert_eq!(core.frame(), sent[0]);
+        let outcome = engine.try_submit_frame(&batch, core.frame());
+        assert_eq!(outcome, Err(SubmitError::Full));
+        core.on_submitted(batch, outcome, &mut actions);
+        assert!(core.is_parked());
+        assert!(log.0.lock().is_empty(), "a refused batch left a record");
+
+        // Every refusal drains the verdict the worker waits on, and the
+        // capacity retry submits the parked batch again.
+        let mut received = VerdictBatch::new();
+        loop {
+            if core.is_parked() {
+                subscription.wait_batch(Duration::from_millis(10), &mut received);
+                core.on_engine_capacity(&mut actions);
+            }
+            let Some(batch) = actions.submit.take() else { break };
+            let outcome = engine.try_submit_frame(&batch, core.frame());
+            core.on_submitted(batch, outcome, &mut actions);
+        }
+        assert!(actions.close.is_none());
+        assert_eq!(*log.0.lock(), sent, "each batch journaled once, byte for byte");
+        let report = engine.finish().expect("no worker panicked");
+        let expected = sequential_reference(factory.as_ref(), &events);
+        assert_eq!(report.verdicts(ObjectId(1)), Some(&expected[&ObjectId(1)][..]));
+
+        // The journaled frames, replayed into a fresh engine.
+        let replay = MonitoringEngine::new(EngineConfig::new(1), factory.clone());
+        for frame in log.0.lock().iter() {
+            let (Frame::Batch(batch), _) = decode_frame(frame, replay.interner()).expect("a batch")
+            else {
+                panic!("a journaled batch decodes as a batch");
+            };
+            replay.submit_batch(&batch.events);
+        }
+        let report = replay.finish().expect("no worker panicked");
+        assert_eq!(report.verdicts(ObjectId(1)), Some(&expected[&ObjectId(1)][..]));
     }
 }

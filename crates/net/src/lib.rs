@@ -27,7 +27,8 @@
 //!
 //! Length-prefixed, CRC-checked frames — Batch, Credit, Nack, Stats,
 //! Shutdown, VerdictBatch — whose layouts [`wire`] documents; it is
-//! [`drv_lang::frame`], which `drv-store` writes as its journal.  Decoding a
+//! [`drv_lang::frame`], which `drv-store` writes as its journal: a durable
+//! server journals each batch frame as it arrived.  Decoding a
 //! batch interns each distinct payload once, straight into the engine's
 //! arena; verdicts travel back run-compressed, grouped by object (per-object
 //! `seq` order is the only delivery contract).  Malformed, truncated,

@@ -4,7 +4,7 @@
 //! ## Shells and cores
 //!
 //! ```text
-//!   client A ──TCP──┐                  ┌─try_submit_batch─► MonitoringEngine
+//!   client A ──TCP──┐                  ┌─try_submit_frame─► MonitoringEngine
 //!   client B ──TCP──┼──► reactor ──────┤                        │ subscribe()
 //!   client N ──TCP──┘   (one I/O       │  outbound queues       ▼
 //!            ◄──────────  thread) ◄────┴───────────────────── router
@@ -18,10 +18,18 @@
 //!
 //! * The **reactor** (`drv-net-io`) owns every socket, nonblocking, driven
 //!   by a readiness poller ([`reactor`](crate::reactor)), and is the one
-//!   caller of `try_submit_batch`.  Each connection's protocol is a
-//!   `ConnCore` (`conn.rs` states its rules): the shell feeds it bytes
-//!   read, bytes written and engine capacity, and does what it asks —
-//!   submit this batch, evict these objects, close.
+//!   caller of [`MonitoringEngine::try_submit_frame`].  Each connection's
+//!   protocol is a `ConnCore` (`conn.rs` states its rules): the shell feeds
+//!   it bytes read, bytes written and engine capacity, and does what it
+//!   asks — submit this batch, evict these objects, close.
+//!
+//!   A batch is ingested once.  The reactor hands the engine the batch it
+//!   decoded together with the sealed frame it decoded it from, and a
+//!   durable engine's journal appends that frame byte for byte
+//!   ([`JournalSink::append_frame`](drv_engine::JournalSink::append_frame)):
+//!   the server encodes no batch frame, and a served journal holds exactly
+//!   the frames its clients sent.  Only an in-process producer's batch is
+//!   encoded for the journal, once.
 //! * The **router** (`drv-net-router`) owns the verdict subscription.  Its
 //!   `RouterCore` (`router.rs`) forwards each verdict, in per-object order,
 //!   to the connection that *owns* its object (the first to submit traffic
@@ -219,11 +227,11 @@ impl ServerShared {
     /// double-check, so capacity freed between the two attempts is caught
     /// by the retry, and capacity freed after it fires the hook (which sees
     /// the hint and wakes the reactor).  No window loses the wake.
-    fn submit(&self, batch: &EventBatch) -> Result<(), SubmitError> {
-        match self.engine.try_submit_batch(batch) {
+    fn submit(&self, batch: &EventBatch, frame: &[u8]) -> Result<(), SubmitError> {
+        match self.engine.try_submit_frame(batch, frame) {
             Err(SubmitError::Full) => {
                 self.parked_hint.store(true, Ordering::Release);
-                self.engine.try_submit_batch(batch)
+                self.engine.try_submit_frame(batch, frame)
             }
             outcome => outcome,
         }
@@ -421,7 +429,7 @@ impl Reactor {
         let mut actions = Actions::default();
         input(&mut conn.core, &mut actions);
         while let Some(batch) = actions.submit.take() {
-            let outcome = self.shared.submit(&batch);
+            let outcome = self.shared.submit(&batch, conn.core.frame());
             conn.core.on_submitted(batch, outcome, &mut actions);
         }
         self.shared.engine.evict_many(actions.evict);

@@ -6,9 +6,14 @@
 //! ([`drv_lang::frame`], `crates/lang/src/frame.rs` — magic, version, kind,
 //! length, CRC-32 per frame), restricted to three kinds:
 //!
-//! * [`FrameKind::Batch`] — one accepted [`EventBatch`], exactly as it
-//!   would travel over a connection (self-contained per-frame
-//!   dictionaries), appended **write-ahead** of its enqueue;
+//! * [`FrameKind::Batch`] — one accepted [`EventBatch`] as a frame that
+//!   travels over a connection (self-contained per-frame dictionaries),
+//!   appended **write-ahead** of its enqueue.  A served batch is the
+//!   client's own frame, appended byte for byte as the reactor decoded it
+//!   ([`JournalSink::append_frame`]): the server never encodes it, and the
+//!   client's batch id stays in it.  An in-process batch is encoded once,
+//!   by the store's one reused [`FrameEncoder`], under a store-numbered id
+//!   ([`JournalSink::append_batch`]).  Recovery reads neither id;
 //! * [`FrameKind::Evict`] — the object's eviction marker retired its
 //!   monitor at this point of the accepted stream (a tombstone);
 //! * [`FrameKind::Checkpoint`] — a store-owned record (layout below)
@@ -55,7 +60,7 @@ use drv_lang::wire::{put_u32, put_u64, Reader};
 use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
 use drv_lang::frame::{
     decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameEncoder, FrameKind,
-    MAX_PAYLOAD,
+    HEADER_LEN, MAX_PAYLOAD,
 };
 use drv_telemetry::{Counter, Histogram, Telemetry};
 use parking_lot::Mutex;
@@ -305,9 +310,11 @@ pub fn scan_journal(buf: &[u8], arena: &SharedInterner) -> ScanResult {
 /// order.
 struct Appender {
     file: File,
+    /// Encodes in-process batches; a served batch arrives as its frame.
     encoder: FrameEncoder,
-    /// Monotone id stamped into journaled batch frames (decode ignores it
-    /// on replay; it keeps frames byte-identical in shape to wire traffic).
+    /// Monotone id stamped into the frames `encoder` writes (decode ignores
+    /// it on replay; it keeps frames byte-identical in shape to wire
+    /// traffic).
     batch_id: u64,
     /// Records appended since the last sync (the [`FsyncPolicy::EveryN`]
     /// counter).
@@ -594,6 +601,18 @@ impl JournalSink for Store {
         if self.append(&mut inner, &frame) {
             self.m.batches.inc();
             self.m.events.add(batch.len() as u64);
+        }
+    }
+
+    fn append_frame(&self, frame: &[u8]) {
+        // The row count sits behind the batch id; the frame was decoded
+        // before it got here, so the bytes are there.
+        let rows = &frame[HEADER_LEN + 8..HEADER_LEN + 12];
+        let events = u32::from_le_bytes(rows.try_into().expect("4 bytes"));
+        let mut inner = self.inner.lock();
+        if self.append(&mut inner, frame) {
+            self.m.batches.inc();
+            self.m.events.add(u64::from(events));
         }
     }
 

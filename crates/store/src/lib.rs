@@ -12,8 +12,9 @@
 //!   (after backpressure: refused frames are never journaled) is appended
 //!   write-ahead to one file as [`drv_lang::frame`] frames — the same
 //!   16-byte header + CRC-32 framing `drv-net` sends over TCP, reusing its
-//!   torn-input hardening wholesale.  Fsync policy is [`FsyncPolicy`]:
-//!   `Always` / `EveryN` / `Never`.
+//!   torn-input hardening wholesale.  A served batch is journaled as the
+//!   very frame its client sent; an in-process batch is encoded once.
+//!   Fsync policy is [`FsyncPolicy`]: `Always` / `EveryN` / `Never`.
 //! * **Checkpoints** — workers periodically write what each object's
 //!   incremental checker gained since its previous checkpoint (symbols,
 //!   witness tail, stats — see

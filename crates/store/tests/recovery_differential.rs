@@ -16,16 +16,21 @@ use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactor
 use drv_engine::{sequential_reference, EngineConfig, MonitoringEngine};
 use drv_lang::{Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
 use drv_net::wire::{decode_frame, Frame};
+use drv_net::{MonitorClient, ServerConfig};
 use drv_spec::Register;
 use drv_store::{
-    decode_checkpoint_record, recover, scan_journal, FsyncPolicy, JournalRecord, Store,
-    StoreConfig,
+    decode_checkpoint_record, recover, scan_journal, serve_durable, FsyncPolicy, JournalRecord,
+    Store, StoreConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const PROCESSES: usize = 2;
 
@@ -540,6 +545,116 @@ fn a_torn_delta_costs_only_itself() {
     for cut in [last.start + 1, last.start + 40, last.end - 1] {
         std::fs::write(&path, &buf[..cut]).expect("write torn journal");
         assert_eq!(recover_and_check(&path, &events, config), 8, "cut at {cut}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A one-connection loopback tee in front of `server`: the address a client
+/// connects to, and a thread that forwards both directions and returns
+/// every byte the client sent once the client hangs up.
+fn tee(server: SocketAddr) -> (SocketAddr, JoinHandle<Vec<u8>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("tee binds");
+    let addr = listener.local_addr().expect("tee address");
+    let handle = std::thread::spawn(move || {
+        let (mut client, _) = listener.accept().expect("client connects");
+        let mut upstream = TcpStream::connect(server).expect("server accepts");
+        let (mut replies, mut back) = (upstream.try_clone().unwrap(), client.try_clone().unwrap());
+        let replies = std::thread::spawn(move || std::io::copy(&mut replies, &mut back));
+        let mut sent = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = client.read(&mut chunk) {
+            sent.extend_from_slice(&chunk[..n]);
+            if upstream.write_all(&chunk[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = upstream.shutdown(Shutdown::Both);
+        let _ = replies.join();
+        sent
+    });
+    (addr, handle)
+}
+
+/// The batch frames of a byte stream, each as its own bytes.
+fn batch_frames(mut bytes: &[u8]) -> Vec<&[u8]> {
+    let arena = SharedInterner::new();
+    let mut frames = Vec::new();
+    while !bytes.is_empty() {
+        let (frame, used) = decode_frame(bytes, &arena).expect("whole frames");
+        if let Frame::Batch(_) = frame {
+            frames.push(&bytes[..used]);
+        }
+        bytes = &bytes[used..];
+    }
+    frames
+}
+
+/// A served journal holds the clients' own frames: two clients, at batch 1
+/// and 256, stream into a durable server that is dropped without a
+/// Shutdown; every Batch record of its journal is, byte for byte, the next
+/// frame one of the clients sent, and the journal recovers to the
+/// reference.
+#[test]
+fn a_served_journal_holds_the_frames_its_clients_sent() {
+    let config = StoreConfig::new()
+        .with_checkpoint_interval(16)
+        .with_fsync(FsyncPolicy::Never);
+    let path = journal_path("served");
+    let (server, store, _) = serve_durable(
+        ("127.0.0.1", 0),
+        &path,
+        config,
+        EngineConfig::new(2),
+        mixed_factory(),
+        ServerConfig::new(),
+    )
+    .expect("durable server binds");
+    let streams = [(seeded_stream(1, 3, 4), 1), (seeded_stream(2, 5, 60), 256)];
+    let mut tees = Vec::new();
+    let mut clients = Vec::new();
+    for (events, batch) in &streams {
+        let (addr, handle) = tee(server.local_addr());
+        let mut client = MonitorClient::connect(addr).expect("client connects");
+        client.send_stream(events, *batch).expect("stream sends");
+        tees.push(handle);
+        clients.push((client, events.len()));
+    }
+    // Every verdict back means every batch was journaled (write-ahead).
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for (client, expected) in &clients {
+        let mut received = 0;
+        while received < *expected {
+            assert!(Instant::now() < deadline, "verdicts missing");
+            received += client.wait_verdicts(Duration::from_millis(100)).len();
+        }
+    }
+    drop(server);
+    drop(clients);
+    let sent: Vec<Vec<u8>> = tees.into_iter().map(|tee| tee.join().expect("tee")).collect();
+    assert!(store.io_error().is_none(), "{:?}", store.io_error());
+
+    let journal = std::fs::read(&path).expect("journal readable");
+    let mut unmatched: Vec<std::vec::IntoIter<&[u8]>> =
+        sent.iter().map(|bytes| batch_frames(bytes).into_iter()).collect();
+    let records = batch_frames(&journal);
+    assert_eq!(records.len(), 48 + 5, "one record per frame sent");
+    for (index, record) in records.into_iter().enumerate() {
+        let Some(client) =
+            unmatched.iter_mut().find(|frames| frames.as_slice().first() == Some(&record))
+        else {
+            panic!("batch record {index} is no client's next frame");
+        };
+        client.next();
+    }
+
+    let recovery =
+        recover(&path, config, EngineConfig::new(2), mixed_factory()).expect("recovers");
+    let events: Vec<(ObjectId, Symbol)> =
+        streams.iter().flat_map(|(events, _)| events.iter().cloned()).collect();
+    assert_eq!(recovery.stats.replayed_events, events.len() as u64);
+    let report = recovery.engine.finish().expect("no worker panicked");
+    for (object, verdicts) in sequential_reference(mixed_factory().as_ref(), &events) {
+        assert_eq!(report.verdicts(object), Some(&verdicts[..]), "{object:?}");
     }
     let _ = std::fs::remove_file(&path);
 }
