@@ -99,8 +99,9 @@
 //!   producers.  The engine looks for orphans only where one can be: a
 //!   witness proves the history has none, so only a completion that leaves
 //!   the checker without a witness is checked, and the orphans found are
-//!   kept until an invocation of their producer drops them.  A check
-//!   without a witness answers from them before any search.  Under
+//!   kept, keyed by their producer's id, until an invocation of it drops
+//!   them: an invocation costs one lookup however many orphans stand.  A
+//!   check without a witness answers from them before any search.  Under
 //!   linearizability the NO latches.  Under sequential consistency it stands,
 //!   with the orphans' owners as the blocked set: no configuration of any
 //!   search of this history places all of an owner's operations, so the set
@@ -131,7 +132,7 @@
 //! | pending rescue               | one index lookup per open operation, 2 states pushed |
 //! | witness discarded            | `m` ids copied into the stored frontier, then the DFS |
 //! | DFS fallback                 | ≥ `m` nodes on an explicit heap stack (`search.rs`); without a witness and without an orphan, under LIN once (the NO latches), under SC at each mutator invocation of a process a refuted configuration could complete (the NO stands in between), after `Unknown` at every symbol |
-//! | orphan check (R4)            | none while a witness is alive; without one, a completion looks its producer up in a set of the history's invocation ids (built in one pass at the first such completion, caught up with the records appended since at each one after); an invocation is compared with each orphan; a restore makes one pass over the records |
+//! | orphan check (R4)            | none while a witness is alive; without one, a completion looks its producer up in a set of the history's invocation ids (built in one pass at the first such completion, caught up with the records appended since at each one after); an invocation looks its id up among the orphans' producers (and is compared with each orphan whose producer the arena had never seen, if it is an arena slot); a restore makes one pass over the records |
 //!
 //! [`IncrementalChecker::maintenance_steps`] counts the first six rows, so
 //! tests can assert the bound without a clock.  What still grows with `m`
@@ -539,6 +540,58 @@ struct InvokedIds {
     covered: usize,
 }
 
+/// R4's orphans, keyed by the producer each needs, so that an invocation
+/// costs one lookup, not a comparison with each orphan.  A producer the
+/// arena holds is keyed by its id (every scalar payload is its own id, so
+/// it always is); one the arena had never interned when the orphan was
+/// noted is kept by payload, since its first invocation interns it into a
+/// slot of its own.
+#[derive(Default)]
+struct Orphans {
+    /// The owners of the orphans waiting on each producer id.
+    by_id: hash::HashMap<InvocationId, Vec<ProcId>>,
+    /// Orphans whose producer the arena had never seen: the owner, and the
+    /// invocation it needs.
+    unseen: Vec<(ProcId, Invocation)>,
+}
+
+impl Orphans {
+    fn is_empty(&self) -> bool {
+        self.by_id.is_empty() && self.unseen.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.by_id.clear();
+        self.unseen.clear();
+    }
+
+    /// Records `owner`'s orphan, which needs `needs`, an invocation no
+    /// operation of the history invokes; `id` is its id in the arena, if
+    /// the arena holds it.
+    fn insert(&mut self, id: Option<InvocationId>, owner: ProcId, needs: Invocation) {
+        match id {
+            Some(id) => self.by_id.entry(id).or_default().push(owner),
+            None => self.unseen.push((owner, needs)),
+        }
+    }
+
+    /// Drops the orphans an invocation of `id` produces for.  Only an
+    /// orphan kept by payload takes the arena's guard.
+    fn invoked(&mut self, arena: &mut ArenaRead<'_>, id: InvocationId) {
+        self.by_id.remove(&id);
+        // A payload the arena had never seen is interned into a slot.
+        if !self.unseen.is_empty() && !id.is_inline() {
+            let invocation = arena.interner().resolve_invocation(id);
+            self.unseen.retain(|(_, needs)| *needs != *invocation);
+        }
+    }
+
+    /// The orphans' owners, each once per orphan.
+    fn owners(&self) -> impl Iterator<Item = ProcId> + '_ {
+        self.by_id.values().flatten().copied().chain(self.unseen.iter().map(|(owner, _)| *owner))
+    }
+}
+
 /// Everything of an [`IncrementalChecker`] but its arena handle, and every
 /// move it makes.  Each public entry point opens one [`ArenaRead`] on the
 /// handle and passes it down, which only works while the handle sits beside
@@ -565,10 +618,10 @@ struct Core<S: SequentialSpec> {
     /// operations placed (R3); processes past its end are not blocked.
     standing_no: Option<Vec<bool>>,
     /// The complete operations whose response needs a producer that no
-    /// operation of the history invokes (R4): the owner, and the invocation
-    /// it needs.  Unless the NO is latched these are exactly the history's;
-    /// while a witness is alive there are none.
-    orphans: Vec<(ProcId, Invocation)>,
+    /// operation of the history invokes (R4), keyed by that producer.
+    /// Unless the NO is latched these are exactly the history's; while a
+    /// witness is alive there are none.
+    orphans: Orphans,
     /// The ids of the history's invocations, for R4's producer probe, so a
     /// completion without a witness costs one lookup, not a scan of the
     /// records.  Built by the first probe (or a restore's rebuild) and
@@ -628,7 +681,7 @@ impl<S: SequentialSpec> IncrementalChecker<S> {
                 frontier: Vec::new(),
                 latched_inconsistent: false,
                 standing_no: None,
-                orphans: Vec::new(),
+                orphans: Orphans::default(),
                 invoked: None,
                 cached: None,
                 mark: 0,
@@ -895,8 +948,7 @@ impl<S: SequentialSpec> Core<S> {
                 let record = self.history.record(op);
                 // A producer, once invoked, no longer leaves an orphan (R4).
                 if !self.orphans.is_empty() {
-                    let invocation = arena.interner().resolve_invocation(record.invocation);
-                    self.orphans.retain(|(_, needs)| *needs != *invocation);
+                    self.orphans.invoked(arena, record.invocation);
                 }
                 // Only a pending mutator of a process that is not blocked can
                 // rescue a standing NO (R2, R3): the next check searches
@@ -935,8 +987,9 @@ impl<S: SequentialSpec> Core<S> {
         invoked.ids.extend(records[invoked.covered..].iter().map(|q| q.invocation));
         invoked.covered = records.len();
         // A payload the arena has never seen is invoked nowhere.
-        if !interner.lookup_invocation(&needs).is_some_and(|id| invoked.ids.contains(&id)) {
-            self.orphans.push((record.proc, needs));
+        let id = interner.lookup_invocation(&needs);
+        if !id.is_some_and(|id| invoked.ids.contains(&id)) {
+            self.orphans.insert(id, record.proc, needs);
         }
     }
 
@@ -956,8 +1009,9 @@ impl<S: SequentialSpec> Core<S> {
         };
         for record in records {
             if let Some(needs) = self.producer_of(interner, record) {
-                if !interner.lookup_invocation(&needs).is_some_and(|id| invoked.ids.contains(&id)) {
-                    self.orphans.push((record.proc, needs));
+                let id = interner.lookup_invocation(&needs);
+                if !id.is_some_and(|id| invoked.ids.contains(&id)) {
+                    self.orphans.insert(id, record.proc, needs);
                 }
             }
         }
@@ -977,7 +1031,7 @@ impl<S: SequentialSpec> Core<S> {
     /// could place all of an owner's operations (R4).
     fn orphan_owners(&self) -> Vec<bool> {
         let mut blocked = vec![false; self.history.process_count()];
-        for (owner, _) in &self.orphans {
+        for owner in self.orphans.owners() {
             blocked[owner.0] = true;
         }
         blocked
@@ -2158,6 +2212,47 @@ mod tests {
             assert_eq!(fed.arena.versions(), (7, 6));
             assert_eq!(restored.arena.versions(), (8, 7));
         }
+    }
+
+    #[test]
+    fn orphans_are_keyed_by_their_producer_and_dropped_by_its_invocation() {
+        use drv_lang::INLINE_VALUE_LIMIT;
+        // Three thin-air reads: of an inline value, of a value past the
+        // bound that another checker put in the shared arena, and of one the
+        // arena has never seen.
+        let (inline, seen, unseen) = (5, u64::MAX, INLINE_VALUE_LIMIT + 1);
+        let arena = SharedInterner::new();
+        arena.invocation(&Invocation::Write(seen));
+        let config = CheckerConfig::sequential_consistency();
+        let mut checker = IncrementalChecker::with_arena(Register::new(), config, 2, arena.clone());
+        for value in [inline, seen, unseen] {
+            checker.push_symbol(&Symbol::invoke(p(1), Invocation::Read));
+            checker.push_symbol(&Symbol::respond(p(1), Response::Value(value)));
+            assert_eq!(checker.check_outcome(), CheckOutcome::Inconsistent);
+        }
+        let keyed = |checker: &IncrementalChecker<Register>| {
+            let orphans = &checker.core.orphans;
+            (orphans.by_id.len(), orphans.unseen.len(), checker.core.orphan_owners())
+        };
+        assert_eq!(keyed(&checker), (2, 1, vec![false, true]));
+        assert_eq!(checker.stats().dfs_runs, 0);
+        // A restore rebuilds the same orphans.
+        let mut restored = IncrementalChecker::with_arena(Register::new(), config, 2, arena);
+        restored.restore_bytes(&checker.checkpoint_bytes()).expect("a checkpoint we wrote");
+        assert_eq!(keyed(&restored), keyed(&checker));
+        // Each write drops its own orphans, and only those; the last one
+        // interns a payload the arena had never seen.
+        let left = [(1, 1), (0, 1), (0, 0)];
+        for (value, left) in [inline, seen, unseen].into_iter().zip(left) {
+            for checker in [&mut checker, &mut restored] {
+                checker.push_symbol(&Symbol::invoke(p(0), Invocation::Write(value)));
+                let orphans = &checker.core.orphans;
+                assert_eq!((orphans.by_id.len(), orphans.unseen.len()), left, "write {value}");
+                checker.push_symbol(&Symbol::respond(p(0), Response::Ack));
+            }
+        }
+        assert_eq!(checker.check_outcome(), CheckOutcome::Consistent);
+        assert_eq!(restored.check_outcome(), CheckOutcome::Consistent);
     }
 
     #[test]

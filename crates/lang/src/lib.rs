@@ -34,6 +34,18 @@
 //!   the served pipeline and the paper's simulator both speak; and
 //!   [`VerdictEvent`], one delivered verdict of the served pipeline.
 //!
+//! ## Unsafe code
+//!
+//! The crate denies `unsafe` everywhere but one call: [`frame::crc32`]'s
+//! dispatch to its carry-less-multiplication kernel, a
+//! `#[target_feature(enable = "pclmulqdq,sse4.1")]` function that may only
+//! be called once the CPU has reported both features, which the line before
+//! it checks (`is_x86_feature_detected!`).  The kernel itself is safe code:
+//! its intrinsics are safe inside such a function, and it loads bytes through
+//! bounds-checked slices, not pointers.  Every frame on the wire and in the
+//! journal is sealed and verified through that one function, so the kernel
+//! is where checksum time goes.
+//!
 //! ## Example
 //!
 //! ```
@@ -49,7 +61,9 @@
 //! assert_eq!(w.operations().len(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
+// Unsafe is denied everywhere except `frame::crc32`'s one call into its
+// carry-less-multiplication kernel, after the CPU feature check.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alphabet;

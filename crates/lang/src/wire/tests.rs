@@ -158,8 +158,7 @@ fn crc32_matches_known_vectors() {
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
 }
 
-/// The CRC by its definition, one bit at a time: the sliced kernel's
-/// reference.
+/// The CRC by its definition, one bit at a time: both kernels' reference.
 fn crc32_bitwise(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in bytes {
@@ -171,20 +170,36 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
     !crc
 }
 
-#[test]
-fn crc32_kernel_matches_the_bitwise_reference() {
+/// `kernel` against the bitwise reference: every length 0..=300 at every
+/// alignment of the 16-byte blocks (63, 64 and 65 straddle the carry-less
+/// kernel's threshold, 127, 128 and 129 its second 64-byte block), one
+/// 256-event batch frame (5 120 B), and 1 MiB.
+fn crc32_sweep(kernel: impl Fn(&[u8]) -> u32) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC3C3);
     let buf: Vec<u8> = (0..(1 << 20) + 16).map(|_| rng.gen_range(0..=255u8)).collect();
-    // Every tail length and every alignment of the 16-byte blocks.
     for start in 0..16 {
-        for len in 0..=300 {
+        for len in (0..=300).chain([5_120]) {
             let bytes = &buf[start..start + len];
-            assert_eq!(crc32(bytes), crc32_bitwise(bytes), "offset {start}, length {len}");
+            assert_eq!(kernel(bytes), crc32_bitwise(bytes), "offset {start}, length {len}");
         }
     }
     let mib = &buf[..1 << 20];
-    assert_eq!(crc32(mib), crc32_bitwise(mib));
+    assert_eq!(kernel(mib), crc32_bitwise(mib));
+}
+
+/// The dispatching entry point: on a CPU with PCLMULQDQ, inputs of 64 B
+/// and more take the carry-less kernel.
+#[test]
+fn crc32_kernel_matches_the_bitwise_reference() {
+    crc32_sweep(crc32);
+}
+
+/// The table kernel alone, the only one other CPUs and architectures run,
+/// at every length the dispatcher would hand the carry-less kernel too.
+#[test]
+fn crc32_table_kernel_matches_the_bitwise_reference() {
+    crc32_sweep(|bytes| !crc32_tables(!0, bytes));
 }
 
 #[test]
