@@ -1,4 +1,5 @@
-//! The sharded streaming engine and its work-stealing worker pool.
+//! The sharded streaming engine's shell: the work-stealing worker pool
+//! around the shard cores.
 //!
 //! ## Architecture
 //!
@@ -10,16 +11,15 @@
 //!  shard = fnv(object) ──► shard queues ──► ready deques (per worker,
 //!        (FIFO per shard)                    home = shard % workers,
 //!                                            idle workers steal)
-//!                                                │
-//!                                                ▼
-//!                               per-object slots: an ObjectMonitor
-//!                               (created on first sight via the factory,
-//!                               dropped at an eviction marker) and the
-//!                               object's whole verdict stream
-//!                                                │
-//!                                                ▼
-//!                               verdict subscriptions (bounded channels)
+//!  ┄┄ shell: this module ┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄│ a claim ┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄
+//!  core: crate::shard           ShardCore::feed: per-object monitors and
+//!                               verdict streams, checkpoints, tombstones
+//!  ┄┄ shell ┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄▼┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄
+//!                               verdict subscriptions, registry, pending
 //! ```
+//!
+//! The shell owns every lock, atomic, thread and clock read; the core owns
+//! none and decides what a claim does to a shard's objects.
 //!
 //! * **Routing.**  Every event is tagged with an [`ObjectId`] and hashed to
 //!   one of the engine's shards; a shard's queue is FIFO and a shard is
@@ -52,39 +52,27 @@
 //!   [`SubmitError::Full`].  Waiting producers are woken as batches retire.
 //! * **Streaming verdicts.**  [`MonitoringEngine::subscribe`] opens a
 //!   bounded [`VerdictSubscription`] channel delivering
-//!   `(object, seq, verdict)` as soon as each symbol is checked — consumers
-//!   no longer wait for the end-of-run [`crate::EngineReport`], which
-//!   [`MonitoringEngine::finish`] still returns unchanged.  Delivery is
-//!   batched on both ends: a worker pushes a claim's verdicts in slices of
+//!   `(object, seq, verdict)` as soon as each symbol is checked (the
+//!   end-of-run [`crate::EngineReport`] is [`MonitoringEngine::finish`]'s).
+//!   Delivery is batched on both ends: a worker pushes a claim's verdicts in slices of
 //!   about 64 rows, each under one channel lock, and consumers drain into
 //!   a reusable struct-of-arrays `VerdictBatch` via
 //!   [`VerdictSubscription::poll_batch`] /
 //!   [`VerdictSubscription::wait_batch`].  Grouping varies, order and
 //!   content never do.
-//! * **Eviction.**  [`MonitoringEngine::evict`] retires a quiesced object's
-//!   monitor through an in-queue marker (so it cannot overtake the object's
-//!   own events): the monitor and its checker history are dropped, the
-//!   object's slot — and its verdict stream — stays in its shard.  Later
-//!   traffic installs a fresh monitor on the same slot, so `seq` is always
-//!   the stream's length.  A marker adds no verdict and is the only mid-run
-//!   retirement, so every object's verdict stream is a function of the
-//!   submitted events and markers alone — never of thread timing.
 //! * **Payload interning.**  Queued events are `Copy` records
-//!   ([`EventRecord`] — the workspace-wide interchange type); payloads are
-//!   interned once, into the engine's [`SharedInterner`], on which every
-//!   monitor is created ([`ObjectMonitorFactory::create_in`]): a checker
-//!   keeps the queued ids as they are, no payload resolved on the way.
+//!   ([`EventRecord`](drv_lang::EventRecord) — the workspace-wide
+//!   interchange type); payloads are interned once, into the engine's
+//!   [`SharedInterner`], on which every monitor is created
+//!   ([`ObjectMonitorFactory::create_in`]): a checker keeps the queued ids
+//!   as they are, no payload resolved on the way.
 //! * **Batched ingestion.**  [`MonitoringEngine::submit_batch`] /
 //!   [`MonitoringEngine::try_submit_batch`] scatter a whole [`EventBatch`]
 //!   across the shards in one routing pass — one queue lock per touched
 //!   shard, backpressure reserved in events up front, and one epoch bump +
 //!   notify per batch ([`MonitoringEngine::submit`] is a batch of one).
-//!   Worker-side, a shard claim takes the whole queue and walks it grouped
-//!   by object (per-object FIFO is kept; the order across objects carries
-//!   nothing): each object's events of the claim, up to an eviction marker,
-//!   are fed to its monitor as one [`ObjectMonitor::on_records`] run — one
-//!   slot lookup and one visit to the object's cold state per object per
-//!   claim, however finely the producers interleaved the objects.
+//!   Worker-side, a claim takes the whole queue and hands it to the
+//!   shard's core, which feeds each object one run per claim.
 //! * **Failure.**  A panicking monitor does not hang the pool: the worker
 //!   catches it, aborts the run (reconciling the backlog so
 //!   [`MonitoringEngine::backlog`] does not over-report forever), and the
@@ -93,14 +81,11 @@
 //!   monitor, checkpoint or tombstone the panic unwound out of.
 
 use crate::journal::{JournalSink, RecoveredObject};
-use crate::report::{EngineReport, EngineStats, ObjectReport};
+use crate::report::{EngineReport, EngineStats};
 use crate::service::{SubmitError, SubscriptionShared, VerdictSubscription};
-use drv_consistency::CheckerStats;
+use crate::shard::{ClaimOutput, Feed, QueueItem, ShardCore};
 use drv_consistency::{ObjectMonitor, ObjectMonitorFactory};
-use drv_lang::{
-    hash, EventBatch, EventRecord, ObjectId, SharedInterner, Symbol, Verdict, VerdictEvent,
-    WorkerPanic,
-};
+use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol, Verdict, VerdictEvent, WorkerPanic};
 use drv_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -114,7 +99,6 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     workers: usize,
-    shards: usize,
     max_pending: usize,
 }
 
@@ -123,20 +107,10 @@ impl EngineConfig {
     /// shards, with unbounded ingestion.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         EngineConfig {
-            workers,
-            shards: workers * 4,
+            workers: workers.max(1),
             max_pending: usize::MAX,
         }
-    }
-
-    /// Overrides the shard count (clamped to ≥ the worker count; more
-    /// shards = finer stealing granularity, more routing state).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(self.workers);
-        self
     }
 
     /// Bounds the submitted-but-unprocessed work (clamped to ≥ 1):
@@ -161,25 +135,10 @@ impl EngineConfig {
     pub fn max_pending(&self) -> usize {
         self.max_pending
     }
-}
 
-/// One unit of shard-queue work: an object event (a `Copy`, arena-backed
-/// [`EventRecord`] — the workspace-wide interchange type from `drv-lang`),
-/// or an eviction marker that retires the object's monitor *after*
-/// everything submitted before it (FIFO through the same queue, so eviction
-/// can never overtake traffic).
-#[derive(Debug, Clone, Copy)]
-enum QueueItem {
-    Event(EventRecord),
-    Evict(ObjectId),
-}
-
-impl QueueItem {
-    fn object(&self) -> ObjectId {
-        match self {
-            QueueItem::Event(event) => event.object,
-            QueueItem::Evict(object) => *object,
-        }
+    /// Four shards per worker, so that idle workers find shards to steal.
+    fn shards(&self) -> usize {
+        self.workers * 4
     }
 }
 
@@ -197,11 +156,10 @@ fn shard_of(object: ObjectId, shards: usize) -> usize {
     (hash % shards as u64) as usize
 }
 
-/// The engine's registered metric handles — the one source of truth the
-/// ad-hoc `AtomicU64` counters of earlier revisions migrated onto:
-/// [`EngineStats`] / [`MonitoringEngine::live_stats`] are now *views* over
-/// these registry cells, and any [`Telemetry`] handle shared with the
-/// engine sees them under the `engine_*` names.
+/// The engine's registered metric handles: [`EngineStats`] /
+/// [`MonitoringEngine::live_stats`] are *views* over these registry cells,
+/// and any [`Telemetry`] handle shared with the engine sees them under the
+/// `engine_*` names.
 struct EngineMetrics {
     /// Events fed to a monitor.
     events: Counter,
@@ -228,8 +186,7 @@ struct EngineMetrics {
     /// ns — one sample per claim.
     queue_wait_ns: Histogram,
     /// Per-run check latency (the run's `ObjectMonitor::on_records` calls and
-    /// any checkpoint due inside it), ns — sampled at 1-in-[`CHECK_SAMPLE`]
-    /// runs per worker (see the constant's docs).
+    /// any checkpoint due inside it), ns — the core times 1 run in 16.
     check_ns: Histogram,
     /// Memo-relevant checker counters, harvested as deltas from
     /// [`ObjectMonitor::checker_stats`] after each run.
@@ -244,8 +201,8 @@ struct EngineMetrics {
     /// its `max_states` budget.
     checker_unknown: Counter,
     /// Coalesced verdict deliveries into subscriptions (one per flush of the
-    /// delivery buffer — once it holds [`DELIVERY_CHUNK`] verdicts, and at
-    /// the end of a claim — regardless of the subscriber count).
+    /// delivery buffer — once it holds 64 verdicts, and at the end of a
+    /// claim — regardless of the subscriber count).
     verdict_batches: Counter,
     /// Verdicts delivered through those batches.
     verdict_batch_events: Counter,
@@ -289,27 +246,9 @@ impl EngineMetrics {
         }
     }
 
-    /// The live monitor's monotone checker counters as deltas against the
-    /// slot's last harvest, added onto `into`; the slot's watermark moves
-    /// up, so each run counts exactly its new work.
-    fn harvest(slot: &mut ObjectSlot, into: &mut CheckerStats) {
-        let Some(now) = slot.monitor.as_ref().and_then(|monitor| monitor.checker_stats()) else {
-            return;
-        };
-        let last = slot.harvested;
-        into.checks += now.checks.wrapping_sub(last.checks);
-        into.fast_path += now.fast_path.wrapping_sub(last.fast_path);
-        into.splices += now.splices.wrapping_sub(last.splices);
-        into.dfs_runs += now.dfs_runs.wrapping_sub(last.dfs_runs);
-        into.dfs_nodes += now.dfs_nodes.wrapping_sub(last.dfs_nodes);
-        into.latched += now.latched.wrapping_sub(last.latched);
-        into.unknown += now.unknown.wrapping_sub(last.unknown);
-        slot.harvested = now;
-    }
-
-    /// Folds harvested deltas into the registry and zeroes them.
-    fn fold(&self, harvested: &mut CheckerStats) {
-        let delta = std::mem::take(harvested);
+    /// Folds what a claim left in `claim` into the registry and zeroes it.
+    fn fold(&self, claim: &mut ClaimOutput) {
+        let delta = std::mem::take(&mut claim.harvested);
         self.checker_checks.add(delta.checks);
         self.checker_fast_path.add(delta.fast_path);
         self.checker_splices.add(delta.splices);
@@ -317,41 +256,9 @@ impl EngineMetrics {
         self.checker_dfs_nodes.add(delta.dfs_nodes);
         self.checker_latched.add(delta.latched);
         self.checker_unknown.add(delta.unknown);
-    }
-}
-
-/// One object's place in its shard, from first sight to `finish`.
-struct ObjectSlot {
-    /// The live monitor; `None` from an eviction marker until the object's
-    /// next event installs a fresh one.
-    monitor: Option<Box<dyn ObjectMonitor>>,
-    /// The object's verdict stream across all its monitors: the verdict
-    /// with `seq` s sits at index s.
-    report: ObjectReport,
-    /// Fed-event count covered by the object's last journal checkpoint
-    /// (the next one is due `JournalSink::checkpoint_interval` later, and
-    /// carries the verdicts from here on).  The monitor's own checkpoint
-    /// mark sits at the same count: both move together, and a recovered
-    /// slot starts both at its restored count.  `None` once a tombstone
-    /// ended the object's durable stream: later monitors are never
-    /// checkpointed.
-    checkpointed: Option<u64>,
-    /// Checker counters of the live monitor already folded into the
-    /// registry (the harvest watermark; see [`EngineMetrics::harvest`]).
-    harvested: CheckerStats,
-}
-
-impl ObjectSlot {
-    /// A slot whose stream starts with `verdicts` (a recovered prefix, or
-    /// nothing), fed to `monitor` and covered by a checkpoint.
-    fn new(monitor: Box<dyn ObjectMonitor>, verdicts: Vec<Verdict>) -> Self {
-        ObjectSlot {
-            checkpointed: Some(verdicts.len() as u64),
-            // A restored monitor's work was counted by the run that did it.
-            harvested: monitor.checker_stats().unwrap_or_default(),
-            report: ObjectReport { verdicts },
-            monitor: Some(monitor),
-        }
+        self.events.add(std::mem::take(&mut claim.events));
+        self.runs.add(std::mem::take(&mut claim.runs));
+        self.evicted.add(std::mem::take(&mut claim.evicted));
     }
 }
 
@@ -381,14 +288,9 @@ impl ShardQueue {
 }
 
 #[derive(Default)]
-struct ShardState {
-    objects: hash::HashMap<ObjectId, ObjectSlot>,
-}
-
-#[derive(Default)]
 struct Shard {
     queue: Mutex<ShardQueue>,
-    state: Mutex<ShardState>,
+    core: Mutex<ShardCore>,
 }
 
 struct Shared {
@@ -559,75 +461,41 @@ impl Shared {
         None
     }
 
-    /// Retires `object`'s monitor at its eviction marker: the tombstone
-    /// goes into the journal and the monitor is dropped; the slot and its
-    /// verdict stream stay.  A no-op for an object without a live monitor.
-    fn retire(&self, state: &mut ShardState, object: ObjectId) {
-        let Some(slot) = state.objects.get_mut(&object).filter(|slot| slot.monitor.is_some())
-        else {
-            return;
-        };
-        if let Some(sink) = self.journal() {
-            // The tombstone marks the retirement's position in the durable
-            // stream: recovery evicts here instead of resurrecting the
-            // object from a stale checkpoint.  (`finish` retires nothing
-            // and writes none.)
-            sink.tombstone(object);
-        }
-        // Each run's checker work was harvested as it ran; the next
-        // monitor's counters start from zero.
-        slot.monitor = None;
-        slot.checkpointed = None;
-        slot.harvested = CheckerStats::default();
-        self.m.evicted.inc();
-    }
-
-    /// Flushes the coalesced delivery buffer: everything accumulated since
-    /// the last flush goes into each subscription as one slice under one
-    /// channel lock.  Rows are in processing order, so per-object `seq`
-    /// order is preserved exactly.
-    fn flush_delivery(&self, subs: &[Arc<SubscriptionShared>], delivery: &mut Vec<VerdictEvent>) {
-        if delivery.is_empty() {
+    /// Pushes `rows` into each subscription as one slice under one channel
+    /// lock.  Rows are in processing order, so per-object `seq` order is
+    /// preserved exactly.
+    fn flush_delivery(&self, subs: &[Arc<SubscriptionShared>], rows: &[VerdictEvent]) {
+        if rows.is_empty() {
             return;
         }
         self.m.verdict_batches.inc();
-        self.m.verdict_batch_events.add(delivery.len() as u64);
-        self.m.verdict_batch_len.record(delivery.len() as u64);
+        self.m.verdict_batch_events.add(rows.len() as u64);
+        self.m.verdict_batch_len.record(rows.len() as u64);
         let started = self.tel.timer();
         for sub in subs {
-            sub.push_events(delivery, &|| self.streaming());
+            sub.push_events(rows, &|| self.streaming());
         }
         self.tel.observe(started, &self.m.verdict_flush_ns);
-        delivery.clear();
     }
 
-    /// Claims the shard's whole queue and processes it grouped by object.
-    ///
-    /// The drain is sorted on `(object, queue index)` keys, so each object's
-    /// items of the claim sit together in their queue order (per-object
-    /// FIFO is the only order the engine promises; the order *across*
-    /// objects carries nothing).  Each object's events up to its next
-    /// eviction marker form one *run*: its queued records, gathered into
-    /// `scratch.run` and handed with the engine's arena to
-    /// [`ObjectMonitor::on_records`] — one slot lookup, one monitor call and
-    /// one walk over the object's cold state per object per claim, however
-    /// the producers interleaved the objects.  A marker retires the monitor
-    /// exactly between the events around it, and the object's next run
-    /// meets a fresh one.  Run verdicts accumulate in one delivery buffer, pushed
-    /// into each subscription as one slice once it holds
-    /// [`DELIVERY_CHUNK`] verdicts and at the end of the claim, so verdict
-    /// latency does not grow with queue depth.  Checkpoints do not depend on
-    /// the grouping: a run is fed in one call per stretch between the events
-    /// at which its object's checkpoints fall due, so checkpoints (and the
-    /// journal's bytes) land where one-event runs put them.
-    fn process(&self, shard_index: usize, worker: usize, scratch: &mut WorkerScratch) {
+    /// Claims the shard's whole queue into `drained` and feeds it to the
+    /// shard's core, which delivers verdict rows as chunks fill.  Then the
+    /// claim's counters are folded, its last rows flushed, and only then do
+    /// its items leave `pending`: whoever reads `backlog() == 0` reads every
+    /// counter and can poll every verdict of the work that emptied it.
+    fn process(
+        &self,
+        shard_index: usize,
+        worker: usize,
+        drained: &mut VecDeque<QueueItem>,
+        claim: &mut ClaimOutput,
+    ) {
         let shard = &self.shards[shard_index];
         // Swap, not copy: the queue lock is held for O(1), and both buffers
         // keep their capacity.
-        let mut drained = std::mem::take(&mut scratch.drained);
         let scheduled_at = {
             let mut queue = shard.queue.lock();
-            std::mem::swap(&mut queue.items, &mut drained);
+            std::mem::swap(&mut queue.items, drained);
             queue.scheduled_at.take()
         };
         // From here the drained items leave `pending` when the guard drops,
@@ -636,149 +504,27 @@ impl Shared {
             shared: self,
             count: drained.len(),
         };
-        let subs = self.subscribers();
-        let sink = self.journal();
         if !drained.is_empty() {
             self.tel.observe(scheduled_at, &self.m.queue_wait_ns);
             self.m.batches.inc();
             self.m.queue_depth.sub(drained.len() as i64);
-            let items = drained.make_contiguous();
-            let mut order = std::mem::take(&mut scratch.order);
-            let len = u32::try_from(items.len()).expect("a shard queue holds < 2^32 items");
-            let mut events = 0u64;
-            for (index, item) in (0..len).zip(items.iter()) {
-                order.push(ClaimKey::new(item.object(), index));
-                events += u64::from(matches!(item, QueueItem::Event(_)));
-            }
-            order.sort_unstable();
-            let mut runs = 0u64;
-            let mut state = shard.state.lock();
-            let mut at = 0;
-            while at < order.len() {
-                let object = order[at].object();
-                // Whose work a panic from here on unwinds out of.
-                scratch.object = Some(object);
-                if let QueueItem::Evict(_) = items[order[at].index()] {
-                    self.retire(&mut state, object);
-                    scratch.object = None;
-                    at += 1;
-                    continue;
-                }
-                // The object's events up to its next marker, in queue order.
-                let mut end = at + 1;
-                while end < order.len()
-                    && order[end].object() == object
-                    && matches!(items[order[end].index()], QueueItem::Event(_))
-                {
-                    end += 1;
-                }
-                let run = &order[at..end];
-                scratch.run.clear();
-                scratch.run.extend(run.iter().map(|key| match items[key.index()] {
-                    QueueItem::Event(event) => event,
-                    QueueItem::Evict(_) => unreachable!("runs contain only events"),
-                }));
-                let slot = state.objects.entry(object).or_insert_with(|| {
-                    ObjectSlot::new(self.factory.create_in(object, &self.interner), Vec::new())
-                });
-                // A retired slot's next run meets a fresh monitor.
-                let monitor = slot
-                    .monitor
-                    .get_or_insert_with(|| self.factory.create_in(object, &self.interner));
-                // Seqs are assigned from the slot's stream position before
-                // the run's verdicts join it.
-                let run_base = slot.report.verdicts.len() as u64;
-                let checkpoints = sink.as_ref().map(|sink| (sink, sink.checkpoint_interval()));
-                scratch.check_tick = scratch.check_tick.wrapping_add(1);
-                let sampled = scratch.check_tick & (CHECK_SAMPLE - 1) == 1;
-                let check_started = if sampled { self.tel.timer() } else { None };
-                scratch.verdicts.clear();
-                let mut from = 0;
-                while from < scratch.run.len() {
-                    // Feed up to the next checkpoint due, so a checkpoint
-                    // lands on the same event however a claim grouped the
-                    // object's traffic.
-                    let mut to = scratch.run.len();
-                    if let (Some((_, interval)), Some(checkpointed)) =
-                        (checkpoints, slot.checkpointed)
-                    {
-                        let due = checkpointed
-                            .saturating_add(interval)
-                            .saturating_sub(slot.report.verdicts.len() as u64)
-                            .max(1);
-                        if due < (to - from) as u64 {
-                            to = from + due as usize;
-                        }
-                    }
-                    let fed_before = scratch.verdicts.len();
-                    monitor.on_records(
-                        &scratch.run[from..to],
-                        &self.interner,
-                        &mut scratch.verdicts,
-                    );
-                    runs += 1;
-                    slot.report
-                        .verdicts
-                        .extend_from_slice(&scratch.verdicts[fed_before..]);
-                    from = to;
-                    let (Some((sink, interval)), Some(checkpointed)) =
-                        (checkpoints, slot.checkpointed)
-                    else {
-                        continue;
-                    };
-                    let fed = slot.report.verdicts.len() as u64;
-                    if fed >= checkpointed.saturating_add(interval) {
-                        if let Some(state) = monitor.checkpoint() {
-                            let since = usize::try_from(checkpointed)
-                                .expect("checkpointed events are in memory");
-                            sink.checkpoint(object, fed, &slot.report.verdicts[since..], &state);
-                        }
-                        // Monitors without checkpoint support advance the
-                        // watermark too — the interval gates the *probe*,
-                        // recovery falls back to full replay for them.
-                        slot.checkpointed = Some(fed);
-                    }
-                }
-                self.tel.observe(check_started, &self.m.check_ns);
-                // The run's counters go to the registry with the rest of the
-                // claim's, not in seven atomic adds of their own.
-                EngineMetrics::harvest(slot, &mut scratch.harvested);
-                assert_eq!(
-                    scratch.verdicts.len(),
-                    scratch.run.len(),
-                    "an ObjectMonitor::on_records must append exactly one verdict per event"
-                );
-                scratch.object = None;
-                // Batched delivery: rows accumulate in processing order, so
-                // each object's seqs reach the channel in order.
-                if !subs.is_empty() {
-                    scratch
-                        .delivery
-                        .extend(scratch.verdicts.iter().enumerate().map(
-                            |(offset, &verdict)| VerdictEvent {
-                                object,
-                                seq: run_base + offset as u64,
-                                verdict,
-                            },
-                        ));
-                }
-                if scratch.delivery.len() >= DELIVERY_CHUNK {
-                    self.flush_delivery(&subs, &mut scratch.delivery);
-                }
-                at = end;
-            }
-            drop(state);
-            order.clear();
-            scratch.order = order;
-            // Before the pending guard drops: whoever reads `backlog() == 0`
-            // reads every checker counter of the work that emptied it.
-            self.m.fold(&mut scratch.harvested);
-            self.flush_delivery(&subs, &mut scratch.delivery);
-            self.m.events.add(events);
-            self.m.runs.add(runs);
+            let subs = self.subscribers();
+            let sink = self.journal();
+            let deliver = |rows: &[VerdictEvent]| self.flush_delivery(&subs, rows);
+            let feed = Feed {
+                factory: self.factory.as_ref(),
+                arena: &self.interner,
+                sink: sink.as_deref(),
+                start_check: &|| self.tel.timer(),
+                end_check: &|started| self.tel.observe(Some(started), &self.m.check_ns),
+                deliver: if subs.is_empty() { None } else { Some(&deliver) },
+            };
+            shard.core.lock().feed(drained.make_contiguous(), &feed, claim);
+            self.m.fold(claim);
+            self.flush_delivery(&subs, &claim.rows);
+            claim.rows.clear();
         }
         drained.clear();
-        scratch.drained = drained;
         // Reschedule or release the claim.
         let reschedule = {
             let mut queue = shard.queue.lock();
@@ -859,7 +605,7 @@ impl Shared {
     fn stats_snapshot(&self, config: EngineConfig) -> EngineStats {
         EngineStats {
             workers: config.workers,
-            shards: config.shards,
+            shards: config.shards(),
             events: self.m.events.get(),
             batches: self.m.batches.get(),
             steals: self.m.steals.get(),
@@ -869,69 +615,8 @@ impl Shared {
     }
 }
 
-/// Per-worker reusable buffers of the grouped claim path: the drained
-/// queue, its grouping keys, one object's run of records and its verdicts,
-/// recycled claim to claim so the hot loop performs no per-run allocations
-/// once warm.
-#[derive(Default)]
-struct WorkerScratch {
-    /// The claimed shard's queue, swapped out under the queue lock (the
-    /// shard keeps this buffer's old allocation for new submissions).
-    drained: VecDeque<QueueItem>,
-    /// One key per drained item, sorted to group the claim by object.
-    order: Vec<ClaimKey>,
-    run: Vec<EventRecord>,
-    verdicts: Vec<Verdict>,
-    /// The coalesced delivery buffer: `(object, seq, verdict)` rows of the
-    /// claim's runs, pushed into each subscription as one slice under one
-    /// channel lock at flush time.
-    delivery: Vec<VerdictEvent>,
-    /// Monotone run counter driving the 1-in-[`CHECK_SAMPLE`] check-latency
-    /// sampling (worker-local, so no cross-worker coordination).
-    check_tick: u32,
-    /// The object whose monitor, checkpoint or tombstone the worker is in,
-    /// `None` between objects: what a panic's [`WorkerPanic::object`] says.
-    object: Option<ObjectId>,
-    /// Checker counter deltas of the current claim's runs, folded into the
-    /// registry once per claim.
-    harvested: CheckerStats,
-}
-
-/// A drained item's grouping key: object and queue index, packed so that
-/// sorting plain integers groups a claim by object in queue order (the
-/// index is unique, so no two keys tie).  Sorting an 8 192-item drain of
-/// 2 048 objects took ≈ 23 ns per item packed against ≈ 42 ns as tuples.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ClaimKey(u128);
-
-impl ClaimKey {
-    fn new(object: ObjectId, index: u32) -> Self {
-        ClaimKey(u128::from(object.0) << 64 | u128::from(index))
-    }
-
-    fn object(self) -> ObjectId {
-        ObjectId((self.0 >> 64) as u64)
-    }
-
-    fn index(self) -> usize {
-        self.0 as u32 as usize
-    }
-}
-
-/// Verdicts the delivery buffer collects before a mid-claim flush: a deep
-/// queue must not hold its first objects' verdicts back until its last
-/// object is checked.
-const DELIVERY_CHUNK: usize = 64;
-
-/// Check-latency sampling period (a power of two).  A run can be a single
-/// event (a claim holding one event per object), so timing every run would
-/// put two `Instant::now` calls on every event; each worker times its first
-/// run and then every 16th.  Counters stay exact; only the
-/// `engine_check_ns` histogram is sampled.
-const CHECK_SAMPLE: u32 = 16;
-
 fn worker_loop(shared: &Shared, worker: usize) {
-    let mut scratch = WorkerScratch::default();
+    let (mut drained, mut claim) = (VecDeque::new(), ClaimOutput::default());
     loop {
         // Checked between batches too, not just when idle: an abort (worker
         // panic, engine dropped unfinished) must not wait for the backlog
@@ -949,10 +634,10 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let seen = shared.work_epoch.load(Ordering::SeqCst);
         if let Some(shard) = shared.find_work(worker) {
             if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                shared.process(shard, worker, &mut scratch);
+                shared.process(shard, worker, &mut drained, &mut claim);
             })) {
                 shared.abort(WorkerPanic {
-                    object: scratch.object,
+                    object: claim.object,
                     ..WorkerPanic::from_payload("engine worker", worker, payload)
                 });
                 return;
@@ -1051,11 +736,11 @@ impl MonitoringEngine {
         // Stats frame): added once, so engines sharing a registry sum.
         let reg = telemetry.registry();
         reg.gauge("engine_workers").add(config.workers as i64);
-        reg.gauge("engine_shards").add(config.shards as i64);
+        reg.gauge("engine_shards").add(config.shards() as i64);
         let shared = Arc::new(Shared {
             factory,
             interner,
-            shards: (0..config.shards).map(|_| Shard::default()).collect(),
+            shards: (0..config.shards()).map(|_| Shard::default()).collect(),
             deques: (0..config.workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             park: Mutex::new(()),
             park_signal: Condvar::new(),
@@ -1074,11 +759,8 @@ impl MonitoringEngine {
             max_pending: config.max_pending,
         });
         for seed in seeds {
-            let shard_index = shard_of(seed.object, config.shards);
-            let mut state = shared.shards[shard_index].state.lock();
-            state
-                .objects
-                .insert(seed.object, ObjectSlot::new(seed.monitor, seed.verdicts));
+            let shard_index = shard_of(seed.object, config.shards());
+            shared.shards[shard_index].core.lock().seed(seed);
         }
         let handles = (0..config.workers)
             .map(|worker| {
@@ -1109,19 +791,17 @@ impl MonitoringEngine {
         self.shared.deques[home].lock().push_back(shard_index);
     }
 
-    fn enqueue(&self, object: ObjectId, item: QueueItem) {
-        let shard_index = shard_of(object, self.shared.shards.len());
-        self.shared.m.queue_depth.add(1);
+    /// Appends `items` to one shard's queue and, if that scheduled the
+    /// shard, hands it to its home worker and publishes: only a newly
+    /// scheduled shard is work a parked worker could miss.
+    fn enqueue(&self, shard_index: usize, items: impl IntoIterator<Item = QueueItem>) {
         let newly_scheduled = {
             let mut queue = self.shared.shards[shard_index].queue.lock();
-            queue.items.push_back(item);
+            queue.items.extend(items);
             queue.schedule(&self.shared.tel)
         };
         if newly_scheduled {
             self.push_home(shard_index);
-            // Only a newly scheduled shard creates work a parked worker
-            // could miss; events on an already-scheduled shard are picked up
-            // by whichever worker owns the claim.
             self.shared.publish_work(false);
         }
         self.shared.reconcile_if_aborted(shard_index);
@@ -1192,11 +872,6 @@ impl MonitoringEngine {
             // dead pool dropped).
             sink.append_batch(batch, &self.shared.interner);
         }
-        if self.shared.max_pending == usize::MAX {
-            self.shared.pending.fetch_add(batch.len(), Ordering::AcqRel);
-            self.enqueue_batch_range(batch, 0, batch.len());
-            return;
-        }
         let mut start = 0;
         while start < batch.len() {
             let chunk = (batch.len() - start).min(self.shared.max_pending);
@@ -1242,9 +917,7 @@ impl MonitoringEngine {
         if batch.is_empty() {
             return Ok(());
         }
-        if self.shared.max_pending == usize::MAX {
-            self.shared.pending.fetch_add(batch.len(), Ordering::AcqRel);
-        } else if self.shared.try_reserve(batch.len()).is_err() {
+        if self.shared.try_reserve(batch.len()).is_err() {
             return Err(SubmitError::Full);
         }
         if let Some(sink) = self.shared.journal() {
@@ -1277,18 +950,10 @@ impl MonitoringEngine {
         if let [(shard_index, range)] = &runs[..] {
             // Single-run batch (a one-event or single-object submission):
             // no scatter plan needed.
-            let newly_scheduled = {
-                let mut queue = self.shared.shards[*shard_index].queue.lock();
-                for index in range.clone() {
-                    queue.items.push_back(QueueItem::Event(batch.get(index)));
-                }
-                queue.schedule(&self.shared.tel)
-            };
-            if newly_scheduled {
-                self.push_home(*shard_index);
-                self.shared.publish_work(false);
-            }
-            self.shared.reconcile_if_aborted(*shard_index);
+            self.enqueue(
+                *shard_index,
+                range.clone().map(|index| QueueItem::Event(batch.get(index))),
+            );
             self.shared
                 .tel
                 .observe(scatter_started, &self.shared.m.scatter_ns);
@@ -1389,7 +1054,11 @@ impl MonitoringEngine {
             return;
         }
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        self.enqueue(object, QueueItem::Evict(object));
+        self.shared.m.queue_depth.add(1);
+        self.enqueue(
+            shard_of(object, self.shared.shards.len()),
+            [QueueItem::Evict(object)],
+        );
     }
 
     /// [`MonitoringEngine::evict`] for a whole set of objects — the
@@ -1548,8 +1217,7 @@ impl MonitoringEngine {
         }
         let mut objects = BTreeMap::new();
         for shard in &self.shared.shards {
-            let mut state = shard.state.lock();
-            objects.extend(state.objects.drain().map(|(object, slot)| (object, slot.report)));
+            objects.extend(shard.core.lock().drain_reports());
         }
         for sub in self.shared.subscribers() {
             sub.close();
@@ -1642,10 +1310,10 @@ mod tests {
     fn config_clamps_and_overrides() {
         let config = EngineConfig::new(0);
         assert_eq!(config.workers(), 1);
-        assert_eq!(config.shards, 4);
+        assert_eq!(config.shards(), 4);
         assert_eq!(config.max_pending(), usize::MAX);
-        let config = EngineConfig::new(4).with_shards(2).with_max_pending(0);
-        assert_eq!(config.shards, 4, "shards clamp to the worker count");
+        let config = EngineConfig::new(4).with_max_pending(0);
+        assert_eq!(config.shards(), 16, "four shards per worker");
         assert_eq!(config.max_pending(), 1, "max_pending clamps to ≥ 1");
     }
 

@@ -29,6 +29,13 @@
 //! [`sequential_reference`] on hundreds of seeded multi-object streams, at
 //! every prefix, for both criteria.
 //!
+//! **Shell and core.**  [`engine`] is the shell: the worker pool, the shard
+//! queues and stealing, parking, backpressure, subscriptions and the
+//! telemetry registry — every lock, thread and clock read.  The private
+//! `shard` module is the core: a shard's object slots and what one claim
+//! does to them (grouping, runs, checkpoint cadence, `seq`s, retirement);
+//! it holds no lock, thread or clock, so its tests need no worker.
+//!
 //! The engine is built to run **always-on**, not just batch-style: idle
 //! workers park *untimed* on an epoch-ticketed condvar (zero wakeups while
 //! idle — no timed polling), ingestion is bounded
@@ -61,11 +68,9 @@
 //! preserved, so per-object FIFO — and therefore verdict bit-identity —
 //! holds at any batch size), its backpressure is reserved in *events* up
 //! front, and the pool is published to with **one** `work_epoch` bump and
-//! one notify per batch instead of one per event.  Worker-side, a claim's
-//! queue items are grouped into one run per object and fed to the object's
-//! monitor through [`drv_consistency::ObjectMonitor::on_records`] (the
-//! incremental checkers push the run's ids into their history), so one slot
-//! lookup and one verdict flush cover the whole run.
+//! one notify per batch instead of one per event.  Worker-side, the core
+//! feeds each object's events of a claim to its monitor as one
+//! [`drv_consistency::ObjectMonitor::on_records`] run.
 //!
 //! **Arena lifetime rules.**  Payload ids are only meaningful relative to
 //! the arena that produced them: build batches against the target engine's
@@ -111,6 +116,7 @@ pub mod engine;
 pub mod journal;
 pub mod report;
 pub mod service;
+mod shard;
 
 pub use engine::{sequential_reference, EngineConfig, MonitoringEngine};
 pub use journal::{JournalSink, RecoveredObject};

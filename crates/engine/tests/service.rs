@@ -295,43 +295,7 @@ fn zero_backlog_means_every_verdict_is_pollable() {
     }
 }
 
-// --- the grouped claim -------------------------------------------------
-
-/// Wraps the register checker and records `(object, run length)` for every
-/// `on_batch` call the engine makes.
-struct CountingFactory {
-    inner: Arc<CheckerMonitorFactory<Register>>,
-    calls: Arc<Mutex<Vec<(ObjectId, usize)>>>,
-}
-struct CountingMonitor {
-    object: ObjectId,
-    inner: Box<dyn ObjectMonitor>,
-    calls: Arc<Mutex<Vec<(ObjectId, usize)>>>,
-}
-impl ObjectMonitor for CountingMonitor {
-    fn on_symbol(&mut self, symbol: &Symbol) -> Verdict {
-        self.inner.on_symbol(symbol)
-    }
-    fn on_batch(&mut self, symbols: &[Symbol], verdicts: &mut Vec<Verdict>) {
-        self.calls
-            .lock()
-            .unwrap()
-            .push((self.object, symbols.len()));
-        self.inner.on_batch(symbols, verdicts);
-    }
-}
-impl ObjectMonitorFactory for CountingFactory {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("counting")
-    }
-    fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
-        Box::new(CountingMonitor {
-            object,
-            inner: self.inner.create(object),
-            calls: Arc::clone(&self.calls),
-        })
-    }
-}
+// --- retirement -------------------------------------------------------
 
 /// `per_object` events of clean traffic for each of objects `0..objects`,
 /// interleaved one event per object at a time.
@@ -343,49 +307,6 @@ fn round_robin(objects: u64, per_object: usize) -> Vec<(ObjectId, Symbol)> {
     (0..per_object)
         .flat_map(|step| streams.iter().map(move |stream| stream[step].clone()))
         .collect()
-}
-
-/// The tentpole's contract: one claim takes the whole shard queue and feeds
-/// each object's events to its monitor as one run, however finely the
-/// producer interleaved them — 3 objects × 50 round-robin events in one
-/// `submit_batch` are three `on_batch` calls of 50, in one claim, with
-/// verdict streams equal to the sequential reference.
-#[test]
-fn one_claim_feeds_each_object_one_run_in_queue_order() {
-    let events = round_robin(3, 50);
-    let expected = sequential_reference(factory().as_ref(), &events);
-    let calls = Arc::new(Mutex::new(Vec::new()));
-    let engine = MonitoringEngine::new(
-        EngineConfig::new(1).with_shards(1),
-        Arc::new(CountingFactory {
-            inner: factory(),
-            calls: Arc::clone(&calls),
-        }),
-    );
-    let tel = Arc::clone(engine.telemetry());
-    let mut batch = EventBatch::new();
-    for (object, symbol) in &events {
-        batch.push_symbol(*object, symbol, engine.interner());
-    }
-    engine.submit_batch(&batch);
-    let report = engine.finish().expect("no panics");
-    for (object, verdicts) in &expected {
-        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "{object}");
-    }
-    let mut calls = calls.lock().unwrap().clone();
-    calls.sort_unstable();
-    assert_eq!(
-        calls,
-        [(ObjectId(0), 50), (ObjectId(1), 50), (ObjectId(2), 50)]
-    );
-    let snap = tel.snapshot();
-    assert_eq!(
-        snap.counter("engine_batches"),
-        Some(1),
-        "one claim took the queue"
-    );
-    assert_eq!(snap.counter("engine_runs"), Some(3), "one run per object");
-    assert_eq!(snap.counter("engine_events"), Some(150));
 }
 
 /// Records the stream position of every checkpoint the engine writes, one
@@ -426,33 +347,6 @@ impl JournalSink for RecordingSink {
     fn tombstone(&self, _object: ObjectId) {
         self.tombstones.fetch_add(1, Ordering::SeqCst);
     }
-}
-
-/// A grouped claim hands each object its 50 events at once, yet the
-/// checkpoints still land on every 16th event — where one-event runs put
-/// them — so the journal's bytes do not depend on how a claim grouped the
-/// traffic: each run is fed as 16 + 16 + 16 + 2.
-#[test]
-fn checkpoints_land_on_the_interval_however_a_claim_groups() {
-    let engine = MonitoringEngine::new(EngineConfig::new(1).with_shards(1), factory());
-    let sink = Arc::new(RecordingSink::every(16));
-    engine.attach_journal(sink.clone());
-    let tel = Arc::clone(engine.telemetry());
-    let mut batch = EventBatch::new();
-    for (object, symbol) in &round_robin(3, 50) {
-        batch.push_symbol(*object, symbol, engine.interner());
-    }
-    engine.submit_batch(&batch);
-    engine.finish().expect("no panics");
-    let mut checkpoints = sink.checkpoints.lock().unwrap().clone();
-    checkpoints.sort_unstable();
-    let expected: Vec<(ObjectId, usize)> = (0..3)
-        .flat_map(|object| [16, 32, 48].map(|fed| (ObjectId(object), fed)))
-        .collect();
-    assert_eq!(checkpoints, expected);
-    let snap = tel.snapshot();
-    assert_eq!(snap.counter("engine_batches"), Some(1));
-    assert_eq!(snap.counter("engine_runs"), Some(12));
 }
 
 /// Retirement drops the monitor, not the slot: across three generations of
@@ -514,110 +408,6 @@ fn a_retired_slot_keeps_its_stream_and_revives_without_checkpoints() {
         [(object, 4), (object, 8)],
         "the first generation only"
     );
-}
-
-/// Returns `Maybe(k)` for the `k`-th symbol of its generation; the first
-/// monitor of [`GATED`] blocks on its first symbol until released, holding
-/// the only worker while the test queues work.
-struct GenerationMonitor {
-    seen: u32,
-    gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
-}
-impl ObjectMonitor for GenerationMonitor {
-    fn on_symbol(&mut self, _symbol: &Symbol) -> Verdict {
-        if let Some((entered, release)) = self.gate.take() {
-            entered.send(()).expect("test waits for the gate");
-            release.recv().expect("test releases the gate");
-        }
-        self.seen += 1;
-        Verdict::Maybe(self.seen)
-    }
-}
-const GATED: ObjectId = ObjectId(99);
-struct GenerationFactory {
-    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
-}
-impl ObjectMonitorFactory for GenerationFactory {
-    fn name(&self) -> Cow<'_, str> {
-        Cow::Borrowed("generation")
-    }
-    fn create(&self, object: ObjectId) -> Box<dyn ObjectMonitor> {
-        let gate = if object == GATED {
-            self.gate.lock().unwrap().take()
-        } else {
-            None
-        };
-        Box::new(GenerationMonitor { seen: 0, gate })
-    }
-}
-
-/// Grouping never moves an eviction marker across its object's events:
-/// with `A B A evict(A) A B` queued behind a held worker, the grouped claim
-/// retires A's monitor after exactly its first two events, and the third
-/// goes to a fresh generation — its count restarts, its `seq` continues.
-#[test]
-fn an_eviction_marker_splits_its_objects_run_in_a_grouped_claim() {
-    let (a, b) = (ObjectId(2), ObjectId(1));
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel();
-    let engine = MonitoringEngine::new(
-        EngineConfig::new(1).with_shards(1),
-        Arc::new(GenerationFactory {
-            gate: Mutex::new(Some((entered_tx, release_rx))),
-        }),
-    );
-    let tel = Arc::clone(engine.telemetry());
-    let subscription = engine.subscribe(64);
-    let symbol = Symbol::invoke(ProcId(0), Invocation::Read);
-    engine.submit(GATED, &symbol);
-    entered_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the worker reaches the gate");
-    for object in [a, b, a] {
-        engine.submit(object, &symbol);
-    }
-    engine.evict(a);
-    for object in [a, b] {
-        engine.submit(object, &symbol);
-    }
-    release_tx.send(()).expect("the gated monitor waits");
-    assert!(wait_until(Duration::from_secs(10), || engine.backlog() == 0));
-    let mut received = VerdictBatch::new();
-    subscription.poll_batch(&mut received);
-    let stream = |wanted: ObjectId| -> Vec<(u64, Verdict)> {
-        received
-            .iter()
-            .filter(|(object, _, _)| *object == wanted)
-            .map(|(_, seq, verdict)| (seq, verdict))
-            .collect()
-    };
-    assert_eq!(
-        stream(a),
-        [
-            (0, Verdict::Maybe(1)),
-            (1, Verdict::Maybe(2)),
-            (2, Verdict::Maybe(1)),
-        ],
-        "A's stream splits exactly at the marker"
-    );
-    assert_eq!(stream(b), [(0, Verdict::Maybe(1)), (1, Verdict::Maybe(2))]);
-    let snap = tel.snapshot();
-    assert_eq!(
-        snap.counter("engine_batches"),
-        Some(2),
-        "the gate's claim, then one"
-    );
-    assert_eq!(
-        snap.counter("engine_runs"),
-        Some(4),
-        "gate, B, A before and after"
-    );
-    let report = engine.finish().expect("no panics");
-    assert_eq!(
-        report.verdicts(a),
-        Some(&[Verdict::Maybe(1), Verdict::Maybe(2), Verdict::Maybe(1)][..])
-    );
-    assert_eq!(report.stats.evicted, 1);
 }
 
 // --- one arena per engine ---------------------------------------------
