@@ -12,8 +12,8 @@
 //!   it keeps of the word it has read.
 
 use drv_lang::{
-    EventAction, Interner, InternerReadGuard, Invocation, InvocationId, OpId, OpRecord,
-    Operation, ProcId, Response, ResponseId, SharedInterner, Word,
+    EventAction, Interner, InternerReadGuard, Invocation, InvocationId, OpId, OpRecord, Operation,
+    ProcId, Response, ResponseId, SharedInterner, Word,
 };
 
 /// A concurrent history extracted from a finite word: the matched operations,
@@ -314,7 +314,11 @@ impl InternedHistory {
                 HistoryDelta::Completed(record.id)
             }
             _ => {
-                self.skipped.push(SkippedSymbol { position, proc, action });
+                self.skipped.push(SkippedSymbol {
+                    position,
+                    proc,
+                    action,
+                });
                 HistoryDelta::Skipped
             }
         }
@@ -342,14 +346,18 @@ impl InternedHistory {
         // invoked before it and answered at or after it: of each process
         // only the last one it invoked before `from` can be.
         let mut next_record = self.records.partition_point(|record| record.inv_pos < from);
-        let mut next_skipped = self.skipped.partition_point(|skipped| skipped.position < from);
+        let mut next_skipped = self
+            .skipped
+            .partition_point(|skipped| skipped.position < from);
         let mut awaiting: Vec<usize> = self
             .per_proc
             .iter()
             .filter_map(|ops| {
                 let before = ops.partition_point(|id| self.records[id.0].inv_pos < from);
                 let last = self.records[ops[..before].last()?.0];
-                last.resp_pos.is_some_and(|at| at >= from).then_some(last.id.0)
+                last.resp_pos
+                    .is_some_and(|at| at >= from)
+                    .then_some(last.id.0)
             })
             .collect();
         let mut positions = from..u32::try_from(self.symbols).expect("< 2^32 symbols");

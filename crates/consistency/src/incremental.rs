@@ -588,7 +588,11 @@ impl Orphans {
 
     /// The orphans' owners, each once per orphan.
     fn owners(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.by_id.values().flatten().copied().chain(self.unseen.iter().map(|(owner, _)| *owner))
+        self.by_id
+            .values()
+            .flatten()
+            .copied()
+            .chain(self.unseen.iter().map(|(owner, _)| *owner))
     }
 }
 
@@ -955,8 +959,14 @@ impl<S: SequentialSpec> Core<S> {
                 // again, from the frontier it kept — unless an orphan is
                 // left, which keeps the NO and blocks its owner (R4).
                 let p = record.proc.0;
-                if self.standing_no.as_ref().is_some_and(|blocked| blocked.get(p) != Some(&true))
-                    && arena.interner().resolve_invocation(record.invocation).is_mutator()
+                if self
+                    .standing_no
+                    .as_ref()
+                    .is_some_and(|blocked| blocked.get(p) != Some(&true))
+                    && arena
+                        .interner()
+                        .resolve_invocation(record.invocation)
+                        .is_mutator()
                 {
                     self.standing_no = (!self.orphans.is_empty()).then(|| self.orphan_owners());
                 }
@@ -984,7 +994,9 @@ impl<S: SequentialSpec> Core<S> {
         };
         let records = self.history.records();
         let invoked = self.invoked.get_or_insert_with(Box::default);
-        invoked.ids.extend(records[invoked.covered..].iter().map(|q| q.invocation));
+        invoked
+            .ids
+            .extend(records[invoked.covered..].iter().map(|q| q.invocation));
         invoked.covered = records.len();
         // A payload the arena has never seen is invoked nowhere.
         let id = interner.lookup_invocation(&needs);
@@ -1047,7 +1059,9 @@ impl<S: SequentialSpec> Core<S> {
                             order: witness
                                 .order
                                 .iter()
-                                .map(|(id, resp)| (*id, interner.resolve_response(*resp).into_owned()))
+                                .map(|(id, resp)| {
+                                    (*id, interner.resolve_response(*resp).into_owned())
+                                })
                                 .collect(),
                         }
                     }
@@ -1412,7 +1426,10 @@ impl<S: SequentialSpec> Core<S> {
             let next = self
                 .spec
                 .step_if_legal(
-                    witness.states.last().expect("the path starts at the initial state"),
+                    witness
+                        .states
+                        .last()
+                        .expect("the path starts at the initial state"),
                     &interner.resolve_invocation(q.invocation),
                     &interner.resolve_response(resp),
                 )
@@ -1615,12 +1632,13 @@ impl<S: SequentialSpec> Core<S> {
                 let proc = ProcId(reader.u32("checkpoint witness proc")? as usize);
                 let local_index = reader.u32("checkpoint witness index")?;
                 let response = take_response(&mut reader)?;
-                let op = self.history.op_at(proc, local_index).ok_or(
-                    CheckpointError::UnknownOp {
-                        proc: proc.0,
-                        local_index,
-                    },
-                )?;
+                let op =
+                    self.history
+                        .op_at(proc, local_index)
+                        .ok_or(CheckpointError::UnknownOp {
+                            proc: proc.0,
+                            local_index,
+                        })?;
                 order.push((op, arena.response(&response)));
             }
             // Recompute the states after the kept entries by replay: a
@@ -1643,13 +1661,13 @@ impl<S: SequentialSpec> Core<S> {
             for _ in 0..frontier_entries {
                 let proc = ProcId(reader.u32("checkpoint frontier proc")? as usize);
                 let local_index = reader.u32("checkpoint frontier index")?;
-                let op = self
-                    .history
-                    .op_at(proc, local_index)
-                    .ok_or(CheckpointError::UnknownOp {
-                        proc: proc.0,
-                        local_index,
-                    })?;
+                let op =
+                    self.history
+                        .op_at(proc, local_index)
+                        .ok_or(CheckpointError::UnknownOp {
+                            proc: proc.0,
+                            local_index,
+                        })?;
                 if stored {
                     frontier.push(op);
                 }
@@ -1764,7 +1782,10 @@ mod tests {
             w
         };
         let dfs_before = checker.stats().dfs_runs;
-        assert_eq!(checker.check_word(&extended), ConsistencyResult::Inconsistent);
+        assert_eq!(
+            checker.check_word(&extended),
+            ConsistencyResult::Inconsistent
+        );
         assert_eq!(checker.stats().dfs_runs, dfs_before);
         assert!(checker.stats().latched >= 1);
     }
@@ -1773,11 +1794,8 @@ mod tests {
     fn sc_does_not_latch_and_can_recover() {
         // Not SC as long as nobody wrote 2 — but the later write legalizes
         // the read, so the verdict must flip back to consistent.
-        let mut checker = IncrementalChecker::new(
-            Register::new(),
-            CheckerConfig::sequential_consistency(),
-            2,
-        );
+        let mut checker =
+            IncrementalChecker::new(Register::new(), CheckerConfig::sequential_consistency(), 2);
         let bad = WordBuilder::new()
             .op(p(0), Invocation::Write(1), Response::Ack)
             .op(p(1), Invocation::Read, Response::Value(2))
@@ -1812,11 +1830,8 @@ mod tests {
             .op(p(1), Invocation::Dequeue, Response::MaybeValue(Some(2)))
             .build();
         for word in [interleaved, pending] {
-            let mut checker = IncrementalChecker::new(
-                Queue::new(),
-                CheckerConfig::linearizability(),
-                2,
-            );
+            let mut checker =
+                IncrementalChecker::new(Queue::new(), CheckerConfig::linearizability(), 2);
             for len in 0..=word.len() {
                 let prefix = word.prefix(len);
                 let scratch = check_history(
@@ -1836,13 +1851,14 @@ mod tests {
                     "{word}, prefix length {len}"
                 );
                 // Fresh engines search from the root every time.
-                let fresh = IncrementalChecker::new(
-                    Queue::new(),
-                    CheckerConfig::linearizability(),
-                    2,
-                )
-                .check_word_outcome(&prefix);
-                assert_eq!(fresh, checker.check_outcome(), "{word}, prefix length {len}");
+                let fresh =
+                    IncrementalChecker::new(Queue::new(), CheckerConfig::linearizability(), 2)
+                        .check_word_outcome(&prefix);
+                assert_eq!(
+                    fresh,
+                    checker.check_outcome(),
+                    "{word}, prefix length {len}"
+                );
             }
         }
     }
@@ -1894,11 +1910,8 @@ mod tests {
         );
         assert_eq!(checker.check_word(&word), ConsistencyResult::Unknown);
         // Unknown does not latch: a bigger budget resolves it.
-        let mut roomy = IncrementalChecker::new(
-            Register::new(),
-            CheckerConfig::linearizability(),
-            6,
-        );
+        let mut roomy =
+            IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 6);
         assert!(roomy.check_word(&word).is_consistent());
     }
 
@@ -1922,7 +1935,10 @@ mod tests {
         let dfs_before = checker.stats().dfs_runs;
         assert!(checker.check_word(&extended).is_consistent());
         let stats = checker.stats();
-        assert_eq!(stats.dfs_runs, dfs_before, "rescue must avoid the search: {stats:?}");
+        assert_eq!(
+            stats.dfs_runs, dfs_before,
+            "rescue must avoid the search: {stats:?}"
+        );
         assert!(stats.splices >= 1, "{stats:?}");
         // When the pending write finally acks, the assumed response matches
         // and the witness survives again.
@@ -1932,7 +1948,12 @@ mod tests {
             w
         };
         assert!(checker.check_word(&completed).is_consistent());
-        assert_eq!(checker.stats().dfs_runs, dfs_before, "{:?}", checker.stats());
+        assert_eq!(
+            checker.stats().dfs_runs,
+            dfs_before,
+            "{:?}",
+            checker.stats()
+        );
     }
 
     #[test]
@@ -1956,7 +1977,10 @@ mod tests {
         checker.push_symbol(&Symbol::respond(p(0), Response::Value(1)));
         let repaired = checker.check();
         let order = &repaired.witness().expect("linearizable").order;
-        assert_eq!(order[..], [(OpId(1), Response::Ack), (OpId(0), Response::Value(1))]);
+        assert_eq!(
+            order[..],
+            [(OpId(1), Response::Ack), (OpId(0), Response::Value(1))]
+        );
         let stats = checker.stats();
         assert_eq!((stats.dfs_runs, stats.splices), (1, 1), "{stats:?}");
     }
@@ -1974,7 +1998,11 @@ mod tests {
             let prefix = word.prefix(len);
             let full = with_witness.check_word(&prefix);
             let outcome = outcome_only.check_word_outcome(&prefix);
-            assert_eq!(full.is_consistent(), outcome.is_consistent(), "prefix {len}");
+            assert_eq!(
+                full.is_consistent(),
+                outcome.is_consistent(),
+                "prefix {len}"
+            );
             assert_eq!(
                 matches!(full, ConsistencyResult::Unknown),
                 outcome == CheckOutcome::Unknown,
@@ -2003,11 +2031,8 @@ mod tests {
         assert_ne!(pack_counts(&[0]), pack_counts(&[u32::MAX]));
         assert_eq!(pack_counts(&[7]), 7);
         // Single-process engines reach this through the DFS as well.
-        let mut checker = IncrementalChecker::new(
-            Register::new(),
-            CheckerConfig::linearizability(),
-            1,
-        );
+        let mut checker =
+            IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 1);
         let word = WordBuilder::new()
             .op(p(0), Invocation::Write(1), Response::Ack)
             .op(p(0), Invocation::Read, Response::Value(1))
@@ -2107,7 +2132,10 @@ mod tests {
             .op(p(1), Invocation::Read, Response::Value(7))
             .op(p(0), Invocation::Write(2), Response::Ack)
             .build();
-        for config in [CheckerConfig::linearizability(), CheckerConfig::sequential_consistency()] {
+        for config in [
+            CheckerConfig::linearizability(),
+            CheckerConfig::sequential_consistency(),
+        ] {
             for word in [&clean, &stale, &latched] {
                 let symbols = word.symbols();
                 // Restored into again and again after it has read the whole
@@ -2122,8 +2150,12 @@ mod tests {
                     }
                     let bytes = live.checkpoint_bytes();
                     let mut restored = IncrementalChecker::new(Register::new(), config, 2);
-                    restored.restore_bytes(&bytes).expect("a checkpoint we wrote restores");
-                    reused.restore_bytes(&bytes).expect("a checkpoint we wrote restores");
+                    restored
+                        .restore_bytes(&bytes)
+                        .expect("a checkpoint we wrote restores");
+                    reused
+                        .restore_bytes(&bytes)
+                        .expect("a checkpoint we wrote restores");
                     for symbol in &symbols[split..] {
                         live.push_symbol(symbol);
                         restored.push_symbol(symbol);
@@ -2163,10 +2195,17 @@ mod tests {
         let word = word
             .op(p(0), Invocation::Inc, Response::Ack)
             .op(p(1), Invocation::Get, Response::Sequence(vec![1]))
-            .op(p(0), Invocation::Custom("cas".into(), 1), Response::Custom("ok".into(), 0))
+            .op(
+                p(0),
+                Invocation::Custom("cas".into(), 1),
+                Response::Custom("ok".into(), 0),
+            )
             .build();
         let mut reference = Interner::new();
-        for config in [CheckerConfig::linearizability(), CheckerConfig::sequential_consistency()] {
+        for config in [
+            CheckerConfig::linearizability(),
+            CheckerConfig::sequential_consistency(),
+        ] {
             let mut fed = IncrementalChecker::new(Register::new(), config, 2);
             fed.check_word(&word);
             // Restored on an arena whose first slots hold something else.
@@ -2174,13 +2213,17 @@ mod tests {
             seeded.invocation(&Invocation::Custom("other".into(), 0));
             seeded.response(&Response::Custom("other".into(), 0));
             let mut restored = IncrementalChecker::with_arena(Register::new(), config, 2, seeded);
-            restored.restore_bytes(&fed.checkpoint_bytes()).expect("a checkpoint we wrote");
+            restored
+                .restore_bytes(&fed.checkpoint_bytes())
+                .expect("a checkpoint we wrote");
             let (fed_records, restored_records) =
                 (fed.core.history.records(), restored.core.history.records());
             assert_eq!(fed_records.len(), word.operations().len());
             assert_eq!(restored_records.len(), fed_records.len());
-            for ((record, again), operation) in
-                fed_records.iter().zip(restored_records).zip(word.operations())
+            for ((record, again), operation) in fed_records
+                .iter()
+                .zip(restored_records)
+                .zip(word.operations())
             {
                 let (invocation, response) = (&operation.invocation, operation.response.as_ref());
                 let response = response.expect("every operation completes");
@@ -2193,18 +2236,29 @@ mod tests {
                     _ => true,
                 };
                 assert_eq!(record.invocation.is_inline(), expect_inline, "{invocation}");
-                assert_eq!(record.invocation, reference.invocation(invocation), "{invocation}");
+                assert_eq!(
+                    record.invocation,
+                    reference.invocation(invocation),
+                    "{invocation}"
+                );
                 let id = record.response.expect("complete");
                 assert_eq!(id, reference.response(response), "{response}");
                 // The same inline ids on the other arena; slots resolve to
                 // the same payloads there.
-                assert_eq!(again.invocation == record.invocation, expect_inline, "{invocation}");
+                assert_eq!(
+                    again.invocation == record.invocation,
+                    expect_inline,
+                    "{invocation}"
+                );
                 if id.is_inline() {
                     assert_eq!(again.response, Some(id), "{response}");
                 }
                 let read = restored.arena.read();
                 assert_eq!(*read.resolve_invocation(again.invocation), *invocation);
-                assert_eq!(*read.resolve_response(again.response.expect("complete")), *response);
+                assert_eq!(
+                    *read.resolve_response(again.response.expect("complete")),
+                    *response
+                );
             }
             // Write, enqueue and push of the two values past the bound, and
             // the `Custom` invocation; the two values as `Value` and as
@@ -2232,13 +2286,19 @@ mod tests {
         }
         let keyed = |checker: &IncrementalChecker<Register>| {
             let orphans = &checker.core.orphans;
-            (orphans.by_id.len(), orphans.unseen.len(), checker.core.orphan_owners())
+            (
+                orphans.by_id.len(),
+                orphans.unseen.len(),
+                checker.core.orphan_owners(),
+            )
         };
         assert_eq!(keyed(&checker), (2, 1, vec![false, true]));
         assert_eq!(checker.stats().dfs_runs, 0);
         // A restore rebuilds the same orphans.
         let mut restored = IncrementalChecker::with_arena(Register::new(), config, 2, arena);
-        restored.restore_bytes(&checker.checkpoint_bytes()).expect("a checkpoint we wrote");
+        restored
+            .restore_bytes(&checker.checkpoint_bytes())
+            .expect("a checkpoint we wrote");
         assert_eq!(keyed(&restored), keyed(&checker));
         // Each write drops its own orphans, and only those; the last one
         // interns a payload the arena had never seen.
@@ -2247,7 +2307,11 @@ mod tests {
             for checker in [&mut checker, &mut restored] {
                 checker.push_symbol(&Symbol::invoke(p(0), Invocation::Write(value)));
                 let orphans = &checker.core.orphans;
-                assert_eq!((orphans.by_id.len(), orphans.unseen.len()), left, "write {value}");
+                assert_eq!(
+                    (orphans.by_id.len(), orphans.unseen.len()),
+                    left,
+                    "write {value}"
+                );
                 checker.push_symbol(&Symbol::respond(p(0), Response::Ack));
             }
         }
@@ -2294,7 +2358,9 @@ mod tests {
             Err(CheckpointError::TrailingBytes { remaining: 1 })
         ));
         // The uncorrupted payload still restores after all that.
-        lin(Register::new()).restore_bytes(&bytes).expect("pristine payload restores");
+        lin(Register::new())
+            .restore_bytes(&bytes)
+            .expect("pristine payload restores");
     }
 
     /// A counter whose increment may answer `Ack` (what `apply` gives) or
@@ -2360,8 +2426,12 @@ mod tests {
         let first = feed(before);
         let second = feed(after);
         let mut restored = lin(spec);
-        restored.restore_bytes(&first).expect("the full form restores");
-        restored.restore_bytes(&second).expect("the delta extends it");
+        restored
+            .restore_bytes(&first)
+            .expect("the full form restores");
+        restored
+            .restore_bytes(&second)
+            .expect("the delta extends it");
         assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
         live.stats()
     }
@@ -2382,7 +2452,11 @@ mod tests {
             ],
             &[Symbol::respond(p(0), Response::Value(0))],
         );
-        assert_eq!((two_faced.dfs_runs, two_faced.splices), (2, 0), "{two_faced:?}");
+        assert_eq!(
+            (two_faced.dfs_runs, two_faced.splices),
+            (2, 0),
+            "{two_faced:?}"
+        );
         // Excision: the search orders the pending read first, answering 0;
         // it answers 1, leaves the order's head and is spliced in behind
         // the write.
@@ -2415,14 +2489,21 @@ mod tests {
         assert_eq!(empty.len(), keep_at + 8);
         assert_eq!(empty[keep_at..], [2, 0, 0, 0, 0, 0, 0, 0]);
         let mut restored = lin(Register::new());
-        restored.restore_bytes(&full).expect("the full form restores");
-        restored.restore_bytes(&empty).expect("an empty delta extends it");
+        restored
+            .restore_bytes(&full)
+            .expect("the full form restores");
+        restored
+            .restore_bytes(&empty)
+            .expect("an empty delta extends it");
         assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
         let mut inflated = empty.clone();
         inflated[keep_at] = 3;
         assert!(matches!(
             restored.restore_bytes(&inflated),
-            Err(CheckpointError::Codec(CodecError::LengthOverflow { claimed: 3, .. }))
+            Err(CheckpointError::Codec(CodecError::LengthOverflow {
+                claimed: 3,
+                ..
+            }))
         ));
     }
 }

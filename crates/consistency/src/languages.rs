@@ -13,11 +13,9 @@
 //! Linearizability languages additionally exist for any total sequential
 //! object (`LIN_O`, Section 6.2), via [`Linearizable::new`].
 
-use crate::checker::{
-    check_history, CheckerConfig, ConsistencyResult,
-};
+use crate::checker::{check_history, CheckerConfig, ConsistencyResult};
 use crate::eventual::{
-    check_ec_ledger_validity, check_ec_ledger_eventual, check_sec_realtime, check_wec_eventual,
+    check_ec_ledger_eventual, check_ec_ledger_validity, check_sec_realtime, check_wec_eventual,
     check_wec_safety,
 };
 use crate::history::ConcurrentHistory;
@@ -157,7 +155,10 @@ impl<S: SequentialSpec> Language for SequentiallyConsistent<S> {
 
     fn judge_run(&self, word: &Word, _cut: usize) -> RunVerdict {
         RunVerdict::from_bool(self.accepts_prefix(word), || {
-            format!("{}: some prefix is not sequentially consistent", self.name())
+            format!(
+                "{}: some prefix is not sequentially consistent",
+                self.name()
+            )
         })
     }
 }

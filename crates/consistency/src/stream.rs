@@ -95,7 +95,10 @@ pub trait ObjectMonitor: Send {
 /// A run of interned events as symbols, resolved under one read guard.
 fn resolve_run(records: &[EventRecord], arena: &SharedInterner) -> Vec<Symbol> {
     let interner = arena.read();
-    records.iter().map(|record| record.resolve(&interner)).collect()
+    records
+        .iter()
+        .map(|record| record.resolve(&interner))
+        .collect()
 }
 
 /// Why [`ObjectMonitor::restore`] refused a checkpoint payload.
@@ -177,7 +180,10 @@ impl<S: SequentialSpec> ObjectMonitor for CheckerObjectMonitor<S> {
         verdicts: &mut Vec<Verdict>,
     ) {
         self.outcomes.clear();
-        if self.checker.feed_records(records, arena, &mut self.outcomes) {
+        if self
+            .checker
+            .feed_records(records, arena, &mut self.outcomes)
+        {
             verdicts.extend(self.outcomes.iter().map(|&outcome| Verdict::from(outcome)));
         } else {
             self.on_batch(&resolve_run(records, arena), verdicts);
@@ -367,8 +373,8 @@ mod tests {
 
     #[test]
     fn checker_monitor_flags_stale_reads() {
-        let factory = CheckerMonitorFactory::linearizability(Register::new(), 2)
-            .with_max_states(10_000);
+        let factory =
+            CheckerMonitorFactory::linearizability(Register::new(), 2).with_max_states(10_000);
         let mut monitor = factory.create(obj(0));
         let word = WordBuilder::new()
             .op(ProcId(0), Invocation::Write(1), Response::Ack)
@@ -385,8 +391,10 @@ mod tests {
     fn routing_factory_dispatches_by_object() {
         let lin = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), 2))
             as Arc<dyn ObjectMonitorFactory>;
-        let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(Register::new(), 2))
-            as Arc<dyn ObjectMonitorFactory>;
+        let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(
+            Register::new(),
+            2,
+        )) as Arc<dyn ObjectMonitorFactory>;
         let routed = RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
             if object.0.is_multiple_of(2) {
                 Arc::clone(&lin)
@@ -407,8 +415,16 @@ mod tests {
             monitor.on_batch(word.symbols(), &mut verdicts);
             verdicts.last().copied()
         };
-        assert_eq!(final_verdict(obj(0)), Some(Verdict::No), "even ids are checked for LIN");
-        assert_eq!(final_verdict(obj(1)), Some(Verdict::Yes), "odd ids are checked for SC");
+        assert_eq!(
+            final_verdict(obj(0)),
+            Some(Verdict::No),
+            "even ids are checked for LIN"
+        );
+        assert_eq!(
+            final_verdict(obj(1)),
+            Some(Verdict::Yes),
+            "odd ids are checked for SC"
+        );
     }
 
     #[test]
@@ -423,8 +439,10 @@ mod tests {
             CheckerMonitorFactory::sequential_consistency(Register::new(), 2),
         ] {
             let mut reference = factory.create(obj(3));
-            let expected: Vec<Verdict> =
-                symbols.iter().map(|symbol| reference.on_symbol(symbol)).collect();
+            let expected: Vec<Verdict> = symbols
+                .iter()
+                .map(|symbol| reference.on_symbol(symbol))
+                .collect();
             let mut live = factory.create(obj(3));
             let mut chain = Vec::new();
             for split in 0..=symbols.len() {
@@ -434,7 +452,9 @@ mod tests {
                 chain.push(live.checkpoint().expect("checker monitors checkpoint"));
                 let mut restored = factory.create(obj(3));
                 for bytes in &chain {
-                    restored.restore(bytes).expect("a checkpoint we wrote restores");
+                    restored
+                        .restore(bytes)
+                        .expect("a checkpoint we wrote restores");
                 }
                 for (symbol, want) in symbols[split..].iter().zip(&expected[split..]) {
                     assert_eq!(
@@ -447,8 +467,13 @@ mod tests {
             }
             // A checkpoint out of order extends the wrong state: refused.
             let mut skipped = factory.create(obj(3));
-            skipped.restore(&chain[0]).expect("the chain's first link restores");
-            assert!(matches!(skipped.restore(&chain[2]), Err(RestoreError::Invalid(_))));
+            skipped
+                .restore(&chain[0])
+                .expect("the chain's first link restores");
+            assert!(matches!(
+                skipped.restore(&chain[2]),
+                Err(RestoreError::Invalid(_))
+            ));
         }
     }
 
@@ -476,7 +501,11 @@ mod tests {
                 assert!(verdicts.iter().all(|verdict| *verdict == Verdict::Yes));
             }
         }
-        assert_eq!(scalar_only.arena.versions(), (0, 0), "scalar payloads take no slot");
+        assert_eq!(
+            scalar_only.arena.versions(),
+            (0, 0),
+            "scalar payloads take no slot"
+        );
         let (mut invocations, mut responses) = (HashSet::new(), HashSet::new());
         for symbol in word.symbols() {
             match &symbol.action {
@@ -491,9 +520,21 @@ mod tests {
         }
         let distinct = (invocations.len(), responses.len());
         assert_eq!(distinct, (5, 5));
-        assert_eq!(factory.arena.versions(), distinct, "once per factory, not per object");
-        assert_eq!(factory.clone().arena.versions(), distinct, "a clone shares the arena");
-        assert_eq!(bystander.arena.versions(), (0, 0), "factories do not share one");
+        assert_eq!(
+            factory.arena.versions(),
+            distinct,
+            "once per factory, not per object"
+        );
+        assert_eq!(
+            factory.clone().arena.versions(),
+            distinct,
+            "a clone shares the arena"
+        );
+        assert_eq!(
+            bystander.arena.versions(),
+            (0, 0),
+            "factories do not share one"
+        );
 
         // Created in an engine's arena and fed its records, the bystander's
         // monitors keep the engine's ids: its own arena stays empty.
@@ -510,7 +551,11 @@ mod tests {
             assert!(verdicts.iter().all(|verdict| *verdict == Verdict::Yes));
         }
         assert_eq!(engine_arena.versions(), distinct, "once per engine");
-        assert_eq!(bystander.arena.versions(), (0, 0), "the engine's arena, not the factory's");
+        assert_eq!(
+            bystander.arena.versions(),
+            (0, 0),
+            "the engine's arena, not the factory's"
+        );
     }
 
     /// A last-writer cell over user-defined payloads: `name(v)` stores `v`

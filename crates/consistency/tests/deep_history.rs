@@ -182,7 +182,11 @@ fn searched_again_only_at_a_mutator_of_an_unblocked_process(prefix: Vec<Symbol>)
         (Symbol::respond(p1, Response::Value(7)), Consistent, 0),
     ];
     for (at, (symbol, outcome, searches)) in script.into_iter().enumerate() {
-        assert_eq!(step(&mut checker, symbol), (outcome, searches), "script step {at}");
+        assert_eq!(
+            step(&mut checker, symbol),
+            (outcome, searches),
+            "script step {at}"
+        );
     }
     checker.stats()
 }
@@ -230,7 +234,10 @@ fn one_stale_read(ops: usize) -> (Vec<Symbol>, usize) {
         })
         .collect();
     let last = *read.last().expect("the reader has read before");
-    let overwritten = *read.iter().find(|v| **v != last).expect("and seen a value change");
+    let overwritten = *read
+        .iter()
+        .find(|v| **v != last)
+        .expect("and seen a value change");
     symbols[at] = Symbol::respond(reader, Response::Value(overwritten));
     (symbols, at)
 }
@@ -251,10 +258,17 @@ fn searches_and_writes_after(symbols: &[Symbol], first_no: usize) -> (u64, u64) 
             ConsistencyResult::Unknown => CheckOutcome::Unknown,
         };
         assert_eq!(outcome, expected, "symbol {at}");
-        assert_eq!(outcome == CheckOutcome::Inconsistent, at >= first_no, "symbol {at}");
+        assert_eq!(
+            outcome == CheckOutcome::Inconsistent,
+            at >= first_no,
+            "symbol {at}"
+        );
         if at > first_no {
             searches += searched;
-            writes += u64::from(matches!(symbol.action, Action::Invoke(Invocation::Write(_))));
+            writes += u64::from(matches!(
+                symbol.action,
+                Action::Invoke(Invocation::Write(_))
+            ));
         }
     }
     (searches, writes)
@@ -307,7 +321,15 @@ fn an_unknown_never_stands() {
     // write of 7 leaves no orphan, and the next search runs out of nodes:
     // the engine knows nothing it could keep.
     let (steps, latched) = starved_after(wild_read());
-    assert_eq!(steps, [(Inconsistent, 0), (Inconsistent, 0), (Inconsistent, 0), (Unknown, 1)]);
+    assert_eq!(
+        steps,
+        [
+            (Inconsistent, 0),
+            (Inconsistent, 0),
+            (Inconsistent, 0),
+            (Unknown, 1)
+        ]
+    );
     assert_eq!(latched, 4);
 }
 
@@ -325,17 +347,30 @@ fn a_starved_thin_air_read_is_the_no_an_unstarved_search_gives() {
     // A search that may explore one node knows nothing about the wild read;
     // the missing write is enough to answer what a search with room to
     // finish answers, under either criterion.
-    for config in [CheckerConfig::linearizability(), CheckerConfig::sequential_consistency()] {
+    for config in [
+        CheckerConfig::linearizability(),
+        CheckerConfig::sequential_consistency(),
+    ] {
         let starved = config.with_max_states(1);
         let history = ConcurrentHistory::from_word(&Word::from_symbols(wild_read()), 2);
-        assert_eq!(check_history(&Register::new(), &history, &starved), ConsistencyResult::Unknown);
+        assert_eq!(
+            check_history(&Register::new(), &history, &starved),
+            ConsistencyResult::Unknown
+        );
         assert_eq!(
             check_history(&Register::new(), &history, &config),
             ConsistencyResult::Inconsistent
         );
         let mut checker = IncrementalChecker::new(Register::new(), starved, 2);
-        let steps: Vec<_> = wild_read().into_iter().map(|s| step(&mut checker, s)).collect();
-        assert_eq!(steps.last(), Some(&(CheckOutcome::Inconsistent, 0)), "{config:?}: {steps:?}");
+        let steps: Vec<_> = wild_read()
+            .into_iter()
+            .map(|s| step(&mut checker, s))
+            .collect();
+        assert_eq!(
+            steps.last(),
+            Some(&(CheckOutcome::Inconsistent, 0)),
+            "{config:?}: {steps:?}"
+        );
     }
 }
 
@@ -353,13 +388,23 @@ fn a_checkpoint_without_the_standing_bit_restores_and_searches_once() {
             step(&mut live, symbol);
         }
         let mut bytes = live.checkpoint_bytes();
-        assert_eq!(bytes[1] & 12, 12, "the standing NO is checkpointed with its set");
+        assert_eq!(
+            bytes[1] & 12,
+            12,
+            "the standing NO is checkpointed with its set"
+        );
         let set_at = bytes.len() - 8;
-        assert_eq!(bytes[set_at..], [1, 0, 0, 0, 1, 0, 0, 0], "the reader is blocked");
+        assert_eq!(
+            bytes[set_at..],
+            [1, 0, 0, 0, 1, 0, 0, 0],
+            "the reader is blocked"
+        );
         bytes[1] &= !12;
         bytes.truncate(set_at);
         let mut restored = IncrementalChecker::new(Register::new(), config, 2);
-        restored.restore_bytes(&bytes).expect("an older checkpoint restores");
+        restored
+            .restore_bytes(&bytes)
+            .expect("an older checkpoint restores");
         let rest = [
             Symbol::invoke(ProcId(0), Invocation::Read),
             Symbol::respond(ProcId(0), Response::Value(1)),
@@ -386,9 +431,8 @@ fn a_blocked_set_survives_a_delta_chain() {
             step(&mut live, symbol);
         }
         // The set ends every checkpoint of a standing NO, delta or not.
-        let blocks_the_reader = |bytes: &[u8]| {
-            bytes[1] == 0x0C && bytes[bytes.len() - 8..] == [1, 0, 0, 0, 1, 0, 0, 0]
-        };
+        let blocks_the_reader =
+            |bytes: &[u8]| bytes[1] == 0x0C && bytes[bytes.len() - 8..] == [1, 0, 0, 0, 1, 0, 0, 0];
         let full = live.checkpoint_delta();
         assert!(blocks_the_reader(&full), "{full:?}");
         // The reader writes (R3) and the writer reads (R2): no search.
@@ -403,8 +447,12 @@ fn a_blocked_set_survives_a_delta_chain() {
         let delta = live.checkpoint_delta();
         assert!(blocks_the_reader(&delta), "{delta:?}");
         let mut restored = IncrementalChecker::new(Register::new(), config, 2);
-        restored.restore_bytes(&full).expect("the full form restores");
-        restored.restore_bytes(&delta).expect("the delta extends it");
+        restored
+            .restore_bytes(&full)
+            .expect("the full form restores");
+        restored
+            .restore_bytes(&delta)
+            .expect("the delta extends it");
         assert_eq!(restored.checkpoint_bytes(), live.checkpoint_bytes());
         // The reader's next write still stands; the writer's finds the witness.
         let rest = [
@@ -414,15 +462,26 @@ fn a_blocked_set_survives_a_delta_chain() {
             (Symbol::respond(p0, Response::Ack), Consistent, 0),
         ];
         for (at, (symbol, outcome, searches)) in rest.into_iter().enumerate() {
-            assert_eq!(step(&mut live, symbol.clone()), (outcome, searches), "symbol {at}");
-            assert_eq!(step(&mut restored, symbol), (outcome, searches), "symbol {at}");
+            assert_eq!(
+                step(&mut live, symbol.clone()),
+                (outcome, searches),
+                "symbol {at}"
+            );
+            assert_eq!(
+                step(&mut restored, symbol),
+                (outcome, searches),
+                "symbol {at}"
+            );
         }
         assert_eq!(restored.stats(), live.stats());
         // The set belongs to a standing NO, and names processes the history has.
         let mut orphan = full.clone();
         orphan[1] = 0x08;
         let mut fresh = IncrementalChecker::new(Register::new(), config, 2);
-        assert_eq!(fresh.restore_bytes(&orphan), Err(CheckpointError::BadFlags(0x08)));
+        assert_eq!(
+            fresh.restore_bytes(&orphan),
+            Err(CheckpointError::BadFlags(0x08))
+        );
         let mut stranger = full;
         let last = stranger.len() - 4;
         stranger[last] = 2;
@@ -515,7 +574,10 @@ const MIXED_PREFIX_COUNTERS: [u64; 8] = [7, 6, 1, 0, 1, 0, 0, 2];
 
 /// `bytes` with [`MIXED_PREFIX_COUNTERS`] in place of its counters.
 fn with_mixed_prefix_counters(bytes: &[u8]) -> Vec<u8> {
-    let counters: Vec<u8> = MIXED_PREFIX_COUNTERS.iter().flat_map(|c| c.to_le_bytes()).collect();
+    let counters: Vec<u8> = MIXED_PREFIX_COUNTERS
+        .iter()
+        .flat_map(|c| c.to_le_bytes())
+        .collect();
     let mut bytes = bytes.to_vec();
     bytes.splice(COUNTERS, counters);
     bytes
@@ -584,7 +646,9 @@ fn parent_written_checkpoints_restore_and_are_written_back_byte_for_byte() {
             "{config:?}: restore lost a byte"
         );
         let mut reread = IncrementalChecker::new(Register::new(), config, 2);
-        reread.restore_bytes(written).expect("a version-2 checkpoint restores");
+        reread
+            .restore_bytes(written)
+            .expect("a version-2 checkpoint restores");
         assert_eq!(reread.checkpoint_bytes(), written, "{config:?}");
         let mut from_older = IncrementalChecker::new(Register::new(), config, 2);
         from_older
@@ -634,10 +698,16 @@ fn delta_and_full_bytes(config: CheckerConfig, ops: usize) -> (usize, usize) {
     let mut outcomes = Vec::new();
     checker.feed_batch(before, &mut outcomes);
     let first = checker.checkpoint_delta();
-    assert_eq!(first, checker.checkpoint_bytes(), "the first delta is the full form");
+    assert_eq!(
+        first,
+        checker.checkpoint_bytes(),
+        "the first delta is the full form"
+    );
     checker.feed_batch(interval, &mut outcomes);
     let delta = checker.checkpoint_delta();
-    assert!(outcomes.iter().all(|outcome| *outcome == CheckOutcome::Consistent));
+    assert!(outcomes
+        .iter()
+        .all(|outcome| *outcome == CheckOutcome::Consistent));
     (delta.len(), checker.checkpoint_bytes().len())
 }
 

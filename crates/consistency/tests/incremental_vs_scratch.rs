@@ -279,8 +279,7 @@ fn sweep<S: SequentialSpec + Clone>(
                 "{ctx}: incremental {got:?} vs scratch {want:?}"
             );
             if let Some(witness) = got.witness() {
-                let history =
-                    ConcurrentHistory::from_word(&Word::from_symbols(fed.clone()), n);
+                let history = ConcurrentHistory::from_word(&Word::from_symbols(fed.clone()), n);
                 assert!(
                     validate_witness(&spec, &history, witness, config.respect_real_time),
                     "{ctx}: incremental witness does not validate"
@@ -291,7 +290,9 @@ fn sweep<S: SequentialSpec + Clone>(
                 chain.push(incremental.checkpoint_delta());
                 let mut restored = IncrementalChecker::new(spec.clone(), config, n);
                 for bytes in &chain {
-                    restored.restore_bytes(bytes).expect("a checkpoint we wrote restores");
+                    restored
+                        .restore_bytes(bytes)
+                        .expect("a checkpoint we wrote restores");
                 }
                 assert!(
                     restored.checkpoint_bytes() == incremental.checkpoint_bytes(),
@@ -340,10 +341,16 @@ fn sweep<S: SequentialSpec + Clone>(
         // Every check either searched or did not: with `splices`
         // (maintenance, decided before any check) this sum is what
         // a change to *when* the engine searches cannot move.
-        assert_eq!(stats.dfs_runs + stats.fast_path, stats.checks, "{label} case {case}");
+        assert_eq!(
+            stats.dfs_runs + stats.fast_path,
+            stats.checks,
+            "{label} case {case}"
+        );
         totals.add(stats);
         unsearched_no += stats.latched;
-        let first_no = outcomes.iter().position(|o| *o == CheckOutcome::Inconsistent);
+        let first_no = outcomes
+            .iter()
+            .position(|o| *o == CheckOutcome::Inconsistent);
         if first_no.is_some_and(|at| outcomes[at..].contains(&CheckOutcome::Consistent)) {
             recoveries += 1;
         }
@@ -389,7 +396,11 @@ fn rescue_alphabet(object: Object) -> (Invocation, Response, Invocation, [Respon
             Invocation::Read,
             Response::Value(WILD),
             Invocation::Write(WILD),
-            [Response::Value(0), Response::Value(1), Response::Value(WILD)],
+            [
+                Response::Value(0),
+                Response::Value(1),
+                Response::Value(WILD),
+            ],
         ),
         Object::Counter => (
             Invocation::Read,
@@ -431,7 +442,11 @@ fn rescue_word(rng: &mut StdRng, object: Object, n: usize) -> Word {
     let mut word = Word::new();
     let mut pending: Vec<Option<Invocation>> = vec![None; n];
     if matches!(object, Object::Register) && rng.gen_bool(0.5) {
-        word.op(ProcId(rng.gen_range(0..n)), Invocation::Write(1), Response::Ack);
+        word.op(
+            ProcId(rng.gen_range(0..n)),
+            Invocation::Write(1),
+            Response::Ack,
+        );
     }
     let reader = rng.gen_range(0..n);
     word.op(ProcId(reader), observer.clone(), wild);
@@ -481,20 +496,54 @@ fn rescue_word(rng: &mut StdRng, object: Object, n: usize) -> Word {
 fn linearizability_matches_scratch_on_random_histories() {
     let config = CheckerConfig::linearizability();
     assert_eq!(
-        compare_on(Register::new(), Object::Register, config, "lin/register", 400, 101),
-        PathTotals { splices: 547, dfs_runs: 433, dfs_nodes: 279, fast_path: 2485 }
+        compare_on(
+            Register::new(),
+            Object::Register,
+            config,
+            "lin/register",
+            400,
+            101
+        ),
+        PathTotals {
+            splices: 547,
+            dfs_runs: 433,
+            dfs_nodes: 279,
+            fast_path: 2485
+        }
     );
     assert_eq!(
-        compare_on(Counter::new(), Object::Counter, config, "lin/counter", 300, 102),
-        PathTotals { splices: 451, dfs_runs: 464, dfs_nodes: 860, fast_path: 1672 }
+        compare_on(
+            Counter::new(),
+            Object::Counter,
+            config,
+            "lin/counter",
+            300,
+            102
+        ),
+        PathTotals {
+            splices: 451,
+            dfs_runs: 464,
+            dfs_nodes: 860,
+            fast_path: 1672
+        }
     );
     assert_eq!(
         compare_on(Queue::new(), Object::Queue, config, "lin/queue", 300, 103),
-        PathTotals { splices: 380, dfs_runs: 331, dfs_nodes: 272, fast_path: 1919 }
+        PathTotals {
+            splices: 380,
+            dfs_runs: 331,
+            dfs_nodes: 272,
+            fast_path: 1919
+        }
     );
     assert_eq!(
         compare_on(Stack::new(), Object::Stack, config, "lin/stack", 300, 104),
-        PathTotals { splices: 369, dfs_runs: 314, dfs_nodes: 93, fast_path: 1826 }
+        PathTotals {
+            splices: 369,
+            dfs_runs: 314,
+            dfs_nodes: 93,
+            fast_path: 1826
+        }
     );
 }
 
@@ -515,20 +564,54 @@ fn linearizability_matches_scratch_on_random_histories() {
 fn sequential_consistency_matches_scratch_on_random_histories() {
     let config = CheckerConfig::sequential_consistency();
     assert_eq!(
-        compare_on(Register::new(), Object::Register, config, "sc/register", 400, 201),
-        PathTotals { splices: 615, dfs_runs: 478, dfs_nodes: 861, fast_path: 2355 }
+        compare_on(
+            Register::new(),
+            Object::Register,
+            config,
+            "sc/register",
+            400,
+            201
+        ),
+        PathTotals {
+            splices: 615,
+            dfs_runs: 478,
+            dfs_nodes: 861,
+            fast_path: 2355
+        }
     );
     assert_eq!(
-        compare_on(Counter::new(), Object::Counter, config, "sc/counter", 300, 202),
-        PathTotals { splices: 492, dfs_runs: 562, dfs_nodes: 1834, fast_path: 1655 }
+        compare_on(
+            Counter::new(),
+            Object::Counter,
+            config,
+            "sc/counter",
+            300,
+            202
+        ),
+        PathTotals {
+            splices: 492,
+            dfs_runs: 562,
+            dfs_nodes: 1834,
+            fast_path: 1655
+        }
     );
     assert_eq!(
         compare_on(Queue::new(), Object::Queue, config, "sc/queue", 300, 203),
-        PathTotals { splices: 466, dfs_runs: 405, dfs_nodes: 1440, fast_path: 1863 }
+        PathTotals {
+            splices: 466,
+            dfs_runs: 405,
+            dfs_nodes: 1440,
+            fast_path: 1863
+        }
     );
     assert_eq!(
         compare_on(Stack::new(), Object::Stack, config, "sc/stack", 300, 204),
-        PathTotals { splices: 434, dfs_runs: 395, dfs_nodes: 1093, fast_path: 1815 }
+        PathTotals {
+            splices: 434,
+            dfs_runs: 395,
+            dfs_nodes: 1093,
+            fast_path: 1815
+        }
     );
 }
 
@@ -561,7 +644,12 @@ impl SequentialSpec for TwoFaced {
         }
     }
 
-    fn step_if_legal(&self, state: &u64, invocation: &Invocation, response: &Response) -> Option<u64> {
+    fn step_if_legal(
+        &self,
+        state: &u64,
+        invocation: &Invocation,
+        response: &Response,
+    ) -> Option<u64> {
         match (invocation, response) {
             (Invocation::Inc, Response::Value(old)) if old == state => Some(state + 1),
             _ => {
@@ -606,13 +694,23 @@ fn a_step_with_two_legal_responses_matches_scratch_on_random_histories() {
             CheckerConfig::linearizability(),
             "lin/two-faced",
             105,
-            PathTotals { splices: 220, dfs_runs: 523, dfs_nodes: 805, fast_path: 1537 },
+            PathTotals {
+                splices: 220,
+                dfs_runs: 523,
+                dfs_nodes: 805,
+                fast_path: 1537,
+            },
         ),
         (
             CheckerConfig::sequential_consistency(),
             "sc/two-faced",
             205,
-            PathTotals { splices: 293, dfs_runs: 673, dfs_nodes: 1830, fast_path: 1611 },
+            PathTotals {
+                splices: 293,
+                dfs_runs: 673,
+                dfs_nodes: 1830,
+                fast_path: 1611,
+            },
         ),
     ] {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -644,8 +742,15 @@ fn a_step_with_two_legal_responses_matches_scratch_on_random_histories() {
             })
             .filter(|(n, prefix)| scratch_verdict(&TwoFaced, prefix, *n, &config).is_consistent())
             .count();
-        assert!(answered_old_value >= 40, "{label}: {answered_old_value} prefixes");
-        assert_eq!(sweep(TwoFaced, config, label, words).totals, totals, "{label}");
+        assert!(
+            answered_old_value >= 40,
+            "{label}: {answered_old_value} prefixes"
+        );
+        assert_eq!(
+            sweep(TwoFaced, config, label, words).totals,
+            totals,
+            "{label}"
+        );
     }
 }
 
@@ -668,7 +773,11 @@ fn sequential_consistency_recovers_when_a_later_mutator_explains_the_observation
         let swept = sweep_object(object, config, &label, words);
         // Neither vacuous (a third of the verdicts do come back) nor
         // searched per symbol (the NOs in between mostly stand).
-        assert!(swept.recoveries >= 80, "{label}: {} recoveries", swept.recoveries);
+        assert!(
+            swept.recoveries >= 80,
+            "{label}: {} recoveries",
+            swept.recoveries
+        );
         assert!(
             swept.unsearched_no >= swept.totals.dfs_runs / 2,
             "{label}: {} standing NOs, {:?}",
@@ -765,8 +874,11 @@ fn thin_air_responses_are_refuted_without_a_search_and_rescued_by_their_producer
         (CheckerConfig::linearizability(), "lin"),
         (CheckerConfig::sequential_consistency(), "sc"),
     ] {
-        for (object, seed) in [(Object::Register, 601), (Object::Queue, 602), (Object::Stack, 603)]
-        {
+        for (object, seed) in [
+            (Object::Register, 601),
+            (Object::Queue, 602),
+            (Object::Stack, 603),
+        ] {
             let mut rng = StdRng::seed_from_u64(seed);
             let words: Vec<(usize, Word)> = (0..400)
                 .map(|_| {
@@ -853,7 +965,10 @@ fn reconstructs<S: SequentialSpec + Clone>(
         // A delta per symbol: the word from the previous one's cut on is
         // exactly the symbol fed since, wherever the cut falls.
         let delta = by_symbol.checkpoint_delta();
-        assert_eq!(delta[WORD_SECTION_AT - 4..WORD_SECTION_AT], ((len - 1) as u32).to_le_bytes());
+        assert_eq!(
+            delta[WORD_SECTION_AT - 4..WORD_SECTION_AT],
+            ((len - 1) as u32).to_le_bytes()
+        );
         assert!(
             delta[WORD_SECTION_AT..].starts_with(&word_section(&prefix.symbols()[len - 1..])),
             "the delta after symbol {len} does not carry that symbol alone: {prefix}"
@@ -905,7 +1020,12 @@ fn the_fed_word_is_reconstructible_symbol_for_symbol() {
     let mut rng = StdRng::seed_from_u64(501);
     let mut skipped = 0usize;
     for case in 0..120 {
-        let object = [Object::Register, Object::Counter, Object::Queue, Object::Stack][case % 4];
+        let object = [
+            Object::Register,
+            Object::Counter,
+            Object::Queue,
+            Object::Stack,
+        ][case % 4];
         let config = if case / 4 % 2 == 0 {
             CheckerConfig::sequential_consistency()
         } else {
@@ -942,8 +1062,7 @@ fn starved_budget_never_contradicts() {
         let mut incremental = IncrementalChecker::new(Register::new(), config, n);
         let got = incremental.check_word(&word);
         let want = scratch_verdict(&Register::new(), word.symbols(), n, &config);
-        if !matches!(got, ConsistencyResult::Unknown)
-            && !matches!(want, ConsistencyResult::Unknown)
+        if !matches!(got, ConsistencyResult::Unknown) && !matches!(want, ConsistencyResult::Unknown)
         {
             assert_eq!(
                 got.is_consistent(),
