@@ -13,12 +13,11 @@
 
 use crate::checker::CheckerConfig;
 use crate::history::{ArenaRead, InternedHistory};
-use crate::incremental::{hash_state, pack_counts};
 use drv_lang::{OpId, OpRecord, ProcId, ResponseId};
 use drv_spec::SequentialSpec;
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Hashes a dead-configuration key by folding its two `u128`s, 64 bits at a
 /// time, through a multiply.  The state half is already an FNV-1a
@@ -57,6 +56,72 @@ impl Hasher for FoldHasher {
 
     fn finish(&self) -> u64 {
         self.0 ^ self.0 >> 32
+    }
+}
+
+/// 128-bit FNV-1a, fed through the standard `Hash` machinery so any
+/// `Hash`-implementing sequential state can be fingerprinted without cloning.
+struct Fnv128 {
+    state: u128,
+}
+
+const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+
+impl Fnv128 {
+    fn new() -> Self {
+        Fnv128 {
+            state: FNV128_OFFSET,
+        }
+    }
+
+    fn finish128(&self) -> u128 {
+        self.state
+    }
+}
+
+impl Hasher for Fnv128 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.state ^= u128::from(byte);
+            self.state = self.state.wrapping_mul(FNV128_PRIME);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.state as u64
+    }
+}
+
+fn hash_state<T: Hash>(value: &T) -> u128 {
+    let mut hasher = Fnv128::new();
+    value.hash(&mut hasher);
+    hasher.finish128()
+}
+
+/// Packs the progress vector exactly into a `u128` when every count fits in
+/// `128 / n` bits (it essentially always does: six processes leave 21 bits —
+/// two million operations — per process); otherwise falls back to hashing
+/// the counts.  The packed and hashed key kinds share one `u128` namespace
+/// with no disambiguation — a cross-kind collision is as unlikely as any
+/// other 128-bit collision, and the memo already tolerates that probability
+/// for the state fingerprint.
+fn pack_counts(counts: &[u32]) -> u128 {
+    let n = counts.len().max(1);
+    // Cap at 32: counts are u32, so 32 bits are always lossless, and the cap
+    // keeps every shift amount < 128 (with n = 1 the uncapped width would be
+    // the full 128 and the shift would overflow).
+    let bits = (128 / n).min(32);
+    if bits >= 32 || counts.iter().all(|&c| u64::from(c) < (1u64 << bits)) {
+        let mut packed: u128 = 0;
+        for &c in counts {
+            packed = (packed << bits) | u128::from(c);
+        }
+        packed
+    } else {
+        let mut hasher = Fnv128::new();
+        counts.hash(&mut hasher);
+        hasher.finish128()
     }
 }
 
@@ -323,5 +388,47 @@ pub(crate) fn wing_gong<S: SequentialSpec>(
             }
             stack.pop();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::IncrementalChecker;
+    use drv_lang::{Invocation, ProcId, Response, WordBuilder};
+    use drv_spec::Register;
+
+    #[test]
+    fn pack_counts_is_injective_in_range() {
+        let mut seen = HashSet::new();
+        for a in 0..6u32 {
+            for b in 0..6u32 {
+                for c in 0..6u32 {
+                    assert!(seen.insert(pack_counts(&[a, b, c])));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_counts_handles_tiny_and_wide_vectors() {
+        // One process: the uncapped per-count width would be 128 bits and
+        // the shift would overflow.
+        assert_ne!(pack_counts(&[0]), pack_counts(&[u32::MAX]));
+        assert_eq!(pack_counts(&[7]), 7);
+        // Single-process engines reach this through the DFS as well.
+        let mut checker =
+            IncrementalChecker::new(Register::new(), CheckerConfig::linearizability(), 1);
+        let word = WordBuilder::new()
+            .op(ProcId(0), Invocation::Write(1), Response::Ack)
+            .op(ProcId(0), Invocation::Read, Response::Value(1))
+            .build();
+        assert!(checker.check_word(&word).is_consistent());
+    }
+
+    #[test]
+    fn fnv128_distinguishes_small_perturbations() {
+        assert_ne!(hash_state(&vec![1u64, 2]), hash_state(&vec![2u64, 1]));
+        assert_ne!(hash_state(&0u64), hash_state(&1u64));
     }
 }
