@@ -517,9 +517,16 @@ impl Shared {
                 sink: sink.as_deref(),
                 start_check: &|| self.tel.timer(),
                 end_check: &|started| self.tel.observe(Some(started), &self.m.check_ns),
-                deliver: if subs.is_empty() { None } else { Some(&deliver) },
+                deliver: if subs.is_empty() {
+                    None
+                } else {
+                    Some(&deliver)
+                },
             };
-            shard.core.lock().feed(drained.make_contiguous(), &feed, claim);
+            shard
+                .core
+                .lock()
+                .feed(drained.make_contiguous(), &feed, claim);
             self.m.fold(claim);
             self.flush_delivery(&subs, &claim.rows);
             claim.rows.clear();
@@ -708,7 +715,13 @@ impl MonitoringEngine {
         factory: Arc<dyn ObjectMonitorFactory>,
         telemetry: Arc<Telemetry>,
     ) -> Self {
-        Self::with_recovered(config, factory, Vec::new(), SharedInterner::new(), telemetry)
+        Self::with_recovered(
+            config,
+            factory,
+            Vec::new(),
+            SharedInterner::new(),
+            telemetry,
+        )
     }
 
     /// [`MonitoringEngine::with_telemetry`], seeded with recovered
@@ -741,7 +754,9 @@ impl MonitoringEngine {
             factory,
             interner,
             shards: (0..config.shards()).map(|_| Shard::default()).collect(),
-            deques: (0..config.workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            deques: (0..config.workers)
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             park: Mutex::new(()),
             park_signal: Condvar::new(),
             work_epoch: AtomicU64::new(0),
@@ -952,7 +967,9 @@ impl MonitoringEngine {
             // no scatter plan needed.
             self.enqueue(
                 *shard_index,
-                range.clone().map(|index| QueueItem::Event(batch.get(index))),
+                range
+                    .clone()
+                    .map(|index| QueueItem::Event(batch.get(index))),
             );
             self.shared
                 .tel
@@ -1136,9 +1153,9 @@ impl MonitoringEngine {
     /// away).  Untimed — it sleeps on the signal every drained batch fires.
     pub fn wait_drained(&self) {
         let mut gate = self.shared.gate.lock();
-        self.shared
-            .space_signal
-            .wait_while(&mut gate, |()| self.shared.pending.load(Ordering::Acquire) > 0);
+        self.shared.space_signal.wait_while(&mut gate, |()| {
+            self.shared.pending.load(Ordering::Acquire) > 0
+        });
     }
 
     /// Whether the pool is dead (a worker panicked).  Submissions are
@@ -1352,10 +1369,7 @@ mod tests {
         let aggregate = report.aggregate();
         assert_eq!(aggregate.overall, Verdict::No);
         assert_eq!((aggregate.yes, aggregate.no), (32, 1));
-        assert_eq!(
-            report.verdicts(bad).unwrap().last(),
-            Some(&Verdict::No)
-        );
+        assert_eq!(report.verdicts(bad).unwrap().last(), Some(&Verdict::No));
         // Per-object streams have one verdict per submitted symbol.
         assert!(report.objects.values().all(|r| r.verdicts.len() == 4));
     }
@@ -1425,8 +1439,7 @@ mod tests {
     fn submit_batch_chunks_through_a_small_bound() {
         // A batch bigger than max_pending must still go through (in
         // bound-sized chunks), and everything must be checked.
-        let engine =
-            MonitoringEngine::new(EngineConfig::new(1).with_max_pending(3), factory());
+        let engine = MonitoringEngine::new(EngineConfig::new(1).with_max_pending(3), factory());
         let mut batch = EventBatch::new();
         for _ in 0..50 {
             for (object, symbol) in clean_stream(4) {
@@ -1444,8 +1457,7 @@ mod tests {
 
     #[test]
     fn try_submit_batch_is_all_or_nothing() {
-        let engine =
-            MonitoringEngine::new(EngineConfig::new(1).with_max_pending(4), factory());
+        let engine = MonitoringEngine::new(EngineConfig::new(1).with_max_pending(4), factory());
         let mut oversized = EventBatch::new();
         for _ in 0..2 {
             for (object, symbol) in clean_stream(7) {
@@ -1482,8 +1494,7 @@ mod tests {
     fn bounded_try_submit_rejects_then_recovers() {
         // One worker, tiny bound: the producer must see Full at least once,
         // and everything accepted must still be checked.
-        let engine =
-            MonitoringEngine::new(EngineConfig::new(1).with_max_pending(2), factory());
+        let engine = MonitoringEngine::new(EngineConfig::new(1).with_max_pending(2), factory());
         let mut rejected = 0u64;
         let mut accepted = 0u64;
         for _ in 0..200 {
@@ -1517,8 +1528,7 @@ mod tests {
 
     #[test]
     fn blocking_submit_respects_the_bound() {
-        let engine =
-            MonitoringEngine::new(EngineConfig::new(1).with_max_pending(1), factory());
+        let engine = MonitoringEngine::new(EngineConfig::new(1).with_max_pending(1), factory());
         // Each submit may have to wait for the worker; the run completing
         // at all (without lost wakeups on the producer gate) is the test.
         for _ in 0..50 {
@@ -1547,6 +1557,7 @@ mod tests {
         engine.evict(object);
         engine.evict(object); // double-evict is a no-op
         engine.evict(ObjectId(777)); // unknown object is a no-op
+
         // Re-traffic after the eviction meets a fresh monitor: reading the
         // initial value is linearizable again, where the retired monitor
         // (which saw a write of 7) would answer NO.
@@ -1560,12 +1571,19 @@ mod tests {
         let report = engine.finish().expect("no panics");
         expected.extend(&sequential_reference(factory().as_ref(), &revived)[&object]);
         assert_eq!(expected.last(), Some(&Verdict::Yes));
-        assert_eq!(report.verdicts(object), Some(&expected[..]), "the epochs concatenate");
+        assert_eq!(
+            report.verdicts(object),
+            Some(&expected[..]),
+            "the epochs concatenate"
+        );
         assert_eq!(report.stats.evicted, 1);
         // Subscription seqs continue across the eviction.
         let mut received = drv_lang::VerdictBatch::new();
         subscription.poll_batch(&mut received);
-        assert_eq!(received.seqs(), (0..expected.len() as u64).collect::<Vec<_>>());
+        assert_eq!(
+            received.seqs(),
+            (0..expected.len() as u64).collect::<Vec<_>>()
+        );
         assert_eq!(received.verdicts(), &expected[..]);
     }
 

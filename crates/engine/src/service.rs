@@ -137,7 +137,9 @@ impl SubscriptionShared {
             let space = state.capacity - state.queue.len();
             if space > 0 {
                 let take = space.min(events.len() - next);
-                state.queue.extend(events[next..next + take].iter().copied());
+                state
+                    .queue
+                    .extend(events[next..next + take].iter().copied());
                 next += take;
                 self.readable.notify_all();
                 if next == events.len() {
@@ -210,7 +212,9 @@ impl VerdictSubscription {
         let idle = |state: &mut SubState| state.queue.is_empty() && !state.closed && !state.woken;
         match timeout.into() {
             Some(timeout) => {
-                self.shared.readable.wait_while_for(&mut state, idle, timeout);
+                self.shared
+                    .readable
+                    .wait_while_for(&mut state, idle, timeout);
             }
             None => self.shared.readable.wait_while(&mut state, idle),
         }
@@ -334,7 +338,10 @@ mod tests {
         assert!(push_nonblocking(&shared, event(0)));
         sub.close();
         assert!(sub.is_closed());
-        assert!(!push_nonblocking(&shared, event(1)), "closed channels drop pushes");
+        assert!(
+            !push_nonblocking(&shared, event(1)),
+            "closed channels drop pushes"
+        );
         assert_eq!(sub.missed(), 0, "drops after close are not misses");
         let mut drained = VerdictBatch::new();
         assert_eq!(sub.poll_batch(&mut drained), 1);
@@ -354,7 +361,10 @@ mod tests {
         assert_eq!(sub.poll_batch(&mut batch), 2);
         assert_eq!(
             batch.iter().collect::<Vec<_>>(),
-            vec![(ObjectId(1), 10, Verdict::Yes), (ObjectId(1), 11, Verdict::Yes)]
+            vec![
+                (ObjectId(1), 10, Verdict::Yes),
+                (ObjectId(1), 11, Verdict::Yes)
+            ]
         );
         assert_eq!(dropped.get(), 0);
         // Closed channel: remainder dropped, counted apart from missed.

@@ -151,7 +151,11 @@ impl ObjectSlot {
 /// slot's last harvest, added onto `into`; the slot's watermark moves up,
 /// so each run counts exactly its new work.
 fn harvest(slot: &mut ObjectSlot, into: &mut CheckerStats) {
-    let Some(now) = slot.monitor.as_deref().and_then(ObjectMonitor::checker_stats) else {
+    let Some(now) = slot
+        .monitor
+        .as_deref()
+        .and_then(ObjectMonitor::checker_stats)
+    else {
         return;
     };
     let last = slot.harvested;
@@ -175,12 +179,17 @@ pub(crate) struct ShardCore {
 impl ShardCore {
     /// Installs a recovered object: its restored monitor and verdict prefix.
     pub(crate) fn seed(&mut self, seed: RecoveredObject) {
-        self.objects.insert(seed.object, ObjectSlot::new(Some(seed.monitor), seed.verdicts));
+        self.objects.insert(
+            seed.object,
+            ObjectSlot::new(Some(seed.monitor), seed.verdicts),
+        );
     }
 
     /// Every object's verdict stream, leaving the core empty.
     pub(crate) fn drain_reports(&mut self) -> impl Iterator<Item = (ObjectId, ObjectReport)> + '_ {
-        self.objects.drain().map(|(object, slot)| (object, slot.report))
+        self.objects
+            .drain()
+            .map(|(object, slot)| (object, slot.report))
     }
 
     /// Feeds one claim's drained `items`, grouped by object.
@@ -224,10 +233,11 @@ impl ShardCore {
                 end += 1;
             }
             out.run.clear();
-            out.run.extend(order[at..end].iter().map(|key| match items[key.index()] {
-                QueueItem::Event(event) => event,
-                QueueItem::Evict(_) => unreachable!("runs contain only events"),
-            }));
+            out.run
+                .extend(order[at..end].iter().map(|key| match items[key.index()] {
+                    QueueItem::Event(event) => event,
+                    QueueItem::Evict(_) => unreachable!("runs contain only events"),
+                }));
             self.feed_run(object, feed, out);
             at = end;
         }
@@ -238,16 +248,22 @@ impl ShardCore {
 
     /// Feeds `out.run`, one object's run, to the object's monitor.
     fn feed_run(&mut self, object: ObjectId, feed: &Feed<'_>, out: &mut ClaimOutput) {
-        let slot = self.objects.entry(object).or_insert_with(|| ObjectSlot::new(None, Vec::new()));
+        let slot = self
+            .objects
+            .entry(object)
+            .or_insert_with(|| ObjectSlot::new(None, Vec::new()));
         // First sight, or a retired slot's next run: a fresh monitor.
-        let monitor =
-            slot.monitor.get_or_insert_with(|| feed.factory.create_in(object, feed.arena));
+        let monitor = slot
+            .monitor
+            .get_or_insert_with(|| feed.factory.create_in(object, feed.arena));
         // Seqs are assigned from the slot's stream position before the
         // run's verdicts join it.
         let run_base = slot.report.verdicts.len() as u64;
         let checkpoints = feed.sink.map(|sink| (sink, sink.checkpoint_interval()));
         out.check_tick = out.check_tick.wrapping_add(1);
-        let check_started = (out.check_tick % CHECK_SAMPLE == 1).then(feed.start_check).flatten();
+        let check_started = (out.check_tick % CHECK_SAMPLE == 1)
+            .then(feed.start_check)
+            .flatten();
         out.verdicts.clear();
         let mut from = 0;
         while from < out.run.len() {
@@ -262,7 +278,9 @@ impl ShardCore {
             let fed_before = out.verdicts.len();
             monitor.on_records(&out.run[from..to], feed.arena, &mut out.verdicts);
             out.runs += 1;
-            slot.report.verdicts.extend_from_slice(&out.verdicts[fed_before..]);
+            slot.report
+                .verdicts
+                .extend_from_slice(&out.verdicts[fed_before..]);
             from = to;
             let fed = slot.report.verdicts.len() as u64;
             let Some((sink, since, _)) = due.filter(|&(_, _, at)| fed >= at) else {
@@ -289,9 +307,17 @@ impl ShardCore {
         // Rows accumulate in processing order, so each object's seqs reach
         // the shell in order.
         if let Some(deliver) = feed.deliver {
-            out.rows.extend(out.verdicts.iter().enumerate().map(|(offset, &verdict)| {
-                VerdictEvent { object, seq: run_base + offset as u64, verdict }
-            }));
+            out.rows
+                .extend(
+                    out.verdicts
+                        .iter()
+                        .enumerate()
+                        .map(|(offset, &verdict)| VerdictEvent {
+                            object,
+                            seq: run_base + offset as u64,
+                            verdict,
+                        }),
+                );
             if out.rows.len() >= DELIVERY_CHUNK {
                 deliver(&out.rows);
                 out.rows.clear();
@@ -303,7 +329,10 @@ impl ShardCore {
     /// goes into the journal and the monitor is dropped; the slot and its
     /// verdict stream stay.  A no-op for an object without a live monitor.
     fn retire(&mut self, object: ObjectId, sink: Option<&dyn JournalSink>, out: &mut ClaimOutput) {
-        let Some(slot) = self.objects.get_mut(&object).filter(|slot| slot.monitor.is_some())
+        let Some(slot) = self
+            .objects
+            .get_mut(&object)
+            .filter(|slot| slot.monitor.is_some())
         else {
             return;
         };
@@ -370,7 +399,9 @@ mod tests {
         for (object, symbol) in events {
             batch.push_symbol(*object, symbol, arena);
         }
-        (0..batch.len()).map(|index| QueueItem::Event(batch.get(index))).collect()
+        (0..batch.len())
+            .map(|index| QueueItem::Event(batch.get(index)))
+            .collect()
     }
 
     /// Feeds one claim of `items` into `core` and returns the output with
@@ -427,7 +458,9 @@ mod tests {
             self.inner.on_symbol(symbol)
         }
         fn on_batch(&mut self, symbols: &[Symbol], verdicts: &mut Vec<Verdict>) {
-            self.calls.send((self.object, symbols.len())).expect("the test holds the receiver");
+            self.calls
+                .send((self.object, symbols.len()))
+                .expect("the test holds the receiver");
             self.inner.on_batch(symbols, verdicts);
         }
     }
@@ -456,10 +489,16 @@ mod tests {
         let arena = SharedInterner::new();
         let mut core = ShardCore::default();
         let (out, _) = claim(&mut core, &items(&events, &arena), &factory, &arena, None);
-        assert_eq!(reports(&mut core), sequential_reference(&register(), &events));
+        assert_eq!(
+            reports(&mut core),
+            sequential_reference(&register(), &events)
+        );
         let mut calls: Vec<_> = calls.try_iter().collect();
         calls.sort_unstable();
-        assert_eq!(calls, [(ObjectId(0), 50), (ObjectId(1), 50), (ObjectId(2), 50)]);
+        assert_eq!(
+            calls,
+            [(ObjectId(0), 50), (ObjectId(1), 50), (ObjectId(2), 50)]
+        );
         assert_eq!(out.runs, 3, "one run per object");
         assert_eq!(out.events, 150);
     }
@@ -526,8 +565,17 @@ mod tests {
         let mut checkpoints: Vec<(ObjectId, u64)> = calls
             .try_iter()
             .map(|call| match call {
-                SinkCall::Checkpoint { object, fed, verdicts, .. } => {
-                    assert_eq!(verdicts.len(), 16, "a checkpoint carries the interval's verdicts");
+                SinkCall::Checkpoint {
+                    object,
+                    fed,
+                    verdicts,
+                    ..
+                } => {
+                    assert_eq!(
+                        verdicts.len(),
+                        16,
+                        "a checkpoint carries the interval's verdicts"
+                    );
                     (object, fed)
                 }
                 SinkCall::Tombstone(object) => panic!("no marker was queued, {object} retired"),
@@ -581,15 +629,29 @@ mod tests {
         let (a, b) = (ObjectId(2), ObjectId(1));
         let arena = SharedInterner::new();
         let event = |object| items(&reads(object, 1), &arena)[0];
-        let claimed = [event(a), event(b), event(a), QueueItem::Evict(a), event(a), event(b)];
+        let claimed = [
+            event(a),
+            event(b),
+            event(a),
+            QueueItem::Evict(a),
+            event(a),
+            event(b),
+        ];
         let mut core = ShardCore::default();
         let (out, rows) = claim(&mut core, &claimed, &GenerationFactory, &arena, None);
         assert_eq!(
             stream(&rows, a),
-            [(0, Verdict::Maybe(1)), (1, Verdict::Maybe(2)), (2, Verdict::Maybe(1))],
+            [
+                (0, Verdict::Maybe(1)),
+                (1, Verdict::Maybe(2)),
+                (2, Verdict::Maybe(1))
+            ],
             "A's stream splits exactly at the marker"
         );
-        assert_eq!(stream(&rows, b), [(0, Verdict::Maybe(1)), (1, Verdict::Maybe(2))]);
+        assert_eq!(
+            stream(&rows, b),
+            [(0, Verdict::Maybe(1)), (1, Verdict::Maybe(2))]
+        );
         assert_eq!(out.runs, 3, "B, A before and after");
         assert_eq!(out.evicted, 1);
         assert_eq!(
@@ -609,8 +671,11 @@ mod tests {
         let (a, b) = (ObjectId(3), ObjectId(5));
         let arena = SharedInterner::new();
         let (a_events, b_events) = (items(&reads(a, 6), &arena), items(&reads(b, 5), &arena));
-        let mut claimed: Vec<QueueItem> =
-            a_events.iter().zip(&b_events).flat_map(|(a, b)| [*a, *b]).collect();
+        let mut claimed: Vec<QueueItem> = a_events
+            .iter()
+            .zip(&b_events)
+            .flat_map(|(a, b)| [*a, *b])
+            .collect();
         claimed.extend([a_events[5], QueueItem::Evict(a), QueueItem::Evict(a)]);
         claimed.extend(items(&reads(a, 5), &arena));
         let (sink, calls) = RecordingSink::every(4);
@@ -623,10 +688,19 @@ mod tests {
             state: 4u32.to_le_bytes().to_vec(),
         };
         let calls: Vec<SinkCall> = calls.try_iter().collect();
-        assert_eq!(calls, [checkpoint(a), SinkCall::Tombstone(a), checkpoint(b)]);
+        assert_eq!(
+            calls,
+            [checkpoint(a), SinkCall::Tombstone(a), checkpoint(b)]
+        );
         let expected: Vec<Verdict> = generation(1, 6).chain(generation(1, 5)).collect();
-        assert_eq!(stream(&rows, a), (0..).zip(expected.iter().copied()).collect::<Vec<_>>());
-        assert_eq!(stream(&rows, b), (0..).zip(generation(1, 5)).collect::<Vec<_>>());
+        assert_eq!(
+            stream(&rows, a),
+            (0..).zip(expected.iter().copied()).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            stream(&rows, b),
+            (0..).zip(generation(1, 5)).collect::<Vec<_>>()
+        );
         assert_eq!(out.runs, 5, "A: 4 + 2, then 5 after the markers; B: 4 + 1");
         assert_eq!(out.evicted, 1, "the second marker finds no monitor");
         assert_eq!(reports(&mut core)[&a], expected);
@@ -656,7 +730,10 @@ mod tests {
             }
         }
         let arena = SharedInterner::new();
-        let claimed = items(&[reads(ObjectId(1), 2), reads(ObjectId(7), 2)].concat(), &arena);
+        let claimed = items(
+            &[reads(ObjectId(1), 2), reads(ObjectId(7), 2)].concat(),
+            &arena,
+        );
         let mut core = ShardCore::default();
         let feed = Feed {
             factory: &BombFactory,

@@ -13,14 +13,10 @@
 //! batch size (1 = one frame per event, 256 = the production framing), and
 //! delivery is `poll_batch` over `VerdictBatch`es.
 
-use drv_adversary::{
-    merge_random, merge_round_robin, register_object_stream, RegisterStreamShape,
-};
+use drv_adversary::{merge_random, merge_round_robin, register_object_stream, RegisterStreamShape};
 use drv_consistency::{CheckerConfig, IncrementalChecker};
 use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactory, Verdict};
-use drv_engine::{
-    sequential_reference, EngineConfig, EventBatch, MonitoringEngine, SubmitError,
-};
+use drv_engine::{sequential_reference, EngineConfig, EventBatch, MonitoringEngine, SubmitError};
 use drv_lang::{Action, ObjectId, Response, Symbol, VerdictBatch};
 use drv_spec::Register;
 use drv_store::{recover, FsyncPolicy, Store, StoreConfig};
@@ -47,17 +43,24 @@ fn criterion_of(object: ObjectId) -> CheckerConfig {
 /// The engine-side factory: a fresh incremental checker per object, LIN or
 /// SC by object id.
 fn mixed_factory() -> Arc<RoutingMonitorFactory> {
-    let lin = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), PROCESSES))
-        as Arc<dyn ObjectMonitorFactory>;
-    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES))
-        as Arc<dyn ObjectMonitorFactory>;
-    Arc::new(RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
-        if object.0.is_multiple_of(2) {
-            Arc::clone(&lin)
-        } else {
-            Arc::clone(&sc)
-        }
-    }))
+    let lin = Arc::new(CheckerMonitorFactory::linearizability(
+        Register::new(),
+        PROCESSES,
+    )) as Arc<dyn ObjectMonitorFactory>;
+    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(
+        Register::new(),
+        PROCESSES,
+    )) as Arc<dyn ObjectMonitorFactory>;
+    Arc::new(RoutingMonitorFactory::new(
+        "mixed LIN/SC",
+        move |object: ObjectId| {
+            if object.0.is_multiple_of(2) {
+                Arc::clone(&lin)
+            } else {
+                Arc::clone(&sc)
+            }
+        },
+    ))
 }
 
 /// A multi-object stream: per-object register streams (the workspace's
@@ -240,8 +243,12 @@ fn service_mode_soak_matches_sequential_reference() {
                 buffer.push_symbol(*object, symbol, engine.interner());
                 if buffer.len() == chunk {
                     flush_buffer(
-                        &engine, &mut buffer, &subscription, &mut received,
-                        &mut rejections, seed,
+                        &engine,
+                        &mut buffer,
+                        &subscription,
+                        &mut received,
+                        &mut rejections,
+                        seed,
                     );
                 }
                 let left = in_flight.get_mut(object).expect("counted");
@@ -251,15 +258,24 @@ fn service_mode_soak_matches_sequential_reference() {
                     // buffer is flushed first so the marker queues behind
                     // the object's buffered events.
                     flush_buffer(
-                        &engine, &mut buffer, &subscription, &mut received,
-                        &mut rejections, seed,
+                        &engine,
+                        &mut buffer,
+                        &subscription,
+                        &mut received,
+                        &mut rejections,
+                        seed,
                     );
                     engine.evict(*object);
                     evictions += 1;
                 }
             }
             flush_buffer(
-                &engine, &mut buffer, &subscription, &mut received, &mut rejections, seed,
+                &engine,
+                &mut buffer,
+                &subscription,
+                &mut received,
+                &mut rejections,
+                seed,
             );
             while engine.backlog() > 0 {
                 subscription.poll_batch(&mut received);
@@ -282,7 +298,10 @@ fn service_mode_soak_matches_sequential_reference() {
         }
     }
     // The soak proves nothing unless the service paths actually fired.
-    assert!(rejections > 0, "max_pending=8 never rejected a try_submit_batch");
+    assert!(
+        rejections > 0,
+        "max_pending=8 never rejected a try_submit_batch"
+    );
     assert!(evictions > 0, "no object was ever evicted");
 }
 
@@ -308,7 +327,12 @@ fn deep_histories_survive_a_crash_bit_identically() {
 
     let mut rng = StdRng::seed_from_u64(0xDEE9);
     let mut per_object: Vec<(ObjectId, Vec<Symbol>)> = (0..4)
-        .map(|id| (ObjectId(id), register_object_stream(&mut rng, OPS, &RegisterStreamShape::load())))
+        .map(|id| {
+            (
+                ObjectId(id),
+                register_object_stream(&mut rng, OPS, &RegisterStreamShape::load()),
+            )
+        })
         .collect();
     // The first read at or after operation STALE_AT of object 0 (LIN)
     // returns a value nobody wrote.
@@ -325,8 +349,12 @@ fn deep_histories_survive_a_crash_bit_identically() {
     *stale += 1_000;
     let events = merge_round_robin(per_object);
     let expected = sequential_reference(mixed_factory().as_ref(), &events);
-    assert!(expected[&ObjectId(0)].last().is_some_and(|verdict| verdict.is_no()));
-    assert!((1..4).all(|id| expected[&ObjectId(id)].iter().all(|verdict| verdict.is_yes())));
+    assert!(expected[&ObjectId(0)]
+        .last()
+        .is_some_and(|verdict| verdict.is_no()));
+    assert!((1..4).all(|id| expected[&ObjectId(id)]
+        .iter()
+        .all(|verdict| verdict.is_yes())));
 
     let store_config = StoreConfig::new()
         .with_checkpoint_interval(CHECKPOINT_INTERVAL)
@@ -353,16 +381,33 @@ fn deep_histories_survive_a_crash_bit_identically() {
             let mut received = VerdictBatch::new();
             subscription.poll_batch(&mut received);
             assert_eq!(subscription.missed(), 0, "{context}");
-            assert!(store.io_error().is_none(), "{context}: {:?}", store.io_error());
-            assert!(store.stats().checkpoints >= 4, "{context}: {:?}", store.stats());
+            assert!(
+                store.io_error().is_none(),
+                "{context}: {:?}",
+                store.io_error()
+            );
+            assert!(
+                store.stats().checkpoints >= 4,
+                "{context}: {:?}",
+                store.stats()
+            );
             drop((subscription, engine, store));
 
             // Second life: checkpoints seed every object, the journal's
             // suffix replays, and the rest of the stream arrives.
-            let recovery = recover(&path, store_config, EngineConfig::new(workers), mixed_factory())
-                .expect("recovery succeeds");
+            let recovery = recover(
+                &path,
+                store_config,
+                EngineConfig::new(workers),
+                mixed_factory(),
+            )
+            .expect("recovery succeeds");
             assert_eq!(recovery.stats.replayed_events, cut as u64, "{context}");
-            assert_eq!(recovery.stats.seeded_objects, 4, "{context}: {:?}", recovery.stats);
+            assert_eq!(
+                recovery.stats.seeded_objects, 4,
+                "{context}: {:?}",
+                recovery.stats
+            );
             wait_until_drained(&recovery.engine);
             let subscription = recovery.engine.subscribe(events.len());
             recovery.engine.submit_stream(&events[cut..], batch);

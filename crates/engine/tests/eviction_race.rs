@@ -35,17 +35,24 @@ const PROCESSES: usize = 2;
 
 /// LIN for even objects, SC for odd — the workspace's standard mixed fleet.
 fn mixed_factory() -> Arc<RoutingMonitorFactory> {
-    let lin = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), PROCESSES))
-        as Arc<dyn ObjectMonitorFactory>;
-    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES))
-        as Arc<dyn ObjectMonitorFactory>;
-    Arc::new(RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
-        if object.0.is_multiple_of(2) {
-            Arc::clone(&lin)
-        } else {
-            Arc::clone(&sc)
-        }
-    }))
+    let lin = Arc::new(CheckerMonitorFactory::linearizability(
+        Register::new(),
+        PROCESSES,
+    )) as Arc<dyn ObjectMonitorFactory>;
+    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(
+        Register::new(),
+        PROCESSES,
+    )) as Arc<dyn ObjectMonitorFactory>;
+    Arc::new(RoutingMonitorFactory::new(
+        "mixed LIN/SC",
+        move |object: ObjectId| {
+            if object.0.is_multiple_of(2) {
+                Arc::clone(&lin)
+            } else {
+                Arc::clone(&sc)
+            }
+        },
+    ))
 }
 
 /// One self-contained round of an object's traffic; a faulty round serves a
@@ -136,8 +143,10 @@ fn deterministic_evictions_race_sweeps_and_match_reference() {
         for workers in [1, 2, 4] {
             // The concurrent observer races the ingestion path; reading
             // the counters must not disturb what the workers decide.
-            let engine =
-                Arc::new(MonitoringEngine::new(EngineConfig::new(workers), mixed_factory()));
+            let engine = Arc::new(MonitoringEngine::new(
+                EngineConfig::new(workers),
+                mixed_factory(),
+            ));
             let stop = Arc::new(AtomicBool::new(false));
             let observer = spawn_observer(&engine, &stop);
             let mut batch = EventBatch::new();
@@ -197,8 +206,10 @@ fn evictions_race_round_aligned_ingestion() {
         }
         let expected = sequential_reference(mixed_factory().as_ref(), &events);
         for workers in [1, 4] {
-            let engine =
-                Arc::new(MonitoringEngine::new(EngineConfig::new(workers), mixed_factory()));
+            let engine = Arc::new(MonitoringEngine::new(
+                EngineConfig::new(workers),
+                mixed_factory(),
+            ));
             let stop = Arc::new(AtomicBool::new(false));
             let issued = Arc::new(AtomicU64::new(0));
             // An antagonist evicting live objects at arbitrary times;

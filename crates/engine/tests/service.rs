@@ -193,7 +193,11 @@ fn a_full_one_event_batch_is_never_journaled() {
     engine.submit(events[1].0, &events[1].1);
     let third = one_event(&engine, events[2].0, &events[2].1);
     assert_eq!(engine.try_submit_batch(&third), Err(SubmitError::Full));
-    assert_eq!(sink.batches.load(Ordering::SeqCst), 2, "a Full batch was journaled");
+    assert_eq!(
+        sink.batches.load(Ordering::SeqCst),
+        2,
+        "a Full batch was journaled"
+    );
     let mut received = VerdictBatch::new();
     while engine.try_submit_batch(&third) == Err(SubmitError::Full) {
         subscription.wait_batch(Duration::from_millis(10), &mut received);
@@ -217,7 +221,10 @@ fn finish_never_deadlocks_on_an_abandoned_full_subscription() {
         engine.submit(*object, symbol);
     }
     let report = engine.finish().expect("no panics");
-    assert_eq!(report.verdicts(ObjectId(11)), Some(&expected[&ObjectId(11)][..]));
+    assert_eq!(
+        report.verdicts(ObjectId(11)),
+        Some(&expected[&ObjectId(11)][..])
+    );
     let mut leftover = VerdictBatch::new();
     subscription.poll_batch(&mut leftover);
     assert_eq!(
@@ -225,7 +232,10 @@ fn finish_never_deadlocks_on_an_abandoned_full_subscription() {
         events.len() as u64,
         "every verdict is either delivered or accounted as missed"
     );
-    assert!(subscription.missed() > 0, "capacity 1 over 100 events must miss");
+    assert!(
+        subscription.missed() > 0,
+        "capacity 1 over 100 events must miss"
+    );
 }
 
 /// A monitor that answers YES to every symbol.
@@ -259,7 +269,8 @@ fn zero_backlog_means_every_verdict_is_pollable() {
     let symbol = Symbol::invoke(ProcId(0), Invocation::Read);
     for workers in [1, 2, 4] {
         for batch in [1u64, 256] {
-            let engine = MonitoringEngine::new(EngineConfig::new(workers), Arc::new(ConstantFactory));
+            let engine =
+                MonitoringEngine::new(EngineConfig::new(workers), Arc::new(ConstantFactory));
             let subscription = engine.subscribe(4096);
             let mut events = EventBatch::with_capacity(batch as usize);
             let mut received = VerdictBatch::new();
@@ -290,7 +301,11 @@ fn zero_backlog_means_every_verdict_is_pollable() {
                 );
             }
             let report = engine.finish().expect("no panics");
-            assert_eq!(report.stats.evicted, ROUNDS.div_ceil(3), "every marker met a live monitor");
+            assert_eq!(
+                report.stats.evicted,
+                ROUNDS.div_ceil(3),
+                "every marker met a live monitor"
+            );
         }
     }
 }
@@ -396,13 +411,21 @@ fn a_retired_slot_keeps_its_stream_and_revives_without_checkpoints() {
         }
     }
     let report = engine.finish().expect("no panics");
-    assert_eq!(report.verdicts(object), Some(&expected[..]), "the generations concatenate");
+    assert_eq!(
+        report.verdicts(object),
+        Some(&expected[..]),
+        "the generations concatenate"
+    );
     assert_eq!(report.stats.evicted, 2);
     let mut received = VerdictBatch::new();
     subscription.poll_batch(&mut received);
     assert_eq!(received.seqs(), (0..20).collect::<Vec<u64>>());
     assert_eq!(received.verdicts(), &expected[..]);
-    assert_eq!(sink.tombstones.load(Ordering::SeqCst), 2, "the double evict journals one");
+    assert_eq!(
+        sink.tombstones.load(Ordering::SeqCst),
+        2,
+        "the double evict journals one"
+    );
     assert_eq!(
         *sink.checkpoints.lock().unwrap(),
         [(object, 4), (object, 8)],
@@ -416,7 +439,11 @@ fn a_retired_slot_keeps_its_stream_and_revives_without_checkpoints() {
 /// factory returned too, to read its own arena.
 fn mixed_fleet<S: SequentialSpec + Clone + 'static>(
     spec: S,
-) -> (Arc<CheckerMonitorFactory<S>>, Arc<CheckerMonitorFactory<S>>, Arc<RoutingMonitorFactory>) {
+) -> (
+    Arc<CheckerMonitorFactory<S>>,
+    Arc<CheckerMonitorFactory<S>>,
+    Arc<RoutingMonitorFactory>,
+) {
     let lin = Arc::new(CheckerMonitorFactory::linearizability(spec.clone(), 2));
     let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(spec, 2));
     let (even, odd) = (
@@ -424,7 +451,11 @@ fn mixed_fleet<S: SequentialSpec + Clone + 'static>(
         Arc::clone(&sc) as Arc<dyn ObjectMonitorFactory>,
     );
     let fleet = RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
-        Arc::clone(if object.0.is_multiple_of(2) { &even } else { &odd })
+        Arc::clone(if object.0.is_multiple_of(2) {
+            &even
+        } else {
+            &odd
+        })
     });
     (lin, sc, Arc::new(fleet))
 }
@@ -436,7 +467,11 @@ fn assert_matches_reference(
 ) {
     assert_eq!(report.objects.len(), expected.len(), "{what}: object sets");
     for (object, verdicts) in expected {
-        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "{what}, {object:?}");
+        assert_eq!(
+            report.verdicts(*object),
+            Some(&verdicts[..]),
+            "{what}, {object:?}"
+        );
     }
 }
 
@@ -488,12 +523,27 @@ fn an_engine_stores_each_payload_once_for_its_whole_fleet() {
     }
     // Ten writes and ten read values past the bound, each once.
     assert_eq!((invocations.len(), responses.len()), (10, 10));
-    assert_eq!(interned, (invocations.len(), responses.len()), "each arena payload once");
-    assert_eq!(lin.arena().versions(), (0, 0), "LIN checkers keep the engine's ids");
-    assert_eq!(sc.arena().versions(), (0, 0), "SC checkers keep the engine's ids");
+    assert_eq!(
+        interned,
+        (invocations.len(), responses.len()),
+        "each arena payload once"
+    );
+    assert_eq!(
+        lin.arena().versions(),
+        (0, 0),
+        "LIN checkers keep the engine's ids"
+    );
+    assert_eq!(
+        sc.arena().versions(),
+        (0, 0),
+        "SC checkers keep the engine's ids"
+    );
     let (_, _, reference) = mixed_fleet(Register::new());
     let expected = sequential_reference(reference.as_ref(), &events);
-    assert!(expected.values().flatten().any(|verdict| *verdict == Verdict::No));
+    assert!(expected
+        .values()
+        .flatten()
+        .any(|verdict| *verdict == Verdict::No));
     assert_matches_reference(&report, &expected, "one arena");
 
     // A fleet fed scalar payloads only leaves its engine's arena empty.
@@ -501,7 +551,11 @@ fn an_engine_stores_each_payload_once_for_its_whole_fleet() {
     let engine = MonitoringEngine::new(EngineConfig::new(2), fleet);
     engine.submit_stream(&round_robin(8, 40), 256);
     engine.wait_drained();
-    assert_eq!(engine.interner().versions(), (0, 0), "scalar payloads take no slot");
+    assert_eq!(
+        engine.interner().versions(),
+        (0, 0),
+        "scalar payloads take no slot"
+    );
     engine.finish().expect("no panics");
 }
 
@@ -564,7 +618,9 @@ impl SequentialSpec for NamedCell {
 
     fn apply(&self, state: &u64, invocation: &Invocation) -> Option<(u64, Response)> {
         match invocation {
-            Invocation::Custom(name, value) => Some((*value, Response::Custom(name.clone(), *state))),
+            Invocation::Custom(name, value) => {
+                Some((*value, Response::Custom(name.clone(), *state)))
+            }
             _ => None,
         }
     }
@@ -607,7 +663,11 @@ fn producers_intern_while_workers_feed_without_deadlock() {
                 .map(|object| (object, named_cell_stream(object)))
                 .collect();
             (0..objects[0].1.len())
-                .flat_map(|at| objects.iter().map(move |(object, s)| (*object, s[at].clone())))
+                .flat_map(|at| {
+                    objects
+                        .iter()
+                        .map(move |(object, s)| (*object, s[at].clone()))
+                })
                 .collect()
         })
         .collect();
@@ -699,7 +759,10 @@ fn backlog_is_reconciled_after_a_worker_panic() {
     // not journaled, and their payloads not interned into the dead arena.
     let journaled = sink.batches.load(Ordering::SeqCst);
     let interned = engine.interner().versions();
-    engine.submit(ObjectId(5), &Symbol::invoke(ProcId(0), Invocation::Write(424_242)));
+    engine.submit(
+        ObjectId(5),
+        &Symbol::invoke(ProcId(0), Invocation::Write(424_242)),
+    );
     assert_eq!(engine.backlog(), 0);
     assert_eq!(sink.batches.load(Ordering::SeqCst), journaled);
     assert_eq!(engine.interner().versions(), interned);
@@ -725,7 +788,10 @@ fn worker_panic_closes_open_subscriptions() {
     std::panic::set_hook(hook);
     drop(_hook_guard);
     // The documented consumer loop terminates promptly on the dead engine.
-    assert_eq!(subscription.wait_batch(Duration::from_secs(5), &mut VerdictBatch::new()), 0);
+    assert_eq!(
+        subscription.wait_batch(Duration::from_secs(5), &mut VerdictBatch::new()),
+        0
+    );
     let panic = engine.finish().expect_err("the monitor panicked");
     assert!(panic.message.contains("boom on purpose"), "{panic}");
 }
@@ -746,12 +812,21 @@ fn take_panic_exposes_worker_death_without_consuming_the_engine() {
     );
     std::panic::set_hook(hook);
     drop(_hook_guard);
-    let panic = engine.take_panic().expect("the panic is claimable in place");
+    let panic = engine
+        .take_panic()
+        .expect("the panic is claimable in place");
     assert_eq!(panic.role, "engine worker");
     assert!(panic.message.contains("boom on purpose"), "{panic}");
-    assert!(engine.take_panic().is_none(), "claiming transfers ownership");
+    assert!(
+        engine.take_panic().is_none(),
+        "claiming transfers ownership"
+    );
     // try_submit_batch reports the dead pool instead of quietly enqueueing.
-    let batch = one_event(&engine, ObjectId(2), &Symbol::invoke(ProcId(0), Invocation::Read));
+    let batch = one_event(
+        &engine,
+        ObjectId(2),
+        &Symbol::invoke(ProcId(0), Invocation::Read),
+    );
     assert_eq!(engine.try_submit_batch(&batch), Err(SubmitError::Aborted));
     // A claimed panic is not double-reported: finish returns the partial
     // report (and drop, exercised implicitly elsewhere, no longer logs).

@@ -140,14 +140,23 @@ fn every_unknown_verdict_is_counted_in_the_registry() {
         CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES)
             .with_max_states(1),
     ) as Arc<dyn ObjectMonitorFactory>;
-    let factory = Arc::new(RoutingMonitorFactory::new("starved LIN/SC", move |object: ObjectId| {
-        Arc::clone(if object.0 % 4 < 2 { &lin } else { &sc })
-    })) as Arc<dyn ObjectMonitorFactory>;
+    let factory = Arc::new(RoutingMonitorFactory::new(
+        "starved LIN/SC",
+        move |object: ObjectId| Arc::clone(if object.0 % 4 < 2 { &lin } else { &sc }),
+    )) as Arc<dyn ObjectMonitorFactory>;
     let mut rng = StdRng::seed_from_u64(0x5eed_0007);
     let per_object = (0..16)
         .map(|object| {
-            let mut stream = if object % 2 == 1 { stale_read() } else { Vec::new() };
-            stream.extend(register_object_stream(&mut rng, 12, &RegisterStreamShape::load()));
+            let mut stream = if object % 2 == 1 {
+                stale_read()
+            } else {
+                Vec::new()
+            };
+            stream.extend(register_object_stream(
+                &mut rng,
+                12,
+                &RegisterStreamShape::load(),
+            ));
             (ObjectId(object), stream)
         })
         .collect();
@@ -162,9 +171,15 @@ fn every_unknown_verdict_is_counted_in_the_registry() {
             );
             engine.submit_stream(&events, batch);
             let report = engine.finish().expect("no worker panicked");
-            let verdicts: Vec<Verdict> =
-                report.objects.values().flat_map(|object| object.verdicts.clone()).collect();
-            let maybes = verdicts.iter().filter(|&&verdict| verdict == Verdict::Maybe(0)).count();
+            let verdicts: Vec<Verdict> = report
+                .objects
+                .values()
+                .flat_map(|object| object.verdicts.clone())
+                .collect();
+            let maybes = verdicts
+                .iter()
+                .filter(|&&verdict| verdict == Verdict::Maybe(0))
+                .count();
             assert!(
                 maybes >= 50 && verdicts.contains(&Verdict::Yes),
                 "the fleet must answer both Unknown and YES: {maybes} Unknown of {}",
@@ -270,8 +285,14 @@ fn instrumented_run_populates_histograms() {
     // searched or did not, and every NO was searched for or answered
     // latched.
     let counter = |name: &str| snap.counter(name).expect("registered");
-    let (checks, fast_path) = (counter("engine_checker_checks"), counter("engine_checker_fast_path"));
-    let (dfs_runs, latched) = (counter("engine_checker_dfs_runs"), counter("engine_checker_latched"));
+    let (checks, fast_path) = (
+        counter("engine_checker_checks"),
+        counter("engine_checker_fast_path"),
+    );
+    let (dfs_runs, latched) = (
+        counter("engine_checker_dfs_runs"),
+        counter("engine_checker_latched"),
+    );
     assert_eq!(checks, report.stats.events);
     assert_eq!(dfs_runs + fast_path, checks);
     let nos = report
@@ -329,8 +350,15 @@ fn a_monitor_panic_names_its_object() {
     std::panic::set_hook(hook);
     for (workers, result) in panics {
         let panic = result.expect_err("the monitor panicked");
-        assert_eq!(panic.object, Some(ObjectId(K)), "{workers} workers: {panic}");
+        assert_eq!(
+            panic.object,
+            Some(ObjectId(K)),
+            "{workers} workers: {panic}"
+        );
         assert!(panic.message.contains("boom on purpose"), "{panic}");
-        assert!(panic.to_string().contains(&ObjectId(K).to_string()), "{panic}");
+        assert!(
+            panic.to_string().contains(&ObjectId(K).to_string()),
+            "{panic}"
+        );
     }
 }

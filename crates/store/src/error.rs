@@ -3,8 +3,8 @@
 //! scan), never to a panic — `tests/journal_fuzz.rs` drives seeded
 //! corruption through every decoder to hold the line.
 
-use drv_lang::CodecError;
 use drv_lang::frame::WireError;
+use drv_lang::CodecError;
 use std::fmt;
 use std::io;
 

@@ -56,12 +56,12 @@
 
 use crate::error::StoreError;
 use drv_engine::JournalSink;
-use drv_lang::wire::{put_u32, put_u64, Reader};
-use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
 use drv_lang::frame::{
     decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameEncoder, FrameKind,
     HEADER_LEN, MAX_PAYLOAD,
 };
+use drv_lang::wire::{put_u32, put_u64, Reader};
+use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
 use drv_telemetry::{Counter, Histogram, Telemetry};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -94,7 +94,10 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { fsync: FsyncPolicy::EveryN(64), checkpoint_interval: 1024 }
+        StoreConfig {
+            fsync: FsyncPolicy::EveryN(64),
+            checkpoint_interval: 1024,
+        }
     }
 }
 
@@ -184,12 +187,18 @@ pub fn encode_checkpoint_record(
     verdicts: &[Verdict],
     state: &[u8],
 ) -> Vec<u8> {
-    assert!(verdicts.len() as u64 <= fed, "a checkpoint covers its verdicts' events");
+    assert!(
+        verdicts.len() as u64 <= fed,
+        "a checkpoint covers its verdicts' events"
+    );
     let len = usize::try_from(checkpoint_record_len(verdicts, state)).expect("record fits memory");
     let mut frame = frame_buffer(len);
     put_u64(&mut frame, object.0);
     put_u64(&mut frame, fed);
-    put_u32(&mut frame, u32::try_from(verdicts.len()).expect("< 2^32 verdicts"));
+    put_u32(
+        &mut frame,
+        u32::try_from(verdicts.len()).expect("< 2^32 verdicts"),
+    );
     for verdict in verdicts {
         let (tag, index) = match verdict {
             Verdict::Yes => (0u8, 0u32),
@@ -199,7 +208,10 @@ pub fn encode_checkpoint_record(
         frame.push(tag);
         put_u32(&mut frame, index);
     }
-    put_u32(&mut frame, u32::try_from(state.len()).expect("state < 4 GiB"));
+    put_u32(
+        &mut frame,
+        u32::try_from(state.len()).expect("state < 4 GiB"),
+    );
     frame.extend_from_slice(state);
     seal_frame(FrameKind::Checkpoint, &mut frame);
     frame
@@ -218,7 +230,9 @@ pub fn decode_checkpoint_record(payload: &[u8]) -> Result<CheckpointRecord, Stor
     let fed = reader.u64("checkpoint fed count")?;
     let count = reader.count(5, "checkpoint verdicts")?;
     if count as u64 > fed {
-        return Err(StoreError::BadCheckpoint { what: "more verdicts than fed events" });
+        return Err(StoreError::BadCheckpoint {
+            what: "more verdicts than fed events",
+        });
     }
     let mut verdicts = Vec::with_capacity(count);
     for _ in 0..count {
@@ -228,15 +242,26 @@ pub fn decode_checkpoint_record(payload: &[u8]) -> Result<CheckpointRecord, Stor
             0 => Verdict::Yes,
             1 => Verdict::No,
             2 => Verdict::Maybe(index),
-            _ => return Err(StoreError::BadCheckpoint { what: "unknown verdict tag" }),
+            _ => {
+                return Err(StoreError::BadCheckpoint {
+                    what: "unknown verdict tag",
+                })
+            }
         });
     }
     let state_len = reader.u32("checkpoint state length")? as usize;
     let state = reader.take(state_len, "checkpoint state")?.to_vec();
     if !reader.is_empty() {
-        return Err(StoreError::BadCheckpoint { what: "trailing bytes" });
+        return Err(StoreError::BadCheckpoint {
+            what: "trailing bytes",
+        });
     }
-    Ok(CheckpointRecord { object, fed, verdicts, state })
+    Ok(CheckpointRecord {
+        object,
+        fed,
+        verdicts,
+        state,
+    })
 }
 
 /// One decoded journal record, in file (= causal) order.
@@ -294,7 +319,9 @@ pub fn scan_journal(buf: &[u8], arena: &SharedInterner) -> ScanResult {
             Ok(_) => {
                 // Credit/Nack/Verdict/Stats/Shutdown never belong in a
                 // journal: the frame stream is no longer ours.
-                torn = Some(StoreError::BadCheckpoint { what: "foreign frame kind in journal" });
+                torn = Some(StoreError::BadCheckpoint {
+                    what: "foreign frame kind in journal",
+                });
                 break;
             }
             Err(err) => {
@@ -303,7 +330,11 @@ pub fn scan_journal(buf: &[u8], arena: &SharedInterner) -> ScanResult {
             }
         }
     }
-    ScanResult { records, valid_len: offset as u64, torn }
+    ScanResult {
+        records,
+        valid_len: offset as u64,
+        torn,
+    }
 }
 
 /// Append-side state, serialized under one lock so file order is causal
@@ -423,8 +454,13 @@ impl Store {
     /// File I/O only — on-disk corruption is salvaged, not fatal.
     pub fn open(path: impl AsRef<Path>, config: StoreConfig) -> Result<Store, StoreError> {
         // Only the valid prefix is wanted here; records and arena are dropped.
-        Store::open_scanned(path.as_ref(), config, Telemetry::passive(), &SharedInterner::new())
-            .map(|(store, _)| store)
+        Store::open_scanned(
+            path.as_ref(),
+            config,
+            Telemetry::passive(),
+            &SharedInterner::new(),
+        )
+        .map(|(store, _)| store)
     }
 
     /// The open step [`Store::open`] and recovery share: one read of
@@ -510,7 +546,10 @@ impl Store {
     /// state, if any (rendered; the store keeps the original).
     #[must_use]
     pub fn io_error(&self) -> Option<String> {
-        self.error.lock().as_ref().map(std::string::ToString::to_string)
+        self.error
+            .lock()
+            .as_ref()
+            .map(std::string::ToString::to_string)
     }
 
     /// Forces an fsync of everything appended so far (regardless of

@@ -133,8 +133,7 @@ pub fn recover_with(
     // engine will own: open truncates the torn tail there, and both passes
     // below stay inside the same valid prefix.
     let arena = SharedInterner::new();
-    let (store, scan) =
-        Store::open_scanned(path.as_ref(), config, Arc::clone(&telemetry), &arena)?;
+    let (store, scan) = Store::open_scanned(path.as_ref(), config, Arc::clone(&telemetry), &arena)?;
     let store = Arc::new(store);
     let mut stats = RecoveryStats {
         truncated_bytes: store.truncated_bytes(),
@@ -164,7 +163,10 @@ pub fn recover_with(
                 if checkpoint.base() == 0 {
                     chain.clear();
                     chain.push(checkpoint);
-                } else if chain.last().is_some_and(|last| last.fed == checkpoint.base()) {
+                } else if chain
+                    .last()
+                    .is_some_and(|last| last.fed == checkpoint.base())
+                {
                     chain.push(checkpoint);
                 }
             }
@@ -188,11 +190,21 @@ pub fn recover_with(
             continue;
         };
         let mut monitor = factory.create_in(object, &arena);
-        if chain.iter().all(|record| monitor.restore(&record.state).is_ok()) {
+        if chain
+            .iter()
+            .all(|record| monitor.restore(&record.state).is_ok())
+        {
             stats.skipped_events += fed;
             covered.insert(object, fed);
-            let verdicts = chain.into_iter().flat_map(|record| record.verdicts).collect();
-            recovered.push(RecoveredObject { object, monitor, verdicts });
+            let verdicts = chain
+                .into_iter()
+                .flat_map(|record| record.verdicts)
+                .collect();
+            recovered.push(RecoveredObject {
+                object,
+                monitor,
+                verdicts,
+            });
         } else {
             stats.rejected_checkpoints += 1;
         }
@@ -230,14 +242,22 @@ pub fn recover_with(
     // behind whatever the caller submits next.
     engine.wait_drained();
     engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
-    Ok(Recovery { engine, store, stats })
+    Ok(Recovery {
+        engine,
+        store,
+        stats,
+    })
 }
 
 /// `batch` without the events `covered` still claims — each seeded object's
 /// first journaled events, counted off as replay meets them.  A batch no
 /// seed covers passes through as it is.
 fn uncovered(batch: EventBatch, covered: &mut HashMap<ObjectId, u64>) -> EventBatch {
-    if covered.is_empty() || !batch.runs().any(|(object, _)| covered.contains_key(&object)) {
+    if covered.is_empty()
+        || !batch
+            .runs()
+            .any(|(object, _)| covered.contains_key(&object))
+    {
         return batch;
     }
     let mut suffix = EventBatch::with_capacity(batch.len());

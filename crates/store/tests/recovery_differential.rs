@@ -36,17 +36,24 @@ const PROCESSES: usize = 2;
 
 /// LIN for even objects, SC for odd — the workspace's standard mixed fleet.
 fn mixed_factory() -> Arc<RoutingMonitorFactory> {
-    let lin = Arc::new(CheckerMonitorFactory::linearizability(Register::new(), PROCESSES))
-        as Arc<dyn ObjectMonitorFactory>;
-    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(Register::new(), PROCESSES))
-        as Arc<dyn ObjectMonitorFactory>;
-    Arc::new(RoutingMonitorFactory::new("mixed LIN/SC", move |object: ObjectId| {
-        if object.0.is_multiple_of(2) {
-            Arc::clone(&lin)
-        } else {
-            Arc::clone(&sc)
-        }
-    }))
+    let lin = Arc::new(CheckerMonitorFactory::linearizability(
+        Register::new(),
+        PROCESSES,
+    )) as Arc<dyn ObjectMonitorFactory>;
+    let sc = Arc::new(CheckerMonitorFactory::sequential_consistency(
+        Register::new(),
+        PROCESSES,
+    )) as Arc<dyn ObjectMonitorFactory>;
+    Arc::new(RoutingMonitorFactory::new(
+        "mixed LIN/SC",
+        move |object: ObjectId| {
+            if object.0.is_multiple_of(2) {
+                Arc::clone(&lin)
+            } else {
+                Arc::clone(&sc)
+            }
+        },
+    ))
 }
 
 /// A fresh journal path under the OS temp dir (unique per call; removed by
@@ -72,7 +79,11 @@ fn seeded_stream(seed: u64, objects: u64, rounds: u64) -> Vec<(ObjectId, Symbol)
             let mut symbols = Vec::new();
             for r in 0..rounds {
                 let value = r + 1;
-                let read = if rng.gen_bool(0.2) { value.wrapping_sub(1) } else { value };
+                let read = if rng.gen_bool(0.2) {
+                    value.wrapping_sub(1)
+                } else {
+                    value
+                };
                 symbols.extend([
                     Symbol::invoke(ProcId(0), Invocation::Write(value)),
                     Symbol::respond(ProcId(0), Response::Ack),
@@ -110,7 +121,11 @@ fn journaled_events(buf: &[u8]) -> Vec<(ObjectId, Symbol)> {
     let mut events = Vec::new();
     for record in scan.records {
         if let JournalRecord::Batch(batch) = record {
-            events.extend(batch.iter().map(|event| (event.object, event.resolve(&interner))));
+            events.extend(
+                batch
+                    .iter()
+                    .map(|event| (event.object, event.resolve(&interner))),
+            );
         }
     }
     events
@@ -144,7 +159,11 @@ fn run_journaled(
     engine.attach_journal(Arc::clone(&store) as Arc<dyn drv_engine::JournalSink>);
     engine.submit_stream(events, batch);
     let report = engine.finish().expect("no worker panicked");
-    assert!(store.io_error().is_none(), "journal append failed: {:?}", store.io_error());
+    assert!(
+        store.io_error().is_none(),
+        "journal append failed: {:?}",
+        store.io_error()
+    );
     let expected = sequential_reference(mixed_factory().as_ref(), events);
     for (object, verdicts) in &expected {
         assert_eq!(
@@ -168,8 +187,13 @@ fn crash_recover_and_check(
 ) {
     std::fs::write(path, &buf[..len]).expect("write truncated journal");
     let survivors = journaled_events(&buf[..len]);
-    let recovery = recover(path, store_config, EngineConfig::new(workers), mixed_factory())
-        .expect("recovery succeeds");
+    let recovery = recover(
+        path,
+        store_config,
+        EngineConfig::new(workers),
+        mixed_factory(),
+    )
+    .expect("recovery succeeds");
     assert_eq!(
         recovery.stats.replayed_events,
         survivors.len() as u64,
@@ -257,7 +281,11 @@ fn recover_then_continue_then_recover_again() {
     let report = recovery.engine.finish().expect("no worker panicked");
     let expected = sequential_reference(mixed_factory().as_ref(), &events);
     for (object, verdicts) in &expected {
-        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "continued run, {object:?}");
+        assert_eq!(
+            report.verdicts(*object),
+            Some(&verdicts[..]),
+            "continued run, {object:?}"
+        );
     }
 
     // The continued run journaled onward: a second recovery of the full
@@ -266,7 +294,11 @@ fn recover_then_continue_then_recover_again() {
         recover(&path, store_config, EngineConfig::new(4), mixed_factory()).expect("recovers");
     let report = recovery.engine.finish().expect("no worker panicked");
     for (object, verdicts) in &expected {
-        assert_eq!(report.verdicts(*object), Some(&verdicts[..]), "second recovery, {object:?}");
+        assert_eq!(
+            report.verdicts(*object),
+            Some(&verdicts[..]),
+            "second recovery, {object:?}"
+        );
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -306,7 +338,10 @@ fn tombstones_stop_checkpoint_resurrection() {
     // submit).  The store's tombstone counter is the quiesce signal.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while store.stats().tombstones == 0 {
-        assert!(std::time::Instant::now() < deadline, "eviction never retired the victim");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "eviction never retired the victim"
+        );
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     // A fresh epoch for the victim after its eviction.
@@ -316,8 +351,15 @@ fn tombstones_stop_checkpoint_resurrection() {
     ];
     engine.submit_stream(&epoch2, 1);
     let live_report = engine.finish().expect("no worker panicked");
-    assert!(store.stats().checkpoints > 0, "the victim must have been checkpointed");
-    assert_eq!(store.stats().tombstones, 1, "eviction must tombstone exactly once");
+    assert!(
+        store.stats().checkpoints > 0,
+        "the victim must have been checkpointed"
+    );
+    assert_eq!(
+        store.stats().tombstones,
+        1,
+        "eviction must tombstone exactly once"
+    );
     drop(store);
 
     let recovery =
@@ -379,7 +421,11 @@ fn a_replayed_eviction_is_not_journaled_again() {
             let recovery = recover(&path, config, EngineConfig::new(workers), mixed_factory())
                 .expect("recovers");
             assert_eq!(recovery.engine.backlog(), 0, "{workers}w: replay drained");
-            assert_eq!(recovery.store.stats().tombstones, 0, "{workers}w: tombstone re-journaled");
+            assert_eq!(
+                recovery.store.stats().tombstones,
+                0,
+                "{workers}w: tombstone re-journaled"
+            );
             // A new generation of the victim, then a crash.
             recovery.engine.submit_stream(&second, 1);
             recovery.engine.wait_drained();
@@ -396,7 +442,11 @@ fn a_replayed_eviction_is_not_journaled_again() {
                         .expect("the victim's stream")
                 })
                 .collect();
-            assert_eq!(report.verdicts(victim), Some(&expected[..]), "{workers} workers");
+            assert_eq!(
+                report.verdicts(victim),
+                Some(&expected[..]),
+                "{workers} workers"
+            );
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -424,7 +474,12 @@ fn checkpoint_frames(buf: &[u8]) -> Vec<(std::ops::Range<usize>, ObjectId, u64, 
         let (frame, used) = decode_frame(&buf[offset..], &arena).expect("journal written by us");
         if let Frame::Checkpoint(payload) = frame {
             let record = decode_checkpoint_record(&payload).expect("a record we wrote");
-            frames.push((offset..offset + used, record.object, record.base(), record.fed));
+            frames.push((
+                offset..offset + used,
+                record.object,
+                record.base(),
+                record.fed,
+            ));
         }
         offset += used;
     }
@@ -435,8 +490,7 @@ fn checkpoint_frames(buf: &[u8]) -> Vec<(std::ops::Range<usize>, ObjectId, u64, 
 /// reference over `events`; returns the events the checkpoint chains
 /// covered.
 fn recover_and_check(path: &PathBuf, events: &[(ObjectId, Symbol)], config: StoreConfig) -> u64 {
-    let recovery =
-        recover(path, config, EngineConfig::new(2), mixed_factory()).expect("recovers");
+    let recovery = recover(path, config, EngineConfig::new(2), mixed_factory()).expect("recovers");
     assert_eq!(recovery.stats.rejected_checkpoints, 0);
     let skipped = recovery.stats.skipped_events;
     let report = recovery.engine.finish().expect("no worker panicked");
@@ -484,9 +538,15 @@ fn a_chain_stops_at_a_missing_checkpoint() {
     let objects = [ObjectId(7 * 64), ObjectId(7 * 64 + 1)];
     assert_eq!(
         links,
-        objects.map(|object| [(object, 0, 4), (object, 4, 8), (object, 8, 12)]).concat()
+        objects
+            .map(|object| [(object, 0, 4), (object, 4, 8), (object, 8, 12)])
+            .concat()
     );
-    assert_eq!(recover_and_check(&path, &events, config), 24, "whole chains seed");
+    assert_eq!(
+        recover_and_check(&path, &events, config),
+        24,
+        "whole chains seed"
+    );
 
     std::fs::write(&path, splice_middle_records(&buf)).expect("write spliced journal");
     assert_eq!(
@@ -541,7 +601,11 @@ fn a_torn_delta_costs_only_itself() {
     let buf = std::fs::read(&path).expect("journal readable");
     let frames = checkpoint_frames(&buf);
     let (last, _, base, fed) = frames.last().expect("three checkpoints").clone();
-    assert_eq!((base, fed, last.end), (8, 12, buf.len()), "the tail is a delta");
+    assert_eq!(
+        (base, fed, last.end),
+        (8, 12, buf.len()),
+        "the tail is a delta"
+    );
     for cut in [last.start + 1, last.start + 40, last.end - 1] {
         std::fs::write(&path, &buf[..cut]).expect("write torn journal");
         assert_eq!(recover_and_check(&path, &events, config), 8, "cut at {cut}");
@@ -630,27 +694,34 @@ fn a_served_journal_holds_the_frames_its_clients_sent() {
     }
     drop(server);
     drop(clients);
-    let sent: Vec<Vec<u8>> = tees.into_iter().map(|tee| tee.join().expect("tee")).collect();
+    let sent: Vec<Vec<u8>> = tees
+        .into_iter()
+        .map(|tee| tee.join().expect("tee"))
+        .collect();
     assert!(store.io_error().is_none(), "{:?}", store.io_error());
 
     let journal = std::fs::read(&path).expect("journal readable");
-    let mut unmatched: Vec<std::vec::IntoIter<&[u8]>> =
-        sent.iter().map(|bytes| batch_frames(bytes).into_iter()).collect();
+    let mut unmatched: Vec<std::vec::IntoIter<&[u8]>> = sent
+        .iter()
+        .map(|bytes| batch_frames(bytes).into_iter())
+        .collect();
     let records = batch_frames(&journal);
     assert_eq!(records.len(), 48 + 5, "one record per frame sent");
     for (index, record) in records.into_iter().enumerate() {
-        let Some(client) =
-            unmatched.iter_mut().find(|frames| frames.as_slice().first() == Some(&record))
+        let Some(client) = unmatched
+            .iter_mut()
+            .find(|frames| frames.as_slice().first() == Some(&record))
         else {
             panic!("batch record {index} is no client's next frame");
         };
         client.next();
     }
 
-    let recovery =
-        recover(&path, config, EngineConfig::new(2), mixed_factory()).expect("recovers");
-    let events: Vec<(ObjectId, Symbol)> =
-        streams.iter().flat_map(|(events, _)| events.iter().cloned()).collect();
+    let recovery = recover(&path, config, EngineConfig::new(2), mixed_factory()).expect("recovers");
+    let events: Vec<(ObjectId, Symbol)> = streams
+        .iter()
+        .flat_map(|(events, _)| events.iter().cloned())
+        .collect();
     assert_eq!(recovery.stats.replayed_events, events.len() as u64);
     let report = recovery.engine.finish().expect("no worker panicked");
     for (object, verdicts) in sequential_reference(mixed_factory().as_ref(), &events) {

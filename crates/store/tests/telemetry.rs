@@ -59,7 +59,9 @@ fn store_metrics_ride_the_shared_registry() {
     let tel = Telemetry::new();
     let recovery = recover_with(
         &path,
-        StoreConfig::new().with_fsync(FsyncPolicy::EveryN(8)).with_checkpoint_interval(16),
+        StoreConfig::new()
+            .with_fsync(FsyncPolicy::EveryN(8))
+            .with_checkpoint_interval(16),
         EngineConfig::new(2).with_max_pending(4096),
         factory(),
         Arc::clone(&tel),
@@ -84,13 +86,19 @@ fn store_metrics_ride_the_shared_registry() {
     assert_eq!(snap.counter("store_batches"), Some(stats.batches));
     assert_eq!(snap.counter("store_checkpoints"), Some(stats.checkpoints));
     assert_eq!(snap.counter("store_syncs"), Some(stats.syncs));
-    assert!(stats.checkpoints > 0, "interval 16 over {OPS} ops checkpoints");
+    assert!(
+        stats.checkpoints > 0,
+        "interval 16 over {OPS} ops checkpoints"
+    );
     // The journal-bytes cell counts exactly what reached the file.
     let on_disk = std::fs::metadata(&path).expect("journal exists").len();
     assert_eq!(snap.counter("store_journal_bytes"), Some(on_disk));
     // Timing was on (instrumented handle), so the latency histograms filled.
     let appends = snap.histogram("store_append_ns").expect("registered");
-    assert_eq!(appends.count, stats.batches + stats.checkpoints + stats.tombstones);
+    assert_eq!(
+        appends.count,
+        stats.batches + stats.checkpoints + stats.tombstones
+    );
     assert!(snap.histogram("store_fsync_ns").expect("registered").count >= stats.syncs);
     // And the engine's cells agree — one registry, one story.
     assert_eq!(snap.counter("engine_events"), Some(n));
@@ -105,19 +113,18 @@ fn passive_store_still_counts_but_never_times() {
     let path = dir.join("passive.journal");
     let _ = std::fs::remove_file(&path);
 
-    let recovery = drv_store::recover(
-        &path,
-        StoreConfig::new(),
-        EngineConfig::new(1),
-        factory(),
-    )
-    .expect("fresh journal opens");
+    let recovery = drv_store::recover(&path, StoreConfig::new(), EngineConfig::new(1), factory())
+        .expect("fresh journal opens");
     let events = stream();
     submit_chunks(&recovery.engine, &events, 64);
     recovery.engine.finish().expect("no worker panicked");
 
     let stats = recovery.store.stats();
-    assert_eq!(stats.events, events.len() as u64, "counters tick on the passive handle");
+    assert_eq!(
+        stats.events,
+        events.len() as u64,
+        "counters tick on the passive handle"
+    );
     let snap = recovery.store.telemetry().snapshot();
     assert_eq!(
         snap.histogram("store_append_ns").expect("registered").count,
