@@ -4,9 +4,10 @@
 //! ## Architecture
 //!
 //! ```text
-//!  submit_batch / try_submit_batch(batch)     worker 0   worker 1  …
+//!  submit_batch / try_submit_frame(batch)     worker 0   worker 1  …
 //!        │  bounded by max_pending               │          │
 //!        │  payloads interned (SharedInterner)   │          │
+//!        │  journaled as one batch frame         │          │
 //!        ▼                                       ▼          ▼
 //!  shard = fnv(object) ──► shard queues ──► ready deques (per worker,
 //!        (FIFO per shard)                    home = shard % workers,
@@ -48,7 +49,7 @@
 //! * **Backpressure.**  [`EngineConfig::with_max_pending`] bounds the
 //!   submitted-but-unprocessed work: [`MonitoringEngine::submit_batch`]
 //!   blocks until workers drain below the bound,
-//!   [`MonitoringEngine::try_submit_batch`] instead reports
+//!   [`MonitoringEngine::try_submit_frame`] instead reports
 //!   [`SubmitError::Full`].  Waiting producers are woken as batches retire.
 //! * **Streaming verdicts.**  [`MonitoringEngine::subscribe`] opens a
 //!   bounded [`VerdictSubscription`] channel delivering
@@ -67,7 +68,7 @@
 //!   ([`ObjectMonitorFactory::create_in`]): a checker keeps the queued ids
 //!   as they are, no payload resolved on the way.
 //! * **Batched ingestion.**  [`MonitoringEngine::submit_batch`] /
-//!   [`MonitoringEngine::try_submit_batch`] scatter a whole [`EventBatch`]
+//!   [`MonitoringEngine::try_submit_frame`] scatter a whole [`EventBatch`]
 //!   across the shards in one routing pass — one queue lock per touched
 //!   shard, backpressure reserved in events up front, and one epoch bump +
 //!   notify per batch ([`MonitoringEngine::submit`] is a batch of one).
@@ -80,7 +81,7 @@
 //!   through [`MonitoringEngine::take_panic`] — naming the object whose
 //!   monitor, checkpoint or tombstone the panic unwound out of.
 
-use crate::journal::{JournalSink, RecoveredObject};
+use crate::journal::{Journal, JournalSink, RecoveredObject};
 use crate::report::{EngineReport, EngineStats};
 use crate::service::{SubmitError, SubscriptionShared, VerdictSubscription};
 use crate::shard::{ClaimOutput, Feed, QueueItem, ShardCore};
@@ -115,7 +116,7 @@ impl EngineConfig {
 
     /// Bounds the submitted-but-unprocessed work (clamped to ≥ 1):
     /// [`MonitoringEngine::submit_batch`] blocks at the bound until workers
-    /// drain, [`MonitoringEngine::try_submit_batch`] reports
+    /// drain, [`MonitoringEngine::try_submit_frame`] reports
     /// [`SubmitError::Full`].
     /// Without this, ingestion is unbounded (the batch-mode default).
     #[must_use]
@@ -338,10 +339,10 @@ struct Shared {
     m: EngineMetrics,
     /// The optional durability tap (see [`crate::journal`]): consulted on
     /// every accepted submission (write-ahead), after each processed run
-    /// (checkpoint trigger) and on retirement (tombstone).  `None` until
+    /// (checkpoint trigger) and on retirement (tombstone).  Unset until
     /// [`MonitoringEngine::attach_journal`] — in particular during journal
     /// replay, so recovery does not re-journal what it reads.
-    sink: Mutex<Option<Arc<dyn JournalSink>>>,
+    journal: OnceLock<Journal>,
     panic: Mutex<Option<WorkerPanic>>,
     max_pending: usize,
 }
@@ -415,12 +416,6 @@ impl Shared {
     fn subscribers(&self) -> Vec<Arc<SubscriptionShared>> {
         let subs = self.subs.lock();
         subs.iter().filter(|sub| sub.is_open()).cloned().collect()
-    }
-
-    /// The attached durability tap, if any (cloned out so the sink mutex is
-    /// never held across an append).
-    fn journal(&self) -> Option<Arc<dyn JournalSink>> {
-        self.sink.lock().clone()
     }
 
     /// Reserves `count` pending-work slots under the backpressure bound
@@ -509,12 +504,11 @@ impl Shared {
             self.m.batches.inc();
             self.m.queue_depth.sub(drained.len() as i64);
             let subs = self.subscribers();
-            let sink = self.journal();
             let deliver = |rows: &[VerdictEvent]| self.flush_delivery(&subs, rows);
             let feed = Feed {
                 factory: self.factory.as_ref(),
                 arena: &self.interner,
-                sink: sink.as_deref(),
+                sink: self.journal.get().map(|journal| journal.sink.as_ref()),
                 start_check: &|| self.tel.timer(),
                 end_check: &|started| self.tel.observe(Some(started), &self.m.check_ns),
                 deliver: if subs.is_empty() {
@@ -667,7 +661,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// A long-lived, sharded, multi-object streaming monitoring engine.
 ///
 /// Feed it interleaved traffic with [`MonitoringEngine::submit_batch`]
-/// (blocking under backpressure) or [`MonitoringEngine::try_submit_batch`];
+/// (blocking under backpressure) or [`MonitoringEngine::try_submit_frame`];
 /// consume verdicts live through [`MonitoringEngine::subscribe`]; retire
 /// quiesced objects with [`MonitoringEngine::evict`]; and collect the
 /// aggregate report with [`MonitoringEngine::finish`].
@@ -769,7 +763,7 @@ impl MonitoringEngine {
             subs: Mutex::new(Vec::new()),
             tel: telemetry,
             m: metrics,
-            sink: Mutex::new(None),
+            journal: OnceLock::new(),
             panic: Mutex::new(None),
             max_pending: config.max_pending,
         });
@@ -858,8 +852,9 @@ impl MonitoringEngine {
 
     /// The engine's payload arena, on which every monitor is created:
     /// batches submitted through [`MonitoringEngine::submit_batch`] /
-    /// [`MonitoringEngine::try_submit_batch`] must intern their payloads
-    /// here (e.g. via [`EventBatch::push_symbol`]).
+    /// [`MonitoringEngine::try_submit_frame`] must intern their payloads
+    /// here (e.g. via [`EventBatch::push_symbol`] or by decoding a frame
+    /// into it).
     #[must_use]
     pub fn interner(&self) -> &SharedInterner {
         &self.shared.interner
@@ -876,16 +871,18 @@ impl MonitoringEngine {
     /// backlog has room; a batch larger than the bound is ingested in
     /// bound-sized chunks (each chunk its own routing pass).  After a worker
     /// panic the batch is discarded (see [`MonitoringEngine::take_panic`]).
+    /// An attached journal first appends the whole batch as one batch frame,
+    /// encoded here under the journal's next batch id.
     pub fn submit_batch(&self, batch: &EventBatch) {
         if batch.is_empty() || self.shared.aborted.load(Ordering::Acquire) {
             return;
         }
-        if let Some(sink) = self.shared.journal() {
+        if let Some(journal) = self.shared.journal.get() {
             // One write-ahead append for the whole batch.  The blocking
             // path below cannot refuse it (it only stops early on abort, in
             // which case an over-complete journal merely replays events the
             // dead pool dropped).
-            sink.append_batch(batch, &self.shared.interner);
+            journal.append(batch, &self.shared.interner);
         }
         let mut start = 0;
         while start < batch.len() {
@@ -898,34 +895,22 @@ impl MonitoringEngine {
         }
     }
 
-    /// Non-blocking [`MonitoringEngine::submit_batch`]: all or nothing — on
-    /// success the whole batch is enqueued (one routing pass, one publish);
-    /// on [`SubmitError::Full`] nothing was.  A batch larger than the
-    /// [`EngineConfig::with_max_pending`] bound can therefore never be
-    /// accepted — keep producer batches at or below the bound.
+    /// Non-blocking [`MonitoringEngine::submit_batch`] for a batch decoded
+    /// from a frame: `frame` is the sealed batch frame `batch` was decoded
+    /// from (into this engine's arena), and an attached journal appends
+    /// those bytes as they are ([`JournalSink::append_frame`]) instead of
+    /// encoding the batch again.  All or nothing — on success the whole
+    /// batch is enqueued (one routing pass, one publish); on
+    /// [`SubmitError::Full`] nothing was, and nothing was journaled.  A
+    /// batch larger than the [`EngineConfig::with_max_pending`] bound can
+    /// therefore never be accepted — keep producer batches at or below the
+    /// bound.  The server's reactor is its caller.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Full`] when the backlog cannot absorb the whole batch
     /// right now; [`SubmitError::Aborted`] once a worker has panicked.
-    pub fn try_submit_batch(&self, batch: &EventBatch) -> Result<(), SubmitError> {
-        self.try_submit(batch, None)
-    }
-
-    /// [`MonitoringEngine::try_submit_batch`] for a batch decoded from a
-    /// wire frame: `frame` is the sealed batch frame `batch` was decoded
-    /// from (into this engine's arena), and an attached journal appends
-    /// those bytes as they are ([`JournalSink::append_frame`]) instead of
-    /// encoding the batch again.  The server's reactor is its caller.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitoringEngine::try_submit_batch`].
     pub fn try_submit_frame(&self, batch: &EventBatch, frame: &[u8]) -> Result<(), SubmitError> {
-        self.try_submit(batch, Some(frame))
-    }
-
-    fn try_submit(&self, batch: &EventBatch, frame: Option<&[u8]>) -> Result<(), SubmitError> {
         if self.shared.aborted.load(Ordering::Acquire) {
             return Err(SubmitError::Aborted);
         }
@@ -935,13 +920,10 @@ impl MonitoringEngine {
         if self.shared.try_reserve(batch.len()).is_err() {
             return Err(SubmitError::Full);
         }
-        if let Some(sink) = self.shared.journal() {
+        if let Some(journal) = self.shared.journal.get() {
             // Write-ahead, after the all-or-nothing reservation: a refused
             // batch leaves no trace in the journal.
-            match frame {
-                Some(frame) => sink.append_frame(frame),
-                None => sink.append_batch(batch, &self.shared.interner),
-            }
+            journal.sink.append_frame(frame);
         }
         self.enqueue_batch_range(batch, 0, batch.len());
         Ok(())
@@ -1078,17 +1060,6 @@ impl MonitoringEngine {
         );
     }
 
-    /// [`MonitoringEngine::evict`] for a whole set of objects — the
-    /// connection-teardown hook of service fronts (e.g. `drv-net` retiring
-    /// everything a disconnected client owned).  Currently one eviction
-    /// marker (and publish) per object; batch the markers per shard if
-    /// teardown of huge connections ever shows up in profiles.
-    pub fn evict_many(&self, objects: impl IntoIterator<Item = ObjectId>) {
-        for object in objects {
-            self.evict(object);
-        }
-    }
-
     /// Attaches a durability tap (see [`crate::journal`] for the contract):
     /// from now on every accepted submission is journaled write-ahead,
     /// monitors are checkpointed every
@@ -1096,9 +1067,17 @@ impl MonitoringEngine {
     /// write tombstones.  Attach only once a journal replayed into a
     /// [`MonitoringEngine::with_recovered`] engine has drained, so recovery
     /// does not re-append what it reads (a replayed eviction would journal
-    /// a second tombstone).  Replaces any previous sink.
+    /// a second tombstone).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a journal is already attached: an engine has one journal
+    /// for its life, so batch ids count up in one file.
     pub fn attach_journal(&self, sink: Arc<dyn JournalSink>) {
-        *self.shared.sink.lock() = Some(sink);
+        assert!(
+            self.shared.journal.set(Journal::new(sink)).is_ok(),
+            "attach_journal: this engine already has a journal"
+        );
     }
 
     /// Opens a bounded verdict channel (capacity clamped to ≥ 1): every
@@ -1305,12 +1284,18 @@ pub fn sequential_reference(
 mod tests {
     use super::*;
     use drv_core::CheckerMonitorFactory;
+    use drv_lang::frame::FrameEncoder;
     use drv_lang::{Invocation, ProcId, Response};
     use drv_spec::Register;
     use std::borrow::Cow;
 
     fn factory() -> Arc<CheckerMonitorFactory<Register>> {
         Arc::new(CheckerMonitorFactory::linearizability(Register::new(), 2))
+    }
+
+    /// The batch frame `batch` (interned into `engine`'s arena) arrives in.
+    fn frame_of(engine: &MonitoringEngine, batch: &EventBatch) -> Vec<u8> {
+        FrameEncoder::new().encode_batch(0, batch, engine.interner())
     }
 
     fn clean_stream(object: u64) -> Vec<(ObjectId, Symbol)> {
@@ -1456,7 +1441,7 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_batch_is_all_or_nothing() {
+    fn try_submit_frame_is_all_or_nothing() {
         let engine = MonitoringEngine::new(EngineConfig::new(1).with_max_pending(4), factory());
         let mut oversized = EventBatch::new();
         for _ in 0..2 {
@@ -1466,16 +1451,20 @@ mod tests {
         }
         // 8 events can never fit a bound of 4: rejected atomically, nothing
         // enqueued.
-        assert_eq!(engine.try_submit_batch(&oversized), Err(SubmitError::Full));
+        assert_eq!(
+            engine.try_submit_frame(&oversized, &frame_of(&engine, &oversized)),
+            Err(SubmitError::Full)
+        );
         assert_eq!(engine.backlog(), 0);
         // A bound-sized batch is eventually accepted whole.
         let mut fitting = EventBatch::new();
         for (object, symbol) in clean_stream(7) {
             fitting.push_symbol(object, &symbol, engine.interner());
         }
+        let frame = frame_of(&engine, &fitting);
         let mut rejections = 0u64;
         for _ in 0..50 {
-            while let Err(error) = engine.try_submit_batch(&fitting) {
+            while let Err(error) = engine.try_submit_frame(&fitting, &frame) {
                 assert_eq!(error, SubmitError::Full);
                 rejections += 1;
                 std::thread::yield_now();
@@ -1501,8 +1490,9 @@ mod tests {
             for (object, symbol) in clean_stream(5) {
                 let mut one = EventBatch::with_capacity(1);
                 one.push_symbol(object, &symbol, engine.interner());
+                let frame = frame_of(&engine, &one);
                 loop {
-                    match engine.try_submit_batch(&one) {
+                    match engine.try_submit_frame(&one, &frame) {
                         Ok(()) => {
                             accepted += 1;
                             break;

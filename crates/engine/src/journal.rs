@@ -2,25 +2,24 @@
 //! the accepted-event path and the [`RecoveredObject`] seeds a store hands
 //! back to [`MonitoringEngine::with_recovered`](crate::MonitoringEngine::with_recovered).
 //!
-//! The engine knows nothing about files, fsync or frames — `drv-store`
-//! implements the sink against its on-disk journal.  The contract between
-//! the two layers:
+//! The engine knows nothing about files or fsync — `drv-store` implements
+//! the sink against its on-disk journal.  The contract between the two
+//! layers:
 //!
 //! * **Write-ahead, one record per accepted batch.**  A batch record is
 //!   appended after a submission clears the backpressure bound (so refused
 //!   work is never journaled) and *before* it is enqueued — a crash
 //!   between the append and the enqueue replays the events, which is
 //!   exactly the at-least-once side replay-identical recovery needs (the
-//!   monitor has not seen them yet).  It arrives by one of two doors:
-//!   - `append_frame` — a served batch, handed over as the sealed batch
-//!     frame the client sent and the reactor decoded
-//!     ([`MonitoringEngine::try_submit_frame`](crate::MonitoringEngine::try_submit_frame)).
-//!     The sink writes those bytes as they are: the batch is not encoded
-//!     again, and the client's batch id (and an old client's trace stamp)
-//!     stays in the record, where recovery ignores it.
-//!   - `append_batch` — an in-process batch (`submit`, `submit_batch`,
-//!     `submit_stream`, `try_submit_batch`; a single `submit` is a batch
-//!     of one), which the sink encodes once, into the same frame format.
+//!   monitor has not seen them yet).  It arrives by one door,
+//!   `append_frame`, as a sealed batch frame the sink writes as it is:
+//!   - a served batch is the frame the client sent and the reactor decoded
+//!     ([`MonitoringEngine::try_submit_frame`](crate::MonitoringEngine::try_submit_frame)),
+//!     so the client's batch id (and an old client's trace stamp) stays in
+//!     the record, where recovery ignores it;
+//!   - an in-process batch (`submit`, `submit_batch`, `submit_stream`; a
+//!     single `submit` is a batch of one) is encoded once at the engine's
+//!     edge, under batch ids 1, 2, … counted per attached journal.
 //! * **Checkpoints trail processing.**  `checkpoint` is called from the
 //!   worker *after* the covered events were fed, so by file order a
 //!   checkpoint claiming `fed` events is always preceded by at least that
@@ -49,20 +48,25 @@
 //! object's own eviction.
 
 use drv_consistency::ObjectMonitor;
+use drv_lang::frame::FrameEncoder;
 use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// A durability tap for everything the engine accepts; see the module docs
 /// for the exact call-site contract.
 pub trait JournalSink: Send + Sync {
-    /// Appends one accepted in-process [`EventBatch`] (payload ids live in
-    /// `arena`, the engine's own interner) ahead of its enqueue, encoded
-    /// as a batch frame.
-    fn append_batch(&self, batch: &EventBatch, arena: &SharedInterner);
-
-    /// Appends one accepted served batch ahead of its enqueue: `frame` is
-    /// the sealed, CRC-checked batch frame it was decoded from, journaled
-    /// byte for byte.
+    /// Appends one accepted batch ahead of its enqueue: `frame` is a sealed,
+    /// CRC-checked batch frame, journaled byte for byte.
     fn append_frame(&self, frame: &[u8]);
+
+    /// Appends `batch` (payload ids in `arena`) encoded as a batch frame
+    /// with id 0.  The engine never calls it: it stays for the staged
+    /// benchmark replay, which times it, and goes when that replay times
+    /// `append_frame` (ROADMAP item 1-B(f)).
+    fn append_batch(&self, batch: &EventBatch, arena: &SharedInterner) {
+        self.append_frame(&FrameEncoder::new().encode_batch(0, batch, arena));
+    }
 
     /// How many fed events of one object between two of its checkpoints.
     /// Returning `u64::MAX` disables checkpointing (journal-only mode).
@@ -78,6 +82,34 @@ pub trait JournalSink: Send + Sync {
     /// Records that `object`'s monitor was retired at this point of the
     /// accepted stream (its eviction marker was processed).
     fn tombstone(&self, object: ObjectId);
+}
+
+/// An attached sink and the engine's edge in front of it, where an
+/// in-process batch becomes the batch frame the sink appends.
+pub(crate) struct Journal {
+    pub(crate) sink: Arc<dyn JournalSink>,
+    /// The encoder and the id of the last frame it wrote (ids count 1, 2, …
+    /// per journal).  Held across the append, so ids are in file order.
+    edge: Mutex<(FrameEncoder, u64)>,
+}
+
+impl Journal {
+    pub(crate) fn new(sink: Arc<dyn JournalSink>) -> Self {
+        Journal {
+            sink,
+            edge: Mutex::new((FrameEncoder::new(), 0)),
+        }
+    }
+
+    /// Encodes `batch` (payload ids in `arena`) under the next batch id and
+    /// appends the frame.
+    pub(crate) fn append(&self, batch: &EventBatch, arena: &SharedInterner) {
+        let mut edge = self.edge.lock();
+        let (encoder, id) = &mut *edge;
+        *id += 1;
+        self.sink
+            .append_frame(&encoder.encode_batch(*id, batch, arena));
+    }
 }
 
 /// One object's state handed back by a store's recovery scan, seeding

@@ -40,8 +40,7 @@
 //! workers park *untimed* on an epoch-ticketed condvar (zero wakeups while
 //! idle — no timed polling), ingestion is bounded
 //! ([`EngineConfig::with_max_pending`]: blocking
-//! [`MonitoringEngine::submit_batch`] or non-blocking
-//! [`MonitoringEngine::try_submit_batch`], or
+//! [`MonitoringEngine::submit_batch`], or non-blocking
 //! [`MonitoringEngine::try_submit_frame`] for a batch decoded from a wire
 //! frame, whose bytes the journal keeps), verdicts stream live through bounded
 //! [`VerdictSubscription`] channels ([`MonitoringEngine::subscribe`]), and
@@ -62,15 +61,18 @@
 //! live in the engine's [`SharedInterner`](drv_lang::SharedInterner) arena
 //! ([`MonitoringEngine::interner`]) — and hand whole batches to
 //! [`MonitoringEngine::submit_batch`] /
-//! [`MonitoringEngine::try_submit_batch`] ([`MonitoringEngine::submit`] is
-//! a batch of one).  A batch is scattered across the
-//! shards in **one routing pass** (one queue lock per touched shard, order
-//! preserved, so per-object FIFO — and therefore verdict bit-identity —
-//! holds at any batch size), its backpressure is reserved in *events* up
-//! front, and the pool is published to with **one** `work_epoch` bump and
-//! one notify per batch instead of one per event.  Worker-side, the core
-//! feeds each object's events of a claim to its monitor as one
-//! [`drv_consistency::ObjectMonitor::on_records`] run.
+//! [`MonitoringEngine::try_submit_frame`] ([`MonitoringEngine::submit`] is
+//! a batch of one; [`MonitoringEngine::submit_stream`] cuts a stream into
+//! batches).  An attached journal receives every accepted batch as a batch
+//! frame: the one a served batch was decoded from, or, for an in-process
+//! batch, the one the engine encodes at its edge.  A batch is scattered
+//! across the shards in **one routing pass** (one queue lock per touched
+//! shard, order preserved, so per-object FIFO — and therefore verdict
+//! bit-identity — holds at any batch size), its backpressure is reserved in
+//! *events* up front, and the pool is published to with **one**
+//! `work_epoch` bump and one notify per batch instead of one per event.
+//! Worker-side, the core feeds each object's events of a claim to its
+//! monitor as one [`drv_consistency::ObjectMonitor::on_records`] run.
 //!
 //! **Arena lifetime rules.**  Payload ids are only meaningful relative to
 //! the arena that produced them: build batches against the target engine's

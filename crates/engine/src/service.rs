@@ -6,7 +6,7 @@
 //! end-of-run.  This module provides what the long-running mode needs
 //! instead:
 //!
-//! * [`SubmitError`] — what [`MonitoringEngine::try_submit_batch`] reports
+//! * [`SubmitError`] — what [`MonitoringEngine::try_submit_frame`] reports
 //!   when the bounded ingestion queue is full ([`SubmitError::Full`]) or
 //!   the pool is dead ([`SubmitError::Aborted`]).
 //! * [`VerdictSubscription`] — a bounded channel of [`VerdictEvent`]s
@@ -39,7 +39,7 @@
 //! closure never out-waits a dead engine.  Queued events stay drainable
 //! after closing.
 //!
-//! [`MonitoringEngine::try_submit_batch`]: crate::MonitoringEngine::try_submit_batch
+//! [`MonitoringEngine::try_submit_frame`]: crate::MonitoringEngine::try_submit_frame
 //! [`MonitoringEngine::subscribe`]: crate::MonitoringEngine::subscribe
 
 use drv_lang::{Verdict, VerdictBatch, VerdictEvent};

@@ -530,7 +530,6 @@ mod tests {
     }
 
     impl JournalSink for RecordingSink {
-        fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {}
         fn append_frame(&self, _frame: &[u8]) {}
         fn checkpoint_interval(&self) -> u64 {
             self.interval

@@ -9,14 +9,16 @@
 //! verdict of the object's first `i + 1` symbols.
 //!
 //! Every suite loops over [`WORKERS`] × [`BATCHES`]: ingestion is
-//! `submit_batch` / `try_submit_batch` over `EventBatch`es of up to the
-//! batch size (1 = one frame per event, 256 = the production framing), and
+//! `submit_batch` over `EventBatch`es, or `try_submit_frame` over their
+//! batch frames, of up to the batch size (1 = one frame per event, 256 =
+//! the production framing), and
 //! delivery is `poll_batch` over `VerdictBatch`es.
 
 use drv_adversary::{merge_random, merge_round_robin, register_object_stream, RegisterStreamShape};
 use drv_consistency::{CheckerConfig, IncrementalChecker};
 use drv_core::{CheckerMonitorFactory, ObjectMonitorFactory, RoutingMonitorFactory, Verdict};
 use drv_engine::{sequential_reference, EngineConfig, EventBatch, MonitoringEngine, SubmitError};
+use drv_lang::frame::FrameEncoder;
 use drv_lang::{Action, ObjectId, Response, Symbol, VerdictBatch};
 use drv_spec::Register;
 use drv_store::{recover, FsyncPolicy, Store, StoreConfig};
@@ -168,8 +170,8 @@ fn extend_streams(
     }
 }
 
-/// Flushes the soak's producer-side buffer through `try_submit_batch`,
-/// draining the subscription while the bounded queue is full (this thread
+/// Flushes the soak's producer-side buffer through `try_submit_frame`,
+/// over the buffer's batch frame, draining the subscription while the bounded queue is full (this thread
 /// is both producer and consumer, so it must never block).
 fn flush_buffer(
     engine: &MonitoringEngine,
@@ -182,8 +184,9 @@ fn flush_buffer(
     if buffer.is_empty() {
         return;
     }
+    let frame = FrameEncoder::new().encode_batch(0, buffer, engine.interner());
     loop {
-        match engine.try_submit_batch(buffer) {
+        match engine.try_submit_frame(buffer, &frame) {
             Ok(()) => break,
             Err(SubmitError::Full) => {
                 *rejections += 1;
@@ -197,7 +200,7 @@ fn flush_buffer(
 }
 
 /// The service-mode soak: the full long-running surface at once — a tiny
-/// `max_pending` bound (so `try_submit_batch` rejections are exercised on
+/// `max_pending` bound (so `try_submit_frame` rejections are exercised on
 /// nearly every stream), a bounded verdict subscription drained
 /// opportunistically, and eviction of every object the moment its stream
 /// completes — and the verdict streams, both as subscribed live and as
@@ -237,7 +240,7 @@ fn service_mode_soak_matches_sequential_reference() {
             let chunk = batch.min(MAX_PENDING);
             let mut buffer = EventBatch::new();
             for (object, symbol) in &events {
-                // try_submit_batch only: a blocking submit here could
+                // try_submit_frame only: a blocking submit here could
                 // deadlock against a worker blocked on the full
                 // subscription, since this thread is also the consumer.
                 buffer.push_symbol(*object, symbol, engine.interner());
@@ -300,7 +303,7 @@ fn service_mode_soak_matches_sequential_reference() {
     // The soak proves nothing unless the service paths actually fired.
     assert!(
         rejections > 0,
-        "max_pending=8 never rejected a try_submit_batch"
+        "max_pending=8 never rejected a try_submit_frame"
     );
     assert!(evictions > 0, "no object was ever evicted");
 }

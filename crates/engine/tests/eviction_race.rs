@@ -23,7 +23,8 @@ use drv_core::{
     CheckerMonitorFactory, ObjectMonitor, ObjectMonitorFactory, RoutingMonitorFactory, Verdict,
 };
 use drv_engine::{sequential_reference, EngineConfig, EventBatch, MonitoringEngine};
-use drv_lang::{Invocation, ObjectId, ProcId, Response, Symbol};
+use drv_lang::frame::{decode_frame, Frame};
+use drv_lang::{Invocation, ObjectId, ProcId, Response, SharedInterner, Symbol};
 use drv_spec::Register;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -275,12 +276,12 @@ struct RecordingSink {
 }
 
 impl drv_engine::JournalSink for RecordingSink {
-    fn append_batch(&self, batch: &EventBatch, _arena: &drv_lang::SharedInterner) {
-        self.events.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    }
-
-    fn append_frame(&self, _frame: &[u8]) {
-        unreachable!("nothing here is served")
+    fn append_frame(&self, frame: &[u8]) {
+        let Ok((Frame::Batch(batch), _)) = decode_frame(frame, &SharedInterner::new()) else {
+            panic!("the engine journals a batch as a batch frame");
+        };
+        self.events
+            .fetch_add(batch.events.len() as u64, Ordering::Relaxed);
     }
 
     fn checkpoint_interval(&self) -> u64 {

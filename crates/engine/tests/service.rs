@@ -12,9 +12,10 @@ use drv_core::{
 use drv_engine::{
     sequential_reference, EngineConfig, EventBatch, JournalSink, MonitoringEngine, SubmitError,
 };
+use drv_lang::frame::FrameEncoder;
 use drv_lang::{
-    Action, Invocation, InvocationId, ObjectId, ProcId, Response, ResponseId, SharedInterner,
-    Symbol, VerdictBatch, INLINE_VALUE_LIMIT,
+    Action, Invocation, InvocationId, ObjectId, ProcId, Response, ResponseId, Symbol, VerdictBatch,
+    INLINE_VALUE_LIMIT,
 };
 use drv_spec::{Register, SequentialSpec};
 use std::borrow::Cow;
@@ -48,6 +49,11 @@ fn one_event(engine: &MonitoringEngine, object: ObjectId, symbol: &Symbol) -> Ev
     batch
 }
 
+/// The batch frame `batch` (interned into `engine`'s arena) arrives in.
+fn frame_of(engine: &MonitoringEngine, batch: &EventBatch) -> Vec<u8> {
+    FrameEncoder::new().encode_batch(0, batch, engine.interner())
+}
+
 /// A sink that only counts the batch records it is handed.
 #[derive(Default)]
 struct CountingSink {
@@ -55,9 +61,6 @@ struct CountingSink {
 }
 
 impl JournalSink for CountingSink {
-    fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {
-        self.batches.fetch_add(1, Ordering::SeqCst);
-    }
     fn append_frame(&self, _frame: &[u8]) {
         self.batches.fetch_add(1, Ordering::SeqCst);
     }
@@ -176,7 +179,7 @@ fn bounded_producer_and_live_subscriber_see_every_verdict() {
 
 /// A refused submission leaves no trace in the journal: with
 /// `max_pending = 1` and the worker wedged behind a full, undrained
-/// subscription, a one-event `try_submit_batch` is `Full` and the sink sees
+/// subscription, a one-event `try_submit_frame` is `Full` and the sink sees
 /// nothing; once the consumer drains, the same batch is accepted and
 /// journaled once.
 #[test]
@@ -192,14 +195,18 @@ fn a_full_one_event_batch_is_never_journaled() {
     engine.submit(events[0].0, &events[0].1);
     engine.submit(events[1].0, &events[1].1);
     let third = one_event(&engine, events[2].0, &events[2].1);
-    assert_eq!(engine.try_submit_batch(&third), Err(SubmitError::Full));
+    let frame = frame_of(&engine, &third);
+    assert_eq!(
+        engine.try_submit_frame(&third, &frame),
+        Err(SubmitError::Full)
+    );
     assert_eq!(
         sink.batches.load(Ordering::SeqCst),
         2,
         "a Full batch was journaled"
     );
     let mut received = VerdictBatch::new();
-    while engine.try_submit_batch(&third) == Err(SubmitError::Full) {
+    while engine.try_submit_frame(&third, &frame) == Err(SubmitError::Full) {
         subscription.wait_batch(Duration::from_millis(10), &mut received);
     }
     assert_eq!(sink.batches.load(Ordering::SeqCst), 3);
@@ -207,6 +214,33 @@ fn a_full_one_event_batch_is_never_journaled() {
         subscription.wait_batch(Duration::from_millis(100), &mut received);
     }
     engine.finish().expect("no panics");
+}
+
+/// An engine has one journal for its life: a second `attach_journal`
+/// panics, and the first journal keeps every record.
+#[test]
+fn a_second_journal_is_refused() {
+    let engine = MonitoringEngine::new(EngineConfig::new(1), factory());
+    let first = Arc::new(CountingSink::default());
+    let second = Arc::new(CountingSink::default());
+    engine.attach_journal(first.clone());
+    let attach = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.attach_journal(second.clone());
+    }));
+    let payload = attach.expect_err("a second journal was attached");
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    assert!(
+        message.is_some_and(|text| text.contains("already has a journal")),
+        "the panic names the cause: {message:?}"
+    );
+    let (object, symbol) = &clean_stream(1, 1)[0];
+    engine.submit(*object, symbol);
+    engine.finish().expect("no panics");
+    assert_eq!(first.batches.load(Ordering::SeqCst), 1);
+    assert_eq!(second.batches.load(Ordering::SeqCst), 0);
 }
 
 /// `finish()` must not deadlock on a full subscription nobody drains: the
@@ -343,7 +377,6 @@ impl RecordingSink {
 }
 
 impl JournalSink for RecordingSink {
-    fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {}
     fn append_frame(&self, _frame: &[u8]) {}
     fn checkpoint_interval(&self) -> u64 {
         self.interval
@@ -821,13 +854,16 @@ fn take_panic_exposes_worker_death_without_consuming_the_engine() {
         engine.take_panic().is_none(),
         "claiming transfers ownership"
     );
-    // try_submit_batch reports the dead pool instead of quietly enqueueing.
+    // try_submit_frame reports the dead pool instead of quietly enqueueing.
     let batch = one_event(
         &engine,
         ObjectId(2),
         &Symbol::invoke(ProcId(0), Invocation::Read),
     );
-    assert_eq!(engine.try_submit_batch(&batch), Err(SubmitError::Aborted));
+    assert_eq!(
+        engine.try_submit_frame(&batch, &frame_of(&engine, &batch)),
+        Err(SubmitError::Aborted)
+    );
     // A claimed panic is not double-reported: finish returns the partial
     // report (and drop, exercised implicitly elsewhere, no longer logs).
     // The bomb object appears with no verdicts — its monitor died before

@@ -740,9 +740,6 @@ mod tests {
     struct FrameLog(Mutex<Vec<Vec<u8>>>);
 
     impl JournalSink for FrameLog {
-        fn append_batch(&self, _batch: &EventBatch, _arena: &SharedInterner) {
-            panic!("a served batch is journaled as its frame");
-        }
         fn append_frame(&self, frame: &[u8]) {
             self.0.lock().push(frame.to_vec());
         }

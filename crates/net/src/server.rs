@@ -75,7 +75,7 @@
 //!
 //! A Stats request is answered with the shared registry's snapshot.  A
 //! connection that sends [`Shutdown`](crate::wire::Frame::Shutdown), or
-//! disappears, has its objects evicted ([`MonitoringEngine::evict_many`]);
+//! disappears, has its objects evicted ([`MonitoringEngine::evict`]);
 //! a Shutdown is answered with the server's own once the outbound queue is
 //! flushed and no batch is parked.  [`MonitorServer::shutdown`] drains
 //! every client the same way (a peer that never reads is cut after a grace
@@ -432,7 +432,9 @@ impl Reactor {
             let outcome = self.shared.submit(&batch, conn.core.frame());
             conn.core.on_submitted(batch, outcome, &mut actions);
         }
-        self.shared.engine.evict_many(actions.evict);
+        for object in actions.evict {
+            self.shared.engine.evict(object);
+        }
         if conn.core.is_parked() {
             self.parked.insert(id);
         } else {
@@ -536,7 +538,9 @@ impl Reactor {
         // received so far stays checked; the monitors are retired, their
         // verdicts stay in the report.  (After a client-initiated Shutdown
         // the object set is already spent and this evicts nothing.)
-        self.shared.engine.evict_many(conn.core.release());
+        for object in conn.core.release() {
+            self.shared.engine.evict(object);
+        }
         self.shared.env.m.active.sub(1);
         self.shared.env.m.reactor_fds.sub(1);
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);

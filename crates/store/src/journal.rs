@@ -8,12 +8,11 @@
 //!
 //! * [`FrameKind::Batch`] — one accepted [`EventBatch`] as a frame that
 //!   travels over a connection (self-contained per-frame dictionaries),
-//!   appended **write-ahead** of its enqueue.  A served batch is the
-//!   client's own frame, appended byte for byte as the reactor decoded it
-//!   ([`JournalSink::append_frame`]): the server never encodes it, and the
-//!   client's batch id stays in it.  An in-process batch is encoded once,
-//!   by the store's one reused [`FrameEncoder`], under a store-numbered id
-//!   ([`JournalSink::append_batch`]).  Recovery reads neither id;
+//!   appended **write-ahead** of its enqueue, byte for byte as the engine
+//!   hands it over ([`JournalSink::append_frame`]): a served batch is the
+//!   client's own frame under the client's batch id, an in-process batch
+//!   the frame the engine encoded under its own count (1, 2, … per
+//!   journal).  The store encodes no batch, and recovery reads neither id;
 //! * [`FrameKind::Evict`] — the object's eviction marker retired its
 //!   monitor at this point of the accepted stream (a tombstone);
 //! * [`FrameKind::Checkpoint`] — a store-owned record (layout below)
@@ -57,8 +56,7 @@
 use crate::error::StoreError;
 use drv_engine::JournalSink;
 use drv_lang::frame::{
-    decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameEncoder, FrameKind,
-    HEADER_LEN, MAX_PAYLOAD,
+    decode_frame, encode_evict, frame_buffer, seal_frame, Frame, FrameKind, HEADER_LEN, MAX_PAYLOAD,
 };
 use drv_lang::wire::{put_u32, put_u64, Reader};
 use drv_lang::{EventBatch, ObjectId, SharedInterner, Verdict};
@@ -341,12 +339,6 @@ pub fn scan_journal(buf: &[u8], arena: &SharedInterner) -> ScanResult {
 /// order.
 struct Appender {
     file: File,
-    /// Encodes in-process batches; a served batch arrives as its frame.
-    encoder: FrameEncoder,
-    /// Monotone id stamped into the frames `encoder` writes (decode ignores
-    /// it on replay; it keeps frames byte-identical in shape to wire
-    /// traffic).
-    batch_id: u64,
     /// Records appended since the last sync (the [`FsyncPolicy::EveryN`]
     /// counter).
     since_sync: u64,
@@ -495,8 +487,6 @@ impl Store {
         let store = Store {
             inner: Mutex::new(Appender {
                 file,
-                encoder: FrameEncoder::new(),
-                batch_id: 0,
                 since_sync: 0,
             }),
             config,
@@ -632,17 +622,6 @@ impl Store {
 }
 
 impl JournalSink for Store {
-    fn append_batch(&self, batch: &EventBatch, arena: &SharedInterner) {
-        let mut inner = self.inner.lock();
-        inner.batch_id += 1;
-        let id = inner.batch_id;
-        let frame = inner.encoder.encode_batch(id, batch, arena);
-        if self.append(&mut inner, &frame) {
-            self.m.batches.inc();
-            self.m.events.add(batch.len() as u64);
-        }
-    }
-
     fn append_frame(&self, frame: &[u8]) {
         // The row count sits behind the batch id; the frame was decoded
         // before it got here, so the bytes are there.

@@ -13,7 +13,8 @@
 //!   write-ahead to one file as [`drv_lang::frame`] frames — the same
 //!   16-byte header + CRC-32 framing `drv-net` sends over TCP, reusing its
 //!   torn-input hardening wholesale.  A served batch is journaled as the
-//!   very frame its client sent; an in-process batch is encoded once.
+//!   very frame its client sent; an in-process batch is encoded once, by
+//!   the engine.
 //!   Fsync policy is [`FsyncPolicy`]: `Always` / `EveryN` / `Never`.
 //! * **Checkpoints** — workers periodically write what each object's
 //!   incremental checker gained since its previous checkpoint (symbols,
