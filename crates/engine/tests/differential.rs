@@ -11,8 +11,8 @@
 //! Every suite loops over [`WORKERS`] × [`BATCHES`]: ingestion is
 //! `submit_batch` over `EventBatch`es, or `try_submit_frame` over their
 //! batch frames, of up to the batch size (1 = one frame per event, 256 =
-//! the production framing), and
-//! delivery is `poll_batch` over `VerdictBatch`es.
+//! the production framing), and delivery is `poll_batch` over
+//! `VerdictBatch`es.
 
 use drv_adversary::{merge_random, merge_round_robin, register_object_stream, RegisterStreamShape};
 use drv_consistency::{CheckerConfig, IncrementalChecker};
@@ -170,9 +170,10 @@ fn extend_streams(
     }
 }
 
-/// Flushes the soak's producer-side buffer through `try_submit_frame`,
-/// over the buffer's batch frame, draining the subscription while the bounded queue is full (this thread
-/// is both producer and consumer, so it must never block).
+/// Flushes the soak's producer-side buffer through `try_submit_frame` over
+/// the buffer's batch frame, draining the subscription while the bounded
+/// queue is full (this thread is both producer and consumer, so it must
+/// never block).
 fn flush_buffer(
     engine: &MonitoringEngine,
     buffer: &mut EventBatch,
