@@ -154,7 +154,11 @@ impl AbdNode {
     ///
     /// Panics when an operation is already in flight.
     pub fn issue(&mut self, invocation: Invocation, now: Time, outbox: &mut Outbox<AbdMessage>) {
-        assert!(self.is_idle(), "node {} already has an operation in flight", self.id);
+        assert!(
+            self.is_idle(),
+            "node {} already has an operation in flight",
+            self.id
+        );
         let kind = match &invocation {
             Invocation::Read => OpKind::Read,
             Invocation::Write(v) => OpKind::Write(*v),
@@ -266,10 +270,7 @@ impl Node for AbdNode {
                 }
                 let majority = self.majority();
                 if let ClientPhase::Update {
-                    kind,
-                    value,
-                    acks,
-                    ..
+                    kind, value, acks, ..
                 } = &mut self.phase
                 {
                     *acks += 1;
@@ -424,11 +425,12 @@ pub fn run_abd(config: NetConfig, workload: &Workload) -> AbdRun {
         }
     }
 
-    let completed: Vec<CompletedOp> = (0..n)
-        .flat_map(|i| sim.node(i).completed.clone())
-        .collect();
+    let completed: Vec<CompletedOp> = (0..n).flat_map(|i| sim.node(i).completed.clone()).collect();
     let incomplete = issued.iter().sum::<usize>() - completed.len()
-        + scripts.iter().map(std::collections::VecDeque::len).sum::<usize>();
+        + scripts
+            .iter()
+            .map(std::collections::VecDeque::len)
+            .sum::<usize>();
     AbdRun {
         history,
         completed,
@@ -491,7 +493,10 @@ mod tests {
         let config = NetConfig::new(3, 7).crash(1, 30).crash(2, 30);
         assert!(!config.majority_correct());
         let run = run_abd(config, &Workload::mixed(3, 3));
-        assert!(run.incomplete > 0, "progress must be lost without a majority");
+        assert!(
+            run.incomplete > 0,
+            "progress must be lost without a majority"
+        );
         assert!(is_linearizable(&Register::new(), &run.history, 3));
     }
 
@@ -508,7 +513,10 @@ mod tests {
             .collect();
         for op in &run.completed {
             if let Response::Value(v) = op.response {
-                assert!(v == 0 || written.contains(&v), "read of a phantom value {v}");
+                assert!(
+                    v == 0 || written.contains(&v),
+                    "read of a phantom value {v}"
+                );
             }
         }
     }

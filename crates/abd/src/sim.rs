@@ -16,8 +16,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::BTreeSet;
+use std::collections::BinaryHeap;
 
 /// Simulated time, in abstract ticks.
 pub type Time = u64;
@@ -196,7 +196,11 @@ impl<N: Node> Simulator<N> {
     /// Panics when the number of nodes does not match the configuration.
     #[must_use]
     pub fn new(config: NetConfig, nodes: Vec<N>) -> Self {
-        assert_eq!(nodes.len(), config.n, "node count must match the configuration");
+        assert_eq!(
+            nodes.len(),
+            config.n,
+            "node count must match the configuration"
+        );
         let crashed = vec![false; config.n];
         Simulator {
             nodes,

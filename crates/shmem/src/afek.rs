@@ -146,10 +146,16 @@ impl fmt::Display for SnapshotViolation {
                 write!(f, "incomparable scans {first:?} and {second:?}")
             }
             SnapshotViolation::RealTimeRegression { earlier, later } => {
-                write!(f, "scan regression: {later:?} follows {earlier:?} in real time")
+                write!(
+                    f,
+                    "scan regression: {later:?} follows {earlier:?} in real time"
+                )
             }
             SnapshotViolation::MissedCompletedUpdate { updater, seq, scan } => {
-                write!(f, "scan {scan:?} missed completed update {seq} of p{updater}")
+                write!(
+                    f,
+                    "scan {scan:?} missed completed update {seq} of p{updater}"
+                )
             }
             SnapshotViolation::SawFutureUpdate { updater, seq, scan } => {
                 write!(f, "scan {scan:?} saw future update {seq} of p{updater}")
@@ -386,11 +392,7 @@ impl<T: Clone + Send + Sync + 'static> AfekSnapshot<T> {
         let mut first = self.collect(gate);
         loop {
             let second = self.collect(gate);
-            if first
-                .iter()
-                .zip(second.iter())
-                .all(|(a, b)| a.seq == b.seq)
-            {
+            if first.iter().zip(second.iter()).all(|(a, b)| a.seq == b.seq) {
                 let values = second.iter().map(|s| s.value.clone()).collect();
                 let seqs = second.iter().map(|s| s.seq).collect();
                 return (values, seqs, false);
@@ -402,11 +404,7 @@ impl<T: Clone + Send + Sync + 'static> AfekSnapshot<T> {
                         // interval: its embedded view is a snapshot taken
                         // entirely within it, and its embedded sequence
                         // vector is the accurate description of that view.
-                        return (
-                            second[j].view.clone(),
-                            second[j].view_seqs.clone(),
-                            true,
-                        );
+                        return (second[j].view.clone(), second[j].view_seqs.clone(), true);
                     }
                     moved[j] = true;
                 }
@@ -589,9 +587,10 @@ mod tests {
             ],
         );
         let violations = audit.check();
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, SnapshotViolation::MissedCompletedUpdate { updater: 0, .. })));
+        assert!(violations.iter().any(|v| matches!(
+            v,
+            SnapshotViolation::MissedCompletedUpdate { updater: 0, .. }
+        )));
         assert!(violations
             .iter()
             .any(|v| matches!(v, SnapshotViolation::SawFutureUpdate { updater: 1, .. })));
@@ -608,7 +607,10 @@ mod tests {
             let seed = rng.gen_range(0..10_000u64);
             let iters = rng.gen_range(1..5u64);
             let audit = adversarial_run(seed, iters);
-            assert!(audit.check().is_empty(), "case {case}: seed={seed} iters={iters}");
+            assert!(
+                audit.check().is_empty(),
+                "case {case}: seed={seed} iters={iters}"
+            );
         }
     }
 }

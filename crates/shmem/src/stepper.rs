@@ -41,8 +41,7 @@ use std::sync::Arc;
 use std::thread;
 
 /// How the scheduler picks the next process to take a step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
     /// Cycle through the processes in index order, skipping processes that
     /// are not currently requesting a step.
@@ -59,7 +58,6 @@ pub enum SchedulePolicy {
     /// script is exhausted the scheduler falls back to round-robin.
     Script(Vec<usize>),
 }
-
 
 /// When to crash each process.
 ///

@@ -83,7 +83,11 @@ mod tests {
     fn duplicate_records_are_allowed_sequentially() {
         let responses = run_invocations(
             &Ledger::new(),
-            &[Invocation::Append(1), Invocation::Append(1), Invocation::Get],
+            &[
+                Invocation::Append(1),
+                Invocation::Append(1),
+                Invocation::Get,
+            ],
         )
         .unwrap();
         assert_eq!(responses[2], Response::Sequence(vec![1, 1]));

@@ -102,7 +102,10 @@ mod tests {
             spec.producer(&Invocation::Dequeue, &Response::MaybeValue(Some(4))),
             Some(Invocation::Enqueue(4))
         );
-        assert_eq!(spec.producer(&Invocation::Dequeue, &Response::MaybeValue(None)), None);
+        assert_eq!(
+            spec.producer(&Invocation::Dequeue, &Response::MaybeValue(None)),
+            None
+        );
         assert_eq!(spec.producer(&Invocation::Enqueue(4), &Response::Ack), None);
     }
 

@@ -36,8 +36,11 @@ pub trait SequentialSpec: Send + Sync {
     /// the state it was given.  Checkers rely on it: an observer can be
     /// deleted from a legal sequential word, or inserted with the response
     /// `apply` gives it there, without changing what follows.
-    fn apply(&self, state: &Self::State, invocation: &Invocation)
-        -> Option<(Self::State, Response)>;
+    fn apply(
+        &self,
+        state: &Self::State,
+        invocation: &Invocation,
+    ) -> Option<(Self::State, Response)>;
 
     /// Checks whether `(invocation, response)` is a legal step from `state`,
     /// returning the successor state when it is.
@@ -145,7 +148,10 @@ impl fmt::Display for ValidationError {
                 write!(f, "word is not sequential at position {position}")
             }
             ValidationError::ForeignInvocation { position } => {
-                write!(f, "invocation at position {position} is outside the object alphabet")
+                write!(
+                    f,
+                    "invocation at position {position} is outside the object alphabet"
+                )
             }
             ValidationError::IllegalResponse {
                 position,
@@ -594,7 +600,10 @@ mod tests {
             let has_observer = !matches!(object, SpecObject::Queue | SpecObject::Stack);
             assert_eq!(applied > 0, has_observer, "{object:?}");
             // The blanket impl forwards `apply`, so the law carries over.
-            assert_eq!(observers_applied_without_moving(&&object, 6 + seed as u64), applied);
+            assert_eq!(
+                observers_applied_without_moving(&&object, 6 + seed as u64),
+                applied
+            );
         }
     }
 
@@ -633,10 +642,18 @@ mod tests {
         for (step, expected) in steps.iter().zip(expected) {
             let (invocation, response) = step;
             let by_name = named(step);
-            assert_eq!(by_name.iter().flatten().next(), expected.as_ref(), "{step:?}");
+            assert_eq!(
+                by_name.iter().flatten().next(),
+                expected.as_ref(),
+                "{step:?}"
+            );
             for (object, by_name) in objects.iter().zip(by_name) {
                 assert_eq!(object.producer(invocation, response), by_name, "{object:?}");
-                assert_eq!((&object).producer(invocation, response), by_name, "&{object:?}");
+                assert_eq!(
+                    (&object).producer(invocation, response),
+                    by_name,
+                    "&{object:?}"
+                );
             }
         }
     }

@@ -95,7 +95,10 @@ mod tests {
             spec.producer(&Invocation::Pop, &Response::MaybeValue(Some(4))),
             Some(Invocation::Push(4))
         );
-        assert_eq!(spec.producer(&Invocation::Pop, &Response::MaybeValue(None)), None);
+        assert_eq!(
+            spec.producer(&Invocation::Pop, &Response::MaybeValue(None)),
+            None
+        );
         assert_eq!(spec.producer(&Invocation::Push(4), &Response::Ack), None);
     }
 

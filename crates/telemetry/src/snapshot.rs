@@ -109,10 +109,7 @@ impl Snapshot {
     /// The gauge `name`'s value, if registered.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// The histogram `name`'s merged snapshot, if registered.
@@ -141,14 +138,20 @@ impl Snapshot {
             .counters
             .iter()
             .map(|(name, value)| {
-                (name.clone(), value.saturating_sub(earlier.counter(name).unwrap_or(0)))
+                (
+                    name.clone(),
+                    value.saturating_sub(earlier.counter(name).unwrap_or(0)),
+                )
             })
             .collect();
         let gauges = self
             .gauges
             .iter()
             .map(|(name, value)| {
-                (name.clone(), value.wrapping_sub(earlier.gauge(name).unwrap_or(0)))
+                (
+                    name.clone(),
+                    value.wrapping_sub(earlier.gauge(name).unwrap_or(0)),
+                )
             })
             .collect();
         let histograms = self
@@ -168,7 +171,11 @@ impl Snapshot {
                 (name.clone(), diff)
             })
             .collect();
-        Snapshot { counters, gauges, histograms }
+        Snapshot {
+            counters,
+            gauges,
+            histograms,
+        }
     }
 
     /// Prometheus text exposition (version 0.0.4 style): counters as
@@ -225,7 +232,11 @@ mod tests {
         values.extend([100_000u64; 10]);
         let snap = hist_of(&values);
         assert_eq!(snap.p50(), 15, "10 lands in [8,16)");
-        assert!(snap.p95() >= 65_535, "the tail dominates p95: {}", snap.p95());
+        assert!(
+            snap.p95() >= 65_535,
+            "the tail dominates p95: {}",
+            snap.p95()
+        );
         assert_eq!(snap.count, 100);
     }
 
@@ -283,7 +294,11 @@ mod tests {
         };
         let delta = later.delta(&earlier);
         assert_eq!(delta.counter("kept"), Some(4));
-        assert_eq!(delta.counter("fresh"), Some(3), "new metric deltas against zero");
+        assert_eq!(
+            delta.counter("fresh"),
+            Some(3),
+            "new metric deltas against zero"
+        );
         assert_eq!(delta.counter("gone"), None, "vanished metrics drop");
         assert_eq!(delta.gauge("g"), Some(-7));
         assert!(delta.histograms.is_empty());
