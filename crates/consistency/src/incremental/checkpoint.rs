@@ -6,7 +6,7 @@ use super::{CheckerStats, Core};
 use crate::history::{ArenaRead, InternedHistory};
 use crate::search::SearchOutcome;
 use drv_lang::wire::{
-    put_invocation, put_response, put_u32, put_u64, take_invocation, take_response, Reader,
+    put_invocation_id, put_response_id, put_u32, put_u64, take_invocation, take_response, Reader,
 };
 use drv_lang::{CodecError, EventAction, ProcId};
 use drv_spec::SequentialSpec;
@@ -159,16 +159,15 @@ impl<S: SequentialSpec> Core<S> {
         put_u32(&mut buf, self.history.process_count() as u32);
         put_u32(&mut buf, base as u32);
         put_u32(&mut buf, symbols as u32);
+        // Each entry goes in as one fixed-size append (`put_invocation_id`).
         for (proc, action) in self.history.word_from(base) {
-            put_u32(&mut buf, proc.0 as u32);
+            let [p0, p1, p2, p3] = (proc.0 as u32).to_le_bytes();
             match action {
                 EventAction::Invoke(id) => {
-                    buf.push(1);
-                    put_invocation(&mut buf, &interner.resolve_invocation(id));
+                    put_invocation_id(&mut buf, [p0, p1, p2, p3, 1], id, interner);
                 }
                 EventAction::Respond(id) => {
-                    buf.push(2);
-                    put_response(&mut buf, &interner.resolve_response(id));
+                    put_response_id(&mut buf, [p0, p1, p2, p3, 2], id, interner);
                 }
             }
         }
@@ -178,9 +177,10 @@ impl<S: SequentialSpec> Core<S> {
                 put_u32(&mut buf, witness_len as u32);
                 for (id, resp) in &witness.order[keep..] {
                     let record = self.history.record(*id);
-                    put_u32(&mut buf, record.proc.0 as u32);
-                    put_u32(&mut buf, record.local_index);
-                    put_response(&mut buf, &interner.resolve_response(*resp));
+                    let [p0, p1, p2, p3] = (record.proc.0 as u32).to_le_bytes();
+                    let [i0, i1, i2, i3] = record.local_index.to_le_bytes();
+                    let head = [p0, p1, p2, p3, i0, i1, i2, i3];
+                    put_response_id(&mut buf, head, *resp, interner);
                 }
             }
             // While a witness is alive the frontier is its order; only the

@@ -84,7 +84,7 @@
 use crate::journal::{Journal, JournalSink, RecoveredObject};
 use crate::report::{EngineReport, EngineStats};
 use crate::service::{SubmitError, SubscriptionShared, VerdictSubscription};
-use crate::shard::{ClaimOutput, Feed, QueueItem, ShardCore};
+use crate::shard::{ClaimOutput, Feed, QueueItem, ShardCore, ShardRouter};
 use drv_consistency::{ObjectMonitor, ObjectMonitorFactory};
 use drv_lang::{EventBatch, ObjectId, SharedInterner, Symbol, Verdict, VerdictEvent, WorkerPanic};
 use drv_telemetry::{Counter, Gauge, Histogram, Telemetry};
@@ -141,20 +141,6 @@ impl EngineConfig {
     fn shards(&self) -> usize {
         self.workers * 4
     }
-}
-
-/// FNV-1a over the raw object id: the shard router.  Object→shard placement
-/// only affects load distribution, never verdicts, but a fixed hash keeps
-/// scheduling reproducible run to run.
-fn shard_of(object: ObjectId, shards: usize) -> usize {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash = OFFSET;
-    for byte in object.0.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    (hash % shards as u64) as usize
 }
 
 /// The engine's registered metric handles: [`EngineStats`] /
@@ -298,6 +284,7 @@ struct Shared {
     factory: Arc<dyn ObjectMonitorFactory>,
     interner: SharedInterner,
     shards: Vec<Shard>,
+    router: ShardRouter,
     /// Per-worker ready deques of shard indices.
     deques: Vec<Mutex<VecDeque<usize>>>,
     /// The park lock pairs epoch bumps with notifications; it protects no
@@ -748,6 +735,7 @@ impl MonitoringEngine {
             factory,
             interner,
             shards: (0..config.shards()).map(|_| Shard::default()).collect(),
+            router: ShardRouter::new(config.shards()),
             deques: (0..config.workers)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
@@ -768,7 +756,7 @@ impl MonitoringEngine {
             max_pending: config.max_pending,
         });
         for seed in seeds {
-            let shard_index = shard_of(seed.object, config.shards());
+            let shard_index = shared.router.shard_of(seed.object);
             shared.shards[shard_index].core.lock().seed(seed);
         }
         let handles = (0..config.workers)
@@ -939,10 +927,10 @@ impl MonitoringEngine {
     fn enqueue_batch_range(&self, batch: &EventBatch, start: usize, end: usize) {
         let scatter_started = self.shared.tel.timer();
         self.shared.m.queue_depth.add((end - start) as i64);
-        let shard_count = self.shared.shards.len();
+        let (shard_count, router) = (self.shared.shards.len(), self.shared.router);
         let runs: Vec<(usize, std::ops::Range<usize>)> = batch
             .runs_between(start, end)
-            .map(|(object, range)| (shard_of(object, shard_count), range))
+            .map(|(object, range)| (router.shard_of(object), range))
             .collect();
         if let [(shard_index, range)] = &runs[..] {
             // Single-run batch (a one-event or single-object submission):
@@ -1055,7 +1043,7 @@ impl MonitoringEngine {
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
         self.shared.m.queue_depth.add(1);
         self.enqueue(
-            shard_of(object, self.shared.shards.len()),
+            self.shared.router.shard_of(object),
             [QueueItem::Evict(object)],
         );
     }
@@ -1322,16 +1310,58 @@ mod tests {
     #[test]
     fn shard_router_is_stable_and_in_range() {
         for shards in [1, 3, 8] {
+            let router = ShardRouter::new(shards);
             for object in 0..64 {
-                let shard = shard_of(ObjectId(object), shards);
+                let shard = router.shard_of(ObjectId(object));
                 assert!(shard < shards);
-                assert_eq!(shard, shard_of(ObjectId(object), shards));
+                assert_eq!(shard, router.shard_of(ObjectId(object)));
             }
         }
         // The router actually spreads objects around.
+        let router = ShardRouter::new(8);
         let hit: std::collections::HashSet<usize> =
-            (0..64).map(|o| shard_of(ObjectId(o), 8)).collect();
+            (0..64).map(|o| router.shard_of(ObjectId(o))).collect();
         assert!(hit.len() >= 4, "{hit:?}");
+    }
+
+    /// The divide-free remainder is `hash % shards` for every shard count
+    /// from 4 to 64: on 100 000 seeded hashes, 0, `u64::MAX` and multiples
+    /// of the count.
+    #[test]
+    fn the_shard_remainder_without_a_divide_is_the_remainder() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let seeded: Vec<u64> = (0..100_000)
+            .map(|_| {
+                // xorshift64*
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+            })
+            .collect();
+        for shards in 4..=64u64 {
+            let router = ShardRouter::new(shards as usize);
+            let multiples = [1, 2, 3, u64::MAX / shards - 1, u64::MAX / shards]
+                .into_iter()
+                .map(|k| k * shards)
+                .flat_map(|multiple| [multiple - 1, multiple, multiple.saturating_add(1)]);
+            let edges = [0, 1, u64::MAX - 1, u64::MAX].into_iter().chain(multiples);
+            for hash in seeded.iter().copied().chain(edges) {
+                assert_eq!(router.remainder(hash), hash % shards, "{hash} % {shards}");
+            }
+        }
+    }
+
+    /// `deep-history`'s objects 0, 1, 1 000 000 and 1 000 001 land on
+    /// shards 1, 0, 0 and 1 of a one-worker engine: the layout that sets
+    /// that workload's claim sizes.
+    #[test]
+    fn deep_history_objects_keep_their_shards() {
+        let router = ShardRouter::new(EngineConfig::new(1).shards());
+        let shards: Vec<usize> = [0, 1, 1_000_000, 1_000_001]
+            .map(|object| router.shard_of(ObjectId(object)))
+            .into();
+        assert_eq!(shards, [1, 0, 0, 1]);
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //!   up to an eviction marker are fed to its monitor as one
 //!   [`ObjectMonitor::on_records`] run — one slot lookup and one visit to
 //!   its cold state per object per claim, however finely the producers
-//!   interleaved the objects.  `seq` is the object's event index.
+//!   interleaved the objects.  `seq` is the object's event index.  The
+//!   grouping counts instead of sorting: one pass numbers the claim's
+//!   objects in a reused table, one lookup per stretch of consecutive
+//!   same-object items, and counts each group's events; only the distinct
+//!   objects are sorted, and one placement pass copies each event once, to
+//!   where its run is fed from.
 //! * **Checkpoint cadence.**  A run is fed in one call per stretch between
 //!   the events at which its object's checkpoints fall due, so checkpoints
 //!   (and the journal's bytes) land where one-event runs put them.
@@ -25,6 +30,7 @@ use crate::journal::{JournalSink, RecoveredObject};
 use crate::report::ObjectReport;
 use drv_consistency::{CheckerStats, ObjectMonitor, ObjectMonitorFactory};
 use drv_lang::{hash, EventRecord, ObjectId, SharedInterner, Verdict, VerdictEvent};
+use std::collections::hash_map::Entry;
 use std::time::Instant;
 
 /// One unit of shard-queue work: an object event (a `Copy`, arena-backed
@@ -83,30 +89,214 @@ pub(crate) struct ClaimOutput {
     /// The object whose monitor, checkpoint or tombstone the core is in,
     /// `None` after a claim: what a panic's `WorkerPanic::object` says.
     pub(crate) object: Option<ObjectId>,
-    order: Vec<ClaimKey>,
-    run: Vec<EventRecord>,
+    grouping: Grouping,
+    /// Object → its last group in the claim being grouped.  Kept apart from
+    /// [`Grouping`], which a claim takes out of the output while it feeds:
+    /// a map's default draws a hash key, a vector's costs nothing.
+    last_group: hash::HashMap<ObjectId, u32>,
     verdicts: Vec<Verdict>,
     check_tick: u32,
 }
 
-/// A drained item's grouping key: object and queue index, packed so that
-/// sorting plain integers groups a claim by object in queue order (the
-/// index is unique, so no two keys tie).  Sorting an 8 192-item drain of
-/// 2 048 objects took ≈ 23 ns per item packed against ≈ 42 ns as tuples.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ClaimKey(u128);
+/// No next group: the end of an object's chain.
+const NO_GROUP: u32 = u32::MAX;
 
-impl ClaimKey {
-    fn new(object: ObjectId, index: u32) -> Self {
-        ClaimKey(u128::from(object.0) << 64 | u128::from(index))
+/// One object's events in a claim up to an eviction marker (or the claim's
+/// end): placed contiguously and fed as one run, then retired if a marker
+/// closed it.
+#[derive(Clone, Copy)]
+struct Group {
+    /// Events counted into the group.
+    len: u32,
+    /// Where the group's next event is placed; placement leaves it at the
+    /// group's end.
+    at: u32,
+    /// A marker followed the group's events: the object's later events open
+    /// its next group.
+    closed: bool,
+    /// The object's next group in queue order, or [`NO_GROUP`].
+    next: u32,
+}
+
+/// Consecutive same-object events of a claim, `items[start..end]`, and the
+/// group they are counted into.
+#[derive(Clone, Copy)]
+struct Stretch {
+    group: u32,
+    start: u32,
+    end: u32,
+}
+
+/// A claim grouped by object, in buffers reused claim to claim.
+#[derive(Default)]
+struct Grouping {
+    /// Each object of the claim with its first group, sorted by object id.
+    objects: Vec<(ObjectId, u32)>,
+    groups: Vec<Group>,
+    /// The claim's event stretches in queue order.
+    stretches: Vec<Stretch>,
+    /// The claim's events, group after group in ascending object id; longer
+    /// than the claim when an earlier claim was (every slot a group covers
+    /// is written before it is read).
+    placed: Vec<EventRecord>,
+}
+
+/// The event a stretch's item is.
+fn event(item: &QueueItem) -> EventRecord {
+    match *item {
+        QueueItem::Event(event) => event,
+        QueueItem::Evict(_) => unreachable!("a stretch holds only events"),
+    }
+}
+
+impl Grouping {
+    /// Groups `items` by object and places their events; returns how many
+    /// events the claim holds.
+    fn group(
+        &mut self,
+        items: &[QueueItem],
+        last_group: &mut hash::HashMap<ObjectId, u32>,
+    ) -> usize {
+        assert!(
+            u32::try_from(items.len()).is_ok(),
+            "a shard queue holds < 2^32 items"
+        );
+        self.objects.clear();
+        self.groups.clear();
+        self.stretches.clear();
+        last_group.clear();
+        // Count: one lookup per stretch of consecutive same-object events.
+        let mut at = 0;
+        while at < items.len() {
+            let object = match items[at] {
+                QueueItem::Evict(object) => {
+                    let group = self.open(object, last_group);
+                    self.groups[group as usize].closed = true;
+                    at += 1;
+                    continue;
+                }
+                QueueItem::Event(event) => event.object,
+            };
+            let start = at;
+            at += 1;
+            while matches!(items.get(at), Some(QueueItem::Event(next)) if next.object == object) {
+                at += 1;
+            }
+            let group = self.open(object, last_group);
+            self.groups[group as usize].len += (at - start) as u32;
+            self.stretches.push(Stretch {
+                group,
+                start: start as u32,
+                end: at as u32,
+            });
+        }
+        // Each group's place: groups in ascending object id, an object's
+        // groups in queue order.
+        self.objects.sort_unstable_by_key(|&(object, _)| object);
+        let mut events = 0;
+        for &(_, first) in &self.objects {
+            let mut next = first;
+            while next != NO_GROUP {
+                let group = &mut self.groups[next as usize];
+                group.at = events;
+                events += group.len;
+                next = group.next;
+            }
+        }
+        let events = events as usize;
+        if let Some(first) = self.stretches.first() {
+            if self.placed.len() < events {
+                self.placed
+                    .resize(events, event(&items[first.start as usize]));
+            }
+        }
+        // Place: each event is copied once.
+        for stretch in &self.stretches {
+            let group = &mut self.groups[stretch.group as usize];
+            let stretch = &items[stretch.start as usize..stretch.end as usize];
+            let to = group.at as usize;
+            for (slot, item) in self.placed[to..to + stretch.len()].iter_mut().zip(stretch) {
+                *slot = event(item);
+            }
+            group.at += stretch.len() as u32;
+        }
+        events
     }
 
-    fn object(self) -> ObjectId {
-        ObjectId((self.0 >> 64) as u64)
+    /// `object`'s open group: its last one, or a new one if it has none in
+    /// this claim or a marker closed its last.
+    fn open(&mut self, object: ObjectId, last_group: &mut hash::HashMap<ObjectId, u32>) -> u32 {
+        let fresh = self.groups.len() as u32;
+        match last_group.entry(object) {
+            Entry::Vacant(entry) => {
+                entry.insert(fresh);
+                self.objects.push((object, fresh));
+            }
+            Entry::Occupied(mut entry) => {
+                let last = *entry.get();
+                if !self.groups[last as usize].closed {
+                    return last;
+                }
+                self.groups[last as usize].next = fresh;
+                entry.insert(fresh);
+            }
+        }
+        self.groups.push(Group {
+            len: 0,
+            at: 0,
+            closed: false,
+            next: NO_GROUP,
+        });
+        fresh
+    }
+}
+
+/// The shard router: FNV-1a over the raw object id, modulo the shard
+/// count.  Object→shard placement only affects load distribution, never
+/// verdicts, but a fixed hash keeps scheduling reproducible run to run.
+/// The remainder takes no divide: it multiplies by a reciprocal of the
+/// shard count fixed when the engine is built (Lemire, Kaser and Kurz,
+/// "Faster Remainder by Direct Computation", 2019), which at 128 bits is
+/// exact for every 64-bit hash.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardRouter {
+    shards: u64,
+    /// ⌈2¹²⁸ / shards⌉, which wraps to 0 for one shard.
+    reciprocal: u128,
+}
+
+impl ShardRouter {
+    pub(crate) fn new(shards: usize) -> Self {
+        let shards = shards as u64;
+        assert!(shards > 0, "an engine has at least one shard");
+        ShardRouter {
+            shards,
+            reciprocal: (u128::MAX / u128::from(shards)).wrapping_add(1),
+        }
     }
 
-    fn index(self) -> usize {
-        self.0 as u32 as usize
+    /// The index of `object`'s shard.
+    pub(crate) fn shard_of(self, object: ObjectId) -> usize {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01B3;
+        let mut hash = OFFSET;
+        for byte in object.0.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(PRIME);
+        }
+        self.remainder(hash) as usize
+    }
+
+    /// `hash % shards`: the low 128 bits of `hash × reciprocal` are the
+    /// fraction `hash / shards`, and the integer part of that fraction
+    /// times `shards` is the remainder.
+    pub(crate) fn remainder(self, hash: u64) -> u64 {
+        let fraction = self.reciprocal.wrapping_mul(u128::from(hash));
+        let shards = u128::from(self.shards);
+        // The top 128 bits of the 256-bit `fraction × shards`.
+        let high = (fraction >> 64) * shards;
+        let low = (u128::from(fraction as u64) * shards) >> 64;
+        ((high + low) >> 64) as u64
     }
 }
 
@@ -194,60 +384,52 @@ impl ShardCore {
 
     /// Feeds one claim's drained `items`, grouped by object.
     ///
-    /// The items are sorted on `(object, queue index)` keys, so each
-    /// object's items sit together in their queue order.  Each object's
-    /// events up to its next eviction marker form one run: its records,
-    /// gathered into one buffer and handed with the arena to
-    /// [`ObjectMonitor::on_records`], split only where a checkpoint falls
-    /// due.  A marker retires the monitor and the object's next run meets a
-    /// fresh one.  Counters and the rows not yet delivered accumulate in
-    /// `out` until the shell takes them.
+    /// The items are counted into groups: an object's events up to its
+    /// next eviction marker, in queue order (a marker closes its object's
+    /// group, and the object's later events open the next one).  Groups
+    /// are fed in ascending object id, each as one run from where the
+    /// placement put its events, handed with the arena to
+    /// [`ObjectMonitor::on_records`] and split only where a checkpoint
+    /// falls due; a closed group's marker then retires the monitor, and the
+    /// object's next run meets a fresh one.  Counters and the rows not yet
+    /// delivered accumulate in `out` until the shell takes them.
     pub(crate) fn feed(&mut self, items: &[QueueItem], feed: &Feed<'_>, out: &mut ClaimOutput) {
-        let mut order = std::mem::take(&mut out.order);
-        let len = u32::try_from(items.len()).expect("a shard queue holds < 2^32 items");
-        for (index, item) in (0..len).zip(items) {
-            let object = match item {
-                QueueItem::Event(event) => event.object,
-                QueueItem::Evict(object) => *object,
-            };
-            order.push(ClaimKey::new(object, index));
-            out.events += u64::from(matches!(item, QueueItem::Event(_)));
-        }
-        order.sort_unstable();
-        let mut at = 0;
-        while at < order.len() {
-            let object = order[at].object();
+        let mut grouping = std::mem::take(&mut out.grouping);
+        out.events += grouping.group(items, &mut out.last_group) as u64;
+        for &(object, first) in &grouping.objects {
             // Whose work a panic from here on unwinds out of.
             out.object = Some(object);
-            if let QueueItem::Evict(_) = items[order[at].index()] {
-                self.retire(object, feed.sink, out);
-                at += 1;
-                continue;
+            let mut group = first;
+            while group != NO_GROUP {
+                let Group {
+                    len,
+                    at,
+                    closed,
+                    next,
+                } = grouping.groups[group as usize];
+                if len > 0 {
+                    let run = &grouping.placed[(at - len) as usize..at as usize];
+                    self.feed_run(object, run, feed, out);
+                }
+                if closed {
+                    self.retire(object, feed.sink, out);
+                }
+                group = next;
             }
-            // The object's events up to its next marker, in queue order.
-            let mut end = at + 1;
-            while end < order.len()
-                && order[end].object() == object
-                && matches!(items[order[end].index()], QueueItem::Event(_))
-            {
-                end += 1;
-            }
-            out.run.clear();
-            out.run
-                .extend(order[at..end].iter().map(|key| match items[key.index()] {
-                    QueueItem::Event(event) => event,
-                    QueueItem::Evict(_) => unreachable!("runs contain only events"),
-                }));
-            self.feed_run(object, feed, out);
-            at = end;
         }
         out.object = None;
-        order.clear();
-        out.order = order;
+        out.grouping = grouping;
     }
 
-    /// Feeds `out.run`, one object's run, to the object's monitor.
-    fn feed_run(&mut self, object: ObjectId, feed: &Feed<'_>, out: &mut ClaimOutput) {
+    /// Feeds `run`, one object's events in queue order, to the object's
+    /// monitor.
+    fn feed_run(
+        &mut self,
+        object: ObjectId,
+        run: &[EventRecord],
+        feed: &Feed<'_>,
+        out: &mut ClaimOutput,
+    ) {
         let slot = self
             .objects
             .entry(object)
@@ -266,7 +448,7 @@ impl ShardCore {
             .flatten();
         out.verdicts.clear();
         let mut from = 0;
-        while from < out.run.len() {
+        while from < run.len() {
             let fed = slot.report.verdicts.len() as u64;
             // Feed up to the next checkpoint due, so a checkpoint lands on
             // the same event however a claim grouped the object's traffic.
@@ -274,9 +456,9 @@ impl ShardCore {
                 .zip(slot.checkpointed)
                 .map(|((sink, interval), since)| (sink, since, since.saturating_add(interval)));
             let until_due = due.map_or(u64::MAX, |(_, _, at)| at.saturating_sub(fed).max(1));
-            let to = from + until_due.min((out.run.len() - from) as u64) as usize;
+            let to = from + until_due.min((run.len() - from) as u64) as usize;
             let fed_before = out.verdicts.len();
-            monitor.on_records(&out.run[from..to], feed.arena, &mut out.verdicts);
+            monitor.on_records(&run[from..to], feed.arena, &mut out.verdicts);
             out.runs += 1;
             slot.report
                 .verdicts
@@ -301,7 +483,7 @@ impl ShardCore {
         harvest(slot, &mut out.harvested);
         assert_eq!(
             out.verdicts.len(),
-            out.run.len(),
+            run.len(),
             "an ObjectMonitor::on_records must append exactly one verdict per event"
         );
         // Rows accumulate in processing order, so each object's seqs reach
@@ -369,25 +551,28 @@ mod tests {
         CheckerMonitorFactory::linearizability(Register::new(), 2)
     }
 
+    /// `count` events of clean write/read traffic on `object`.
+    fn register_stream(object: ObjectId, count: usize) -> Vec<(ObjectId, Symbol)> {
+        (1..=count.div_ceil(4) as u64)
+            .flat_map(|value| {
+                [
+                    Symbol::invoke(ProcId(0), Invocation::Write(value)),
+                    Symbol::respond(ProcId(0), Response::Ack),
+                    Symbol::invoke(ProcId(1), Invocation::Read),
+                    Symbol::respond(ProcId(1), Response::Value(value)),
+                ]
+            })
+            .take(count)
+            .map(|symbol| (object, symbol))
+            .collect()
+    }
+
     /// `per_object` events of clean write/read traffic for each of objects
     /// `0..objects`, interleaved one event per object at a time.
     fn round_robin(objects: u64, per_object: usize) -> Vec<(ObjectId, Symbol)> {
-        let stream = |object: u64| -> Vec<(ObjectId, Symbol)> {
-            let object = ObjectId(object);
-            (1..=per_object.div_ceil(4) as u64)
-                .flat_map(|value| {
-                    [
-                        Symbol::invoke(ProcId(0), Invocation::Write(value)),
-                        Symbol::respond(ProcId(0), Response::Ack),
-                        Symbol::invoke(ProcId(1), Invocation::Read),
-                        Symbol::respond(ProcId(1), Response::Value(value)),
-                    ]
-                })
-                .take(per_object)
-                .map(|symbol| (object, symbol))
-                .collect()
-        };
-        let streams: Vec<_> = (0..objects).map(stream).collect();
+        let streams: Vec<_> = (0..objects)
+            .map(|object| register_stream(ObjectId(object), per_object))
+            .collect();
         (0..per_object)
             .flat_map(|step| streams.iter().map(move |stream| stream[step].clone()))
             .collect()
@@ -444,9 +629,10 @@ mod tests {
     }
 
     /// Wraps the register checker and reports `(object, run length)` for
-    /// every `on_batch` call the core makes.  The test doubles report down
-    /// channels: factories and sinks must be `Sync`, and the core's file
-    /// names no lock.
+    /// every `on_batch` call the core makes (one per `on_records` call: the
+    /// checker is on an arena of its own, so each run is resolved and fed
+    /// as symbols).  The test doubles report down channels: factories and
+    /// sinks must be `Sync`, and the core's file names no lock.
     struct CountingFactory(mpsc::Sender<(ObjectId, usize)>);
     struct CountingMonitor {
         object: ObjectId,
@@ -462,6 +648,12 @@ mod tests {
                 .send((self.object, symbols.len()))
                 .expect("the test holds the receiver");
             self.inner.on_batch(symbols, verdicts);
+        }
+        fn checker_stats(&self) -> Option<CheckerStats> {
+            self.inner.checker_stats()
+        }
+        fn checkpoint(&mut self) -> Option<Vec<u8>> {
+            self.inner.checkpoint()
         }
     }
     impl ObjectMonitorFactory for CountingFactory {
@@ -703,6 +895,212 @@ mod tests {
         assert_eq!(out.runs, 5, "A: 4 + 2, then 5 after the markers; B: 4 + 1");
         assert_eq!(out.evicted, 1, "the second marker finds no monitor");
         assert_eq!(reports(&mut core)[&a], expected);
+    }
+
+    /// The sort-based grouping the counting one replaced, kept as the
+    /// oracle: the items sorted on `(object, queue index)`, each object's
+    /// events up to its next marker gathered into one run.
+    fn feed_sorted(
+        core: &mut ShardCore,
+        items: &[QueueItem],
+        feed: &Feed<'_>,
+        out: &mut ClaimOutput,
+    ) {
+        let mut order: Vec<(ObjectId, usize)> = items
+            .iter()
+            .enumerate()
+            .map(|(index, item)| match item {
+                QueueItem::Event(event) => (event.object, index),
+                QueueItem::Evict(object) => (*object, index),
+            })
+            .collect();
+        out.events += items
+            .iter()
+            .filter(|item| matches!(item, QueueItem::Event(_)))
+            .count() as u64;
+        order.sort_unstable();
+        let mut at = 0;
+        while at < order.len() {
+            let (object, index) = order[at];
+            out.object = Some(object);
+            if let QueueItem::Evict(_) = items[index] {
+                core.retire(object, feed.sink, out);
+                at += 1;
+                continue;
+            }
+            let mut end = at + 1;
+            while end < order.len()
+                && order[end].0 == object
+                && matches!(items[order[end].1], QueueItem::Event(_))
+            {
+                end += 1;
+            }
+            let run: Vec<EventRecord> = order[at..end]
+                .iter()
+                .map(|&(_, index)| event(&items[index]))
+                .collect();
+            core.feed_run(object, &run, feed, out);
+            at = end;
+        }
+        out.object = None;
+    }
+
+    /// Everything a sequence of claims showed: the `on_records` calls, the
+    /// delivered row chunks and the rows left over, the sink calls, each
+    /// claim's counters, and the final verdict streams.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        records: Vec<(ObjectId, usize)>,
+        delivered: Vec<Vec<VerdictEvent>>,
+        sink: Vec<SinkCall>,
+        counters: Vec<(u64, u64, u64, CheckerStats)>,
+        reports: BTreeMap<ObjectId, Vec<Verdict>>,
+    }
+
+    type Grouper = fn(&mut ShardCore, &[QueueItem], &Feed<'_>, &mut ClaimOutput);
+
+    /// Feeds `claims` one after the other into a fresh core through `group`.
+    fn observe(
+        group: Grouper,
+        claims: &[&[QueueItem]],
+        arena: &SharedInterner,
+        interval: u64,
+    ) -> Observed {
+        let (calls, records) = mpsc::channel();
+        let factory = CountingFactory(calls);
+        let (sink, sink_calls) = RecordingSink::every(interval);
+        let delivered = RefCell::new(Vec::new());
+        let deliver = |rows: &[VerdictEvent]| delivered.borrow_mut().push(rows.to_vec());
+        let feed = Feed {
+            factory: &factory,
+            arena,
+            sink: Some(&sink),
+            start_check: &|| None,
+            end_check: &|_| {},
+            deliver: Some(&deliver),
+        };
+        let mut core = ShardCore::default();
+        let mut out = ClaimOutput::default();
+        let mut counters = Vec::new();
+        for items in claims {
+            group(&mut core, items, &feed, &mut out);
+            assert_eq!(out.object, None);
+            delivered.borrow_mut().push(std::mem::take(&mut out.rows));
+            let harvested = std::mem::take(&mut out.harvested);
+            counters.push((
+                std::mem::take(&mut out.events),
+                std::mem::take(&mut out.runs),
+                std::mem::take(&mut out.evicted),
+                harvested,
+            ));
+        }
+        Observed {
+            records: records.try_iter().collect(),
+            delivered: delivered.into_inner(),
+            sink: sink_calls.try_iter().collect(),
+            counters,
+            reports: reports(&mut core),
+        }
+    }
+
+    /// xorshift64*: the seeded draws of the differential test.
+    struct Draw(u64);
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+    }
+
+    /// The counting grouping feeds exactly what the sort-based one fed:
+    /// the same `on_records` calls, rows, sink calls, counters and
+    /// streams, over seeded claims of 1 to 600 objects (ids drawn at random,
+    /// so first sight and id order differ) interleaved round-robin, in
+    /// per-object stretches and at random, with eviction markers anywhere,
+    /// doubled and on never-seen objects, split into up to three claims,
+    /// at checkpoint intervals 1, 7 and 16.
+    #[test]
+    fn counting_a_claim_feeds_what_sorting_it_fed() {
+        let arena = SharedInterner::new();
+        let mut draw = Draw(0x9e37_79b9_7f4a_7c15);
+        let mut cases = 0;
+        for seed in 0..12 {
+            for objects in [1, 2, 7, 64, 600] {
+                let ids: Vec<u64> = (0..objects)
+                    .map(|_| draw.next() >> draw.below(60))
+                    .collect();
+                let per_object = 1 + draw.below(if objects > 64 { 6 } else { 20 });
+                let streams: Vec<Vec<QueueItem>> = ids
+                    .iter()
+                    .map(|&id| items(&register_stream(ObjectId(id), per_object), &arena))
+                    .collect();
+                let (mut taken, mut claimed) = (vec![0; objects], Vec::new());
+                let (total, mut cursor) = (objects * per_object, 0);
+                let mut remaining = total;
+                while remaining > 0 {
+                    let k = if seed % 3 == 0 {
+                        // Round-robin: one event per object at a time.
+                        cursor = (cursor + 1) % objects;
+                        cursor
+                    } else {
+                        // At random, in stretches of up to 1.5 streams when
+                        // `seed % 3 == 2`.
+                        draw.below(objects)
+                    };
+                    let stretch = if seed % 3 == 2 {
+                        1 + draw.below(per_object + per_object / 2)
+                    } else {
+                        1
+                    };
+                    let end = (taken[k] + stretch).min(per_object);
+                    if end == taken[k] {
+                        continue;
+                    }
+                    claimed.extend_from_slice(&streams[k][taken[k]..end]);
+                    remaining -= end - taken[k];
+                    taken[k] = end;
+                    // Markers: on this object (sometimes doubled), on another
+                    // one, or on an object nobody saw.
+                    match draw.below(16) {
+                        0 => claimed.push(QueueItem::Evict(ObjectId(ids[k]))),
+                        1 => claimed.extend([QueueItem::Evict(ObjectId(ids[k])); 2]),
+                        2 => claimed.push(QueueItem::Evict(ObjectId(ids[draw.below(objects)]))),
+                        3 => claimed.push(QueueItem::Evict(ObjectId(draw.next() | 1 << 63))),
+                        _ => {}
+                    }
+                }
+                if draw.below(4) == 0 {
+                    claimed.insert(0, QueueItem::Evict(ObjectId(ids[0])));
+                }
+                // Up to three claims, cut anywhere.
+                let mut cuts = [draw.below(claimed.len() + 1), draw.below(claimed.len() + 1)];
+                cuts.sort_unstable();
+                let claims = [
+                    &claimed[..cuts[0]],
+                    &claimed[cuts[0]..cuts[1]],
+                    &claimed[cuts[1]..],
+                ];
+                for interval in [1, 7, 16] {
+                    let counted = observe(ShardCore::feed, &claims, &arena, interval);
+                    let sorted = observe(feed_sorted, &claims, &arena, interval);
+                    assert!(
+                        counted == sorted,
+                        "seed {seed}, {objects} objects, interval {interval}: the groupings differ"
+                    );
+                    assert_eq!(
+                        counted.records.iter().map(|&(_, len)| len).sum::<usize>(),
+                        total
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 12 * 5 * 3);
     }
 
     /// A monitor that panics unwinds out of the core with the object it was

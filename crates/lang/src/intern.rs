@@ -83,7 +83,7 @@ const INLINE: u32 = 1 << 31;
 /// An inline id's variant tag sits in bits 29–30, its value below them.
 const TAG_SHIFT: u32 = 29;
 /// The tag of the unit variants, whose value bits number the variant.
-const UNIT: u32 = 3;
+pub(crate) const UNIT: u32 = 3;
 
 /// Scalar payloads carrying a value below this bound are inline ids; from
 /// here up they take an arena slot like any other payload.
@@ -97,7 +97,7 @@ fn inline_bits(tag: u32, value: u64) -> Option<u32> {
 
 /// The `(tag, value)` of an inline id, or `None` for an arena slot.
 #[inline]
-fn inline_fields(id: u32) -> Option<(u32, u64)> {
+pub(crate) fn inline_fields(id: u32) -> Option<(u32, u64)> {
     (id & INLINE != 0).then(|| {
         (
             (id >> TAG_SHIFT) & 3,

@@ -19,6 +19,7 @@
 //! All scalars are little-endian.  Collections are length-prefixed with
 //! `u32` counts.
 
+use crate::intern::{inline_fields, Interner, InvocationId, ResponseId, UNIT};
 use crate::symbol::{Invocation, Response};
 use std::fmt;
 
@@ -337,6 +338,96 @@ pub fn put_response(buf: &mut Vec<u8>, response: &Response) {
             buf.push(RESP_CUSTOM);
             put_string(buf, name);
             put_u64(buf, *v);
+        }
+    }
+}
+
+/// The longest entry [`put_invocation_id`] and [`put_response_id`] build
+/// on the stack: a head and a tag and a `u64`.
+const ENTRY_BYTES: usize = 24;
+
+/// The wire tags of inline ids (`crate::intern`'s layout): the valued
+/// variants by inline tag, the unit variants by value.
+const INV_VALUED: [u8; 3] = [INV_WRITE, INV_ENQUEUE, INV_PUSH];
+const INV_UNITS: [u8; 5] = [INV_READ, INV_INC, INV_GET, INV_DEQUEUE, INV_POP];
+const RESP_VALUED: [u8; 2] = [RESP_VALUE, RESP_SOME];
+const RESP_UNITS: [u8; 2] = [RESP_ACK, RESP_NONE];
+
+/// Appends `head`, a fixed-size entry's leading fields, then the payload
+/// encoding of the inline id `(tag, value)`: its wire tag from `valued` or
+/// `units`, and the value unless it is a unit variant.  The entry is built
+/// on the stack and appended in one fixed-size copy, then cut to its length
+/// (a copy of varying length compiles to a `memcpy` call, which costs more
+/// than the entry).  `None`, and nothing appended, for an id no payload
+/// maps to.
+#[inline]
+fn put_inline<const H: usize>(
+    buf: &mut Vec<u8>,
+    head: [u8; H],
+    (tag, value): (u32, u64),
+    valued: &[u8],
+    units: &[u8],
+) -> Option<()> {
+    const { assert!(H + 9 <= ENTRY_BYTES) };
+    let (wire, len) = if tag == UNIT {
+        (*units.get(value as usize)?, H + 1)
+    } else {
+        (*valued.get(tag as usize)?, H + 9)
+    };
+    let mut entry = [0u8; ENTRY_BYTES];
+    entry[..H].copy_from_slice(&head);
+    entry[H] = wire;
+    entry[H + 1..H + 9].copy_from_slice(&value.to_le_bytes());
+    let len = buf.len() + len;
+    buf.extend_from_slice(&entry[..H + 9]);
+    buf.truncate(len);
+    Some(())
+}
+
+/// Appends `head`, then [`put_invocation`]'s encoding of the payload `id`
+/// names in `interner`.  An inline id's tag and value are taken from the id,
+/// in one fixed-size append, without building the payload; an arena slot is
+/// resolved and put.
+///
+/// # Panics
+///
+/// Panics on an inline id no payload maps to.
+#[inline]
+pub fn put_invocation_id<const H: usize>(
+    buf: &mut Vec<u8>,
+    head: [u8; H],
+    id: InvocationId,
+    interner: &Interner,
+) {
+    match inline_fields(id.0) {
+        Some(fields) => put_inline(buf, head, fields, &INV_VALUED, &INV_UNITS)
+            .unwrap_or_else(|| panic!("{:#x} is no invocation id", id.0)),
+        None => {
+            buf.extend_from_slice(&head);
+            put_invocation(buf, &interner.resolve_invocation(id));
+        }
+    }
+}
+
+/// Appends `head`, then [`put_response`]'s encoding of the payload `id`
+/// names in `interner`: inline ids as [`put_invocation_id`] writes them.
+///
+/// # Panics
+///
+/// Panics on an inline id no payload maps to.
+#[inline]
+pub fn put_response_id<const H: usize>(
+    buf: &mut Vec<u8>,
+    head: [u8; H],
+    id: ResponseId,
+    interner: &Interner,
+) {
+    match inline_fields(id.0) {
+        Some(fields) => put_inline(buf, head, fields, &RESP_VALUED, &RESP_UNITS)
+            .unwrap_or_else(|| panic!("{:#x} is no response id", id.0)),
+        None => {
+            buf.extend_from_slice(&head);
+            put_response(buf, &interner.resolve_response(id));
         }
     }
 }

@@ -53,6 +53,84 @@ fn payloads_round_trip() {
     }
 }
 
+/// The entry writers put, byte for byte, what `put_invocation` and
+/// `put_response` put for the resolved payload behind the head: every
+/// inline variant at 0, 1 and 2²⁹ − 1, and arena payloads (2²⁹, `u64::MAX`,
+/// `Append`, `Sequence`, `Custom`), behind heads of 5 and 8 bytes.
+#[test]
+fn entry_writers_put_the_bytes_of_the_resolved_payload() {
+    let values = [0, 1, INLINE_VALUE_LIMIT - 1, INLINE_VALUE_LIMIT, u64::MAX];
+    let mut invocations = vec![
+        Invocation::Read,
+        Invocation::Inc,
+        Invocation::Get,
+        Invocation::Dequeue,
+        Invocation::Pop,
+        Invocation::Append(0),
+        Invocation::Append(u64::MAX),
+        Invocation::Custom("cas".into(), 9),
+        Invocation::Custom(String::new(), u64::MAX),
+    ];
+    let mut responses = vec![
+        Response::Ack,
+        Response::MaybeValue(None),
+        Response::Sequence(vec![]),
+        Response::Sequence(vec![1, 2, u64::MAX]),
+        Response::Custom("cas".into(), 1),
+    ];
+    for value in values {
+        invocations.extend([
+            Invocation::Write(value),
+            Invocation::Enqueue(value),
+            Invocation::Push(value),
+        ]);
+        responses.extend([Response::Value(value), Response::MaybeValue(Some(value))]);
+    }
+    let shared = SharedInterner::new();
+    let inv_ids: Vec<_> = invocations
+        .iter()
+        .map(|inv| shared.invocation(inv))
+        .collect();
+    let resp_ids: Vec<_> = responses.iter().map(|resp| shared.response(resp)).collect();
+    let (mut inline, mut slots) = (0, 0);
+    let interner = shared.read();
+    let (short, long) = ([1, 2, 3, 4, 5], [9, 8, 7, 6, 5, 4, 3, 2]);
+    for (invocation, &id) in invocations.iter().zip(&inv_ids) {
+        let mut expected = vec![0xAA];
+        expected.extend_from_slice(&short);
+        put_invocation(&mut expected, invocation);
+        let mut written = vec![0xAA];
+        put_invocation_id(&mut written, short, id, &interner);
+        assert_eq!(written, expected, "{invocation:?}");
+        if id.is_inline() {
+            inline += 1;
+        } else {
+            slots += 1;
+        }
+    }
+    for (response, &id) in responses.iter().zip(&resp_ids) {
+        for head in [&short[..], &long[..]] {
+            let mut expected = vec![0xAA];
+            expected.extend_from_slice(head);
+            put_response(&mut expected, response);
+            let mut written = vec![0xAA];
+            match head.len() {
+                5 => put_response_id(&mut written, short, id, &interner),
+                _ => put_response_id(&mut written, long, id, &interner),
+            }
+            assert_eq!(written, expected, "{response:?}");
+        }
+        if id.is_inline() {
+            inline += 1;
+        } else {
+            slots += 1;
+        }
+    }
+    // Inline: 5 unit invocations, 3 × 3 valued ones, 2 unit responses and
+    // 2 × 3 valued ones; the rest take slots.
+    assert_eq!((inline, slots), (22, 17));
+}
+
 #[test]
 fn truncation_yields_typed_errors_at_every_cut() {
     for invocation in invocations() {
